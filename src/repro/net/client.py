@@ -2,7 +2,8 @@
 
 The client walks a :class:`~repro.service.sources.JobSource` one
 control window at a time with the exact call pattern of the in-process
-loop (``jobs_until(min((k+1)·cp, duration))``), so the source's RNG
+loop (``jobs_until(end)`` at each
+:func:`~repro.service.window.window_bounds` end), so the source's RNG
 stream state — and therefore the offered stream — is identical between
 a networked run and a :class:`SchedulerService` run of the same seed.
 
@@ -45,6 +46,7 @@ import numpy as np
 
 from ..metrics.online import LatencyStats
 from ..service.sources import JobSource
+from ..service.window import window_bounds, window_count
 from .protocol import Resolve, Submit
 
 __all__ = ["CapacityRouter", "LoadClient"]
@@ -162,7 +164,7 @@ class LoadClient:
                 f"for {self.n_shards} shards"
             )
         self.router = CapacityRouter(self.shard_weights)
-        self.n_windows = int(np.ceil(self.duration / self.control_period))
+        self.n_windows = window_count(self.duration, self.control_period)
         self.next_window = 0
         self.inflight = 0  # unacknowledged (window, shard) submits
         self.peak_inflight = 0  # in windows, max over the run
@@ -217,7 +219,7 @@ class LoadClient:
         if self.next_window >= self.n_windows:
             return None
         k = self.next_window
-        end = min((k + 1) * self.control_period, self.duration)
+        _, end = window_bounds(k, self.duration, self.control_period)
         times, sizes = self.source.jobs_until(end)
         final = k == self.n_windows - 1
         submits = []

@@ -1,29 +1,19 @@
 """Orchestrator shard: Algorithm 2 dispatch over a message boundary.
 
-One shard owns a subset of the server pool and runs exactly the brain
-of :class:`~repro.service.loop.SchedulerService` — online estimators,
-admission gate, memoized Algorithm 2 sequence, quasi-static re-solve —
-with the window *replay* moved behind DISPATCH/COMPLETE messages to
-server stubs.  The shard is sans-IO: handlers map one inbound message
-to outbound messages, and both transports (deterministic in-process
-loop, asyncio sockets) drive the same code.
-
-**Equivalence contract.**  For a fault-free run the shard reproduces
-``SchedulerService._run_window`` float-op for float-op:
-
-* SUBMIT processing runs ``observe_arrivals → admit_mask →
-  select_batch`` and partitions admitted jobs with the same stable
-  argsort + searchsorted the grouped replay uses;
-* each stub replays its slice with the identical per-server Lindley
-  recursion (:func:`~repro.service.replay.lindley_window`);
-* COMPLETE replies are folded in server-index order behind a per-window
-  barrier: per-server witness slices concatenated in server order equal
-  the in-process ``wit[order]`` bit-for-bit (elementwise division
-  commutes with the permutation), and departures are scattered back to
-  arrival order before the response means — numpy's pairwise summation
-  makes the reduction order part of the contract;
-* ``resolve(end)`` runs only after the barrier, exactly once per
-  window, so estimator state at every boundary matches the serial loop.
+One shard owns a subset of the server pool and runs the in-process
+service's control window — the same
+:class:`~repro.service.window.WindowStep` — with the window *replay*
+moved behind DISPATCH/COMPLETE messages to server stubs.  SUBMIT runs
+``admit → select_batch`` and partitions the admitted jobs by server
+with the grouped replay's stable argsort; each stub replays its slice
+with the bank's per-server Lindley recursion
+(:func:`~repro.service.replay.lindley_window`); the last COMPLETE
+closes a per-window barrier, and the replies, in server-index order,
+are the replay's server-grouped arrays for ``fold`` and ``close``.
+Sim-vs-live identity therefore holds by construction.  The shard is
+sans-IO: handlers map one inbound message to outbound messages, and
+both transports (deterministic in-process loop, asyncio sockets) drive
+the same code.
 
 Windows are processed strictly in order, one at a time — SUBMITs queue
 in the transport while a window is in flight (that queue, plus the
@@ -59,11 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dispatch.round_robin import SequenceRoundRobin
 from ..metrics.online import LatencyStats
 from ..obs import counters
-from ..service.controller import AdmissionGate, ControlDecision
-from ..service.loop import ServiceConfig, ServiceReport, WindowRecord, build_controller
+from ..service.controller import ControlDecision
+from ..service.loop import ServiceConfig
+from ..service.window import ServiceReport, WindowStep, window_bounds
 from .protocol import (
     Complete,
     Dispatch,
@@ -104,7 +94,6 @@ class _WindowState:
     start: float
     end: float
     offered: int
-    shed: int
     adm_times: np.ndarray
     adm_sizes: np.ndarray
     order: np.ndarray
@@ -122,11 +111,7 @@ class OrchestratorShard:
         self.config = config
         self.shard_id = int(shard_id)
         self.n = len(config.speeds)
-        self.controller = build_controller(config)
-        self.gate = AdmissionGate()
-        self.dispatcher = SequenceRoundRobin()
-        self.dispatcher.reset(self.controller.alphas)
-        self.report = ServiceReport(config=config)
+        self.step = WindowStep(config)
         self.up = np.ones(self.n, dtype=bool)
         self.decisions: list[ControlDecision] = []
         self.decision_latency = LatencyStats()
@@ -137,6 +122,13 @@ class OrchestratorShard:
         #: Parked rejoins: server → its REGISTER, applied at the
         #: boundary of the window the registration names.
         self._rejoins: dict[int, Register] = {}
+
+    @property
+    def report(self) -> ServiceReport:
+        return self.step.report
+
+    def _bounds(self, k: int) -> tuple[float, float]:
+        return window_bounds(k, self.config.duration, self.config.control_period)
 
     @property
     def busy(self) -> bool:
@@ -158,8 +150,7 @@ class OrchestratorShard:
         """Open window *msg.window*: decide placements, cut dispatches.
 
         Returns the per-server DISPATCH fan-out and — for a window with
-        no live targets — the immediate RESOLVE.  Exactly the decision
-        plane of ``SchedulerService._run_window`` up to the replay call.
+        no live targets — the immediate RESOLVE.
         """
         if self._pending is not None:
             raise RuntimeError(
@@ -171,43 +162,25 @@ class OrchestratorShard:
         k = msg.window
         if self._rejoins:
             self._apply_rejoins(k)
-        cp = self.config.control_period
-        start = k * cp
-        end = min((k + 1) * cp, self.config.duration)
+        start, end = self._bounds(k)
         times = np.asarray(msg.times, dtype=float)
         sizes = np.asarray(msg.sizes, dtype=float)
 
         t0 = time.perf_counter()
-        controller = self.controller
-        controller.observe_arrivals(times, sizes)
-        keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask(times.size, keep)
-        if mask.all():
-            adm_times = times
-            adm_sizes = sizes
-        else:
-            adm_times = times[mask]
-            adm_sizes = sizes[mask]
-        targets = self.dispatcher.select_batch(adm_sizes)
+        adm_times, adm_sizes = self.step.admit(times, sizes)
+        targets = self.step.dispatcher.select_batch(adm_sizes)
         # Same stable group-by-server partition as the grouped replay.
         order = np.argsort(targets, kind="stable")
-        sorted_targets = targets[order]
-        bounds = np.searchsorted(sorted_targets, np.arange(self.n + 1))
+        bounds = np.searchsorted(targets[order], np.arange(self.n + 1))
         self.decision_latency.observe(
             time.perf_counter() - t0, jobs=int(adm_times.size)
         )
-
-        shed = int(times.size - adm_times.size)
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
 
         state = _WindowState(
             window=k,
             start=start,
             end=end,
             offered=int(times.size),
-            shed=shed,
             adm_times=adm_times,
             adm_sizes=adm_sizes,
             order=order,
@@ -295,12 +268,12 @@ class OrchestratorShard:
         membership and forces the out-of-band full-bank re-solve at
         this window's boundary.
         """
-        start = window * self.config.control_period
+        start, _ = self._bounds(window)
         for server in sorted(self._rejoins):
             if self._rejoins[server].window <= window:
                 del self._rejoins[server]
                 self.up[server] = True
-                self.controller.mark_server_up(
+                self.step.controller.mark_server_up(
                     server, start, fresh_estimates=True
                 )
                 counters.inc("net.server_rejoin")
@@ -328,9 +301,8 @@ class OrchestratorShard:
             return None
         self.up[server] = False
         state = self._pending
-        now = state.end if state is not None else self.windows_done * \
-            self.config.control_period
-        self.controller.mark_server_down(server, now)
+        now = state.end if state is not None else self._bounds(self.windows_done)[0]
+        self.step.controller.mark_server_down(server, now)
         counters.inc("net.server_down")
         if state is not None and server in state.expected:
             lo, hi = state.bounds[server], state.bounds[server + 1]
@@ -345,108 +317,55 @@ class OrchestratorShard:
     # ------------------------------------------------------------------
 
     def _finalize_window(self) -> Resolve:
-        """Fold replies, close the estimator window, emit the RESOLVE.
+        """Gather the replies, fold and close the window, emit the RESOLVE.
 
-        Fault-free (``lost == 0``) folding is bit-identical to the
-        in-process loop; with losses the surviving slices are folded in
-        server-index order with compacted offsets (lost jobs produce no
-        witnesses and no response samples).
+        Replies in server-index order concatenate to the replay's
+        server-grouped arrays; a lost slice contributes no witnesses and
+        no response samples.
         """
         state = self._pending
         assert state is not None
         self._pending = None
-        controller = self.controller
         n_adm = int(state.adm_times.size)
-        completed = n_adm - state.lost
-
-        if state.lost == 0 and n_adm:
-            # Grouped arrays reassembled exactly as the replay emits
-            # them: per-server slices concatenated in server order.
-            svc_g = np.empty(n_adm)
-            dep_g = np.empty(n_adm)
-            for i, reply in sorted(state.replies.items()):
-                lo, hi = state.bounds[i], state.bounds[i + 1]
-                svc_g[lo:hi] = reply.service_times
-                dep_g[lo:hi] = reply.departures
-            sizes_g = state.adm_sizes[state.order]
-            witg = sizes_g / svc_g
-            controller.observe_services_grouped(witg, state.bounds)
-            departures = np.empty(n_adm)
-            departures[state.order] = dep_g
-            response = departures - state.adm_times
-            mrt = float(response.mean())
-            ratio = float((response / state.adm_sizes).mean())
-            controller.observe_responses(response)
-        elif completed > 0:
-            # Kill path: fold survivors only, server-grouped order.
-            svc_parts = []
-            resp_parts = []
-            witnesses = np.empty(completed)
-            offsets = np.zeros(self.n + 1, dtype=np.int64)
-            pos = 0
-            for i in range(self.n):
-                reply = state.replies.get(i)
-                if reply is None:
-                    offsets[i + 1] = pos
-                    continue
-                lo, hi = state.bounds[i], state.bounds[i + 1]
-                idx = state.order[lo:hi]
-                svc = np.asarray(reply.service_times)
-                dep = np.asarray(reply.departures)
-                witnesses[pos:pos + idx.size] = state.adm_sizes[idx] / svc
-                svc_parts.append(state.adm_sizes[idx])
-                resp_parts.append(dep - state.adm_times[idx])
-                pos += int(idx.size)
-                offsets[i + 1] = pos
-            controller.observe_services_grouped(witnesses, offsets)
-            resp = np.concatenate(resp_parts)
-            sizes_c = np.concatenate(svc_parts)
-            mrt = float(resp.mean())
-            ratio = float((resp / sizes_c).mean())
-            controller.observe_responses(resp)
-        else:
-            mrt = float("nan")
-            ratio = float("nan")
-
+        replies = [state.replies[i] for i in sorted(state.replies)]
+        svc = np.concatenate([np.empty(0), *(r.service_times for r in replies)])
+        dep = np.concatenate([np.empty(0), *(r.departures for r in replies)])
         if state.lost:
+            # Survivors only: compacted server groups, and responses
+            # reduced in server-grouped order.
             counters.inc("service.jobs_lost", value=int(state.lost))
-
-        decision = controller.resolve(state.end)
-        if decision.swapped:
-            self.dispatcher = SequenceRoundRobin()
-            self.dispatcher.reset(decision.alphas)
-        self.decisions.append(decision)
-
-        estimate = decision.estimate
-        report = self.report
-        report.windows.append(
-            WindowRecord(
-                start=state.start,
-                end=state.end,
-                offered=state.offered,
-                admitted=n_adm,
-                shed=state.shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=completed,
-                lost=state.lost,
-                servers_up=int(self.up.sum()),
-                reason=decision.reason,
-            )
+            offsets = np.zeros(self.n + 1, dtype=np.int64)
+            parts = [state.order[:0]]
+            for i in sorted(state.replies):
+                lo, hi = state.bounds[i], state.bounds[i + 1]
+                parts.append(state.order[lo:hi])
+                offsets[i + 1] = hi - lo
+            np.cumsum(offsets, out=offsets)
+            idx = np.concatenate(parts)
+            response = dep - state.adm_times[idx]
+            sizes = state.adm_sizes[idx]
+        else:
+            # Every slice is back: the replay's own grouping, with
+            # departures scattered back to arrival order as the replay
+            # returns them.
+            idx, offsets = state.order, state.bounds
+            departures = np.empty(n_adm)
+            departures[idx] = dep
+            response = departures - state.adm_times
+            sizes = state.adm_sizes
+        mrt, ratio = self.step.fold(
+            state.adm_sizes[idx] / svc, offsets, response, sizes
         )
-        report.jobs_offered += state.offered
-        report.jobs_dispatched += n_adm
-        report.jobs_shed += state.shed
-        report.jobs_lost += state.lost
+        decision = self.step.close(
+            state.start, state.end, offered=state.offered, admitted=n_adm,
+            mrt=mrt, ratio=ratio, completed=n_adm - state.lost,
+            lost=state.lost, servers_up=int(self.up.sum()),
+        )
+        self.decisions.append(decision)
         self.windows_done += 1
         if state.final:
-            self._finalize_report()
+            self.report.clean_shutdown = True
+            self.finished = True
         return Resolve(
             window=state.window,
             alphas=tuple(float(a) for a in decision.alphas),
@@ -454,19 +373,8 @@ class OrchestratorShard:
             reason=decision.reason,
             offered=state.offered,
             admitted=n_adm,
-            shed=state.shed,
+            shed=state.offered - n_adm,
             lost=state.lost,
             final=state.final,
             capacity=self.live_capacity(),
         )
-
-    def _finalize_report(self) -> None:
-        report = self.report
-        controller = self.controller
-        report.swaps = controller.swaps
-        report.resolves = controller.resolves
-        report.membership_changes = controller.membership_events
-        report.p50 = controller.p50.value
-        report.p99 = controller.p99.value
-        report.clean_shutdown = True
-        self.finished = True

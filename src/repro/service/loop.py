@@ -1,37 +1,37 @@
 """The quasi-static scheduler service loop.
 
 :class:`SchedulerService` ties the pieces together: a
-:class:`~repro.service.sources.JobSource` supplies arrivals, the
-:class:`~repro.service.controller.QuasiStaticController` estimates the
-workload and periodically re-solves Theorems 1–3, the live
-:class:`~repro.dispatch.round_robin.RoundRobinDispatcher` turns
-allocations into a dispatch sequence, and the
-:class:`~repro.service.replay.ServerBank` carries each server's FCFS
-backlog across control windows.
+:class:`~repro.service.sources.JobSource` supplies arrivals, a
+:class:`~repro.service.window.WindowStep` runs each window's control
+plane (estimators, admission gate, Algorithm 2 dispatcher, Theorems 1–3
+re-solve, report), and the :class:`~repro.service.replay.ServerBank`
+carries each server's FCFS backlog across control windows.
 
-Time advances one control period at a time.  Within a window the
+Time advances one control period at a time, and every window is
+``admit → select_batch → replay → fold → close``.  Within a window the
 dispatch sequence is immutable — Algorithm 2's interleaving invariant
-holds for the segment — and the controller may swap it only at the
-boundary (drain-and-switch).  Admission thinning decided at the last
-re-solve applies to the *next* window's arrivals, mirroring how a real
-controller can only act on what it has already measured.
+holds for the segment — and ``close`` may swap it only at the boundary
+(drain-and-switch).  Admission thinning decided at the last re-solve
+applies to the *next* window's arrivals, mirroring how a real
+controller can only act on what it has already measured.  The default
+replay is one compiled call; ``reference=True`` keeps the original
+per-job window as the oracle the fast path is pinned against.
 
 **Fault tolerance.**  With a :class:`~repro.faults.models.FaultConfig`
-(or a scripted event list — the chaos harness) the loop runs a
-job-level variant of the window: the pre-generated fault timeline
-splits each window into segments, jobs dispatch one at a time through
-:meth:`ServerBank.dispatch`, and each fault event is applied after the
-jobs at or before its timestamp.  A job aimed at a down server — and
-every resident of a server that fails — bounces through the
-:class:`~repro.faults.models.RetryPolicy`: it re-enters the stream at
-``bounce_time + delay`` with its original arrival as response-time
-origin, or counts as lost once ``max_attempts`` placements failed (or
-immediately under ``on_failure="lose"``).  The dispatch sequence stays
-immutable within the window even when a failure lands mid-window; the
-controller learns of the membership change (failure detector) and the
-*next boundary* re-solve runs out-of-band over the survivors.  The
-fault-free path is a separate, untouched code branch, so fault-free
-runs stay bit-identical.
+(or a scripted event list — the chaos harness) the replay is job-level:
+the pre-generated fault timeline splits each window into segments, jobs
+dispatch one at a time through :meth:`ServerBank.dispatch`, and each
+fault event is applied after the jobs at or before its timestamp.  A
+job aimed at a down server — and every resident of a server that fails
+— bounces through the :class:`~repro.faults.models.RetryPolicy`: it
+re-enters the stream at ``bounce_time + delay`` with its original
+arrival as response-time origin, or counts as lost once
+``max_attempts`` placements failed (or immediately under
+``on_failure="lose"``).  The dispatch sequence stays immutable within
+the window even when a failure lands mid-window; the controller learns
+of the membership change (failure detector) and the *next boundary*
+re-solve runs out-of-band over the survivors.  Admission, the
+completion fold and the close are the same step calls as fault-free.
 
 **Crash safety.**  A :class:`~repro.service.checkpoint.ServiceCheckpoint`
 snapshots the full loop state (controller, gate, bank, dispatcher
@@ -51,11 +51,10 @@ experiment, not just a demo.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..dispatch.round_robin import RoundRobinDispatcher, SequenceRoundRobin
 from ..faults.models import (
     DEGRADE_END,
     DEGRADE_START,
@@ -70,9 +69,17 @@ from ..obs import counters
 from ..obs.spans import span
 from ..sim import ckernel
 from .checkpoint import ServiceCheckpoint
-from .controller import AdmissionGate, ControlDecision, QuasiStaticController
+from .controller import QuasiStaticController
 from .replay import ServerBank
 from .sources import JobSource
+from .window import (
+    ServiceReport,
+    WindowRecord,
+    WindowStep,
+    build_controller,
+    window_bounds,
+    window_count,
+)
 
 __all__ = [
     "ServiceConfig",
@@ -82,28 +89,6 @@ __all__ = [
     "ServiceCrash",
     "build_controller",
 ]
-
-
-def build_controller(config: "ServiceConfig") -> QuasiStaticController:
-    """The controller a service run gets from its config.
-
-    Shared by :class:`SchedulerService` and the networked orchestrator
-    shards (:mod:`repro.net.orchestrator`) so the two stacks can never
-    drift apart in how config knobs map to controller parameters —
-    a prerequisite for the sim-vs-live equivalence guarantee.
-    """
-    return QuasiStaticController(
-        np.asarray(config.speeds, dtype=float),
-        window=config.window,
-        ewma_weight=config.ewma_weight,
-        shed_threshold=config.shed_threshold,
-        rho_cap=config.rho_cap,
-        swap_tolerance=config.swap_tolerance,
-        min_arrivals_to_shed=config.min_arrivals_to_shed,
-        slo_target=config.slo_target,
-        min_responses_to_shed=config.min_responses_to_shed,
-        max_shed_fraction=config.max_shed_fraction,
-    )
 
 
 class ServiceCrash(RuntimeError):
@@ -162,196 +147,6 @@ class ServiceConfig:
         )
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    """Telemetry of one control window."""
-
-    start: float
-    end: float
-    offered: int
-    admitted: int
-    shed: int
-    mean_response_time: float  # NaN when the window completed nothing
-    mean_response_ratio: float
-    lambda_hat: float
-    rho_hat: float
-    swapped: bool
-    alphas: np.ndarray
-    # Tail telemetry (per-window P² estimates; NaN when nothing completed).
-    p50: float = float("nan")
-    p99: float = float("nan")
-    # Fault accounting.  In fault mode response-time stats cover jobs
-    # *completed* in the window (jobs still in flight at the boundary
-    # count in the window their departure lands in); the fault-free path
-    # keeps its dispatch-window attribution.
-    completed: int = 0
-    lost: int = 0
-    retried: int = 0
-    bounced: int = 0
-    servers_up: int = 0
-    reason: str = "periodic"
-
-
-@dataclass
-class ServiceReport:
-    """Everything a service run produced, JSON-serializable."""
-
-    config: ServiceConfig
-    windows: list[WindowRecord] = field(default_factory=list)
-    jobs_offered: int = 0
-    jobs_dispatched: int = 0
-    jobs_shed: int = 0
-    swaps: int = 0
-    resolves: int = 0
-    clean_shutdown: bool = False
-    # Fault accounting (all zero on a fault-free run).
-    jobs_lost: int = 0
-    jobs_retried: int = 0
-    jobs_pending_retry: int = 0
-    jobs_in_flight: int = 0
-    membership_changes: int = 0
-    # Lifetime response-time quantiles (streaming P²).
-    p50: float = float("nan")
-    p99: float = float("nan")
-
-    @property
-    def final_alphas(self) -> np.ndarray:
-        if not self.windows:
-            raise ValueError("no windows recorded")
-        return self.windows[-1].alphas
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of offered jobs lost to failures (0 when none offered)."""
-        if self.jobs_offered == 0:
-            return 0.0
-        return self.jobs_lost / self.jobs_offered
-
-    @property
-    def time_averaged_mrt(self) -> float:
-        """Job-weighted mean response time over the whole run."""
-        total_jobs = sum(w.admitted for w in self.windows)
-        if total_jobs == 0:
-            return float("nan")
-        weighted = sum(
-            w.admitted * w.mean_response_time
-            for w in self.windows
-            if w.admitted > 0
-        )
-        return weighted / total_jobs
-
-    def allocation_history(self) -> list[tuple[float, np.ndarray]]:
-        """(window end, allocation) at every swap, initial included."""
-        out: list[tuple[float, np.ndarray]] = []
-        for w in self.windows:
-            if not out or w.swapped:
-                out.append((w.end, w.alphas))
-        return out
-
-    def as_dict(self) -> dict:
-        return {
-            "speeds": list(self.config.speeds),
-            "duration": self.config.duration,
-            "control_period": self.config.control_period,
-            "jobs_offered": self.jobs_offered,
-            "jobs_dispatched": self.jobs_dispatched,
-            "jobs_shed": self.jobs_shed,
-            "jobs_lost": self.jobs_lost,
-            "jobs_retried": self.jobs_retried,
-            "jobs_pending_retry": self.jobs_pending_retry,
-            "jobs_in_flight": self.jobs_in_flight,
-            "loss_rate": self.loss_rate,
-            "membership_changes": self.membership_changes,
-            "swaps": self.swaps,
-            "resolves": self.resolves,
-            "clean_shutdown": self.clean_shutdown,
-            "time_averaged_mrt": self.time_averaged_mrt,
-            "p50": self.p50,
-            "p99": self.p99,
-            "final_alphas": [float(a) for a in self.final_alphas]
-            if self.windows
-            else [],
-            "windows": [
-                {
-                    "start": w.start,
-                    "end": w.end,
-                    "offered": w.offered,
-                    "admitted": w.admitted,
-                    "shed": w.shed,
-                    "mean_response_time": w.mean_response_time,
-                    "mean_response_ratio": w.mean_response_ratio,
-                    "lambda_hat": w.lambda_hat,
-                    "rho_hat": w.rho_hat,
-                    "swapped": w.swapped,
-                    "p50": w.p50,
-                    "p99": w.p99,
-                    "completed": w.completed,
-                    "lost": w.lost,
-                    "retried": w.retried,
-                    "bounced": w.bounced,
-                    "servers_up": w.servers_up,
-                    "reason": w.reason,
-                }
-                for w in self.windows
-            ],
-        }
-
-
-# ----------------------------------------------------------------------
-# Checkpoint (de)serialization of report state
-# ----------------------------------------------------------------------
-
-_REPORT_SCALARS = (
-    "jobs_offered", "jobs_dispatched", "jobs_shed", "swaps", "resolves",
-    "jobs_lost", "jobs_retried", "jobs_pending_retry", "jobs_in_flight",
-    "membership_changes", "p50", "p99",
-)
-
-
-def _window_state(w: WindowRecord) -> dict:
-    return {
-        "start": w.start,
-        "end": w.end,
-        "offered": w.offered,
-        "admitted": w.admitted,
-        "shed": w.shed,
-        "mean_response_time": w.mean_response_time,
-        "mean_response_ratio": w.mean_response_ratio,
-        "lambda_hat": w.lambda_hat,
-        "rho_hat": w.rho_hat,
-        "swapped": w.swapped,
-        "alphas": [float(a) for a in w.alphas],
-        "p50": w.p50,
-        "p99": w.p99,
-        "completed": w.completed,
-        "lost": w.lost,
-        "retried": w.retried,
-        "bounced": w.bounced,
-        "servers_up": w.servers_up,
-        "reason": w.reason,
-    }
-
-
-def _window_from_state(state: dict) -> WindowRecord:
-    kwargs = dict(state)
-    kwargs["alphas"] = np.asarray(kwargs["alphas"], dtype=float)
-    return WindowRecord(**kwargs)
-
-
-def _report_state(report: ServiceReport) -> dict:
-    out = {name: getattr(report, name) for name in _REPORT_SCALARS}
-    out["windows"] = [_window_state(w) for w in report.windows]
-    return out
-
-
-def _report_from_state(config: ServiceConfig, state: dict) -> ServiceReport:
-    report = ServiceReport(config=config)
-    for name in _REPORT_SCALARS:
-        setattr(report, name, state[name])
-    report.windows = [_window_from_state(w) for w in state["windows"]]
-    return report
-
-
 class SchedulerService:
     """Run the quasi-static loop over a job source until the horizon.
 
@@ -393,12 +188,8 @@ class SchedulerService:
     ):
         self.config = config
         self.source = source
-        self.controller = controller or build_controller(config)
-        self.reference = bool(reference)
+        self.step = WindowStep(config, controller, reference=reference)
         self.bank = ServerBank(config.speeds)
-        self.gate = AdmissionGate()
-        self.dispatcher = self._make_dispatcher()
-        self.dispatcher.reset(self.controller.alphas)
 
         timeline = fault_events
         if timeline is None and config.faults is not None and config.faults.enabled:
@@ -429,18 +220,15 @@ class SchedulerService:
         self.checkpoint_every = int(checkpoint_every)
         self.crash_after = None if crash_after is None else int(crash_after)
         self._start_window = 0
-        self._restored_report: ServiceReport | None = None
 
-    def _make_dispatcher(self):
-        """A fresh dispatcher for the configured execution mode.
+    @property
+    def controller(self) -> QuasiStaticController:
+        return self.step.controller
 
-        Both classes walk the identical Algorithm 2 sequence; the fast
-        path serves it as memoized slices (O(window) per batch), the
-        reference path runs the live per-job scan.
-        """
-        if self.reference:
-            return RoundRobinDispatcher()
-        return SequenceRoundRobin()
+    @property
+    def dispatcher(self):
+        """The live dispatcher (replaced, never mutated, at a swap)."""
+        return self.step.dispatcher
 
     # ------------------------------------------------------------------
     # The run loop
@@ -448,18 +236,13 @@ class SchedulerService:
 
     def run(self) -> ServiceReport:
         config = self.config
-        report = (
-            self._restored_report
-            if self._restored_report is not None
-            else ServiceReport(config=config)
-        )
-        self._restored_report = None
-        cp = config.control_period
-        n_windows = int(np.ceil(config.duration / cp))
+        n_windows = window_count(config.duration, config.control_period)
         with span("service.run", windows=n_windows,
                   servers=len(config.speeds), faulted=self._faulted):
             for k in range(n_windows):
-                end = min((k + 1) * cp, config.duration)
+                start, end = window_bounds(
+                    k, config.duration, config.control_period
+                )
                 if k < self._start_window:
                     # Resume fast-forward: replay the job source with the
                     # original call pattern so its stream state matches
@@ -467,15 +250,16 @@ class SchedulerService:
                     # the checkpoint.
                     self.source.jobs_until(end)
                     continue
-                start = k * cp
                 if self._faulted:
-                    self._run_window_faulted(start, end, report)
-                elif self.reference:
-                    self._run_window_reference(start, end, report)
+                    self._run_window_faulted(start, end)
+                elif self.step.reference:
+                    self._run_window_reference(start, end)
                 else:
-                    self._run_window(start, end, report)
+                    self._run_window(start, end)
                 done = k + 1
-                self._refresh_totals(report)
+                report = self.step.report
+                report.jobs_pending_retry = len(self._pending)
+                report.jobs_in_flight = self.bank.inflight_count()
                 if (
                     self.checkpoint is not None
                     and done < n_windows
@@ -488,24 +272,15 @@ class SchedulerService:
                     and done - self._start_window >= self.crash_after
                 ):
                     raise ServiceCrash(done)
-        self._refresh_totals(report)
+        report = self.step.report
         report.clean_shutdown = True
         return report
 
-    def _refresh_totals(self, report: ServiceReport) -> None:
-        report.swaps = self.controller.swaps
-        report.resolves = self.controller.resolves
-        report.membership_changes = self.controller.membership_events
-        report.jobs_pending_retry = len(self._pending)
-        report.jobs_in_flight = self.bank.inflight_count()
-        report.p50 = self.controller.p50.value
-        report.p99 = self.controller.p99.value
-
     # ------------------------------------------------------------------
-    # Fault-free window (bit-identical to the pre-fault service)
+    # Fault-free windows
     # ------------------------------------------------------------------
 
-    def _run_window(self, start: float, end: float, report: ServiceReport) -> None:
+    def _run_window(self, start: float, end: float) -> None:
         """The vectorized serve hot path (default fault-free window).
 
         One compiled carry-state replay call plus batched estimator
@@ -515,109 +290,54 @@ class SchedulerService:
         folds, grouped replay) or a formulation proven equal on the
         values the loop produces (the gate's cumulative-sum mask).
         """
-        controller = self.controller
+        step = self.step
         times, sizes = self.source.jobs_until(end)
-        # The estimator sees the *offered* stream — shed jobs included —
-        # because sizing decisions must track demand, not what survived
-        # the previous shedding decision.
-        controller.observe_arrivals(times, sizes)
-        keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask(times.size, keep)
-        if mask.all():
-            # The fault-free default: nothing shed, no fancy-index copy.
-            adm_times = times
-            adm_sizes = sizes
-        else:
-            adm_times = times[mask]
-            adm_sizes = sizes[mask]
-
+        adm_times, adm_sizes = step.admit(times, sizes)
         # Dispatch under the window's (immutable) sequence, replay with
         # carried backlog, and feed completions back to the estimator.
-        targets = self.dispatcher.select_batch(adm_sizes)
+        targets = step.dispatcher.select_batch(adm_sizes)
         departures, service_times, order, offsets = self.bank.replay_window_grouped(
             targets, adm_times, adm_sizes
         )
-
-        shed = int(times.size - adm_times.size)
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
-
         n_adm = int(adm_times.size)
-        if n_adm:
-            a = ckernel.arena()
-            # Per-server speed witnesses, folded in server-grouped order
-            # (identical EWMA state: per-server estimators are
-            # independent and the stable grouping preserves each
-            # server's observation order).
-            wit = a.f64("loop.wit", n_adm)
-            np.divide(adm_sizes, service_times, out=wit)
-            witg = a.f64("loop.witg", n_adm)
-            np.take(wit, order, out=witg)
-            controller.observe_services_grouped(witg, offsets)
-            response = a.f64("loop.resp", n_adm)
-            np.subtract(departures, adm_times, out=response)
-            mrt = float(response.mean())
-            ratio_buf = a.f64("loop.ratio", n_adm)
-            np.divide(response, adm_sizes, out=ratio_buf)
-            ratio = float(ratio_buf.mean())
-            controller.observe_responses(response)
-        else:
-            mrt = float("nan")
-            ratio = float("nan")
-
-        # Drain-and-switch: the controller may change the allocation
-        # only here, between windows; a swap restarts the sequence.
-        decision: ControlDecision = controller.resolve(end)
-        if decision.swapped:
-            self.dispatcher = self._make_dispatcher()
-            self.dispatcher.reset(decision.alphas)
-
-        estimate = decision.estimate
-        report.windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                offered=int(times.size),
-                admitted=int(adm_times.size),
-                shed=shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=int(adm_times.size),
-                servers_up=len(self.config.speeds),
-                reason=decision.reason,
-            )
+        a = ckernel.arena()
+        # Per-server speed witnesses, folded in server-grouped order
+        # (identical EWMA state: per-server estimators are independent
+        # and the stable grouping preserves each server's observation
+        # order).
+        wit = a.f64("loop.wit", n_adm)
+        np.divide(adm_sizes, service_times, out=wit)
+        witg = a.f64("loop.witg", n_adm)
+        np.take(wit, order, out=witg)
+        response = a.f64("loop.resp", n_adm)
+        np.subtract(departures, adm_times, out=response)
+        mrt, ratio = step.fold(witg, offsets, response, adm_sizes)
+        step.close(
+            start, end, offered=int(times.size), admitted=n_adm,
+            mrt=mrt, ratio=ratio, completed=n_adm,
+            servers_up=len(self.config.speeds),
         )
-        report.jobs_offered += int(times.size)
-        report.jobs_dispatched += int(adm_times.size)
-        report.jobs_shed += shed
 
-    def _run_window_reference(
-        self, start: float, end: float, report: ServiceReport
-    ) -> None:
+    def _run_window_reference(self, start: float, end: float) -> None:
         """The original per-job fault-free window (oracle path).
 
-        Kept verbatim — scalar admission accumulator, per-job estimator
-        updates, live Algorithm 2 scans, fresh replay outputs — so the
-        property tests and ``bench --serve`` can pin the vectorized
-        path against it, report for report.
+        Kept verbatim up to the boundary close — scalar admission
+        accumulator, per-job estimator updates, live Algorithm 2 scans,
+        fresh replay outputs — so the property tests and
+        ``bench --serve`` can pin the vectorized path against it,
+        report for report.
         """
-        controller = self.controller
+        step = self.step
+        controller = step.controller
         times, sizes = self.source.jobs_until(end)
         for t, x in zip(times, sizes):
             controller.observe_arrival(t, x)
         keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask_scalar(times.size, keep)
+        mask = step.gate.admit_mask_scalar(times.size, keep)
         adm_times = times[mask]
         adm_sizes = sizes[mask]
 
-        targets = self.dispatcher.select_batch(adm_sizes)
+        targets = step.dispatcher.select_batch(adm_sizes)
         departures, service_times = self.bank.replay_window(
             targets, adm_times, adm_sizes
         )
@@ -639,35 +359,11 @@ class SchedulerService:
             mrt = float("nan")
             ratio = float("nan")
 
-        decision: ControlDecision = controller.resolve(end)
-        if decision.swapped:
-            self.dispatcher = self._make_dispatcher()
-            self.dispatcher.reset(decision.alphas)
-
-        estimate = decision.estimate
-        report.windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                offered=int(times.size),
-                admitted=int(adm_times.size),
-                shed=shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=int(adm_times.size),
-                servers_up=len(self.config.speeds),
-                reason=decision.reason,
-            )
+        step.close(
+            start, end, offered=int(times.size), admitted=int(adm_times.size),
+            mrt=mrt, ratio=ratio, completed=int(adm_times.size),
+            servers_up=len(self.config.speeds),
         )
-        report.jobs_offered += int(times.size)
-        report.jobs_dispatched += int(adm_times.size)
-        report.jobs_shed += shed
 
     # ------------------------------------------------------------------
     # Fault-mode window (job-level dispatch, segmented by fault events)
@@ -696,18 +392,11 @@ class SchedulerService:
         level = self._degrade_level[server]
         self.bank.set_speed_factor(server, now, self._degrade_factor**level)
 
-    def _run_window_faulted(
-        self, start: float, end: float, report: ServiceReport
-    ) -> None:
-        controller = self.controller
+    def _run_window_faulted(self, start: float, end: float) -> None:
+        step = self.step
+        controller = step.controller
         times, sizes = self.source.jobs_until(end)
-        for t, x in zip(times, sizes):
-            controller.observe_arrival(t, x)
-        keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask(times.size, keep)
-        adm_times = times[mask]
-        adm_sizes = sizes[mask]
-        shed = int(times.size - adm_times.size)
+        adm_times, adm_sizes = step.admit(times, sizes)
 
         # Fold due retries into the window's stream: a retry scheduled
         # for time d re-enters the sequence as an arrival at max(d,
@@ -743,8 +432,8 @@ class SchedulerService:
 
         # The window's dispatch sequence is fixed up front — a failure
         # mid-window never rewrites it (Algorithm 2's invariant); the
-        # re-plan waits for the boundary resolve below.
-        targets = self.dispatcher.select_batch(job_sizes)
+        # re-plan waits for the boundary close below.
+        targets = step.dispatcher.select_batch(job_sizes)
 
         events: list[FaultEvent] = []
         while (
@@ -816,59 +505,34 @@ class SchedulerService:
                 )
                 self._apply_degrade(ev.server, ev.time)
 
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
-
-        # Completion-based accounting: response times span retries
-        # (departure minus *original* arrival) and land in the window
-        # the job actually finished in.
-        resp_sum = 0.0
-        ratio_sum = 0.0
-        n_completed = len(completed)
-        for srv, origin, size, svc, dep in completed:
-            controller.observe_service(int(srv), float(size), float(svc))
-            r = float(dep) - float(origin)
-            controller.observe_response(r)
-            resp_sum += r
-            ratio_sum += r / float(size)
-        mrt = resp_sum / n_completed if n_completed else float("nan")
-        ratio = ratio_sum / n_completed if n_completed else float("nan")
-
-        decision: ControlDecision = controller.resolve(end)
-        if decision.swapped:
-            self.dispatcher = self._make_dispatcher()
-            self.dispatcher.reset(decision.alphas)
-
-        estimate = decision.estimate
-        report.windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                offered=int(times.size),
-                admitted=int(adm_times.size),
-                shed=shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=n_completed,
-                lost=lost,
-                retried=retried,
-                bounced=bounced,
-                servers_up=int(np.count_nonzero(self.bank.up)),
-                reason=decision.reason,
-            )
+        mrt, ratio = self._fold_completions(completed)
+        step.close(
+            start, end, offered=int(times.size), admitted=int(adm_times.size),
+            mrt=mrt, ratio=ratio, completed=len(completed),
+            lost=lost, retried=retried, bounced=bounced,
+            servers_up=int(np.count_nonzero(self.bank.up)),
         )
-        report.jobs_offered += int(times.size)
-        report.jobs_dispatched += int(adm_times.size)
-        report.jobs_shed += shed
-        report.jobs_lost += lost
-        report.jobs_retried += retried
+
+    def _fold_completions(self, completed: list[tuple]) -> tuple[float, float]:
+        """Fold a fault-mode window's completions through the step.
+
+        Completion-based accounting: response times span retries
+        (departure minus *original* arrival) and land in the window the
+        job actually finished in; they reach the quantiles in completion
+        order and the means sum left to right.  ``completed`` joins one
+        server-major :meth:`ServerBank.collect_completions` list per
+        fault segment, so it is server-major only *within* a segment: a
+        stable argsort by server regroups the speed witnesses while
+        keeping each server's completion order.
+        """
+        srv, origin, size, svc, dep = (
+            np.array(completed, dtype=float).reshape(-1, 5).T
+        )
+        order = np.argsort(srv, kind="stable")
+        offsets = np.searchsorted(srv[order], np.arange(self.bank.n + 1))
+        return self.step.fold(
+            (size / svc)[order], offsets, dep - origin, size, sequential=True
+        )
 
     # ------------------------------------------------------------------
     # Crash-safe checkpointing
@@ -876,13 +540,14 @@ class SchedulerService:
 
     def state_dict(self, next_window: int, report: ServiceReport) -> dict:
         """Full loop state after ``next_window`` windows completed."""
+        step = self.step
         return {
             "next_window": int(next_window),
             "config": self._config_fingerprint(),
-            "controller": self.controller.state_dict(),
-            "gate": self.gate.state_dict(),
+            "controller": step.controller.state_dict(),
+            "gate": step.gate.state_dict(),
             "bank": self.bank.state_dict(),
-            "dispatcher": self.dispatcher.state_dict(),
+            "dispatcher": step.dispatcher.state_dict(),
             # External format unchanged from the list era: 4-field
             # records in (due, schedule) order, no heap internals.
             "pending": [
@@ -890,7 +555,7 @@ class SchedulerService:
             ],
             "degrade_level": [int(x) for x in self._degrade_level],
             "event_pos": int(self._event_pos),
-            "report": _report_state(report),
+            "report": report.state_dict(),
         }
 
     def _config_fingerprint(self) -> dict:
@@ -915,11 +580,12 @@ class SchedulerService:
                 "checkpoint belongs to a different run configuration: "
                 f"{state['config']} != {fingerprint}"
             )
-        self.controller.load_state(state["controller"])
-        self.gate.load_state(state["gate"])
+        step = self.step
+        step.controller.load_state(state["controller"])
+        step.gate.load_state(state["gate"])
         self.bank.load_state(state["bank"])
-        self.dispatcher = self._make_dispatcher()
-        self.dispatcher.load_state(state["dispatcher"])
+        step.dispatcher = step.new_dispatcher()
+        step.dispatcher.load_state(state["dispatcher"])
         # Re-number insertion seqs in checkpointed (due, schedule)
         # order: future pops keep breaking due-time ties exactly as the
         # uninterrupted run would.
@@ -932,4 +598,4 @@ class SchedulerService:
         self._degrade_level = [int(x) for x in state["degrade_level"]]
         self._event_pos = int(state["event_pos"])
         self._start_window = int(state["next_window"])
-        self._restored_report = _report_from_state(self.config, state["report"])
+        step.report = ServiceReport.from_state(self.config, state["report"])

@@ -20,6 +20,7 @@ from repro.service import (
     SyntheticJobSource,
     TraceJobSource,
 )
+from repro.service.window import window_bounds, window_count
 from repro.sim.arrivals import Workload
 from repro.sim.modulated import step_profile
 
@@ -266,3 +267,50 @@ class TestSchedulerService:
             ServiceConfig(speeds=(1.0,), duration=10.0, control_period=20.0)
         with pytest.raises(ValueError):
             ServiceConfig(speeds=(1.0, -1.0), duration=10.0, control_period=1.0)
+
+
+# ----------------------------------------------------------------------
+# Window geometry: the last window ends at exactly the horizon
+# ----------------------------------------------------------------------
+
+# ceil(EDGE_DURATION / EDGE_PERIOD) is 312, but 312 · EDGE_PERIOD falls
+# one ulp short of EDGE_DURATION.
+EDGE_DURATION = 29876.62632056407
+EDGE_PERIOD = EDGE_DURATION / 312
+EDGE_JOBS = 2000
+
+
+def edge_trace():
+    """A trace whose last arrival lands exactly on the horizon."""
+    rng = np.random.default_rng(0)
+    times = np.sort(rng.uniform(0.0, EDGE_DURATION, EDGE_JOBS))
+    times[-1] = EDGE_DURATION
+    return times, rng.exponential(1.0, EDGE_JOBS)
+
+
+class TestFinalWindowEdge:
+    config = ServiceConfig(
+        speeds=SPEEDS, duration=EDGE_DURATION, control_period=EDGE_PERIOD
+    )
+
+    def test_geometry_reproduces_the_short_final_window(self):
+        assert window_count(EDGE_DURATION, EDGE_PERIOD) == 312
+        assert 312 * EDGE_PERIOD < EDGE_DURATION
+
+    def test_last_window_ends_at_duration(self):
+        n = window_count(EDGE_DURATION, EDGE_PERIOD)
+        bounds = [window_bounds(k, EDGE_DURATION, EDGE_PERIOD) for k in range(n)]
+        assert bounds[-1][1] == EDGE_DURATION
+        assert all(b[1] == c[0] for b, c in zip(bounds, bounds[1:]))
+
+    def test_service_offers_every_job(self):
+        report = SchedulerService(self.config, TraceJobSource(*edge_trace())).run()
+        assert report.jobs_offered == EDGE_JOBS
+        assert report.windows[-1].end == EDGE_DURATION
+
+    def test_net_offers_every_job(self):
+        from repro.net import run_in_process
+
+        net = run_in_process(self.config, TraceJobSource(*edge_trace()))
+        assert net.report.jobs_offered == EDGE_JOBS
+        assert net.report.windows[-1].end == EDGE_DURATION
