@@ -1053,6 +1053,7 @@ def _cmd_bench(args) -> int:
         _fcfs_replay_loop,
         _ps_replay_loop,
         fcfs_replay,
+        group_by_server,
         ps_replay,
     )
 
@@ -1106,18 +1107,12 @@ def _cmd_bench(args) -> int:
         comp_c, _, _, _, ok = ckernel.replay_cell_c(
             fused, ktimes, kwork, kspeeds, [kplan], False
         )
-        korder = np.argsort(kplan, kind="stable")
-        kcounts = np.bincount(kplan, minlength=kspeeds.size)
-        koffs = np.concatenate([[0], np.cumsum(kcounts)])
+        korder, koffs = group_by_server(kplan, kspeeds.size)
         comp_py = np.empty(kn)
-        grouped = np.empty(kn)
-        gt, gw = ktimes[korder], kwork[korder]
         for s in range(kspeeds.size):
-            lo, hi = int(koffs[s]), int(koffs[s + 1])
-            if hi > lo:
-                grouped[lo:hi] = fcfs_replay(gt[lo:hi], gw[lo:hi],
-                                             float(kspeeds[s]))
-        comp_py[korder] = grouped
+            idx = korder[koffs[s]:koffs[s + 1]]
+            comp_py[idx] = fcfs_replay(ktimes[idx], kwork[idx],
+                                       float(kspeeds[s]))
         fcfs_bit_identical = bool(ok and np.array_equal(comp_c[0], comp_py))
         if not fcfs_bit_identical:
             print("error: compiled FCFS replay is not bit-identical to "

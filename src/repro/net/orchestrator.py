@@ -5,9 +5,10 @@ service's control window — the same
 :class:`~repro.service.window.WindowStep` — with the window *replay*
 moved behind DISPATCH/COMPLETE messages to server stubs.  SUBMIT runs
 ``admit → select_batch`` and partitions the admitted jobs by server
-with the grouped replay's stable argsort; each stub replays its slice
-with the bank's per-server Lindley recursion
-(:func:`~repro.service.replay.lindley_window`); the last COMPLETE
+with the grouped replay's stable permutation
+(:func:`~repro.sim.fastpath.group_by_server`); each stub replays its
+slice with the bank's per-server Lindley recursion
+(:func:`~repro.sim.fastpath.lindley_window`); the last COMPLETE
 closes a per-window barrier, and the replies, in server-index order,
 are the replay's server-grouped arrays for ``fold`` and ``close``.
 Sim-vs-live identity therefore holds by construction.  The shard is
@@ -54,6 +55,7 @@ from ..obs import counters
 from ..service.controller import ControlDecision
 from ..service.loop import ServiceConfig
 from ..service.window import ServiceReport, WindowStep, window_bounds
+from ..sim.fastpath import group_by_server
 from .protocol import (
     Complete,
     Dispatch,
@@ -169,9 +171,7 @@ class OrchestratorShard:
         t0 = time.perf_counter()
         adm_times, adm_sizes = self.step.admit(times, sizes)
         targets = self.step.dispatcher.select_batch(adm_sizes)
-        # Same stable group-by-server partition as the grouped replay.
-        order = np.argsort(targets, kind="stable")
-        bounds = np.searchsorted(targets[order], np.arange(self.n + 1))
+        order, bounds = group_by_server(targets, self.n)
         self.decision_latency.observe(
             time.perf_counter() - t0, jobs=int(adm_times.size)
         )

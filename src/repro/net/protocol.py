@@ -206,6 +206,14 @@ _SEQ_FIELDS = frozenset(
     {"times", "sizes", "departures", "service_times", "alphas"}
 )
 
+#: Per-job sequence pairs that must have one entry per job each; a
+#: mismatch would otherwise broadcast through the Lindley replay.
+_ALIGNED_FIELDS = {
+    "submit": ("times", "sizes"),
+    "dispatch": ("times", "sizes"),
+    "complete": ("departures", "service_times"),
+}
+
 
 def encode(msg: Message) -> dict:
     """Message → versioned plain dict (JSON-ready)."""
@@ -221,7 +229,8 @@ def decode(obj: Any) -> Message:
 
     Raises :class:`VersionMismatch` on a foreign protocol version and
     :class:`ProtocolError` on anything else malformed, naming what was
-    missing or unknown.
+    missing or unknown, or the two per-job sequences whose lengths
+    differ.
     """
     if not isinstance(obj, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(obj).__name__}")
@@ -250,6 +259,13 @@ def decode(obj: Any) -> Message:
         elif f.default is dataclasses.MISSING:
             raise ProtocolError(
                 f"{kind} message missing required field {f.name!r}"
+            )
+    if kind in _ALIGNED_FIELDS:
+        a, b = _ALIGNED_FIELDS[kind]
+        if len(kwargs[a]) != len(kwargs[b]):
+            raise ProtocolError(
+                f"malformed {kind} message: {a!r} has {len(kwargs[a])} "
+                f"entries but {b!r} has {len(kwargs[b])}"
             )
     try:
         return cls(**kwargs)

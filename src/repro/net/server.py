@@ -2,7 +2,7 @@
 
 One stub models one machine of the pool.  It owns exactly the state a
 real FCFS worker needs across windows — the time it frees up — and
-replays each DISPATCH slice with :func:`repro.service.replay.lindley_window`,
+replays each DISPATCH slice with :func:`repro.sim.fastpath.lindley_window`,
 the same per-server recursion the in-process :class:`ServerBank` runs
 (bit-identical, by construction).  Everything else (membership,
 estimation, allocation) lives in the orchestrator; the stub is
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..service.replay import lindley_window
+from ..sim.fastpath import lindley_window
 from .protocol import Complete, Dispatch, Heartbeat, Message, Register, Shutdown
 
 __all__ = ["ServerStub", "ServerDead"]

@@ -68,6 +68,7 @@ from ..faults.models import (
 from ..obs import counters
 from ..obs.spans import span
 from ..sim import ckernel
+from ..sim.fastpath import group_by_server
 from .checkpoint import ServiceCheckpoint
 from .controller import QuasiStaticController
 from .replay import ServerBank
@@ -522,14 +523,13 @@ class SchedulerService:
         order and the means sum left to right.  ``completed`` joins one
         server-major :meth:`ServerBank.collect_completions` list per
         fault segment, so it is server-major only *within* a segment: a
-        stable argsort by server regroups the speed witnesses while
+        stable group-by-server regroups the speed witnesses while
         keeping each server's completion order.
         """
         srv, origin, size, svc, dep = (
             np.array(completed, dtype=float).reshape(-1, 5).T
         )
-        order = np.argsort(srv, kind="stable")
-        offsets = np.searchsorted(srv[order], np.arange(self.bank.n + 1))
+        order, offsets = group_by_server(srv.astype(np.int64), self.bank.n)
         return self.step.fold(
             (size / svc)[order], offsets, dep - origin, size, sequential=True
         )

@@ -9,12 +9,12 @@ the Lindley recursion vectorizes as
 
     dep_j = cum_j + max( free_at, max_{k≤j}( t_k − cum_{k−1} ) )
 
-where ``cum`` is the running sum of svc — identical to the fast path's
-prefix-max kernel with the carried term folded into the max.  Replaying
-one stream in windows agrees with replaying it whole to float-rounding
-accuracy (the window split re-bases the cumulative sums), which lets
-the oracle comparison in the online experiments attribute MRT
-differences to the *allocation*, not the replay.
+where ``cum`` is the running sum of svc
+(:func:`~repro.sim.fastpath.lindley_window`).  Replaying one stream in
+windows agrees with replaying it whole to float-rounding accuracy (the
+window split re-bases the cumulative sums), which lets the oracle
+comparison in the online experiments attribute MRT differences to the
+*allocation*, not the replay.
 
 **Failure support.**  The fault-tolerant serving path needs more than
 ``free_at``: a down server must reject dispatches and bounce its
@@ -42,31 +42,12 @@ from collections import deque
 import numpy as np
 
 from ..sim import ckernel
+from ..sim.fastpath import group_by_server, lindley_window
 
-__all__ = ["ServerBank", "lindley_window"]
+__all__ = ["ServerBank"]
 
 #: In-flight record layout: [origin, size, svc, dep, attempts].
 _ORIGIN, _SIZE, _SVC, _DEP, _ATTEMPTS = range(5)
-
-
-def lindley_window(
-    times: np.ndarray, sizes: np.ndarray, speed: float, free_at: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One server's FCFS Lindley recursion over one window slice.
-
-    Returns ``(departures, service_times, new_free_at)`` for jobs
-    arriving at *times* with demands *sizes* on a server of *speed*
-    that frees up at *free_at*.  This is the exact float-op sequence of
-    the per-server body of :meth:`ServerBank._replay_grouped_python`
-    (proven bit-identical to the compiled sweep), factored out so the
-    networked server stubs replay windows with the very same bits the
-    in-process bank produces.
-    """
-    svc = sizes / speed
-    cum = np.cumsum(svc)
-    starts = times - (cum - svc)
-    dep = cum + np.maximum(np.maximum.accumulate(starts), free_at)
-    return dep, svc, float(dep[-1]) if dep.size else float(free_at)
 
 
 class ServerBank:
@@ -160,23 +141,15 @@ class ServerBank:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Numpy fallback of :meth:`replay_window_grouped` (same bits).
 
-        The per-server Lindley recursion in its vectorized form; the
-        compiled sweep folds ``free_at`` into the running max instead of
-        taking the elementwise maximum afterwards, which is exact
-        because max never rounds.  Kept separate so the bit-identity
+        :func:`~repro.sim.fastpath.lindley_window` per server, with the
+        server's carried ``free_at``.  Kept separate so the bit-identity
         property tests can pin the two paths against each other.
         """
         n = times.size
         a = ckernel.arena()
         departures = a.f64("window.dep", n)
         service_times = a.f64("window.svc", n)
-        if np.any(targets < 0) or np.any(targets >= self.n):
-            raise ValueError("dispatch target out of range")
-        # Stable argsort groups jobs by server while preserving arrival
-        # order within each group (same trick as the fast path).
-        order = np.argsort(targets, kind="stable")
-        sorted_targets = targets[order]
-        bounds = np.searchsorted(sorted_targets, np.arange(self.n + 1))
+        order, bounds = group_by_server(targets, self.n)
         for i in range(self.n):
             idx = order[bounds[i]:bounds[i + 1]]
             if idx.size == 0:

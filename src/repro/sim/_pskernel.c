@@ -93,23 +93,42 @@ static void replay_period(const double *times, const double *work, double speed,
     }
 }
 
-/* FCFS departure instants for one server slice: the vectorized-Lindley
- * float order of fastpath._lindley_departures —
- *   svc    = work[j] / speed                    (elementwise divide)
- *   cum_j  = cum_{j-1} + svc                    (np.cumsum is sequential)
- *   m_j    = max(m_{j-1}, t[j] - (cum_j - svc)) (np.maximum.accumulate)
- *   out[j] = cum_j + m_j
- */
-static void lindley_slice(const double *t, const double *w, double sp,
-                          i64 n, double *out) {
-    double acc = 0.0, m = -INFINITY;
+/* One FCFS Lindley step, D_j = max(D_{j-1}, T_j) + svc_j, in the
+ * vectorized float order of fastpath.lindley_window —
+ *   acc_j = acc_{j-1} + svc                  (np.cumsum is sequential)
+ *   m_j   = max(m_{j-1}, t - (acc_j - svc))  (the running prefix max)
+ *   dep_j = acc_j + m_j
+ * acc starts at 0; m starts at the server's carried free-up instant
+ * (-INFINITY for a fresh server).  Seeding the running max instead of
+ * taking the elementwise maximum afterwards is exact: max never
+ * rounds.  Every FCFS replay and the PS busy-period segmentation in
+ * this file run through this one step. */
+static inline double lindley_step(double *acc, double *m, double t,
+                                  double svc) {
+    double a = *acc + svc;
+    *acc = a;
+    double d = t - (a - svc);
+    if (d > *m) *m = d;
+    return a + *m;
+}
+
+/* Stable counting-sort prologue over one plan's targets: off
+ * (nservers+1) receives the per-server group bounds and cur (nservers)
+ * the starting write cursors, so `order[cur[tg[j]]++] = j` over the
+ * jobs in arrival order yields numpy's stable argsort permutation.
+ * Returns 1 as soon as a target lies outside [0, nservers), leaving
+ * off and cur partial; the caller must write nothing else then. */
+static int group_offsets(const i64 *tg, i64 n, i64 nservers, i64 *off,
+                         i64 *cur) {
+    for (i64 s = 0; s <= nservers; s++) off[s] = 0;
     for (i64 j = 0; j < n; j++) {
-        double svc = w[j] / sp;
-        acc += svc;
-        double d = t[j] - (acc - svc);
-        if (d > m) m = d;
-        out[j] = acc + m;
+        i64 t = tg[j];
+        if (t < 0 || t >= nservers) return 1;
+        off[t + 1]++;
     }
+    for (i64 s = 0; s < nservers; s++) off[s + 1] += off[s];
+    for (i64 s = 0; s < nservers; s++) cur[s] = off[s];
+    return 0;
 }
 
 /* Full per-substream PS pipeline for one server slice, single pass:
@@ -133,61 +152,10 @@ static void ps_slice(const double *t, const double *w, double sp, i64 n,
             else replay_period(t, w, sp, b, j, comp, ht, hi);
             b = j;
         }
-        double svc = w[j] / sp;
-        acc += svc;
-        double d = t[j] - (acc - svc);
-        if (d > m) m = d;
-        dep_prev = acc + m;
+        dep_prev = lindley_step(&acc, &m, t[j], w[j] / sp);
     }
     if (n - b == 1) comp[b] = t[b] + w[b] / sp;
     else replay_period(t, w, sp, b, n, comp, ht, hi);
-}
-
-/* Replay nper busy periods of one server's substream.
- *
- * times/work: full substream arrays (arrival instants, job sizes);
- * bounds/ends: start (inclusive) and end (exclusive) job index of each
- * busy period to replay; completions: output array indexed like times;
- * ht/hi: caller-provided heap scratch, at least max(ends-bounds) long.
- */
-void ps_replay_periods(const double *times, const double *work, double speed,
-                       const i64 *bounds, const i64 *ends, i64 nper,
-                       double *completions, double *ht, i64 *hi) {
-    for (i64 p = 0; p < nper; p++)
-        replay_period(times, work, speed, bounds[p], ends[p], completions, ht, hi);
-}
-
-/* Fused whole-network PS replay over server-grouped substreams.
- *
- * Jobs are pre-sorted by target server: server s owns the contiguous
- * slice [offsets[s], offsets[s+1]) of times/work/completions.
- * ht/hi: heap scratch of at least max(offsets[s+1]-offsets[s]) entries.
- */
-void ps_replay_server_batch(const double *times, const double *work,
-                            const double *speeds, const i64 *offsets,
-                            i64 nservers, double *completions,
-                            double *ht, i64 *hi) {
-    for (i64 s = 0; s < nservers; s++) {
-        i64 lo = offsets[s];
-        i64 n = offsets[s + 1] - lo;
-        if (n <= 0) continue;
-        ps_slice(times + lo, work + lo, speeds[s], n,
-                 completions + lo, ht, hi);
-    }
-}
-
-/* Fused whole-network FCFS replay over server-grouped substreams: the
- * FCFS departures ARE the Lindley depletion instants, so no
- * segmentation or heap is needed (and no scratch). */
-void fcfs_replay_server_batch(const double *times, const double *work,
-                              const double *speeds, const i64 *offsets,
-                              i64 nservers, double *completions) {
-    for (i64 s = 0; s < nservers; s++) {
-        i64 lo = offsets[s];
-        i64 n = offsets[s + 1] - lo;
-        if (n <= 0) continue;
-        lindley_slice(times + lo, work + lo, speeds[s], n, completions + lo);
-    }
 }
 
 /* numpy searchsorted(cum, u, side="right"): for each u[j] the first
@@ -260,16 +228,9 @@ i64 pk_openmp_enabled(void) {
  *
  * Mirrors ServerBank.replay_window's numpy formulation bit for bit:
  * grouping jobs by server with a stable counting sort (the same
- * permutation as numpy's stable argsort on the targets), then per
- * server
- *     svc_j = size_j / speed
- *     cum_j = cum_{j-1} + svc_j
- *     dep_j = cum_j + max(free_at, max_{k<=j}(t_k - cum_{k-1}))
- * Seeding the running max with free_at instead of taking the
- * elementwise maximum afterwards is exact — max never rounds — so the
- * fused sweep needs no per-server arrays of starts at all: one
- * arrival-order pass with per-server (acc, m) registers in the state
- * scratch.
+ * permutation as numpy's stable argsort on the targets), then one
+ * arrival-order pass of lindley_step with per-server (acc, m)
+ * registers in the state scratch, m seeded with the carried free_at.
  *
  * Outputs: departures/service_times in arrival order, plus the stable
  * grouping permutation (order) and per-server group bounds (offsets,
@@ -278,8 +239,8 @@ i64 pk_openmp_enabled(void) {
  * in place; servers with no jobs in the window keep their value.
  * cursor (nservers) and state (2*nservers) are caller scratch.
  *
- * Returns 0 on success, 1 if any target lies outside [0, nservers)
- * (the caller falls back to the numpy path, which raises cleanly).
+ * Returns 0 on success, 1 if any target lies outside [0, nservers);
+ * the counting sort rejects it before free_at or any output is written.
  */
 i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
                       const double *speeds, i64 nservers,
@@ -287,28 +248,17 @@ i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
                       double *departures, double *service_times,
                       i64 *order, i64 *offsets, i64 *cursor,
                       double *state) {
-    for (i64 s = 0; s <= nservers; s++) offsets[s] = 0;
-    for (i64 j = 0; j < n; j++) {
-        i64 t = targets[j];
-        if (t < 0 || t >= nservers) return 1;
-        offsets[t + 1]++;
-    }
-    for (i64 s = 0; s < nservers; s++) offsets[s + 1] += offsets[s];
+    if (group_offsets(targets, n, nservers, offsets, cursor)) return 1;
     double *acc = state;
     double *m = state + nservers;
     for (i64 s = 0; s < nservers; s++) {
-        cursor[s] = offsets[s];
         acc[s] = 0.0;
         m[s] = free_at[s];
     }
     for (i64 j = 0; j < n; j++) {
         i64 s = targets[j];
         double svc = work[j] / speeds[s];
-        double a = acc[s] + svc;
-        acc[s] = a;
-        double d = times[j] - (a - svc);
-        if (d > m[s]) m[s] = d;
-        double dep = a + m[s];
+        double dep = lindley_step(&acc[s], &m[s], times[j], svc);
         departures[j] = dep;
         service_times[j] = svc;
         free_at[s] = dep;
@@ -456,6 +406,7 @@ static void summarize_tail(const double *times, const double *work, i64 n,
                            const double *completions, i64 cut,
                            double *resp, double *ratio, i64 *pcounts,
                            i64 nthreads) {
+    (void)nthreads;  /* read only by the OpenMP pragma */
     i64 m = n - cut;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads((int)nthreads)
@@ -495,7 +446,7 @@ i64 cell_replay_batch(const double *times, const double *work, i64 n,
         /* FCFS fused path: the Lindley recursion is online — carrying
          * per-server (acc, m) state through one arrival-order sweep
          * performs the same float ops in the same per-server order as
-         * grouping + lindley_slice + scatter, so the bits match while
+         * grouping + per-server replay + scatter, so the bits match while
          * the grouped-times copy, the order index, and the scatter
          * pass all disappear.  Only the server-grouped sizes (the
          * per-server busy-time sums) still need the counting sort,
@@ -508,16 +459,7 @@ i64 cell_replay_batch(const double *times, const double *work, i64 n,
             const i64 *tg = targets + p * n;
             i64 *off = offsets + p * (nservers + 1);
             i64 *cur = pos + p * (nservers + 1);
-            for (i64 s = 0; s <= nservers; s++) off[s] = 0;
-            i64 oops = 0;
-            for (i64 j = 0; j < n; j++) {
-                i64 t = tg[j];
-                if (t < 0 || t >= nservers) { oops = 1; break; }
-                off[t + 1]++;
-            }
-            if (oops) { bad |= 1; continue; }
-            for (i64 s = 0; s < nservers; s++) off[s + 1] += off[s];
-            for (i64 s = 0; s < nservers; s++) cur[s] = off[s];
+            if (group_offsets(tg, n, nservers, off, cur)) { bad |= 1; continue; }
             i64 tid = 0;
 #ifdef _OPENMP
             tid = (i64)omp_get_thread_num();
@@ -542,12 +484,8 @@ i64 cell_replay_batch(const double *times, const double *work, i64 n,
             for (i64 j = 0; j < n; j++) {
                 i64 s = tg[j];
                 pw[cur[s]++] = work[j];
-                double svc = work[j] / speeds[s];
-                double a = acc[s] + svc;
-                acc[s] = a;
-                double d = times[j] - (a - svc);
-                if (d > m[s]) m[s] = d;
-                double c = a + m[s];
+                double c = lindley_step(&acc[s], &m[s], times[j],
+                                        work[j] / speeds[s]);
                 out[j] = c;
                 if (j >= dcut) {
                     double r = c - times[j];
@@ -570,16 +508,7 @@ i64 cell_replay_batch(const double *times, const double *work, i64 n,
         const i64 *tg = targets + p * n;
         i64 *off = offsets + p * (nservers + 1);
         i64 *cur = pos + p * (nservers + 1);
-        for (i64 s = 0; s <= nservers; s++) off[s] = 0;
-        i64 oops = 0;
-        for (i64 j = 0; j < n; j++) {
-            i64 t = tg[j];
-            if (t < 0 || t >= nservers) { oops = 1; break; }
-            off[t + 1]++;
-        }
-        if (oops) { bad |= 1; continue; }
-        for (i64 s = 0; s < nservers; s++) off[s + 1] += off[s];
-        for (i64 s = 0; s < nservers; s++) cur[s] = off[s];
+        if (group_offsets(tg, n, nservers, off, cur)) { bad |= 1; continue; }
         i64 *ord = order + p * n;
         double *pt = gt + p * n, *pw = gw + p * n;
         for (i64 j = 0; j < n; j++) {

@@ -4,15 +4,23 @@ The multi-job PS busy-period loop is the one part of the static fast
 path that resists numpy vectorization: every departure changes the
 service rate of every remaining job, so the recurrence is inherently
 sequential (the pure-numpy lockstep formulations explored for kernel v3
-topped out at ~2x — see DESIGN.md).  Kernel v4 widens the compiled
-surface from that single loop to the whole replay pipeline:
-:mod:`repro.sim._pskernel.c` carries the virtual-time heap, the FCFS
-Lindley recursion, a fused whole-cell entry point (grouping + replay +
-scatter for every unique dispatch plan of a replication in one call,
-OpenMP-parallel over disjoint (plan, server) slices), and the
-searchsorted-style uniform→target mapping used by the random
-dispatchers — compiled here with the system ``gcc`` and loaded through
-:mod:`ctypes`.  No third-party build dependency, no wheels.
+topped out at ~2x — see DESIGN.md).  :mod:`repro.sim._pskernel.c`
+therefore carries the whole replay pipeline, compiled here with the
+system ``gcc`` and loaded through :mod:`ctypes` — no third-party build
+dependency, no wheels.  It exposes two replay entry points, which share
+one FCFS Lindley step and one counting-sort grouping prologue:
+
+* ``cell_replay_batch`` (:func:`cell_fn`) — every unique dispatch plan
+  of one replication in one call, FCFS or PS (grouping, per-(plan,
+  server) replay and scatter-back, OpenMP-parallel over disjoint
+  slices).  The sweep calls it, and so does the public
+  :func:`~repro.sim.fastpath.ps_replay`, as one plan on one server;
+* ``fcfs_window_sweep`` (:func:`window_fn`) — one serving window with
+  the servers' free-up instants carried across windows.
+
+Beside them sit the searchsorted-style uniform→target mapping of the
+random dispatchers and the Algorithm 2 / EWMA / P² folds of the serve
+loop.
 
 Bit-identity with the interpreted path is a hard requirement (the
 replication cache and the grid executor both assume replay kernels are
@@ -54,9 +62,6 @@ import numpy as np
 from ..obs import counters
 
 __all__ = [
-    "ps_periods_fn",
-    "ps_servers_fn",
-    "fcfs_servers_fn",
     "cell_fn",
     "map_fn",
     "window_fn",
@@ -71,8 +76,6 @@ __all__ = [
     "set_omp_threads",
     "Arena",
     "arena",
-    "replay_periods_c",
-    "replay_servers_c",
     "replay_cell_c",
     "map_uniform_c",
     "replay_window_c",
@@ -98,9 +101,6 @@ _c_i64_p = ctypes.POINTER(ctypes.c_longlong)
 class _Lib:
     """Resolved entry points of one loaded kernel library."""
 
-    periods: object
-    servers: object
-    fcfs_servers: object
     cell: object
     map_uniform: object
     window: object
@@ -202,41 +202,6 @@ def _compile() -> tuple[Path, bool] | None:
 
 def _load(path: Path, openmp: bool) -> _Lib:
     lib = ctypes.CDLL(str(path))
-    periods = lib.ps_replay_periods
-    periods.argtypes = [
-        _c_double_p,  # times
-        _c_double_p,  # work
-        ctypes.c_double,  # speed
-        _c_i64_p,  # bounds
-        _c_i64_p,  # ends
-        ctypes.c_longlong,  # nper
-        _c_double_p,  # completions (out)
-        _c_double_p,  # heap tag scratch
-        _c_i64_p,  # heap index scratch
-    ]
-    periods.restype = None
-    servers = lib.ps_replay_server_batch
-    servers.argtypes = [
-        _c_double_p,  # times (server-grouped)
-        _c_double_p,  # work (server-grouped)
-        _c_double_p,  # speeds
-        _c_i64_p,  # offsets (nservers + 1)
-        ctypes.c_longlong,  # nservers
-        _c_double_p,  # completions (out, server-grouped)
-        _c_double_p,  # heap tag scratch
-        _c_i64_p,  # heap index scratch
-    ]
-    servers.restype = None
-    fcfs_servers = lib.fcfs_replay_server_batch
-    fcfs_servers.argtypes = [
-        _c_double_p,  # times (server-grouped)
-        _c_double_p,  # work (server-grouped)
-        _c_double_p,  # speeds
-        _c_i64_p,  # offsets (nservers + 1)
-        ctypes.c_longlong,  # nservers
-        _c_double_p,  # completions (out, server-grouped)
-    ]
-    fcfs_servers.restype = None
     cell = lib.cell_replay_batch
     cell.argtypes = [
         _c_double_p,  # times (shared stream)
@@ -326,9 +291,6 @@ def _load(path: Path, openmp: bool) -> _Lib:
     set_threads.restype = None
     flags = (*_CFLAGS, _OMP_FLAG) if openmp else _CFLAGS
     return _Lib(
-        periods=periods,
-        servers=servers,
-        fcfs_servers=fcfs_servers,
         cell=cell,
         map_uniform=map_uniform,
         window=window,
@@ -375,46 +337,17 @@ def _ensure_fns():
     return _fns
 
 
-def ps_periods_fn():
-    """The compiled busy-period replay entry point, or None.
-
-    Returns a callable ``fn(times, work, speed, bounds, ends, nper,
-    completions, ht, hi)`` over raw ctypes pointers, compiled and loaded
-    on first call and cached for the process.  Returns None when the
-    kernel is disabled (``REPRO_DISABLE_CKERNEL``), no compiler exists,
-    or compilation/loading failed — callers fall back to the Python
-    loop, which computes the exact same bits.
-    """
-    lib = _ensure_fns()
-    return lib.periods if lib else None
-
-
-def ps_servers_fn():
-    """The fused whole-network PS replay entry point, or None.
-
-    Returns a callable ``fn(times, work, speeds, offsets, nservers,
-    completions, ht, hi)`` replaying every server's contiguous
-    slice — Lindley segmentation included — in one C call.  Same
-    availability rules and fallback contract as :func:`ps_periods_fn`.
-    """
-    lib = _ensure_fns()
-    return lib.servers if lib else None
-
-
-def fcfs_servers_fn():
-    """The fused whole-network FCFS replay entry point, or None."""
-    lib = _ensure_fns()
-    return lib.fcfs_servers if lib else None
-
-
 def cell_fn():
     """The whole-cell fused replay entry point, or None.
 
     One call replays every unique dispatch plan of a replication:
     counting-sort grouping, per-(plan, server) FCFS/PS replay, and the
     scatter back to arrival order all happen in C (OpenMP-parallel over
-    disjoint slices).  Same availability/fallback contract as
-    :func:`ps_periods_fn`.
+    disjoint slices).  Compiled and loaded on first call and cached for
+    the process.  Returns None when the kernel is disabled
+    (``REPRO_DISABLE_CKERNEL``), no compiler exists, or
+    compilation/loading failed — callers fall back to the numpy/Python
+    path, which computes the exact same bits.
     """
     lib = _ensure_fns()
     return lib.cell if lib else None
@@ -432,8 +365,7 @@ def window_fn():
     One call replays a control window of dispatched jobs through the
     per-server Lindley recursion with the servers' ``free_at`` instants
     carried across windows — the serve-path counterpart of
-    :func:`cell_fn`.  Same availability/fallback contract as
-    :func:`ps_periods_fn`.
+    :func:`cell_fn`, with the same availability/fallback contract.
     """
     lib = _ensure_fns()
     return lib.window if lib else None
@@ -573,73 +505,6 @@ def arena() -> Arena:
 # ----------------------------------------------------------------------
 
 
-def replay_periods_c(
-    fn,
-    times: np.ndarray,
-    work: np.ndarray,
-    speed: float,
-    bounds: np.ndarray,
-    ends: np.ndarray,
-    completions: np.ndarray,
-) -> None:
-    """Replay the given busy periods through the compiled core.
-
-    ``times``/``work``/``completions`` must be contiguous float64;
-    ``bounds``/``ends`` contiguous int64.  Heap scratch is sized to the
-    longest period and served from the arena.
-    """
-    width = int((ends - bounds).max())
-    a = arena()
-    ht = a.f64("periods.ht", width)
-    hi = a.i64("periods.hi", width)
-    fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
-        ctypes.c_double(speed),
-        bounds.ctypes.data_as(_c_i64_p),
-        ends.ctypes.data_as(_c_i64_p),
-        ctypes.c_longlong(bounds.size),
-        completions.ctypes.data_as(_c_double_p),
-        ht.ctypes.data_as(_c_double_p),
-        hi.ctypes.data_as(_c_i64_p),
-    )
-
-
-def replay_servers_c(
-    fn,
-    times: np.ndarray,
-    work: np.ndarray,
-    speeds: np.ndarray,
-    offsets: np.ndarray,
-    completions: np.ndarray,
-) -> None:
-    """Replay every server's substream through the fused compiled core.
-
-    ``times``/``work``/``completions`` are the server-grouped (stable
-    argsort by target) job arrays; server ``s`` owns the slice
-    ``[offsets[s], offsets[s+1])``.  All float arrays contiguous
-    float64, ``offsets`` contiguous int64 of length ``len(speeds)+1``.
-    Scratch is sized to the busiest server and served from the arena.
-    """
-    counts = np.diff(offsets)
-    width = int(counts.max()) if counts.size else 0
-    if width <= 0:
-        return
-    a = arena()
-    ht = a.f64("servers.ht", width)
-    hi = a.i64("servers.hi", width)
-    fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
-        speeds.ctypes.data_as(_c_double_p),
-        offsets.ctypes.data_as(_c_i64_p),
-        ctypes.c_longlong(len(speeds)),
-        completions.ctypes.data_as(_c_double_p),
-        ht.ctypes.data_as(_c_double_p),
-        hi.ctypes.data_as(_c_i64_p),
-    )
-
-
 def replay_cell_c(
     fn,
     times: np.ndarray,
@@ -761,9 +626,9 @@ def replay_window_c(
     where ``departures``/``service_times`` are in arrival order,
     ``order`` is the stable group-by-server permutation and ``offsets``
     the per-server group bounds (``nservers + 1``), and ``ok`` is False
-    when a target was out of range (``free_at`` untouched in that case
-    up to the offending job's server — callers must fall back to the
-    validating numpy path and not trust the partial state).
+    when a target was out of range.  The kernel's counting sort rejects
+    every target before any state is written, so on ``ok=False``
+    ``free_at`` is untouched and only the returned arrays are garbage.
 
     All returned arrays are arena-backed views: consume them before the
     next replay call, never store them.

@@ -15,14 +15,22 @@ Two replay kernels are provided:
 
 * :func:`fcfs_replay` — exact FCFS via the Lindley recursion vectorized
   as a prefix-max over cumulative ``size/speed − interarrival`` terms
-  (pure numpy, no per-job Python loop);
+  (:func:`lindley_window`, pure numpy, no per-job Python loop);
 * :func:`ps_replay` — exact processor sharing.  The substream is first
-  segmented into busy periods with the same vectorized Lindley kernel
-  (work conservation makes busy-period boundaries discipline-free);
-  singleton busy periods — the common case at moderate load — are
-  resolved in one batched numpy expression, and multi-job busy periods
-  run through the compiled virtual-time heap (:mod:`repro.sim.ckernel`,
-  bit-identical to the interpreted loop kept as fallback).
+  segmented into busy periods with the same Lindley recursion (work
+  conservation makes busy-period boundaries discipline-free); singleton
+  busy periods — the common case at moderate load — complete at
+  ``arrival + size/speed``, and multi-job busy periods replay through
+  the virtual-time heap.  With the compiled kernel the whole substream
+  is one plan on one server of the cell kernel
+  (:mod:`repro.sim.ckernel`); the numpy + Python-heap fallback computes
+  the same bits.
+
+:func:`lindley_window` is the one numpy form of the FCFS recursion:
+the sweep replays with a fresh server (``free_at = -inf``), while the
+serving bank and the net server stubs carry ``free_at`` across windows.
+:func:`group_by_server` is the one stable group-by-server permutation
+the numpy fallbacks share.
 
 :func:`run_cell` batches the three stages across the (policy ×
 replication) members of one sweep cell: stage 1 runs once per
@@ -70,6 +78,8 @@ __all__ = [
     "run_cell",
     "ps_replay",
     "fcfs_replay",
+    "lindley_window",
+    "group_by_server",
     "KERNEL_VERSION",
 ]
 
@@ -100,33 +110,57 @@ def _validate_substream(
     return times, work
 
 
-def _lindley_departures(times: np.ndarray, service: np.ndarray) -> np.ndarray:
-    """FCFS departure instants via the vectorized Lindley recursion.
+def lindley_window(
+    times: np.ndarray, sizes: np.ndarray, speed: float, free_at: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One server's FCFS Lindley recursion, with carried backlog.
 
-    With service times s and cumulative service U_j = Σ_{i≤j} s_i, the
+    Returns ``(departures, service_times, new_free_at)`` for jobs
+    arriving at *times* with demands *sizes* on a server of *speed*
+    that frees up at *free_at* (``-inf`` for a fresh server).  With
+    service times s and cumulative service U_j = Σ_{i≤j} s_i, the
     recursion D_j = max(D_{j−1}, T_j) + s_j unrolls to
 
-        D_j = U_j + max_{k≤j} (T_k − U_{k−1}),
+        D_j = U_j + max(free_at, max_{k≤j} (T_k − U_{k−1})),
 
-    a prefix-max over numpy arrays — no per-job Python loop.
+    a prefix-max over numpy arrays — no per-job Python loop.  The
+    compiled kernels seed their running max with ``free_at`` instead;
+    max never rounds, so both forms produce the same bits, and
+    ``max(x, -inf)`` is exactly ``x``.
     """
-    cum = np.cumsum(service)
-    return cum + np.maximum.accumulate(times - (cum - service))
+    svc = sizes / speed
+    cum = np.cumsum(svc)
+    starts = times - (cum - svc)
+    dep = cum + np.maximum(np.maximum.accumulate(starts), free_at)
+    return dep, svc, float(dep[-1]) if dep.size else float(free_at)
+
+
+def group_by_server(
+    targets: np.ndarray, n_servers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable group-by-server permutation ``order`` and group bounds.
+
+    Server ``i`` owns ``order[offsets[i]:offsets[i+1]]``, its jobs in
+    arrival order — the permutation of the compiled counting sort.
+    Raises ``ValueError`` if a target lies outside ``[0, n_servers)``.
+    """
+    if targets.size and (targets.min() < 0 or targets.max() >= n_servers):
+        raise ValueError("dispatch target out of range")
+    # Stable argsort on a narrow key: casting the range-checked targets
+    # to int8 keeps the radix passes to one byte, several times faster
+    # than sorting int64 keys — and the cast preserves key order, so
+    # the permutation is identical.
+    keys = targets.astype(np.int8) if n_servers <= 127 else targets
+    order = np.argsort(keys, kind="stable")
+    offsets = np.zeros(n_servers + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n_servers), out=offsets[1:])
+    return order, offsets
 
 
 def fcfs_replay(arrival_times: np.ndarray, sizes: np.ndarray, speed: float) -> np.ndarray:
     """Exact FCFS replay of one server's substream (completion times)."""
     times, work = _validate_substream(arrival_times, sizes, speed)
-    return _fcfs_replay_core(times, work, speed)
-
-
-def _fcfs_replay_core(
-    times: np.ndarray, work: np.ndarray, speed: float
-) -> np.ndarray:
-    """:func:`fcfs_replay` minus input validation (pre-validated callers)."""
-    if times.size == 0:
-        return np.empty(0)
-    return _lindley_departures(times, work / speed)
+    return lindley_window(times, work, speed, -np.inf)[0]
 
 
 def _fcfs_replay_loop(arrival_times, sizes, speed: float) -> np.ndarray:
@@ -191,30 +225,37 @@ def ps_replay(arrival_times: np.ndarray, sizes: np.ndarray, speed: float) -> np.
     Returns the completion time of every job.  The stream is segmented
     into busy periods first: PS is work-conserving, so the instant all
     work from jobs 0..j is finished equals the FCFS departure of job j
-    (computed by the vectorized Lindley kernel), and job j+1 opens a new
-    busy period iff it arrives at or after that depletion instant.
-    Busy periods containing a single job — the bulk of the stream at
-    moderate load — complete at ``arrival + size/speed`` in one batched
-    expression; multi-job busy periods replay through the compiled heap
-    core when available (:mod:`repro.sim.ckernel`), falling back to the
-    bit-identical per-job Python loop otherwise.
+    (the Lindley recursion), and job j+1 opens a new busy period iff it
+    arrives at or after that depletion instant.  Busy periods containing
+    a single job — the bulk of the stream at moderate load — complete at
+    ``arrival + size/speed``; multi-job busy periods replay through the
+    virtual-time heap.  With the compiled kernel the substream runs as
+    one plan on one server of the cell kernel
+    (:func:`repro.sim.ckernel.replay_cell_c`); otherwise
+    :func:`_ps_replay_core` computes the same bits in numpy and Python.
     """
     times, work = _validate_substream(arrival_times, sizes, speed)
-    return _ps_replay_core(times, work, speed)
+    fused = ckernel.cell_fn()
+    if fused is None or times.size == 0:
+        return _ps_replay_core(times, work, speed)
+    # One server, so every target is 0 and the kernel cannot reject it.
+    comp, *_ = ckernel.replay_cell_c(
+        fused, times, work, np.array([float(speed)]),
+        [np.zeros(times.size, dtype=np.int64)], True,
+    )
+    return comp[0].copy()
 
 
 def _ps_replay_core(
     times: np.ndarray, work: np.ndarray, speed: float
 ) -> np.ndarray:
-    """:func:`ps_replay` minus input validation (pre-validated callers)."""
+    """Numpy + Python-heap form of :func:`ps_replay`, minus validation."""
     n = times.size
     if n == 0:
         return np.empty(0)
 
-    svc = work / speed
     completions = np.empty(n)
-
-    depletion = _lindley_departures(times, svc)
+    depletion, svc, _ = lindley_window(times, work, speed, -np.inf)
     starts = np.empty(n, dtype=bool)
     starts[0] = True
     np.greater_equal(times[1:], depletion[:-1], out=starts[1:])
@@ -227,20 +268,12 @@ def _ps_replay_core(
 
     if idx.size < bounds.size:
         multi = ~single
-        mb = np.ascontiguousarray(bounds[multi])
-        me = np.ascontiguousarray(ends[multi])
-        fn = ckernel.ps_periods_fn()
-        if fn is not None:
-            ckernel.replay_periods_c(
-                fn, times, work, float(speed), mb, me, completions
-            )
-        else:
-            # Plain-float lists: scalar indexing in the heap loop is
-            # several times faster than indexing numpy element-wise.
-            tl = times.tolist()
-            wl = work.tolist()
-            for b, e in zip(mb.tolist(), me.tolist()):
-                _ps_busy_period(tl, wl, speed, b, e, completions)
+        # Plain-float lists: scalar indexing in the heap loop is
+        # several times faster than indexing numpy element-wise.
+        tl = times.tolist()
+        wl = work.tolist()
+        for b, e in zip(bounds[multi].tolist(), ends[multi].tolist()):
+            _ps_busy_period(tl, wl, speed, b, e, completions)
     return completions
 
 
@@ -284,12 +317,16 @@ def _ps_replay_loop(arrival_times, sizes, speed: float) -> np.ndarray:
     return completions
 
 
-#: Discipline → exact replay kernel for the static fast path.
-_REPLAY_KERNELS = {"ps": ps_replay, "fcfs": fcfs_replay}
-
-#: Discipline → validation-free kernel used by :func:`_replay_plan`,
-#: which validates the whole arrival stream once instead of per server.
-_REPLAY_CORES = {"ps": _ps_replay_core, "fcfs": _fcfs_replay_core}
+#: Discipline → validation-free numpy replay used by the fallback of
+#: :func:`_replay_plan`, which validates the whole arrival stream once
+#: instead of per server.  Its keys are the disciplines the fast path
+#: implements.
+_REPLAY_CORES = {
+    "ps": _ps_replay_core,
+    "fcfs": lambda times, work, speed: lindley_window(
+        times, work, speed, -np.inf
+    )[0],
+}
 
 
 # ----------------------------------------------------------------------
@@ -324,11 +361,11 @@ def _dispatch_targets(dispatcher: Dispatcher, sizes: np.ndarray) -> np.ndarray:
 
 def _resolve_replay(config: SimulationConfig):
     try:
-        return _REPLAY_KERNELS[config.discipline]
+        return _REPLAY_CORES[config.discipline]
     except KeyError:
         raise ValueError(
             "the fast path implements the PS discipline and the FCFS "
-            f"discipline ({sorted(_REPLAY_KERNELS)}); "
+            f"discipline ({sorted(_REPLAY_CORES)}); "
             f"discipline={config.discipline!r} needs the event engine — "
             "use repro.sim.engine.run_simulation instead"
         ) from None
@@ -475,11 +512,12 @@ def _replay_plan(
     With the compiled kernel this is one fused C call (counting-sort
     grouping, per-server replay, scatter back to arrival order —
     :func:`repro.sim.ckernel.replay_cell_c` with a single plan, scratch
-    from the arena).  The numpy fallback groups with one stable argsort
-    on a narrow key — within a group the stable sort preserves arrival
-    order, so each server's slice is bit-identical to the boolean-mask
-    extraction it replaces — and replays per server in Python.  Both
-    paths produce the same bits by construction.
+    from the arena).  The numpy fallback groups with
+    :func:`group_by_server` — within a group the stable sort preserves
+    arrival order, so each server's slice is bit-identical to the
+    boolean-mask extraction it replaces — and replays per server in
+    Python.  Both paths produce the same bits by construction, and both
+    reject an out-of-range target with the same ``ValueError``.
     """
     n_servers = len(config.speeds)
     speeds = np.ascontiguousarray(config.speeds, dtype=float)
@@ -506,17 +544,9 @@ def _replay_plan(
                 record_trace,
             )
         # Out-of-range target: fall through to the numpy path, whose
-        # bincount raises the descriptive error.
+        # grouping raises the error.
 
-    # Stable argsort on a narrow key: casting the targets to int8 (a
-    # network never has 128 computers) keeps the radix passes to one
-    # byte, several times faster than sorting int64 keys — and a cast
-    # preserves key order, so the permutation is identical.
-    sort_keys = targets.astype(np.int8) if n_servers <= 127 else targets
-    order = np.argsort(sort_keys, kind="stable")
-    counts = np.bincount(targets, minlength=n_servers)
-    offsets = np.zeros(n_servers + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    order, offsets = group_by_server(targets, n_servers)
     grouped_times = times[order]
     grouped_sizes = sizes[order]
     grouped_completions = np.empty_like(grouped_times)

@@ -44,8 +44,7 @@ class TestNoCompilerFallback:
         assert delta.get(
             counters.key("ckernel.unavailable", reason="no-compiler")
         ) == 1
-        assert ckernel.ps_periods_fn() is None
-        assert ckernel.ps_servers_fn() is None
+        assert ckernel.cell_fn() is None
 
     def test_probe_failure_is_cached_and_counted_once(self, no_compiler):
         ckernel.kernel_available()

@@ -17,18 +17,21 @@ update the constant — and bump ``KERNEL_VERSION`` if replay bits moved.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import get_policy
 from repro.core.evaluate import run_policy_once
 from repro.distributions import distribution_from_mean_cv
-from repro.experiments.base import SCALES
+from repro.experiments.base import SCALES, run_policy_sweep
+from repro.experiments.configs import skewness_config
 from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
+from repro.experiments.figure3 import UTILIZATION, run_figure3
 from repro.faults.models import FaultConfig, FaultEvent
 from repro.net import run_in_process
 from repro.obs.digest import figure2_digest, results_digest, sweep_digest
@@ -38,7 +41,7 @@ from repro.service import (
     ServiceConfig,
     SyntheticJobSource,
 )
-from repro.sim import SimulationConfig, ckernel
+from repro.sim import SimulationConfig, ckernel, fcfs_replay, ps_replay
 from repro.sim.arrivals import Workload
 
 SMOKE = SCALES["smoke"]
@@ -47,6 +50,11 @@ FIGURE3_KWARGS = dict(fast_speeds=(1.0, 10.0), policies=("WRR", "ORR"))
 #: SHA-256 of the figure3 smoke subset (2 points x WRR/ORR x 2 reps).
 FIGURE3_SMOKE_DIGEST = (
     "946e55683b6f73e4d06256288a60a38ffb46ee7d66c47d97887e7ea151a0c97a"
+)
+#: The same subset under the FCFS discipline (the sweep-fcfs workload's
+#: replay path: one Lindley step per job in the compiled cell kernel).
+FIGURE3_FCFS_SMOKE_DIGEST = (
+    "9729246cc4d11896033e7c198183458652179a13647be576b739bb43fc7f42c5"
 )
 #: SHA-256 of the figure2 smoke deviation series (round-robin + random).
 FIGURE2_SMOKE_DIGEST = (
@@ -77,6 +85,53 @@ class TestFigure3GoldenDigest:
         monkeypatch.setattr(ckernel, "_fns", False)  # force the Python loop
         result = run_figure3(SMOKE, cell_batch=False, **FIGURE3_KWARGS)
         assert sweep_digest(result) == FIGURE3_SMOKE_DIGEST
+
+
+def _figure3_fcfs(**kw):
+    return run_policy_sweep(
+        "figure3-fcfs", "figure 3 smoke subset, FCFS", "fast speed",
+        FIGURE3_KWARGS["fast_speeds"],
+        lambda x: dataclasses.replace(
+            skewness_config(x, UTILIZATION), discipline="fcfs"
+        ),
+        FIGURE3_KWARGS["policies"], SMOKE, **kw,
+    )
+
+
+class TestFigure3FcfsGoldenDigest:
+    def test_serial_flat_grid(self):
+        result = _figure3_fcfs(cell_batch=False)
+        assert sweep_digest(result) == FIGURE3_FCFS_SMOKE_DIGEST
+
+    def test_cell_batched(self):
+        result = _figure3_fcfs(cell_batch=True)
+        assert sweep_digest(result) == FIGURE3_FCFS_SMOKE_DIGEST
+
+    def test_python_kernel(self, monkeypatch):
+        monkeypatch.setattr(ckernel, "_fns", False)  # force the numpy path
+        result = _figure3_fcfs(cell_batch=False)
+        assert sweep_digest(result) == FIGURE3_FCFS_SMOKE_DIGEST
+
+
+def test_substream_replays_identical_across_kernel_paths(monkeypatch):
+    """Public ps_replay/fcfs_replay: compiled and fallback, same bits.
+
+    At rho = 1.3 the queue never drains for long, so most jobs sit in
+    multi-job busy periods — the heap replay, not the singleton closed
+    form, decides the PS bits.
+    """
+    rng = np.random.default_rng(8)
+    times = np.cumsum(rng.exponential(1.0, 20_000))
+    work = rng.lognormal(0.0, 1.5, 20_000)
+    speed = float(work.mean()) / 1.3
+    compiled = (ps_replay(times, work, speed), fcfs_replay(times, work, speed))
+    opens = np.flatnonzero(times[1:] >= compiled[1][:-1])
+    assert opens.size < times.size / 10  # few, long busy periods
+
+    monkeypatch.setattr(ckernel, "_fns", False)
+    fallback = (ps_replay(times, work, speed), fcfs_replay(times, work, speed))
+    assert np.array_equal(compiled[0], fallback[0])
+    assert np.array_equal(compiled[1], fallback[1])
 
 
 class TestOtherGoldenDigests:

@@ -38,19 +38,24 @@ from repro.net.protocol import MAX_FRAME_BYTES, read_message, write_message
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 float_seq = st.lists(finite, max_size=8).map(tuple)
+#: Two equal-length float tuples: the per-job pairs decode requires.
+aligned_seqs = st.lists(st.tuples(finite, finite), max_size=8).map(
+    lambda pairs: (tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+)
 window = st.integers(min_value=0, max_value=10_000)
 server = st.integers(min_value=0, max_value=63)
 
 submits = st.builds(
-    Submit, window=window, times=float_seq, sizes=float_seq,
-    final=st.booleans(),
+    lambda window, seqs, final: Submit(window, *seqs, final=final),
+    window=window, seqs=aligned_seqs, final=st.booleans(),
 )
 dispatches = st.builds(
-    Dispatch, window=window, server=server, times=float_seq, sizes=float_seq,
+    lambda window, server, seqs: Dispatch(window, server, *seqs),
+    window=window, server=server, seqs=aligned_seqs,
 )
 completes = st.builds(
-    Complete, window=window, server=server, departures=float_seq,
-    service_times=float_seq,
+    lambda window, server, seqs: Complete(window, server, *seqs),
+    window=window, server=server, seqs=aligned_seqs,
 )
 heartbeats = st.builds(
     Heartbeat, server=server,
@@ -165,6 +170,27 @@ class TestCompatibility:
     def test_non_object_payload_is_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             decode([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "obj, fields",
+        [
+            ({"type": "submit", "window": 0, "times": [0.0, 1.0],
+              "sizes": [1.0]}, ("'times' has 2", "'sizes' has 1")),
+            ({"type": "dispatch", "window": 0, "server": 0,
+              "times": [0.0, 1.0, 2.0], "sizes": [4.0]},
+             ("'times' has 3", "'sizes' has 1")),
+            ({"type": "complete", "window": 0, "server": 1,
+              "departures": [2.0], "service_times": [2.0, 1.0]},
+             ("'departures' has 1", "'service_times' has 2")),
+        ],
+    )
+    def test_misaligned_job_sequences_are_rejected(self, obj, fields):
+        # A short 'sizes' would broadcast through the stub's replay and
+        # answer with departures no real job stream produces.
+        with pytest.raises(ProtocolError) as excinfo:
+            decode({"v": PROTOCOL_VERSION, **obj})
+        for field in fields:
+            assert field in str(excinfo.value)
 
     def test_sequence_fields_normalize_to_tuples(self):
         obj = encode(Complete(

@@ -11,6 +11,8 @@ from repro.distributions import Exponential
 from repro.rng import substream
 from repro.sim import (
     SimulationConfig,
+    ckernel,
+    fastpath,
     fcfs_replay,
     ps_replay,
     run_simulation,
@@ -269,6 +271,25 @@ class TestFastPathRestrictions:
             config, CyclicDispatcher(), np.array([1.0]), seed=0
         )
         assert result.metrics.jobs > 0
+
+    @pytest.mark.parametrize("backend", ["compiled", "python"])
+    @pytest.mark.parametrize("discipline", ["fcfs", "ps"])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_target_is_named(
+        self, monkeypatch, backend, discipline, bad
+    ):
+        # Both kernel paths end in the shared grouping's range check, so
+        # a bad plan gets the same message whichever backend ran.
+        if backend == "python":
+            monkeypatch.setattr(ckernel, "_fns", False)
+        config = SimulationConfig(
+            speeds=(1.0, 2.0, 5.0), utilization=0.5, duration=1e3,
+            discipline=discipline,
+        )
+        targets = np.array([0, 1, 2, bad, 0, 1], dtype=np.int64)
+        times = np.arange(1.0, 7.0)
+        with pytest.raises(ValueError, match="^dispatch target out of range$"):
+            fastpath._replay_plan(config, targets, times, np.ones(6), False)
 
 
 class TestEngineEquivalence:
