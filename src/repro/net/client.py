@@ -40,6 +40,7 @@ wall time, surfaced as p50/p99 by ``NetMetrics`` and ``bench --net``.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -86,7 +87,10 @@ class CapacityRouter:
             raise ValueError("weights must be a non-empty 1-D vector")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ValueError(f"weights must be finite and >= 0, got {w}")
-        total = w.sum()
+        # The exactly rounded sum is independent of shard order, so each
+        # shard's fraction depends on its own weight alone and permuting
+        # the weights permutes the split.
+        total = math.fsum(w)
         if total <= 0.0:
             raise ValueError("at least one weight must be positive")
         fractions = w / total
@@ -228,8 +232,8 @@ class LoadClient:
                 submits.append(
                     Submit(
                         window=k,
-                        times=tuple(times[s::self.n_shards].tolist()),
-                        sizes=tuple(sizes[s::self.n_shards].tolist()),
+                        times=times[s::self.n_shards],
+                        sizes=sizes[s::self.n_shards],
                         final=final,
                     )
                 )
@@ -241,8 +245,8 @@ class LoadClient:
                 submits.append(
                     Submit(
                         window=k,
-                        times=tuple(times[idx].tolist()),
-                        sizes=tuple(sizes[idx].tolist()),
+                        times=times[idx],
+                        sizes=sizes[idx],
                         final=final,
                     )
                 )

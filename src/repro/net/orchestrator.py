@@ -165,8 +165,7 @@ class OrchestratorShard:
         if self._rejoins:
             self._apply_rejoins(k)
         start, end = self._bounds(k)
-        times = np.asarray(msg.times, dtype=float)
-        sizes = np.asarray(msg.sizes, dtype=float)
+        times, sizes = msg.times, msg.sizes
 
         t0 = time.perf_counter()
         adm_times, adm_sizes = self.step.admit(times, sizes)
@@ -200,8 +199,8 @@ class OrchestratorShard:
                 Dispatch(
                     window=k,
                     server=i,
-                    times=tuple(adm_times[idx].tolist()),
-                    sizes=tuple(adm_sizes[idx].tolist()),
+                    times=adm_times[idx],
+                    sizes=adm_sizes[idx],
                 )
             )
         self._pending = state

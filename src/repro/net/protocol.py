@@ -11,21 +11,32 @@ doubles as the client's flow-control credit and publishes the shard's
 live capacity for the client's weighted router.  SHUTDOWN tears a
 connection down cleanly in either direction.
 
-The encoding is JSON (floats round-trip exactly through ``repr``, so
-the live-socket mode stays bit-comparable to the in-process mode) in
-length-prefixed frames: a 4-byte big-endian payload length followed by
-the UTF-8 JSON object.  Every object carries ``{"v": .., "type": ..}``;
-decoding tolerates unknown fields (forward compatibility: a newer peer
-may add fields) but rejects a different major version loudly — silent
-cross-version traffic is how heterogeneous fleets corrupt estimator
-state.
+Frames are length-prefixed: a 4-byte big-endian payload length, then
+the payload.  The payload is a 4-byte big-endian header length, a UTF-8
+JSON header, and — for SUBMIT, DISPATCH and COMPLETE — one raw
+little-endian float64 body of ``n·8`` bytes per per-job array, in field
+order.  The header is :func:`encode` of the message without its
+per-job arrays, plus ``"n"``, the one length both arrays share, so the
+pair is aligned by construction.  Raw float64 is exact, so the
+live-socket mode stays bit-comparable to the in-process mode with no
+argument about float formatting.  Every header carries
+``{"v": .., "type": ..}``; decoding tolerates unknown fields (forward
+compatibility: a newer peer may add fields) but rejects a different
+major version loudly — silent cross-version traffic is how
+heterogeneous fleets corrupt estimator state.
+
+SUBMIT, DISPATCH and COMPLETE hold their per-job arrays as 1-D float64
+``ndarray``s, and compare by the bytes of those arrays plus their
+scalar fields.  A decoded message's arrays are read-only
+``np.frombuffer`` views of the frame; consumers read them, never write.
 
 The codec is sans-IO: :func:`encode` / :func:`decode` map messages to
-and from plain dicts, :func:`pack` / :func:`unpack` add the frame
-bytes, and only :func:`read_message` / :func:`write_message` touch
-asyncio streams.  The in-process transport round-trips every message
-through ``unpack(pack(msg))`` so simulation mode exercises the exact
-codec the sockets use.
+and from plain dicts (arrays as lists; for debugging and tests),
+:func:`pack` / :func:`unpack` map them to and from frame bytes, and
+only :func:`read_message` / :func:`write_message` touch asyncio
+streams.  The in-process transport round-trips every message through
+``unpack(pack(msg))`` so simulation mode exercises the exact codec the
+sockets use.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ import json
 import struct
 from dataclasses import dataclass
 from typing import Any, ClassVar
+
+import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -59,14 +72,17 @@ __all__ = [
 
 #: Bump on any incompatible schema change; peers reject a mismatch.
 #: v2 added the REGISTER message (server rejoin) and the RESOLVE
-#: ``capacity`` field (capacity-aware shard routing).
-PROTOCOL_VERSION = 2
+#: ``capacity`` field (capacity-aware shard routing); v3 moved the
+#: per-job arrays out of the JSON into raw float64 bodies.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's payload — a length prefix beyond this is
 #: treated as stream corruption, not an allocation request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+#: Wire dtype of the per-job array bodies.
+_F8 = np.dtype("<f8")
 
 
 class ProtocolError(ValueError):
@@ -99,8 +115,39 @@ class Register:
     incarnation: int = 0
 
 
-@dataclass(frozen=True)
-class Submit:
+class _JobArrays:
+    """Coercion and equality of the messages that carry per-job arrays.
+
+    ``arrays`` names the two per-job fields; they hold 1-D float64
+    arrays (anything array-like is converted on construction, an
+    ``ndarray`` of that dtype is kept as it is, never copied).  Two
+    messages are equal when their arrays are equal byte for byte — NaN
+    payloads and the sign of zero included — and their scalar fields
+    are equal.
+    """
+
+    arrays: ClassVar[tuple[str, str]]
+
+    def __post_init__(self):
+        for name in self.arrays:
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in dataclasses.fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.name in self.arrays:
+                if a.shape != b.shape or a.tobytes() != b.tobytes():
+                    return False
+            elif a != b:
+                return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Submit(_JobArrays):
     """Client → orchestrator: one control window of offered arrivals.
 
     ``times``/``sizes`` are the window's arrival stream in arrival
@@ -109,35 +156,38 @@ class Submit:
     """
 
     type: ClassVar[str] = "submit"
+    arrays: ClassVar[tuple[str, str]] = ("times", "sizes")
     window: int
-    times: tuple[float, ...]
-    sizes: tuple[float, ...]
+    times: np.ndarray
+    sizes: np.ndarray
     final: bool = False
 
 
-@dataclass(frozen=True)
-class Dispatch:
+@dataclass(frozen=True, eq=False)
+class Dispatch(_JobArrays):
     """Orchestrator → server stub: this window's slice for one server."""
 
     type: ClassVar[str] = "dispatch"
+    arrays: ClassVar[tuple[str, str]] = ("times", "sizes")
     window: int
     server: int
-    times: tuple[float, ...]
-    sizes: tuple[float, ...]
+    times: np.ndarray
+    sizes: np.ndarray
 
 
-@dataclass(frozen=True)
-class Complete:
+@dataclass(frozen=True, eq=False)
+class Complete(_JobArrays):
     """Server stub → orchestrator: replayed departures for one slice.
 
     Arrays align with the Dispatch slice (per-server FCFS order).
     """
 
     type: ClassVar[str] = "complete"
+    arrays: ClassVar[tuple[str, str]] = ("departures", "service_times")
     window: int
     server: int
-    departures: tuple[float, ...]
-    service_times: tuple[float, ...]
+    departures: np.ndarray
+    service_times: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -200,37 +250,37 @@ _TYPES: dict[str, type] = {
     )
 }
 
-#: Fields that carry float sequences — normalized to tuples on decode
-#: so dataclass equality (and hypothesis round-trip tests) are exact.
-_SEQ_FIELDS = frozenset(
-    {"times", "sizes", "departures", "service_times", "alphas"}
-)
-
-#: Per-job sequence pairs that must have one entry per job each; a
-#: mismatch would otherwise broadcast through the Lindley replay.
-_ALIGNED_FIELDS = {
-    "submit": ("times", "sizes"),
-    "dispatch": ("times", "sizes"),
-    "complete": ("departures", "service_times"),
+#: Message type → its two per-job array fields, in body order.
+_ARRAYS: dict[str, tuple[str, str]] = {
+    cls.type: cls.arrays for cls in (Submit, Dispatch, Complete)
 }
 
 
-def encode(msg: Message) -> dict:
-    """Message → versioned plain dict (JSON-ready)."""
+def _header(msg: Message) -> dict[str, Any]:
+    """:func:`encode` of *msg* without its per-job arrays."""
+    arrays = _ARRAYS.get(msg.type, ())
     payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "type": msg.type}
     for f in dataclasses.fields(msg):
+        if f.name in arrays:
+            continue
         value = getattr(msg, f.name)
-        payload[f.name] = list(value) if f.name in _SEQ_FIELDS else value
+        payload[f.name] = list(value) if f.name == "alphas" else value
     return payload
 
 
-def decode(obj: Any) -> Message:
-    """Versioned dict → message; tolerant of unknown fields.
+def encode(msg: Message) -> dict:
+    """Message → versioned plain dict (JSON-ready; arrays as lists)."""
+    payload = _header(msg)
+    for name in _ARRAYS.get(msg.type, ()):
+        payload[name] = getattr(msg, name).tolist()
+    return payload
+
+
+def _message_class(obj: Any) -> type:
+    """The message class a versioned dict names.
 
     Raises :class:`VersionMismatch` on a foreign protocol version and
-    :class:`ProtocolError` on anything else malformed, naming what was
-    missing or unknown, or the two per-job sequences whose lengths
-    differ.
+    :class:`ProtocolError` on a non-object or an unknown type.
     """
     if not isinstance(obj, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(obj).__name__}")
@@ -247,26 +297,62 @@ def decode(obj: Any) -> Message:
             f"unknown message type {kind!r}; known types: "
             f"{', '.join(sorted(_TYPES))}"
         )
+    return cls
+
+
+def _job_count(kind: str, names: tuple[str, str], arrays) -> int:
+    """The one length a message's per-job arrays share.
+
+    Refuses arrays that are not 1-D, and a pair whose lengths differ —
+    a short ``sizes`` would otherwise broadcast through the Lindley
+    replay — naming both fields.
+    """
+    for name, arr in zip(names, arrays):
+        if arr.ndim != 1:
+            raise ProtocolError(
+                f"malformed {kind} message: {name!r} must be 1-D, "
+                f"got shape {arr.shape}"
+            )
+    (a, b), (x, y) = names, arrays
+    if x.size != y.size:
+        raise ProtocolError(
+            f"malformed {kind} message: {a!r} has {x.size} entries but "
+            f"{b!r} has {y.size}"
+        )
+    return int(x.size)
+
+
+def decode(obj: Any) -> Message:
+    """Versioned dict → message; tolerant of unknown fields.
+
+    Raises :class:`VersionMismatch` on a foreign protocol version and
+    :class:`ProtocolError` on anything else malformed, naming what was
+    missing or unknown, or the two per-job arrays whose lengths differ.
+    """
+    cls = _message_class(obj)
+    kind = cls.type
+    arrays = _ARRAYS.get(kind, ())
     kwargs: dict[str, Any] = {}
     for f in dataclasses.fields(cls):
         if f.name in obj:
             value = obj[f.name]
-            kwargs[f.name] = (
-                tuple(float(x) for x in value)
-                if f.name in _SEQ_FIELDS
-                else value
-            )
+            if f.name in arrays:
+                try:
+                    value = np.asarray(value, dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise ProtocolError(
+                        f"malformed {kind} message: {f.name!r} is not a "
+                        f"float array: {exc}"
+                    ) from exc
+            elif f.name == "alphas":
+                value = tuple(float(x) for x in value)
+            kwargs[f.name] = value
         elif f.default is dataclasses.MISSING:
             raise ProtocolError(
                 f"{kind} message missing required field {f.name!r}"
             )
-    if kind in _ALIGNED_FIELDS:
-        a, b = _ALIGNED_FIELDS[kind]
-        if len(kwargs[a]) != len(kwargs[b]):
-            raise ProtocolError(
-                f"malformed {kind} message: {a!r} has {len(kwargs[a])} "
-                f"entries but {b!r} has {len(kwargs[b])}"
-            )
+    if arrays:
+        _job_count(kind, arrays, [kwargs[name] for name in arrays])
     try:
         return cls(**kwargs)
     except TypeError as exc:  # e.g. a non-sequence where a list belongs
@@ -275,13 +361,23 @@ def decode(obj: Any) -> Message:
 
 def pack(msg: Message) -> bytes:
     """Message → one length-prefixed wire frame."""
-    body = json.dumps(encode(msg), separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
+    names = _ARRAYS.get(msg.type, ())
+    header = _header(msg)
+    arrays = [getattr(msg, name) for name in names]
+    n = 0
+    if names:
+        n = header["n"] = _job_count(msg.type, names, arrays)
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    length = _LEN.size + len(head) + len(arrays) * n * _F8.itemsize
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"refusing to pack {msg.type!r} message: frame of "
-            f"{len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+            f"{length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )
-    return _LEN.pack(len(body)) + body
+    return b"".join([
+        _LEN.pack(length), _LEN.pack(len(head)), head,
+        *(np.asarray(a, dtype=_F8).tobytes() for a in arrays),
+    ])
 
 
 def unpack(frame: bytes) -> Message:
@@ -297,11 +393,53 @@ def unpack(frame: bytes) -> Message:
     return _decode_body(bytes(body))
 
 
-def _decode_body(body: bytes) -> Message:
+def _parse_json(data: bytes) -> Any:
     try:
-        obj = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
+        return json.loads(data)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ProtocolError(f"frame header is not valid JSON: {exc}") from exc
+
+
+def _decode_body(body: bytes) -> Message:
+    """One frame payload → message; the arrays view *body*, read-only."""
+    if body[:1] == b"{":
+        # A pre-v3 peer: the whole payload is one JSON object.  Decode
+        # its header only to refuse it by the version it names.
+        _message_class(_parse_json(body))
+        raise ProtocolError(
+            "frame payload is bare JSON; a v3 payload starts with a "
+            "header length"
+        )
+    if len(body) < _LEN.size:
+        raise ProtocolError(
+            f"truncated payload: {len(body)} bytes, no header length"
+        )
+    (head_len,) = _LEN.unpack_from(body)
+    start = _LEN.size + head_len
+    if start > len(body):
+        raise ProtocolError(
+            f"header length {head_len} runs past the {len(body)}-byte payload"
+        )
+    obj = _parse_json(body[_LEN.size:start])
+    cls = _message_class(obj)
+    names = _ARRAYS.get(cls.type, ())
+    n = 0
+    if names:
+        n = obj.get("n")
+        if type(n) is not int or n < 0:
+            raise ProtocolError(
+                f"{cls.type} header needs a non-negative integer 'n', "
+                f"got {n!r}"
+            )
+    width = n * _F8.itemsize
+    if len(body) - start != len(names) * width:
+        raise ProtocolError(
+            f"{cls.type} frame carries {len(body) - start} array bytes; "
+            f"n={n} needs {len(names) * width}"
+        )
+    for i, name in enumerate(names):
+        obj[name] = np.frombuffer(body, dtype=_F8, count=n,
+                                  offset=start + i * width)
     return decode(obj)
 
 

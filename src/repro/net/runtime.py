@@ -8,11 +8,12 @@ Two transports drive the same sans-IO components
   (``unpack(pack(msg))``) but no sockets.  Fault-free runs are
   byte-comparable to :class:`~repro.service.loop.SchedulerService`.
 * :func:`run_sockets` — the live mode: asyncio TCP on loopback, one
-  connection per component, length-prefixed JSON frames.  The math is
-  the same bits (JSON floats round-trip exactly); only arrival order
-  of messages from *different* connections varies, and the orchestrator
-  folds replies behind a per-window barrier in server-index order, so
-  fault-free socket runs reproduce the in-process report byte for byte.
+  connection per component, length-prefixed frames (a JSON header plus
+  raw float64 per-job arrays).  The math is the same bits (the arrays
+  cross as their exact bytes); only arrival order of messages from
+  *different* connections varies, and the orchestrator folds replies
+  behind a per-window barrier in server-index order, so fault-free
+  socket runs reproduce the in-process report byte for byte.
 
 **Backpressure.**  The client submits at most ``max_inflight``
 unacknowledged windows (RESOLVE returns the credit); the orchestrator
@@ -337,6 +338,17 @@ class _ShardNet:
         #: dead without a connection EOF).
         self.suspect = False
         self.stale_timeouts = 0
+
+    def release(self) -> None:
+        """Drop the connection writers once the run is over.
+
+        Each writer's protocol holds :meth:`handle_connection`, bound to
+        this object, so a kept writer closes a reference cycle that pins
+        the shard — its controller, estimators and report — until a
+        full garbage collection.
+        """
+        self.stub_writers.clear()
+        self.client_writer = None
 
     async def handle_connection(self, reader, writer):
         """Classify the peer by its first message, then pump the inbox."""
@@ -667,6 +679,8 @@ async def run_sockets(
         for srv in servers:
             srv.close()
             await srv.wait_closed()
+        for net in nets:
+            net.release()
     return NetRunResult(
         reports=[sh.report for sh in shards],
         shards=shards,

@@ -25,8 +25,6 @@ rejoin window.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..sim.fastpath import lindley_window
 from .protocol import Complete, Dispatch, Heartbeat, Message, Register, Shutdown
 
@@ -103,8 +101,7 @@ class ServerStub:
             raise ServerDead(
                 f"server {self.server_id} died after window {self.die_after_window}"
             )
-        times = np.asarray(msg.times, dtype=float)
-        sizes = np.asarray(msg.sizes, dtype=float)
+        times, sizes = msg.times, msg.sizes
         dep, svc, self.free_at = lindley_window(
             times, sizes, self.speed, self.free_at
         )
@@ -114,8 +111,8 @@ class ServerStub:
             Complete(
                 window=msg.window,
                 server=self.server_id,
-                departures=tuple(dep.tolist()),
-                service_times=tuple(svc.tolist()),
+                departures=dep,
+                service_times=svc,
             ),
             Heartbeat(
                 server=self.server_id,

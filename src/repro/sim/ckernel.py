@@ -93,8 +93,13 @@ _SOURCE = Path(__file__).with_name("_pskernel.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _OMP_FLAG = "-fopenmp"
 
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_i64_p = ctypes.POINTER(ctypes.c_longlong)
+#: Array arguments cross as bare addresses (``arr.ctypes.data``); the
+#: names only document the element type the C side reads.  The typed
+#: ``arr.ctypes.data_as(POINTER(...))`` route goes through
+#: ``ctypes.cast``, which leaves a ``c_void_p`` reference cycle behind
+#: per pointer, so every kernel call would feed the cycle collector.
+_c_double_p = ctypes.c_void_p
+_c_i64_p = ctypes.c_void_p
 
 
 @dataclass(frozen=True)
@@ -569,28 +574,28 @@ def replay_cell_c(
     ratio = a.f64("cell.ratio", nplans * tail_len)
     pcounts = a.i64("cell.pcounts", nplans * nservers)
     status = fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
+        times.ctypes.data,
+        work.ctypes.data,
         ctypes.c_longlong(n),
-        speeds.ctypes.data_as(_c_double_p),
+        speeds.ctypes.data,
         ctypes.c_longlong(nservers),
-        targets.ctypes.data_as(_c_i64_p),
+        targets.ctypes.data,
         ctypes.c_longlong(nplans),
         ctypes.c_longlong(1 if use_ps else 0),
-        completions.ctypes.data_as(_c_double_p),
-        gt.ctypes.data_as(_c_double_p),
-        gw.ctypes.data_as(_c_double_p),
-        gc.ctypes.data_as(_c_double_p),
-        order.ctypes.data_as(_c_i64_p),
-        offsets.ctypes.data_as(_c_i64_p),
-        pos.ctypes.data_as(_c_i64_p),
-        ht.ctypes.data_as(_c_double_p),
-        hi.ctypes.data_as(_c_i64_p),
+        completions.ctypes.data,
+        gt.ctypes.data,
+        gw.ctypes.data,
+        gc.ctypes.data,
+        order.ctypes.data,
+        offsets.ctypes.data,
+        pos.ctypes.data,
+        ht.ctypes.data,
+        hi.ctypes.data,
         ctypes.c_longlong(nthreads),
         ctypes.c_longlong(cut),
-        resp.ctypes.data_as(_c_double_p),
-        ratio.ctypes.data_as(_c_double_p),
-        pcounts.ctypes.data_as(_c_i64_p),
+        resp.ctypes.data,
+        ratio.ctypes.data,
+        pcounts.ctypes.data,
     )
     tail = None
     if tail_len > 0:
@@ -643,19 +648,19 @@ def replay_window_c(
     cursor = a.i64("window.cursor", nservers)
     state = a.f64("window.state", 2 * nservers)
     status = fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
+        times.ctypes.data,
+        work.ctypes.data,
         ctypes.c_longlong(n),
-        speeds.ctypes.data_as(_c_double_p),
+        speeds.ctypes.data,
         ctypes.c_longlong(nservers),
-        targets.ctypes.data_as(_c_i64_p),
-        free_at.ctypes.data_as(_c_double_p),
-        departures.ctypes.data_as(_c_double_p),
-        service_times.ctypes.data_as(_c_double_p),
-        order.ctypes.data_as(_c_i64_p),
-        offsets.ctypes.data_as(_c_i64_p),
-        cursor.ctypes.data_as(_c_i64_p),
-        state.ctypes.data_as(_c_double_p),
+        targets.ctypes.data,
+        free_at.ctypes.data,
+        departures.ctypes.data,
+        service_times.ctypes.data,
+        order.ctypes.data,
+        offsets.ctypes.data,
+        cursor.ctypes.data,
+        state.ctypes.data,
     )
     return departures, service_times, order, offsets, status == 0
 
@@ -676,22 +681,22 @@ def rr_extend_c(
     place, ``out`` int64 receiving ``out.size`` further targets.
     """
     fn(
-        inv.ctypes.data_as(_c_double_p),
-        active.ctypes.data_as(_c_i64_p),
+        inv.ctypes.data,
+        active.ctypes.data,
         ctypes.c_longlong(active.size),
-        assign.ctypes.data_as(_c_i64_p),
-        nxt.ctypes.data_as(_c_double_p),
+        assign.ctypes.data,
+        nxt.ctypes.data,
         ctypes.c_longlong(out.size),
-        out.ctypes.data_as(_c_i64_p),
+        out.ctypes.data,
     )
 
 
 def ewma_fold_c(fn, state: np.ndarray, weight: float, xs: np.ndarray) -> None:
     """Fold a batch of observations into EWMA state [raw, norm]."""
     fn(
-        state.ctypes.data_as(_c_double_p),
+        state.ctypes.data,
         ctypes.c_double(weight),
-        xs.ctypes.data_as(_c_double_p),
+        xs.ctypes.data,
         ctypes.c_longlong(xs.size),
     )
 
@@ -706,11 +711,11 @@ def p2_fold_c(
 ) -> None:
     """Fold a batch of observations into P² marker state (in place)."""
     fn(
-        q.ctypes.data_as(_c_double_p),
-        n.ctypes.data_as(_c_double_p),
-        np_.ctypes.data_as(_c_double_p),
-        dn.ctypes.data_as(_c_double_p),
-        xs.ctypes.data_as(_c_double_p),
+        q.ctypes.data,
+        n.ctypes.data,
+        np_.ctypes.data,
+        dn.ctypes.data,
+        xs.ctypes.data,
         ctypes.c_longlong(xs.size),
     )
 
@@ -723,9 +728,9 @@ def map_uniform_c(fn, cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     construction.
     """
     fn(
-        cum.ctypes.data_as(_c_double_p),
+        cum.ctypes.data,
         ctypes.c_longlong(cum.size),
-        u.ctypes.data_as(_c_double_p),
+        u.ctypes.data,
         ctypes.c_longlong(u.size),
-        out.ctypes.data_as(_c_i64_p),
+        out.ctypes.data,
     )

@@ -8,6 +8,8 @@ the C code mirrors the numpy float op order and is compiled with
 ``-ffp-contract=off``, so any drift is a bug.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +174,43 @@ class TestThreadIdentity:
         assert np.array_equal(serial[2], threaded[2])
         for a, b in zip(serial[3], threaded[3]):
             assert np.array_equal(a, b)
+
+
+class TestNoCycleGarbage:
+    """Kernel calls must leave nothing for the cycle collector.
+
+    Typed ``data_as(POINTER(...))`` arguments go through ``ctypes.cast``,
+    which leaves a reference cycle per pointer; the serve loop makes
+    several kernel calls per window, so that garbage would pile up until
+    a full collection.
+    """
+
+    @staticmethod
+    def garbage_after(call):
+        call()  # warm: arena buffers and entry points already resolved
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_ewma_fold_leaves_no_cycles(self):
+        fn = ckernel.ewma_fn()
+        state, xs = np.zeros(2), np.arange(1.0, 9.0)
+        assert self.garbage_after(
+            lambda: ckernel.ewma_fold_c(fn, state, 0.25, xs)
+        ) == 0
+
+    def test_window_sweep_leaves_no_cycles(self):
+        fn = ckernel.window_fn()
+        times, work, speeds, targets = case(200, 4, 3)
+        targets = targets.astype(np.int64)
+        free_at = np.zeros(speeds.size)
+        assert self.garbage_after(
+            lambda: ckernel.replay_window_c(
+                fn, times, work, speeds, targets, free_at
+            )
+        ) == 0

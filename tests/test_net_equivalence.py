@@ -61,7 +61,7 @@ class TestInProcessEquivalence:
 
     def test_equivalence_without_codec_round_trip(self):
         # codec=True routes every message through unpack(pack(.)); both
-        # modes must agree, proving the JSON framing is lossless.
+        # modes must agree, proving the binary framing is lossless.
         config = make_config()
         direct = run_in_process(config, make_source(), codec=False)
         framed = run_in_process(config, make_source(), codec=True)

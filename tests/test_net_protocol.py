@@ -3,13 +3,15 @@
 Property-based (hypothesis) round-trips over every message type, plus
 the forward/backward-compatibility contract: unknown fields are
 tolerated, a foreign protocol version is rejected loudly, and corrupt
-frames name what went wrong.
+frames name what went wrong.  The per-job arrays cross as raw float64,
+so every bit pattern must survive a frame round trip.
 """
 
 import asyncio
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,15 +35,26 @@ from repro.net import (
 from repro.net.protocol import MAX_FRAME_BYTES, read_message, write_message
 
 # ---------------------------------------------------------------------------
-# Strategies: one per message type, finite floats only (JSON has no NaN)
+# Strategies: one per message type.  JSON scalars are finite floats (JSON
+# has no NaN); per-job arrays take any 64-bit pattern — NaN payloads,
+# infinities, signed zeros and subnormals included.
 # ---------------------------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 float_seq = st.lists(finite, max_size=8).map(tuple)
-#: Two equal-length float tuples: the per-job pairs decode requires.
-aligned_seqs = st.lists(st.tuples(finite, finite), max_size=8).map(
-    lambda pairs: (tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-)
+
+
+def _as_f8(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def _split_pairs(pairs):
+    return _as_f8([a for a, _ in pairs]), _as_f8([b for _, b in pairs])
+
+
+bits64 = st.integers(min_value=0, max_value=2**64 - 1)
+#: Two equal-length float64 arrays: the per-job pairs a message carries.
+aligned_seqs = st.lists(st.tuples(bits64, bits64), max_size=8).map(_split_pairs)
 window = st.integers(min_value=0, max_value=10_000)
 server = st.integers(min_value=0, max_value=63)
 
@@ -107,12 +120,64 @@ class TestRoundTrip:
 
     @given(msg=messages)
     @settings(max_examples=100)
-    def test_wire_json_floats_round_trip_bitwise(self, msg):
-        # The equivalence harness leans on repr-exact JSON floats; a
-        # codec that quantized them would still pass dataclass equality
-        # on small ints, so check the raw payload too.
-        body = pack(msg)[4:]
-        assert json.loads(body) == encode(msg)
+    def test_wire_layout_is_json_header_then_raw_float64(self, msg):
+        # Payload length, header length, the JSON header — encode()
+        # without the per-job arrays, plus their shared length "n" — then
+        # one little-endian float64 body per array, in field order.
+        frame = pack(msg)
+        (length,) = struct.unpack_from(">I", frame)
+        assert length == len(frame) - 4
+        (head_len,) = struct.unpack_from(">I", frame, 4)
+        header = json.loads(frame[8:8 + head_len])
+        expected = encode(msg)
+        names = {"submit": ("times", "sizes"), "dispatch": ("times", "sizes"),
+                 "complete": ("departures", "service_times")}.get(msg.type, ())
+        bodies = b"".join(
+            np.asarray(getattr(msg, name), dtype="<f8").tobytes()
+            for name in names
+        )
+        for name in names:
+            del expected[name]
+        if names:
+            expected["n"] = len(getattr(msg, names[0]))
+        assert header == expected
+        assert frame[8 + head_len:] == bodies
+
+    def test_nonfinite_and_signed_zero_survive_bitwise(self):
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0,
+                           5e-324, np.finfo(float).max])
+        payload = _as_f8([0x7FF0000000000001, 0xFFF8DEADBEEF0001])
+        for msg in (
+            Submit(window=0, times=values, sizes=values[::-1]),
+            Dispatch(window=1, server=2, times=payload, sizes=payload),
+            Complete(window=3, server=4, departures=values,
+                     service_times=-values),
+        ):
+            got = unpack(pack(msg))
+            assert got == msg
+            for name in type(msg).arrays:
+                assert getattr(got, name).tobytes() == getattr(msg, name).tobytes()
+        assert np.signbit(unpack(pack(Submit(0, [-0.0], [0.0]))).times[0])
+
+    def test_equality_is_bytewise(self):
+        # NaN equals itself bitwise; -0.0 and 0.0 differ in their bits.
+        nan = Submit(window=0, times=[np.nan], sizes=[1.0])
+        assert nan == Submit(window=0, times=[np.nan], sizes=[1.0])
+        assert Submit(0, [0.0], [1.0]) != Submit(0, [-0.0], [1.0])
+        assert Submit(0, [0.0], [1.0]) != Submit(1, [0.0], [1.0])
+        assert Submit(0, [0.0], [1.0]) != Submit(0, [0.0, 0.0], [1.0, 1.0])
+
+    def test_decoded_arrays_are_read_only_views(self):
+        msg = unpack(pack(Complete(
+            window=0, server=1, departures=[1.0, 2.0], service_times=[0.5, 0.5]
+        )))
+        for arr in (msg.departures, msg.service_times):
+            assert arr.dtype == np.float64 and arr.ndim == 1
+            assert not arr.flags.writeable
+            assert isinstance(arr.base, bytes)  # a view of the frame
+            assert np.asarray(arr) is arr  # consumers never copy
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_every_type_has_a_distinct_tag(self):
         tags = {
@@ -192,13 +257,27 @@ class TestCompatibility:
         for field in fields:
             assert field in str(excinfo.value)
 
-    def test_sequence_fields_normalize_to_tuples(self):
+    def test_array_fields_decode_to_float64_arrays(self):
         obj = encode(Complete(
             window=1, server=0, departures=(1.0, 2.0), service_times=(0.5, 0.5)
         ))
         msg = decode(json.loads(json.dumps(obj)))  # lists after JSON
-        assert isinstance(msg.departures, tuple)
-        assert isinstance(msg.service_times, tuple)
+        for arr, want in ((msg.departures, [1.0, 2.0]),
+                          (msg.service_times, [0.5, 0.5])):
+            assert isinstance(arr, np.ndarray)
+            assert arr.dtype == np.float64 and arr.ndim == 1
+            assert arr.tobytes() == np.array(want).tobytes()
+        resolve = decode(json.loads(json.dumps(encode(Resolve(
+            window=0, alphas=(0.25, 0.75), swapped=False, reason="periodic",
+            offered=0, admitted=0, shed=0,
+        )))))
+        assert resolve.alphas == (0.25, 0.75)  # not a per-job array
+
+    def test_non_numeric_array_is_rejected(self):
+        obj = encode(Submit(window=0, times=(1.0,), sizes=(1.0,)))
+        obj["sizes"] = ["heavy"]
+        with pytest.raises(ProtocolError, match="sizes"):
+            decode(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +296,9 @@ class TestFrames:
             unpack(b"\x00\x00")
 
     def test_garbage_payload_is_rejected(self):
-        body = b"not json at all"
-        frame = struct.pack(">I", len(body)) + body
+        head = b"not json at all"
+        payload = struct.pack(">I", len(head)) + head
+        frame = struct.pack(">I", len(payload)) + payload
         with pytest.raises(ProtocolError, match="not valid JSON"):
             unpack(frame)
 
@@ -232,15 +312,91 @@ class TestFrames:
         # overflowed and *how large* the frame was, so an operator can
         # find the producer without a packet capture.
         msg = Shutdown(reason="x" * (MAX_FRAME_BYTES + 1))
-        body_len = len(
+        # Payload: the header length, then the JSON header (no arrays).
+        payload_len = 4 + len(
             json.dumps(encode(msg), separators=(",", ":")).encode()
         )
         with pytest.raises(ProtocolError) as excinfo:
             pack(msg)
         text = str(excinfo.value)
         assert "'shutdown'" in text
-        assert str(body_len) in text
+        assert str(payload_len) in text
         assert str(MAX_FRAME_BYTES) in text
+
+    def test_pack_refuses_misaligned_arrays_naming_both_fields(self):
+        msg = Complete(window=0, server=1, departures=[1.0, 2.0],
+                       service_times=[0.5])
+        with pytest.raises(ProtocolError) as excinfo:
+            pack(msg)
+        text = str(excinfo.value)
+        assert "'departures' has 2" in text
+        assert "'service_times' has 1" in text
+
+    def test_pack_refuses_non_vector_arrays(self):
+        msg = Submit(window=0, times=[[1.0]], sizes=[[1.0]])
+        with pytest.raises(ProtocolError, match="1-D"):
+            pack(msg)
+
+    @staticmethod
+    def frame(header: dict, body: bytes = b"") -> bytes:
+        head = json.dumps(header).encode()
+        payload = struct.pack(">I", len(head)) + head + body
+        return struct.pack(">I", len(payload)) + payload
+
+    @pytest.mark.parametrize("cut", [1, 8, 9])
+    def test_truncated_array_body_is_rejected(self, cut):
+        frame = pack(Submit(window=0, times=[1.0, 2.0], sizes=[3.0, 4.0]))
+        short = frame[:-cut]
+        short = struct.pack(">I", len(short) - 4) + short[4:]
+        with pytest.raises(ProtocolError, match="array bytes"):
+            unpack(short)
+
+    def test_trailing_bytes_after_an_arrayless_header_are_rejected(self):
+        frame = self.frame(encode(Heartbeat(server=1)), b"\0" * 8)
+        with pytest.raises(ProtocolError, match="array bytes"):
+            unpack(frame)
+
+    def test_header_length_past_payload_is_rejected(self):
+        head = json.dumps(encode(Shutdown())).encode()
+        payload = struct.pack(">I", len(head) + 1) + head
+        frame = struct.pack(">I", len(payload)) + payload
+        with pytest.raises(ProtocolError, match="runs past"):
+            unpack(frame)
+
+    def test_payload_too_short_for_a_header_length_is_rejected(self):
+        with pytest.raises(ProtocolError, match="no header length"):
+            unpack(struct.pack(">I", 2) + b"\0\0")
+
+    @pytest.mark.parametrize("n", ["missing", -1, 1.0, "1", True, None])
+    def test_bad_job_count_is_rejected(self, n):
+        header = {"v": PROTOCOL_VERSION, "type": "dispatch", "window": 0,
+                  "server": 0}
+        if n != "missing":
+            header["n"] = n
+        frame = self.frame(header, np.ones(2).tobytes())
+        with pytest.raises(ProtocolError, match="'n'"):
+            unpack(frame)
+
+    def test_v2_frame_is_a_version_mismatch(self):
+        # v2 sent the whole message, arrays included, as one JSON object.
+        body = json.dumps({"v": 2, "type": "submit", "window": 0,
+                           "times": [0.5], "sizes": [1.0]}).encode()
+        frame = struct.pack(">I", len(body)) + body
+        with pytest.raises(VersionMismatch, match="version 2"):
+            unpack(frame)
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(frame)
+            with pytest.raises(VersionMismatch):
+                await read_message(reader)
+
+        asyncio.run(scenario())
+
+    def test_bare_json_payload_is_refused_even_at_this_version(self):
+        body = json.dumps(encode(Shutdown())).encode()
+        with pytest.raises(ProtocolError, match="bare JSON"):
+            unpack(struct.pack(">I", len(body)) + body)
 
     def test_read_cap_violation_names_length(self):
         bad = MAX_FRAME_BYTES + 17

@@ -9,6 +9,8 @@ plumbing: weight-lag determinism, the legacy even split, and stream
 conservation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,13 +41,14 @@ def _had_tie(weights, count: int) -> bool:
     tie-break, so only those are excluded from the permutation test.
     """
     fractions = np.asarray(weights, dtype=float)
-    fractions = fractions / fractions.sum()
+    fractions = fractions / math.fsum(fractions)
+    inverse = 1.0 / fractions  # the router multiplies by 1/f, as here
     counts = np.zeros(fractions.size, dtype=np.int64)
     for n in range(count):
         eligible = counts <= n * fractions
         if not np.any(eligible):
             eligible = np.ones(fractions.size, dtype=bool)
-        deadlines = np.where(eligible, (counts + 1) / fractions, np.inf)
+        deadlines = np.where(eligible, (counts + 1) * inverse, np.inf)
         if np.count_nonzero(deadlines == deadlines.min()) > 1:
             return True
         counts[int(np.argmin(deadlines))] += 1
@@ -76,6 +79,10 @@ class TestCapacityRouter:
         assert np.array_equal(a, b)
 
     @given(weights=weight_vectors, count=job_counts, seed=st.integers(0, 99))
+    # Regression: summing the weights in shard order rounded the total
+    # differently per permutation, tying the two near-equal shards in
+    # one order only.
+    @example(weights=[0.01, 0.010000000000000002, 23.0], count=2, seed=0)
     @settings(max_examples=100, deadline=None)
     def test_split_is_permutation_stable(self, weights, count, seed):
         # Permuting the capacity vector must permute the per-shard
@@ -159,16 +166,16 @@ class TestLoadClientSplit:
     def test_even_split_is_the_legacy_interleave(self):
         client = self.make_client(split="even")
         submits = client.next_submits()
-        assert submits[0].times == tuple(np.arange(0.0, 100.0, 2.0))
-        assert submits[1].times == tuple(np.arange(1.0, 100.0, 2.0))
+        assert submits[0].times.tobytes() == np.arange(0.0, 100.0, 2.0).tobytes()
+        assert submits[1].times.tobytes() == np.arange(1.0, 100.0, 2.0).tobytes()
 
     def test_capacity_split_conserves_the_stream_in_order(self):
         client = self.make_client()
         submits = client.next_submits()
-        merged = sorted(submits[0].times + submits[1].times)
-        assert merged == list(np.arange(0.0, 100.0))
+        merged = np.sort(np.concatenate([submits[0].times, submits[1].times]))
+        assert merged.tobytes() == np.arange(0.0, 100.0).tobytes()
         for sub in submits:  # order-preserving within each shard
-            assert list(sub.times) == sorted(sub.times)
+            assert sub.times.tobytes() == np.sort(sub.times).tobytes()
 
     def test_capacity_split_follows_the_weights(self):
         client = self.make_client(weights=(1.0, 3.0))

@@ -10,7 +10,9 @@ are regression-gated too, not just fault-free ones.
 """
 
 import asyncio
+import gc
 import json
+import weakref
 
 import numpy as np
 
@@ -267,3 +269,20 @@ class TestBackpressure:
         net = run_in_process(config, make_source())
         shard = net.shards[0]
         assert set(shard.last_heartbeat) == set(range(len(SPEEDS)))
+
+
+class TestTeardown:
+    def test_finished_socket_run_frees_its_shards_without_gc(self):
+        # The connection writers' protocols hold the shard's connection
+        # handler; a run that kept them would pin every shard (its
+        # controller, estimators and report) until a full collection.
+        config = make_config(duration=500.0)
+        gc.collect()
+        gc.disable()
+        try:
+            result = asyncio.run(run_sockets(config, make_source()))
+            shard = weakref.ref(result.shards[0])
+            del result
+            assert shard() is None
+        finally:
+            gc.enable()
