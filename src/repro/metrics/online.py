@@ -17,12 +17,15 @@ Two families live here:
     EWMA over inter-arrival gaps;
   - :class:`WindowedRateEstimator` — arrival rate as an event count
     over a sliding time window: forgets a step change completely one
-    window after it happens, at the cost of more variance;
+    window after it happens, at the cost of more variance.  The window
+    is a float64 buffer evicted by one ``searchsorted`` per batch;
   - :class:`ServerSpeedEstimator` — per-server effective speed from
     observed (size, service-time) pairs, nominal-seeded;
   - :class:`P2Quantile` — the Jain–Chlamtac P² streaming quantile
     estimator: five markers, constant memory, no stored samples — the
-    response-time p50/p99 the service's SLO gate steers by;
+    response-time p50/p99 the service's SLO gate steers by.
+    :meth:`P2Quantile.update_many` folds one batch into several
+    estimators in a single compiled pass;
   - :class:`OnlineWorkloadEstimator` — the facade the service feeds:
     per-arrival and per-completion hooks in, a
     :class:`WorkloadEstimate` snapshot (λ̂, m̂, ŝ, ρ̂) out.  A
@@ -31,17 +34,18 @@ Two families live here:
 
   All estimators are deterministic functions of the observation
   sequence (no hidden randomness), so service runs replay
-  bit-identically under a fixed seed.  Each one exposes
-  ``state_dict()``/``load_state()`` returning plain JSON-serializable
-  values, so the crash-safe service checkpoints can snapshot and
-  restore estimator state exactly (floats round-trip bit-identically
-  through JSON).
+  bit-identically under a fixed seed; every batch form leaves the
+  state its per-element form leaves, bit for bit.  The rate estimators
+  reject non-finite and decreasing timestamps with a ValueError.
+  Each one exposes ``state_dict()``/``load_state()`` returning plain
+  JSON-serializable values, so the crash-safe service checkpoints can
+  snapshot and restore estimator state exactly (floats round-trip
+  bit-identically through JSON).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +61,42 @@ def _ckernel():
     from ..sim import ckernel
 
     return ckernel
+
+
+def _finite_time(t: float) -> float:
+    """*t* as a float, or a ValueError naming a NaN/infinite timestamp."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"timestamps must be finite, got {t}")
+    return t
+
+
+def _check_times(times: np.ndarray, last: float | None) -> np.ndarray:
+    """Validate a timestamp batch; return its steps from *last*.
+
+    Raises ValueError unless every timestamp is finite and the batch is
+    non-decreasing, starting no earlier than *last* (the previous
+    timestamp, or None).  Returns the successive differences, the first
+    one against *last* when given.  A NaN anywhere makes a step NaN,
+    which fails ``>= 0``; past that, finite end points bound every
+    element, so checking the two ends covers the whole batch.
+    """
+    steps = np.diff(times) if last is None else np.diff(times, prepend=last)
+    if (
+        (steps.size == 0 or steps.min() >= 0.0)
+        and math.isfinite(times[0])
+        and math.isfinite(times[-1])
+    ):
+        return steps
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"timestamps must be finite, got {float(bad[0])}")
+    seq = times if last is None else np.concatenate(([last], times))
+    i = int(np.flatnonzero(~(steps >= 0.0))[0])
+    raise ValueError(
+        f"timestamps must be non-decreasing ({float(seq[i + 1])} after "
+        f"{float(seq[i])})"
+    )
 
 
 __all__ = [
@@ -288,7 +328,7 @@ class EwmaRateEstimator:
         self._last = None
 
     def observe(self, t: float) -> None:
-        t = float(t)
+        t = _finite_time(t)
         if self._last is not None:
             gap = t - self._last
             if gap < 0.0:
@@ -310,12 +350,7 @@ class EwmaRateEstimator:
         times = np.ascontiguousarray(times, dtype=float)
         if times.size == 0:
             return
-        if self._last is not None:
-            gaps = np.diff(times, prepend=self._last)
-        else:
-            gaps = np.diff(times)
-        if gaps.size and float(gaps.min()) < 0.0:
-            raise ValueError("timestamps must be non-decreasing")
+        gaps = _check_times(times, self._last)
         self._gaps.update_batch(gaps[gaps > 0.0])
         self._last = float(times[-1])
 
@@ -330,9 +365,10 @@ class EwmaRateEstimator:
         return {"gaps": self._gaps.state_dict(), "last": self._last}
 
     def load_state(self, state: dict) -> None:
-        self._gaps.load_state(state["gaps"])
         last = state["last"]
-        self._last = None if last is None else float(last)
+        last = None if last is None else _finite_time(last)
+        self._gaps.load_state(state["gaps"])
+        self._last = last
 
 
 class WindowedRateEstimator:
@@ -343,70 +379,126 @@ class WindowedRateEstimator:
     window honestly decays toward 0 instead of freezing at the last
     rate.  During the first window after t=0 the denominator is the
     elapsed time, keeping early estimates unbiased.
+
+    The timestamps live in an append-only float64 buffer: the live
+    window is ``_buf[_head:_end]``, sorted because input must be
+    non-decreasing.  Eviction only advances ``_head``; an append that
+    would run past the end first compacts the live slice to the front,
+    and the capacity doubles only when the live slice plus the new
+    timestamps do not fit.
     """
 
-    __slots__ = ("window", "_times")
+    __slots__ = ("window", "_buf", "_view", "_head", "_end")
+
+    #: Initial buffer capacity (timestamps).
+    _MIN_CAPACITY = 64
 
     def __init__(self, window: float):
         if window <= 0.0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)
-        self._times: deque[float] = deque()
+        self._set_buffer(np.empty(self._MIN_CAPACITY))
+        self._head = 0
+        self._end = 0
 
     def reset(self) -> None:
-        self._times.clear()
+        self._head = 0
+        self._end = 0
+
+    def _set_buffer(self, buf: np.ndarray) -> None:
+        # The memoryview gives the per-job path builtin-float element
+        # access, several times cheaper than numpy scalar indexing.
+        self._buf = buf
+        self._view = memoryview(buf)
+
+    def _reserve(self, k: int) -> None:
+        """Make room for *k* more timestamps after ``_end``."""
+        buf = self._buf
+        if self._end + k <= buf.size:
+            return
+        live = self._end - self._head
+        cap = buf.size
+        while live + k > cap:
+            cap *= 2
+        if cap > buf.size:
+            grown = np.empty(cap)
+            grown[:live] = buf[self._head : self._end]
+            self._set_buffer(grown)
+        else:
+            buf[:live] = buf[self._head : self._end]
+        self._head = 0
+        self._end = live
 
     def observe(self, t: float) -> None:
-        t = float(t)
-        if self._times and t < self._times[-1]:
+        t = _finite_time(t)
+        buf, head, end = self._view, self._head, self._end
+        if end > head and t < buf[end - 1]:
             raise ValueError(
-                f"timestamps must be non-decreasing ({t} after {self._times[-1]})"
+                f"timestamps must be non-decreasing ({t} after {buf[end - 1]})"
             )
-        self._times.append(t)
-        self._evict(t)
+        if end == len(buf):
+            self._reserve(1)
+            buf, head, end = self._view, self._head, self._end
+        buf[end] = t
+        self._end = end + 1
+        # Scalar eviction: the per-job path allocates no array.  It
+        # stops at ``t`` itself at the latest (t >= t - window).
+        cutoff = t - self.window
+        while buf[head] < cutoff:
+            head += 1
+        self._head = head
 
     def observe_batch(self, times) -> None:
         """Append a batch of non-decreasing timestamps at once.
 
-        Identical final deque to per-element :meth:`observe` calls:
-        evictions only ever pop the front against the *latest*
-        timestamp's cutoff, so one eviction pass at the end removes
-        exactly the union of what the per-element passes would.
-        ``tolist()`` keeps the deque holding builtin floats — the
-        checkpoint ``state_dict`` serializes it straight to JSON.
+        Identical final window to per-element :meth:`observe` calls:
+        evictions only ever drop the front against the *latest*
+        timestamp's cutoff, so one eviction at the end removes exactly
+        the union of what the per-element evictions would.
         """
         times = np.asarray(times, dtype=float)
-        if times.size == 0:
+        k = int(times.size)
+        if k == 0:
             return
-        if self._times and float(times[0]) < self._times[-1]:
-            raise ValueError(
-                f"timestamps must be non-decreasing "
-                f"({float(times[0])} after {self._times[-1]})"
-            )
-        if times.size > 1 and float(np.diff(times).min()) < 0.0:
-            raise ValueError("timestamps must be non-decreasing")
-        self._times.extend(times.tolist())
-        self._evict(float(times[-1]))
+        live = self._end > self._head
+        _check_times(times, float(self._buf[self._end - 1]) if live else None)
+        self._reserve(k)
+        self._buf[self._end : self._end + k] = times
+        self._end += k
+        self._evict(float(times[-1]) - self.window)
 
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        times = self._times
-        while times and times[0] < cutoff:
-            times.popleft()
+    def _evict(self, cutoff: float) -> None:
+        """Drop every timestamp below *cutoff* — the live slice is
+        sorted, so that is one ``searchsorted`` prefix."""
+        self._head += int(
+            np.searchsorted(
+                self._buf[self._head : self._end], cutoff, side="left"
+            )
+        )
 
     def rate(self, now: float) -> float:
         """Events per unit time over ``[now − window, now]``."""
-        self._evict(float(now))
-        span = min(float(now), self.window)
-        if span <= 0.0 or not self._times:
+        now = float(now)
+        if math.isnan(now):
+            raise ValueError("rate needs a time, got nan")
+        self._evict(now - self.window)
+        span = min(now, self.window)
+        count = self._end - self._head
+        if span <= 0.0 or count == 0:
             return 0.0
-        return len(self._times) / span
+        return count / span
 
     def state_dict(self) -> dict:
-        return {"times": list(self._times)}
+        return {"times": self._buf[self._head : self._end].tolist()}
 
     def load_state(self, state: dict) -> None:
-        self._times = deque(float(t) for t in state["times"])
+        times = np.array([float(t) for t in state["times"]], dtype=float)
+        if times.size:
+            _check_times(times, None)
+        self._set_buffer(np.empty(max(self._MIN_CAPACITY, times.size)))
+        self._buf[: times.size] = times
+        self._head = 0
+        self._end = int(times.size)
 
 
 class ServerSpeedEstimator:
@@ -566,40 +658,54 @@ class P2Quantile:
     def update_batch(self, xs) -> None:
         """Fold a batch of observations, oldest first.
 
-        Bit-identical to per-element :meth:`update` calls: elements are
-        fed through Python until the five-sample warm-up completes,
-        then the rest goes through the compiled marker fold (the exact
-        locate/shift/parabolic/linear operation order) — or the same
-        Python loop when the kernel is absent.
+        Bit-identical to per-element :meth:`update` calls; the one-set
+        case of :meth:`update_many`.
+        """
+        P2Quantile.update_many((self,), xs)
+
+    @staticmethod
+    def update_many(quantiles, xs) -> None:
+        """Fold the same batch into several estimators, oldest first.
+
+        Bit-identical to per-element :meth:`update` calls on each one.
+        Each estimator first takes elements through Python until its
+        five-sample warm-up completes — so each starts the compiled
+        part at its own index — then one compiled call folds the rest
+        into every marker set (the exact locate/shift/parabolic/linear
+        operation order per set).  Without the kernel the rest goes
+        through the same Python loop, one estimator at a time.
         """
         xs = np.ascontiguousarray(xs, dtype=float)
         total = int(xs.size)
-        i = 0
-        while self._q is None and i < total:
-            self.update(float(xs[i]))
-            i += 1
-        if i == total:
+        live = []
+        for q in quantiles:
+            i = 0
+            while q._q is None and i < total:
+                q.update(float(xs[i]))
+                i += 1
+            if i < total:
+                live.append((q, i))
+        if not live:
             return
         ck = _ckernel()
         fn = ck.p2_fn()
         if fn is None:
-            for j in range(i, total):
-                self.update(float(xs[j]))
+            for q, i in live:
+                for x in xs[i:].tolist():
+                    q.update(x)
             return
         a = ck.arena()
-        q = a.f64("p2.q", 5)
-        n = a.f64("p2.n", 5)
-        np_ = a.f64("p2.np", 5)
-        dn = a.f64("p2.dn", 5)
-        q[:] = self._q
-        n[:] = self._n
-        np_[:] = self._np
-        dn[:] = self._dn
-        ck.p2_fold_c(fn, q, n, np_, dn, xs[i:])
-        self._q = [float(x) for x in q]
-        self._n = [float(x) for x in n]
-        self._np = [float(x) for x in np_]
-        self.count += total - i
+        sets = a.f64("p2.sets", 20 * len(live)).reshape(len(live), 20)
+        starts = a.i64("p2.starts", len(live))
+        for row, (q, i) in enumerate(live):
+            sets[row] = q._q + q._n + q._np + list(q._dn)
+            starts[row] = i
+        ck.p2_fold_many_c(fn, sets, starts, xs)
+        for row, (q, i) in zip(sets.tolist(), live):
+            q._q = row[0:5]
+            q._n = row[5:10]
+            q._np = row[10:15]
+            q.count += total - i
 
     def _parabolic(self, i: int, d: float) -> float:
         q, n = self._q, self._n

@@ -256,10 +256,9 @@ class QuasiStaticController:
         """Batch form of :meth:`observe_response` (one window at once)."""
         if response_times.size == 0:
             return
-        self.p50.update_batch(response_times)
-        self.p99.update_batch(response_times)
-        self._win_p50.update_batch(response_times)
-        self._win_p99.update_batch(response_times)
+        P2Quantile.update_many(
+            (self.p50, self.p99, self._win_p50, self._win_p99), response_times
+        )
         self.responses_seen += int(response_times.size)
 
     # -- failure detector ----------------------------------------------

@@ -323,48 +323,83 @@ void ewma_fold(double *state, double weight, const double *xs, i64 n) {
     state[1] = norm;
 }
 
-/* P² (Jain–Chlamtac) streaming-quantile batch fold: the post-warmup
- * marker update of P2Quantile.update applied to m observations, with
- * the locate / position-shift / parabolic-else-linear adjustment
- * copied operation for operation from the Python method.  q/n/np_ are
- * the five marker heights, actual positions, and desired positions
- * (updated in place); dn the fixed desired-position increments.
+/* One P² (Jain–Chlamtac) streaming-quantile update: the post-warmup
+ * marker update of P2Quantile.update, with the locate / position-shift
+ * / parabolic-else-linear adjustment copied operation for operation
+ * from the Python method.  q/n/np_ are the five marker heights, actual
+ * positions, and desired positions (updated in place); dn the fixed
+ * desired-position increments.
  */
-void p2_fold(double *q, double *n, double *np_, const double *dn,
-             const double *xs, i64 m) {
-    for (i64 t = 0; t < m; t++) {
-        double x = xs[t];
-        i64 k;
-        if (x < q[0]) {
-            q[0] = x;
-            k = 0;
-        } else if (x >= q[4]) {
-            if (x > q[4]) q[4] = x;
-            k = 3;
-        } else {
-            k = 0;
-            while (k < 3 && x >= q[k + 1]) k++;
-        }
-        for (i64 i = k + 1; i < 5; i++) n[i] += 1.0;
-        for (i64 i = 0; i < 5; i++) np_[i] += dn[i];
-        for (i64 i = 1; i <= 3; i++) {
-            double d = np_[i] - n[i];
-            if ((d >= 1.0 && n[i + 1] - n[i] > 1.0) ||
-                (d <= -1.0 && n[i - 1] - n[i] < -1.0)) {
-                d = d >= 1.0 ? 1.0 : -1.0;
-                double cand = q[i] + d / (n[i + 1] - n[i - 1]) *
-                    ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) /
-                         (n[i + 1] - n[i]) +
-                     (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) /
-                         (n[i] - n[i - 1]));
-                if (!(q[i - 1] < cand && cand < q[i + 1])) {
-                    i64 j = i + (i64)d;
-                    cand = q[i] + d * (q[j] - q[i]) / (n[j] - n[i]);
-                }
-                q[i] = cand;
-                n[i] += d;
+static inline void p2_step(double *restrict q, double *restrict n,
+                           double *restrict np_, const double *restrict dn,
+                           double x) {
+    i64 k;
+    if (x < q[0]) {
+        q[0] = x;
+        k = 0;
+    } else if (x >= q[4]) {
+        if (x > q[4]) q[4] = x;
+        k = 3;
+    } else {
+        k = 0;
+        while (k < 3 && x >= q[k + 1]) k++;
+    }
+    for (i64 i = k + 1; i < 5; i++) n[i] += 1.0;
+    for (i64 i = 0; i < 5; i++) np_[i] += dn[i];
+    for (i64 i = 1; i <= 3; i++) {
+        double d = np_[i] - n[i];
+        if ((d >= 1.0 && n[i + 1] - n[i] > 1.0) ||
+            (d <= -1.0 && n[i - 1] - n[i] < -1.0)) {
+            d = d >= 1.0 ? 1.0 : -1.0;
+            double cand = q[i] + d / (n[i + 1] - n[i - 1]) *
+                ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) /
+                     (n[i + 1] - n[i]) +
+                 (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) /
+                     (n[i] - n[i - 1]));
+            if (!(q[i - 1] < cand && cand < q[i + 1])) {
+                i64 j = i + (i64)d;
+                cand = q[i] + d * (q[j] - q[i]) / (n[j] - n[i]);
             }
+            q[i] = cand;
+            n[i] += d;
         }
+    }
+}
+
+#define P2_SET 20   /* doubles per marker set: q, n, np_, dn */
+#define P2_GROUP 4  /* sets interleaved per pass over xs */
+
+/* Fold one batch into k P² marker sets at once.
+ *
+ * sets: k row-major marker sets of P2_SET doubles, [q | n | np_ | dn]
+ * (q, n, np_ updated in place); starts[s]: the first element of xs that
+ * set s takes — each set folds xs[starts[s] .. m).  A set whose start
+ * is >= m is left untouched.
+ *
+ * Sets are independent, so interleaving them element by element
+ * overlaps their division chains without changing any set's
+ * operation sequence: each one's markers are bit-identical to folding
+ * it alone.  Groups of P2_GROUP sets run in local copies so the
+ * compiler can keep them apart from xs.
+ */
+void p2_fold_many(double *sets, const i64 *starts, i64 k, const double *xs,
+                  i64 m) {
+    for (i64 g = 0; g < k; g += P2_GROUP) {
+        i64 kg = k - g < P2_GROUP ? k - g : P2_GROUP;
+        double st[P2_GROUP][P2_SET];
+        i64 lo = m;
+        for (i64 s = 0; s < kg; s++) {
+            for (i64 i = 0; i < P2_SET; i++) st[s][i] = sets[(g + s) * P2_SET + i];
+            if (starts[g + s] < lo) lo = starts[g + s];
+        }
+        for (i64 t = lo; t < m; t++) {
+            double x = xs[t];
+            for (i64 s = 0; s < kg; s++)
+                if (t >= starts[g + s])
+                    p2_step(st[s], st[s] + 5, st[s] + 10, st[s] + 15, x);
+        }
+        for (i64 s = 0; s < kg; s++)
+            for (i64 i = 0; i < 15; i++) sets[(g + s) * P2_SET + i] = st[s][i];
     }
 }
 

@@ -81,7 +81,7 @@ __all__ = [
     "replay_window_c",
     "rr_extend_c",
     "ewma_fold_c",
-    "p2_fold_c",
+    "p2_fold_many_c",
 ]
 
 _SOURCE = Path(__file__).with_name("_pskernel.c")
@@ -278,12 +278,11 @@ def _load(path: Path, openmp: bool) -> _Lib:
         ctypes.c_longlong,  # n
     ]
     ewma.restype = None
-    p2 = lib.p2_fold
+    p2 = lib.p2_fold_many
     p2.argtypes = [
-        _c_double_p,  # q markers (in/out)
-        _c_double_p,  # n positions (in/out)
-        _c_double_p,  # np desired positions (in/out)
-        _c_double_p,  # dn increments
+        _c_double_p,  # marker sets (k × [q | n | np | dn], in/out)
+        _c_i64_p,  # per-set start index into xs
+        ctypes.c_longlong,  # k
         _c_double_p,  # xs
         ctypes.c_longlong,  # m
     ]
@@ -389,7 +388,7 @@ def ewma_fn():
 
 
 def p2_fn():
-    """The P² streaming-quantile batch-fold entry point, or None."""
+    """The multi-set P² streaming-quantile fold entry point, or None."""
     lib = _ensure_fns()
     return lib.p2 if lib else None
 
@@ -701,20 +700,19 @@ def ewma_fold_c(fn, state: np.ndarray, weight: float, xs: np.ndarray) -> None:
     )
 
 
-def p2_fold_c(
-    fn,
-    q: np.ndarray,
-    n: np.ndarray,
-    np_: np.ndarray,
-    dn: np.ndarray,
-    xs: np.ndarray,
+def p2_fold_many_c(
+    fn, sets: np.ndarray, starts: np.ndarray, xs: np.ndarray
 ) -> None:
-    """Fold a batch of observations into P² marker state (in place)."""
+    """Fold one batch into several P² marker sets at once (in place).
+
+    ``sets`` is a contiguous (k, 20) float64 array, one row
+    ``[q | n | np | dn]`` per estimator; ``starts`` int64 of length k,
+    row ``s`` folding ``xs[starts[s]:]``.
+    """
     fn(
-        q.ctypes.data,
-        n.ctypes.data,
-        np_.ctypes.data,
-        dn.ctypes.data,
+        sets.ctypes.data,
+        starts.ctypes.data,
+        ctypes.c_longlong(starts.size),
         xs.ctypes.data,
         ctypes.c_longlong(xs.size),
     )

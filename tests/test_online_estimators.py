@@ -7,10 +7,14 @@ the configured window (windowed) or a bounded number of observations
 (EWMA).  Everything is seeded and tolerance-based.
 """
 
+import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.online import (
     EwmaEstimator,
@@ -106,6 +110,172 @@ def test_rate_estimators_reject_decreasing_timestamps():
         est.observe(5.0)
         with pytest.raises(ValueError):
             est.observe(4.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_estimators_reject_non_finite_timestamps(bad):
+    """A NaN compares False against everything, so an ordering check
+    alone lets it through and eviction then stalls behind it."""
+    for est in (EwmaRateEstimator(0.05), WindowedRateEstimator(10.0)):
+        est.observe(1.0)
+        est.observe(2.0)
+        with pytest.raises(ValueError, match=str(bad)):
+            est.observe(bad)
+        with pytest.raises(ValueError, match=str(bad)):
+            est.observe_batch(np.array([3.0, bad, 50.0, 100.0]))
+        with pytest.raises(ValueError, match=str(bad)):
+            est.observe_batch(np.array([bad]))
+        # The rejected input left no trace: the stream carries on.
+        est.observe_batch(np.array([50.0, 100.0]))
+    windowed = WindowedRateEstimator(10.0)
+    for t in (1.0, 2.0, 50.0, 100.0):
+        windowed.observe(t)
+    assert windowed.rate(100.0) == 0.1
+    assert windowed.state_dict() == {"times": [100.0]}
+
+
+def test_rate_estimators_reject_non_finite_checkpoints():
+    with pytest.raises(ValueError, match="nan"):
+        WindowedRateEstimator(10.0).load_state({"times": [1.0, math.nan, 50.0]})
+    with pytest.raises(ValueError, match="non-decreasing"):
+        WindowedRateEstimator(10.0).load_state({"times": [5.0, 4.0]})
+    ewma = EwmaRateEstimator(0.05)
+    state = ewma.state_dict()
+    state["last"] = math.inf
+    with pytest.raises(ValueError, match="inf"):
+        ewma.load_state(state)
+
+
+def test_batch_ordering_error_names_both_timestamps():
+    est = WindowedRateEstimator(10.0)
+    est.observe(5.0)
+    with pytest.raises(ValueError, match=r"4\.0 after 5\.0"):
+        est.observe_batch(np.array([4.0, 6.0]))
+    with pytest.raises(ValueError, match=r"6\.0 after 7\.0"):
+        est.observe_batch(np.array([6.0, 7.0, 6.0]))
+
+
+# ----------------------------------------------------------------------
+# WindowedRateEstimator against a deque model
+# ----------------------------------------------------------------------
+
+
+class _DequeWindow:
+    """Reference model of the sliding-window rate: a deque of builtin
+    floats, appended one timestamp at a time and popped from the front
+    while the oldest lies below ``now − window``."""
+
+    def __init__(self, window: float):
+        self.window = window
+        self.times: deque[float] = deque()
+
+    def observe(self, t: float) -> None:
+        self.times.append(t)
+        self._evict(t)
+
+    def _evict(self, now: float) -> None:
+        while self.times and self.times[0] < now - self.window:
+            self.times.popleft()
+
+    def rate(self, now: float) -> float:
+        self._evict(now)
+        span = min(now, self.window)
+        if span <= 0.0 or not self.times:
+            return 0.0
+        return len(self.times) / span
+
+    def state_dict(self) -> dict:
+        return {"times": list(self.times)}
+
+
+#: Dyadic steps against a dyadic window keep every sum exact, so drawn
+#: timestamps land exactly on ``now − window`` cutoffs and tie often.
+_MODEL_WINDOW = 2.0
+_step = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 2.5, 6.0]),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+_model_op = st.one_of(
+    st.tuples(st.just("observe"), _step),
+    st.tuples(st.just("batch"), st.lists(_step, max_size=12)),
+    # [t, t + window]: the batch's own first element sits on its cutoff.
+    st.tuples(st.just("cutoff"), _step),
+    st.tuples(st.just("rate"), st.sampled_from([-1.0, 0.0, 0.5, 2.0, 2.25, 9.0])),
+    st.tuples(st.just("roundtrip"), st.just(0.0)),
+)
+
+
+def _assert_same(est, model):
+    state = est.state_dict()
+    assert state == model.state_dict()
+    assert all(type(t) is float for t in state["times"])
+
+
+def _apply(est, model, op, arg, t):
+    """Run one drawn operation on both; returns (est, last timestamp)."""
+    if op == "observe":
+        t += arg
+        est.observe(t)
+        model.observe(t)
+    elif op in ("batch", "cutoff"):
+        steps = arg if op == "batch" else [arg, _MODEL_WINDOW]
+        times = t + np.cumsum(steps)
+        est.observe_batch(times)
+        for x in times.tolist():
+            model.observe(x)
+        if times.size:
+            t = float(times[-1])
+    elif op == "rate":
+        assert est.rate(t + arg) == model.rate(t + arg)
+    else:
+        fresh = WindowedRateEstimator(_MODEL_WINDOW)
+        fresh.load_state(json.loads(json.dumps(est.state_dict())))
+        est = fresh
+    return est, t
+
+
+@given(ops=st.lists(_model_op, max_size=40), start=st.sampled_from([0.0, 0.5, 1e6]))
+@settings(max_examples=300, deadline=None)
+def test_windowed_rate_matches_deque_model(ops, start):
+    est, model = WindowedRateEstimator(_MODEL_WINDOW), _DequeWindow(_MODEL_WINDOW)
+    t = start
+    for op, arg in ops:
+        est, t = _apply(est, model, op, arg, t)
+        _assert_same(est, model)
+    assert est.rate(t) == model.rate(t)
+
+
+def test_windowed_rate_long_stream_grows_and_compacts():
+    """A long stream through a small window, densifying over time:
+    the buffer doubles several times and compacts far more often, and
+    never departs from the model."""
+    rng = np.random.default_rng(17)
+    window = 0.5
+    est, model = WindowedRateEstimator(window), _DequeWindow(window)
+    grows, compactions, t = 0, 0, 0.0
+    for i in range(3000):
+        density = 20.0 * 1.002**i  # arrivals per unit time, rising ~400×
+        k = int(rng.integers(0, 40))
+        times = t + np.cumsum(rng.exponential(1.0 / density, k))
+        head, cap = est._head, est._buf.size
+        if i % 3:
+            est.observe_batch(times)
+        else:
+            for x in times.tolist():
+                est.observe(x)
+        for x in times.tolist():
+            model.observe(x)
+        if k:
+            t = float(times[-1])
+        if est._buf.size > cap:
+            grows += 1
+        elif est._head < head:
+            compactions += 1
+        if i % 97 == 0:
+            assert est.rate(t + 0.1) == model.rate(t + 0.1)
+        assert est.state_dict() == model.state_dict()
+    assert grows >= 5
+    assert compactions >= 100
 
 
 # ----------------------------------------------------------------------

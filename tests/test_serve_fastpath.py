@@ -10,8 +10,11 @@ path (compiled or numpy fallback) the environment provides; the CI
 matrix runs the file on both.
 """
 
+import contextlib
 import heapq
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from repro.metrics.online import (
 )
 from repro.obs.gate import check_gate
 from repro.service.checkpoint import ServiceCheckpoint
-from repro.service.controller import AdmissionGate
+from repro.service.controller import AdmissionGate, QuasiStaticController
 from repro.service.loop import (
     SchedulerService,
     ServiceConfig,
@@ -297,6 +300,123 @@ class TestBatchedEstimators:
             s2.observe(float(t))
         assert b1.state_dict() == s1.state_dict()
         assert b2.state_dict() == s2.state_dict()
+
+
+# ---------------------------------------------------------------------------
+# Fused P² folds: several marker sets in one compiled pass
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _kernel_path(path: str):
+    """Re-probe the compiled core as the kernel path (``"c"``) or under
+    ``REPRO_DISABLE_CKERNEL=1`` (``"python"``); restore the probe after.
+    Yields the P² entry point (None on the Python path)."""
+    saved_fns = ckernel._fns
+    saved_env = os.environ.get("REPRO_DISABLE_CKERNEL")
+    if path == "python":
+        os.environ["REPRO_DISABLE_CKERNEL"] = "1"
+    else:
+        os.environ.pop("REPRO_DISABLE_CKERNEL", None)
+    ckernel._fns = None
+    try:
+        fn = ckernel.p2_fn()
+        assert (fn is None) == (path == "python")
+        yield fn
+    finally:
+        ckernel._fns = saved_fns
+        if saved_env is None:
+            os.environ.pop("REPRO_DISABLE_CKERNEL", None)
+        else:
+            os.environ["REPRO_DISABLE_CKERNEL"] = saved_env
+
+
+_needs_compiler = pytest.mark.skipif(
+    not (shutil.which("gcc") or shutil.which("cc")), reason="no C compiler"
+)
+KERNEL_PATHS = ["python", pytest.param("c", marks=_needs_compiler)]
+
+
+def _quantile(p: float, warm, rng):
+    """A P² estimator fed ``warm`` observations (< 5: mid warm-up)."""
+    q = P2Quantile(p)
+    for x in rng.lognormal(0.0, 1.0, warm):
+        q.update(float(x))
+    return q
+
+
+class TestFusedP2:
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @given(
+        seed=seed_strategy,
+        n=st.integers(min_value=0, max_value=40),
+        warm=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_update_many_equals_per_element(self, path, seed, n, warm):
+        """1–4 estimators, each part-way through its warm-up or past it,
+        so each enters the compiled pass at its own offset (0 to 5) or
+        not at all; batches of 0–40 elements, many shorter than 5."""
+        rng = np.random.default_rng(seed)
+        fused = [_quantile(p, w, rng) for p, w in zip((0.5, 0.99, 0.5, 0.9), warm)]
+        seq = [P2Quantile(q.p) for q in fused]
+        for a, b in zip(fused, seq):
+            b.load_state(a.state_dict())
+        xs = rng.lognormal(0.0, 1.0, n)
+        with _kernel_path(path):
+            P2Quantile.update_many(fused, xs)
+        for q in seq:
+            for x in xs:
+                q.update(float(x))
+        assert [q.state_dict() for q in fused] == [q.state_dict() for q in seq]
+
+    @_needs_compiler
+    @given(
+        seed=seed_strategy,
+        m=st.integers(min_value=0, max_value=40),
+        starts=st.lists(st.integers(min_value=0, max_value=45), min_size=1, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_p2_fold_many_kernel_matches_update(self, seed, m, starts):
+        """The kernel entry point itself: set ``s`` folds
+        ``xs[starts[s]:]`` (nothing when the start is past the end) and
+        its markers match per-element updates bit for bit."""
+        rng = np.random.default_rng(seed)
+        qs = [_quantile(p, 5, rng) for p in (0.5, 0.99, 0.25, 0.9)[: len(starts)]]
+        xs = rng.lognormal(0.0, 1.0, m)
+        sets = np.array([q._q + q._n + q._np + list(q._dn) for q in qs])
+        dn = sets[:, 15:].copy()
+        with _kernel_path("c") as fn:
+            ckernel.p2_fold_many_c(fn, sets, np.array(starts, dtype=np.int64), xs)
+        for q, start, row in zip(qs, starts, sets.tolist()):
+            for x in xs[start:]:
+                q.update(float(x))
+            assert row[:15] == q._q + q._n + q._np
+        assert np.array_equal(sets[:, 15:], dn)
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @given(
+        seed=seed_strategy,
+        sizes=st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observe_responses_equals_four_update_batches(self, path, seed, sizes):
+        """The controller's one fused call leaves the state four
+        separate folds leave — window quantiles restarting at every
+        resolve included."""
+        rng = np.random.default_rng(seed)
+        fused = QuasiStaticController([1.0, 2.0], window=10.0)
+        split = QuasiStaticController([1.0, 2.0], window=10.0)
+        with _kernel_path(path):
+            for w, size in enumerate(sizes):
+                responses = rng.lognormal(0.0, 1.0, size)
+                fused.observe_responses(responses)
+                for q in (split.p50, split.p99, split._win_p50, split._win_p99):
+                    q.update_batch(responses)
+                split.responses_seen += size
+                fused.resolve(10.0 * (w + 1))
+                split.resolve(10.0 * (w + 1))
+        assert fused.state_dict() == split.state_dict()
 
 
 # ---------------------------------------------------------------------------
