@@ -17,7 +17,6 @@ from .protocol import (
     PROTOCOL_VERSION,
     Complete,
     Dispatch,
-    Heartbeat,
     Message,
     ProtocolError,
     Register,
@@ -38,7 +37,6 @@ __all__ = [
     "Submit",
     "Dispatch",
     "Complete",
-    "Heartbeat",
     "Register",
     "Resolve",
     "Shutdown",

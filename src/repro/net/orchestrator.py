@@ -24,7 +24,7 @@ cost is tracked per window in ``decision_latency`` and surfaced by
 ``repro bench --net`` as ``dispatch_ns_per_job``.
 
 **Membership.**  A dead stub is detected by connection EOF (primary)
-or heartbeat staleness (fallback); its pending slice is counted lost
+or the reply timeout (fallback); its pending slice is counted lost
 (``on_failure="lose"`` semantics — the networked layer has no retry
 path yet), the controller's failure detector is informed, and the next
 boundary re-solve redistributes over the survivors via FA_ORR.  The
@@ -59,7 +59,7 @@ from ..sim.fastpath import group_by_server
 from .protocol import (
     Complete,
     Dispatch,
-    Heartbeat,
+    ProtocolError,
     Register,
     Resolve,
     Submit,
@@ -117,7 +117,6 @@ class OrchestratorShard:
         self.up = np.ones(self.n, dtype=bool)
         self.decisions: list[ControlDecision] = []
         self.decision_latency = LatencyStats()
-        self.last_heartbeat: dict[int, float] = {}
         self.windows_done = 0
         self.finished = False
         self._pending: _WindowState | None = None
@@ -210,15 +209,20 @@ class OrchestratorShard:
         return dispatches, resolve
 
     def handle_complete(self, msg: Complete) -> Resolve | None:
-        """Bank one stub's reply; close the window when all are in."""
+        """Bank one stub's reply; close the window when all are in.
+
+        A COMPLETE the in-flight window does not await — another
+        window, or a server already banked or presumed dead — is a
+        :class:`ProtocolError` naming the window and server.
+        """
         state = self._pending
         if state is None or msg.window != state.window:
-            raise RuntimeError(
+            raise ProtocolError(
                 f"unexpected COMPLETE for window {msg.window} "
                 f"(pending: {None if state is None else state.window})"
             )
         if msg.server not in state.expected:
-            raise RuntimeError(
+            raise ProtocolError(
                 f"COMPLETE from server {msg.server} not awaited in "
                 f"window {msg.window}"
             )
@@ -228,14 +232,11 @@ class OrchestratorShard:
             return None
         return self._finalize_window()
 
-    def handle_heartbeat(self, msg: Heartbeat) -> None:
-        self.last_heartbeat[msg.server] = time.monotonic()
-
     def handle_register(self, msg: Register) -> None:
         """A stub announced itself: record it, park a rejoin if down.
 
-        The initial hello (server already up) just refreshes the
-        heartbeat registry.  A registration for a *down* server is the
+        The initial hello (server already up) is only the speed
+        validation.  A registration for a *down* server is the
         rejoin path: it is parked and folded into membership when the
         SUBMIT for ``msg.window`` arrives, so the membership edge lands
         at a deterministic window boundary on both transports no matter
@@ -250,7 +251,6 @@ class OrchestratorShard:
                 f"config says {nominal!r} — speed vectors drifted between "
                 "components"
             )
-        self.last_heartbeat[msg.server] = time.monotonic()
         if self.up[msg.server]:
             return
         self._rejoins[msg.server] = msg

@@ -1,12 +1,12 @@
 """Versioned wire protocol of the networked dispatcher service.
 
-Seven message types flow between the three components (see DESIGN.md
+Six message types flow between the three components (see DESIGN.md
 §11): a server stub announces itself with a REGISTER (on first connect
 and again when a restarted stub rejoins), the load client SUBMITs one
 control window of arrivals to an orchestrator shard, the shard
 DISPATCHes per-server slices to its server stubs, each stub answers
-with a COMPLETE (departure and service times) plus a HEARTBEAT, and the
-shard closes the window with a RESOLVE back to the client — which
+with one COMPLETE (departure and service times), its only reply, and
+the shard closes the window with a RESOLVE back to the client — which
 doubles as the client's flow-control credit and publishes the shard's
 live capacity for the client's weighted router.  SHUTDOWN tears a
 connection down cleanly in either direction.
@@ -58,7 +58,6 @@ __all__ = [
     "Submit",
     "Dispatch",
     "Complete",
-    "Heartbeat",
     "Resolve",
     "Shutdown",
     "Message",
@@ -73,8 +72,9 @@ __all__ = [
 #: Bump on any incompatible schema change; peers reject a mismatch.
 #: v2 added the REGISTER message (server rejoin) and the RESOLVE
 #: ``capacity`` field (capacity-aware shard routing); v3 moved the
-#: per-job arrays out of the JSON into raw float64 bodies.
-PROTOCOL_VERSION = 3
+#: per-job arrays out of the JSON into raw float64 bodies; v4 dropped
+#: the stub's liveness beacon, so a COMPLETE is its only reply.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame's payload — a length prefix beyond this is
 #: treated as stream corruption, not an allocation request.
@@ -86,7 +86,8 @@ _F8 = np.dtype("<f8")
 
 
 class ProtocolError(ValueError):
-    """Malformed frame or message (bad type, missing field, bad JSON)."""
+    """Malformed frame or message (bad type, missing field, bad JSON),
+    or a message the receiver does not await."""
 
 
 class VersionMismatch(ProtocolError):
@@ -191,22 +192,6 @@ class Complete(_JobArrays):
 
 
 @dataclass(frozen=True)
-class Heartbeat:
-    """Server stub → orchestrator: liveness beacon.
-
-    ``window`` is the last window the stub finished replaying; the
-    registration beacon sent on connect uses ``window = -1``.
-    ``free_at`` reports the server's backlog horizon — telemetry only,
-    never fed to the estimators.
-    """
-
-    type: ClassVar[str] = "heartbeat"
-    server: int
-    window: int = -1
-    free_at: float = 0.0
-
-
-@dataclass(frozen=True)
 class Resolve:
     """Orchestrator → client: window closed, control decision applied.
 
@@ -239,15 +224,11 @@ class Shutdown:
     reason: str = ""
 
 
-Message = (
-    Register | Submit | Dispatch | Complete | Heartbeat | Resolve | Shutdown
-)
+Message = Register | Submit | Dispatch | Complete | Resolve | Shutdown
 
 _TYPES: dict[str, type] = {
     cls.type: cls
-    for cls in (
-        Register, Submit, Dispatch, Complete, Heartbeat, Resolve, Shutdown
-    )
+    for cls in (Register, Submit, Dispatch, Complete, Resolve, Shutdown)
 }
 
 #: Message type → its two per-job array fields, in body order.
@@ -407,8 +388,8 @@ def _decode_body(body: bytes) -> Message:
         # its header only to refuse it by the version it names.
         _message_class(_parse_json(body))
         raise ProtocolError(
-            "frame payload is bare JSON; a v3 payload starts with a "
-            "header length"
+            "frame payload is bare JSON; since v3 a payload starts with "
+            "a header length"
         )
     if len(body) < _LEN.size:
         raise ProtocolError(

@@ -25,14 +25,18 @@ the orchestrator's buffer bound, and produce the identical report.
 
 **Failure detection.**  Connection EOF is the primary detector (a dead
 stub's socket closes); a ``reply_timeout`` on the window barrier is the
-heartbeat-staleness fallback — when it fires, the shard is marked
-suspect and a ``net.heartbeat_stale{shard}`` counter records the event
-before the stuck servers are presumed dead.  A scripted kill
+fallback — when it fires, a ``net.reply_timeout{shard}`` counter
+records the event before the stuck servers are presumed dead.  After
+its REGISTER a stub may send only COMPLETEs for its own server, each
+for a slice the shard awaits; anything else — a stray message, a
+COMPLETE naming another server or window, an undecodable frame — is
+counted as ``net.stub_protocol_error{shard}``, and the shard drops the
+connection and presumes the server dead.  A scripted kill
 (``kill={server: k}``) makes the stub drop its connection at the first
 dispatch after window ``k`` — both transports detect it during window
 ``k+1``, so kill drills are deterministic and transport-agnostic.  A
 scripted hang (``hang={server: k}``, socket mode only) keeps the
-connection open but swallows dispatches, exercising the staleness path.
+connection open but swallows dispatches, exercising the reply timeout.
 
 **Rejoin.**  ``rejoin={server: w}`` scripts the repair mirror: once the
 orchestrator has observed the death, a *fresh* stub (incarnation 1,
@@ -49,7 +53,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..obs import counters
 from ..service.loop import ServiceConfig, ServiceReport
@@ -97,32 +101,12 @@ class NetMetrics:
     #: Client-side RESOLVE round-trip latency (per shard ack), seconds.
     rtt_p50_s: float = float("nan")
     rtt_p99_s: float = float("nan")
-    #: Heartbeat-staleness fallback firings and shards marked suspect.
+    #: Reply-timeout firings, and the shards they fired on.
     stale_timeouts: int = 0
     suspect_shards: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "transport": self.transport,
-            "n_shards": self.n_shards,
-            "max_inflight": self.max_inflight,
-            "queue_limit": self.queue_limit,
-            "windows": self.windows,
-            "wall_seconds": self.wall_seconds,
-            "jobs_offered": self.jobs_offered,
-            "jobs_dispatched": self.jobs_dispatched,
-            "jobs_shed": self.jobs_shed,
-            "jobs_lost": self.jobs_lost,
-            "jobs_per_sec": self.jobs_per_sec,
-            "dispatch_seconds": self.dispatch_seconds,
-            "dispatch_ns_per_job": self.dispatch_ns_per_job,
-            "peak_inflight": self.peak_inflight,
-            "peak_submit_queue": self.peak_submit_queue,
-            "rtt_p50_s": self.rtt_p50_s,
-            "rtt_p99_s": self.rtt_p99_s,
-            "stale_timeouts": self.stale_timeouts,
-            "suspect_shards": self.suspect_shards,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -279,13 +263,8 @@ def run_in_process(
                     done = shard.handle_server_down(dmsg.server)
                     resolve = done if done is not None else resolve
                     continue
-                for reply in stub.handle_dispatch(dmsg):
-                    reply = rt(reply)
-                    if isinstance(reply, Complete):
-                        done = shard.handle_complete(reply)
-                        resolve = done if done is not None else resolve
-                    else:
-                        shard.handle_heartbeat(reply)
+                done = shard.handle_complete(rt(stub.handle_dispatch(dmsg)))
+                resolve = done if done is not None else resolve
             assert resolve is not None  # barrier closes within the turn
             client.handle_resolve(rt(resolve), s)
         # Scripted rejoins: a restarted stub re-registers as soon as the
@@ -333,10 +312,7 @@ class _ShardNet:
         #: Notified after every shard-loop step; rejoin tasks wait on it
         #: to observe the orchestrator's membership state.
         self.progress = asyncio.Condition()
-        #: Heartbeat-staleness bookkeeping: the reply timeout fired and
-        #: this shard is suspect (some of its servers were presumed
-        #: dead without a connection EOF).
-        self.suspect = False
+        #: Reply-timeout firings: servers presumed dead without an EOF.
         self.stale_timeouts = 0
 
     def release(self) -> None:
@@ -367,6 +343,13 @@ class _ShardNet:
             if not writer.is_closing():
                 writer.close()
 
+    def refuse_stub(self, writer) -> None:
+        """A stub broke the protocol: count it and drop its connection."""
+        counters.inc(
+            "net.stub_protocol_error", shard=str(self.shard.shard_id)
+        )
+        writer.close()
+
     async def _pump_server(self, hello: Register, reader, writer):
         server = hello.server
         self.stub_writers[server] = writer
@@ -378,10 +361,13 @@ class _ShardNet:
                 msg = await read_message(reader)
                 if msg is None or isinstance(msg, Shutdown):
                     break
-                kind = "complete" if isinstance(msg, Complete) else "heartbeat"
-                await self.inbox.put((kind, msg))
+                if not isinstance(msg, Complete) or msg.server != server:
+                    raise ProtocolError(
+                        f"stub {server} may send only its own COMPLETEs"
+                    )
+                await self.inbox.put(("complete", msg))
         except ProtocolError:
-            pass
+            self.refuse_stub(writer)
         # Only this connection's death matters — if a restarted stub
         # already re-registered (new writer), the old EOF is stale and
         # must not kill the rejoined server.
@@ -452,12 +438,11 @@ async def _shard_main(net: _ShardNet, reply_timeout: float) -> None:
                     net.inbox.get(), reply_timeout
                 )
             except asyncio.TimeoutError:
-                # Heartbeat-staleness fallback: the shard goes suspect
-                # (counted and surfaced in the run metrics) and everyone
-                # still awaited in the stuck window is presumed dead.
-                net.suspect = True
+                # The reply timeout (counted and surfaced in the run
+                # metrics): everyone still awaited in the stuck window
+                # is presumed dead.
                 net.stale_timeouts += 1
-                counters.inc("net.heartbeat_stale", shard=str(shard.shard_id))
+                counters.inc("net.reply_timeout", shard=str(shard.shard_id))
                 for server in sorted(shard.awaiting):
                     done = shard.handle_server_down(server)
                     if done is not None:
@@ -472,11 +457,14 @@ async def _shard_main(net: _ShardNet, reply_timeout: float) -> None:
             else:
                 await process_submit(msg)
         elif kind == "complete":
-            done = shard.handle_complete(msg)
+            try:
+                done = shard.handle_complete(msg)
+            except ProtocolError:
+                # A COMPLETE the window does not await: out of step.
+                net.refuse_stub(net.stub_writers[msg.server])
+                done = shard.handle_server_down(msg.server)
             if done is not None:
                 await send_resolve(done)
-        elif kind == "heartbeat":
-            shard.handle_heartbeat(msg)
         elif kind == "register":
             shard.handle_register(msg)
         elif kind == "down":
@@ -517,10 +505,9 @@ async def _stub_task(
                     break
                 if stub.hangs_at(msg.window):
                     # The scripted hang: swallow the dispatch, keep the
-                    # connection — only heartbeat staleness catches it.
+                    # connection — only the reply timeout catches it.
                     continue
-                for out in stub.handle_dispatch(msg):
-                    write_message(writer, out)
+                write_message(writer, stub.handle_dispatch(msg))
                 await writer.drain()
     finally:
         writer.close()
@@ -690,6 +677,6 @@ async def run_sockets(
             queue_limit=queue_limit,
             peak_submit_queue=max(n.peak_submit_queue for n in nets),
             stale_timeouts=sum(n.stale_timeouts for n in nets),
-            suspect_shards=sum(1 for n in nets if n.suspect),
+            suspect_shards=sum(1 for n in nets if n.stale_timeouts),
         ),
     )

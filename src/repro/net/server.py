@@ -8,8 +8,8 @@ the same per-server recursion the in-process :class:`ServerBank` runs
 estimation, allocation) lives in the orchestrator; the stub is
 deliberately dumb so the equivalence argument stays small.
 
-The stub is sans-IO: :meth:`handle_message` maps one inbound message to
-a list of outbound messages.  The socket runtime wraps it in a
+The stub is sans-IO: :meth:`handle_dispatch` maps one DISPATCH to its
+one reply, the COMPLETE.  The socket runtime wraps it in a
 connect-and-loop coroutine; the in-process transport calls it directly.
 
 ``die_after_window`` scripts the chaos drill: after replying to that
@@ -17,7 +17,7 @@ window the stub "crashes" (drops its connection / refuses further
 dispatches), which the orchestrator must detect within one control
 period.  ``hang_after_window`` scripts the nastier failure mode: the
 stub keeps its connection open but stops replying, so only the
-heartbeat-staleness timeout can catch it.  A *restarted* stub is a
+orchestrator's reply timeout can catch it.  A *restarted* stub is a
 fresh :class:`ServerStub` with ``incarnation`` bumped — new process,
 empty backlog — that re-registers with the orchestrator at a scripted
 rejoin window.
@@ -26,7 +26,7 @@ rejoin window.
 from __future__ import annotations
 
 from ..sim.fastpath import lindley_window
-from .protocol import Complete, Dispatch, Heartbeat, Message, Register, Shutdown
+from .protocol import Complete, Dispatch, Register
 
 __all__ = ["ServerStub", "ServerDead"]
 
@@ -69,8 +69,8 @@ class ServerStub:
         """Whether the scripted hang has started before *window*.
 
         A hung stub swallows dispatches without replying — the
-        connection stays open, so only the orchestrator's
-        heartbeat-staleness timeout can declare it dead.
+        connection stays open, so only the orchestrator's reply
+        timeout can declare it dead.
         """
         return (
             self.hang_after_window is not None
@@ -91,8 +91,8 @@ class ServerStub:
             incarnation=self.incarnation,
         )
 
-    def handle_dispatch(self, msg: Dispatch) -> list[Message]:
-        """Replay one window slice; answer COMPLETE + HEARTBEAT."""
+    def handle_dispatch(self, msg: Dispatch) -> Complete:
+        """Replay one window slice; answer its COMPLETE."""
         if msg.server != self.server_id:
             raise ValueError(
                 f"dispatch for server {msg.server} reached stub {self.server_id}"
@@ -107,24 +107,9 @@ class ServerStub:
         )
         self.windows_replayed += 1
         self.jobs_replayed += int(times.size)
-        return [
-            Complete(
-                window=msg.window,
-                server=self.server_id,
-                departures=dep,
-                service_times=svc,
-            ),
-            Heartbeat(
-                server=self.server_id,
-                window=msg.window,
-                free_at=self.free_at,
-            ),
-        ]
-
-    def handle_message(self, msg: Message) -> list[Message]:
-        """Sans-IO entry point: one inbound message → outbound replies."""
-        if isinstance(msg, Dispatch):
-            return self.handle_dispatch(msg)
-        if isinstance(msg, Shutdown):
-            return []
-        raise ValueError(f"server stub cannot handle {type(msg).__name__}")
+        return Complete(
+            window=msg.window,
+            server=self.server_id,
+            departures=dep,
+            service_times=svc,
+        )

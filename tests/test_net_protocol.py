@@ -20,7 +20,6 @@ from repro.net import (
     PROTOCOL_VERSION,
     Complete,
     Dispatch,
-    Heartbeat,
     ProtocolError,
     Register,
     Resolve,
@@ -70,10 +69,6 @@ completes = st.builds(
     lambda window, server, seqs: Complete(window, server, *seqs),
     window=window, server=server, seqs=aligned_seqs,
 )
-heartbeats = st.builds(
-    Heartbeat, server=server,
-    window=st.integers(min_value=-1, max_value=10_000), free_at=finite,
-)
 resolves = st.builds(
     Resolve, window=window, alphas=float_seq, swapped=st.booleans(),
     reason=st.sampled_from(["periodic", "membership", "slo"]),
@@ -97,8 +92,7 @@ registers = st.builds(
 shutdowns = st.builds(Shutdown, reason=st.text(max_size=40))
 
 messages = st.one_of(
-    submits, dispatches, completes, heartbeats, registers, resolves,
-    shutdowns,
+    submits, dispatches, completes, registers, resolves, shutdowns,
 )
 
 
@@ -183,11 +177,10 @@ class TestRoundTrip:
         tags = {
             cls.type
             for cls in (
-                Submit, Dispatch, Complete, Heartbeat, Register, Resolve,
-                Shutdown,
+                Submit, Dispatch, Complete, Register, Resolve, Shutdown,
             )
         }
-        assert len(tags) == 7
+        assert len(tags) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +190,11 @@ class TestRoundTrip:
 
 class TestCompatibility:
     def test_unknown_fields_are_tolerated(self):
-        obj = encode(Heartbeat(server=3, window=7, free_at=1.5))
+        msg = Register(server=3, speed=1.5, window=7, incarnation=2)
+        obj = encode(msg)
         obj["ext_debug_tag"] = "from-a-newer-peer"
         obj["ext_numbers"] = [1, 2, 3]
-        assert decode(obj) == Heartbeat(server=3, window=7, free_at=1.5)
+        assert decode(obj) == msg
 
     @given(version=st.integers().filter(lambda v: v != PROTOCOL_VERSION))
     @settings(max_examples=50)
@@ -229,8 +223,10 @@ class TestCompatibility:
         assert decode(obj) == Submit(window=0, times=(), sizes=())
 
     def test_unknown_type_lists_known_ones(self):
-        with pytest.raises(ProtocolError, match="unknown message type"):
-            decode({"v": PROTOCOL_VERSION, "type": "teleport"})
+        # "heartbeat" was a v3 type; this version no longer knows it.
+        for kind in ("teleport", "heartbeat"):
+            with pytest.raises(ProtocolError, match="unknown message type"):
+                decode({"v": PROTOCOL_VERSION, "type": kind})
 
     def test_non_object_payload_is_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
@@ -352,7 +348,7 @@ class TestFrames:
             unpack(short)
 
     def test_trailing_bytes_after_an_arrayless_header_are_rejected(self):
-        frame = self.frame(encode(Heartbeat(server=1)), b"\0" * 8)
+        frame = self.frame(encode(Register(server=1, speed=2.0)), b"\0" * 8)
         with pytest.raises(ProtocolError, match="array bytes"):
             unpack(frame)
 
@@ -392,6 +388,15 @@ class TestFrames:
                 await read_message(reader)
 
         asyncio.run(scenario())
+
+    def test_v3_frame_is_a_version_mismatch(self):
+        # A v3 frame has this version's layout; only its header's "v"
+        # tells it apart, and that is enough to refuse it.
+        header = {"v": 3, "type": "complete", "window": 0, "server": 1,
+                  "n": 1}
+        frame = self.frame(header, np.ones(2).tobytes())
+        with pytest.raises(VersionMismatch, match="version 3"):
+            unpack(frame)
 
     def test_bare_json_payload_is_refused_even_at_this_version(self):
         body = json.dumps(encode(Shutdown())).encode()
@@ -437,7 +442,7 @@ class TestStreamIO:
         async def scenario():
             sink = _SinkWriter()
             sent = [
-                Heartbeat(server=1),
+                Register(server=1, speed=2.0),
                 Dispatch(window=0, server=1, times=(0.25,), sizes=(2.0,)),
                 Shutdown(reason="done"),
             ]

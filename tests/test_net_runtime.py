@@ -10,16 +10,28 @@ are regression-gated too, not just fault-free ones.
 """
 
 import asyncio
+import dataclasses
 import gc
 import json
+import struct
 import weakref
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro.distributions import distribution_from_mean_cv
 from repro.experiments.extension_chaos import SCENARIOS
 from repro.faults.aware import survivor_fractions
-from repro.net import run_in_process, run_sockets
+from repro.net import (
+    Complete,
+    NetMetrics,
+    Submit,
+    pack,
+    run_in_process,
+    run_sockets,
+    runtime,
+)
 from repro.obs import counters
 from repro.service import ServiceConfig, SyntheticJobSource
 from repro.sim.arrivals import Workload
@@ -221,7 +233,7 @@ class TestStaleness:
         assert report.jobs_lost > 0
         assert live.metrics.stale_timeouts >= 1
         assert live.metrics.suspect_shards == 1
-        assert int(delta.get("net.heartbeat_stale{shard=0}", 0)) >= 1
+        assert int(delta.get("net.reply_timeout{shard=0}", 0)) >= 1
         # Post-detection the dead server keeps zero share, like a kill.
         boundary = [w for w in report.windows if w.end == KILL_WINDOW_END]
         assert boundary[0].alphas[2] == 0.0
@@ -240,6 +252,40 @@ class TestStaleness:
         assert np.isfinite(m.rtt_p99_s) and m.rtt_p99_s >= m.rtt_p50_s
         assert {"rtt_p50_s", "rtt_p99_s", "stale_timeouts",
                 "suspect_shards"} <= m.as_dict().keys()
+
+    def test_metrics_dict_keeps_its_keys_values_and_order(self):
+        m = NetMetrics(
+            transport="sockets", n_shards=2, max_inflight=4,
+            queue_limit=3, windows=10, wall_seconds=1.5,
+            jobs_offered=100, jobs_dispatched=90, jobs_shed=10,
+            jobs_lost=5, jobs_per_sec=60.0, dispatch_seconds=0.25,
+            dispatch_ns_per_job=2.5, peak_inflight=4,
+            peak_submit_queue=2, rtt_p50_s=0.01, rtt_p99_s=0.02,
+            stale_timeouts=1, suspect_shards=1,
+        )
+        expected = {
+            "transport": "sockets",
+            "n_shards": 2,
+            "max_inflight": 4,
+            "queue_limit": 3,
+            "windows": 10,
+            "wall_seconds": 1.5,
+            "jobs_offered": 100,
+            "jobs_dispatched": 90,
+            "jobs_shed": 10,
+            "jobs_lost": 5,
+            "jobs_per_sec": 60.0,
+            "dispatch_seconds": 0.25,
+            "dispatch_ns_per_job": 2.5,
+            "peak_inflight": 4,
+            "peak_submit_queue": 2,
+            "rtt_p50_s": 0.01,
+            "rtt_p99_s": 0.02,
+            "stale_timeouts": 1,
+            "suspect_shards": 1,
+        }
+        assert m.as_dict() == expected
+        assert list(m.as_dict()) == list(expected)
 
 
 class TestBackpressure:
@@ -264,11 +310,102 @@ class TestBackpressure:
         assert live.metrics.peak_inflight == 1
         assert live.report.clean_shutdown
 
-    def test_heartbeats_are_recorded_per_server(self):
+    def test_each_window_packs_one_frame_per_message_it_needs(
+        self, monkeypatch
+    ):
+        # Per window: one SUBMIT, one RESOLVE, and a DISPATCH plus its
+        # COMPLETE for every non-empty live slice — every live server
+        # replied, once, and nothing else crossed the wire.
+        frames = Counter()
+        slices = {"dispatch": set(), "complete": set()}
+        real_pack = runtime.pack
+
+        def counting_pack(msg):
+            frames[msg.type, msg.window] += 1
+            if msg.type in slices:
+                n = getattr(msg, msg.arrays[0]).size
+                slices[msg.type].add((msg.window, msg.server, n))
+            return real_pack(msg)
+
+        monkeypatch.setattr(runtime, "pack", counting_pack)
         config = make_config(duration=500.0)
         net = run_in_process(config, make_source())
-        shard = net.shards[0]
-        assert set(shard.last_heartbeat) == set(range(len(SPEEDS)))
+        report = net.report
+        assert {t for t, _ in frames} == {
+            "submit", "resolve", "dispatch", "complete"
+        }
+        assert slices["complete"] == slices["dispatch"]
+        for k, w in enumerate(report.windows):
+            sent = [n for win, _, n in slices["dispatch"] if win == k]
+            assert frames["submit", k] == frames["resolve", k] == 1
+            assert frames["dispatch", k] == frames["complete", k] == len(sent)
+            assert all(n > 0 for n in sent)
+            assert sum(sent) == w.admitted
+        assert sum(frames.values()) == sum(
+            2 + 2 * frames["dispatch", k] for k in range(len(report.windows))
+        )
+
+
+def _answer_with(monkeypatch, server, window, frame):
+    """Stub *server* answers its *window* DISPATCH with ``frame(complete)``."""
+    real_write = runtime.write_message
+
+    def write(writer, msg):
+        if isinstance(msg, Complete) and (msg.server, msg.window) == (
+            server, window
+        ):
+            writer.write(frame(msg))
+        else:
+            real_write(writer, msg)
+
+    monkeypatch.setattr(runtime, "write_message", write)
+
+
+def _truncated(msg):
+    """A frame whose length prefix agrees with it but whose body is short."""
+    short = pack(msg)[:-8]
+    return struct.pack(">I", len(short) - 4) + short[4:]
+
+
+STRAY_REPLIES = {
+    "stray-submit": lambda m: pack(
+        Submit(window=m.window, times=m.departures, sizes=m.service_times)
+    ),
+    "complete-for-another-server": lambda m: pack(
+        dataclasses.replace(m, server=0)
+    ),
+    "complete-for-another-window": lambda m: pack(
+        dataclasses.replace(m, window=m.window + 7)
+    ),
+    "truncated-frame": _truncated,
+}
+
+
+class TestStubProtocolErrors:
+    @pytest.mark.parametrize("reply", sorted(STRAY_REPLIES))
+    def test_bad_stub_reply_presumes_the_server_dead(
+        self, monkeypatch, reply
+    ):
+        # A stub may send only COMPLETEs for its own server, each for a
+        # slice the shard awaits.  Anything else must not kill the shard
+        # (a hang: the client waits for credit forever) — it drops the
+        # connection and takes the server-down path, counted.
+        _answer_with(monkeypatch, 2, 3, STRAY_REPLIES[reply])
+        config = make_config(duration=1000.0)
+        before = counters.snapshot()
+        live = asyncio.run(
+            asyncio.wait_for(
+                run_sockets(config, make_source(), reply_timeout=0.5), 10
+            )
+        )
+        delta = counters.diff_since(before)
+        report = live.report
+        assert report.clean_shutdown
+        assert report.membership_changes == 1
+        assert report.jobs_lost > 0
+        assert int(delta.get("net.stub_protocol_error{shard=0}", 0)) == 1
+        assert int(delta.get("net.server_down", 0)) == 1
+        assert live.metrics.stale_timeouts == 0
 
 
 class TestTeardown:
