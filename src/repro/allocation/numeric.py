@@ -12,7 +12,6 @@ quantifies how much faster the closed form is.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..queueing.network import HeterogeneousNetwork
 from ..queueing.objective import objective_gradient, objective_value
@@ -55,6 +54,10 @@ def numeric_fractions(
     def grad(a: np.ndarray) -> np.ndarray:
         denom = rates - a * lam
         return rates * lam / denom**2
+
+    # Imported here, not at module level: scipy.optimize is heavy, and
+    # only this cross-check solver needs it.
+    from scipy import optimize
 
     result = optimize.minimize(
         fun,

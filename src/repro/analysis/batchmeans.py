@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 __all__ = ["BatchMeansResult", "batch_means_ci"]
 
@@ -91,7 +91,7 @@ def batch_means_ci(
     )
     grand = float(means.mean())
     std = float(means.std(ddof=1))
-    t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
+    t = float(special.stdtrit(n_batches - 1, 0.5 + confidence / 2.0))
     return BatchMeansResult(
         mean=grand,
         half_width=t * std / math.sqrt(n_batches),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from .base import Distribution
 
@@ -54,13 +54,13 @@ class Lognormal(Distribution):
         out = np.where(
             x <= 0,
             0.0,
-            stats.norm.cdf((np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma),
+            special.ndtr((np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma),
         )
         return out if out.ndim else float(out)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
-        out = np.exp(self.mu + self.sigma * stats.norm.ppf(q))
+        out = np.exp(self.mu + self.sigma * special.ndtri(q))
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -104,6 +104,10 @@ class Weibull(Distribution):
         lo, hi = 1e-2, 1e2
         if gap(lo) < 0 or gap(hi) > 0:
             raise ValueError(f"cv={cv} outside the representable Weibull range")
+        # scipy.optimize is imported here, not at module level: it is
+        # heavy, and nothing on the simulation or serving paths needs it.
+        from scipy import optimize
+
         k = optimize.brentq(gap, lo, hi, xtol=tol)
         scale = mean / math.gamma(1.0 + 1.0 / k)
         return cls(shape=k, scale=scale)

@@ -21,15 +21,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 @lru_cache(maxsize=256)
 def _t_quantile(confidence: float, df: int) -> float:
     """Student-t quantile, memoized: sweeps call this thousands of times
-    with a handful of distinct (confidence, df) pairs, and scipy's ppf
-    costs ~100µs per evaluation."""
-    return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+    with a handful of distinct (confidence, df) pairs.
+
+    ``special.stdtrit`` gives the bits of ``scipy.stats.t.ppf`` without
+    importing ``scipy.stats``, most of the package's import time and
+    start-up memory."""
+    return float(special.stdtrit(df, 0.5 + confidence / 2.0))
 
 __all__ = [
     "ReplicationSummary",

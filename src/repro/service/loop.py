@@ -18,20 +18,28 @@ replay is one compiled call; ``reference=True`` keeps the original
 per-job window as the oracle the fast path is pinned against.
 
 **Fault tolerance.**  With a :class:`~repro.faults.models.FaultConfig`
-(or a scripted event list — the chaos harness) the replay is job-level:
-the pre-generated fault timeline splits each window into segments, jobs
-dispatch one at a time through :meth:`ServerBank.dispatch`, and each
-fault event is applied after the jobs at or before its timestamp.  A
-job aimed at a down server — and every resident of a server that fails
-— bounces through the :class:`~repro.faults.models.RetryPolicy`: it
-re-enters the stream at ``bounce_time + delay`` with its original
-arrival as response-time origin, or counts as lost once
-``max_attempts`` placements failed (or immediately under
-``on_failure="lose"``).  The dispatch sequence stays immutable within
-the window even when a failure lands mid-window; the controller learns
-of the membership change (failure detector) and the *next boundary*
-re-solve runs out-of-band over the survivors.  Admission, the
+(or a scripted event list — the chaos harness) the bank tracks every
+in-flight job: the pre-generated fault timeline splits each window into
+segments, each segment's jobs go to :meth:`ServerBank.dispatch` in one
+compiled call (the per-job step ``max(free_at, t) + size/speed`` in C),
+its completions come back from one
+:meth:`ServerBank.collect_completions`, and each fault event is applied
+after the jobs at or before its timestamp.  A job aimed at a down
+server — and every resident of a server that fails — bounces through
+the :class:`~repro.faults.models.RetryPolicy`: it re-enters the stream
+at ``bounce_time + delay`` with its original arrival as response-time
+origin, or counts as lost once ``max_attempts`` placements failed (or
+immediately under ``on_failure="lose"``).  The dispatch sequence
+stays immutable within the window even when a failure lands
+mid-window; the controller learns of the membership change (failure
+detector) and the *next boundary* re-solve runs out-of-band over the
+survivors.  Admission, the
 completion fold and the close are the same step calls as fault-free.
+
+**Conservation.**  After every window :meth:`SchedulerService.run`
+checks the job ledger — offered = dispatched + shed, and dispatched =
+completed + lost + pending retries + in flight — and raises naming the
+window and its path if either identity breaks.
 
 **Crash safety.**  A :class:`~repro.service.checkpoint.ServiceCheckpoint`
 snapshots the full loop state (controller, gate, bank, dispatcher
@@ -157,9 +165,9 @@ class SchedulerService:
         Optional scripted fault timeline (the chaos harness passes one).
         When omitted and ``config.faults`` is enabled, the timeline is
         pre-generated via :func:`~repro.faults.models.build_timeline`.
-        Passing a list — even an empty one — selects the job-level
-        fault-mode window; otherwise fault mode engages only for an
-        enabled ``config.faults``.
+        Passing a list — even an empty one — selects the fault-mode
+        window; otherwise fault mode engages only for an enabled
+        ``config.faults``.
     checkpoint:
         A :class:`~repro.service.checkpoint.ServiceCheckpoint` to
         snapshot into every ``checkpoint_every`` completed windows.
@@ -221,6 +229,8 @@ class SchedulerService:
         self.checkpoint_every = int(checkpoint_every)
         self.crash_after = None if crash_after is None else int(crash_after)
         self._start_window = 0
+        # Jobs completed so far, for the per-window ledger check.
+        self._completed = 0
 
     @property
     def controller(self) -> QuasiStaticController:
@@ -252,15 +262,20 @@ class SchedulerService:
                     self.source.jobs_until(end)
                     continue
                 if self._faulted:
+                    path = "faulted"
                     self._run_window_faulted(start, end)
                 elif self.step.reference:
+                    path = "reference"
                     self._run_window_reference(start, end)
                 else:
+                    path = "fast"
                     self._run_window(start, end)
                 done = k + 1
                 report = self.step.report
                 report.jobs_pending_retry = len(self._pending)
                 report.jobs_in_flight = self.bank.inflight_count()
+                self._completed += report.windows[-1].completed
+                self._check_ledger(k, path)
                 if (
                     self.checkpoint is not None
                     and done < n_windows
@@ -276,6 +291,30 @@ class SchedulerService:
         report = self.step.report
         report.clean_shutdown = True
         return report
+
+    def _check_ledger(self, window: int, path: str) -> None:
+        """Job conservation, checked after every window (O(1), always on).
+
+        Every offered job was dispatched or shed, and every dispatched
+        job has completed, was lost, waits for a retry or is still in
+        flight.  A broken identity is a bug in the window that just
+        closed, so the error names it, its path and every count.
+        """
+        r = self.step.report
+        if (
+            r.jobs_offered == r.jobs_dispatched + r.jobs_shed
+            and r.jobs_dispatched
+            == self._completed + r.jobs_lost + r.jobs_pending_retry
+            + r.jobs_in_flight
+        ):
+            return
+        raise RuntimeError(
+            f"job ledger broken after window {window} ({path} path): "
+            f"offered={r.jobs_offered} dispatched={r.jobs_dispatched} "
+            f"shed={r.jobs_shed} completed={self._completed} "
+            f"lost={r.jobs_lost} pending_retry={r.jobs_pending_retry} "
+            f"in_flight={r.jobs_in_flight}"
+        )
 
     # ------------------------------------------------------------------
     # Fault-free windows
@@ -367,20 +406,18 @@ class SchedulerService:
         )
 
     # ------------------------------------------------------------------
-    # Fault-mode window (job-level dispatch, segmented by fault events)
+    # Fault-mode window (segment dispatch, cut at fault events)
     # ------------------------------------------------------------------
 
     def _bounce(self, now: float, origin: float, size: float, attempts: int) -> str:
         """A placement just failed; retry or lose the job.
 
         *attempts* counts failed placements *before* this one.  Returns
-        ``"lost"`` or ``"retried"``.
+        ``"lost"`` or ``"retried"``; :meth:`_bounce_many` counts them.
         """
         failed = attempts + 1
         if self._on_failure == "lose" or failed >= self._retry.max_attempts:
-            counters.inc("service.jobs_lost")
             return "lost"
-        counters.inc("service.jobs_retried")
         due = now + self._retry.delay(attempts)
         heapq.heappush(
             self._pending,
@@ -388,6 +425,20 @@ class SchedulerService:
         )
         self._pending_seq += 1
         return "retried"
+
+    def _bounce_many(self, jobs) -> tuple[int, int]:
+        """:meth:`_bounce` each ``(now, origin, size, attempts)`` in order.
+
+        Returns ``(lost, retried)`` and adds them to the service
+        counters.
+        """
+        lost = sum(self._bounce(*job) == "lost" for job in jobs)
+        retried = len(jobs) - lost
+        if lost:
+            counters.inc("service.jobs_lost", value=lost)
+        if retried:
+            counters.inc("service.jobs_retried", value=retried)
+        return lost, retried
 
     def _apply_degrade(self, server: int, now: float) -> None:
         level = self._degrade_level[server]
@@ -444,52 +495,44 @@ class SchedulerService:
             events.append(self.fault_events[self._event_pos])
             self._event_pos += 1
 
-        completed: list[tuple] = []
-        lost = retried = bounced = 0
+        completed: list[np.ndarray] = []
+        lost = retried = 0
         pos = 0
-        n_jobs = int(job_times.size)
         for ev in [*events, None]:
             seg_end = end if ev is None else ev.time
             # Jobs at exactly an event's timestamp dispatch before the
             # event applies (arrival-then-event tie-break, documented).
-            while pos < n_jobs and job_times[pos] <= seg_end:
-                srv = int(targets[pos])
+            stop = int(np.searchsorted(job_times, seg_end, side="right"))
+            if stop > pos:
                 dep = self.bank.dispatch(
-                    srv,
-                    float(job_times[pos]),
-                    float(job_sizes[pos]),
-                    float(job_origins[pos]),
-                    int(job_attempts[pos]),
+                    targets[pos:stop], job_times[pos:stop],
+                    job_sizes[pos:stop], job_origins[pos:stop],
+                    job_attempts[pos:stop],
                 )
-                if dep is None:
-                    bounced += 1
-                    outcome = self._bounce(
-                        float(job_times[pos]),
-                        float(job_origins[pos]),
-                        float(job_sizes[pos]),
-                        int(job_attempts[pos]),
-                    )
-                    if outcome == "lost":
-                        lost += 1
-                    else:
-                        retried += 1
-                pos += 1
+                idx = np.flatnonzero(np.isnan(dep)) + pos
+                if idx.size:
+                    n_lost, n_retried = self._bounce_many(list(zip(
+                        job_times[idx].tolist(), job_origins[idx].tolist(),
+                        job_sizes[idx].tolist(), job_attempts[idx].tolist(),
+                    )))
+                    lost += n_lost
+                    retried += n_retried
+                pos = stop
             # Finalize everything that departed before the event — a
             # failure must not bounce jobs that already finished.
-            completed.extend(self.bank.collect_completions(seg_end))
+            completed.append(self.bank.collect_completions(seg_end))
             if ev is None:
                 continue
             if ev.kind == DOWN:
                 if self.bank.up[ev.server]:
                     residents = self.bank.fail(ev.server, ev.time)
                     controller.mark_server_down(ev.server, ev.time)
-                    for origin, size, att in residents:
-                        bounced += 1
-                        outcome = self._bounce(ev.time, origin, size, int(att))
-                        if outcome == "lost":
-                            lost += 1
-                        else:
-                            retried += 1
+                    n_lost, n_retried = self._bounce_many([
+                        (ev.time, origin, size, int(att))
+                        for origin, size, att in residents.tolist()
+                    ])
+                    lost += n_lost
+                    retried += n_retried
             elif ev.kind == UP:
                 if not self.bank.up[ev.server]:
                     self.bank.repair(ev.server, ev.time)
@@ -506,29 +549,29 @@ class SchedulerService:
                 )
                 self._apply_degrade(ev.server, ev.time)
 
-        mrt, ratio = self._fold_completions(completed)
+        done = np.concatenate(completed)
+        mrt, ratio = self._fold_completions(done)
         step.close(
             start, end, offered=int(times.size), admitted=int(adm_times.size),
-            mrt=mrt, ratio=ratio, completed=len(completed),
-            lost=lost, retried=retried, bounced=bounced,
+            mrt=mrt, ratio=ratio, completed=len(done),
+            # Every bounce is either lost or retried.
+            lost=lost, retried=retried, bounced=lost + retried,
             servers_up=int(np.count_nonzero(self.bank.up)),
         )
 
-    def _fold_completions(self, completed: list[tuple]) -> tuple[float, float]:
+    def _fold_completions(self, done: np.ndarray) -> tuple[float, float]:
         """Fold a fault-mode window's completions through the step.
 
         Completion-based accounting: response times span retries
         (departure minus *original* arrival) and land in the window the
         job actually finished in; they reach the quantiles in completion
-        order and the means sum left to right.  ``completed`` joins one
-        server-major :meth:`ServerBank.collect_completions` list per
+        order and the means sum left to right.  ``done`` stacks one
+        server-major :meth:`ServerBank.collect_completions` array per
         fault segment, so it is server-major only *within* a segment: a
         stable group-by-server regroups the speed witnesses while
         keeping each server's completion order.
         """
-        srv, origin, size, svc, dep = (
-            np.array(completed, dtype=float).reshape(-1, 5).T
-        )
+        srv, origin, size, svc, dep = done.T
         order, offsets = group_by_server(srv.astype(np.int64), self.bank.n)
         return self.step.fold(
             (size / svc)[order], offsets, dep - origin, size, sequential=True
@@ -599,3 +642,4 @@ class SchedulerService:
         self._event_pos = int(state["event_pos"])
         self._start_window = int(state["next_window"])
         step.report = ServiceReport.from_state(self.config, state["report"])
+        self._completed = sum(w.completed for w in step.report.windows)

@@ -21,11 +21,18 @@ comparison in the online experiments attribute MRT differences to the
 resident jobs, and a degraded server stretches everything still in
 flight.  In fault mode the bank therefore tracks each in-flight job
 (origin arrival, size, service time, projected departure, failed
-placements) in a per-server FIFO whose departure projections stay valid
-until a fault event rewrites them:
+placements) as a float64 record in a per-server array FIFO whose
+departure projections stay valid until a fault event rewrites them.
+Every call works on a whole fault segment (the jobs between two fault
+events), not on one job:
 
-* :meth:`dispatch` queues one job (or refuses, if the server is down),
-* :meth:`collect_completions` finalizes jobs whose departure has passed,
+* :meth:`dispatch` queues a segment's jobs in one compiled call
+  (``fcfs_dispatch_segment``) through the step
+  ``max(free_at, t) + size/speed`` — a max-plus step in the per-job
+  float order, not the cumulative-sum :func:`lindley_window`, which
+  rounds differently; jobs aimed at a down server come back NaN,
+* :meth:`collect_completions` finalizes jobs whose departure has
+  passed, one ``searchsorted`` per server,
 * :meth:`fail` / :meth:`repair` flip membership, bouncing residents,
 * :meth:`set_speed_factor` rescales in-flight work for degradation —
   for FCFS everything after *now* on one server is service work at the
@@ -37,7 +44,7 @@ fault-free service runs bit-identical.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
 import numpy as np
 
@@ -63,7 +70,7 @@ class ServerBank:
         self.free_at = np.zeros(s.size)
         self.up = np.ones(s.size, dtype=bool)
         self.speed_factor = np.ones(s.size)
-        self._inflight: list[deque] = [deque() for _ in range(s.size)]
+        self._inflight = [_Fifo() for _ in range(s.size)]
 
     @property
     def n(self) -> int:
@@ -170,60 +177,122 @@ class ServerBank:
         return np.maximum(self.free_at - float(now), 0.0)
 
     # ------------------------------------------------------------------
-    # Fault-mode API (job-level tracking; replay_window stays untouched)
+    # Fault-mode API (segment calls over per-job records; replay_window
+    # stays untouched)
     # ------------------------------------------------------------------
 
     def effective_speed(self, server: int) -> float:
         return float(self.speeds[server] * self.speed_factor[server])
 
     def dispatch(
-        self, server: int, t: float, size: float, origin: float, attempts: int
-    ) -> float | None:
-        """Queue one job on *server* at time *t*; ``None`` if it is down.
+        self,
+        targets: np.ndarray,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        origins: np.ndarray,
+        attempts: np.ndarray,
+    ) -> np.ndarray:
+        """Queue one fault segment's jobs; their departures, NaN if bounced.
 
-        ``origin`` is the job's first arrival time (response times span
-        retries); ``attempts`` counts its failed placements so far.
-        Returns the projected departure.
+        The jobs (aligned arrays, ``times`` non-decreasing) go to their
+        ``targets`` in arrival order, each through the step
+        ``max(free_at, t) + size/speed`` at the server's effective
+        speed.  A job aimed at a down server is refused: its departure
+        reads NaN and nothing is queued.  ``origins`` are the jobs'
+        first arrival times (response times span retries) and
+        ``attempts`` their failed placements so far.
+
+        Raises ``ValueError`` on an out-of-range target before any
+        state changes.  The returned array may be an arena view:
+        consume it before the next call.
         """
-        if not self.up[server]:
-            return None
-        svc = float(size) / self.effective_speed(server)
-        dep = max(float(self.free_at[server]), float(t)) + svc
-        self.free_at[server] = dep
-        self._inflight[server].append([float(origin), float(size), svc, dep,
-                                       int(attempts)])
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        times = np.ascontiguousarray(times, dtype=float)
+        sizes = np.ascontiguousarray(sizes, dtype=float)
+        if not (
+            targets.shape == times.shape == sizes.shape
+            == np.shape(origins) == np.shape(attempts)
+        ):
+            raise ValueError("targets, times, sizes, origins and attempts must align")
+        eff = self.speeds * self.speed_factor
+        fn = ckernel.segment_fn()
+        if fn is not None:
+            dep, svc, order, offsets, ok = ckernel.dispatch_segment_c(
+                fn, times, sizes, eff, self.up, targets, self.free_at
+            )
+            if not ok:
+                raise ValueError("dispatch target out of range")
+        else:
+            # Validates every target before the step writes anything.
+            order, offsets = group_by_server(targets, self.n)
+            dep, svc = self._dispatch_python(targets, times, sizes, eff)
+        # Queue the accepted jobs server by server: a job bounces iff
+        # its server is down, so a down server's whole group is skipped.
+        records = np.stack([origins, sizes, svc, dep, attempts])[:, order]
+        for s in np.flatnonzero(self.up & (offsets[1:] > offsets[:-1])):
+            lo, hi = offsets[s], offsets[s + 1]
+            self._inflight[s].push(records[:, lo:hi])
         return dep
 
-    def collect_completions(self, now: float) -> list[tuple]:
+    def _dispatch_python(
+        self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray,
+        eff: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Interpreted fallback of the compiled segment step (same bits)."""
+        eff_l = eff.tolist()
+        up = self.up.tolist()
+        free_at = self.free_at.tolist()
+        deps = []
+        svcs = []
+        for s, t, w in zip(targets.tolist(), times.tolist(), sizes.tolist()):
+            v = w / eff_l[s]
+            svcs.append(v)
+            if not up[s]:
+                deps.append(math.nan)
+                continue
+            d = max(free_at[s], t) + v
+            deps.append(d)
+            free_at[s] = d
+        self.free_at[:] = free_at
+        return np.array(deps, dtype=float), np.array(svcs, dtype=float)
+
+    def collect_completions(self, now: float) -> np.ndarray:
         """Finalize jobs whose departure is ≤ *now*.
 
-        Returns ``(server, origin, size, svc, dep)`` tuples in
-        server-major, per-server FIFO order — a fixed, documented order
-        so downstream streaming estimators stay deterministic.
+        Returns an ``(m, 5)`` float64 array of ``(server, origin, size,
+        svc, dep)`` rows in server-major, per-server FIFO order — a
+        fixed, documented order so downstream streaming estimators stay
+        deterministic.
         """
         now = float(now)
-        done: list[tuple] = []
-        for i in range(self.n):
-            q = self._inflight[i]
-            # FCFS departures are non-decreasing within one server, so
-            # the FIFO prefix is exactly the finished set.
-            while q and q[0][_DEP] <= now:
-                origin, size, svc, dep, _ = q.popleft()
-                done.append((i, origin, size, svc, dep))
+        parts = []
+        total = 0
+        for i, q in enumerate(self._inflight):
+            rec = q.pop_until(now)
+            if rec is not None:
+                parts.append((i, rec))
+                total += rec.shape[1]
+        done = np.empty((total, 5))
+        row = 0
+        for i, rec in parts:
+            m = rec.shape[1]
+            done[row:row + m, 0] = i
+            done[row:row + m, 1:] = rec[:_ATTEMPTS].T
+            row += m
         return done
 
-    def fail(self, server: int, now: float) -> list[tuple]:
+    def fail(self, server: int, now: float) -> np.ndarray:
         """Take *server* down at *now*; bounce its unfinished residents.
 
         Jobs already past their projected departure are finalized by the
         caller via :meth:`collect_completions` *before* applying the
-        failure; everything still resident is returned as
-        ``(origin, size, attempts)`` for the retry policy to re-place.
-        The server rejoins empty on :meth:`repair`.
+        failure; everything still resident is returned, in FIFO order,
+        as ``(m, 3)`` rows of ``(origin, size, attempts)`` for the retry
+        policy to re-place.  The server rejoins empty on :meth:`repair`.
         """
         self.up[server] = False
         q = self._inflight[server]
-        bounced = [(job[_ORIGIN], job[_SIZE], job[_ATTEMPTS]) for job in q]
+        bounced = q.live()[[_ORIGIN, _SIZE, _ATTEMPTS]].T
         q.clear()
         self.free_at[server] = float(now)
         return bounced
@@ -250,10 +319,10 @@ class ServerBank:
         scale = old / self.effective_speed(server)
         if scale == 1.0:
             return
-        for job in self._inflight[server]:
-            if job[_DEP] > now:
-                job[_DEP] = now + (job[_DEP] - now) * scale
-                job[_SVC] *= scale
+        live = self._inflight[server].live()
+        busy = live[_DEP] > now
+        live[_DEP, busy] = now + (live[_DEP, busy] - now) * scale
+        live[_SVC, busy] *= scale
         if self.free_at[server] > now:
             self.free_at[server] = now + (self.free_at[server] - now) * scale
 
@@ -265,7 +334,13 @@ class ServerBank:
             "free_at": [float(x) for x in self.free_at],
             "up": [bool(u) for u in self.up],
             "speed_factor": [float(x) for x in self.speed_factor],
-            "inflight": [[list(job) for job in q] for q in self._inflight],
+            # Per server, the 5-field records [origin, size, svc, dep,
+            # attempts] with an int attempts count.
+            "inflight": [
+                [[*job[:_ATTEMPTS], int(job[_ATTEMPTS])]
+                 for job in q.live().T.tolist()]
+                for q in self._inflight
+            ],
         }
 
     def load_state(self, state: dict) -> None:
@@ -277,10 +352,73 @@ class ServerBank:
         self.free_at = free_at
         self.up = np.asarray(state["up"], dtype=bool)
         self.speed_factor = np.asarray(state["speed_factor"], dtype=float)
-        self._inflight = [
-            deque(
-                [float(j[0]), float(j[1]), float(j[2]), float(j[3]), int(j[4])]
-                for j in q
-            )
-            for q in state["inflight"]
-        ]
+        self._inflight = []
+        for jobs in state["inflight"]:
+            q = _Fifo()
+            q.push(np.asarray(jobs, dtype=float).reshape(-1, 5).T)
+            self._inflight.append(q)
+
+
+class _Fifo:
+    """One server's in-flight jobs: a float64 record FIFO.
+
+    The live records are the columns ``buf[:, head:tail]`` (one row per
+    field, :data:`_ORIGIN` … :data:`_ATTEMPTS`), oldest first.  Popping
+    only advances ``head``; a push that would run past the end first
+    compacts the live records to the front, and the capacity doubles
+    only when the live records plus the new ones do not fit.
+    """
+
+    __slots__ = ("buf", "head", "tail")
+
+    #: Initial capacity (records).
+    _MIN_CAPACITY = 16
+
+    def __init__(self):
+        self.buf = np.empty((5, self._MIN_CAPACITY))
+        self.head = 0
+        self.tail = 0
+
+    def __len__(self) -> int:
+        return self.tail - self.head
+
+    def live(self) -> np.ndarray:
+        """The live records, a writable ``(5, len)`` view."""
+        return self.buf[:, self.head:self.tail]
+
+    def push(self, records: np.ndarray) -> None:
+        """Append ``(5, k)`` records after the live ones."""
+        k = records.shape[1]
+        buf = self.buf
+        if self.tail + k > buf.shape[1]:
+            live = self.tail - self.head
+            if live + k > buf.shape[1]:
+                grown = np.empty((5, max(2 * buf.shape[1], live + k)))
+                grown[:, :live] = buf[:, self.head:self.tail]
+                self.buf = buf = grown
+            else:
+                buf[:, :live] = buf[:, self.head:self.tail]
+            self.head = 0
+            self.tail = live
+        buf[:, self.tail:self.tail + k] = records
+        self.tail += k
+
+    def pop_until(self, now: float) -> np.ndarray | None:
+        """Pop the records with ``dep <= now``; a view, or None if none.
+
+        Departures are non-decreasing along the FIFO, so the finished
+        records are its prefix.  The view stays valid until the next
+        :meth:`push`.
+        """
+        head = self.head
+        if head == self.tail or self.buf[_DEP, head] > now:
+            return None
+        k = int(np.searchsorted(
+            self.buf[_DEP, head:self.tail], now, side="right"
+        ))
+        self.head = head + k
+        return self.buf[:, head:head + k]
+
+    def clear(self) -> None:
+        self.head = 0
+        self.tail = 0

@@ -267,6 +267,51 @@ i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
     return 0;
 }
 
+/* Fault-mode segment dispatch: the jobs of one fault segment (between
+ * two fault events) queued on their target servers in arrival order.
+ *
+ * Mirrors the per-job step of ServerBank's fault mode, float op for
+ * float op: svc = w / eff[s], then dep = max(free_at[s], t) + svc with
+ * Python's max (the first argument on ties, so t wins only when it is
+ * strictly later), then free_at[s] = dep.  eff is the servers'
+ * effective speeds (speeds * speed_factor, elementwise).  A job aimed
+ * at a down server (up[s] == 0) bounces: its dep reads NaN and free_at
+ * is left alone.  This is a plain max-plus step, not the cumulative
+ * lindley_step: the two round differently, and fault mode's bits are
+ * pinned to this one.
+ *
+ * Like fcfs_window_sweep it also emits the stable grouping permutation
+ * (order) and per-server group bounds (offsets, nservers+1), which the
+ * bank uses to append each server's jobs to its in-flight FIFO.
+ * cursor (nservers) is caller scratch.
+ *
+ * Returns 0 on success, 1 if any target lies outside [0, nservers);
+ * the counting sort rejects it before free_at, dep, svc or order is
+ * written (offsets and cursor are left partial).
+ */
+i64 fcfs_dispatch_segment(const double *times, const double *work, i64 n,
+                          const double *eff, const unsigned char *up,
+                          i64 nservers, const i64 *targets, double *free_at,
+                          double *dep, double *svc, i64 *order,
+                          i64 *offsets, i64 *cursor) {
+    if (group_offsets(targets, n, nservers, offsets, cursor)) return 1;
+    for (i64 j = 0; j < n; j++) {
+        i64 s = targets[j];
+        double v = work[j] / eff[s];
+        svc[j] = v;
+        order[cursor[s]++] = j;
+        if (!up[s]) {
+            dep[j] = NAN;
+            continue;
+        }
+        double t = times[j], f = free_at[s];
+        double d = (t > f ? t : f) + v;
+        dep[j] = d;
+        free_at[s] = d;
+    }
+    return 0;
+}
+
 /* Algorithm 2 sequence extension: `count` further dispatch targets from
  * live (assign, next) state — the compiled mirror of
  * RoundRobinDispatcher.select, float op for float op (see

@@ -8,7 +8,8 @@ topped out at ~2x — see DESIGN.md).  :mod:`repro.sim._pskernel.c`
 therefore carries the whole replay pipeline, compiled here with the
 system ``gcc`` and loaded through :mod:`ctypes` — no third-party build
 dependency, no wheels.  It exposes two replay entry points, which share
-one FCFS Lindley step and one counting-sort grouping prologue:
+one FCFS Lindley step and one counting-sort grouping prologue, and the
+fault-mode dispatch step:
 
 * ``cell_replay_batch`` (:func:`cell_fn`) — every unique dispatch plan
   of one replication in one call, FCFS or PS (grouping, per-(plan,
@@ -16,7 +17,10 @@ one FCFS Lindley step and one counting-sort grouping prologue:
   slices).  The sweep calls it, and so does the public
   :func:`~repro.sim.fastpath.ps_replay`, as one plan on one server;
 * ``fcfs_window_sweep`` (:func:`window_fn`) — one serving window with
-  the servers' free-up instants carried across windows.
+  the servers' free-up instants carried across windows;
+* ``fcfs_dispatch_segment`` (:func:`segment_fn`) — one fault segment
+  of a fault-mode window, job by job through the max-plus step
+  ``max(free_at, t) + size/speed`` with down servers bouncing.
 
 Beside them sit the searchsorted-style uniform→target mapping of the
 random dispatchers and the Algorithm 2 / EWMA / P² folds of the serve
@@ -65,6 +69,7 @@ __all__ = [
     "cell_fn",
     "map_fn",
     "window_fn",
+    "segment_fn",
     "rr_fn",
     "ewma_fn",
     "p2_fn",
@@ -79,6 +84,7 @@ __all__ = [
     "replay_cell_c",
     "map_uniform_c",
     "replay_window_c",
+    "dispatch_segment_c",
     "rr_extend_c",
     "ewma_fold_c",
     "p2_fold_many_c",
@@ -109,6 +115,7 @@ class _Lib:
     cell: object
     map_uniform: object
     window: object
+    segment: object
     rr_extend: object
     ewma: object
     p2: object
@@ -259,6 +266,23 @@ def _load(path: Path, openmp: bool) -> _Lib:
         _c_double_p,  # state scratch (2 * nservers)
     ]
     window.restype = ctypes.c_longlong
+    segment = lib.fcfs_dispatch_segment
+    segment.argtypes = [
+        _c_double_p,  # times (arrival order)
+        _c_double_p,  # work (arrival order)
+        ctypes.c_longlong,  # n
+        _c_double_p,  # effective speeds
+        ctypes.c_void_p,  # up (bool per server)
+        ctypes.c_longlong,  # nservers
+        _c_i64_p,  # targets
+        _c_double_p,  # free_at (in/out)
+        _c_double_p,  # departures (out, NaN = bounced)
+        _c_double_p,  # service_times (out)
+        _c_i64_p,  # order (out, stable grouping permutation)
+        _c_i64_p,  # offsets (out, nservers + 1)
+        _c_i64_p,  # cursor scratch (nservers)
+    ]
+    segment.restype = ctypes.c_longlong
     rr_extend = lib.rr_sequence_extend
     rr_extend.argtypes = [
         _c_double_p,  # inv (1/alpha per server)
@@ -298,6 +322,7 @@ def _load(path: Path, openmp: bool) -> _Lib:
         cell=cell,
         map_uniform=map_uniform,
         window=window,
+        segment=segment,
         rr_extend=rr_extend,
         ewma=ewma,
         p2=p2,
@@ -373,6 +398,16 @@ def window_fn():
     """
     lib = _ensure_fns()
     return lib.window if lib else None
+
+
+def segment_fn():
+    """The fault-mode segment dispatch entry point, or None.
+
+    Same availability/fallback contract as :func:`window_fn`; the
+    fallback is the same step as a plain Python loop.
+    """
+    lib = _ensure_fns()
+    return lib.segment if lib else None
 
 
 def rr_fn():
@@ -660,6 +695,55 @@ def replay_window_c(
         offsets.ctypes.data,
         cursor.ctypes.data,
         state.ctypes.data,
+    )
+    return departures, service_times, order, offsets, status == 0
+
+
+def dispatch_segment_c(
+    fn,
+    times: np.ndarray,
+    work: np.ndarray,
+    eff: np.ndarray,
+    up: np.ndarray,
+    targets: np.ndarray,
+    free_at: np.ndarray,
+):
+    """Queue one fault segment's jobs through the compiled dispatch step.
+
+    ``times``/``work`` contiguous float64 in arrival order, ``eff`` the
+    per-server effective speeds, ``up`` the bool membership mask,
+    ``targets`` contiguous int64; ``free_at`` is updated **in place**.
+    Returns ``(departures, service_times, order, offsets, ok)``:
+    departures read NaN for jobs aimed at a down server, ``order`` and
+    ``offsets`` are the stable group-by-server permutation and bounds,
+    and ``ok`` is False when a target was out of range — the kernel
+    checks every target first, so ``free_at`` is then untouched.
+
+    All returned arrays are arena-backed views: consume them before the
+    next segment, never store them.
+    """
+    n = int(times.size)
+    nservers = int(eff.size)
+    a = arena()
+    departures = a.f64("segment.dep", n)
+    service_times = a.f64("segment.svc", n)
+    order = a.i64("segment.order", n)
+    offsets = a.i64("segment.offsets", nservers + 1)
+    cursor = a.i64("segment.cursor", nservers)
+    status = fn(
+        times.ctypes.data,
+        work.ctypes.data,
+        ctypes.c_longlong(n),
+        eff.ctypes.data,
+        up.ctypes.data,
+        ctypes.c_longlong(nservers),
+        targets.ctypes.data,
+        free_at.ctypes.data,
+        departures.ctypes.data,
+        service_times.ctypes.data,
+        order.ctypes.data,
+        offsets.ctypes.data,
+        cursor.ctypes.data,
     )
     return departures, service_times, order, offsets, status == 0
 

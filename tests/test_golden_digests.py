@@ -253,7 +253,7 @@ class TestServeGoldenDigests:
 
         def recording(bank, now):
             done = collect(bank, now)
-            segments.append((now, [c[0] for c in done]))
+            segments.append((now, done[:, 0].astype(int).tolist()))
             return done
 
         monkeypatch.setattr(ServerBank, "collect_completions", recording)

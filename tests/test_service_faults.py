@@ -52,21 +52,30 @@ KILL_REPAIR = [FaultEvent(1050.0, "down", 2), FaultEvent(1450.0, "up", 2)]
 # ----------------------------------------------------------------------
 
 
+def put(bank, server, t, size, origin, attempts):
+    """Dispatch one job as a one-job segment; its departure (NaN: bounced)."""
+    dep = bank.dispatch(
+        np.array([server]), np.array([t]), np.array([size]),
+        np.array([origin]), np.array([attempts]),
+    )
+    return float(dep[0])
+
+
 class TestServerBankFaults:
     def test_dispatch_to_down_server_returns_none(self):
         bank = ServerBank([1.0, 2.0])
         bank.fail(1, 5.0)
-        assert bank.dispatch(1, 6.0, 1.0, origin=6.0, attempts=0) is None
-        assert bank.dispatch(0, 6.0, 1.0, origin=6.0, attempts=0) is not None
+        assert math.isnan(put(bank, 1, 6.0, 1.0, origin=6.0, attempts=0))
+        assert not math.isnan(put(bank, 0, 6.0, 1.0, origin=6.0, attempts=0))
 
     def test_fail_bounces_residents_and_clears_backlog(self):
         bank = ServerBank([1.0])
-        bank.dispatch(0, 0.0, 4.0, origin=0.0, attempts=0)   # departs at 4
-        bank.dispatch(0, 1.0, 4.0, origin=1.0, attempts=1)   # departs at 8
+        put(bank, 0, 0.0, 4.0, origin=0.0, attempts=0)   # departs at 4
+        put(bank, 0, 1.0, 4.0, origin=1.0, attempts=1)   # departs at 8
         done = bank.collect_completions(5.0)
         assert [d[1] for d in done] == [0.0]
         bounced = bank.fail(0, 5.0)
-        assert bounced == [(1.0, 4.0, 1)]
+        assert bounced.tolist() == [[1.0, 4.0, 1]]
         assert bank.free_at[0] == 5.0
         assert bank.inflight_count() == 0
 
@@ -75,12 +84,12 @@ class TestServerBankFaults:
         bank.fail(0, 3.0)
         bank.repair(0, 9.0)
         assert bank.up[0]
-        dep = bank.dispatch(0, 9.0, 2.0, origin=9.0, attempts=0)
+        dep = put(bank, 0, 9.0, 2.0, origin=9.0, attempts=0)
         assert dep == pytest.approx(11.0)
 
     def test_degradation_rescales_in_flight_work_exactly(self):
         bank = ServerBank([2.0])
-        bank.dispatch(0, 0.0, 8.0, origin=0.0, attempts=0)   # svc 4, departs 4
+        put(bank, 0, 0.0, 8.0, origin=0.0, attempts=0)   # svc 4, departs 4
         bank.set_speed_factor(0, 2.0, 0.5)  # speed 2 -> 1 at t=2
         # 2 s of work remained; at half speed it takes 4 s: departs at 6.
         done = bank.collect_completions(10.0)
@@ -92,15 +101,15 @@ class TestServerBankFaults:
 
     def test_completions_are_server_major_fifo(self):
         bank = ServerBank([1.0, 1.0])
-        bank.dispatch(1, 0.0, 1.0, origin=0.0, attempts=0)
-        bank.dispatch(0, 0.0, 2.0, origin=0.0, attempts=0)
-        bank.dispatch(0, 0.5, 1.0, origin=0.5, attempts=0)
+        put(bank, 1, 0.0, 1.0, origin=0.0, attempts=0)
+        put(bank, 0, 0.0, 2.0, origin=0.0, attempts=0)
+        put(bank, 0, 0.5, 1.0, origin=0.5, attempts=0)
         done = bank.collect_completions(10.0)
         assert [(d[0], d[1]) for d in done] == [(0, 0.0), (0, 0.5), (1, 0.0)]
 
     def test_state_round_trip(self):
         bank = ServerBank([1.0, 2.0])
-        bank.dispatch(0, 0.0, 5.0, origin=0.0, attempts=2)
+        put(bank, 0, 0.0, 5.0, origin=0.0, attempts=2)
         bank.fail(1, 1.0)
         clone = ServerBank([1.0, 2.0])
         clone.load_state(json.loads(json.dumps(bank.state_dict())))
