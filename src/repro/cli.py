@@ -13,9 +13,11 @@ Subcommands
   paper metrics.
 * ``validate --speeds 1,4 --utilization 0.6`` — compare a static
   policy's simulated metrics against the analytical model.
-* ``bench`` — time the performance stack (vectorized kernels, grid
-  executor, replication cache) against the serial baselines and append
-  a record to the ``BENCH_sweep.json`` trajectory.
+* ``bench [--serve] [--net]`` — time the performance stack (vectorized
+  kernels, grid executor, replication cache; ``--serve`` adds the
+  serving window loop, ``--net`` the networked dispatcher) against the
+  serial baselines and append a record to the ``BENCH_sweep.json``
+  trajectory (see :mod:`repro.bench`).
 
 ``run``, ``simulate``, and ``bench`` accept ``--n-jobs N|auto`` (or the
 ``REPRO_JOBS`` environment variable) to fan replications across worker
@@ -757,14 +759,6 @@ def _cmd_characterize(args) -> int:
     return 0
 
 
-def _time(fn, *args, **kwargs):
-    import time
-
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
-
-
 def _counter_summary(delta: dict) -> list[str]:
     """Human-readable counter lines, job ledger first, labels grouped.
 
@@ -991,846 +985,9 @@ def _with_telemetry(handler, args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Benchmark the performance stack and append to the trajectory file.
+    from .bench import run_bench
 
-    Three sections:
-
-    * kernels — vectorized FCFS/PS replay vs the per-job reference loops
-      on one synthetic substream (``ps_backend`` names the compiled or
-      pure-Python busy-period core in use);
-    * replication — one fast-path replication vs the event engine on the
-      Figure 3 high-skew point, for both disciplines;
-    * sweep — a Figure 3 subset serially, through the grid executor
-      (verifying the series are identical), then cold/warm through the
-      replication cache;
-    * cell — the same subset per-replication vs cell-batched (shared
-      streams, batched replay), plus paired-vs-unpaired ORR/WRR
-      confidence-interval widths under common random numbers;
-    * executor — a tiny grid through real workers vs the auto-serial
-      small-task path;
-    * telemetry — the disabled-telemetry overhead guard (<2% of one
-      replication, priced from the no-op span path) and a trace-on vs
-      trace-off bit-identity check over the emitted JSONL;
-    * serve (with ``--serve``) — the serving hot path: one fault-free
-      service run through the vectorized window loop vs the per-job
-      reference loop on the same stream, asserting the two reports are
-      field-for-field identical and recording end-to-end jobs/sec plus
-      the dispatch plane's ns/job (memoized Algorithm 2 slices);
-    * net (with ``--net``) — the networked dispatcher split: the
-      in-process transport must reproduce the SchedulerService report
-      byte-for-byte, a socket-mode overload drill must hold its
-      backpressure bounds while staying byte-identical, a rebalanced
-      overload drill over an imbalanced 2-shard pool must show the
-      capacity-aware router shedding nothing where the legacy even
-      split sheds, a kill+rejoin drill must stay byte-identical across
-      transports, and the dispatch decision latency must sit under an
-      absolute ceiling — all enforced before anything is appended.
-
-    Every agreement gate (kernels vs loops, fast path vs engine, grid
-    and cell sweeps vs serial, trace on vs off) must hold or the command
-    exits nonzero.  With ``--gate`` the finished record is additionally
-    compared against the most recent same-scale baseline in the
-    trajectory — a tracked speedup ratio regressing more than the
-    threshold (default 20%) fails the gate and nothing is appended.
-    """
-    import json
-    import os
-    import tempfile
-    from datetime import datetime, timezone
-
-    n_jobs = _resolve_jobs(args.n_jobs)
-    if n_jobs is None:
-        return 2
-
-    from .core import get_policy
-    from .core.evaluate import run_policy_once
-    from .experiments.base import SCALES
-    from .experiments.configs import skewness_config
-    from .experiments.figure3 import run_figure3
-    from .sim import SimulationConfig
-    from .sim.fastpath import (
-        KERNEL_VERSION,
-        _fcfs_replay_loop,
-        _ps_replay_loop,
-        fcfs_replay,
-        group_by_server,
-        ps_replay,
-    )
-
-    from .sim import ckernel
-
-    scale = SCALES[args.scale]
-    record: dict = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "kernel_version": KERNEL_VERSION,
-        # Provenance of the compiled core actually engaged for this
-        # record: the exact flags the shared library was built with and
-        # the OpenMP width it will fan out to (1 when OpenMP was
-        # unavailable and the kernel degraded to the serial build).
-        "compiler_flags": list(ckernel.compile_flags() or ()),
-        "openmp": bool(ckernel.openmp_enabled()),
-        "openmp_threads": int(ckernel.omp_max_threads()),
-        "scale": scale.name,
-        "n_jobs": n_jobs,
-    }
-
-    # --- kernels: vectorized replay vs the per-job reference loops ----
-    rng = np.random.default_rng(12345)
-    n = 200_000
-    times = np.cumsum(rng.exponential(1.0, n))
-    work = rng.lognormal(mean=0.0, sigma=1.5, size=n)
-    ref, fcfs_loop_s = _time(_fcfs_replay_loop, times, work, 2.0)
-    fast, fcfs_fast_s = _time(fcfs_replay, times, work, 2.0)
-    if not np.allclose(ref, fast, rtol=1e-9):
-        print("error: FCFS kernel disagrees with reference loop",
-              file=sys.stderr)
-        return 1
-    m = 30_000
-    ref, ps_loop_s = _time(_ps_replay_loop, times[:m], work[:m], 2.0)
-    fast, ps_fast_s = _time(ps_replay, times[:m], work[:m], 2.0)
-    if not np.allclose(np.sort(ref), np.sort(fast), rtol=1e-9):
-        print("error: PS kernel disagrees with reference loop",
-              file=sys.stderr)
-        return 1
-
-    # Compiled FCFS replay must be BIT-identical to the numpy Lindley
-    # recursion — not merely close.  One multi-server plan through the
-    # fused cell kernel against the per-server numpy cores.
-    fcfs_bit_identical = None
-    fused = ckernel.cell_fn()
-    if fused is not None:
-        kn = 50_000
-        kspeeds = np.array([1.0, 1.0, 2.0, 4.0, 10.0])
-        ktimes = np.ascontiguousarray(times[:kn])
-        kwork = np.ascontiguousarray(work[:kn])
-        kplan = rng.integers(0, kspeeds.size, kn)
-        comp_c, _, _, _, ok = ckernel.replay_cell_c(
-            fused, ktimes, kwork, kspeeds, [kplan], False
-        )
-        korder, koffs = group_by_server(kplan, kspeeds.size)
-        comp_py = np.empty(kn)
-        for s in range(kspeeds.size):
-            idx = korder[koffs[s]:koffs[s + 1]]
-            comp_py[idx] = fcfs_replay(ktimes[idx], kwork[idx],
-                                       float(kspeeds[s]))
-        fcfs_bit_identical = bool(ok and np.array_equal(comp_c[0], comp_py))
-        if not fcfs_bit_identical:
-            print("error: compiled FCFS replay is not bit-identical to "
-                  "the numpy kernel", file=sys.stderr)
-            return 1
-
-    record["kernels"] = {
-        "fcfs_jobs": n,
-        "fcfs_loop_s": fcfs_loop_s,
-        "fcfs_fast_s": fcfs_fast_s,
-        "fcfs_speedup": fcfs_loop_s / fcfs_fast_s,
-        "ps_jobs": m,
-        "ps_loop_s": ps_loop_s,
-        "ps_fast_s": ps_fast_s,
-        "ps_speedup": ps_loop_s / ps_fast_s,
-        "ps_backend": "c" if ckernel.kernel_available() else "python",
-        "fcfs_backend": "c" if ckernel.kernel_available() else "python",
-        "fcfs_bit_identical": fcfs_bit_identical,
-    }
-
-    # --- replication: fast path vs event engine, both disciplines -----
-    base = skewness_config(10.0, 0.70)
-    policy = get_policy("ORR")
-    replication: dict = {}
-    for discipline in ("ps", "fcfs"):
-        config = SimulationConfig(
-            speeds=base.speeds, utilization=base.utilization,
-            duration=scale.duration, warmup=scale.warmup,
-            size_distribution=base.size_distribution,
-            arrival_cv=base.arrival_cv, discipline=discipline,
-        )
-        eng, engine_s = _time(
-            run_policy_once, config, policy, seed=scale.base_seed,
-            force_engine=True,
-        )
-        fastr, fast_s = _time(
-            run_policy_once, config, policy, seed=scale.base_seed
-        )
-        replication[discipline] = {
-            "engine_s": engine_s,
-            "fast_s": fast_s,
-            "speedup": engine_s / fast_s,
-            "agree": bool(np.isclose(
-                eng.metrics.mean_response_ratio,
-                fastr.metrics.mean_response_ratio,
-                rtol=1e-9,
-            )),
-        }
-        if not replication[discipline]["agree"]:
-            print(f"error: {discipline} fast path disagrees with the "
-                  f"event engine", file=sys.stderr)
-            return 1
-    record["replication"] = replication
-
-    # --- sweep: serial vs grid executor, then cold/warm cache ---------
-    kwargs = dict(
-        fast_speeds=(1.0, 10.0), policies=("WRAN", "WRR", "ORAN", "ORR")
-    )
-    serial, serial_s = _time(run_figure3, scale, **kwargs)
-    grid, grid_s = _time(run_figure3, scale, n_jobs=n_jobs, **kwargs)
-    identical = all(
-        np.array_equal(
-            serial.series(p, "mean_response_ratio"),
-            grid.series(p, "mean_response_ratio"),
-        )
-        for p in kwargs["policies"]
-    )
-    if not identical:
-        print("error: grid sweep diverged from the serial sweep",
-              file=sys.stderr)
-        return 1
-
-    if args.cache:
-        cold, cold_s = _time(
-            run_figure3, scale, cache=_open_cache(args.cache), **kwargs
-        )
-        warm, warm_s = _time(
-            run_figure3, scale, cache=_open_cache(args.cache), **kwargs
-        )
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            cold, cold_s = _time(
-                run_figure3, scale, cache=_open_cache(tmp), **kwargs
-            )
-            warm, warm_s = _time(
-                run_figure3, scale, cache=_open_cache(tmp), **kwargs
-            )
-    record["sweep"] = {
-        "points": len(kwargs["fast_speeds"]),
-        "policies": len(kwargs["policies"]),
-        "replications": scale.replications,
-        "serial_s": serial_s,
-        "grid_s": grid_s,
-        "grid_identical": identical,
-        "cache_cold_s": cold_s,
-        "cache_cold_hits": cold.cache_hits,
-        "cache_warm_s": warm_s,
-        "cache_warm_hits": warm.cache_hits,
-        "cache_speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-    }
-
-    # --- cell batching: shared streams + batched replay ---------------
-    # Both sweeps below run warm (the sweep section above already paid
-    # the one-time memo and kernel warm-up), so the flat-vs-cell timing
-    # compares steady-state costs rather than cold-start order.  Both
-    # disciplines are measured: the headline ``cell_speedup`` is the
-    # FCFS figure — the fully compiled kernel-v4 pipeline — while
-    # ``cell_speedup_ps`` tracks the PS composition, whose per-plan
-    # busy-period replay keeps a structurally lower flat:cell ratio
-    # (see DESIGN.md §7.1).  The two legs of each ratio are timed
-    # *interleaved* (flat, cell, flat, cell, ...) and the minima taken:
-    # the legs are sub-second, ratios of minima damp scheduler noise,
-    # and interleaving keeps slow system drift from biasing one leg —
-    # the 2.0x floor gates a steady-state property, not a lucky draw.
-    import dataclasses as _dc
-
-    from .core import evaluate_cell
-    from .experiments.base import run_policy_sweep
-
-    def _best_pair(fn_a, fn_b, repeats=7):
-        best_a = best_b = float("inf")
-        out_a = out_b = None
-        for _ in range(repeats):
-            out_a, t = _time(fn_a)
-            best_a = min(best_a, t)
-            out_b, t = _time(fn_b)
-            best_b = min(best_b, t)
-        return out_a, best_a, out_b, best_b
-
-    def _ps_sweep(cell_batch):
-        return run_figure3(scale, cell_batch=cell_batch, **kwargs)
-
-    flat, flat_ps_s, cellr, cell_ps_s = _best_pair(
-        lambda: _ps_sweep(False), lambda: _ps_sweep(True)
-    )
-    cell_identical_ps = all(
-        np.array_equal(
-            cellr.series(p, "mean_response_ratio"),
-            flat.series(p, "mean_response_ratio"),
-        )
-        and np.array_equal(
-            cellr.series(p, "mean_response_ratio"),
-            serial.series(p, "mean_response_ratio"),
-        )
-        for p in kwargs["policies"]
-    )
-
-    def _fcfs_config(x):
-        return _dc.replace(skewness_config(x, 0.70), discipline="fcfs")
-
-    def _fcfs_sweep(cell_batch):
-        return run_policy_sweep(
-            "bench-cell-fcfs", "bench cell (fcfs)", "x",
-            list(kwargs["fast_speeds"]), _fcfs_config, kwargs["policies"],
-            scale, cell_batch=cell_batch,
-        )
-
-    _fcfs_sweep(True)  # warm the fcfs leg (kernel + sequence memos)
-    flat_f, flat_s, cell_f, cell_s = _best_pair(
-        lambda: _fcfs_sweep(False), lambda: _fcfs_sweep(True)
-    )
-    cell_identical_fcfs = all(
-        np.array_equal(
-            cell_f.series(p, "mean_response_ratio"),
-            flat_f.series(p, "mean_response_ratio"),
-        )
-        for p in kwargs["policies"]
-    )
-    cell_identical = cell_identical_ps and cell_identical_fcfs
-    if not cell_identical:
-        print("error: cell-batched sweep diverged from the flat grid",
-              file=sys.stderr)
-        return 1
-
-    # Paired (CRN) vs unpaired (Welch) ORR-vs-WRR interval width on the
-    # same samples.  The variance reduction tracks how similarly the two
-    # policies route jobs: at mild skew their dispatch plans — and hence
-    # the per-server substreams — nearly coincide and the replications
-    # correlate strongly, while at extreme skew the routing diverges and
-    # pairing buys less.  Both skew points are recorded; replications
-    # are equal for both estimators by construction.
-    from scipy import stats as sstats
-
-    paired_reps = max(scale.replications, 10)
-    paired_points = []
-    for skew in (2.0, 10.0):
-        sk_base = skewness_config(skew, 0.70)
-        ps_config = SimulationConfig(
-            speeds=sk_base.speeds, utilization=sk_base.utilization,
-            duration=scale.duration, warmup=scale.warmup,
-            size_distribution=sk_base.size_distribution,
-            arrival_cv=sk_base.arrival_cv, discipline="ps",
-        )
-        cmp_cell = evaluate_cell(
-            ps_config, ["ORR", "WRR"], replications=paired_reps,
-            base_seed=scale.base_seed,
-        )
-        orr_name, wrr_name = cmp_cell.policy_names
-        paired = cmp_cell.paired(orr_name, wrr_name, "mean_response_ratio")
-        a = np.asarray(cmp_cell.samples[orr_name]["mean_response_ratio"])
-        b = np.asarray(cmp_cell.samples[wrr_name]["mean_response_ratio"])
-        reps = a.size
-        va, vb = a.var(ddof=1), b.var(ddof=1)
-        se2 = va / reps + vb / reps
-        if se2 > 0:
-            df = se2**2 / (
-                (va / reps) ** 2 / (reps - 1) + (vb / reps) ** 2 / (reps - 1)
-            )
-            unpaired_hw = float(sstats.t.ppf(0.975, df) * np.sqrt(se2))
-        else:
-            unpaired_hw = 0.0
-        paired_points.append({
-            "skew": skew,
-            "policies": [orr_name, wrr_name],
-            "replications": reps,
-            "paired_half_width": paired.half_width,
-            "unpaired_half_width": unpaired_hw,
-            "paired_vs_unpaired": (
-                paired.half_width / unpaired_hw if unpaired_hw > 0 else 0.0
-            ),
-            "verdict": paired.verdict,
-        })
-    record["cell"] = {
-        "flat_s": flat_s,
-        "cell_s": cell_s,
-        "cell_speedup": flat_s / cell_s if cell_s > 0 else float("inf"),
-        "flat_ps_s": flat_ps_s,
-        "cell_ps_s": cell_ps_s,
-        "cell_speedup_ps": (
-            flat_ps_s / cell_ps_s if cell_ps_s > 0 else float("inf")
-        ),
-        "cell_identical": cell_identical,
-        "paired": paired_points,
-    }
-
-    # --- executor: real workers vs the auto-serial small-task path ----
-    from .core import executor as executor_mod
-    from .core.executor import (
-        ReplicationTask,
-        run_replication_grid,
-        shutdown_shared_executor,
-    )
-    from .rng import replication_seeds
-
-    small_config = SimulationConfig(
-        speeds=base.speeds, utilization=base.utilization,
-        duration=2.0e4, warmup=5.0e3,
-        size_distribution=base.size_distribution,
-        arrival_cv=base.arrival_cv, discipline="ps",
-    )
-    small_tasks = [
-        ReplicationTask(key=("bench", "ORR", r), config=small_config,
-                        policy_name="ORR", estimation_error=None, seed=s)
-        for r, s in enumerate(
-            replication_seeds(scale.base_seed, executor_mod._AUTO_SERIAL_TASKS)
-        )
-    ]
-    workers = max(2, n_jobs)
-    shutdown_shared_executor()
-    saved_threshold = executor_mod._AUTO_SERIAL_TASKS
-    try:
-        executor_mod._AUTO_SERIAL_TASKS = 0
-        pooled, pool_s = _time(
-            run_replication_grid, list(small_tasks), n_jobs=workers
-        )
-    finally:
-        executor_mod._AUTO_SERIAL_TASKS = saved_threshold
-    shutdown_shared_executor()
-    auto, auto_s = _time(
-        run_replication_grid, list(small_tasks), n_jobs=workers
-    )
-    exec_identical = set(pooled.outcomes) == set(auto.outcomes) and all(
-        all(
-            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-            for x, y in zip(pooled.outcomes[key], auto.outcomes[key])
-        )
-        for key in pooled.outcomes
-    )
-    if not exec_identical:
-        print("error: auto-serial grid diverged from the worker pool",
-              file=sys.stderr)
-        return 1
-    record["executor"] = {
-        "small_tasks": len(small_tasks),
-        "n_jobs": workers,
-        "pool_s": pool_s,
-        "auto_serial_s": auto_s,
-        "auto_serial_speedup": pool_s / auto_s if auto_s > 0 else float("inf"),
-    }
-
-    # --- telemetry: disabled-overhead guard + trace bit-identity ------
-    import time
-
-    from .obs import JsonlSink, add_sink, remove_sink, validate_event
-    from .obs import spans as spans_mod
-    from .obs.digest import results_digest
-    from .obs.spans import span as obs_span
-
-    ps_config = SimulationConfig(
-        speeds=base.speeds, utilization=base.utilization,
-        duration=scale.duration, warmup=scale.warmup,
-        size_distribution=base.size_distribution,
-        arrival_cv=base.arrival_cv, discipline="ps",
-    )
-    untraced, untraced_s = _time(
-        run_policy_once, ps_config, policy, seed=scale.base_seed
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
-        trace_path = os.path.join(tmp, "bench_trace.jsonl")
-        sink = JsonlSink(trace_path)
-        add_sink(sink)
-        try:
-            traced, traced_s = _time(
-                run_policy_once, ps_config, policy, seed=scale.base_seed
-            )
-        finally:
-            remove_sink(sink)
-        with open(trace_path, encoding="utf-8") as fh:
-            events = [json.loads(line) for line in fh if line.strip()]
-    try:
-        for event in events:
-            validate_event(event)
-    except ValueError as exc:
-        print(f"error: trace emitted a schema-invalid event: {exc}",
-              file=sys.stderr)
-        return 1
-    trace_identical = results_digest(traced) == results_digest(untraced)
-
-    # Zero-overhead-when-disabled guard: price the no-op span path with
-    # no sinks registered (sinks are parked, not closed, so an outer
-    # --trace on this very command survives), then scale by the events
-    # one traced replication actually emits.
-    saved_sinks = spans_mod._sinks[:]
-    spans_mod._sinks[:] = []
-    try:
-        noop_n = 200_000
-        t0 = time.perf_counter()
-        for _ in range(noop_n):
-            with obs_span("bench.noop", probe=1):
-                pass
-        noop_s = time.perf_counter() - t0
-    finally:
-        spans_mod._sinks[:] = saved_sinks
-    per_call = noop_s / noop_n
-    overhead = len(events) * per_call / untraced_s if untraced_s > 0 else 0.0
-    record["telemetry"] = {
-        "noop_span_ns": per_call * 1e9,
-        "events_per_replication": len(events),
-        "untraced_s": untraced_s,
-        "traced_s": traced_s,
-        "overhead_fraction": overhead,
-        "overhead_ok": overhead < 0.02,
-        "trace_identical": trace_identical,
-    }
-    if not trace_identical:
-        print("error: results diverged with tracing enabled",
-              file=sys.stderr)
-        return 1
-    if not record["telemetry"]["overhead_ok"]:
-        print(f"error: disabled-telemetry overhead {overhead:.2%} exceeds "
-              f"the 2% budget", file=sys.stderr)
-        return 1
-
-    # --- serve: vectorized window loop vs the per-job reference -------
-    if args.serve:
-        from .dispatch.round_robin import dispatch_sequence_slice
-        from .distributions.fitting import distribution_from_mean_cv
-        from .service.loop import SchedulerService, ServiceConfig
-        from .service.sources import SyntheticJobSource, Workload
-
-        serve_speeds = (1.0, 2.0, 3.0, 4.0)
-        serve_util = 0.85
-        serve_jobs = {
-            "smoke": 60_000, "quick": 240_000, "paper": 1_000_000,
-        }[scale.name]
-        # Mean-1 job sizes make the arrival rate util * total_speed, so
-        # the horizon below offers ~serve_jobs arrivals over 50 windows.
-        serve_rate = serve_util * sum(serve_speeds)
-        serve_duration = serve_jobs / serve_rate
-        serve_cp = serve_duration / 50.0
-
-        def _serve_run(reference):
-            cfg = ServiceConfig(
-                speeds=serve_speeds, duration=serve_duration,
-                control_period=serve_cp,
-            )
-            wl = Workload(
-                total_speed=sum(serve_speeds), utilization=serve_util,
-                size_distribution=distribution_from_mean_cv(1.0, 1.0),
-            )
-            svc = SchedulerService(
-                cfg, SyntheticJobSource(wl, 7), reference=reference
-            )
-            return svc.run()
-
-        ref_report, serve_ref_s, fast_report, serve_fast_s = _best_pair(
-            lambda: _serve_run(True), lambda: _serve_run(False), repeats=3
-        )
-        # The acceptance criterion: the hot path must reproduce the
-        # reference serve report bit-for-bit (JSON text equality keeps
-        # NaN fields comparable), not merely approximately.
-        serve_identical = (
-            json.dumps(ref_report.as_dict(), sort_keys=True)
-            == json.dumps(fast_report.as_dict(), sort_keys=True)
-        )
-        if not serve_identical:
-            print("error: vectorized serve loop diverged from the "
-                  "per-job reference report", file=sys.stderr)
-            return 1
-        serve_dispatched = int(fast_report.jobs_dispatched)
-
-        # Dispatch-plane cost alone: memoized Algorithm 2 slices pulled
-        # at window granularity, the way the service loop consumes them.
-        serve_alphas = np.asarray(serve_speeds) / sum(serve_speeds)
-        window_jobs = max(1, serve_jobs // 50)
-        dispatch_sequence_slice(serve_alphas, 0, serve_jobs)  # warm memo
-        t0 = time.perf_counter()
-        for lo in range(0, serve_jobs, window_jobs):
-            dispatch_sequence_slice(
-                serve_alphas, lo, min(lo + window_jobs, serve_jobs)
-            )
-        dispatch_s = time.perf_counter() - t0
-
-        record["serve"] = {
-            "servers": len(serve_speeds),
-            "utilization": serve_util,
-            "jobs": serve_dispatched,
-            "windows": len(fast_report.windows),
-            "reference_s": serve_ref_s,
-            "fast_s": serve_fast_s,
-            "serve_speedup": (
-                serve_ref_s / serve_fast_s if serve_fast_s > 0
-                else float("inf")
-            ),
-            "jobs_per_sec": (
-                serve_dispatched / serve_fast_s if serve_fast_s > 0
-                else float("inf")
-            ),
-            "reference_jobs_per_sec": (
-                serve_dispatched / serve_ref_s if serve_ref_s > 0
-                else float("inf")
-            ),
-            "dispatch_ns_per_job": dispatch_s / serve_jobs * 1e9,
-            "report_identical": serve_identical,
-            "backend": "c" if ckernel.kernel_available() else "python",
-        }
-
-    # --- net: client / orchestrator / server split --------------------
-    if args.net:
-        import asyncio
-
-        from .distributions.fitting import distribution_from_mean_cv
-        from .net.runtime import run_in_process, run_sockets
-        from .obs.gate import NET_DISPATCH_CEILING_NS
-        from .service.loop import SchedulerService, ServiceConfig
-        from .service.sources import SyntheticJobSource, Workload
-
-        net_speeds = (1.0, 2.0, 3.0, 4.0)
-        net_util = 0.85
-        net_jobs = {
-            "smoke": 20_000, "quick": 100_000, "paper": 400_000,
-        }[scale.name]
-        net_rate = net_util * sum(net_speeds)
-        net_duration = net_jobs / net_rate
-        net_cp = net_duration / 50.0
-        net_cfg = ServiceConfig(
-            speeds=net_speeds, duration=net_duration, control_period=net_cp,
-        )
-
-        def _net_source():
-            wl = Workload(
-                total_speed=sum(net_speeds), utilization=net_util,
-                size_distribution=distribution_from_mean_cv(1.0, 1.0),
-            )
-            return SyntheticJobSource(wl, 7)
-
-        # Simulation-vs-service equivalence: the in-process transport
-        # must reproduce the SchedulerService report byte for byte.
-        svc_report = SchedulerService(net_cfg, _net_source()).run()
-        inproc = run_in_process(net_cfg, _net_source())
-        net_identical = (
-            json.dumps(svc_report.as_dict(), sort_keys=True)
-            == json.dumps(inproc.report.as_dict(), sort_keys=True)
-        )
-        if not net_identical:
-            print("error: networked in-process run diverged from the "
-                  "SchedulerService report", file=sys.stderr)
-            return 1
-
-        # The overload drill: live sockets, client pushed 8 windows
-        # ahead of a 2-window orchestrator buffer — backpressure must
-        # hold the bounds and the report must still be byte-identical.
-        overload = asyncio.run(run_sockets(
-            net_cfg, _net_source(), max_inflight=8, queue_limit=2,
-        ))
-        overload_identical = (
-            json.dumps(svc_report.as_dict(), sort_keys=True)
-            == json.dumps(overload.report.as_dict(), sort_keys=True)
-        )
-        if not overload_identical:
-            print("error: socket-mode overload run diverged from the "
-                  "SchedulerService report", file=sys.stderr)
-            return 1
-        if overload.metrics.peak_submit_queue > 2:
-            print("error: orchestrator buffered "
-                  f"{overload.metrics.peak_submit_queue} windows past the "
-                  "2-window bound", file=sys.stderr)
-            return 1
-
-        # The rebalanced overload drill: an imbalanced 2-shard pool
-        # (shard 0 owns 3 units of speed, shard 1 owns 9) at a load the
-        # full bank carries easily.  The legacy even split halves the
-        # stream and overloads the slow shard into shedding; the
-        # capacity-aware router must shed nothing — and its socket run
-        # must still match the in-process run byte for byte.
-        bal_speeds = (1.0, 4.0, 2.0, 5.0)
-        bal_util = 0.6
-        bal_duration = net_jobs / (bal_util * sum(bal_speeds))
-        bal_cfg = ServiceConfig(
-            speeds=bal_speeds, duration=bal_duration,
-            control_period=bal_duration / 50.0,
-        )
-
-        def _bal_source():
-            wl = Workload(
-                total_speed=sum(bal_speeds), utilization=bal_util,
-                size_distribution=distribution_from_mean_cv(1.0, 1.0),
-            )
-            return SyntheticJobSource(wl, 7)
-
-        bal_even = run_in_process(
-            bal_cfg, _bal_source(), n_shards=2, split="even")
-        bal_cap = run_in_process(
-            bal_cfg, _bal_source(), n_shards=2, split="capacity")
-        bal_live = asyncio.run(run_sockets(
-            bal_cfg, _bal_source(), n_shards=2, split="capacity"))
-        even_split_shed = bal_even.metrics.jobs_shed
-        balanced_no_shed = (
-            bal_cap.metrics.jobs_shed == 0 and even_split_shed > 0
-        )
-        if not balanced_no_shed:
-            print("error: capacity-aware split shed "
-                  f"{bal_cap.metrics.jobs_shed} jobs (even split: "
-                  f"{even_split_shed}) — rebalancing is broken",
-                  file=sys.stderr)
-            return 1
-        balanced_identical = all(
-            json.dumps(a.as_dict(), sort_keys=True)
-            == json.dumps(b.as_dict(), sort_keys=True)
-            for a, b in zip(bal_cap.reports, bal_live.reports)
-        )
-        if not balanced_identical:
-            print("error: capacity-split socket run diverged from the "
-                  "in-process run", file=sys.stderr)
-            return 1
-
-        # The rejoin drill: kill the fastest server mid-run, restart it
-        # five windows later — both transports must agree byte for byte
-        # through the whole death/rejoin membership cycle.
-        rj_kill, rj_rejoin = {3: 9}, {3: 14}
-        rj_sim = run_in_process(
-            net_cfg, _net_source(), kill=rj_kill, rejoin=rj_rejoin)
-        rj_live = asyncio.run(run_sockets(
-            net_cfg, _net_source(), kill=rj_kill, rejoin=rj_rejoin))
-        rejoin_identical = (
-            json.dumps(rj_sim.report.as_dict(), sort_keys=True)
-            == json.dumps(rj_live.report.as_dict(), sort_keys=True)
-        )
-        if not rejoin_identical:
-            print("error: socket-mode kill+rejoin run diverged from the "
-                  "in-process run", file=sys.stderr)
-            return 1
-
-        net_dispatch_ns = inproc.metrics.dispatch_ns_per_job
-        record["net"] = {
-            "servers": len(net_speeds),
-            "utilization": net_util,
-            "jobs": inproc.metrics.jobs_dispatched,
-            "windows": inproc.metrics.windows,
-            "report_identical": net_identical,
-            "overload_report_identical": overload_identical,
-            "rejoin_report_identical": rejoin_identical,
-            "balanced_no_shed": balanced_no_shed,
-            "even_split_shed": even_split_shed,
-            "dispatch_ns_per_job": net_dispatch_ns,
-            "dispatch_ceiling_ns": NET_DISPATCH_CEILING_NS,
-            "inproc_s": inproc.metrics.wall_seconds,
-            "inproc_jobs_per_sec": inproc.metrics.jobs_per_sec,
-            "socket_s": overload.metrics.wall_seconds,
-            "jobs_per_sec": overload.metrics.jobs_per_sec,
-            "rtt_p50_s": overload.metrics.rtt_p50_s,
-            "rtt_p99_s": overload.metrics.rtt_p99_s,
-            "max_inflight": overload.metrics.max_inflight,
-            "peak_inflight": overload.metrics.peak_inflight,
-            "queue_limit": overload.metrics.queue_limit,
-            "peak_submit_queue": overload.metrics.peak_submit_queue,
-            "backend": "c" if ckernel.kernel_available() else "python",
-        }
-        # The latency gate: enforced before anything is appended, like
-        # every other agreement gate in this command.
-        if net_dispatch_ns > NET_DISPATCH_CEILING_NS:
-            print(f"error: dispatch decision latency "
-                  f"{net_dispatch_ns:.0f}ns/job exceeds the "
-                  f"{NET_DISPATCH_CEILING_NS:.0f}ns ceiling",
-                  file=sys.stderr)
-            return 1
-
-    # --- gate, then append to the trajectory and summarize ------------
-    trajectory: list = []
-    try:
-        with open(args.output, encoding="utf-8") as fh:
-            trajectory = json.load(fh)
-        if not isinstance(trajectory, list):
-            trajectory = [trajectory]
-    except (OSError, ValueError):
-        pass
-
-    gate_summary = None
-    if args.gate:
-        from .obs.gate import DEFAULT_THRESHOLD, check_gate
-
-        threshold = (
-            args.gate_threshold
-            if args.gate_threshold is not None
-            else DEFAULT_THRESHOLD
-        )
-        gate = check_gate(record, trajectory, threshold)
-        gate_summary = gate.summary()
-        if not gate.passed:
-            # Failing records never pollute the trajectory baseline.
-            print(gate_summary)
-            return 1
-
-    trajectory.append(record)
-    # Stage to a temp file and rename into place: an interrupted or
-    # concurrent bench run can never truncate the trajectory mid-write.
-    tmp_path = f"{args.output}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(trajectory, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, args.output)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 2
-
-    k, r, s = record["kernels"], record["replication"], record["sweep"]
-    c, e = record["cell"], record["executor"]
-    print(f"benchmark @ scale={scale.name} n_jobs={n_jobs} "
-          f"(kernel v{KERNEL_VERSION})")
-    print(f"  FCFS kernel : {k['fcfs_loop_s']:.3f}s loop -> "
-          f"{k['fcfs_fast_s']:.3f}s vectorized "
-          f"({k['fcfs_speedup']:.1f}x, {k['fcfs_jobs']} jobs)")
-    print(f"  PS kernel   : {k['ps_loop_s']:.3f}s loop -> "
-          f"{k['ps_fast_s']:.3f}s segmented "
-          f"({k['ps_speedup']:.1f}x, {k['ps_jobs']} jobs, "
-          f"backend={k['ps_backend']})")
-    for d in ("ps", "fcfs"):
-        print(f"  {d.upper():4} run    : {r[d]['engine_s']:.3f}s engine -> "
-              f"{r[d]['fast_s']:.3f}s fast path ({r[d]['speedup']:.1f}x, "
-              f"agree={r[d]['agree']})")
-    print(f"  sweep       : serial {s['serial_s']:.3f}s, "
-          f"grid {s['grid_s']:.3f}s (identical={s['grid_identical']})")
-    print(f"  cache       : cold {s['cache_cold_s']:.3f}s "
-          f"({s['cache_cold_hits']} hits) -> warm {s['cache_warm_s']:.3f}s "
-          f"({s['cache_warm_hits']} hits, {s['cache_speedup']:.1f}x)")
-    print(f"  cell batch  : fcfs flat {c['flat_s']:.3f}s -> cell "
-          f"{c['cell_s']:.3f}s ({c['cell_speedup']:.2f}x); "
-          f"ps flat {c['flat_ps_s']:.3f}s -> cell "
-          f"{c['cell_ps_s']:.3f}s ({c['cell_speedup_ps']:.2f}x, "
-          f"identical={c['cell_identical']})")
-    for pp in c["paired"]:
-        print(f"  paired CI   : skew {pp['skew']:g}: "
-              f"±{pp['paired_half_width']:.4g} paired vs "
-              f"±{pp['unpaired_half_width']:.4g} unpaired "
-              f"({pp['paired_vs_unpaired']:.2f}x, n={pp['replications']}, "
-              f"{pp['verdict']})")
-    print(f"  executor    : {e['small_tasks']} tasks via pool "
-          f"{e['pool_s']:.3f}s -> auto-serial {e['auto_serial_s']:.3f}s "
-          f"({e['auto_serial_speedup']:.1f}x)")
-    t = record["telemetry"]
-    print(f"  telemetry   : noop span {t['noop_span_ns']:.0f}ns, "
-          f"{t['events_per_replication']} events/rep, disabled overhead "
-          f"{t['overhead_fraction']:.3%} (<2%), "
-          f"trace identical={t['trace_identical']}")
-    if "serve" in record:
-        sv = record["serve"]
-        print(f"  serve       : ref {sv['reference_s']:.3f}s -> fast "
-              f"{sv['fast_s']:.3f}s ({sv['serve_speedup']:.1f}x, "
-              f"{sv['jobs_per_sec']:,.0f} jobs/s, dispatch "
-              f"{sv['dispatch_ns_per_job']:.0f}ns/job, "
-              f"identical={sv['report_identical']}, "
-              f"backend={sv['backend']})")
-    if "net" in record:
-        nv = record["net"]
-        print(f"  net         : inproc {nv['inproc_s']:.3f}s "
-              f"({nv['inproc_jobs_per_sec']:,.0f} jobs/s) -> sockets "
-              f"{nv['socket_s']:.3f}s ({nv['jobs_per_sec']:,.0f} jobs/s "
-              f"under overload), dispatch "
-              f"{nv['dispatch_ns_per_job']:.0f}ns/job "
-              f"(ceiling {nv['dispatch_ceiling_ns']:.0f}), rtt p50/p99 "
-              f"{nv['rtt_p50_s'] * 1e3:.1f}/{nv['rtt_p99_s'] * 1e3:.1f}ms, "
-              f"identical={nv['report_identical']}/"
-              f"{nv['overload_report_identical']}/"
-              f"{nv['rejoin_report_identical']}, "
-              f"rebalance sheds 0 vs {nv['even_split_shed']} even, "
-              f"inflight {nv['peak_inflight']}/{nv['max_inflight']}, "
-              f"queue {nv['peak_submit_queue']}/{nv['queue_limit']}")
-    if gate_summary is not None:
-        print(gate_summary)
-    print(f"trajectory point #{len(trajectory)} appended to {args.output}")
-    return 0
+    return run_bench(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -43,7 +43,6 @@ the observability layer is under the same gate as the control loop.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import tempfile
@@ -55,6 +54,7 @@ from ..faults.aware import survivor_fractions
 from ..faults.models import FaultConfig, FaultEvent, RetryPolicy
 from ..net import run_in_process, run_sockets
 from ..obs import counters
+from ..obs.digest import reports_identical
 from ..service import (
     SchedulerService,
     ServiceCheckpoint,
@@ -347,9 +347,7 @@ def _check_crash_resume(scenario: ChaosScenario, outcome: ChaosOutcome):
             return baseline
         resumed_service.restore(state)
         resumed = resumed_service.run()
-        a = json.dumps(baseline.as_dict(), sort_keys=True)
-        b = json.dumps(resumed.as_dict(), sort_keys=True)
-        if a != b:
+        if not reports_identical(baseline, resumed):
             outcome.violations.append(
                 "resumed report differs from the uninterrupted run"
             )
@@ -378,9 +376,7 @@ def _check_net_kill(scenario: ChaosScenario, outcome: ChaosOutcome):
     live = asyncio.run(run_sockets(config, scenario.source(), kill=kill))
     delta = counters.diff_since(before)
     report = live.report
-    a = json.dumps(sim.report.as_dict(), sort_keys=True)
-    b = json.dumps(report.as_dict(), sort_keys=True)
-    if a != b:
+    if not reports_identical(sim.report, report):
         outcome.violations.append(
             "live socket report differs from the in-process run"
         )
@@ -458,9 +454,7 @@ def _check_net_rejoin(scenario: ChaosScenario, outcome: ChaosOutcome):
     )
     delta = counters.diff_since(before)
     report = live.report
-    a = json.dumps(sim.report.as_dict(), sort_keys=True)
-    b = json.dumps(report.as_dict(), sort_keys=True)
-    if a != b:
+    if not reports_identical(sim.report, report):
         outcome.violations.append(
             "live kill+rejoin report differs from the in-process run"
         )

@@ -15,10 +15,17 @@ to dict ordering.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
-__all__ = ["digest_arrays", "sweep_digest", "figure2_digest", "results_digest"]
+__all__ = [
+    "digest_arrays",
+    "sweep_digest",
+    "figure2_digest",
+    "results_digest",
+    "reports_identical",
+]
 
 
 def digest_arrays(named_arrays) -> str:
@@ -92,4 +99,17 @@ def results_digest(results) -> str:
             ("busy", [s.busy_time for s in results.servers]),
             ("arrivals", [results.total_arrivals]),
         ]
+    )
+
+
+def reports_identical(a, b) -> bool:
+    """Whether two service reports are equal field for field.
+
+    Takes anything with ``as_dict()`` (a ``ServiceReport``).  Comparing
+    the sorted JSON text keeps NaN fields comparable, so this is a
+    bit-identity check, not an approximate one.
+    """
+    return (
+        json.dumps(a.as_dict(), sort_keys=True)
+        == json.dumps(b.as_dict(), sort_keys=True)
     )

@@ -133,9 +133,67 @@ class TestBench:
             assert point["verdict"] in ("a_wins", "b_wins", "tie")
 
         # A second invocation appends rather than overwrites.
-        assert main(["bench", "--output", str(out_path)]) == 0
+        assert main(["bench", "--output", str(out_path), "--serve",
+                     "--net"]) == 0
         capsys.readouterr()
-        assert len(json.loads(out_path.read_text())) == 2
+        trajectory = json.loads(out_path.read_text())
+        assert len(trajectory) == 2
+
+        # check_gate skips a path it cannot find, so every path the gate
+        # reads must resolve in a full record or that check is off.
+        from repro.obs import gate
+
+        record = trajectory[1]
+        paths = [p for p, _ in gate._RATIOS] + list(gate._IDENTITY_FLAGS)
+        for table in (gate._FLOORS, gate._CEILINGS):
+            for path, _, _, _, guard in table:
+                paths.append(path)
+                if guard is not None:
+                    assert gate._lookup(record, guard[0]) is not None, guard
+        c_kernel = record["kernels"]["fcfs_backend"] == "c"
+        for path in paths:
+            value = gate._lookup(record, path)
+            if path == "kernels.fcfs_bit_identical" and not c_kernel:
+                assert value is None
+                continue
+            assert isinstance(value, (bool, int, float)), (path, value)
+
+    def test_failed_section_exits_1_and_appends_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.bench.sections as sections
+
+        out_path = tmp_path / "BENCH_sweep.json"
+        out_path.write_text('[{"scale": "smoke"}]\n')
+        before = out_path.read_bytes()
+        real = sections.fcfs_replay
+
+        def perturbed(times, work, speed):
+            out = real(times, work, speed)
+            out[len(out) // 2] += 1.0
+            return out
+
+        monkeypatch.setattr(sections, "fcfs_replay", perturbed)
+        assert main(["bench", "--output", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "error: FCFS kernel disagrees with reference loop"
+        )
+        assert captured.out == ""
+        assert out_path.read_bytes() == before
+
+    def test_corrupt_trajectory_exits_2_untouched(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "BENCH_sweep.json"
+        history = [{"scale": "smoke", "timestamp": f"t{i}"} for i in range(20)]
+        out_path.write_text(json.dumps(history, indent=2)[:200])  # truncated
+        before = out_path.read_bytes()
+        code = main(["bench", "--scale", "smoke", "--gate",
+                     "--output", str(out_path)])
+        assert code == 2
+        assert str(out_path) in capsys.readouterr().err
+        assert out_path.read_bytes() == before
 
     def test_bench_rejects_bad_n_jobs(self, capsys, tmp_path):
         code = main(["bench", "--n-jobs", "zero",

@@ -5,8 +5,9 @@ start-up memory, and neither is needed to simulate or serve: the normal
 and Student-t functions come from ``scipy.special`` (the same bits), and
 the two root/minimize solvers import ``scipy.optimize`` where they run.
 A module-level import creeping back would also put a lazy import inside
-the first timed pass of a benchmark, so this runs a smoke sweep and a
-smoke fault-mode serve in a fresh interpreter and checks ``sys.modules``.
+the first timed pass of a benchmark, so this runs a smoke sweep, a smoke
+fault-mode serve and a smoke ``bench`` in a fresh interpreter and
+checks ``sys.modules``.
 """
 
 import json
@@ -26,6 +27,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     main(["serve", "--speeds", "1,2,3", "--utilization", "0.6",
           "--duration", "2000", "--resolve-period", "100",
           "--faults", "mtbf=500,mttr=50", "--json"])
+    main(["bench", "--scale", "smoke", "--output", "BENCH_probe.json"])
 print(json.dumps(sorted(
     m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules
 )))
