@@ -13,6 +13,7 @@ from .evaluate import (
     evaluate_policy,
     evaluate_policy_to_precision,
     run_policy_once,
+    summarize_outcomes,
 )
 from .executor import (
     CellTask,
@@ -23,7 +24,6 @@ from .executor import (
     run_replication_grid,
     shared_executor,
     shutdown_shared_executor,
-    summarize_outcomes,
 )
 from .parallel import evaluate_policy_parallel
 from .policies import PAPER_POLICIES, SchedulingPolicy, get_policy, policy_names

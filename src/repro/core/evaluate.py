@@ -8,7 +8,9 @@ confidence intervals per metric.
 Static policies under the PS and FCFS disciplines are routed to the
 vectorized fast path automatically (identical statistics, several times
 faster); Dynamic Least-Load and the finite-quantum discipline go through
-the event engine.
+the event engine.  Every evaluator — serial, precision-driven, cell and
+grid — folds per-replication outcome tuples through
+:func:`summarize_outcomes`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "evaluate_cell",
     "evaluate_cell_to_precision",
     "run_policy_once",
+    "summarize_outcomes",
 ]
 
 
@@ -80,6 +83,30 @@ class PolicyEvaluation:
             ) from None
 
 
+#: Metric names tracked per replication, in outcome-tuple order (see
+#: :func:`_result_outcome`).
+_TRACKED_METRICS = ("mean_response_time", "mean_response_ratio", "fairness")
+
+
+def _check_metric(metric: str) -> int:
+    """Outcome-tuple index of *metric*; ``KeyError`` naming the choices."""
+    try:
+        return _TRACKED_METRICS.index(metric)
+    except ValueError:
+        raise KeyError(
+            f"unknown metric {metric!r}; expected one of {sorted(_TRACKED_METRICS)}"
+        ) from None
+
+
+def _static_fast(config: SimulationConfig, policy) -> bool:
+    """Whether *policy* on *config* replays on the static fast path."""
+    return (
+        policy.is_static
+        and config.discipline in ("ps", "fcfs")
+        and (config.faults is None or not config.faults.enabled)
+    )
+
+
 def run_policy_once(
     config: SimulationConfig,
     policy: SchedulingPolicy,
@@ -97,14 +124,7 @@ def run_policy_once(
     network = config.network()
     alphas = policy.fractions(network)
     dispatcher = policy.build_dispatcher(config.speeds, substream(seed, "dispatch"))
-    use_fast = (
-        policy.is_static
-        and dispatcher.is_static
-        and config.discipline in ("ps", "fcfs")
-        and not force_engine
-        and (config.faults is None or not config.faults.enabled)
-    )
-    if use_fast:
+    if not force_engine and dispatcher.is_static and _static_fast(config, policy):
         result = run_static_simulation(
             config, dispatcher, alphas, seed=seed, record_trace=record_trace
         )
@@ -114,6 +134,56 @@ def run_policy_once(
         )
     counters.record_run(result)
     return result
+
+
+def _result_outcome(result: SimulationResults) -> tuple:
+    """The per-replication outcome tuple stored in caches/checkpoints."""
+    return (
+        result.metrics.mean_response_time,
+        result.metrics.mean_response_ratio,
+        result.metrics.fairness,
+        result.metrics.jobs,
+        result.dispatch_fractions,
+        result.loss_rate,
+    )
+
+
+def summarize_outcomes(
+    policy_name: str,
+    config: SimulationConfig,
+    outcomes,
+    *,
+    confidence: float = 0.95,
+) -> PolicyEvaluation:
+    """Fold per-replication outcome tuples (in seed order) into a
+    :class:`PolicyEvaluation` — the one fold every evaluator uses, so
+    serial, cached, cell-batched and parallel summaries are
+    bit-identical.  ``loss_rate`` is summarized on fault-enabled
+    configs only."""
+    outcomes = list(outcomes)
+    times = [o[0] for o in outcomes]
+    ratios = [o[1] for o in outcomes]
+    fairs = [o[2] for o in outcomes]
+    jobs = [o[3] for o in outcomes]
+    fractions = np.zeros(config.n)
+    for o in outcomes:
+        fractions += o[4]
+    loss = None
+    if config.faults is not None and config.faults.enabled:
+        loss = summarize_replications(
+            [o[5] if len(o) > 5 else 0.0 for o in outcomes], confidence
+        )
+    return PolicyEvaluation(
+        policy_name=policy_name,
+        config=config,
+        mean_response_time=summarize_replications(times, confidence),
+        mean_response_ratio=summarize_replications(ratios, confidence),
+        fairness=summarize_replications(fairs, confidence),
+        dispatch_fractions=fractions / len(outcomes),
+        replications=len(outcomes),
+        jobs_per_replication=float(np.mean(jobs)),
+        loss_rate=loss,
+    )
 
 
 def evaluate_policy(
@@ -128,28 +198,13 @@ def evaluate_policy(
     """Replicate :func:`run_policy_once` and summarize the paper metrics."""
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
-    seeds = replication_seeds(base_seed, replications)
-    times, ratios, fairs, jobs = [], [], [], []
-    fractions = np.zeros(config.n)
-    for seed in seeds:
-        result = run_policy_once(
-            config, policy, seed=seed, force_engine=force_engine
+    outcomes = [
+        _result_outcome(
+            run_policy_once(config, policy, seed=seed, force_engine=force_engine)
         )
-        times.append(result.metrics.mean_response_time)
-        ratios.append(result.metrics.mean_response_ratio)
-        fairs.append(result.metrics.fairness)
-        jobs.append(result.metrics.jobs)
-        fractions += result.dispatch_fractions
-    return PolicyEvaluation(
-        policy_name=policy.name,
-        config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
-        dispatch_fractions=fractions / replications,
-        replications=replications,
-        jobs_per_replication=float(np.mean(jobs)),
-    )
+        for seed in replication_seeds(base_seed, replications)
+    ]
+    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
 def evaluate_policy_to_precision(
@@ -189,11 +244,9 @@ def evaluate_policy_to_precision(
             f"need 1 <= min_replications <= max_replications, got "
             f"{min_replications}/{max_replications}"
         )
-    seeds = replication_seeds(base_seed, max_replications)
-    times, ratios, fairs, jobs = [], [], [], []
-    fractions = np.zeros(config.n)
-    done = 0
-    for seed in seeds:
+    index = _check_metric(metric)
+    outcomes = []
+    for seed in replication_seeds(base_seed, max_replications):
         # Cache entries are keyed like the grid executor's (registry
         # policies carry no estimation error, so keys coincide and the
         # two paths share entries).
@@ -202,48 +255,15 @@ def evaluate_policy_to_precision(
             if cache is not None
             else None
         )
-        hit = cache.get(key) if key is not None else None
-        if hit is not None:
-            time_, ratio, fair, jobs_n, fracs = hit[:5]
-            times.append(time_)
-            ratios.append(ratio)
-            fairs.append(fair)
-            jobs.append(jobs_n)
-            fractions += np.asarray(fracs, dtype=float)
-        else:
-            result = run_policy_once(config, policy, seed=seed)
-            times.append(result.metrics.mean_response_time)
-            ratios.append(result.metrics.mean_response_ratio)
-            fairs.append(result.metrics.fairness)
-            jobs.append(result.metrics.jobs)
-            fractions += result.dispatch_fractions
+        outcome = cache.get(key) if key is not None else None
+        if outcome is None:
+            outcome = _result_outcome(run_policy_once(config, policy, seed=seed))
             if key is not None:
-                cache.put(
-                    key,
-                    (
-                        result.metrics.mean_response_time,
-                        result.metrics.mean_response_ratio,
-                        result.metrics.fairness,
-                        result.metrics.jobs,
-                        result.dispatch_fractions,
-                        result.loss_rate,
-                    ),
-                )
-        done += 1
-        if done < min_replications:
+                cache.put(key, outcome)
+        outcomes.append(outcome)
+        if len(outcomes) < min_replications:
             continue
-        tracked = {
-            "mean_response_time": times,
-            "mean_response_ratio": ratios,
-            "fairness": fairs,
-        }
-        try:
-            values = tracked[metric]
-        except KeyError:
-            raise KeyError(
-                f"unknown metric {metric!r}; expected one of {sorted(tracked)}"
-            ) from None
-        summary = summarize_replications(values, confidence)
+        summary = summarize_replications([o[index] for o in outcomes], confidence)
         # A degenerate interval (zero variance, or NaN-poisoned inputs
         # collapsing to a flagged zero width) is final: more
         # replications of the same degenerate data can never tighten
@@ -252,20 +272,7 @@ def evaluate_policy_to_precision(
             summary.relative_half_width <= target_relative_half_width
         ):
             break
-    return PolicyEvaluation(
-        policy_name=policy.name,
-        config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
-        dispatch_fractions=fractions / done,
-        replications=done,
-        jobs_per_replication=float(np.mean(jobs)),
-    )
-
-
-#: Metric names tracked per replication by the cell evaluators.
-_CELL_METRICS = ("mean_response_time", "mean_response_ratio", "fairness")
+    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
 @dataclass(frozen=True)
@@ -314,10 +321,7 @@ class CellEvaluation:
                 raise KeyError(
                     f"unknown policy {name!r}; have {self.policy_names}"
                 )
-        if metric not in _CELL_METRICS:
-            raise KeyError(
-                f"unknown metric {metric!r}; expected one of {sorted(_CELL_METRICS)}"
-            )
+        _check_metric(metric)
         return summarize_paired(
             self.samples[a][metric],
             self.samples[b][metric],
@@ -338,80 +342,63 @@ def _resolve_policies(policies) -> list[SchedulingPolicy]:
 
 def _cell_fast_indices(config: SimulationConfig, policies) -> set[int]:
     """Policy indices eligible for the batched static fast path."""
-    if config.discipline not in ("ps", "fcfs"):
-        return set()
-    if config.faults is not None and config.faults.enabled:
-        return set()
-    return {pi for pi, p in enumerate(policies) if p.is_static}
+    return {pi for pi, p in enumerate(policies) if _static_fast(config, p)}
 
 
-def _run_cell_replication(
+def _run_cell_outcomes(
     config: SimulationConfig,
     policies,
     seeds,
-    r: int,
+    reps,
     pool: StreamPool,
-    fast: set[int],
-) -> dict[int, SimulationResults]:
-    """Replication *r* of every policy: batched where eligible, event
-    engine per member otherwise (identical seeds either way)."""
-    out: dict[int, SimulationResults] = {}
-    members = [(pi, r) for pi in sorted(fast)]
-    if members:
-        for (pi, _), result in run_cell(
-            config, policies, seeds, pool=pool, members=members
-        ).items():
-            out[pi] = result
-    for pi, policy in enumerate(policies):
-        if pi not in fast:
-            out[pi] = run_policy_once(config, policy, seed=seeds[r])
-    return out
+    outcomes: list[list[tuple]],
+) -> None:
+    """Append replications *reps* of every policy to ``outcomes[pi]``.
+
+    Every eligible member goes through one batched :func:`run_cell`
+    call (replications share the round-robin sequence memo and the
+    per-call setup); the rest run :func:`run_policy_once` member by
+    member.  The seeds are the same either way.
+    """
+    fast = _cell_fast_indices(config, policies)
+    members = [(pi, r) for r in reps for pi in sorted(fast)]
+    batched = (
+        run_cell(config, policies, seeds, pool=pool, members=members)
+        if members
+        else {}
+    )
+    for r in reps:
+        for pi, policy in enumerate(policies):
+            result = batched.get((pi, r))
+            if result is None:
+                result = run_policy_once(config, policy, seed=seeds[r])
+            outcomes[pi].append(_result_outcome(result))
 
 
 def _summarize_cell(
     config: SimulationConfig,
     policies,
-    per_policy: list[dict[str, list]],
+    outcomes: list[list[tuple]],
     confidence: float,
     stream_misses: int,
 ) -> CellEvaluation:
     evaluations: dict[str, PolicyEvaluation] = {}
     samples: dict[str, dict[str, tuple[float, ...]]] = {}
-    replications = len(per_policy[0]["mean_response_ratio"])
-    for policy, acc in zip(policies, per_policy):
-        evaluations[policy.name] = PolicyEvaluation(
-            policy_name=policy.name,
-            config=config,
-            mean_response_time=summarize_replications(
-                acc["mean_response_time"], confidence
-            ),
-            mean_response_ratio=summarize_replications(
-                acc["mean_response_ratio"], confidence
-            ),
-            fairness=summarize_replications(acc["fairness"], confidence),
-            dispatch_fractions=acc["fractions"] / replications,
-            replications=replications,
-            jobs_per_replication=float(np.mean(acc["jobs"])),
+    for policy, outs in zip(policies, outcomes):
+        evaluations[policy.name] = summarize_outcomes(
+            policy.name, config, outs, confidence=confidence
         )
         samples[policy.name] = {
-            m: tuple(acc[m]) for m in _CELL_METRICS
+            m: tuple(o[i] for o in outs) for i, m in enumerate(_TRACKED_METRICS)
         }
     return CellEvaluation(
         config=config,
         evaluations=evaluations,
         samples=samples,
-        replications=replications,
+        replications=len(outcomes[0]),
         confidence=confidence,
         stream_misses=stream_misses,
     )
-
-
-def _accumulate(acc: dict, result: SimulationResults) -> None:
-    acc["mean_response_time"].append(result.metrics.mean_response_time)
-    acc["mean_response_ratio"].append(result.metrics.mean_response_ratio)
-    acc["fairness"].append(result.metrics.fairness)
-    acc["jobs"].append(result.metrics.jobs)
-    acc["fractions"] += result.dispatch_fractions
 
 
 def evaluate_cell(
@@ -435,33 +422,13 @@ def evaluate_cell(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     policies = _resolve_policies(policies)
-    seeds = replication_seeds(base_seed, replications)
     pool = StreamPool()
-    fast = _cell_fast_indices(config, policies)
-    per_policy = [
-        {m: [] for m in _CELL_METRICS} | {"jobs": [], "fractions": np.zeros(config.n)}
-        for _ in policies
-    ]
-    # One batched run_cell call for every (fast policy, replication)
-    # member: replications share the round-robin sequence memo and the
-    # per-call setup, and each replication still materializes its own
-    # streams internally, so results are bit-identical to per-rep calls.
-    members = [(pi, r) for r in range(replications) for pi in sorted(fast)]
-    batched = (
-        run_cell(config, policies, seeds, pool=pool, members=members)
-        if members
-        else {}
+    outcomes: list[list[tuple]] = [[] for _ in policies]
+    _run_cell_outcomes(
+        config, policies, replication_seeds(base_seed, replications),
+        range(replications), pool, outcomes,
     )
-    for r in range(replications):
-        for pi in range(len(policies)):
-            if pi in fast:
-                _accumulate(per_policy[pi], batched[(pi, r)])
-            else:
-                _accumulate(
-                    per_policy[pi],
-                    run_policy_once(config, policies[pi], seed=seeds[r]),
-                )
-    return _summarize_cell(config, policies, per_policy, confidence, pool.misses)
+    return _summarize_cell(config, policies, outcomes, confidence, pool.misses)
 
 
 def evaluate_cell_to_precision(
@@ -503,10 +470,7 @@ def evaluate_cell_to_precision(
             f"need 1 <= min_replications <= max_replications, got "
             f"{min_replications}/{max_replications}"
         )
-    if metric not in _CELL_METRICS:
-        raise KeyError(
-            f"unknown metric {metric!r}; expected one of {sorted(_CELL_METRICS)}"
-        )
+    index = _check_metric(metric)
     policies = _resolve_policies(policies)
     names = [p.name for p in policies]
     if paired_baseline is not None and paired_baseline not in names:
@@ -515,11 +479,10 @@ def evaluate_cell_to_precision(
         )
     seeds = replication_seeds(base_seed, max_replications)
     pool = StreamPool()
-    fast = _cell_fast_indices(config, policies)
-    per_policy = [
-        {m: [] for m in _CELL_METRICS} | {"jobs": [], "fractions": np.zeros(config.n)}
-        for _ in policies
-    ]
+    outcomes: list[list[tuple]] = [[] for _ in policies]
+
+    def values(pi: int) -> list[float]:
+        return [o[index] for o in outcomes[pi]]
 
     def _summary_converged(summary) -> bool:
         # Degenerate intervals (n=1 guards never trigger here, but zero
@@ -533,11 +496,11 @@ def evaluate_cell_to_precision(
     def converged() -> bool:
         if paired_baseline is None:
             return all(
-                _summary_converged(summarize_replications(acc[metric], confidence))
-                for acc in per_policy
+                _summary_converged(summarize_replications(values(pi), confidence))
+                for pi in range(len(policies))
             )
         bi = names.index(paired_baseline)
-        base_values = per_policy[bi][metric]
+        base_values = values(bi)
         scale = abs(float(np.mean(base_values)))
         if scale == 0.0 or not np.isfinite(scale):
             # The paired target is scaled by the baseline mean; with a
@@ -548,7 +511,7 @@ def evaluate_cell_to_precision(
         for pi in range(len(policies)):
             if pi == bi:
                 continue
-            ps = summarize_paired(per_policy[pi][metric], base_values, confidence)
+            ps = summarize_paired(values(pi), base_values, confidence)
             if not (
                 ps.degenerate
                 or ps.half_width <= target_relative_half_width * scale
@@ -556,13 +519,8 @@ def evaluate_cell_to_precision(
                 return False
         return True
 
-    done = 0
     for r in range(max_replications):
-        for pi, result in _run_cell_replication(
-            config, policies, seeds, r, pool, fast
-        ).items():
-            _accumulate(per_policy[pi], result)
-        done += 1
-        if done >= min_replications and converged():
+        _run_cell_outcomes(config, policies, seeds, [r], pool, outcomes)
+        if r + 1 >= min_replications and converged():
             break
-    return _summarize_cell(config, policies, per_policy, confidence, pool.misses)
+    return _summarize_cell(config, policies, outcomes, confidence, pool.misses)

@@ -55,7 +55,6 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from ..metrics import summarize_replications
 from ..obs import counters
 from ..obs.spans import span
 from ..sim import run_cell
@@ -63,7 +62,12 @@ from ..sim.config import SimulationConfig
 from ..sim.streams import SharedStreamPool, StreamPool, attach_streams
 from .cache import ReplicationCache
 from .checkpoint import SweepCheckpoint
-from .evaluate import PolicyEvaluation, _cell_fast_indices, run_policy_once
+from .evaluate import (
+    _cell_fast_indices,
+    _result_outcome,
+    run_policy_once,
+    summarize_outcomes,
+)
 from .policies import get_policy
 
 __all__ = [
@@ -257,18 +261,6 @@ class GridReport:
     checkpoint_hits: int = 0
     #: Task attempts beyond the first (crashes/timeouts that recovered).
     retried: int = 0
-
-
-def _result_outcome(result):
-    """The per-replication outcome tuple stored in caches/checkpoints."""
-    return (
-        result.metrics.mean_response_time,
-        result.metrics.mean_response_ratio,
-        result.metrics.fairness,
-        result.metrics.jobs,
-        result.dispatch_fractions,
-        result.loss_rate,
-    )
 
 
 def _run_replication(task: ReplicationTask):
@@ -741,39 +733,3 @@ def run_cell_grid(
         raise GridTaskError(failures, total)
     return report
 
-
-def summarize_outcomes(
-    policy_name: str,
-    config: SimulationConfig,
-    outcomes,
-    *,
-    confidence: float = 0.95,
-) -> PolicyEvaluation:
-    """Fold per-replication outcome tuples (in seed order) into a
-    :class:`PolicyEvaluation` — the same accumulation order as the
-    serial :func:`~repro.core.evaluate.evaluate_policy` loop, so the
-    summary is bit-identical to the serial path."""
-    outcomes = list(outcomes)
-    times = [o[0] for o in outcomes]
-    ratios = [o[1] for o in outcomes]
-    fairs = [o[2] for o in outcomes]
-    jobs = [o[3] for o in outcomes]
-    fractions = np.zeros(config.n)
-    for o in outcomes:
-        fractions += o[4]
-    loss = None
-    if config.faults is not None and config.faults.enabled:
-        loss = summarize_replications(
-            [o[5] if len(o) > 5 else 0.0 for o in outcomes], confidence
-        )
-    return PolicyEvaluation(
-        policy_name=policy_name,
-        config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
-        dispatch_fractions=fractions / len(outcomes),
-        replications=len(outcomes),
-        jobs_per_replication=float(np.mean(jobs)),
-        loss_rate=loss,
-    )

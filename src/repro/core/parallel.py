@@ -25,8 +25,8 @@ from __future__ import annotations
 from ..rng import replication_seeds
 from ..sim.config import SimulationConfig
 from .cache import ReplicationCache
-from .evaluate import PolicyEvaluation
-from .executor import ReplicationTask, run_replication_grid, summarize_outcomes
+from .evaluate import PolicyEvaluation, summarize_outcomes
+from .executor import ReplicationTask, run_replication_grid
 from .policies import get_policy
 
 __all__ = ["evaluate_policy_parallel"]

@@ -77,48 +77,24 @@ class MetricsCollector:
         self.job_size.add(size)
 
     def record_batch(
-        self,
-        arrivals: np.ndarray,
-        completions: np.ndarray,
-        sizes: np.ndarray,
-        *,
-        assume_valid: bool = False,
-        arrivals_sorted: bool = False,
+        self, arrivals: np.ndarray, completions: np.ndarray, sizes: np.ndarray
     ) -> None:
-        """Vectorized form of :meth:`record` for the fast path.
-
-        ``assume_valid`` skips the completion/size sanity scans — for
-        callers that already validated the whole stream (the static fast
-        path checks sizes once per replication and its replay kernels
-        produce completions at or after arrival by construction).
-        ``arrivals_sorted`` replaces the warm-up boolean gather with a
-        binary-searched suffix slice; the surviving jobs — and therefore
-        the accumulated bits — are identical, the copies are not made.
-        """
+        """Vectorized form of :meth:`record`."""
         arrivals = np.asarray(arrivals, dtype=float)
         completions = np.asarray(completions, dtype=float)
         sizes = np.asarray(sizes, dtype=float)
         if not (arrivals.shape == completions.shape == sizes.shape):
             raise ValueError("arrival/completion/size arrays must align")
-        if not assume_valid:
-            if np.any(completions < arrivals):
-                raise ValueError("some completions precede their arrivals")
-            if np.any(sizes <= 0):
-                raise ValueError("job sizes must be positive")
-        if arrivals_sorted:
-            cut = int(np.searchsorted(arrivals, self.warmup_end, side="left"))
-            if cut >= arrivals.size:
-                return
-            arrivals = arrivals[cut:]
-            completions = completions[cut:]
-            sizes = sizes[cut:]
-        else:
-            keep = arrivals >= self.warmup_end
-            if not np.any(keep):
-                return
-            arrivals = arrivals[keep]
-            completions = completions[keep]
-            sizes = sizes[keep]
+        if np.any(completions < arrivals):
+            raise ValueError("some completions precede their arrivals")
+        if np.any(sizes <= 0):
+            raise ValueError("job sizes must be positive")
+        keep = arrivals >= self.warmup_end
+        if not np.any(keep):
+            return
+        arrivals = arrivals[keep]
+        completions = completions[keep]
+        sizes = sizes[keep]
         response = completions - arrivals
         self.response_time.add_array(response)
         self.response_ratio.add_array(response / sizes)

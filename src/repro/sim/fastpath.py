@@ -32,13 +32,18 @@ serving bank and the net server stubs carry ``free_at`` across windows.
 :func:`group_by_server` is the one stable group-by-server permutation
 the numpy fallbacks share.
 
-:func:`run_cell` batches the three stages across the (policy ×
-replication) members of one sweep cell: stage 1 runs once per
-replication through a :class:`~repro.sim.streams.StreamPool` and the
-arrays are shared zero-copy across policies (common random numbers make
-them identical by construction), while stages 2–3 stay per-member — so
-every member's result is bit-identical to a private
-:func:`run_static_simulation` call with the same seed.
+:func:`_replay_cell_plans` is the one stage-3 path for dispatch plans.
+Given a replication's streams, validated once, it replays every unique
+plan of that replication (one fused compiled call, or the per-plan numpy
+fallback :func:`_replay_plan`) and summarizes each plan in one metrics
+pass.  :func:`run_static_simulation` hands it one plan;
+:func:`run_cell` hands it every unique plan of one replication of a
+sweep cell, after stage 1 ran once for that replication through a
+:class:`~repro.sim.streams.StreamPool` (common random numbers make the
+arrays identical across policies, so they are shared zero-copy); and
+:func:`repro.sim.trace.run_trace_simulation` hands it one plan over a
+recorded trace.  A flat run and a cell member with the same seed
+therefore produce the same bits by construction.
 
 Results are statistically identical to :func:`repro.sim.engine.run_simulation`
 (same RNG substreams, same boundary rules, drain semantics built in);
@@ -94,20 +99,28 @@ __all__ = [
 KERNEL_VERSION = "4"
 
 
-def _validate_substream(
-    arrival_times: np.ndarray, sizes: np.ndarray, speed: float
-) -> tuple[np.ndarray, np.ndarray]:
-    times = np.ascontiguousarray(arrival_times, dtype=float)
-    work = np.ascontiguousarray(sizes, dtype=float)
-    if times.shape != work.shape:
+def _validate_plan_inputs(
+    times, sizes, speeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-stream validation: contiguous float ``(times, sizes, speeds)``.
+
+    ``speeds`` is one server's speed or one speed per server.  Every
+    per-server slice of a non-decreasing stream is itself
+    non-decreasing, so one check covers every plan and every server of
+    a replication.
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    sizes = np.ascontiguousarray(sizes, dtype=float)
+    speeds = np.ascontiguousarray(speeds, dtype=float)
+    if times.shape != sizes.shape:
         raise ValueError("arrival_times and sizes must align")
     if times.size > 1 and np.any(np.diff(times) < 0):
         raise ValueError("arrival_times must be non-decreasing")
-    if np.any(work <= 0):
+    if np.any(sizes <= 0):
         raise ValueError("job sizes must be positive")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    return times, work
+    if np.any(speeds <= 0):
+        raise ValueError(f"speeds must be positive, got {speeds}")
+    return times, sizes, speeds
 
 
 def lindley_window(
@@ -159,13 +172,13 @@ def group_by_server(
 
 def fcfs_replay(arrival_times: np.ndarray, sizes: np.ndarray, speed: float) -> np.ndarray:
     """Exact FCFS replay of one server's substream (completion times)."""
-    times, work = _validate_substream(arrival_times, sizes, speed)
+    times, work, _ = _validate_plan_inputs(arrival_times, sizes, speed)
     return lindley_window(times, work, speed, -np.inf)[0]
 
 
 def _fcfs_replay_loop(arrival_times, sizes, speed: float) -> np.ndarray:
     """Naive per-job Lindley recursion — test oracle and bench baseline."""
-    times, work = _validate_substream(arrival_times, sizes, speed)
+    times, work, _ = _validate_plan_inputs(arrival_times, sizes, speed)
     out = np.empty(times.size)
     done = -np.inf
     for j in range(times.size):
@@ -234,7 +247,7 @@ def ps_replay(arrival_times: np.ndarray, sizes: np.ndarray, speed: float) -> np.
     (:func:`repro.sim.ckernel.replay_cell_c`); otherwise
     :func:`_ps_replay_core` computes the same bits in numpy and Python.
     """
-    times, work = _validate_substream(arrival_times, sizes, speed)
+    times, work, _ = _validate_plan_inputs(arrival_times, sizes, speed)
     fused = ckernel.cell_fn()
     if fused is None or times.size == 0:
         return _ps_replay_core(times, work, speed)
@@ -280,7 +293,7 @@ def _ps_replay_core(
 def _ps_replay_loop(arrival_times, sizes, speed: float) -> np.ndarray:
     """Single global heap loop over every job (the pre-segmentation
     implementation) — test oracle and bench baseline for :func:`ps_replay`."""
-    times, work = _validate_substream(arrival_times, sizes, speed)
+    times, work, _ = _validate_plan_inputs(arrival_times, sizes, speed)
     n = times.size
     completions = np.empty(n)
     heap: list[tuple[float, int]] = []
@@ -317,10 +330,10 @@ def _ps_replay_loop(arrival_times, sizes, speed: float) -> np.ndarray:
     return completions
 
 
-#: Discipline → validation-free numpy replay used by the fallback of
-#: :func:`_replay_plan`, which validates the whole arrival stream once
-#: instead of per server.  Its keys are the disciplines the fast path
-#: implements.
+#: Discipline → validation-free numpy replay used by the fallback
+#: :func:`_replay_plan` (:func:`_replay_cell_plans` validates the whole
+#: arrival stream once instead of per server).  Its keys are the
+#: disciplines the fast path implements.
 _REPLAY_CORES = {
     "ps": _ps_replay_core,
     "fcfs": lambda times, work, speed: lindley_window(
@@ -371,112 +384,62 @@ def _resolve_replay(config: SimulationConfig):
         ) from None
 
 
-def _replay_static(
-    config: SimulationConfig,
-    dispatcher: Dispatcher,
-    alphas,
-    times: np.ndarray,
-    sizes: np.ndarray,
-    record_trace: bool,
-) -> SimulationResults:
-    """Stages 2–3 for one member: dispatch, per-server replay, metrics."""
-    # Stage 2 — all dispatch decisions (memoized across replications
-    # for sequence-deterministic dispatchers like weighted round robin).
-    dispatcher.reset(alphas)
-    targets = _dispatch_targets(dispatcher, sizes)
-    return _replay_plan(config, targets, times, sizes, record_trace)
-
-
-def _validate_plan_inputs(
-    times: np.ndarray, sizes: np.ndarray, speeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-stream validation shared by every plan of a replication.
-
-    Every per-server slice of a non-decreasing stream is itself
-    non-decreasing, so validating once covers all plans and servers.
-    """
-    times = np.ascontiguousarray(times, dtype=float)
-    sizes = np.ascontiguousarray(sizes, dtype=float)
-    if times.shape != sizes.shape:
-        raise ValueError("arrival times and sizes must align")
-    if times.size > 1 and np.any(np.diff(times) < 0):
-        raise ValueError("arrival_times must be non-decreasing")
-    if np.any(sizes <= 0):
-        raise ValueError("job sizes must be positive")
-    if np.any(speeds <= 0):
-        raise ValueError("server speeds must be positive")
-    return times, sizes
-
-
 def _summarize_plan(
-    config: SimulationConfig,
     targets: np.ndarray,
     times: np.ndarray,
     sizes: np.ndarray,
-    completions: np.ndarray,
-    grouped_sizes: np.ndarray,
-    offsets: np.ndarray,
+    speeds: np.ndarray,
+    replay: tuple,
+    *,
+    cut: int,
+    job_size_stats: RunningStats | None,
+    warmup: float,
+    duration: float,
     record_trace: bool,
-    warmup_cut: int | None = None,
-    job_size_stats: RunningStats | None = None,
-    tail: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SimulationResults:
     """One plan's metrics pass over arrival-order completions.
 
-    ``grouped_sizes``/``offsets`` are the server-grouped job sizes and
-    group bounds from the replay stage (server ``i`` owns
-    ``grouped_sizes[offsets[i]:offsets[i+1]]``).  Arrivals are sorted,
-    so the post-warm-up jobs form a suffix: ``warmup_cut`` is its start
-    index (binary-searched here when not supplied; plans of one
-    replication share the stream, so callers may share the cut).  The
-    suffix holds exactly the jobs the boolean mask ``times >= warmup``
-    selects, in the same order — the accumulated bits are identical,
-    the gather copies are not made.  ``job_size_stats`` likewise depends
-    only on the stream, so one accumulation may serve every plan of a
-    replication: merging it into a fresh collector copies its aggregates
-    verbatim, the same bits a private accumulation would produce.
-    ``tail`` is this plan's ``(response, ratio, counts)`` precursor
-    slice from the compiled kernel (see
-    :func:`repro.sim.ckernel.replay_cell_c`) — elementwise subtraction
-    and division plus integer counts, bit-identical to the numpy
-    expressions computed here when absent.
+    ``replay`` is ``(completions, grouped_sizes, offsets, tail)`` from
+    the replay stage: server ``i`` owns
+    ``grouped_sizes[offsets[i]:offsets[i+1]]``, and ``tail`` is this
+    plan's ``(response, ratio, counts)`` precursor slice from the
+    compiled kernel (see :func:`repro.sim.ckernel.replay_cell_c`), or
+    None, in which case the same elementwise expressions and integer
+    counts are computed here in numpy — the same bits.  Arrivals are
+    sorted, so the post-warm-up jobs are the suffix from ``cut``: the
+    exact jobs, in the same order, that the boolean mask
+    ``times >= warmup`` selects, without the gather copies.
+    ``job_size_stats`` is that suffix's size accumulation (None when
+    the suffix is empty); it depends only on the stream, so one
+    accumulation serves every plan of a replication, and merging it
+    into a fresh collector copies its aggregates verbatim.
     """
-    n_servers = len(config.speeds)
+    completions, grouped_sizes, offsets, tail = replay
     with span("summarize", jobs=int(times.size)):
-        if warmup_cut is None:
-            warmup_cut = int(np.searchsorted(times, config.warmup, side="left"))
-        metrics = MetricsCollector(warmup_end=config.warmup)
-        dispatched_counts = None
-        if job_size_stats is not None and warmup_cut < times.size:
-            if tail is not None:
-                response, response_ratio, dispatched_counts = tail
-            else:
-                response = completions[warmup_cut:] - times[warmup_cut:]
-                response_ratio = response / sizes[warmup_cut:]
+        metrics = MetricsCollector(warmup_end=warmup)
+        if tail is not None:
+            response, response_ratio, dispatched_counts = tail
+        else:
+            response = completions[cut:] - times[cut:]
+            response_ratio = response / sizes[cut:]
+            dispatched_counts = np.bincount(targets[cut:], minlength=speeds.size)
+        if job_size_stats is not None:
             metrics.response_time.add_array(response)
             metrics.response_ratio.add_array(response_ratio)
             metrics.job_size.merge(job_size_stats)
-        else:
-            metrics.record_batch(
-                times, completions, sizes, assume_valid=True, arrivals_sorted=True
-            )
-        post_warmup_total = int(times.size) - warmup_cut
-        if dispatched_counts is None:
-            dispatched_counts = np.bincount(
-                targets[warmup_cut:], minlength=n_servers
-            )
+        post_warmup_total = int(times.size) - cut
         server_stats = []
-        for i, speed in enumerate(config.speeds):
+        for i, speed in enumerate(speeds.tolist()):
             lo, hi = int(offsets[i]), int(offsets[i + 1])
             server_stats.append(
                 ServerStats(
                     index=i,
-                    speed=float(speed),
+                    speed=speed,
                     jobs_received=hi - lo,
                     jobs_completed=hi - lo,
                     # PS and FCFS are work-conserving: busy time equals
                     # served work/speed.
-                    busy_time=float(grouped_sizes[lo:hi].sum()) / float(speed),
+                    busy_time=float(grouped_sizes[lo:hi].sum()) / speed,
                     dispatch_fraction=(
                         int(dispatched_counts[i]) / post_warmup_total
                         if post_warmup_total
@@ -491,68 +454,36 @@ def _summarize_plan(
         return SimulationResults(
             metrics=metrics.finalize(),
             servers=tuple(server_stats),
-            duration=config.duration,
-            warmup=config.warmup,
+            duration=duration,
+            warmup=warmup,
             total_arrivals=int(times.size),
             trace=trace,
         )
 
 
 def _replay_plan(
-    config: SimulationConfig,
     targets: np.ndarray,
     times: np.ndarray,
     sizes: np.ndarray,
-    record_trace: bool,
-    *,
-    validated: bool = False,
-) -> SimulationResults:
-    """Stage 3 for one dispatch plan: grouped replay plus one metrics pass.
+    speeds: np.ndarray,
+    discipline: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numpy stage 3 for one validated dispatch plan.
 
-    With the compiled kernel this is one fused C call (counting-sort
-    grouping, per-server replay, scatter back to arrival order —
-    :func:`repro.sim.ckernel.replay_cell_c` with a single plan, scratch
-    from the arena).  The numpy fallback groups with
+    Returns ``(completions, grouped_sizes, offsets)``.  Groups with
     :func:`group_by_server` — within a group the stable sort preserves
-    arrival order, so each server's slice is bit-identical to the
-    boolean-mask extraction it replaces — and replays per server in
-    Python.  Both paths produce the same bits by construction, and both
-    reject an out-of-range target with the same ``ValueError``.
+    arrival order, so each server's slice is bit-identical to a
+    boolean-mask extraction — and replays per server in Python, the
+    same bits as the compiled kernel.  An out-of-range target raises
+    the grouping's ``ValueError``.
     """
-    n_servers = len(config.speeds)
-    speeds = np.ascontiguousarray(config.speeds, dtype=float)
-    if not validated:
-        times, sizes = _validate_plan_inputs(times, sizes, speeds)
-
-    fused = ckernel.cell_fn()
-    counters.inc(
-        "kernel.engaged",
-        discipline=config.discipline,
-        backend="c" if fused is not None else "python",
-        version=KERNEL_VERSION,
-        threads=ckernel.omp_max_threads() if fused is not None else 1,
-    )
-    if fused is not None:
-        with span("replay", backend="c", servers=n_servers, jobs=int(times.size)):
-            comp, gw, offs, _, ok = ckernel.replay_cell_c(
-                fused, times, sizes, speeds, [targets],
-                config.discipline == "ps",
-            )
-        if ok:
-            return _summarize_plan(
-                config, targets, times, sizes, comp[0], gw[0], offs[0],
-                record_trace,
-            )
-        # Out-of-range target: fall through to the numpy path, whose
-        # grouping raises the error.
-
-    order, offsets = group_by_server(targets, n_servers)
+    order, offsets = group_by_server(targets, speeds.size)
     grouped_times = times[order]
     grouped_sizes = sizes[order]
     grouped_completions = np.empty_like(grouped_times)
 
-    core = _REPLAY_CORES[config.discipline]
-    for i in range(n_servers):
+    core = _REPLAY_CORES[discipline]
+    for i in range(speeds.size):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
         if lo == hi:
             continue
@@ -563,10 +494,7 @@ def _replay_plan(
 
     completions = np.empty_like(times)
     completions[order] = grouped_completions
-    return _summarize_plan(
-        config, targets, times, sizes, completions, grouped_sizes, offsets,
-        record_trace,
-    )
+    return completions, grouped_sizes, offsets
 
 
 def run_static_simulation(
@@ -585,8 +513,17 @@ def run_static_simulation(
     _resolve_replay(config)  # fail fast on unsupported disciplines
 
     # Stage 1 — all arrivals and sizes up front.
-    times, sizes = materialize_streams(config, seed)
-    return _replay_static(config, dispatcher, alphas, times, sizes, record_trace)
+    times, sizes, speeds = _validate_plan_inputs(
+        *materialize_streams(config, seed), config.speeds
+    )
+    # Stage 2 — all dispatch decisions (memoized across replications
+    # for sequence-deterministic dispatchers like weighted round robin).
+    dispatcher.reset(alphas)
+    targets = _dispatch_targets(dispatcher, sizes)
+    return _replay_cell_plans(
+        [targets], times, sizes, speeds, config.discipline,
+        config.warmup, config.duration, record_trace,
+    )[0]
 
 
 def run_cell(
@@ -624,8 +561,10 @@ def run_cell(
     Each member's result is bit-identical to
     :func:`run_static_simulation` with the same (config, seed): stage 1
     is shared across policies precisely because common random numbers
-    make the draws identical, and stages 2–3 run per member with the
-    dispatcher rebuilt from the member's own "dispatch" substream.
+    make the draws identical, stage 2 runs per member with the
+    dispatcher rebuilt from the member's own "dispatch" substream, and
+    stage 3 is the :func:`_replay_cell_plans` call a single run makes,
+    over every unique plan of the replication at once.
     """
     _resolve_replay(config)  # fail fast on unsupported disciplines
     seeds = list(seeds)
@@ -642,7 +581,6 @@ def run_cell(
         pool = StreamPool()
 
     network = config.network()
-    speeds = np.ascontiguousarray(config.speeds, dtype=float)
     alphas_memo: dict[int, object] = {}
     # Round-robin plans are a pure function of (alphas, guard_init,
     # count) — no stream dependence — so one materialized sequence
@@ -658,9 +596,9 @@ def run_cell(
 
     for r in sorted(by_rep):
         times, sizes = pool.get(config, seeds[r])
-        # Validate the shared streams once per replication: every plan
-        # replays the same arrays, so per-plan validation is redundant.
-        times, sizes = _validate_plan_inputs(times, sizes, speeds)
+        # Validate the shared streams once per replication, before
+        # stage 2: every plan replays the same arrays.
+        times, sizes, speeds = _validate_plan_inputs(times, sizes, config.speeds)
         # Dispatch-plan dedup, the cell-only optimization: two members
         # of the same replication whose stage-2 target sequences are
         # identical (ORR and WRR collapse to the same plan on a
@@ -745,7 +683,8 @@ def run_cell(
             member_plan[pi] = plan_idx
 
         plan_results = _replay_cell_plans(
-            config, plans, times, sizes, speeds, record_trace
+            plans, times, sizes, speeds, config.discipline,
+            config.warmup, config.duration, record_trace,
         )
         for pi in by_rep[r]:
             result = plan_results[member_plan[pi]]
@@ -757,65 +696,79 @@ def run_cell(
 
 
 def _replay_cell_plans(
-    config: SimulationConfig,
     plans: list[np.ndarray],
     times: np.ndarray,
     sizes: np.ndarray,
     speeds: np.ndarray,
+    discipline: str,
+    warmup: float,
+    duration: float,
     record_trace: bool,
 ) -> list[SimulationResults]:
     """Stage 3 for every unique dispatch plan of one replication.
 
-    With the compiled kernel the whole cell replays in ONE C call —
-    grouping, per-(plan, server) replay (OpenMP over disjoint slices),
-    and scatter-back share the materialized streams and the arena
-    scratch — followed by one numpy metrics pass per plan (kept in
-    numpy so the accumulation order, and hence the bits, match the flat
-    path).  Without it, each plan runs the per-plan fallback.
+    The one stage-3 path: single runs, trace replays and cell batches
+    all end here, each with streams checked once by
+    :func:`_validate_plan_inputs` (before stage 2, so its temporaries
+    never coexist with the plans).  With the compiled kernel every plan
+    replays in ONE C call — grouping, per-(plan, server) replay (OpenMP
+    over disjoint slices), scatter back and the post-warm-up precursors
+    share the streams and the arena scratch.  Without it, or when a
+    target is out of range (the numpy grouping then raises the error),
+    each plan runs :func:`_replay_plan`.  Either way each plan gets one
+    numpy metrics pass, :func:`_summarize_plan`.
     """
     if not plans:
         return []
+    cut = int(np.searchsorted(times, warmup, side="left"))
+    job_size_stats = None
+    if cut < times.size:
+        job_size_stats = RunningStats()
+        job_size_stats.add_array(sizes[cut:])
+
+    replays = None
     fused = ckernel.cell_fn()
     if fused is not None:
-        threads = ckernel.omp_max_threads()
         with span(
             "replay",
             backend="c",
             plans=len(plans),
-            servers=len(config.speeds),
+            servers=int(speeds.size),
             jobs=int(times.size),
         ):
-            cut = int(np.searchsorted(times, config.warmup, side="left"))
             comp, gw, offs, tail, ok = ckernel.replay_cell_c(
-                fused, times, sizes, speeds, plans,
-                config.discipline == "ps", warmup_cut=cut,
+                fused, times, sizes, speeds, plans, discipline == "ps",
+                warmup_cut=cut,
             )
         if ok:
-            job_size_stats = None
-            if cut < times.size:
-                job_size_stats = RunningStats()
-                job_size_stats.add_array(sizes[cut:])
-            out = []
-            for k, targets in enumerate(plans):
-                counters.inc(
-                    "kernel.engaged",
-                    discipline=config.discipline,
-                    backend="c",
-                    version=KERNEL_VERSION,
-                    threads=threads,
-                )
-                out.append(
-                    _summarize_plan(
-                        config, targets, times, sizes, comp[k], gw[k],
-                        offs[k], record_trace, warmup_cut=cut,
-                        job_size_stats=job_size_stats,
-                        tail=None if tail is None else (
-                            tail[0][k], tail[1][k], tail[2][k]
-                        ),
-                    )
-                )
-            return out
-    return [
-        _replay_plan(config, targets, times, sizes, record_trace, validated=True)
-        for targets in plans
-    ]
+            replays = [
+                (comp[k], gw[k], offs[k],
+                 None if tail is None else (tail[0][k], tail[1][k], tail[2][k]))
+                for k in range(len(plans))
+            ]
+    if replays is None:
+        backend, threads = "python", 1
+        replays = (
+            (*_replay_plan(targets, times, sizes, speeds, discipline), None)
+            for targets in plans
+        )
+    else:
+        backend, threads = "c", ckernel.omp_max_threads()
+
+    out = []
+    for targets, replay in zip(plans, replays):
+        counters.inc(
+            "kernel.engaged",
+            discipline=discipline,
+            backend=backend,
+            version=KERNEL_VERSION,
+            threads=threads,
+        )
+        out.append(
+            _summarize_plan(
+                targets, times, sizes, speeds, replay, cut=cut,
+                job_size_stats=job_size_stats, warmup=warmup,
+                duration=duration, record_trace=record_trace,
+            )
+        )
+    return out

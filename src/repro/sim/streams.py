@@ -7,9 +7,10 @@ a sweep cell policy-by-policy therefore re-samples identical arrays once
 per policy.  This module materializes each replication's streams exactly
 once and shares them:
 
-* :func:`materialize_streams` — the canonical stage-1 sampler, the same
-  operations :func:`~repro.sim.fastpath.run_static_simulation` always
-  performed, so pooled arrays are bit-identical to private draws;
+* :func:`materialize_streams` — the one stage-1 sampler.
+  :func:`~repro.sim.fastpath.run_static_simulation` draws through it
+  too, and single runs, cell batches and trace replays share one
+  stage-3 call, so pooled arrays replay to the bits of a private run;
 * :class:`StreamPool` — in-process LRU memo handing out read-only views
   (zero-copy across the policies of a cell);
 * :class:`SharedStreamPool` / :func:`attach_streams` — cross-process
@@ -47,9 +48,10 @@ def materialize_streams(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1 of the static fast path: all arrivals and sizes up front.
 
-    Exactly the draws :func:`run_static_simulation` performs — same
-    substream roles, same chunked samplers — so the arrays are
-    bit-identical to an unpooled run with the same (config, seed).
+    The draws :func:`~repro.sim.fastpath.run_static_simulation` makes
+    through this same function — same substream roles, same chunked
+    samplers — so the arrays are bit-identical to an unpooled run with
+    the same (config, seed).
     """
     with span("materialize") as sp:
         streams = StreamFactory(seed)

@@ -3,9 +3,12 @@
 The paper motivates its arrival model with Zhou's trace measurements
 (inter-arrival CV 2.64).  This module closes the loop for users who have
 real traces: load (time, size) pairs, inspect their moments, and replay
-them through the static-policy simulator — exactly the same dispatch and
-PS-replay machinery as the synthetic fast path, so results are directly
-comparable with the distribution-driven experiments.
+them through the static-policy simulator — the synthetic fast path's
+own dispatch stage and stage-3 replay call
+(:func:`repro.sim.fastpath._replay_cell_plans`) with the PS discipline,
+so results are directly comparable with the distribution-driven
+experiments: a trace of a synthetic run's streams replays to the same
+bits.
 
 Dynamic policies need the event engine's feedback machinery and are not
 supported on traces (a static trace cannot answer "what did the
@@ -23,9 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from ..dispatch.base import Dispatcher
-from ..metrics.response import MetricsCollector
-from .fastpath import ps_replay
-from .results import DispatchTrace, ServerStats, SimulationResults
+from .fastpath import (
+    _dispatch_targets,
+    _replay_cell_plans,
+    _validate_plan_inputs,
+)
+from .results import SimulationResults
 
 __all__ = ["JobTrace", "run_trace_simulation"]
 
@@ -147,10 +153,12 @@ def run_trace_simulation(
 ) -> SimulationResults:
     """Replay *trace* through a static policy on PS servers.
 
-    Mirrors :func:`repro.sim.fastpath.run_static_simulation` with the
-    trace replacing the synthetic generators; all jobs run to completion
-    (drain semantics) and statistics cover jobs arriving at or after
-    *warmup*.
+    :func:`repro.sim.fastpath.run_static_simulation` with the trace
+    replacing the synthetic generators: the same dispatch stage and the
+    same stage-3 replay and summary call, so a trace of a synthetic
+    run's streams reproduces that run's results exactly.  All jobs run
+    to completion (drain semantics) and statistics cover jobs arriving
+    at or after *warmup*.
     """
     if not dispatcher.is_static:
         raise ValueError(
@@ -162,41 +170,12 @@ def run_trace_simulation(
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
 
-    dispatcher.reset(alphas)
-    targets = dispatcher.select_batch(trace.sizes)
-
-    metrics = MetricsCollector(warmup_end=warmup)
-    warmup_mask = trace.arrival_times >= warmup
-    post_warmup_total = int(np.count_nonzero(warmup_mask))
-    server_stats = []
-    for i, speed in enumerate(speeds):
-        mask = targets == i
-        sub_times = trace.arrival_times[mask]
-        sub_sizes = trace.sizes[mask]
-        completions = ps_replay(sub_times, sub_sizes, float(speed))
-        metrics.record_batch(sub_times, completions, sub_sizes)
-        dispatched = int(np.count_nonzero(mask & warmup_mask))
-        server_stats.append(
-            ServerStats(
-                index=i,
-                speed=float(speed),
-                jobs_received=int(sub_times.size),
-                jobs_completed=int(sub_times.size),
-                busy_time=float(sub_sizes.sum()) / float(speed),
-                dispatch_fraction=(
-                    dispatched / post_warmup_total if post_warmup_total else 0.0
-                ),
-            )
-        )
-
-    recorded = None
-    if record_trace:
-        recorded = DispatchTrace(times=trace.arrival_times, targets=targets)
-    return SimulationResults(
-        metrics=metrics.finalize(),
-        servers=tuple(server_stats),
-        duration=trace.horizon,
-        warmup=warmup,
-        total_arrivals=trace.n_jobs,
-        trace=recorded,
+    times, sizes, speeds = _validate_plan_inputs(
+        trace.arrival_times, trace.sizes, speeds
     )
+    dispatcher.reset(alphas)
+    targets = _dispatch_targets(dispatcher, sizes)
+    return _replay_cell_plans(
+        [targets], times, sizes, speeds, "ps", warmup, trace.horizon,
+        record_trace,
+    )[0]

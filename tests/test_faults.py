@@ -331,3 +331,27 @@ class TestGridDeterminism:
             assert a[:4] == b[:4]
             np.testing.assert_array_equal(a[4], b[4])
             assert a[5] == b[5]
+
+
+class TestEvaluatorLossRate:
+    def test_every_evaluator_summarizes_loss_rate(self):
+        """Serial, cell and parallel evaluators share one fold, so a
+        fault-enabled config gets the same loss-rate summary from each."""
+        from repro.core import (
+            evaluate_cell,
+            evaluate_policy,
+            evaluate_policy_parallel,
+        )
+
+        cfg = _config(faults=FaultConfig(mtbf=500.0, mttr=50.0), duration=5.0e3)
+        parallel = evaluate_policy_parallel(
+            cfg, "ORR", replications=2, base_seed=2000, n_jobs=2
+        )
+        serial = evaluate_policy(
+            cfg, get_policy("ORR"), replications=2, base_seed=2000
+        )
+        cell = evaluate_cell(cfg, ["ORR"], replications=2, base_seed=2000)["ORR"]
+        assert parallel.loss_rate is not None and parallel.loss_rate.mean > 0
+        for ev in (serial, cell):
+            assert ev.loss_rate == parallel.loss_rate
+            assert ev.mean_response_ratio == parallel.mean_response_ratio

@@ -60,6 +60,23 @@ class TestEvaluateToPrecision:
         )
         assert ev.replications <= 6
 
+    def test_unknown_metric_fails_before_any_run(self, monkeypatch):
+        import repro.core.evaluate as evaluate
+
+        calls = []
+        real = evaluate.run_policy_once
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "run_policy_once", counting)
+        with pytest.raises(KeyError, match="unknown metric"):
+            evaluate_policy_to_precision(
+                CONFIG, get_policy("WRR"), metric="latency"
+            )
+        assert calls == []
+
     def test_validation(self):
         with pytest.raises(ValueError, match="half-width"):
             evaluate_policy_to_precision(

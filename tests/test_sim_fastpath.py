@@ -282,14 +282,13 @@ class TestFastPathRestrictions:
         # a bad plan gets the same message whichever backend ran.
         if backend == "python":
             monkeypatch.setattr(ckernel, "_fns", False)
-        config = SimulationConfig(
-            speeds=(1.0, 2.0, 5.0), utilization=0.5, duration=1e3,
-            discipline=discipline,
-        )
         targets = np.array([0, 1, 2, bad, 0, 1], dtype=np.int64)
         times = np.arange(1.0, 7.0)
         with pytest.raises(ValueError, match="^dispatch target out of range$"):
-            fastpath._replay_plan(config, targets, times, np.ones(6), False)
+            fastpath._replay_cell_plans(
+                [targets], times, np.ones(6), np.array([1.0, 2.0, 5.0]),
+                discipline, warmup=0.0, duration=10.0, record_trace=False,
+            )
 
 
 class TestEngineEquivalence:
