@@ -113,8 +113,23 @@ def zero_share_cutoff(sorted_rates: np.ndarray, arrival_rate: float) -> int:
 
 
 def optimized_fractions(network: HeterogeneousNetwork) -> np.ndarray:
-    """Run Algorithm 1 and return α in the network's original speed order."""
+    """Run Algorithm 1 and return α in the network's original speed order.
+
+    The compiled scalar path (``optimized_alloc``) runs the numpy body
+    below operation for operation — numpy's summation order included —
+    so both return the same bits; the body runs when the kernel is
+    unavailable or defers.
+    """
     _require_usable(network)
+    from ..sim import ckernel
+
+    lib = ckernel.resolve_fns()
+    if lib is not None:
+        alphas = ckernel.optimized_alloc_c(
+            lib, network.speeds, network.mu, network.arrival_rate, CUTOFF_RTOL
+        )
+        if alphas is not None:
+            return alphas
     order = np.argsort(network.speeds, kind="stable")
     rates = network.service_rates()[order]
     lam = network.arrival_rate

@@ -44,7 +44,11 @@ def survivor_fractions(speeds, up, utilization, solve=None) -> np.ndarray | None
 
     ``solve`` maps a :class:`HeterogeneousNetwork` to an alpha vector;
     it defaults to the closed-form
-    :func:`~repro.allocation.optimized.optimized_fractions`.
+    :func:`~repro.allocation.optimized.optimized_fractions`, and then
+    the whole re-solve — survivor subset, Algorithm 1, fallbacks and
+    scatter — runs as one compiled scalar call (``survivor_alloc``)
+    with the numpy body's bits; the body below runs without the kernel
+    or when it defers.
     """
     up = np.asarray(up, dtype=bool)
     speeds = np.asarray(speeds, dtype=float)
@@ -52,13 +56,21 @@ def survivor_fractions(speeds, up, utilization, solve=None) -> np.ndarray | None
         raise ValueError(
             f"membership mask has {up.size} entries for {speeds.size} servers"
         )
+    if solve is None:
+        from ..allocation.optimized import CUTOFF_RTOL, optimized_fractions
+        from ..sim import ckernel
+
+        lib = ckernel.resolve_fns()
+        if lib is not None and speeds.ndim == 1:
+            status, full = ckernel.survivor_alloc_c(
+                lib, speeds, up, utilization, CUTOFF_RTOL
+            )
+            if status != 2:
+                return full
+        solve = optimized_fractions
     survivors = np.flatnonzero(up)
     if survivors.size == 0:
         return None
-    if solve is None:
-        from ..allocation.optimized import optimized_fractions
-
-        solve = optimized_fractions
     sub_speeds = speeds[survivors]
     sub_alphas = None
     if 0.0 < utilization < 1.0:

@@ -23,9 +23,7 @@ Two families live here:
     observed (size, service-time) pairs, nominal-seeded;
   - :class:`P2Quantile` — the Jain–Chlamtac P² streaming quantile
     estimator: five markers, constant memory, no stored samples — the
-    response-time p50/p99 the service's SLO gate steers by.
-    :meth:`P2Quantile.update_many` folds one batch into several
-    estimators in a single compiled pass;
+    response-time p50/p99 the service's SLO gate steers by;
   - :class:`OnlineWorkloadEstimator` — the facade the service feeds:
     per-arrival and per-completion hooks in, a
     :class:`WorkloadEstimate` snapshot (λ̂, m̂, ŝ, ρ̂) out.  A
@@ -41,6 +39,34 @@ Two families live here:
   JSON-serializable values, so the crash-safe service checkpoints can
   snapshot and restore estimator state exactly (floats round-trip
   bit-identically through JSON).
+
+**State layout and the compiled estimator step.**  Each estimator keeps
+its state in a small float64 block — given as ``storage`` or its own —
+read and written through a memoryview, so the per-element methods and
+the compiled kernel share one copy:
+
+* EWMA ``[raw, norm, count]``; EWMA rate: its gap EWMA, then the last
+  timestamp (NaN before the first); windowed rate ``[head, end,
+  window]`` (its timestamps stay in a growable buffer of their own);
+  P² ``[count, p, init×5, q×5, n×5, np×5, dn×5]``.
+* :class:`OnlineWorkloadEstimator` lays its estimators out in one
+  vector: EWMA rate (0–3), size EWMA (4–6), windowed rate (7–9),
+  arrivals seen (10), the EWMA weight (11), then one speed EWMA per
+  server (12 + 3·s).  The controller's four P² sets are the four blocks
+  of a second vector.  ``_pskernel.c`` mirrors these offsets.
+
+A control window then costs one compiled call per half: ``est_arrivals``
+(validate the batch — finite, non-decreasing from the carried last
+timestamp — fold the positive gaps and the sizes, append to the rate
+window and evict once) and ``est_completions`` (fold the server-grouped
+speed witnesses into each server's EWMA and the response times into
+the four P² sets, five-sample warm-up included); ``est_snapshot``
+computes the boundary's :class:`WorkloadEstimate`.  Each runs the
+per-element recursions float op for float op, on the state in place:
+nothing is packed or unpacked per window.  Without the kernel the
+estimators' batch forms (``observe_batch``, ``update_batch``,
+``observe_grouped``) and the Python :meth:`OnlineWorkloadEstimator.snapshot`
+body run instead, with the same bits.
 """
 
 from __future__ import annotations
@@ -50,17 +76,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_ck = None
+
+
 def _ckernel():
-    """The compiled-kernel module, imported lazily.
+    """The compiled-kernel module, imported on first use.
 
     :mod:`repro.sim` imports this module (fastpath uses
     :class:`RunningStats`), so the dependency must not exist at import
-    time.  The batch folds below call this once per window — a
-    ``sys.modules`` lookup, not a re-import.
+    time.  The estimator step calls this a few times per window.
     """
-    from ..sim import ckernel
+    global _ck
+    if _ck is None:
+        from ..sim import ckernel
 
-    return ckernel
+        _ck = ckernel
+    return _ck
 
 
 def _finite_time(t: float) -> float:
@@ -97,6 +128,17 @@ def _check_times(times: np.ndarray, last: float | None) -> np.ndarray:
         f"timestamps must be non-decreasing ({float(seq[i + 1])} after "
         f"{float(seq[i])})"
     )
+
+
+#: Block widths of the estimator state (``_pskernel.c`` mirrors them):
+#: an EWMA ``[raw, norm, count]``; an EWMA rate, its gap EWMA then the
+#: last timestamp; a windowed rate ``[head, end, window]``; a P²
+#: quantile ``[count, p, init×5, q×5, n×5, np×5, dn×5]``.
+_EW, _RATE, _WIN, _P2 = 3, 4, 3, 27
+#: :class:`OnlineWorkloadEstimator`'s vector: the EWMA rate, the size
+#: EWMA, the windowed rate, arrivals seen, the EWMA weight, then one
+#: speed EWMA per server.
+_ES_RATE, _ES_SIZE, _ES_WIN, _ES_SEEN, _ES_WEIGHT, _ES_SPEED = 0, 4, 7, 10, 11, 12
 
 
 __all__ = [
@@ -246,66 +288,60 @@ class EwmaEstimator:
     weighted mean of the observations seen so far rather than being
     pulled toward the arbitrary zero initialization.  The effective
     memory is ≈ 1/w observations.
+
+    The state is the block ``[raw, norm, count]`` of *storage* (its own
+    three doubles when none is given), so a facade can lay several
+    estimators out in one vector that the compiled estimator step
+    updates in place.
     """
 
-    __slots__ = ("weight", "_raw", "_norm", "count")
+    __slots__ = ("weight", "_s")
 
-    def __init__(self, weight: float):
+    def __init__(self, weight: float, *, storage: np.ndarray | None = None):
         if not 0.0 < weight <= 1.0:
             raise ValueError(f"weight must lie in (0, 1], got {weight}")
         self.weight = float(weight)
+        self._s = memoryview(np.zeros(_EW) if storage is None else storage)
         self.reset()
 
     def reset(self) -> None:
-        self._raw = 0.0
-        self._norm = 0.0
-        self.count = 0
+        s = self._s
+        s[0] = s[1] = s[2] = 0.0
 
     def update(self, x: float) -> float:
+        s = self._s
         keep = 1.0 - self.weight
-        self._raw = keep * self._raw + self.weight * float(x)
-        self._norm = keep * self._norm + self.weight
-        self.count += 1
+        s[0] = keep * s[0] + self.weight * float(x)
+        s[1] = keep * s[1] + self.weight
+        s[2] += 1.0
         return self.value
 
     def update_batch(self, xs) -> None:
-        """Fold a batch of observations, oldest first.
+        """Fold a batch of observations, oldest first, one by one."""
+        for x in np.asarray(xs, dtype=float).tolist():
+            self.update(x)
 
-        Bit-identical to calling :meth:`update` per element: the
-        compiled fold runs the same ``keep·state + w·x`` recursion with
-        the same doubles, and the fallback *is* the per-element loop.
-        """
-        xs = np.ascontiguousarray(xs, dtype=float)
-        if xs.size == 0:
-            return
-        ck = _ckernel()
-        fn = ck.ewma_fn()
-        if fn is None:
-            for x in xs:
-                self.update(float(x))
-            return
-        state = ck.arena().f64("ewma.state", 2)
-        state[0] = self._raw
-        state[1] = self._norm
-        ck.ewma_fold_c(fn, state, self.weight, xs)
-        self._raw = float(state[0])
-        self._norm = float(state[1])
-        self.count += int(xs.size)
+    @property
+    def count(self) -> int:
+        return int(self._s[2])
 
     @property
     def value(self) -> float:
         """Current estimate (NaN before the first observation)."""
-        if self.count == 0:
+        s = self._s
+        if s[2] == 0.0:
             return math.nan
-        return self._raw / self._norm
+        return s[0] / s[1]
 
     def state_dict(self) -> dict:
-        return {"raw": self._raw, "norm": self._norm, "count": self.count}
+        s = self._s
+        return {"raw": s[0], "norm": s[1], "count": int(s[2])}
 
     def load_state(self, state: dict) -> None:
-        self._raw = float(state["raw"])
-        self._norm = float(state["norm"])
-        self.count = int(state["count"])
+        s = self._s
+        s[0] = float(state["raw"])
+        s[1] = float(state["norm"])
+        s[2] = int(state["count"])
 
 
 class EwmaRateEstimator:
@@ -314,30 +350,39 @@ class EwmaRateEstimator:
     Feed it event timestamps in non-decreasing order; ``rate()`` is
     1/(mean gap).  Smooth but slow to forget: after a step change it
     converges geometrically with the EWMA weight rather than snapping
-    after one window.
+    after one window.  State: the gap EWMA's block, then the last
+    timestamp (NaN before the first).
     """
 
-    __slots__ = ("_gaps", "_last")
+    __slots__ = ("_gaps", "_s")
 
-    def __init__(self, weight: float = 0.05):
-        self._gaps = EwmaEstimator(weight)
-        self._last: float | None = None
+    def __init__(self, weight: float = 0.05, *, storage: np.ndarray | None = None):
+        storage = np.zeros(_RATE) if storage is None else storage
+        self._gaps = EwmaEstimator(weight, storage=storage[:_EW])
+        self._s = memoryview(storage)
+        self._s[_EW] = math.nan
 
     def reset(self) -> None:
         self._gaps.reset()
-        self._last = None
+        self._s[_EW] = math.nan
+
+    @property
+    def _last(self) -> float | None:
+        last = self._s[_EW]
+        return None if math.isnan(last) else last
 
     def observe(self, t: float) -> None:
         t = _finite_time(t)
-        if self._last is not None:
-            gap = t - self._last
+        last = self._s[_EW]
+        if not math.isnan(last):
+            gap = t - last
             if gap < 0.0:
                 raise ValueError(
-                    f"timestamps must be non-decreasing ({t} after {self._last})"
+                    f"timestamps must be non-decreasing ({t} after {last})"
                 )
             if gap > 0.0:
                 self._gaps.update(gap)
-        self._last = t
+        self._s[_EW] = t
 
     def observe_batch(self, times) -> None:
         """Fold a batch of non-decreasing timestamps in at once.
@@ -352,7 +397,7 @@ class EwmaRateEstimator:
             return
         gaps = _check_times(times, self._last)
         self._gaps.update_batch(gaps[gaps > 0.0])
-        self._last = float(times[-1])
+        self._s[_EW] = float(times[-1])
 
     def rate(self, now: float | None = None) -> float:
         """Events per unit time (0.0 until two distinct timestamps)."""
@@ -366,9 +411,9 @@ class EwmaRateEstimator:
 
     def load_state(self, state: dict) -> None:
         last = state["last"]
-        last = None if last is None else _finite_time(last)
+        last = math.nan if last is None else _finite_time(last)
         self._gaps.load_state(state["gaps"])
-        self._last = last
+        self._s[_EW] = last
 
 
 class WindowedRateEstimator:
@@ -385,49 +430,60 @@ class WindowedRateEstimator:
     non-decreasing.  Eviction only advances ``_head``; an append that
     would run past the end first compacts the live slice to the front,
     and the capacity doubles only when the live slice plus the new
-    timestamps do not fit.
+    timestamps do not fit.  State: ``[head, end, window]``.
     """
 
-    __slots__ = ("window", "_buf", "_view", "_head", "_end")
+    __slots__ = ("window", "_buf", "_view", "_addr", "_s")
 
     #: Initial buffer capacity (timestamps).
     _MIN_CAPACITY = 64
 
-    def __init__(self, window: float):
+    def __init__(self, window: float, *, storage: np.ndarray | None = None):
         if window <= 0.0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)
+        self._s = memoryview(np.zeros(_WIN) if storage is None else storage)
+        self._s[2] = self.window
         self._set_buffer(np.empty(self._MIN_CAPACITY))
-        self._head = 0
-        self._end = 0
+        self.reset()
 
     def reset(self) -> None:
-        self._head = 0
-        self._end = 0
+        self._s[0] = self._s[1] = 0.0
+
+    @property
+    def _head(self) -> int:
+        return int(self._s[0])
+
+    @property
+    def _end(self) -> int:
+        return int(self._s[1])
 
     def _set_buffer(self, buf: np.ndarray) -> None:
         # The memoryview gives the per-job path builtin-float element
-        # access, several times cheaper than numpy scalar indexing.
+        # access, several times cheaper than numpy scalar indexing; the
+        # address is what the compiled estimator step appends through.
         self._buf = buf
         self._view = memoryview(buf)
+        self._addr = buf.ctypes.data
 
     def _reserve(self, k: int) -> None:
         """Make room for *k* more timestamps after ``_end``."""
         buf = self._buf
-        if self._end + k <= buf.size:
+        head, end = self._head, self._end
+        if end + k <= buf.size:
             return
-        live = self._end - self._head
+        live = end - head
         cap = buf.size
         while live + k > cap:
             cap *= 2
         if cap > buf.size:
             grown = np.empty(cap)
-            grown[:live] = buf[self._head : self._end]
+            grown[:live] = buf[head:end]
             self._set_buffer(grown)
         else:
-            buf[:live] = buf[self._head : self._end]
-        self._head = 0
-        self._end = live
+            buf[:live] = buf[head:end]
+        self._s[0] = 0.0
+        self._s[1] = live
 
     def observe(self, t: float) -> None:
         t = _finite_time(t)
@@ -440,13 +496,13 @@ class WindowedRateEstimator:
             self._reserve(1)
             buf, head, end = self._view, self._head, self._end
         buf[end] = t
-        self._end = end + 1
+        self._s[1] = end + 1
         # Scalar eviction: the per-job path allocates no array.  It
         # stops at ``t`` itself at the latest (t >= t - window).
         cutoff = t - self.window
         while buf[head] < cutoff:
             head += 1
-        self._head = head
+        self._s[0] = head
 
     def observe_batch(self, times) -> None:
         """Append a batch of non-decreasing timestamps at once.
@@ -460,20 +516,20 @@ class WindowedRateEstimator:
         k = int(times.size)
         if k == 0:
             return
-        live = self._end > self._head
-        _check_times(times, float(self._buf[self._end - 1]) if live else None)
+        head, end = self._head, self._end
+        _check_times(times, float(self._buf[end - 1]) if end > head else None)
         self._reserve(k)
-        self._buf[self._end : self._end + k] = times
-        self._end += k
+        end = self._end
+        self._buf[end : end + k] = times
+        self._s[1] = end + k
         self._evict(float(times[-1]) - self.window)
 
     def _evict(self, cutoff: float) -> None:
         """Drop every timestamp below *cutoff* — the live slice is
         sorted, so that is one ``searchsorted`` prefix."""
-        self._head += int(
-            np.searchsorted(
-                self._buf[self._head : self._end], cutoff, side="left"
-            )
+        head = self._head
+        self._s[0] = head + int(
+            np.searchsorted(self._buf[head : self._end], cutoff, side="left")
         )
 
     def rate(self, now: float) -> float:
@@ -497,8 +553,8 @@ class WindowedRateEstimator:
             _check_times(times, None)
         self._set_buffer(np.empty(max(self._MIN_CAPACITY, times.size)))
         self._buf[: times.size] = times
-        self._head = 0
-        self._end = int(times.size)
+        self._s[0] = 0.0
+        self._s[1] = times.size
 
 
 class ServerSpeedEstimator:
@@ -508,18 +564,26 @@ class ServerSpeedEstimator:
     witnessed speed x/τ; each server keeps an EWMA of those witnesses.
     Servers that have not completed a job yet report their nominal
     speed, so a freshly zero-shared server does not poison the solver
-    with NaN.
+    with NaN.  State: one EWMA block per server, in server order.
     """
 
-    __slots__ = ("nominal", "_ewmas")
+    __slots__ = ("nominal", "_nominal_addr", "_ewmas")
 
-    def __init__(self, nominal_speeds, weight: float = 0.05):
+    def __init__(self, nominal_speeds, weight: float = 0.05, *,
+                 storage: np.ndarray | None = None):
         self.nominal = np.asarray(nominal_speeds, dtype=float).copy()
         if self.nominal.ndim != 1 or self.nominal.size == 0:
             raise ValueError("nominal_speeds must be a non-empty 1-D vector")
         if np.any(self.nominal <= 0.0):
             raise ValueError(f"speeds must be positive, got {self.nominal}")
-        self._ewmas = [EwmaEstimator(weight) for _ in range(self.nominal.size)]
+        self._nominal_addr = self.nominal.ctypes.data
+        n = self.nominal.size
+        if storage is None:
+            storage = np.zeros(_EW * n)
+        self._ewmas = [
+            EwmaEstimator(weight, storage=storage[_EW * i : _EW * (i + 1)])
+            for i in range(n)
+        ]
 
     def reset(self) -> None:
         for e in self._ewmas:
@@ -551,10 +615,7 @@ class ServerSpeedEstimator:
         contract (the replay path guarantees ``service_time > 0``).
         """
         for s, e in enumerate(self._ewmas):
-            lo = int(offsets[s])
-            hi = int(offsets[s + 1])
-            if hi > lo:
-                e.update_batch(witnesses[lo:hi])
+            e.update_batch(witnesses[int(offsets[s]) : int(offsets[s + 1])])
 
     def speeds(self) -> np.ndarray:
         """Current estimate per server (nominal where no data yet)."""
@@ -589,43 +650,58 @@ class P2Quantile:
 
     The update is a deterministic function of the observation sequence,
     so a service run's p50/p99 replay bit-identically, and the five
-    markers serialize losslessly for crash-safe checkpoints.
+    markers serialize losslessly for crash-safe checkpoints.  State:
+    the block ``[count, p, init×5, q×5, n×5, np×5, dn×5]`` — the
+    warm-up samples, marker heights, actual and desired positions and
+    the fixed desired-position increments.
     """
 
-    __slots__ = ("p", "count", "_init", "_q", "_n", "_np", "_dn")
+    __slots__ = ("p", "_s", "_init", "_q", "_n", "_np", "_dn")
 
-    def __init__(self, p: float):
+    def __init__(self, p: float, *, storage: np.ndarray | None = None):
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile must lie in (0, 1), got {p}")
         self.p = float(p)
+        s = memoryview(np.zeros(_P2) if storage is None else storage)
+        self._s = s
+        self._init, self._q, self._n, self._np, self._dn = (
+            s[i : i + 5] for i in range(2, _P2, 5)
+        )
+        s[1] = p
+        for i, d in enumerate((0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)):
+            self._dn[i] = d
         self.reset()
 
     def reset(self) -> None:
-        self.count = 0
-        self._init: list[float] = []
-        self._q: list[float] | None = None  # marker heights
-        self._n: list[float] | None = None  # actual marker positions
-        self._np: list[float] | None = None  # desired marker positions
-        self._dn: tuple[float, ...] = ()
+        self._s[0] = 0.0
+
+    @property
+    def count(self) -> int:
+        return int(self._s[0])
 
     def _start(self) -> None:
-        self._init.sort()
-        self._q = list(self._init)
-        self._n = [0.0, 1.0, 2.0, 3.0, 4.0]
+        q, n, np_ = self._q, self._n, self._np
+        for i, x in enumerate(sorted(self._init.tolist())):
+            q[i] = x
+            n[i] = float(i)
         p = self.p
-        self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-        self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-        self._init = []
+        np_[0] = 0.0
+        np_[1] = 2.0 * p
+        np_[2] = 4.0 * p
+        np_[3] = 2.0 + 2.0 * p
+        np_[4] = 4.0
 
     def update(self, x: float) -> None:
         x = float(x)
-        self.count += 1
-        if self._q is None:
-            self._init.append(x)
-            if len(self._init) == 5:
+        s = self._s
+        c = s[0]
+        s[0] = c + 1.0
+        if c < 5.0:
+            self._init[int(c)] = x
+            if c == 4.0:
                 self._start()
             return
-        q, n, np_ = self._q, self._n, self._np
+        q, n, np_, dn = self._q, self._n, self._np, self._dn
         # Locate the cell k with q[k] <= x < q[k+1], extremes absorbed.
         if x < q[0]:
             q[0] = x
@@ -641,7 +717,7 @@ class P2Quantile:
         for i in range(k + 1, 5):
             n[i] += 1.0
         for i in range(5):
-            np_[i] += self._dn[i]
+            np_[i] += dn[i]
         # Adjust the three interior markers toward their desired spots.
         for i in (1, 2, 3):
             d = np_[i] - n[i]
@@ -656,56 +732,15 @@ class P2Quantile:
                 n[i] += d
 
     def update_batch(self, xs) -> None:
-        """Fold a batch of observations, oldest first.
-
-        Bit-identical to per-element :meth:`update` calls; the one-set
-        case of :meth:`update_many`.
-        """
-        P2Quantile.update_many((self,), xs)
+        """Fold a batch of observations, oldest first, one by one."""
+        for x in np.asarray(xs, dtype=float).tolist():
+            self.update(x)
 
     @staticmethod
     def update_many(quantiles, xs) -> None:
-        """Fold the same batch into several estimators, oldest first.
-
-        Bit-identical to per-element :meth:`update` calls on each one.
-        Each estimator first takes elements through Python until its
-        five-sample warm-up completes — so each starts the compiled
-        part at its own index — then one compiled call folds the rest
-        into every marker set (the exact locate/shift/parabolic/linear
-        operation order per set).  Without the kernel the rest goes
-        through the same Python loop, one estimator at a time.
-        """
-        xs = np.ascontiguousarray(xs, dtype=float)
-        total = int(xs.size)
-        live = []
+        """Fold the same batch into several estimators, oldest first."""
         for q in quantiles:
-            i = 0
-            while q._q is None and i < total:
-                q.update(float(xs[i]))
-                i += 1
-            if i < total:
-                live.append((q, i))
-        if not live:
-            return
-        ck = _ckernel()
-        fn = ck.p2_fn()
-        if fn is None:
-            for q, i in live:
-                for x in xs[i:].tolist():
-                    q.update(x)
-            return
-        a = ck.arena()
-        sets = a.f64("p2.sets", 20 * len(live)).reshape(len(live), 20)
-        starts = a.i64("p2.starts", len(live))
-        for row, (q, i) in enumerate(live):
-            sets[row] = q._q + q._n + q._np + list(q._dn)
-            starts[row] = i
-        ck.p2_fold_many_c(fn, sets, starts, xs)
-        for row, (q, i) in zip(sets.tolist(), live):
-            q._q = row[0:5]
-            q._n = row[5:10]
-            q._np = row[10:15]
-            q.count += total - i
+            q.update_batch(xs)
 
     def _parabolic(self, i: int, d: float) -> float:
         q, n = self._q, self._n
@@ -722,24 +757,27 @@ class P2Quantile:
     @property
     def value(self) -> float:
         """Current quantile estimate (NaN before any observation)."""
-        if self._q is not None:
+        c = self.count
+        if c >= 5:
             return self._q[2]
-        if not self._init:
+        if c == 0:
             return math.nan
-        s = sorted(self._init)
+        s = sorted(self._init.tolist()[:c])
         h = (len(s) - 1) * self.p
         lo = math.floor(h)
         hi = min(lo + 1, len(s) - 1)
         return s[lo] + (h - lo) * (s[hi] - s[lo])
 
     def state_dict(self) -> dict:
+        c = self.count
+        started = c >= 5
         return {
             "p": self.p,
-            "count": self.count,
-            "init": list(self._init),
-            "q": None if self._q is None else list(self._q),
-            "n": None if self._n is None else list(self._n),
-            "np": None if self._np is None else list(self._np),
+            "count": c,
+            "init": [] if started else self._init.tolist()[:c],
+            "q": self._q.tolist() if started else None,
+            "n": self._n.tolist() if started else None,
+            "np": self._np.tolist() if started else None,
         }
 
     def load_state(self, state: dict) -> None:
@@ -747,15 +785,22 @@ class P2Quantile:
             raise ValueError(
                 f"checkpointed quantile {state['p']} does not match {self.p}"
             )
-        self.reset()
-        self.count = int(state["count"])
-        self._init = [float(x) for x in state["init"]]
-        if state["q"] is not None:
-            p = self.p
-            self._q = [float(x) for x in state["q"]]
-            self._n = [float(x) for x in state["n"]]
-            self._np = [float(x) for x in state["np"]]
-            self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
+        count = int(state["count"])
+        init = [float(x) for x in state["init"]]
+        started = state["q"] is not None
+        if started != (count >= 5) or (not started and len(init) != count):
+            raise ValueError(
+                f"inconsistent quantile state: count {count} with "
+                f"{len(init)} warm-up samples and "
+                f"{'started' if started else 'no'} markers"
+            )
+        self._s[0] = count
+        for i, x in enumerate(init):
+            self._init[i] = x
+        if started:
+            for dst, key in ((self._q, "q"), (self._n, "n"), (self._np, "np")):
+                for i, x in enumerate(state[key]):
+                    dst[i] = float(x)
 
 
 @dataclass(frozen=True)
@@ -784,8 +829,7 @@ class WorkloadEstimate:
             and math.isfinite(self.mean_size)
             and self.mean_size > 0.0
             and speeds.size > 0
-            and bool(np.all(np.isfinite(speeds)))
-            and bool(np.all(speeds > 0.0))
+            and all(math.isfinite(s) and s > 0.0 for s in speeds.tolist())
         )
 
 
@@ -800,6 +844,10 @@ class OnlineWorkloadEstimator:
     surviving servers via :meth:`set_membership`, so a snapshot taken
     while machines are down reports the utilization the survivors
     actually face.
+
+    Every estimator's state is a block of one float64 vector,
+    ``state`` (layout in the module docstring), which the compiled
+    estimator step folds a window into in place.
     """
 
     def __init__(
@@ -809,32 +857,66 @@ class OnlineWorkloadEstimator:
         window: float,
         ewma_weight: float = 0.05,
     ):
-        self.windowed_rate = WindowedRateEstimator(window)
-        self.ewma_rate = EwmaRateEstimator(ewma_weight)
-        self.mean_size = EwmaEstimator(ewma_weight)
-        self.speed = ServerSpeedEstimator(nominal_speeds, ewma_weight)
-        self.arrivals_seen = 0
+        n = np.asarray(nominal_speeds, dtype=float).size
+        self._state = st = np.zeros(_ES_SPEED + _EW * n)
+        self.windowed_rate = WindowedRateEstimator(
+            window, storage=st[_ES_WIN : _ES_WIN + _WIN]
+        )
+        self.ewma_rate = EwmaRateEstimator(
+            ewma_weight, storage=st[_ES_RATE : _ES_RATE + _RATE]
+        )
+        self.mean_size = EwmaEstimator(
+            ewma_weight, storage=st[_ES_SIZE : _ES_SIZE + _EW]
+        )
+        self.speed = ServerSpeedEstimator(
+            nominal_speeds, ewma_weight, storage=st[_ES_SPEED:]
+        )
+        st[_ES_WEIGHT] = self.mean_size.weight
+        self._addr = st.ctypes.data
+        # The compiled snapshot's output (λ̂, m̂, ρ̂, speeds) and scratch.
+        self._snap = np.zeros(2 * n + 3)
+        self._snap_addr = self._snap.ctypes.data
         self._up: np.ndarray | None = None  # None = everything up
+        self._up_addr = None
+
+    @property
+    def arrivals_seen(self) -> int:
+        return int(self._state[_ES_SEEN])
 
     def observe_arrival(self, t: float, size: float) -> None:
         self.windowed_rate.observe(t)
         self.ewma_rate.observe(t)
         self.mean_size.update(size)
-        self.arrivals_seen += 1
+        self._state[_ES_SEEN] += 1
 
     def observe_arrivals(self, times: np.ndarray, sizes: np.ndarray) -> None:
         """Batch form of :meth:`observe_arrival` (one window at once).
 
-        Same final estimator state as the per-job loop — each
-        constituent batch fold is bit-identical to its scalar
-        recursion.
+        One compiled call (``est_arrivals``) validates the batch, then
+        folds the gaps and sizes and appends to the rate window — the
+        same final state as the per-job loop, and nothing written when
+        a timestamp is non-finite or out of order.  Without the kernel,
+        each estimator's batch form runs in turn.
         """
         if times.size == 0:
             return
-        self.windowed_rate.observe_batch(times)
-        self.ewma_rate.observe_batch(times)
-        self.mean_size.update_batch(sizes)
-        self.arrivals_seen += int(times.size)
+        ck = _ckernel()
+        fn = ck.arrivals_fn()
+        if fn is None:
+            self.windowed_rate.observe_batch(times)
+            self.ewma_rate.observe_batch(times)
+            self.mean_size.update_batch(sizes)
+            self._state[_ES_SEEN] += times.size
+            return
+        times = np.ascontiguousarray(times, np.float64)
+        sizes = np.ascontiguousarray(sizes, np.float64)
+        win = self.windowed_rate
+        win._reserve(times.size)
+        if not ck.est_arrivals_c(fn, self._addr, win._addr, times, sizes):
+            # Name the offending timestamp as the batch forms would.
+            head, end = win._head, win._end
+            _check_times(times, float(win._buf[end - 1]) if end > head else None)
+            _check_times(times, self.ewma_rate._last)
 
     def observe_service(self, server: int, size: float, service_time: float) -> None:
         self.speed.observe(server, size, service_time)
@@ -858,7 +940,11 @@ class OnlineWorkloadEstimator:
                 f"membership mask has {up.size} entries for "
                 f"{self.speed.nominal.size} servers"
             )
-        self._up = None if bool(up.all()) else up.copy()
+        self._set_up(None if bool(up.all()) else up.copy())
+
+    def _set_up(self, up: np.ndarray | None) -> None:
+        self._up = up
+        self._up_addr = None if up is None else up.ctypes.data
 
     def arrival_rate(self, now: float) -> float:
         """Windowed estimate, EWMA fallback before the window has data."""
@@ -868,6 +954,30 @@ class OnlineWorkloadEstimator:
         return self.ewma_rate.rate(now)
 
     def snapshot(self, now: float) -> WorkloadEstimate:
+        """The solver's inputs at *now* (evicts the rate window to it).
+
+        One compiled call (``est_snapshot``) when the kernel is loaded;
+        it runs the steps below, numpy's summation order included.
+        """
+        lib = _ckernel().resolve_fns()
+        if lib is not None:
+            now = float(now)
+            if math.isnan(now):
+                raise ValueError("rate needs a time, got nan")
+            n = self.speed.nominal.size
+            snap, addr = self._snap, self._snap_addr
+            lib.snapshot(
+                self._addr, self.windowed_rate._addr, self.speed._nominal_addr,
+                self._up_addr, n, now, lib.sum_seeded, addr, addr + 8 * (n + 3),
+            )
+            lam, mean_size, rho = snap[:3].tolist()
+            return WorkloadEstimate(
+                arrival_rate=lam,
+                mean_size=mean_size,
+                speeds=snap[3 : 3 + n].copy(),
+                utilization=rho,
+                up=None if self._up is None else self._up.copy(),
+            )
         lam = self.arrival_rate(now)
         mean_size = self.mean_size.value
         speeds = self.speed.speeds()
@@ -907,9 +1017,9 @@ class OnlineWorkloadEstimator:
         self.ewma_rate.load_state(state["ewma_rate"])
         self.mean_size.load_state(state["mean_size"])
         self.speed.load_state(state["speed"])
-        self.arrivals_seen = int(state["arrivals_seen"])
+        self._state[_ES_SEEN] = int(state["arrivals_seen"])
         up = state["up"]
-        self._up = None if up is None else np.asarray(up, dtype=bool)
+        self._set_up(None if up is None else np.asarray(up, dtype=bool))
 
 
 class LatencyStats:

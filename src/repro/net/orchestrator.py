@@ -213,7 +213,11 @@ class OrchestratorShard:
 
         A COMPLETE the in-flight window does not await — another
         window, or a server already banked or presumed dead — is a
-        :class:`ProtocolError` naming the window and server.
+        :class:`ProtocolError` naming the window and server, and so is
+        one that does not answer its DISPATCH slice: a different job
+        count, a non-finite departure, or a service time that is not
+        positive and finite (it would fold an infinite speed witness).
+        Nothing is banked then, so the slice is still awaited.
         """
         state = self._pending
         if state is None or msg.window != state.window:
@@ -225,6 +229,25 @@ class OrchestratorShard:
             raise ProtocolError(
                 f"COMPLETE from server {msg.server} not awaited in "
                 f"window {msg.window}"
+            )
+        expected = int(state.bounds[msg.server + 1] - state.bounds[msg.server])
+        dep, svc = msg.departures, msg.service_times
+        if dep.size != expected or svc.size != expected:
+            raise ProtocolError(
+                f"COMPLETE from server {msg.server} for window {msg.window} "
+                f"carries {dep.size} departures and {svc.size} service "
+                f"times; its DISPATCH slice had {expected} jobs"
+            )
+        # min/max are NaN when an element is, failing both comparisons.
+        if not (dep.min() > -np.inf and dep.max() < np.inf):
+            raise ProtocolError(
+                f"COMPLETE from server {msg.server} for window {msg.window} "
+                "has a non-finite departure"
+            )
+        if not (svc.min() > 0.0 and svc.max() < np.inf):
+            raise ProtocolError(
+                f"COMPLETE from server {msg.server} for window {msg.window} "
+                "has a service time that is not positive and finite"
             )
         state.expected.discard(msg.server)
         state.replies[msg.server] = msg
@@ -367,7 +390,7 @@ class OrchestratorShard:
             self.finished = True
         return Resolve(
             window=state.window,
-            alphas=tuple(float(a) for a in decision.alphas),
+            alphas=tuple(decision.alphas.tolist()),
             swapped=decision.swapped,
             reason=decision.reason,
             offered=state.offered,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Any, ClassVar
@@ -83,6 +84,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LEN = struct.Struct(">I")
 #: Wire dtype of the per-job array bodies.
 _F8 = np.dtype("<f8")
+#: Whether a body's arrays already are the float64 a message holds.
+_F8_NATIVE = _F8 == np.dtype(np.float64)
 
 
 class ProtocolError(ValueError):
@@ -137,9 +140,9 @@ class _JobArrays:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        for f in dataclasses.fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if f.name in self.arrays:
+        for name, _, _ in _SPECS[self.type].fields:
+            a, b = getattr(self, name), getattr(other, name)
+            if name in self.arrays:
                 if a.shape != b.shape or a.tobytes() != b.tobytes():
                     return False
             elif a != b:
@@ -226,39 +229,129 @@ class Shutdown:
 
 Message = Register | Submit | Dispatch | Complete | Resolve | Shutdown
 
-_TYPES: dict[str, type] = {
-    cls.type: cls
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One message class's field table, built once at import.
+
+    ``fields`` gives every field's name, default (``_REQUIRED`` when it
+    has none) and kind (``_PLAIN``, ``_ARRAY`` for a per-job array,
+    ``_FLOATS`` for a tuple of floats), in declaration order — the order
+    of the JSON header and of the missing-field check.  ``header`` names
+    the fields the JSON header carries (all but the per-job ``arrays``,
+    which travel as the body, in order); ``prefix`` and ``keys`` are
+    that header's fixed JSON text.
+    """
+
+    cls: type
+    fields: tuple[tuple[str, Any, int], ...]
+    header: tuple[str, ...]
+    arrays: tuple[str, ...]
+    prefix: str
+    keys: tuple[str, ...]
+
+
+_PLAIN, _ARRAY, _FLOATS = 0, 1, 2
+
+#: ``json.dumps(obj, separators=(",", ":"))``: how a header is encoded.
+_json_dumps = json.JSONEncoder(separators=(",", ":")).encode
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _spec(cls: type) -> _Spec:
+    arrays = getattr(cls, "arrays", ())
+    fields = tuple(
+        (
+            f.name,
+            _REQUIRED if f.default is dataclasses.MISSING else f.default,
+            _ARRAY if f.name in arrays
+            else _FLOATS if f.name == "alphas" else _PLAIN,
+        )
+        for f in dataclasses.fields(cls)
+    )
+    header = tuple(name for name, _, kind in fields if kind != _ARRAY)
+    return _Spec(
+        cls=cls,
+        fields=fields,
+        header=header,
+        arrays=arrays,
+        prefix=_json_dumps({"v": PROTOCOL_VERSION, "type": cls.type})[:-1],
+        keys=tuple(f",{_json_dumps(name)}:" for name in header),
+    )
+
+
+#: Message type → its field table.
+_SPECS: dict[str, _Spec] = {
+    cls.type: _spec(cls)
     for cls in (Register, Submit, Dispatch, Complete, Resolve, Shutdown)
 }
 
-#: Message type → its two per-job array fields, in body order.
-_ARRAYS: dict[str, tuple[str, str]] = {
-    cls.type: cls.arrays for cls in (Submit, Dispatch, Complete)
-}
+
+def _json_float(x: float) -> str:
+    """A float as :mod:`json` writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _header(msg: Message) -> dict[str, Any]:
+def _header_json(msg: Message, spec: _Spec, n: int | None) -> str:
+    """``json.dumps`` of :func:`_header` (plus ``"n"`` unless None),
+    compact separators.
+
+    Header fields hold ints, bools, strings, floats and the tuple of
+    floats ``alphas``; those are written here the way the JSON encoder
+    writes them, and a message holding anything else goes through the
+    encoder itself — the text is the encoder's either way.
+    """
+    parts = [spec.prefix]
+    for name, key in zip(spec.header, spec.keys):
+        v = getattr(msg, name)
+        t = type(v)
+        if t is int:
+            text = int.__repr__(v)
+        elif t is bool:
+            text = "true" if v else "false"
+        elif t is str:
+            text = _json_str(v)
+        elif t is float:
+            text = _json_float(v)
+        elif t is tuple and all(type(x) is float for x in v):
+            text = "[" + ",".join(map(_json_float, v)) + "]"
+        else:
+            header = _header(msg, spec)
+            if n is not None:
+                header["n"] = n
+            return _json_dumps(header)
+        parts += (key, text)
+    if n is not None:
+        parts += (',"n":', int.__repr__(n))
+    parts.append("}")
+    return "".join(parts)
+
+
+def _header(msg: Message, spec: _Spec) -> dict[str, Any]:
     """:func:`encode` of *msg* without its per-job arrays."""
-    arrays = _ARRAYS.get(msg.type, ())
     payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "type": msg.type}
-    for f in dataclasses.fields(msg):
-        if f.name in arrays:
-            continue
-        value = getattr(msg, f.name)
-        payload[f.name] = list(value) if f.name == "alphas" else value
+    for name in spec.header:
+        payload[name] = getattr(msg, name)
+    if "alphas" in payload:
+        payload["alphas"] = list(payload["alphas"])
     return payload
 
 
 def encode(msg: Message) -> dict:
     """Message → versioned plain dict (JSON-ready; arrays as lists)."""
-    payload = _header(msg)
-    for name in _ARRAYS.get(msg.type, ()):
+    spec = _SPECS[msg.type]
+    payload = _header(msg, spec)
+    for name in spec.arrays:
         payload[name] = getattr(msg, name).tolist()
     return payload
 
 
-def _message_class(obj: Any) -> type:
-    """The message class a versioned dict names.
+def _message_spec(obj: Any) -> _Spec:
+    """The field table of the message class a versioned dict names.
 
     Raises :class:`VersionMismatch` on a foreign protocol version and
     :class:`ProtocolError` on a non-object or an unknown type.
@@ -272,13 +365,13 @@ def _message_class(obj: Any) -> type:
             f"{PROTOCOL_VERSION} — upgrade one side, mixed versions are refused"
         )
     kind = obj.get("type")
-    cls = _TYPES.get(kind)
-    if cls is None:
+    spec = _SPECS.get(kind)
+    if spec is None:
         raise ProtocolError(
             f"unknown message type {kind!r}; known types: "
-            f"{', '.join(sorted(_TYPES))}"
+            f"{', '.join(sorted(_SPECS))}"
         )
-    return cls
+    return spec
 
 
 def _job_count(kind: str, names: tuple[str, str], arrays) -> int:
@@ -288,19 +381,20 @@ def _job_count(kind: str, names: tuple[str, str], arrays) -> int:
     a short ``sizes`` would otherwise broadcast through the Lindley
     replay — naming both fields.
     """
+    x, y = arrays
+    if x.ndim == 1 and y.ndim == 1 and x.size == y.size:
+        return x.size
     for name, arr in zip(names, arrays):
         if arr.ndim != 1:
             raise ProtocolError(
                 f"malformed {kind} message: {name!r} must be 1-D, "
                 f"got shape {arr.shape}"
             )
-    (a, b), (x, y) = names, arrays
-    if x.size != y.size:
-        raise ProtocolError(
-            f"malformed {kind} message: {a!r} has {x.size} entries but "
-            f"{b!r} has {y.size}"
-        )
-    return int(x.size)
+    (a, b) = names
+    raise ProtocolError(
+        f"malformed {kind} message: {a!r} has {x.size} entries but "
+        f"{b!r} has {y.size}"
+    )
 
 
 def decode(obj: Any) -> Message:
@@ -310,55 +404,58 @@ def decode(obj: Any) -> Message:
     :class:`ProtocolError` on anything else malformed, naming what was
     missing or unknown, or the two per-job arrays whose lengths differ.
     """
-    cls = _message_class(obj)
-    kind = cls.type
-    arrays = _ARRAYS.get(kind, ())
-    kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name in obj:
-            value = obj[f.name]
-            if f.name in arrays:
-                try:
-                    value = np.asarray(value, dtype=np.float64)
-                except (TypeError, ValueError) as exc:
-                    raise ProtocolError(
-                        f"malformed {kind} message: {f.name!r} is not a "
-                        f"float array: {exc}"
-                    ) from exc
-            elif f.name == "alphas":
-                value = tuple(float(x) for x in value)
-            kwargs[f.name] = value
-        elif f.default is dataclasses.MISSING:
+    return _build(_message_spec(obj), obj)
+
+
+def _build(spec: _Spec, obj: dict, framed: bool = False) -> Message:
+    """The message *obj* describes, written straight into a new instance.
+
+    Every field is read, converted and defaulted here, so the class's
+    own ``__init__`` (and its array coercion) has nothing left to do.
+    ``framed``: the per-job arrays are a frame body's native float64
+    views, of one length by construction, so need no conversion.
+    """
+    cls = spec.cls
+    values: dict[str, Any] = {}
+    for name, default, kind in spec.fields:
+        value = obj.get(name, default)
+        if value is _REQUIRED:
             raise ProtocolError(
-                f"{kind} message missing required field {f.name!r}"
+                f"{cls.type} message missing required field {name!r}"
             )
-    if arrays:
-        _job_count(kind, arrays, [kwargs[name] for name in arrays])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # e.g. a non-sequence where a list belongs
-        raise ProtocolError(f"malformed {kind} message: {exc}") from exc
+        if kind == _FLOATS:
+            value = tuple(map(float, value))
+        elif kind == _ARRAY and not framed:
+            try:
+                value = np.asarray(value, np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(
+                    f"malformed {cls.type} message: {name!r} is not a "
+                    f"float array: {exc}"
+                ) from exc
+        values[name] = value
+    if spec.arrays and not framed:
+        _job_count(cls.type, spec.arrays, [values[name] for name in spec.arrays])
+    msg = cls.__new__(cls)
+    msg.__dict__.update(values)
+    return msg
 
 
 def pack(msg: Message) -> bytes:
     """Message → one length-prefixed wire frame."""
-    names = _ARRAYS.get(msg.type, ())
-    header = _header(msg)
-    arrays = [getattr(msg, name) for name in names]
-    n = 0
-    if names:
-        n = header["n"] = _job_count(msg.type, names, arrays)
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    spec = _SPECS[msg.type]
+    names = spec.arrays
+    arrays = [np.ascontiguousarray(getattr(msg, name), _F8) for name in names]
+    n = _job_count(msg.type, names, arrays) if names else None
+    head = _header_json(msg, spec, n).encode("utf-8")
+    n = n or 0
     length = _LEN.size + len(head) + len(arrays) * n * _F8.itemsize
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"refusing to pack {msg.type!r} message: frame of "
             f"{length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )
-    return b"".join([
-        _LEN.pack(length), _LEN.pack(len(head)), head,
-        *(np.asarray(a, dtype=_F8).tobytes() for a in arrays),
-    ])
+    return b"".join([_LEN.pack(length), _LEN.pack(len(head)), head, *arrays])
 
 
 def unpack(frame: bytes) -> Message:
@@ -374,8 +471,18 @@ def unpack(frame: bytes) -> Message:
     return _decode_body(bytes(body))
 
 
+_raw_decode_json = json.JSONDecoder().raw_decode
+
+
 def _parse_json(data: bytes) -> Any:
     try:
+        if data[:2] == b'{"':
+            # json.loads' own steps for an object header with nothing
+            # around it: UTF-8, one raw decode from offset 0.
+            text = data.decode("utf-8", "surrogatepass")
+            obj, end = _raw_decode_json(text)
+            if end == len(text):
+                return obj
         return json.loads(data)
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ProtocolError(f"frame header is not valid JSON: {exc}") from exc
@@ -386,7 +493,7 @@ def _decode_body(body: bytes) -> Message:
     if body[:1] == b"{":
         # A pre-v3 peer: the whole payload is one JSON object.  Decode
         # its header only to refuse it by the version it names.
-        _message_class(_parse_json(body))
+        _message_spec(_parse_json(body))
         raise ProtocolError(
             "frame payload is bare JSON; since v3 a payload starts with "
             "a header length"
@@ -402,26 +509,26 @@ def _decode_body(body: bytes) -> Message:
             f"header length {head_len} runs past the {len(body)}-byte payload"
         )
     obj = _parse_json(body[_LEN.size:start])
-    cls = _message_class(obj)
-    names = _ARRAYS.get(cls.type, ())
+    spec = _message_spec(obj)
+    names = spec.arrays
     n = 0
     if names:
         n = obj.get("n")
         if type(n) is not int or n < 0:
             raise ProtocolError(
-                f"{cls.type} header needs a non-negative integer 'n', "
+                f"{spec.cls.type} header needs a non-negative integer 'n', "
                 f"got {n!r}"
             )
     width = n * _F8.itemsize
     if len(body) - start != len(names) * width:
         raise ProtocolError(
-            f"{cls.type} frame carries {len(body) - start} array bytes; "
+            f"{spec.cls.type} frame carries {len(body) - start} array bytes; "
             f"n={n} needs {len(names) * width}"
         )
     for i, name in enumerate(names):
-        obj[name] = np.frombuffer(body, dtype=_F8, count=n,
-                                  offset=start + i * width)
-    return decode(obj)
+        # Positional arguments: keyword parsing would double the call.
+        obj[name] = np.frombuffer(body, _F8, n, start + i * width)
+    return _build(spec, obj, framed=_F8_NATIVE)
 
 
 async def read_message(reader) -> Message | None:

@@ -109,7 +109,7 @@ class NetMetrics:
         return asdict(self)
 
 
-@dataclass
+@dataclass(repr=False)
 class NetRunResult:
     """Everything one networked run produced."""
 
@@ -128,6 +128,17 @@ class NetRunResult:
     @property
     def decisions(self):
         return [sh.decisions for sh in self.shards]
+
+    def __repr__(self) -> str:
+        # Compact on purpose: asyncio.run() formats the finished main
+        # task's result while restoring SIGINT, and the generated
+        # dataclass repr would render every WindowRecord of every
+        # report (alphas arrays included) at the end of each run.
+        m = self.metrics
+        return (
+            f"NetRunResult(transport={m.transport!r}, shards={m.n_shards}, "
+            f"windows={m.windows}, jobs={m.jobs_dispatched})"
+        )
 
 
 def _build_shards(

@@ -42,11 +42,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.aware import survivor_fractions
-from ..metrics.online import OnlineWorkloadEstimator, P2Quantile, WorkloadEstimate
+from ..metrics.online import (
+    _P2,
+    OnlineWorkloadEstimator,
+    P2Quantile,
+    WorkloadEstimate,
+)
 from ..obs import counters
-from ..obs.spans import span
+from ..obs.spans import span, tracing_enabled
+from ..sim import ckernel
 
 __all__ = ["ControlDecision", "AdmissionGate", "QuasiStaticController"]
+
+_NO_RESPONSES = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -221,11 +229,15 @@ class QuasiStaticController:
         self._membership_dirty = False
         self.membership_events = 0
         # Response-time quantiles: lifetime (reported) and per-window
-        # (drives the SLO gate, restarted at each resolve).
-        self.p50 = P2Quantile(0.5)
-        self.p99 = P2Quantile(0.99)
-        self._win_p50 = P2Quantile(0.5)
-        self._win_p99 = P2Quantile(0.99)
+        # (drives the SLO gate, restarted at each resolve), as the four
+        # P² blocks of one vector the compiled estimator step folds into.
+        self._p2 = np.zeros(4 * _P2)
+        self._p2_addr = self._p2.ctypes.data
+        self._quantiles = tuple(
+            P2Quantile(p, storage=self._p2[i * _P2 : (i + 1) * _P2])
+            for i, p in enumerate((0.5, 0.99, 0.5, 0.99))
+        )
+        self.p50, self.p99, self._win_p50, self._win_p99 = self._quantiles
         self.responses_seen = 0
 
     # Delegation: the service loop feeds the controller, the controller
@@ -240,26 +252,58 @@ class QuasiStaticController:
     def observe_service(self, server: int, size: float, service_time: float) -> None:
         self.estimator.observe_service(server, size, service_time)
 
-    def observe_services_grouped(self, witnesses: np.ndarray, offsets) -> None:
-        """Batch form of :meth:`observe_service` (server-grouped)."""
-        self.estimator.observe_services_grouped(witnesses, offsets)
+    def observe_services_grouped(
+        self, witnesses: np.ndarray | None, offsets, responses=None
+    ) -> None:
+        """Batch form of :meth:`observe_service` (server-grouped), and
+        with *responses* of :meth:`observe_response` too.
+
+        ``witnesses`` are the window's speed witnesses grouped by
+        server (``offsets``: ``nservers + 1`` bounds, or None for no
+        witnesses); ``responses`` the same completions' response times
+        in the order the quantiles should see them.  One compiled call
+        (``est_completions``) folds both — the speed EWMAs and the four
+        P² sets, warm-up included — leaving the state the per-job calls
+        leave.  Without the kernel, the estimators' batch forms run.
+        """
+        n = self.alphas.size
+        fn = ckernel.completions_fn()
+        if fn is None:
+            if offsets is not None:
+                self.estimator.observe_services_grouped(witnesses, offsets)
+            if responses is not None and responses.size:
+                P2Quantile.update_many(self._quantiles, responses)
+                self.responses_seen += int(responses.size)
+            return
+        if offsets is not None:
+            offsets = np.ascontiguousarray(offsets, np.int64)
+            witnesses = np.ascontiguousarray(witnesses, np.float64)
+        if responses is None:
+            responses = _NO_RESPONSES
+        else:
+            responses = np.ascontiguousarray(responses, np.float64)
+        if (offsets is not None and offsets.shape != (n + 1,)) or not (
+            ckernel.est_completions_c(
+                fn, self.estimator._addr, witnesses, offsets, n,
+                self._p2_addr, len(self._quantiles), responses,
+            )
+        ):
+            raise ValueError(
+                f"offsets must be {n + 1} non-decreasing bounds into "
+                f"{witnesses.size} witnesses, got {offsets.tolist()}"
+            )
+        self.responses_seen += int(responses.size)
 
     def observe_response(self, response_time: float) -> None:
         """Fold one completed job's response time into the quantiles."""
-        self.p50.update(response_time)
-        self.p99.update(response_time)
-        self._win_p50.update(response_time)
-        self._win_p99.update(response_time)
+        for q in self._quantiles:
+            q.update(response_time)
         self.responses_seen += 1
 
     def observe_responses(self, response_times: np.ndarray) -> None:
         """Batch form of :meth:`observe_response` (one window at once)."""
-        if response_times.size == 0:
-            return
-        P2Quantile.update_many(
-            (self.p50, self.p99, self._win_p50, self._win_p99), response_times
-        )
-        self.responses_seen += int(response_times.size)
+        if response_times.size:
+            self.observe_services_grouped(None, None, response_times)
 
     # -- failure detector ----------------------------------------------
 
@@ -301,8 +345,8 @@ class QuasiStaticController:
         p50 = self._win_p50.value
         p99 = self._win_p99.value
         n = self._win_p99.count
-        self._win_p50 = P2Quantile(0.5)
-        self._win_p99 = P2Quantile(0.99)
+        self._win_p50.reset()
+        self._win_p99.reset()
         return p50, p99, n
 
     def resolve(self, now: float) -> ControlDecision:
@@ -356,7 +400,7 @@ class QuasiStaticController:
             )
             if target is None:  # total outage: keep the last allocation
                 target = self.alphas
-            delta = float(np.max(np.abs(target - self.alphas)))
+            delta = float(np.abs(target - self.alphas).max())
             # Membership changes bypass the hysteresis: a survivors-only
             # plan must take effect at this boundary, not once estimator
             # drift happens to push the delta over the tolerance.
@@ -381,9 +425,11 @@ class QuasiStaticController:
                 self.shed_fraction = 0.0
             self.resolves += 1
             counters.inc("service.resolves", reason=reason)
-            sp.set(status="resolved", reason=reason, rho_hat=round(rho_hat, 6),
-                   delta=round(delta, 6), swapped=swapped,
-                   shed_fraction=round(self.shed_fraction, 6))
+            if tracing_enabled():
+                sp.set(status="resolved", reason=reason,
+                       rho_hat=round(rho_hat, 6), delta=round(delta, 6),
+                       swapped=swapped,
+                       shed_fraction=round(self.shed_fraction, 6))
             return ControlDecision(
                 time=float(now), alphas=self.alphas, estimate=estimate,
                 swapped=swapped, resolved=True,

@@ -320,11 +320,9 @@ class WindowStep:
         n = int(response.size)
         if n == 0:
             return float("nan"), float("nan")
-        controller = self.controller
-        controller.observe_services_grouped(witnesses, offsets)
+        self.controller.observe_services_grouped(witnesses, offsets, response)
         ratios = ckernel.arena().f64("loop.ratio", n)
         np.divide(response, sizes, out=ratios)
-        controller.observe_responses(response)
         if sequential:
             return (
                 float(np.add.accumulate(response)[-1]) / n,

@@ -349,23 +349,119 @@ void rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
     }
 }
 
-/* Bias-corrected EWMA fold: the sequential recursion of
- * EwmaEstimator.update over a batch of observations.
- *     raw  = (1-w)*raw  + w*x
- *     norm = (1-w)*norm + w
- * state = [raw, norm], updated in place.  The Python update computes
- * keep = 1.0 - weight per call with the same doubles, so the fold is
- * bit-identical to the per-observation loop.
- */
-void ewma_fold(double *state, double weight, const double *xs, i64 n) {
-    double raw = state[0], norm = state[1];
-    double keep = 1.0 - weight;
+/* ------------------------------------------------------------------
+ * Estimator step (quasi-static controller)
+ *
+ * The controller's estimators live in two flat float64 vectors that
+ * repro.metrics.online owns and these entries update in place; the
+ * offsets below mirror the _ES_, _EW_ and _P2_ constants there.  Every
+ * fold is the per-element recursion of the Python estimator it stands
+ * for, float op for float op, so state is bit-identical to
+ * per-element updates.
+ * ------------------------------------------------------------------ */
+
+/* EWMA block (EwmaEstimator): raw, norm, count. */
+#define EW_RAW 0
+#define EW_NORM 1
+#define EW_COUNT 2
+#define EW_SIZE 3
+
+/* Estimator vector (OnlineWorkloadEstimator). */
+#define ES_GAP 0     /* EWMA block of the positive inter-arrival gaps */
+#define ES_LAST 3    /* last arrival timestamp; NaN before the first */
+#define ES_SIZE 4    /* EWMA block of the job sizes */
+#define ES_HEAD 7    /* windowed rate: live slice [head, end) of the buffer */
+#define ES_END 8
+#define ES_WINDOW 9  /* windowed rate: window width */
+#define ES_SEEN 10   /* arrivals observed */
+#define ES_WEIGHT 11 /* EWMA weight of every block */
+#define ES_SPEED 12  /* one EWMA block of speed witnesses per server */
+
+/* P² block (P2Quantile): count, p, the warm-up samples, then the
+ * marker heights, actual and desired positions and the fixed
+ * desired-position increments, each five wide. */
+#define P2_COUNT 0
+#define P2_P 1
+#define P2_INIT 2
+#define P2_Q 7
+#define P2_N 12
+#define P2_NP 17
+#define P2_DN 22
+#define P2_SIZE 27
+
+/* EwmaEstimator.update over xs[0..n): raw = (1-w)*raw + w*x and
+ * norm = (1-w)*norm + w per observation, the Python keep = 1.0 - w
+ * computed from the same doubles. */
+static void ewma_fold(double *b, double w, const double *xs, i64 n) {
+    double raw = b[EW_RAW], norm = b[EW_NORM];
+    double keep = 1.0 - w;
     for (i64 j = 0; j < n; j++) {
-        raw = keep * raw + weight * xs[j];
-        norm = keep * norm + weight;
+        raw = keep * raw + w * xs[j];
+        norm = keep * norm + w;
     }
-    state[0] = raw;
-    state[1] = norm;
+    b[EW_RAW] = raw;
+    b[EW_NORM] = norm;
+    b[EW_COUNT] += (double)n;
+}
+
+/* The arrival half of the estimator step: one window's offered
+ * arrivals (times, non-decreasing) and sizes.
+ *
+ * Validates before writing anything: every timestamp finite, and the
+ * batch non-decreasing from the carried last timestamp and from the
+ * windowed rate's newest live one.  Then, as OnlineWorkloadEstimator's
+ * per-arrival hook would: the positive gaps t_j - t_{j-1} into the gap
+ * EWMA (the first against the carried last timestamp), the sizes into
+ * the size EWMA, and the times appended to the windowed rate's buffer
+ * at [end, end+k) — the caller reserved the room — with one
+ * lower-bound eviction against the newest timestamp's cutoff, which
+ * drops exactly what the per-arrival evictions would.
+ *
+ * Returns 0, or 1 on an invalid batch (nothing written; the caller
+ * names the offending timestamp). */
+i64 est_arrivals(double *st, double *buf, const double *times, i64 k,
+                 const double *sizes, i64 nsizes) {
+    i64 head = (i64)st[ES_HEAD], end = (i64)st[ES_END];
+    double prev = st[ES_LAST];
+    if (k > 0 && end > head && times[0] < buf[end - 1]) return 1;
+    for (i64 j = 0; j < k; j++) {
+        double t = times[j];
+        if (!isfinite(t) || t < prev) return 1;
+        prev = t;
+    }
+    double w = st[ES_WEIGHT], keep = 1.0 - w;
+    double *gap = st + ES_GAP;
+    double raw = gap[EW_RAW], norm = gap[EW_NORM];
+    i64 folded = 0;
+    prev = st[ES_LAST];
+    for (i64 j = 0; j < k; j++) {
+        double g = times[j] - prev;  /* NaN against no last timestamp */
+        if (g > 0.0) {
+            raw = keep * raw + w * g;
+            norm = keep * norm + w;
+            folded++;
+        }
+        prev = times[j];
+    }
+    gap[EW_RAW] = raw;
+    gap[EW_NORM] = norm;
+    gap[EW_COUNT] += (double)folded;
+    ewma_fold(st + ES_SIZE, w, sizes, nsizes);
+    if (k > 0) {
+        st[ES_LAST] = times[k - 1];
+        for (i64 j = 0; j < k; j++) buf[end + j] = times[j];
+        end += k;
+        double cutoff = times[k - 1] - st[ES_WINDOW];
+        i64 lo = head, hi = end;
+        while (lo < hi) {
+            i64 mid = lo + ((hi - lo) >> 1);
+            if (buf[mid] < cutoff) lo = mid + 1; else hi = mid;
+        }
+        st[ES_HEAD] = (double)lo;
+        st[ES_END] = (double)end;
+    }
+    st[ES_SEEN] += (double)k;
+    return 0;
 }
 
 /* One P² (Jain–Chlamtac) streaming-quantile update: the post-warmup
@@ -411,41 +507,301 @@ static inline void p2_step(double *restrict q, double *restrict n,
     }
 }
 
-#define P2_SET 20   /* doubles per marker set: q, n, np_, dn */
-#define P2_GROUP 4  /* sets interleaved per pass over xs */
+/* P2Quantile's warm-up: take samples into the block until it holds
+ * five, then start the markers as P2Quantile._start does — the samples
+ * sorted (a stable insertion sort: the order Python's list.sort leaves),
+ * positions 0..4, desired positions from p.  Returns how many of xs
+ * the warm-up took; the marker fold starts there. */
+static i64 p2_warm(double *b, const double *xs, i64 m) {
+    i64 c = (i64)b[P2_COUNT], j = 0;
+    if (c >= 5) return 0;
+    double *init = b + P2_INIT;
+    while (c < 5 && j < m) init[c++] = xs[j++];
+    b[P2_COUNT] = (double)c;
+    if (c == 5) {
+        double *q = b + P2_Q, *n = b + P2_N, *np_ = b + P2_NP;
+        double p = b[P2_P];
+        for (i64 i = 0; i < 5; i++) {
+            double v = init[i];
+            i64 h = i;
+            while (h > 0 && v < q[h - 1]) { q[h] = q[h - 1]; h--; }
+            q[h] = v;
+        }
+        for (i64 i = 0; i < 5; i++) n[i] = (double)i;
+        np_[0] = 0.0;
+        np_[1] = 2.0 * p;
+        np_[2] = 4.0 * p;
+        np_[3] = 2.0 + 2.0 * p;
+        np_[4] = 4.0;
+    }
+    return j;
+}
 
-/* Fold one batch into k P² marker sets at once.
+#define P2_GROUP 4  /* marker sets interleaved per pass over xs */
+
+/* The completion half of the estimator step: one window's completions.
  *
- * sets: k row-major marker sets of P2_SET doubles, [q | n | np_ | dn]
- * (q, n, np_ updated in place); starts[s]: the first element of xs that
- * set s takes — each set folds xs[starts[s] .. m).  A set whose start
- * is >= m is left untouched.
- *
- * Sets are independent, so interleaving them element by element
- * overlaps their division chains without changing any set's
- * operation sequence: each one's markers are bit-identical to folding
- * it alone.  Groups of P2_GROUP sets run in local copies so the
+ * Speed witnesses wit[0..nwit) (size / service time), grouped by server
+ * — server s owns [offsets[s], offsets[s+1]) in its completion order —
+ * fold into the estimator vector's per-server EWMA blocks (offsets
+ * NULL: none).  The response times resp[0..m) fold into the nsets P²
+ * blocks of p2: each set first finishes its warm-up, then the marker
+ * updates run with the sets interleaved element by element, which
+ * overlaps their division chains without changing any set's operation
+ * sequence.  Groups of P2_GROUP sets run in local copies so the
  * compiler can keep them apart from xs.
- */
-void p2_fold_many(double *sets, const i64 *starts, i64 k, const double *xs,
-                  i64 m) {
-    for (i64 g = 0; g < k; g += P2_GROUP) {
-        i64 kg = k - g < P2_GROUP ? k - g : P2_GROUP;
-        double st[P2_GROUP][P2_SET];
+ *
+ * Returns 0, or 1 when the offsets are not non-decreasing bounds
+ * within [0, nwit] — checked before anything is written. */
+i64 est_completions(double *st, const double *wit, i64 nwit,
+                    const i64 *offsets, i64 nservers, double *p2,
+                    i64 nsets, const double *resp, i64 m) {
+    double w = st[ES_WEIGHT];
+    if (offsets) {
+        if (offsets[0] < 0 || offsets[nservers] > nwit) return 1;
+        for (i64 s = 0; s < nservers; s++)
+            if (offsets[s + 1] < offsets[s]) return 1;
+    }
+    if (offsets)
+        for (i64 s = 0; s < nservers; s++) {
+            i64 lo = offsets[s], hi = offsets[s + 1];
+            if (hi > lo) ewma_fold(st + ES_SPEED + s * EW_SIZE, w, wit + lo, hi - lo);
+        }
+    for (i64 g = 0; g < nsets; g += P2_GROUP) {
+        i64 kg = nsets - g < P2_GROUP ? nsets - g : P2_GROUP;
+        double loc[P2_GROUP][20];
+        i64 start[P2_GROUP];
         i64 lo = m;
         for (i64 s = 0; s < kg; s++) {
-            for (i64 i = 0; i < P2_SET; i++) st[s][i] = sets[(g + s) * P2_SET + i];
-            if (starts[g + s] < lo) lo = starts[g + s];
+            double *b = p2 + (g + s) * P2_SIZE;
+            start[s] = p2_warm(b, resp, m);  /* m: still warming up */
+            for (i64 i = 0; i < 20; i++) loc[s][i] = b[P2_Q + i];
+            if (start[s] < lo) lo = start[s];
         }
         for (i64 t = lo; t < m; t++) {
-            double x = xs[t];
+            double x = resp[t];
             for (i64 s = 0; s < kg; s++)
-                if (t >= starts[g + s])
-                    p2_step(st[s], st[s] + 5, st[s] + 10, st[s] + 15, x);
+                if (t >= start[s])
+                    p2_step(loc[s], loc[s] + 5, loc[s] + 10, loc[s] + 15, x);
         }
-        for (i64 s = 0; s < kg; s++)
-            for (i64 i = 0; i < 15; i++) sets[(g + s) * P2_SET + i] = st[s][i];
+        for (i64 s = 0; s < kg; s++) {
+            double *b = p2 + (g + s) * P2_SIZE;
+            if (start[s] >= m) continue;
+            for (i64 i = 0; i < 15; i++) b[P2_Q + i] = loc[s][i];
+            b[P2_COUNT] += (double)(m - start[s]);
+        }
     }
+    return 0;
+}
+
+/* ------------------------------------------------------------------
+ * Algorithm 1 re-solve (scalar)
+ * ------------------------------------------------------------------ */
+
+/* numpy's pairwise summation (pairwise_sum in its loops): a plain
+ * loop below 8 elements, eight accumulators up to 128, halves beyond. */
+static double pairwise_sum(const double *a, i64 n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        i64 i;
+        for (i64 j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (i64 j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* ndarray.sum() of a contiguous float64 vector.  Depending on the numpy
+ * release the add-reduce either pairwise-sums the whole vector or seeds
+ * with the first element and pairwise-sums the rest; the Python side
+ * probes which one at load time and passes it as `seeded`. */
+static double np_sum(const double *a, i64 n, i64 seeded) {
+    if (seeded && n > 0) return a[0] + pairwise_sum(a + 1, n - 1);
+    return pairwise_sum(a, n);
+}
+
+/* The probe itself: np_sum over a[0..n). */
+double np_sum_probe(const double *a, i64 n, i64 seeded) {
+    return np_sum(a, n, seeded);
+}
+
+/* OnlineWorkloadEstimator.snapshot at `now`, its numpy body's steps:
+ * the windowed rate evicted to now - window in place (rate(now)), the
+ * EWMA rate when that reads zero, the size EWMA's value, per-server
+ * speeds (nominal until a server's first witness), and ρ̂ over the
+ * capacity of the servers up (up NULL: all), summed as ndarray.sum
+ * does.  out: λ̂, m̂, ρ̂ (NaN when not estimable), then the n speeds;
+ * ss: n scratch. */
+void est_snapshot(double *st, const double *buf, const double *nominal,
+                  const unsigned char *up, i64 n, double now, i64 seeded,
+                  double *out, double *ss) {
+    double window = st[ES_WINDOW];
+    double cutoff = now - window;
+    i64 lo = (i64)st[ES_HEAD], hi = (i64)st[ES_END];
+    while (lo < hi) {
+        i64 mid = lo + ((hi - lo) >> 1);
+        if (buf[mid] < cutoff) lo = mid + 1; else hi = mid;
+    }
+    st[ES_HEAD] = (double)lo;
+    double span = window < now ? window : now;
+    i64 count = (i64)st[ES_END] - lo;
+    double lam = (span <= 0.0 || count == 0) ? 0.0 : (double)count / span;
+    if (!(lam > 0.0)) {
+        const double *gap = st + ES_GAP;
+        double g = gap[EW_COUNT] == 0.0 ? NAN : gap[EW_RAW] / gap[EW_NORM];
+        lam = (!isfinite(g) || g <= 0.0) ? 0.0 : 1.0 / g;
+    }
+    const double *size = st + ES_SIZE;
+    double mean = size[EW_COUNT] == 0.0 ? NAN : size[EW_RAW] / size[EW_NORM];
+    double *speeds = out + 3;
+    i64 k = 0;
+    for (i64 i = 0; i < n; i++) {
+        const double *b = st + ES_SPEED + i * EW_SIZE;
+        speeds[i] = b[EW_COUNT] > 0.0 ? b[EW_RAW] / b[EW_NORM] : nominal[i];
+        if (!up || up[i]) ss[k++] = speeds[i];
+    }
+    double capacity = np_sum(ss, k, seeded);
+    out[0] = lam;
+    out[1] = mean;
+    out[2] = (lam > 0.0 && isfinite(mean) && mean > 0.0 && capacity > 0.0)
+                 ? lam * mean / capacity : NAN;
+}
+
+/* Stable argsort of v[0..n) into order (numpy's kind="stable"): a
+ * bottom-up merge sort, ties kept in index order; tmp is n scratch. */
+static void stable_argsort(const double *v, i64 n, i64 *order, i64 *tmp) {
+    for (i64 i = 0; i < n; i++) order[i] = i;
+    for (i64 width = 1; width < n; width *= 2) {
+        for (i64 lo = 0; lo < n; lo += 2 * width) {
+            i64 mid = lo + width < n ? lo + width : n;
+            i64 hi = lo + 2 * width < n ? lo + 2 * width : n;
+            i64 a = lo, b = mid, k = lo;
+            while (a < mid && b < hi)
+                tmp[k++] = v[order[b]] < v[order[a]] ? order[b++] : order[a++];
+            while (a < mid) tmp[k++] = order[a++];
+            while (b < hi) tmp[k++] = order[b++];
+        }
+        for (i64 i = 0; i < n; i++) order[i] = tmp[i];
+    }
+}
+
+/* optimized_fractions: Algorithm 1 on n computers of positive finite
+ * speeds with base-line rate mu at arrival rate lam, the numpy body's
+ * operations in its order — stable sort, sequential suffix sums,
+ * binary-search cutoff whose drop predicate is relaxed by rtol
+ * (CUTOFF_RTOL), the Theorem 1 closed form over the active suffix,
+ * clip at zero, renormalise, and the capacity-proportional split of
+ * the active set when the total cancels to <= 0.  alphas receives the
+ * result in the original order.  Scratch: iw 2n, dw 4n.  Returns 0, or
+ * 1 when the cutoff drops every computer (the numpy path raises). */
+static i64 alg1(const double *speeds, i64 n, double mu, double lam,
+                double rtol, i64 seeded, double *alphas, i64 *iw,
+                double *dw) {
+    i64 *order = iw;
+    double *rates = dw, *sq = dw + n;
+    double *suf_rate = dw + 2 * n, *suf_sqrt = dw + 3 * n;
+    stable_argsort(speeds, n, order, iw + n);
+    for (i64 i = 0; i < n; i++) {
+        rates[i] = speeds[order[i]] * mu;
+        sq[i] = sqrt(rates[i]);
+    }
+    suf_rate[n - 1] = rates[n - 1];
+    suf_sqrt[n - 1] = sq[n - 1];
+    for (i64 i = n - 2; i >= 0; i--) {
+        suf_rate[i] = suf_rate[i + 1] + rates[i];
+        suf_sqrt[i] = suf_sqrt[i + 1] + sq[i];
+    }
+    i64 lower = 0, upper = n - 1;
+    while (lower <= upper) {
+        i64 mid = (lower + upper) / 2;
+        double gap = (suf_rate[mid] - lam) - sq[mid] * suf_sqrt[mid];
+        double bound = lam > suf_rate[mid] ? lam : suf_rate[mid];
+        if (gap > rtol * bound) lower = mid + 1;
+        else upper = mid - 1;
+    }
+    i64 m = lower;
+    if (m >= n) return 1;
+    i64 na = n - m;
+    const double *active = rates + m, *sq_active = sq + m;
+    double c = (np_sum(active, na, seeded) - lam) / np_sum(sq_active, na, seeded);
+    for (i64 i = 0; i < m; i++) alphas[order[i]] = 0.0;
+    for (i64 i = 0; i < na; i++)
+        alphas[order[m + i]] = (active[i] - sq_active[i] * c) / lam;
+    for (i64 i = 0; i < n; i++)
+        if (alphas[i] < 0.0) alphas[i] = 0.0;
+    double total = np_sum(alphas, n, seeded);
+    if (!isfinite(total) || total <= 0.0) {
+        double s = np_sum(active, na, seeded);
+        for (i64 i = 0; i < na; i++) alphas[order[m + i]] = active[i] / s;
+        return 0;
+    }
+    for (i64 i = 0; i < n; i++) alphas[i] /= total;
+    return 0;
+}
+
+/* optimized_fractions entry: 0 with alphas written, 1 to defer to the
+ * numpy body (a speed that is not positive and finite, or a cutoff
+ * that drops every computer). */
+i64 optimized_alloc(const double *speeds, i64 n, double mu, double lam,
+                    double rtol, i64 seeded, double *alphas, i64 *iw,
+                    double *dw) {
+    for (i64 i = 0; i < n; i++)
+        if (!(isfinite(speeds[i]) && speeds[i] > 0.0)) return 1;
+    return alg1(speeds, n, mu, lam, rtol, seeded, alphas, iw, dw);
+}
+
+/* survivor_fractions: Algorithm 1 over the servers with up[i] set, at
+ * utilization u of their capacity, scattered into a full-length out
+ * with zeros on the down servers.  The survivors' speeds are gathered
+ * in index order; HeterogeneousNetwork's arrival rate u*mu*sum with
+ * mu = 1; the solve runs when u lies in (0, 1) and the network is
+ * usable (positive arrival rate, utilization below 1 after rounding),
+ * else — as when the numpy solve raises ValueError — the survivors get
+ * the capacity-proportional split.  Scratch: iw 3n, dw 6n.
+ * Returns 0 with out written, 1 on total outage (out untouched), 2 to
+ * defer to the numpy body (a survivor speed that is not positive and
+ * finite, or a cutoff that drops every survivor). */
+i64 survivor_alloc(const double *speeds, const unsigned char *up, i64 n,
+                   double u, double rtol, i64 seeded, double *out, i64 *iw,
+                   double *dw) {
+    i64 *idx = iw + 2 * n;
+    double *sub = dw + 4 * n, *sub_alphas = dw + 5 * n;
+    i64 k = 0;
+    for (i64 i = 0; i < n; i++)
+        if (up[i]) {
+            double v = speeds[i];
+            if (!(isfinite(v) && v > 0.0)) return 2;
+            idx[k] = i;
+            sub[k++] = v;
+        }
+    if (k == 0) return 1;
+    int solved = 0;
+    if (u > 0.0 && u < 1.0) {
+        double total = np_sum(sub, k, seeded);
+        double lam = u * 1.0 * total;
+        if (lam > 0.0 && lam / (total * 1.0) < 1.0) {
+            if (alg1(sub, k, 1.0, lam, rtol, seeded, sub_alphas, iw, dw)) return 2;
+            solved = 1;
+        }
+    }
+    if (!solved) {
+        double total = np_sum(sub, k, seeded);
+        for (i64 i = 0; i < k; i++) sub_alphas[i] = sub[i] / total;
+    }
+    for (i64 i = 0; i < n; i++) out[i] = 0.0;
+    for (i64 i = 0; i < k; i++) out[idx[i]] = sub_alphas[i];
+    return 0;
 }
 
 /* Whole-cell fused replay: every unique dispatch plan of one

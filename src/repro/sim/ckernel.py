@@ -23,8 +23,13 @@ fault-mode dispatch step:
   ``max(free_at, t) + size/speed`` with down servers bouncing.
 
 Beside them sit the searchsorted-style uniform→target mapping of the
-random dispatchers and the Algorithm 2 / EWMA / P² folds of the serve
-loop.
+random dispatchers, the Algorithm 2 sequence extension, the two halves
+of the quasi-static controller's estimator step — ``est_arrivals``
+(:func:`arrivals_fn`) and ``est_completions`` (:func:`completions_fn`),
+one call each per control window over state vectors
+:mod:`repro.metrics.online` owns — and the scalar Algorithm 1 re-solve
+(``est_snapshot``, ``optimized_alloc``, ``survivor_alloc``:
+:func:`resolve_fns`).
 
 Bit-identity with the interpreted path is a hard requirement (the
 replication cache and the grid executor both assume replay kernels are
@@ -71,8 +76,9 @@ __all__ = [
     "window_fn",
     "segment_fn",
     "rr_fn",
-    "ewma_fn",
-    "p2_fn",
+    "arrivals_fn",
+    "completions_fn",
+    "resolve_fns",
     "kernel_available",
     "compiled_library_path",
     "compile_flags",
@@ -86,8 +92,10 @@ __all__ = [
     "replay_window_c",
     "dispatch_segment_c",
     "rr_extend_c",
-    "ewma_fold_c",
-    "p2_fold_many_c",
+    "est_arrivals_c",
+    "est_completions_c",
+    "optimized_alloc_c",
+    "survivor_alloc_c",
 ]
 
 _SOURCE = Path(__file__).with_name("_pskernel.c")
@@ -117,8 +125,17 @@ class _Lib:
     window: object
     segment: object
     rr_extend: object
-    ewma: object
-    p2: object
+    arrivals: object
+    completions: object
+    snapshot: object
+    alloc: object
+    survivors: object
+    #: How this numpy's ndarray.sum reduces, for the three entries
+    #: above: 1 when it seeds with the first element, 0 when not, None
+    #: when neither (those entries are then unused, see _sum_order).
+    sum_seeded: int | None
+    #: The kernel's ndarray.sum (the probe behind ``sum_seeded``).
+    np_sum: object
     max_threads: object
     set_threads: object
     openmp: bool
@@ -294,23 +311,71 @@ def _load(path: Path, openmp: bool) -> _Lib:
         _c_i64_p,  # out targets
     ]
     rr_extend.restype = None
-    ewma = lib.ewma_fold
-    ewma.argtypes = [
-        _c_double_p,  # state [raw, norm] (in/out)
-        ctypes.c_double,  # weight
-        _c_double_p,  # xs
-        ctypes.c_longlong,  # n
-    ]
-    ewma.restype = None
-    p2 = lib.p2_fold_many
-    p2.argtypes = [
-        _c_double_p,  # marker sets (k × [q | n | np | dn], in/out)
-        _c_i64_p,  # per-set start index into xs
+    arrivals = lib.est_arrivals
+    arrivals.argtypes = [
+        _c_double_p,  # estimator state (in/out)
+        _c_double_p,  # windowed-rate buffer (in/out, room reserved)
+        _c_double_p,  # times
         ctypes.c_longlong,  # k
-        _c_double_p,  # xs
+        _c_double_p,  # sizes
+        ctypes.c_longlong,  # nsizes
+    ]
+    arrivals.restype = ctypes.c_longlong
+    completions = lib.est_completions
+    completions.argtypes = [
+        _c_double_p,  # estimator state (in/out)
+        _c_double_p,  # server-grouped speed witnesses
+        ctypes.c_longlong,  # nwit
+        _c_i64_p,  # offsets (nservers + 1), or NULL
+        ctypes.c_longlong,  # nservers
+        _c_double_p,  # P² blocks (in/out)
+        ctypes.c_longlong,  # nsets
+        _c_double_p,  # response times
         ctypes.c_longlong,  # m
     ]
-    p2.restype = None
+    completions.restype = ctypes.c_longlong
+    snapshot = lib.est_snapshot
+    snapshot.argtypes = [
+        _c_double_p,  # estimator state (in/out: the rate window evicts)
+        _c_double_p,  # windowed-rate buffer
+        _c_double_p,  # nominal speeds
+        ctypes.c_void_p,  # up (bool per server), or NULL for all up
+        ctypes.c_longlong,  # n
+        ctypes.c_double,  # now
+        ctypes.c_longlong,  # sum seeded
+        _c_double_p,  # out: rate, mean size, utilization, n speeds
+        _c_double_p,  # scratch (n)
+    ]
+    snapshot.restype = None
+    alloc = lib.optimized_alloc
+    alloc.argtypes = [
+        _c_double_p,  # speeds
+        ctypes.c_longlong,  # n
+        ctypes.c_double,  # mu
+        ctypes.c_double,  # arrival rate
+        ctypes.c_double,  # cutoff rtol
+        ctypes.c_longlong,  # sum seeded
+        _c_double_p,  # alphas (out)
+        _c_i64_p,  # i64 scratch (2n)
+        _c_double_p,  # f64 scratch (4n)
+    ]
+    alloc.restype = ctypes.c_longlong
+    survivors = lib.survivor_alloc
+    survivors.argtypes = [
+        _c_double_p,  # speeds
+        ctypes.c_void_p,  # up (bool per server)
+        ctypes.c_longlong,  # n
+        ctypes.c_double,  # utilization
+        ctypes.c_double,  # cutoff rtol
+        ctypes.c_longlong,  # sum seeded
+        _c_double_p,  # out (full-length alphas)
+        _c_i64_p,  # i64 scratch (3n)
+        _c_double_p,  # f64 scratch (6n)
+    ]
+    survivors.restype = ctypes.c_longlong
+    probe = lib.np_sum_probe
+    probe.argtypes = [_c_double_p, ctypes.c_longlong, ctypes.c_longlong]
+    probe.restype = ctypes.c_double
     max_threads = lib.pk_max_threads
     max_threads.argtypes = []
     max_threads.restype = ctypes.c_longlong
@@ -324,13 +389,39 @@ def _load(path: Path, openmp: bool) -> _Lib:
         window=window,
         segment=segment,
         rr_extend=rr_extend,
-        ewma=ewma,
-        p2=p2,
+        arrivals=arrivals,
+        completions=completions,
+        snapshot=snapshot,
+        alloc=alloc,
+        survivors=survivors,
+        sum_seeded=_sum_order(probe),
+        np_sum=probe,
         max_threads=max_threads,
         set_threads=set_threads,
         openmp=openmp,
         flags=flags,
     )
+
+
+def _sum_order(probe) -> int | None:
+    """Which float64 add-reduce this numpy runs: 0 or 1, or None.
+
+    ``ndarray.sum`` pairwise-sums a contiguous vector, but numpy
+    releases differ in whether the reduction first seeds with element 0
+    (1) or not (0).  The re-solve entries reproduce either; a numpy
+    matching neither keeps the re-solve on its numpy body.
+    """
+    # Inexact values over six decades, so the two orders round apart
+    # (on 8, 15, 127 and 300 elements).  Plain Python arithmetic: no
+    # RNG or transcendental ufunc gets loaded just for the probe.
+    cases = [np.array([1.0 / (k + 3) + (k % 7) * 1e3 for k in range(n)])
+             for n in (2, 3, 5, 8, 9, 15, 16, 17, 40, 127, 129, 300)]
+    for seeded in (0, 1):
+        if all(probe(a.ctypes.data, a.size, seeded) == float(a.sum())
+               for a in cases):
+            return seeded
+    counters.inc("ckernel.sum_order_unknown")
+    return None
 
 
 def _ensure_fns():
@@ -416,16 +507,29 @@ def rr_fn():
     return lib.rr_extend if lib else None
 
 
-def ewma_fn():
-    """The bias-corrected EWMA batch-fold entry point, or None."""
+def arrivals_fn():
+    """The arrival half of the estimator step, or None."""
     lib = _ensure_fns()
-    return lib.ewma if lib else None
+    return lib.arrivals if lib else None
 
 
-def p2_fn():
-    """The multi-set P² streaming-quantile fold entry point, or None."""
+def completions_fn():
+    """The completion half of the estimator step, or None."""
     lib = _ensure_fns()
-    return lib.p2 if lib else None
+    return lib.completions if lib else None
+
+
+def resolve_fns():
+    """The loaded library when its re-solve entries are usable, or None.
+
+    ``lib.snapshot`` (``est_snapshot``), ``lib.alloc``
+    (``optimized_alloc``) and ``lib.survivors`` (``survivor_alloc``)
+    sum as numpy does, so they need ``lib.sum_seeded`` known.
+    """
+    lib = _ensure_fns()
+    if not lib or lib.sum_seeded is None:
+        return None
+    return lib
 
 
 def kernel_available() -> bool:
@@ -774,32 +878,98 @@ def rr_extend_c(
     )
 
 
-def ewma_fold_c(fn, state: np.ndarray, weight: float, xs: np.ndarray) -> None:
-    """Fold a batch of observations into EWMA state [raw, norm]."""
-    fn(
-        state.ctypes.data,
-        ctypes.c_double(weight),
-        xs.ctypes.data,
-        ctypes.c_longlong(xs.size),
-    )
+def est_arrivals_c(fn, state: int, buf: int, times: np.ndarray,
+                   sizes: np.ndarray) -> bool:
+    """One window's arrivals into the estimator state, in place.
 
-
-def p2_fold_many_c(
-    fn, sets: np.ndarray, starts: np.ndarray, xs: np.ndarray
-) -> None:
-    """Fold one batch into several P² marker sets at once (in place).
-
-    ``sets`` is a contiguous (k, 20) float64 array, one row
-    ``[q | n | np | dn]`` per estimator; ``starts`` int64 of length k,
-    row ``s`` folding ``xs[starts[s]:]``.
+    ``state`` and ``buf`` are the addresses of the estimator vector and
+    of the windowed rate's buffer, which must have room for
+    ``times.size`` more timestamps past its live slice; ``times`` and
+    ``sizes`` contiguous float64.  False when the batch is not finite
+    and non-decreasing — the kernel then wrote nothing.
     """
-    fn(
-        sets.ctypes.data,
-        starts.ctypes.data,
-        ctypes.c_longlong(starts.size),
-        xs.ctypes.data,
-        ctypes.c_longlong(xs.size),
-    )
+    return fn(state, buf, times.ctypes.data, times.size,
+              sizes.ctypes.data, sizes.size) == 0
+
+
+def est_completions_c(fn, state: int, witnesses: np.ndarray, offsets,
+                      nservers: int, p2: int, nsets: int,
+                      responses: np.ndarray) -> bool:
+    """One window's completions into the estimator state and P² blocks.
+
+    ``witnesses`` contiguous float64, grouped by ``offsets`` (contiguous
+    int64 of ``nservers + 1`` bounds, or None to fold no witnesses);
+    ``p2`` the address of ``nsets`` contiguous P² blocks; ``responses``
+    contiguous float64.  False when the offsets are not non-decreasing
+    bounds into the witnesses — the kernel then wrote nothing.
+    """
+    if offsets is None:
+        wit = off = None
+        nwit = 0
+    else:
+        wit, off = witnesses.ctypes.data, offsets.ctypes.data
+        nwit = witnesses.size
+    return fn(state, wit, nwit, off, nservers, p2, nsets,
+              responses.ctypes.data, responses.size) == 0
+
+
+class _AllocScratch:
+    """Pinned buffers of the Algorithm 1 entries, addresses cached.
+
+    ``f64``: speeds in, alphas out, then six rows of kernel scratch;
+    ``i64``: three rows; ``up``: the membership mask in.  The re-solve
+    runs once per control window, so copying its few inputs into place
+    beats taking a fresh array's address.  Per process and not
+    thread-safe, like the :class:`Arena`.
+    """
+
+    def __init__(self):
+        self.n = -1
+
+    def reserve(self, n: int) -> "_AllocScratch":
+        if n > self.n:
+            self.n = max(n, 2 * self.n, 8)
+            self.f64 = np.zeros(8 * self.n)
+            self.i64 = np.zeros(3 * self.n, dtype=np.int64)
+            self.up = np.zeros(self.n, dtype=bool)
+            self.f64_addr = self.f64.ctypes.data
+            self.i64_addr = self.i64.ctypes.data
+            self.up_addr = self.up.ctypes.data
+        return self
+
+
+_alloc_scratch = _AllocScratch()
+
+
+def optimized_alloc_c(lib, speeds: np.ndarray, mu: float, lam: float,
+                      rtol: float) -> np.ndarray | None:
+    """Algorithm 1 through the scalar kernel; None defers to numpy."""
+    n = int(speeds.size)
+    sc = _alloc_scratch.reserve(n)
+    sc.f64[:n] = speeds
+    status = lib.alloc(sc.f64_addr, n, mu, lam, rtol, lib.sum_seeded,
+                       sc.f64_addr + 8 * n, sc.i64_addr,
+                       sc.f64_addr + 16 * n)
+    return None if status else sc.f64[n:2 * n].copy()
+
+
+def survivor_alloc_c(lib, speeds: np.ndarray, up: np.ndarray, u: float,
+                     rtol: float) -> tuple[int, np.ndarray | None]:
+    """FA_ORR's survivor re-solve through the scalar kernel.
+
+    ``(0, alphas)``; ``(1, None)`` on total outage; ``(2, None)`` to
+    defer to the numpy body.
+    """
+    n = int(speeds.size)
+    sc = _alloc_scratch.reserve(n)
+    sc.f64[:n] = speeds
+    sc.up[:n] = up
+    status = lib.survivors(sc.f64_addr, sc.up_addr, n, u, rtol,
+                           lib.sum_seeded, sc.f64_addr + 8 * n,
+                           sc.i64_addr, sc.f64_addr + 16 * n)
+    if status:
+        return int(status), None
+    return 0, sc.f64[n:2 * n].copy()
 
 
 def map_uniform_c(fn, cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:

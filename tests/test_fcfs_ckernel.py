@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.controller import QuasiStaticController
 from repro.sim import ckernel
 from repro.sim.fastpath import fcfs_replay
 
@@ -197,12 +198,18 @@ class TestNoCycleGarbage:
         finally:
             gc.enable()
 
-    def test_ewma_fold_leaves_no_cycles(self):
-        fn = ckernel.ewma_fn()
-        state, xs = np.zeros(2), np.arange(1.0, 9.0)
-        assert self.garbage_after(
-            lambda: ckernel.ewma_fold_c(fn, state, 0.25, xs)
-        ) == 0
+    def test_estimator_step_leaves_no_cycles(self):
+        controller = QuasiStaticController([1.0, 2.0], window=10.0)
+        windows = iter(range(100))
+        offsets = np.array([0, 3, 8])
+
+        def step():
+            times = np.arange(1.0, 9.0) + 8.0 * next(windows)
+            controller.observe_arrivals(times, np.ones(8))
+            controller.observe_services_grouped(np.ones(8), offsets, times)
+
+        assert ckernel.completions_fn() is not None
+        assert self.garbage_after(step) == 0
 
     def test_window_sweep_leaves_no_cycles(self):
         fn = ckernel.window_fn()

@@ -8,6 +8,7 @@ so every bit pattern must survive a frame round trip.
 """
 
 import asyncio
+import hashlib
 import json
 import struct
 
@@ -31,6 +32,7 @@ from repro.net import (
     pack,
     unpack,
 )
+from repro.net import protocol
 from repro.net.protocol import MAX_FRAME_BYTES, read_message, write_message
 
 # ---------------------------------------------------------------------------
@@ -425,6 +427,76 @@ class TestFrames:
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+#: One fixed message of each type and the SHA-256 of its v4 frame: the
+#: codec may be rewritten, the bytes on the wire may not move.
+PINNED_FRAMES = [
+    (Register(server=2, speed=3.5, window=7, incarnation=1),
+     "13784428e340d885e68de1eaa95c4f5f5c99d732b2213fbb729eeb1bc18758c0"),
+    (Submit(window=3, times=[0.1, 1.25, 2.0], sizes=[1.0, 1e-300, 3.5],
+            final=True),
+     "14be34e0cb8be5dfa4b7d3c3c5bcba154cb6417ad5d743423cdd509d20451e48"),
+    (Dispatch(window=3, server=1, times=[0.1, 2.0], sizes=[1.0, 3.5]),
+     "88d77a53b00e71a2e5e67abd2805b91f84635e8839be2e2f0c509f27ff61d4e6"),
+    (Complete(window=3, server=1, departures=[-0.0, 5.5],
+              service_times=[1.0, 3.5]),
+     "f34763ce13f0fe5562ea652d320ae94e15f1355d772999f18a2b9cf4d5e6894c"),
+    (Resolve(window=3, alphas=(0.1, 0.2, 0.3, 0.4), swapped=True,
+             reason="membership", offered=3, admitted=2, shed=1, lost=1,
+             final=False, capacity=10.0),
+     "07caa0009e3e152fa7d4db9124f43b0a2b4dabd00bff3e5f3a31dcf02219bdc9"),
+    (Shutdown(reason="run complete"),
+     "67d6e5fc8b1b0de78c3be82bc5a92e053428741878a49f5a97c8108d081f6aa7"),
+]
+
+
+class TestPinnedFrames:
+    @pytest.mark.parametrize(
+        "msg, digest", PINNED_FRAMES, ids=[m.type for m, _ in PINNED_FRAMES]
+    )
+    def test_v4_frame_bytes_are_pinned(self, msg, digest):
+        frame = pack(msg)
+        assert hashlib.sha256(frame).hexdigest() == digest
+        assert unpack(frame) == msg
+        assert pack(unpack(frame)) == frame
+
+
+_text = st.text(max_size=12)
+_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(
+    msg=st.one_of(
+        st.builds(Register, server=st.integers(), speed=_float,
+                  window=st.integers(), incarnation=st.integers()),
+        st.builds(Resolve, window=st.integers(),
+                  alphas=st.lists(_float, max_size=5).map(tuple),
+                  swapped=st.booleans(), reason=_text,
+                  offered=st.integers(), admitted=st.integers(),
+                  shed=st.integers(), lost=st.integers(),
+                  final=st.booleans(), capacity=_float),
+        st.builds(Shutdown, reason=_text),
+        st.builds(Register, server=st.just(np.int64(3)),
+                  speed=st.just(np.float64(0.1))),
+    ),
+    n=st.one_of(st.none(), st.integers(min_value=0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_header_text_is_the_json_encoders(msg, n):
+    """The codec writes plain header values itself; the bytes must be
+    ``json.dumps``'s, and anything else must go through json."""
+    spec = protocol._SPECS[msg.type]
+    header = protocol._header(msg, spec)
+    if n is not None:
+        header["n"] = n
+    try:
+        want = json.dumps(header, separators=(",", ":"))
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            protocol._header_json(msg, spec, n)
+        return
+    assert protocol._header_json(msg, spec, n) == want
 
 
 class _SinkWriter:

@@ -13,6 +13,7 @@ import asyncio
 import dataclasses
 import gc
 import json
+import re
 import struct
 import weakref
 from collections import Counter
@@ -26,12 +27,14 @@ from repro.faults.aware import survivor_fractions
 from repro.net import (
     Complete,
     NetMetrics,
+    ProtocolError,
     Submit,
     pack,
     run_in_process,
     run_sockets,
     runtime,
 )
+from repro.net.server import ServerStub
 from repro.obs import counters
 from repro.service import ServiceConfig, SyntheticJobSource
 from repro.sim.arrivals import Workload
@@ -367,7 +370,42 @@ def _truncated(msg):
     return struct.pack(">I", len(short) - 4) + short[4:]
 
 
+def _one_job_short(msg):
+    return dataclasses.replace(
+        msg, departures=msg.departures[:-1],
+        service_times=msg.service_times[:-1],
+    )
+
+
+def _zero_service_time(msg):
+    svc = msg.service_times.copy()
+    svc[0] = 0.0
+    return dataclasses.replace(msg, service_times=svc)
+
+
+def _nan_departure(msg):
+    dep = msg.departures.copy()
+    dep[-1] = np.nan
+    return dataclasses.replace(msg, departures=dep)
+
+
+#: COMPLETEs that decode cleanly but do not answer their DISPATCH slice.
+MISMATCHED_COMPLETES = {
+    "one-job-short": _one_job_short,
+    "zero-service-time": _zero_service_time,
+    "nan-departure": _nan_departure,
+}
+
+def _packed(bad):
+    """A stray reply: the frame of ``bad(complete)``."""
+    return lambda msg: pack(bad(msg))
+
+
 STRAY_REPLIES = {
+    **{
+        f"complete-{name}": _packed(bad)
+        for name, bad in MISMATCHED_COMPLETES.items()
+    },
     "stray-submit": lambda m: pack(
         Submit(window=m.window, times=m.departures, sizes=m.service_times)
     ),
@@ -406,6 +444,63 @@ class TestStubProtocolErrors:
         assert int(delta.get("net.stub_protocol_error{shard=0}", 0)) == 1
         assert int(delta.get("net.server_down", 0)) == 1
         assert live.metrics.stale_timeouts == 0
+
+
+class TestMismatchedComplete:
+    @pytest.mark.parametrize("reply", sorted(MISMATCHED_COMPLETES))
+    def test_in_process_run_names_the_window_and_server(
+        self, monkeypatch, reply
+    ):
+        # The socket transport presumes such a stub dead (the stray-reply
+        # drill above); in process the error surfaces, named.
+        real = ServerStub.handle_dispatch
+
+        def handle(stub, msg):
+            out = real(stub, msg)
+            if (stub.server_id, msg.window) == (2, 3):
+                return MISMATCHED_COMPLETES[reply](out)
+            return out
+
+        monkeypatch.setattr(ServerStub, "handle_dispatch", handle)
+        with pytest.raises(ProtocolError, match="server 2 for window 3") as err:
+            run_in_process(make_config(duration=1000.0), make_source())
+        if reply == "one-job-short":
+            got, _, want = re.search(
+                r"carries (\d+) departures and (\d+) service times; its "
+                r"DISPATCH slice had (\d+) jobs", str(err.value)
+            ).groups()
+            assert int(got) == int(want) - 1
+
+    def test_short_socket_reply_loses_exactly_its_slice(self, monkeypatch):
+        sliced = {}
+
+        def short(msg):
+            sliced["jobs"] = msg.departures.size
+            return pack(_one_job_short(msg))
+
+        _answer_with(monkeypatch, 2, 3, short)
+        live = asyncio.run(
+            asyncio.wait_for(
+                run_sockets(make_config(duration=1000.0), make_source(),
+                            reply_timeout=0.5),
+                10,
+            )
+        )
+        window = live.report.windows[3]
+        assert window.lost == sliced["jobs"] > 0
+        assert window.completed + window.lost == window.admitted
+
+
+class TestRunResultRepr:
+    def test_repr_does_not_grow_with_the_window_count(self):
+        short = run_in_process(make_config(duration=500.0), make_source())
+        long = run_in_process(make_config(duration=2000.0), make_source())
+        assert len(long.report.windows) == 4 * len(short.report.windows)
+        assert len(repr(long)) <= len(repr(short)) + 2
+        assert repr(long) == (
+            "NetRunResult(transport='inproc', shards=1, windows=20, "
+            f"jobs={long.report.jobs_dispatched})"
+        )
 
 
 class TestTeardown:

@@ -28,6 +28,7 @@ from repro.dispatch import (
 )
 from repro.distributions.fitting import distribution_from_mean_cv
 from repro.metrics.online import (
+    _P2,
     EwmaEstimator,
     EwmaRateEstimator,
     P2Quantile,
@@ -320,7 +321,7 @@ def _kernel_path(path: str):
         os.environ.pop("REPRO_DISABLE_CKERNEL", None)
     ckernel._fns = None
     try:
-        fn = ckernel.p2_fn()
+        fn = ckernel.completions_fn()
         assert (fn is None) == (path == "python")
         yield fn
     finally:
@@ -374,25 +375,33 @@ class TestFusedP2:
     @given(
         seed=seed_strategy,
         m=st.integers(min_value=0, max_value=40),
-        starts=st.lists(st.integers(min_value=0, max_value=45), min_size=1, max_size=4),
+        warm=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
     )
     @settings(max_examples=150, deadline=None)
-    def test_p2_fold_many_kernel_matches_update(self, seed, m, starts):
-        """The kernel entry point itself: set ``s`` folds
-        ``xs[starts[s]:]`` (nothing when the start is past the end) and
-        its markers match per-element updates bit for bit."""
+    def test_completion_step_kernel_matches_update(self, seed, m, warm):
+        """The kernel entry itself: each P² block of one vector, part way
+        through its warm-up or past it, finishes the warm-up from the
+        batch and then takes the marker updates — bit for bit the
+        per-element updates."""
         rng = np.random.default_rng(seed)
-        qs = [_quantile(p, 5, rng) for p in (0.5, 0.99, 0.25, 0.9)[: len(starts)]]
+        ps = (0.5, 0.99, 0.25, 0.9)[: len(warm)]
+        blocks = np.zeros(len(ps) * _P2)
+        fused = [P2Quantile(p, storage=blocks[i * _P2 : (i + 1) * _P2])
+                 for i, p in enumerate(ps)]
+        seq = [P2Quantile(p) for p in ps]
+        for f, q, w in zip(fused, seq, warm):
+            for x in rng.lognormal(0.0, 1.0, w).tolist():
+                f.update(x)
+                q.update(x)
         xs = rng.lognormal(0.0, 1.0, m)
-        sets = np.array([q._q + q._n + q._np + list(q._dn) for q in qs])
-        dn = sets[:, 15:].copy()
+        state = np.zeros(12)  # an estimator vector with no servers
         with _kernel_path("c") as fn:
-            ckernel.p2_fold_many_c(fn, sets, np.array(starts, dtype=np.int64), xs)
-        for q, start, row in zip(qs, starts, sets.tolist()):
-            for x in xs[start:]:
-                q.update(float(x))
-            assert row[:15] == q._q + q._n + q._np
-        assert np.array_equal(sets[:, 15:], dn)
+            ckernel.est_completions_c(fn, state.ctypes.data, None, None, 0,
+                                      blocks.ctypes.data, len(ps), xs)
+        for q in seq:
+            for x in xs.tolist():
+                q.update(x)
+        assert [q.state_dict() for q in fused] == [q.state_dict() for q in seq]
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @given(
