@@ -33,10 +33,13 @@ scalar fields.  A decoded message's arrays are read-only
 The codec is sans-IO: :func:`encode` / :func:`decode` map messages to
 and from plain dicts (arrays as lists; for debugging and tests),
 :func:`pack` / :func:`unpack` map them to and from frame bytes, and
-only :func:`read_message` / :func:`write_message` touch asyncio
-streams.  The in-process transport round-trips every message through
-``unpack(pack(msg))`` so simulation mode exercises the exact codec the
-sockets use.
+:class:`FrameReader` splits a byte stream, fed in chunks of any size,
+into messages.  Only :func:`read_message` (an asyncio stream reader)
+and :func:`write_message` (anything with ``.write``: a stream writer
+or a transport) touch I/O objects.  The socket reader and the stream
+reader refuse a frame by the same length-prefix check.  The in-process
+transport round-trips every message through ``unpack(pack(msg))`` so
+simulation mode exercises the exact codec the sockets use.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "decode",
     "pack",
     "unpack",
+    "FrameReader",
     "read_message",
     "write_message",
 ]
@@ -474,7 +478,8 @@ def unpack(frame: bytes) -> Message:
 _raw_decode_json = json.JSONDecoder().raw_decode
 
 
-def _parse_json(data: bytes) -> Any:
+def _parse_json(data) -> Any:
+    data = bytes(data)  # a header slice of a memoryview payload
     try:
         if data[:2] == b'{"':
             # json.loads' own steps for an object header with nothing
@@ -488,8 +493,11 @@ def _parse_json(data: bytes) -> Any:
         raise ProtocolError(f"frame header is not valid JSON: {exc}") from exc
 
 
-def _decode_body(body: bytes) -> Message:
-    """One frame payload → message; the arrays view *body*, read-only."""
+def _decode_body(body) -> Message:
+    """One frame payload → message; the arrays view *body*, read-only.
+
+    *body* is ``bytes`` or a memoryview of ``bytes``.
+    """
     if body[:1] == b"{":
         # A pre-v3 peer: the whole payload is one JSON object.  Decode
         # its header only to refuse it by the version it names.
@@ -531,6 +539,97 @@ def _decode_body(body: bytes) -> Message:
     return _build(spec, obj, framed=_F8_NATIVE)
 
 
+def _frame_length(prefix, offset: int = 0) -> int:
+    """The payload length a frame's 4-byte prefix at *offset* announces.
+
+    The one length-prefix check of both stream readers: a length beyond
+    :data:`MAX_FRAME_BYTES` is refused before its payload is read.  The
+    type is undecodable then, so the refusal names everything the
+    prefix gives: the offending length and the cap it breached.
+    """
+    (length,) = _LEN.unpack_from(prefix, offset)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"refusing frame: length prefix {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte cap (stream corrupt or hostile peer)"
+        )
+    return length
+
+
+def _torn(got: int, length: int | None) -> ProtocolError:
+    """The error for a stream that ended *got* bytes into a frame.
+
+    *length* is the payload length, or None when the prefix itself was
+    cut short (*got* header bytes).
+    """
+    if length is None:
+        return ProtocolError(f"connection closed mid-frame ({got} header bytes)")
+    return ProtocolError(f"connection closed mid-frame ({got}/{length} bytes)")
+
+
+class FrameReader:
+    """Incremental frame splitter: byte chunks in, messages out.
+
+    :meth:`feed` appends whatever a socket delivered — any fragment of
+    one frame, or several frames at once — and :meth:`next` returns the
+    next complete message, or None until its last byte is in.  Bytes
+    past a frame wait, undecoded, until asked for, so a reader that
+    stops calling :meth:`next` buffers bytes, not messages.  A frame
+    that ends its chunk — on a request/reply link, nearly every frame —
+    is decoded in place, and the reader lets go of the chunk; one that
+    shares its chunk with the next is copied out first.  Either way its
+    arrays are read-only views, as :func:`read_message` returns them.
+    """
+
+    __slots__ = ("_buf", "_pos")
+
+    def __init__(self):
+        self._buf = b""
+        self._pos = 0
+
+    def feed(self, data: bytes) -> None:
+        buf, pos = self._buf, self._pos
+        if pos == len(buf):
+            self._buf, self._pos = bytes(data), 0
+            return
+        # A frame arriving in pieces grows in place: linear, not
+        # quadratic, in the number of pieces.
+        if pos or type(buf) is bytes:
+            buf = bytearray(memoryview(buf)[pos:])
+        buf += data
+        self._buf, self._pos = buf, 0
+
+    def next(self) -> Message | None:
+        """The next complete message, or None if its bytes are not in.
+
+        Raises :class:`ProtocolError` on a length prefix over the cap or
+        a payload that does not decode; the stream is unusable then.
+        """
+        buf, pos = self._buf, self._pos
+        if len(buf) - pos < _LEN.size:
+            return None
+        start = pos + _LEN.size
+        end = start + _frame_length(buf, pos)
+        if end > len(buf):
+            return None
+        if type(buf) is bytearray:  # the pieces are in: freeze them
+            buf = self._buf = bytes(buf)
+        if end == len(buf):
+            self._buf, self._pos = b"", 0
+            return _decode_body(memoryview(buf)[start:])
+        self._pos = end
+        return _decode_body(buf[start:end])
+
+    def eof(self) -> None:
+        """The stream ended: raise :class:`ProtocolError` if mid-frame."""
+        got = len(self._buf) - self._pos
+        if not got:
+            return
+        if got < _LEN.size:
+            raise _torn(got, None)
+        raise _torn(got - _LEN.size, _frame_length(self._buf, self._pos))
+
+
 async def read_message(reader) -> Message | None:
     """Read one framed message from an asyncio stream reader.
 
@@ -544,31 +643,19 @@ async def read_message(reader) -> Message | None:
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean EOF between frames
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} header bytes)"
-        ) from exc
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        # The type is undecodable before the payload is read, so the
-        # refusal names everything the header gives us: the offending
-        # length and the cap it breached.
-        raise ProtocolError(
-            f"refusing frame: length prefix {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte cap (stream corrupt or hostile peer)"
-        )
+        raise _torn(len(exc.partial), None) from exc
+    length = _frame_length(header)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
-        ) from exc
+        raise _torn(len(exc.partial), length) from exc
     return _decode_body(body)
 
 
 def write_message(writer, msg: Message) -> None:
-    """Queue one framed message on an asyncio stream writer.
+    """Queue one framed message on *writer*: anything with ``.write``.
 
-    The caller decides when to ``await writer.drain()`` — batching the
-    drain per window keeps the dispatch fan-out at one syscall burst.
+    An asyncio transport and a stream writer both qualify; waiting for
+    the write buffer to drain, if at all, is the caller's business.
     """
     writer.write(pack(msg))

@@ -15,32 +15,59 @@ Two transports drive the same sans-IO components
   behind a per-window barrier in server-index order, so fault-free
   socket runs reproduce the in-process report byte for byte.
 
+**Callback transport.**  Every connection end is an
+:class:`asyncio.Protocol`: ``data_received`` splits the bytes into
+frames (:class:`~repro.net.protocol.FrameReader`) and calls the
+sans-IO handler of each message directly — ``handle_submit`` /
+``handle_complete`` on the shard, ``handle_dispatch`` on a stub,
+``handle_resolve`` on the client, which then submits while its credit
+allows.  The shard's end of a connection learns its role from the
+first frame: a REGISTER makes it a stub's, a SUBMIT the client's.
+Nothing else runs on the loop but one reply timer per shard, so a
+window costs a handful of event-loop iterations, one per hop.
+
 **Backpressure.**  The client submits at most ``max_inflight``
-unacknowledged windows (RESOLVE returns the credit); the orchestrator
-buffers at most ``queue_limit`` submitted windows (a semaphore over the
-inbound queue) — anything beyond that stays in kernel socket buffers,
-which is TCP backpressure doing its job.  The overload drill pins both:
-a client pushed far ahead must saturate its credit window, never exceed
-the orchestrator's buffer bound, and produce the identical report.
+unacknowledged windows (RESOLVE returns the credit).  The orchestrator
+holds at most ``queue_limit`` submitted windows that wait for the one
+in flight; once that many wait it calls ``pause_reading()`` on the
+client connection, so later SUBMITs stay in kernel socket buffers —
+TCP backpressure doing its job — and ``resume_reading()`` once a
+window closes.  The overload drill pins both: a client pushed far
+ahead must saturate its credit window, never exceed the orchestrator's
+buffer bound, and produce the identical report.  Writes never await a
+drain, because the protocol itself bounds every write buffer: the
+client's holds at most its credit window of SUBMITs, a shard's one
+window's DISPATCH fan-out and RESOLVE (the next window opens only
+after the barrier), and a stub's one COMPLETE per DISPATCH received.
 
-**Failure detection.**  Connection EOF is the primary detector (a dead
-stub's socket closes); a ``reply_timeout`` on the window barrier is the
-fallback — when it fires, a ``net.reply_timeout{shard}`` counter
-records the event before the stuck servers are presumed dead.  After
-its REGISTER a stub may send only COMPLETEs for its own server, each
-for a slice the shard awaits; anything else — a stray message, a
-COMPLETE naming another server or window, an undecodable frame — is
+**Failure detection.**  The end of a connection is the primary
+detector (a dead stub's socket closes): ``connection_lost`` — or
+``eof_received`` just before it — presumes the stub's server dead.  A
+reply timer is the fallback: one timer per shard, armed when a window
+opens, fires after ``reply_timeout`` seconds in which the shard heard
+nothing while a window was open.  It checks that deadline lazily,
+re-arming itself at the last message heard plus ``reply_timeout``
+instead of being reset per message; when silence did last that long,
+a ``net.reply_timeout{shard}`` counter records the event before the
+stuck servers are presumed dead.  After its REGISTER a stub may send
+only COMPLETEs for its own server, each for a slice the shard awaits;
+anything else — a stray message, a COMPLETE naming another server or
+window, an undecodable frame, EOF in the middle of a frame — is
 counted as ``net.stub_protocol_error{shard}``, and the shard drops the
-connection and presumes the server dead.  A scripted kill
-(``kill={server: k}``) makes the stub drop its connection at the first
-dispatch after window ``k`` — both transports detect it during window
-``k+1``, so kill drills are deterministic and transport-agnostic.  A
-scripted hang (``hang={server: k}``, socket mode only) keeps the
-connection open but swallows dispatches, exercising the reply timeout.
+connection and presumes the server dead.  The client↔shard link has no
+such fallback: a frame that does not decode, or EOF, on it before the
+shard's final RESOLVE is counted as ``net.client_protocol_error{shard}``
+and ends the run with a :class:`~repro.net.protocol.ProtocolError`
+naming the shard and the window.  A scripted kill (``kill={server:
+k}``) makes the stub drop its connection at the first dispatch after
+window ``k`` — both transports detect it during window ``k+1``, so
+kill drills are deterministic and transport-agnostic.  A scripted hang
+(``hang={server: k}``, socket mode only) keeps the connection open but
+swallows dispatches, exercising the reply timeout.
 
-**Rejoin.**  ``rejoin={server: w}`` scripts the repair mirror: once the
-orchestrator has observed the death, a *fresh* stub (incarnation 1,
-empty backlog) reconnects and REGISTERs for window ``w``; the shard
+**Rejoin.**  ``rejoin={server: w}`` scripts the repair mirror: the
+callback that observes the death starts a *fresh* stub (incarnation 1,
+empty backlog), which reconnects and REGISTERs for window ``w``; the shard
 parks the registration and folds the server back into membership at
 window ``w``'s boundary, so rejoin drills are window-deterministic on
 both transports exactly like kills.  Schedule ``w`` at least two
@@ -63,6 +90,7 @@ from .orchestrator import OrchestratorShard, shard_config
 from .protocol import (
     Complete,
     Dispatch,
+    FrameReader,
     Message,
     ProtocolError,
     Register,
@@ -70,7 +98,6 @@ from .protocol import (
     Shutdown,
     Submit,
     pack,
-    read_message,
     unpack,
     write_message,
 )
@@ -307,296 +334,448 @@ def run_in_process(
 # ----------------------------------------------------------------------
 
 
-class _ShardNet:
-    """Per-shard socket-side state shared by the connection handlers."""
+class _Run:
+    """What one socket run's connections share: the client's side, the
+    open links, and how the run ends.
 
-    def __init__(self, shard: OrchestratorShard, queue_limit: int):
-        self.shard = shard
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.submit_slots = asyncio.Semaphore(queue_limit)
-        self.stub_writers: dict[int, asyncio.StreamWriter] = {}
-        self.client_writer: asyncio.StreamWriter | None = None
-        self.registered = asyncio.Event()
-        self.buffered_submits = 0
-        self.peak_submit_queue = 0
-        self.port: int | None = None
-        #: Notified after every shard-loop step; rejoin tasks wait on it
-        #: to observe the orchestrator's membership state.
-        self.progress = asyncio.Condition()
-        #: Reply-timeout firings: servers presumed dead without an EOF.
-        self.stale_timeouts = 0
+    ``ready`` resolves once every shard's initial stubs have registered,
+    ``done`` once the client has banked its final RESOLVEs; :meth:`abort`
+    resolves both with the error the run then raises.  ``over`` turns
+    true when the run ends: from then on, links only close.
+    """
 
-    def release(self) -> None:
-        """Drop the connection writers once the run is over.
+    def __init__(self, loop, host: str, client: LoadClient, n_shards: int):
+        self.loop, self.host, self.client = loop, host, client
+        self.unready = n_shards  # shards whose initial stubs are not all in
+        self.client_links: list[_ClientLink] = []
+        self.links: set[_Link] = set()
+        self.connecting: set[asyncio.Task] = set()
+        self.ready = loop.create_future()
+        self.done = loop.create_future()
+        self.over = False
+        self.error: BaseException | None = None
+        self.finished_at = 0.0
+        self.all_closed: asyncio.Future | None = None
 
-        Each writer's protocol holds :meth:`handle_connection`, bound to
-        this object, so a kept writer closes a reference cycle that pins
-        the shard — its controller, estimators and report — until a
-        full garbage collection.
+    def abort(self, exc: BaseException) -> None:
+        """End the run with *exc*; the first error wins."""
+        if not self.over:
+            self.over, self.error = True, exc
+            for fut in (self.ready, self.done):
+                if not fut.done():
+                    fut.set_result(None)
+
+    def client_failed(self, shard: int, window: int, reason) -> None:
+        """The client↔shard link broke before the shard's final RESOLVE."""
+        if not self.over:
+            counters.inc("net.client_protocol_error", shard=str(shard))
+            self.abort(ProtocolError(
+                f"client link to shard {shard} failed at window {window}, "
+                f"before its final RESOLVE: {reason}"
+            ))
+
+    def pump(self) -> None:
+        """Submit every window the credit admits; after the last RESOLVE,
+        say goodbye to every shard and end the run."""
+        client = self.client
+        while client.can_submit():
+            for link, sub in zip(self.client_links, client.next_submits()):
+                write_message(link.transport, sub)
+        if client.done and not self.over:
+            self.finished_at = time.perf_counter()
+            for link in self.client_links:
+                write_message(link.transport, Shutdown(reason="stream complete"))
+                link.close()
+            self.over = True
+            self.done.set_result(None)
+
+    def connect(self, factory, port: int) -> None:
+        """Open a connection from a callback (a restarted stub's)."""
+        task = self.loop.create_task(
+            self.loop.create_connection(factory, self.host, port)
+        )
+        self.connecting.add(task)
+        task.add_done_callback(self._connected)
+
+    def _connected(self, task: asyncio.Task) -> None:
+        self.connecting.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self.abort(task.exception())
+
+    async def close(self, abort: bool) -> None:
+        """Close every connection, and wait until each is gone.
+
+        A finished run closes gracefully, so queued SHUTDOWNs still go
+        out; a failed or cancelled one aborts, dropping what is queued.
         """
-        self.stub_writers.clear()
-        self.client_writer = None
+        self.over = True
+        pending = list(self.connecting)
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*pending, return_exceptions=True)
+        for link in list(self.links):
+            link.close(abort)
+        if self.links:
+            self.all_closed = self.loop.create_future()
+            await self.all_closed
+        self.client_links = []
 
-    async def handle_connection(self, reader, writer):
-        """Classify the peer by its first message, then pump the inbox."""
+
+class _Link(asyncio.Protocol):
+    """One end of one connection: frames in, sans-IO handler calls out.
+
+    ``data_received`` feeds a :class:`FrameReader` and hands each
+    complete message to ``on_message`` while the link is reading; while
+    it is paused, later frames wait in the reader as bytes.  A
+    :class:`ProtocolError` — EOF in the middle of a frame included —
+    goes to ``refuse``, any other end of the stream to :meth:`on_end`,
+    once, unless the link closed itself; any other exception of a
+    handler ends the run with it rather than leaving it waiting.
+    """
+
+    def __init__(self, run: _Run):
+        self.run = run
+        self.transport: asyncio.Transport | None = None
+        self.frames = FrameReader()
+        self.reading = self.paused = self.ended = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if self.run.over:
+            self.ended = True
+            transport.abort()
+        else:
+            self.reading = True
+            self.run.links.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.frames.feed(data)
+        self.read_frames()
+
+    def eof_received(self) -> None:
+        self._end(None)  # returning None closes the transport
+
+    def connection_lost(self, exc) -> None:
+        self._end(exc)
+        self.transport = None
+        run = self.run
+        run.links.discard(self)
+        if not run.links and run.all_closed and not run.all_closed.done():
+            run.all_closed.set_result(None)
+
+    def read_frames(self) -> None:
+        frames, run = self.frames, self.run
         try:
-            first = await read_message(reader)
-        except ProtocolError:
-            writer.close()
+            while self.reading and not run.over:
+                msg = frames.next()
+                if msg is None:
+                    return
+                self.on_message(msg)
+        except ProtocolError as exc:
+            self.refuse(exc)
+        except Exception as exc:
+            run.abort(exc)
+
+    def _end(self, exc) -> None:
+        if self.ended:
+            return
+        self.ended, self.reading = True, False
+        if exc is None:
+            try:
+                self.frames.eof()
+            except ProtocolError as torn:
+                exc = torn
+        if self.run.over:
             return
         try:
-            if isinstance(first, Register):
-                await self._pump_server(first, reader, writer)
-            elif isinstance(first, Submit):
-                await self._pump_client(first, reader, writer)
-            # A bare Shutdown or EOF: nothing to do.
-        finally:
-            if not writer.is_closing():
-                writer.close()
-
-    def refuse_stub(self, writer) -> None:
-        """A stub broke the protocol: count it and drop its connection."""
-        counters.inc(
-            "net.stub_protocol_error", shard=str(self.shard.shard_id)
-        )
-        writer.close()
-
-    async def _pump_server(self, hello: Register, reader, writer):
-        server = hello.server
-        self.stub_writers[server] = writer
-        await self.inbox.put(("register", hello))
-        if len(self.stub_writers) == self.shard.n:
-            self.registered.set()
-        try:
-            while True:
-                msg = await read_message(reader)
-                if msg is None or isinstance(msg, Shutdown):
-                    break
-                if not isinstance(msg, Complete) or msg.server != server:
-                    raise ProtocolError(
-                        f"stub {server} may send only its own COMPLETEs"
-                    )
-                await self.inbox.put(("complete", msg))
-        except ProtocolError:
-            self.refuse_stub(writer)
-        # Only this connection's death matters — if a restarted stub
-        # already re-registered (new writer), the old EOF is stale and
-        # must not kill the rejoined server.
-        if self.stub_writers.get(server) is writer:
-            await self.inbox.put(("down", server))
-
-    async def _pump_client(self, first: Submit, reader, writer):
-        self.client_writer = writer
-        msg: Message | None = first
-        while msg is not None:
-            if isinstance(msg, Shutdown):
-                await self.inbox.put(("client_shutdown", None))
-                break
-            if isinstance(msg, Submit):
-                # The bounded queue: hold a slot per buffered window.
-                await self.submit_slots.acquire()
-                self.buffered_submits += 1
-                self.peak_submit_queue = max(
-                    self.peak_submit_queue, self.buffered_submits
-                )
-                await self.inbox.put(("submit", msg))
-            try:
-                msg = await read_message(reader)
-            except ProtocolError:
-                break
-
-
-async def _shard_main(net: _ShardNet, reply_timeout: float) -> None:
-    """Serialize one shard: windows strictly in order, one at a time."""
-    shard = net.shard
-    deferred: deque[Submit] = deque()
-
-    async def send_resolve(resolve: Resolve) -> None:
-        assert net.client_writer is not None
-        write_message(net.client_writer, resolve)
-        await net.client_writer.drain()
-
-    async def process_submit(msg: Submit) -> None:
-        net.buffered_submits -= 1
-        net.submit_slots.release()
-        dispatches, resolve = shard.handle_submit(msg)
-        touched = []
-        for d in dispatches:
-            w = net.stub_writers.get(d.server)
-            if w is None or w.is_closing():
-                done = shard.handle_server_down(d.server)
-                resolve = done if done is not None else resolve
-                continue
-            write_message(w, d)
-            touched.append(w)
-        for w in touched:
-            await w.drain()
-        if resolve is not None:
-            await send_resolve(resolve)
-
-    async def notify_progress() -> None:
-        async with net.progress:
-            net.progress.notify_all()
-
-    while not shard.finished:
-        if deferred and not shard.busy:
-            await process_submit(deferred.popleft())
-            await notify_progress()
-            continue
-        if shard.busy:
-            try:
-                kind, msg = await asyncio.wait_for(
-                    net.inbox.get(), reply_timeout
-                )
-            except asyncio.TimeoutError:
-                # The reply timeout (counted and surfaced in the run
-                # metrics): everyone still awaited in the stuck window
-                # is presumed dead.
-                net.stale_timeouts += 1
-                counters.inc("net.reply_timeout", shard=str(shard.shard_id))
-                for server in sorted(shard.awaiting):
-                    done = shard.handle_server_down(server)
-                    if done is not None:
-                        await send_resolve(done)
-                await notify_progress()
-                continue
-        else:
-            kind, msg = await net.inbox.get()
-        if kind == "submit":
-            if shard.busy:
-                deferred.append(msg)
+            if isinstance(exc, ProtocolError):
+                self.refuse(exc)
             else:
-                await process_submit(msg)
-        elif kind == "complete":
-            try:
-                done = shard.handle_complete(msg)
-            except ProtocolError:
-                # A COMPLETE the window does not await: out of step.
-                net.refuse_stub(net.stub_writers[msg.server])
-                done = shard.handle_server_down(msg.server)
-            if done is not None:
-                await send_resolve(done)
-        elif kind == "register":
-            shard.handle_register(msg)
-        elif kind == "down":
-            done = shard.handle_server_down(msg)
-            if done is not None:
-                await send_resolve(done)
-        # "client_shutdown" while unfinished is a client bug; the final
-        # window's RESOLVE flips `finished`, so it never races this loop.
-        await notify_progress()
+                self.on_end(exc)
+        except Exception as err:
+            self.run.abort(err)
 
-    await notify_progress()  # wake rejoin waiters blocked on a live server
-    for w in net.stub_writers.values():
-        if not w.is_closing():
-            write_message(w, Shutdown(reason="run complete"))
-            try:
-                await w.drain()
-            except ConnectionError:
-                pass
-            w.close()
+    def close(self, abort: bool = False) -> None:
+        """Close this end; its stream's end is no news to :meth:`on_end`."""
+        self.ended, self.reading = True, False
+        if self.transport is not None:
+            if abort:
+                self.transport.abort()
+            else:
+                self.transport.close()
+
+    def pause(self) -> None:
+        self.paused, self.reading = True, False
+        self.transport.pause_reading()
+
+    def resume(self) -> None:
+        self.paused = False
+        if not self.ended:
+            self.reading = True
+            self.transport.resume_reading()
+            self.read_frames()
+
+    def on_end(self, exc) -> None:
+        """The peer closed the connection (*exc*: the reset, if any)."""
 
 
-async def _stub_task(
-    stub: ServerStub, host: str, port: int, *, register_window: int = 0
-) -> None:
-    """One server-stub process: connect, register, replay until told."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        write_message(writer, stub.register(window=register_window))
-        await writer.drain()
-        while True:
-            msg = await read_message(reader)
-            if msg is None or isinstance(msg, Shutdown):
-                break
-            if isinstance(msg, Dispatch):
-                if stub.dead_at(msg.window):
-                    # The scripted crash: drop the connection without
-                    # replying — the orchestrator sees EOF.
-                    break
-                if stub.hangs_at(msg.window):
-                    # The scripted hang: swallow the dispatch, keep the
-                    # connection — only the reply timeout catches it.
-                    continue
-                write_message(writer, stub.handle_dispatch(msg))
-                await writer.drain()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:
-            pass
+class _ShardNet:
+    """One shard's socket side: its links, submit buffer and reply timer.
 
-
-async def _rejoin_stub_task(
-    net: _ShardNet,
-    local: int,
-    speed: float,
-    window: int,
-    host: str,
-    port: int,
-) -> None:
-    """A restarted stub: wait for the death to be observed, reconnect.
-
-    The fresh stub (incarnation 1, empty backlog) REGISTERs for its
-    scripted rejoin *window*; the orchestrator parks the registration
-    and applies it at that window's boundary, so the connect timing
-    itself need not be deterministic — only "after the kill was seen,
-    before the rejoin window's SUBMIT", which waiting on the shard's
-    progress condition guarantees with windows to spare.
+    Windows open strictly in order, one at a time.  A SUBMIT that
+    arrives while a window is in flight waits in ``deferred``; once
+    ``queue_limit`` wait, the client link stops reading, and later
+    SUBMITs stay in socket buffers.  The reply timer is armed when a
+    window opens and none is pending; when it fires it re-arms at
+    ``reply_timeout`` after the last message heard, or, after that much
+    silence with a window open, presumes the awaited servers dead.
     """
-    shard = net.shard
-    async with net.progress:
-        await net.progress.wait_for(
-            lambda: not shard.up[local] or shard.finished
-        )
-    if shard.finished:
-        return
-    stub = ServerStub(local, speed, incarnation=1)
-    await _stub_task(stub, host, port, register_window=window)
+
+    def __init__(self, run: _Run, shard: OrchestratorShard, queue_limit: int,
+                 reply_timeout: float, rejoin: dict[int, tuple[float, int]]):
+        self.run, self.shard = run, shard
+        self.queue_limit, self.reply_timeout = queue_limit, reply_timeout
+        #: Scripted restarts not yet started: local server → (speed, window).
+        self.rejoin = rejoin
+        self.stubs: dict[int, _ShardLink] = {}
+        self.client: _ShardLink | None = None
+        self.deferred: deque[Submit] = deque()
+        self.submits = 0  # SUBMITs received: the window the next one is for
+        self.peak_submit_queue = 0
+        #: Reply-timeout firings: servers presumed dead without an EOF.
+        self.stale_timeouts = 0
+        self.clock = run.loop.time
+        self.heard = 0.0
+        self.timer: asyncio.TimerHandle | None = None
+        self.port: int | None = None
+
+    def release(self) -> None:
+        """Drop the links and the timer once the run is over.
+
+        Each link holds this object, and so does the pending timer's
+        callback; kept, they would close reference cycles that pin the
+        shard — its controller, estimators and report — until a full
+        garbage collection.
+        """
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self.stubs.clear()
+        self.client = None
+        self.deferred.clear()
+
+    def register(self, link: _ShardLink, msg: Register) -> None:
+        self.shard.handle_register(msg)
+        link.server = msg.server
+        self.stubs[msg.server] = link
+        run = self.run
+        if not run.ready.done() and len(self.stubs) == self.shard.n:
+            run.unready -= 1
+            if not run.unready:
+                run.ready.set_result(None)
+
+    def submit(self, msg: Submit) -> None:
+        self.submits += 1
+        self.peak_submit_queue = max(self.peak_submit_queue, len(self.deferred) + 1)
+        if self.shard.busy:
+            self.deferred.append(msg)
+            if len(self.deferred) >= self.queue_limit:
+                self.client.pause()
+        else:
+            self.advance(self.open(msg))
+
+    def stub_down(self, link: _ShardLink) -> None:
+        """A stub's connection is gone: its server is, unless replaced."""
+        if not self.shard.finished and self.stubs.get(link.server) is link:
+            del self.stubs[link.server]
+            self.advance(self.down(link.server))
+
+    def open(self, msg: Submit) -> Resolve | None:
+        """Open a window: fan its slices out, arm the reply timer."""
+        dispatches, resolve = self.shard.handle_submit(msg)
+        for d in dispatches:
+            link = self.stubs.get(d.server)
+            if link is None:
+                resolve = self.down(d.server) or resolve
+            else:
+                write_message(link.transport, d)
+        if resolve is None:
+            self.heard = self.clock()
+            if self.timer is None:
+                self.timer = self.run.loop.call_at(
+                    self.heard + self.reply_timeout, self.deadline
+                )
+        return resolve
+
+    def advance(self, resolve: Resolve | None) -> None:
+        """Send *resolve*, if any, and open waiting windows while idle;
+        after the final window, tell every live stub goodbye."""
+        while resolve is not None:
+            write_message(self.client.transport, resolve)
+            if self.shard.finished:
+                stubs = list(self.stubs.values())
+                self.release()
+                for link in stubs:
+                    write_message(link.transport, Shutdown(reason="run complete"))
+                    link.close()
+                return
+            resolve = self.open(self.deferred.popleft()) if self.deferred else None
+        client = self.client
+        if client is not None and client.paused:
+            if len(self.deferred) < self.queue_limit:
+                client.resume()
+
+    def down(self, server: int) -> Resolve | None:
+        """Presume *server* dead; start its scripted restart, if any."""
+        done = self.shard.handle_server_down(server)
+        script = self.rejoin.pop(server, None)
+        if script is not None:
+            stub = ServerStub(server, script[0], incarnation=1)
+            run = self.run
+            run.connect(lambda: _StubLink(run, stub, script[1]), self.port)
+        return done
+
+    def deadline(self) -> None:
+        """The reply timer: re-arm, or declare the silent servers dead."""
+        self.timer = None
+        shard = self.shard
+        if not shard.busy or self.run.over:
+            return
+        due = self.heard + self.reply_timeout
+        if self.clock() < due:
+            self.timer = self.run.loop.call_at(due, self.deadline)
+            return
+        self.stale_timeouts += 1
+        counters.inc("net.reply_timeout", shard=str(shard.shard_id))
+        try:
+            resolve = None
+            for server in sorted(shard.awaiting):
+                resolve = self.down(server) or resolve
+            self.advance(resolve)
+        except Exception as exc:  # a timer has no caller to raise to
+            self.run.abort(exc)
 
 
-async def _client_task(
-    client: LoadClient, host: str, ports: list[int]
-) -> None:
-    """The load generator: submit under credit, bank RESOLVEs."""
-    conns = [await asyncio.open_connection(host, p) for p in ports]
-    credit = asyncio.Event()
+class _ShardLink(_Link):
+    """The shard's end of a connection, classified by its first frame:
+    a REGISTER makes it a stub's, a SUBMIT the client's."""
 
-    async def read_resolves(s: int) -> None:
-        reader = conns[s][0]
-        while True:
-            msg = await read_message(reader)
-            if msg is None or isinstance(msg, Shutdown):
-                break
-            if isinstance(msg, Resolve):
-                client.handle_resolve(msg, s)
-                credit.set()
+    def __init__(self, run: _Run, net: _ShardNet):
+        super().__init__(run)
+        self.net = net
+        self.server: int | None = None
+        self.is_client = False
 
-    readers = [asyncio.create_task(read_resolves(s)) for s in range(len(conns))]
-    try:
-        while not client.done:
-            if client.can_submit():
-                submits = client.next_submits()
-                assert submits is not None
-                for s, sub in enumerate(submits):
-                    write_message(conns[s][1], sub)
-                for _, w in conns:
-                    await w.drain()
-                continue
-            credit.clear()
-            if client.done or client.can_submit():
-                continue
-            await credit.wait()
-        for _, w in conns:
-            write_message(w, Shutdown(reason="stream complete"))
-            await w.drain()
-        await asyncio.gather(*readers)
-    finally:
-        for task in readers:
-            task.cancel()
-        for _, w in conns:
-            w.close()
+    def on_message(self, msg: Message) -> None:
+        net = self.net
+        net.heard = net.clock()
+        kind = type(msg)
+        if self.server is not None:
+            if kind is Complete and msg.server == self.server:
+                net.advance(net.shard.handle_complete(msg))
+            elif kind is Shutdown:
+                self.close()
+                net.stub_down(self)
+            else:
+                raise ProtocolError(
+                    f"stub {self.server} may send only its own COMPLETEs"
+                )
+        elif self.is_client:
+            if kind is Submit:
+                net.submit(msg)
+            elif kind is Shutdown and net.shard.finished:
+                self.close()
+            else:
+                raise ProtocolError(f"the client may not send {msg.type!r} here")
+        elif kind is Register:
+            net.register(self, msg)
+        elif kind is Submit:
+            self.is_client = True
+            net.client = self
+            net.submit(msg)
+        else:
+            self.close()  # a bare SHUTDOWN: nothing to serve
+
+    def refuse(self, exc: ProtocolError) -> None:
+        self.close()
+        net = self.net
+        if self.server is not None:
+            counters.inc("net.stub_protocol_error", shard=str(net.shard.shard_id))
+            net.stub_down(self)
+        elif self.is_client:
+            self.run.client_failed(net.shard.shard_id, net.submits, exc)
+
+    def on_end(self, exc) -> None:
+        net = self.net
+        if self.server is not None:
+            net.stub_down(self)
+        elif self.is_client and not net.shard.finished:
+            self.run.client_failed(
+                net.shard.shard_id, net.submits, exc or "connection closed"
+            )
+
+
+class _StubLink(_Link):
+    """A server stub's connection: REGISTER on connect, then replay."""
+
+    def __init__(self, run: _Run, stub: ServerStub, window: int = 0):
+        super().__init__(run)
+        self.stub, self.window = stub, window
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        if self.reading:
+            write_message(transport, self.stub.register(window=self.window))
+
+    def on_message(self, msg: Message) -> None:
+        stub = self.stub
+        if type(msg) is Dispatch:
+            if stub.dead_at(msg.window):
+                # The scripted crash: drop the connection without
+                # replying — the orchestrator sees EOF.
+                self.close()
+            elif not stub.hangs_at(msg.window):
+                # (The scripted hang swallows the dispatch and keeps the
+                # connection: only the reply timeout catches it.)
+                write_message(self.transport, stub.handle_dispatch(msg))
+        elif type(msg) is Shutdown:
+            self.close()
+        else:
+            raise ProtocolError(
+                f"stub {stub.server_id} got an unexpected {msg.type!r} message"
+            )
+
+    def refuse(self, exc: ProtocolError) -> None:
+        self.close()
+        self.run.abort(exc)
+
+
+class _ClientLink(_Link):
+    """The load client's end of its connection to one shard."""
+
+    def __init__(self, run: _Run, shard: int):
+        super().__init__(run)
+        self.shard = shard
+        self.resolved = 0  # RESOLVEs banked: the window the next one closes
+        self.final = False
+
+    def on_message(self, msg: Message) -> None:
+        if type(msg) is not Resolve:
+            raise ProtocolError(f"expected a RESOLVE, got {msg.type!r}")
+        self.run.client.handle_resolve(msg, self.shard)
+        self.resolved += 1
+        self.final = msg.final
+        self.run.pump()
+
+    def refuse(self, exc: ProtocolError) -> None:
+        self.close()
+        self.run.client_failed(self.shard, self.resolved, exc)
+
+    def on_end(self, exc) -> None:
+        if not self.final:
+            self.run.client_failed(
+                self.shard, self.resolved, exc or "connection closed"
+            )
 
 
 async def run_sockets(
@@ -617,7 +796,10 @@ async def run_sockets(
 
     Everything runs on loopback in one event loop — the point is the
     real message boundary and the real transport semantics (framing,
-    EOF, socket buffering), not multi-host deployment.
+    EOF, socket buffering), not multi-host deployment.  A broken
+    client↔shard link raises :class:`ProtocolError` naming the shard
+    and the window; a cancelled run closes every connection before the
+    cancellation propagates.
     """
     shards = _build_shards(config, n_shards)
     stubs = _build_stubs(config, n_shards, kill, hang)
@@ -636,44 +818,50 @@ async def run_sockets(
     if queue_limit < 1:
         raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
 
-    nets = [_ShardNet(shard, queue_limit) for shard in shards]
-    servers = []
-    for net in nets:
-        srv = await asyncio.start_server(net.handle_connection, host, 0)
-        net.port = srv.sockets[0].getsockname()[1]
-        servers.append(srv)
-
-    stub_tasks = [
-        asyncio.create_task(_stub_task(stub, host, nets[s].port))
-        for s in range(n_shards)
-        for stub in stubs[s]
-    ]
-    stub_tasks += [
-        asyncio.create_task(
-            _rejoin_stub_task(
-                nets[g % n_shards],
-                g // n_shards,
-                config.speeds[g],
-                window,
-                host,
-                nets[g % n_shards].port,
-            )
+    loop = asyncio.get_running_loop()
+    run = _Run(loop, host, client, n_shards)
+    nets = [
+        _ShardNet(
+            run, shard, queue_limit, reply_timeout,
+            {
+                g // n_shards: (config.speeds[g], window)
+                for g, window in rejoin.items() if g % n_shards == s
+            },
         )
-        for g, window in sorted(rejoin.items())
+        for s, shard in enumerate(shards)
     ]
-    shard_tasks = [
-        asyncio.create_task(_shard_main(net, reply_timeout)) for net in nets
-    ]
+    servers = []
     try:
-        await asyncio.gather(*(net.registered.wait() for net in nets))
+        for net in nets:
+            srv = await loop.create_server(
+                lambda net=net: _ShardLink(run, net), host, 0
+            )
+            net.port = srv.sockets[0].getsockname()[1]
+            servers.append(srv)
+        await asyncio.gather(*(
+            loop.create_connection(
+                lambda stub=stub: _StubLink(run, stub), host, nets[s].port
+            )
+            for s in range(n_shards)
+            for stub in stubs[s]
+        ))
+        await run.ready
         t0 = time.perf_counter()
-        await _client_task(client, host, [net.port for net in nets])
-        wall = time.perf_counter() - t0
-        await asyncio.gather(*shard_tasks)
-        await asyncio.gather(*stub_tasks)
+        for s, net in enumerate(nets):
+            if run.over:
+                break
+            _, link = await loop.create_connection(
+                lambda s=s: _ClientLink(run, s), host, net.port
+            )
+            run.client_links.append(link)
+        if not run.over:
+            run.pump()
+        await run.done
+        if run.error is not None:
+            raise run.error
+        wall = run.finished_at - t0
     finally:
-        for task in (*stub_tasks, *shard_tasks):
-            task.cancel()
+        await run.close(abort=run.error is not None or not run.done.done())
         for srv in servers:
             srv.close()
             await srv.wait_closed()

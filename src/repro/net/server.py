@@ -9,8 +9,9 @@ estimation, allocation) lives in the orchestrator; the stub is
 deliberately dumb so the equivalence argument stays small.
 
 The stub is sans-IO: :meth:`handle_dispatch` maps one DISPATCH to its
-one reply, the COMPLETE.  The socket runtime wraps it in a
-connect-and-loop coroutine; the in-process transport calls it directly.
+one reply, the COMPLETE.  The socket runtime calls it from its
+connection's ``data_received`` callback; the in-process transport calls
+it directly.
 
 ``die_after_window`` scripts the chaos drill: after replying to that
 window the stub "crashes" (drops its connection / refuses further

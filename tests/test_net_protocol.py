@@ -566,3 +566,73 @@ class TestStreamIO:
                 await read_message(reader)
 
         _run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Incremental frame splitting (what a socket's data_received feeds)
+# ---------------------------------------------------------------------------
+
+
+def _chunked(stream: bytes, cuts):
+    """*stream* split at the (sorted, deduplicated) offsets *cuts*."""
+    edges = [0, *sorted({c % (len(stream) + 1) for c in cuts}), len(stream)]
+    return [stream[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestFrameReader:
+    @given(
+        msgs=st.lists(messages, min_size=1, max_size=6),
+        cuts=st.lists(st.integers(min_value=0), max_size=12),
+    )
+    @settings(max_examples=200)
+    def test_any_chunking_decodes_to_the_frames_messages(self, msgs, cuts):
+        frames = [pack(m) for m in msgs]
+        reader = protocol.FrameReader()
+        got = []
+        for chunk in _chunked(b"".join(frames), cuts):
+            reader.feed(chunk)
+            while (msg := reader.next()) is not None:
+                got.append(msg)
+        reader.eof()  # nothing left over
+        assert got == [unpack(f) for f in frames]
+        for msg in got:
+            for name in getattr(msg, "arrays", ()):
+                assert not getattr(msg, name).flags.writeable
+
+    @given(msg=messages, cut=st.integers(min_value=1))
+    @settings(max_examples=100)
+    def test_eof_mid_frame_is_refused_like_the_stream_reader(self, msg, cut):
+        frame = pack(msg)
+        partial = frame[:cut % len(frame)] or frame[:1]
+        reader = protocol.FrameReader()
+        reader.feed(partial)
+        assert reader.next() is None
+        with pytest.raises(ProtocolError) as torn:
+            reader.eof()
+
+        async def stream_error():
+            stream = asyncio.StreamReader()
+            stream.feed_data(partial)
+            stream.feed_eof()
+            with pytest.raises(ProtocolError) as exc:
+                await read_message(stream)
+            return str(exc.value)
+
+        assert str(torn.value) == _run(stream_error())
+
+    def test_length_over_the_cap_is_refused_like_the_stream_reader(self):
+        prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
+        reader = protocol.FrameReader()
+        reader.feed(prefix)
+        with pytest.raises(ProtocolError) as framed:
+            reader.next()
+
+        async def stream_error():
+            stream = asyncio.StreamReader()
+            stream.feed_data(prefix)
+            with pytest.raises(ProtocolError) as exc:
+                await read_message(stream)
+            return str(exc.value)
+
+        assert str(framed.value) == _run(stream_error())
+        assert str(MAX_FRAME_BYTES + 1) in str(framed.value)

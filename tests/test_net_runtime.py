@@ -13,6 +13,7 @@ import asyncio
 import dataclasses
 import gc
 import json
+import logging
 import re
 import struct
 import weakref
@@ -28,6 +29,7 @@ from repro.net import (
     Complete,
     NetMetrics,
     ProtocolError,
+    Resolve,
     Submit,
     pack,
     run_in_process,
@@ -444,6 +446,132 @@ class TestStubProtocolErrors:
         assert int(delta.get("net.stub_protocol_error{shard=0}", 0)) == 1
         assert int(delta.get("net.server_down", 0)) == 1
         assert live.metrics.stale_timeouts == 0
+
+
+class TestTornFrames:
+    def test_half_a_complete_then_close_loses_exactly_its_slice(
+        self, monkeypatch
+    ):
+        # EOF in the middle of a frame is a protocol error of the stub,
+        # counted once, and its server's death, counted once.
+        sliced = {}
+        real_write = runtime.write_message
+
+        def write(transport, msg):
+            if isinstance(msg, Complete) and (msg.server, msg.window) == (2, 3):
+                sliced["jobs"] = msg.departures.size
+                frame = pack(msg)
+                transport.write(frame[:len(frame) // 2])
+                transport.close()
+            else:
+                real_write(transport, msg)
+
+        monkeypatch.setattr(runtime, "write_message", write)
+        before = counters.snapshot()
+        live = asyncio.run(
+            asyncio.wait_for(
+                run_sockets(make_config(duration=1000.0), make_source(),
+                            reply_timeout=0.5),
+                10,
+            )
+        )
+        delta = counters.diff_since(before)
+        assert live.report.clean_shutdown
+        assert int(delta.get("net.stub_protocol_error{shard=0}", 0)) == 1
+        assert int(delta.get("net.server_down", 0)) == 1
+        assert live.metrics.stale_timeouts == 0
+        window = live.report.windows[3]
+        assert window.lost == sliced["jobs"] > 0
+        assert window.completed + window.lost == window.admitted
+
+
+def _break_client_link(monkeypatch, kind, window):
+    """Send *kind*'s *window* message on the client↔shard link truncated."""
+    real_write = runtime.write_message
+
+    def write(transport, msg):
+        if isinstance(msg, kind) and msg.window == window:
+            transport.write(_truncated(msg))
+        else:
+            real_write(transport, msg)
+
+    monkeypatch.setattr(runtime, "write_message", write)
+
+
+class TestClientLinkErrors:
+    @pytest.mark.parametrize("kind", [Submit, Resolve], ids=["submit", "resolve"])
+    def test_malformed_frame_ends_the_run_naming_shard_and_window(
+        self, monkeypatch, kind
+    ):
+        # A broken client↔shard link must fail the run, not leave the
+        # client waiting for credit forever.
+        _break_client_link(monkeypatch, kind, 3)
+        before = counters.snapshot()
+        with pytest.raises(ProtocolError, match="shard 0 failed at window 3"):
+            asyncio.run(
+                asyncio.wait_for(
+                    run_sockets(make_config(duration=1000.0), make_source()),
+                    10,
+                )
+            )
+        delta = counters.diff_since(before)
+        assert int(delta.get("net.client_protocol_error{shard=0}", 0)) == 1
+
+    def test_sharded_run_names_the_broken_shard(self, monkeypatch):
+        real_write = runtime.write_message
+        sent = []
+
+        def write(transport, msg):
+            # The client writes each window's SUBMITs in shard order.
+            if isinstance(msg, Submit) and msg.window == 2:
+                sent.append(msg)
+                if len(sent) == 2:
+                    transport.write(_truncated(msg))
+                    return
+            real_write(transport, msg)
+
+        monkeypatch.setattr(runtime, "write_message", write)
+        with pytest.raises(ProtocolError, match="shard 1 failed at window 2"):
+            asyncio.run(
+                asyncio.wait_for(
+                    run_sockets(make_config(duration=1000.0), make_source(),
+                                n_shards=2),
+                    10,
+                )
+            )
+
+
+class TestCancellation:
+    def test_cancelled_run_logs_nothing_and_closes_every_socket(
+        self, monkeypatch, caplog
+    ):
+        # A hung stub with a long reply timeout stalls the run; the
+        # outer timeout cancels it mid-window.
+        transports = []
+        real_made = runtime._Link.connection_made
+
+        def made(link, transport):
+            transports.append(transport)
+            real_made(link, transport)
+
+        monkeypatch.setattr(runtime._Link, "connection_made", made)
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        with pytest.raises(asyncio.TimeoutError):
+            asyncio.run(
+                asyncio.wait_for(
+                    run_sockets(make_config(), make_source(), hang={2: 3},
+                                reply_timeout=60.0),
+                    1.0,
+                )
+            )
+        assert not [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.WARNING
+        ]
+        assert len(transports) == 2 * (len(SPEEDS) + 1)  # both ends
+        for transport in transports:
+            assert transport.is_closing()
+            assert transport.get_extra_info("socket").fileno() == -1
 
 
 class TestMismatchedComplete:
