@@ -556,12 +556,16 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .core import evaluate_policy, evaluate_policy_parallel, get_policy
+    from .core import evaluate_policy_parallel, get_policy
     from .experiments.reporting import format_table
     from .sim import SimulationConfig
 
     n_jobs = _resolve_jobs(args.n_jobs)
     if n_jobs is None:
+        return 2
+    if args.replications < 1:
+        print(f"error: --replications must be positive, got {args.replications}",
+              file=sys.stderr)
         return 2
     speeds = _parse_speeds(args.speeds)
     if speeds is None:
@@ -588,18 +592,12 @@ def _cmd_simulate(args) -> int:
 
     rows = []
     for name, policy in zip(names, policies):
-        if n_jobs > 1:
-            # Bit-identical to the serial path: same seeds, same
-            # order-insensitive aggregation.
-            ev = evaluate_policy_parallel(
-                config, name, replications=args.replications,
-                base_seed=args.seed, n_jobs=n_jobs,
-            )
-        else:
-            ev = evaluate_policy(
-                config, policy, replications=args.replications,
-                base_seed=args.seed,
-            )
+        # Bit-identical for every n_jobs: same seeds, same
+        # order-insensitive aggregation; n_jobs=1 runs in-process.
+        ev = evaluate_policy_parallel(
+            config, name, replications=args.replications,
+            base_seed=args.seed, n_jobs=n_jobs,
+        )
         rows.append([
             policy.name,
             ev.mean_response_time.mean,

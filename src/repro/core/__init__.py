@@ -11,6 +11,7 @@ from .evaluate import (
     evaluate_cell,
     evaluate_cell_to_precision,
     evaluate_policy,
+    evaluate_policy_parallel,
     evaluate_policy_to_precision,
     run_policy_once,
     summarize_outcomes,
@@ -25,7 +26,6 @@ from .executor import (
     shared_executor,
     shutdown_shared_executor,
 )
-from .parallel import evaluate_policy_parallel
 from .policies import PAPER_POLICIES, SchedulingPolicy, get_policy, policy_names
 
 __all__ = [

@@ -29,18 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..obs import counters
 from ..obs.spans import span
 from ..sim.config import SimulationConfig
 from ..sim.fastpath import KERNEL_VERSION
+from .evaluate import Outcome
 
 __all__ = ["ReplicationCache", "default_cache", "config_signature"]
 
 logger = logging.getLogger("repro.cache")
-
-#: One replication's outcome, as produced by the grid worker:
-#: (mean_response_time, mean_response_ratio, fairness, jobs, fractions).
-_FIELDS = ("mean_response_time", "mean_response_ratio", "fairness", "jobs")
 
 
 def config_signature(config: SimulationConfig) -> dict:
@@ -100,32 +96,22 @@ class ReplicationCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, key: str):
-        """The cached outcome tuple, or None (missing or unreadable).
+    def get(self, key: str) -> Outcome | None:
+        """The cached :class:`~repro.core.evaluate.Outcome`, or None
+        (missing or unreadable).
 
         Unreadable means *any* defect — a torn write from a crashed
         process, truncation, a hand-edited file, wrong types: all decode
         failures degrade to a miss, and the subsequent :meth:`put`
-        atomically replaces the bad entry with a fresh one.
+        atomically replaces the bad entry with a fresh one.  The grid
+        executor counts ``cache.hit``/``cache.miss`` once it has also
+        checked the entry against the run's configuration.
         """
         with span("cache_lookup"):
             try:
-                data = json.loads(self._path(key).read_text())
-                outcome = (
-                    float(data["mean_response_time"]),
-                    float(data["mean_response_ratio"]),
-                    float(data["fairness"]),
-                    int(data["jobs"]),
-                    np.asarray(data["dispatch_fractions"], dtype=float),
-                    # Entries written before fault injection existed lack
-                    # the field; fault-free loss is exactly 0.0.
-                    float(data.get("loss_rate", 0.0)),
-                )
+                return Outcome.from_json(json.loads(self._path(key).read_text()))
             except (OSError, ValueError, KeyError, TypeError):
-                counters.inc("cache.miss")
                 return None  # treat corrupt/missing entries as misses
-            counters.inc("cache.hit")
-            return outcome
 
     #: Distinguishes temp files written by threads sharing one pid.
     _tmp_counter = itertools.count()
@@ -140,16 +126,7 @@ class ReplicationCache:
         and the last publisher wins (all writers compute the same value,
         so which one lands is immaterial).
         """
-        time_, ratio, fairness, jobs, fractions = outcome[:5]
-        data = {
-            "mean_response_time": float(time_),
-            "mean_response_ratio": float(ratio),
-            "fairness": float(fairness),
-            "jobs": int(jobs),
-            "dispatch_fractions": [float(x) for x in np.asarray(fractions)],
-            "loss_rate": float(outcome[5]) if len(outcome) > 5 else 0.0,
-            "kernel": self.kernel_version,
-        }
+        data = {**Outcome(*outcome).to_json(), "kernel": self.kernel_version}
         path = self._path(key)
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{next(self._tmp_counter)}.tmp"

@@ -26,7 +26,7 @@ import os
 from pathlib import Path
 from typing import Hashable
 
-import numpy as np
+from .evaluate import Outcome
 
 __all__ = ["SweepCheckpoint"]
 
@@ -51,8 +51,9 @@ class SweepCheckpoint:
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def load(self) -> dict:
-        """Completed cells: task key → outcome tuple.  Missing file or
-        corrupt lines are not errors (they just recompute)."""
+        """Completed cells: task key → :class:`~repro.core.evaluate.Outcome`.
+        Missing file or corrupt lines are not errors (they just
+        recompute)."""
         done: dict = {}
         try:
             text = self.path.read_text(encoding="utf-8")
@@ -64,33 +65,14 @@ class SweepCheckpoint:
                 continue
             try:
                 entry = json.loads(line)
-                key = _freeze(entry["key"])
-                o = entry["outcome"]
-                done[key] = (
-                    float(o["mean_response_time"]),
-                    float(o["mean_response_ratio"]),
-                    float(o["fairness"]),
-                    int(o["jobs"]),
-                    np.asarray(o["dispatch_fractions"], dtype=float),
-                    float(o.get("loss_rate", 0.0)),
-                )
+                done[_freeze(entry["key"])] = Outcome.from_json(entry["outcome"])
             except (ValueError, KeyError, TypeError):
                 continue  # truncated append: recompute that cell
         return done
 
     def record(self, key: Hashable, outcome) -> None:
         """Append one finished cell and flush it to disk immediately."""
-        data = {
-            "key": key,
-            "outcome": {
-                "mean_response_time": float(outcome[0]),
-                "mean_response_ratio": float(outcome[1]),
-                "fairness": float(outcome[2]),
-                "jobs": int(outcome[3]),
-                "dispatch_fractions": [float(x) for x in np.asarray(outcome[4])],
-                "loss_rate": float(outcome[5]) if len(outcome) > 5 else 0.0,
-            },
-        }
+        data = {"key": key, "outcome": Outcome(*outcome).to_json()}
         line = json.dumps(data, separators=(",", ":"))
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")

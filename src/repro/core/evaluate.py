@@ -9,13 +9,17 @@ Static policies under the PS and FCFS disciplines are routed to the
 vectorized fast path automatically (identical statistics, several times
 faster); Dynamic Least-Load and the finite-quantum discipline go through
 the event engine.  Every evaluator — serial, precision-driven, cell and
-grid — folds per-replication outcome tuples through
-:func:`summarize_outcomes`.
+grid — folds per-replication :class:`Outcome` records through
+:func:`summarize_outcomes`.  One precision loop serves a single policy
+and a whole cell, and :func:`evaluate_policy_parallel` fans the
+replications of one registry policy over the grid executor's shared
+worker pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,16 +41,76 @@ from ..sim import (
 from ..sim.streams import StreamPool
 from .policies import SchedulingPolicy, get_policy
 
+if TYPE_CHECKING:
+    from .cache import ReplicationCache
+
 __all__ = [
+    "Outcome",
     "PolicyEvaluation",
     "CellEvaluation",
     "evaluate_policy",
+    "evaluate_policy_parallel",
     "evaluate_policy_to_precision",
     "evaluate_cell",
     "evaluate_cell_to_precision",
     "run_policy_once",
     "summarize_outcomes",
 ]
+
+#: Default base seed of :func:`evaluate_policy_parallel`; matches
+#: :class:`repro.experiments.base.Scale`'s (2000, the ICPP vintage), so
+#: ad-hoc parallel evaluations and figure sweeps share a seeding scheme.
+DEFAULT_BASE_SEED = 2000
+
+
+class Outcome(NamedTuple):
+    """One replication's result: what caches, checkpoints and grid
+    workers store, and what :func:`summarize_outcomes` folds.
+
+    :meth:`to_json`/:meth:`from_json` are the one on-disk encoding, used
+    by both the replication cache and the sweep checkpoint.  Floats
+    round-trip bit-exactly (shortest-repr JSON).
+    """
+
+    mean_response_time: float
+    mean_response_ratio: float
+    fairness: float
+    jobs: int
+    dispatch_fractions: np.ndarray
+    #: Post-warm-up job-loss rate; 0.0 for fault-free runs and for
+    #: records written before fault injection existed.
+    loss_rate: float = 0.0
+
+    def to_json(self) -> dict:
+        """JSON-ready fields, in the stored key order."""
+        return {
+            "mean_response_time": float(self.mean_response_time),
+            "mean_response_ratio": float(self.mean_response_ratio),
+            "fairness": float(self.fairness),
+            "jobs": int(self.jobs),
+            "dispatch_fractions": [
+                float(x) for x in np.asarray(self.dispatch_fractions)
+            ],
+            "loss_rate": float(self.loss_rate),
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Outcome":
+        """Decode :meth:`to_json` output; raises ``KeyError``,
+        ``TypeError`` or ``ValueError`` on a malformed record."""
+        return cls(
+            float(data["mean_response_time"]),
+            float(data["mean_response_ratio"]),
+            float(data["fairness"]),
+            int(data["jobs"]),
+            np.asarray(data["dispatch_fractions"], dtype=float),
+            float(data.get("loss_rate", 0.0)),
+        )
+
+    def fits(self, n: int) -> bool:
+        """Whether the dispatch fractions cover exactly *n* computers."""
+        fractions = self.dispatch_fractions
+        return np.ndim(fractions) == 1 and len(fractions) == n
 
 
 @dataclass(frozen=True)
@@ -83,19 +147,16 @@ class PolicyEvaluation:
             ) from None
 
 
-#: Metric names tracked per replication, in outcome-tuple order (see
-#: :func:`_result_outcome`).
+#: :class:`Outcome` fields kept per replication in cell ``samples``.
 _TRACKED_METRICS = ("mean_response_time", "mean_response_ratio", "fairness")
 
 
-def _check_metric(metric: str) -> int:
-    """Outcome-tuple index of *metric*; ``KeyError`` naming the choices."""
-    try:
-        return _TRACKED_METRICS.index(metric)
-    except ValueError:
+def _check_metric(metric: str) -> None:
+    """``KeyError`` naming the choices unless *metric* is tracked."""
+    if metric not in _TRACKED_METRICS:
         raise KeyError(
             f"unknown metric {metric!r}; expected one of {sorted(_TRACKED_METRICS)}"
-        ) from None
+        )
 
 
 def _static_fast(config: SimulationConfig, policy) -> bool:
@@ -136,9 +197,9 @@ def run_policy_once(
     return result
 
 
-def _result_outcome(result: SimulationResults) -> tuple:
-    """The per-replication outcome tuple stored in caches/checkpoints."""
-    return (
+def _result_outcome(result: SimulationResults) -> Outcome:
+    """The :class:`Outcome` of one simulated replication."""
+    return Outcome(
         result.metrics.mean_response_time,
         result.metrics.mean_response_ratio,
         result.metrics.fairness,
@@ -155,33 +216,33 @@ def summarize_outcomes(
     *,
     confidence: float = 0.95,
 ) -> PolicyEvaluation:
-    """Fold per-replication outcome tuples (in seed order) into a
-    :class:`PolicyEvaluation` — the one fold every evaluator uses, so
-    serial, cached, cell-batched and parallel summaries are
+    """Fold per-replication :class:`Outcome` records (in seed order)
+    into a :class:`PolicyEvaluation` — the one fold every evaluator
+    uses, so serial, cached, cell-batched and parallel summaries are
     bit-identical.  ``loss_rate`` is summarized on fault-enabled
     configs only."""
     outcomes = list(outcomes)
-    times = [o[0] for o in outcomes]
-    ratios = [o[1] for o in outcomes]
-    fairs = [o[2] for o in outcomes]
-    jobs = [o[3] for o in outcomes]
     fractions = np.zeros(config.n)
     for o in outcomes:
-        fractions += o[4]
+        fractions += o.dispatch_fractions
     loss = None
     if config.faults is not None and config.faults.enabled:
-        loss = summarize_replications(
-            [o[5] if len(o) > 5 else 0.0 for o in outcomes], confidence
+        loss = summarize_replications([o.loss_rate for o in outcomes], confidence)
+
+    def summary(metric: str) -> ReplicationSummary:
+        return summarize_replications(
+            [getattr(o, metric) for o in outcomes], confidence
         )
+
     return PolicyEvaluation(
         policy_name=policy_name,
         config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
+        mean_response_time=summary("mean_response_time"),
+        mean_response_ratio=summary("mean_response_ratio"),
+        fairness=summary("fairness"),
         dispatch_fractions=fractions / len(outcomes),
         replications=len(outcomes),
-        jobs_per_replication=float(np.mean(jobs)),
+        jobs_per_replication=float(np.mean([o.jobs for o in outcomes])),
         loss_rate=loss,
     )
 
@@ -207,6 +268,53 @@ def evaluate_policy(
     return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
+def evaluate_policy_parallel(
+    config: SimulationConfig,
+    policy_name: str,
+    *,
+    estimation_error: float | None = None,
+    replications: int = 10,
+    base_seed: int = DEFAULT_BASE_SEED,
+    confidence: float = 0.95,
+    n_jobs: int = 2,
+    cache: ReplicationCache | None = None,
+) -> PolicyEvaluation:
+    """:func:`evaluate_policy` with the replications spread over *n_jobs*
+    worker processes (the grid executor's shared pool).
+
+    Replications are independent, so the result is bit-identical to the
+    serial path: the same per-replication seeds, only the execution
+    order changes, and the aggregation is order-insensitive.
+    ``n_jobs=1`` runs in-process.  ``policy_name`` (plus the optional
+    Figure 6 ``estimation_error``) must resolve through
+    :func:`~repro.core.policies.get_policy`: each worker rebuilds the
+    policy from its registry name, since policies carry non-picklable
+    dispatcher factories.  Pass a
+    :class:`~repro.core.cache.ReplicationCache` to reuse completed
+    replications across invocations.
+    """
+    # executor.py imports this module, so its names load on first call.
+    from .executor import ReplicationTask, run_replication_grid
+
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
+    # Validate the name up front (fail fast in the parent process).
+    policy = get_policy(policy_name, estimation_error=estimation_error)
+    tasks = [
+        ReplicationTask(
+            key=r,
+            config=config,
+            policy_name=policy_name,
+            estimation_error=estimation_error,
+            seed=seed,
+        )
+        for r, seed in enumerate(replication_seeds(base_seed, replications))
+    ]
+    report = run_replication_grid(tasks, n_jobs=n_jobs, cache=cache)
+    outcomes = [report.outcomes[r] for r in range(replications)]
+    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
+
+
 def evaluate_policy_to_precision(
     config: SimulationConfig,
     policy: SchedulingPolicy,
@@ -217,7 +325,6 @@ def evaluate_policy_to_precision(
     max_replications: int = 50,
     base_seed: int = 0,
     confidence: float = 0.95,
-    cache=None,
 ) -> PolicyEvaluation:
     """Sequential replication: run until the chosen metric's CI is tight.
 
@@ -225,54 +332,22 @@ def evaluate_policy_to_precision(
     per-replication seeds, so results are a strict extension of a fixed
     ``evaluate_policy`` call) until the confidence interval's relative
     half-width drops below the target or ``max_replications`` is hit.
-
-    With a :class:`~repro.core.cache.ReplicationCache`, every completed
-    replication is looked up before it is simulated and stored after —
-    so tightening the target on a later call (or re-running after an
-    interruption) extends the earlier run instead of repeating it.
+    This is the one-policy cell of :func:`evaluate_cell_to_precision`.
 
     The heavy-load points of Figures 5/6 are exactly where a fixed
     replication count under-delivers; this is the data-driven version
     of the replication boost those experiments apply.
     """
-    if not 0.0 < target_relative_half_width:
-        raise ValueError(
-            f"target half-width must be positive, got {target_relative_half_width}"
-        )
-    if not 1 <= min_replications <= max_replications:
-        raise ValueError(
-            f"need 1 <= min_replications <= max_replications, got "
-            f"{min_replications}/{max_replications}"
-        )
-    index = _check_metric(metric)
-    outcomes = []
-    for seed in replication_seeds(base_seed, max_replications):
-        # Cache entries are keyed like the grid executor's (registry
-        # policies carry no estimation error, so keys coincide and the
-        # two paths share entries).
-        key = (
-            cache.task_key(config, policy.name, None, seed)
-            if cache is not None
-            else None
-        )
-        outcome = cache.get(key) if key is not None else None
-        if outcome is None:
-            outcome = _result_outcome(run_policy_once(config, policy, seed=seed))
-            if key is not None:
-                cache.put(key, outcome)
-        outcomes.append(outcome)
-        if len(outcomes) < min_replications:
-            continue
-        summary = summarize_replications([o[index] for o in outcomes], confidence)
-        # A degenerate interval (zero variance, or NaN-poisoned inputs
-        # collapsing to a flagged zero width) is final: more
-        # replications of the same degenerate data can never tighten
-        # it, so stop instead of burning runs to the cap.
-        if summary.degenerate or (
-            summary.relative_half_width <= target_relative_half_width
-        ):
-            break
-    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
+    return evaluate_cell_to_precision(
+        config,
+        [policy],
+        target_relative_half_width=target_relative_half_width,
+        metric=metric,
+        min_replications=min_replications,
+        max_replications=max_replications,
+        base_seed=base_seed,
+        confidence=confidence,
+    )[policy.name]
 
 
 @dataclass(frozen=True)
@@ -351,7 +426,7 @@ def _run_cell_outcomes(
     seeds,
     reps,
     pool: StreamPool,
-    outcomes: list[list[tuple]],
+    outcomes: list[list[Outcome]],
 ) -> None:
     """Append replications *reps* of every policy to ``outcomes[pi]``.
 
@@ -378,7 +453,7 @@ def _run_cell_outcomes(
 def _summarize_cell(
     config: SimulationConfig,
     policies,
-    outcomes: list[list[tuple]],
+    outcomes: list[list[Outcome]],
     confidence: float,
     stream_misses: int,
 ) -> CellEvaluation:
@@ -389,7 +464,7 @@ def _summarize_cell(
             policy.name, config, outs, confidence=confidence
         )
         samples[policy.name] = {
-            m: tuple(o[i] for o in outs) for i, m in enumerate(_TRACKED_METRICS)
+            m: tuple(getattr(o, m) for o in outs) for m in _TRACKED_METRICS
         }
     return CellEvaluation(
         config=config,
@@ -423,7 +498,7 @@ def evaluate_cell(
         raise ValueError(f"need at least one replication, got {replications}")
     policies = _resolve_policies(policies)
     pool = StreamPool()
-    outcomes: list[list[tuple]] = [[] for _ in policies]
+    outcomes: list[list[Outcome]] = [[] for _ in policies]
     _run_cell_outcomes(
         config, policies, replication_seeds(base_seed, replications),
         range(replications), pool, outcomes,
@@ -448,8 +523,8 @@ def evaluate_cell_to_precision(
     Two stopping modes:
 
     * **absolute** (default) — stop when every policy's ``metric``
-      interval has relative half-width ≤ the target (each policy judged
-      like :func:`evaluate_policy_to_precision`);
+      interval has relative half-width ≤ the target (a one-policy cell
+      is :func:`evaluate_policy_to_precision`);
     * **paired** (``paired_baseline`` names one of the policies) — stop
       when every *other* policy's paired-difference interval against the
       baseline has half-width ≤ target × |baseline mean|.  Differences
@@ -470,7 +545,7 @@ def evaluate_cell_to_precision(
             f"need 1 <= min_replications <= max_replications, got "
             f"{min_replications}/{max_replications}"
         )
-    index = _check_metric(metric)
+    _check_metric(metric)
     policies = _resolve_policies(policies)
     names = [p.name for p in policies]
     if paired_baseline is not None and paired_baseline not in names:
@@ -479,10 +554,10 @@ def evaluate_cell_to_precision(
         )
     seeds = replication_seeds(base_seed, max_replications)
     pool = StreamPool()
-    outcomes: list[list[tuple]] = [[] for _ in policies]
+    outcomes: list[list[Outcome]] = [[] for _ in policies]
 
     def values(pi: int) -> list[float]:
-        return [o[index] for o in outcomes[pi]]
+        return [getattr(o, metric) for o in outcomes[pi]]
 
     def _summary_converged(summary) -> bool:
         # Degenerate intervals (n=1 guards never trigger here, but zero

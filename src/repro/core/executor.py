@@ -7,7 +7,7 @@ runner:
 
 * **One pool per process.**  The ``ProcessPoolExecutor`` is created
   lazily on first parallel use and reused across sweep points, figures,
-  and :func:`~repro.core.parallel.evaluate_policy_parallel` calls in a
+  and :func:`~repro.core.evaluate.evaluate_policy_parallel` calls in a
   single CLI invocation — no per-call spin-up churn.  Worker processes
   persist, so per-process memos (the round-robin dispatch-sequence
   cache) stay warm across tasks.
@@ -18,6 +18,11 @@ runner:
 * **Failure isolation.**  A crashing task does not poison the pool: the
   worker captures the traceback per task and the parent raises one
   aggregate :class:`GridTaskError` naming the failed cells.
+* **One ledger.**  Both runners — the flat per-replication grid and the
+  whole-cell grid — look every member up in the sweep checkpoint, then
+  the replication cache, and file each finished outcome into both the
+  same way (:class:`_Ledger`); they differ only in how they execute
+  what is left.
 
 Hardening knobs (all off by default — the default path is byte-for-byte
 the original fast path):
@@ -63,6 +68,7 @@ from ..sim.streams import SharedStreamPool, StreamPool, attach_streams
 from .cache import ReplicationCache
 from .checkpoint import SweepCheckpoint
 from .evaluate import (
+    Outcome,
     _cell_fast_indices,
     _result_outcome,
     run_policy_once,
@@ -194,6 +200,17 @@ class CellTask:
     def member_key(self, pi: int, r: int) -> tuple:
         return (self.x, self.policy_names[pi], r)
 
+    def member(self, pi: int, r: int) -> ReplicationTask:
+        """Member ``(pi, r)`` as the flat grid's task (same key, same
+        cache key)."""
+        return ReplicationTask(
+            key=self.member_key(pi, r),
+            config=self.config,
+            policy_name=self.base_names[pi],
+            estimation_error=self.estimation_errors[pi],
+            seed=self.seeds[r],
+        )
+
     def policies(self):
         return [
             get_policy(base, estimation_error=err)
@@ -247,9 +264,7 @@ class GridTaskError(RuntimeError):
 class GridReport:
     """Outcomes plus observability for one grid run."""
 
-    #: task key → (mean_response_time, mean_response_ratio, fairness,
-    #: jobs, dispatch_fractions, loss_rate) — the per-replication
-    #: outcome tuple (loss_rate is 0.0 for fault-free runs).
+    #: task key → :class:`~repro.core.evaluate.Outcome`.
     outcomes: dict
     cache_hits: int = 0
     cache_misses: int = 0
@@ -261,6 +276,94 @@ class GridReport:
     checkpoint_hits: int = 0
     #: Task attempts beyond the first (crashes/timeouts that recovered).
     retried: int = 0
+
+
+class _Ledger:
+    """Where each grid member's outcome comes from and where it goes.
+
+    :meth:`lookup` serves a member from the sweep checkpoint, else from
+    the replication cache (recording the hit into the checkpoint), else
+    leaves it pending.  :meth:`settle` files each outcome as it
+    finishes — into the report, the cache and the checkpoint — or
+    records the failure.  A stored outcome whose dispatch fractions do
+    not fit its configuration came from a damaged file: it is treated
+    like an unreadable entry, so the member recomputes and is rewritten.
+    """
+
+    def __init__(self, cache: ReplicationCache | None,
+                 checkpoint: SweepCheckpoint | None):
+        self.cache = cache
+        self.checkpoint = checkpoint
+        self.report = GridReport(outcomes={})
+        self._cache_keys: dict[Hashable, str] = {}
+        self._failures: list[TaskFailure] = []
+        self._total = 0
+        self._t_simulate = 0.0
+
+    def lookup(self, members: Iterable[ReplicationTask]) -> set:
+        """Serve every stored member; returns the keys left to run."""
+        members = list(members)
+        report = self.report
+        pending = set()
+        t0 = time.perf_counter()
+        with span("cache_lookup", tasks=len(members)):
+            done = self.checkpoint.load() if self.checkpoint is not None else {}
+            for task in members:
+                n = task.config.n
+                stored = done.get(task.key)
+                if stored is not None and stored.fits(n):
+                    report.outcomes[task.key] = stored
+                    report.checkpoint_hits += 1
+                    continue
+                if self.cache is not None:
+                    ck = self.cache.task_key(
+                        task.config, task.policy_name, task.estimation_error,
+                        task.seed,
+                    )
+                    self._cache_keys[task.key] = ck
+                    hit = self.cache.get(ck)
+                    if hit is not None and hit.fits(n):
+                        counters.inc("cache.hit")
+                        report.outcomes[task.key] = hit
+                        report.cache_hits += 1
+                        if self.checkpoint is not None:
+                            self.checkpoint.record(task.key, hit)
+                        continue
+                    counters.inc("cache.miss")
+                    report.cache_misses += 1
+                pending.add(task.key)
+        self._total = len(members)
+        report.timings["cache_lookup"] = time.perf_counter() - t0
+        self._t_simulate = time.perf_counter()
+        return pending
+
+    def settle(self, key: Hashable, outcome: Outcome | None,
+               error: str | None, policy_name: str,
+               attempts: int = 1) -> None:
+        """File one finished member: its outcome, or its failure."""
+        self.report.retried += attempts - 1
+        if error is not None:
+            self._failures.append(
+                TaskFailure(key=key, policy_name=policy_name,
+                            attempts=attempts, error=error)
+            )
+            return
+        self.report.outcomes[key] = outcome
+        if self.cache is not None:
+            self.cache.put(self._cache_keys[key], outcome)
+        if self.checkpoint is not None:
+            self.checkpoint.record(key, outcome)
+
+    def close(self, quarantine: bool = False) -> GridReport:
+        """The finished report; raises :class:`GridTaskError` on
+        failures unless *quarantine*."""
+        report = self.report
+        report.timings["simulate"] = time.perf_counter() - self._t_simulate
+        if self._failures:
+            report.failures = self._failures
+            if not quarantine:
+                raise GridTaskError(self._failures, self._total)
+        return report
 
 
 def _run_replication(task: ReplicationTask):
@@ -294,7 +397,7 @@ def _run_cell_members(task: CellTask, members, pool: StreamPool):
     Static members on ps/fcfs go through the batched
     :func:`~repro.sim.fastpath.run_cell` replay; everything else falls
     back to :func:`run_policy_once` per member (identical seeds either
-    way).  Yields ``(member_key, outcome_tuple)`` pairs.
+    way).  Returns ``(member_key, outcome)`` pairs.
     """
     policies = task.policies()
     fast = _cell_fast_indices(task.config, policies)
@@ -521,35 +624,10 @@ def run_replication_grid(
         raise ValueError(f"retries must be non-negative, got {retries}")
     if task_timeout is not None and task_timeout <= 0:
         raise ValueError(f"task_timeout must be positive, got {task_timeout}")
-    report = GridReport(outcomes={})
+    ledger = _Ledger(cache, checkpoint)
+    todo = ledger.lookup(tasks)
+    pending = [task for task in tasks if task.key in todo]
 
-    t0 = time.perf_counter()
-    with span("cache_lookup", tasks=len(tasks)):
-        done_cells = checkpoint.load() if checkpoint is not None else {}
-        pending: list[ReplicationTask] = []
-        cache_keys: dict[Hashable, str] = {}
-        for task in tasks:
-            if task.key in done_cells:
-                report.outcomes[task.key] = done_cells[task.key]
-                report.checkpoint_hits += 1
-                continue
-            if cache is not None:
-                ck = cache.task_key(
-                    task.config, task.policy_name, task.estimation_error, task.seed
-                )
-                cache_keys[task.key] = ck
-                hit = cache.get(ck)
-                if hit is not None:
-                    report.outcomes[task.key] = hit
-                    report.cache_hits += 1
-                    if checkpoint is not None:
-                        checkpoint.record(task.key, hit)
-                    continue
-                report.cache_misses += 1
-            pending.append(task)
-    report.timings["cache_lookup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     auto_serial = (
         len(pending) <= _AUTO_SERIAL_TASKS
         and retries == 0
@@ -576,31 +654,9 @@ def run_replication_grid(
     else:
         completed = _run_hardened(pending, n_jobs, retries, task_timeout)
 
-    failures: list[TaskFailure] = []
     for task, outcome, error, attempts in completed:
-        report.retried += attempts - 1
-        if error is not None:
-            failures.append(
-                TaskFailure(
-                    key=task.key,
-                    policy_name=task.policy_name,
-                    attempts=attempts,
-                    error=error,
-                )
-            )
-            continue
-        report.outcomes[task.key] = outcome
-        if cache is not None:
-            cache.put(cache_keys[task.key], outcome)
-        if checkpoint is not None:
-            checkpoint.record(task.key, outcome)
-    report.timings["simulate"] = time.perf_counter() - t0
-
-    if failures:
-        report.failures = failures
-        if not quarantine:
-            raise GridTaskError(failures, len(tasks))
-    return report
+        ledger.settle(task.key, outcome, error, task.policy_name, attempts)
+    return ledger.close(quarantine)
 
 
 def run_cell_grid(
@@ -628,58 +684,23 @@ def run_cell_grid(
     """
     cells = list(cells)
     n_jobs = resolve_n_jobs(n_jobs)
-    report = GridReport(outcomes={})
-
-    t0 = time.perf_counter()
-    done_cells = checkpoint.load() if checkpoint is not None else {}
+    ledger = _Ledger(cache, checkpoint)
+    todo = ledger.lookup(
+        task.member(pi, r)
+        for task in cells
+        for pi in range(len(task.policy_names))
+        for r in range(len(task.seeds))
+    )
     pending: list[tuple[CellTask, list[tuple[int, int]]]] = []
-    cache_keys: dict[Hashable, str] = {}
-    total = 0
     for task in cells:
-        members: list[tuple[int, int]] = []
-        for pi in range(len(task.policy_names)):
-            for r in range(len(task.seeds)):
-                total += 1
-                key = task.member_key(pi, r)
-                if key in done_cells:
-                    report.outcomes[key] = done_cells[key]
-                    report.checkpoint_hits += 1
-                    continue
-                if cache is not None:
-                    ck = cache.task_key(
-                        task.config,
-                        task.base_names[pi],
-                        task.estimation_errors[pi],
-                        task.seeds[r],
-                    )
-                    cache_keys[key] = ck
-                    hit = cache.get(ck)
-                    if hit is not None:
-                        report.outcomes[key] = hit
-                        report.cache_hits += 1
-                        if checkpoint is not None:
-                            checkpoint.record(key, hit)
-                        continue
-                    report.cache_misses += 1
-                members.append((pi, r))
+        members = [
+            (pi, r)
+            for pi in range(len(task.policy_names))
+            for r in range(len(task.seeds))
+            if task.member_key(pi, r) in todo
+        ]
         if members:
             pending.append((task, members))
-    report.timings["cache_lookup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    failures: list[TaskFailure] = []
-
-    def settle(key, outcome, error):
-        if error is not None:
-            failures.append(
-                TaskFailure(key=key, policy_name=key[1], attempts=1, error=error)
-            )
-            return
-        report.outcomes[key] = outcome
-        if cache is not None:
-            cache.put(cache_keys[key], outcome)
-        if checkpoint is not None:
-            checkpoint.record(key, outcome)
 
     n_pending = sum(len(m) for _, m in pending)
     if n_jobs == 1 or n_pending <= _AUTO_SERIAL_TASKS:
@@ -687,11 +708,12 @@ def run_cell_grid(
             pool = StreamPool(max_entries=max(1, len(task.seeds)))
             try:
                 for key, outcome in _run_cell_members(task, members, pool):
-                    settle(key, outcome, None)
+                    ledger.settle(key, outcome, None, key[1])
             except Exception:  # noqa: BLE001 — every member charged once
                 tb = traceback.format_exc()
                 for pi, r in members:
-                    settle(task.member_key(pi, r), None, tb)
+                    ledger.settle(task.member_key(pi, r), None, tb,
+                                  task.policy_names[pi])
     else:
         pool_exec = shared_executor(n_jobs)
         for task, members in pending:
@@ -725,11 +747,6 @@ def run_cell_grid(
                 for settled, delta in pool_exec.map(_cell_worker, subtasks):
                     counters.merge(delta or {})
                     for key, outcome, error in settled:
-                        settle(key, outcome, error)
-    report.timings["simulate"] = time.perf_counter() - t0
-
-    if failures:
-        report.failures = failures
-        raise GridTaskError(failures, total)
-    return report
+                        ledger.settle(key, outcome, error, key[1])
+    return ledger.close()
 

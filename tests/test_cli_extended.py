@@ -35,6 +35,17 @@ class TestSimulateCommand:
         ]) == 2
         assert "unknown policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode", [[], ["--paired"], ["--precision", "0.05"]],
+        ids=["plain", "paired", "precision"],
+    )
+    def test_zero_replications_rejected(self, capsys, mode):
+        assert main([
+            "simulate", "--speeds", "1,2", "--utilization", "0.5",
+            "--policies", "ORR,WRR", "--replications", "0", *mode,
+        ]) == 2
+        assert "error: --replications must be positive" in capsys.readouterr().err
+
     def test_least_load_via_cli(self, capsys):
         code = main([
             "simulate", "--speeds", "1,4", "--utilization", "0.5",

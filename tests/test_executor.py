@@ -143,7 +143,7 @@ class TestEvaluatePolicyParallel:
         )
 
     def test_default_base_seed_matches_sweep_scale(self):
-        from repro.core.parallel import DEFAULT_BASE_SEED
+        from repro.core.evaluate import DEFAULT_BASE_SEED
         from repro.experiments.base import Scale
 
         assert DEFAULT_BASE_SEED == Scale("x", duration=1.0, replications=1).base_seed

@@ -1,5 +1,8 @@
 """Tests for precision-driven sequential replication."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import evaluate_policy, evaluate_policy_to_precision, get_policy
@@ -39,18 +42,28 @@ class TestEvaluateToPrecision:
         )
         assert ev.replications == 4
 
-    def test_prefix_matches_fixed_evaluation(self):
+    @pytest.mark.parametrize("discipline", ["ps", "fcfs"])
+    @pytest.mark.parametrize("policy", ["ORR", "LEAST_LOAD"])
+    def test_prefix_matches_fixed_evaluation(self, policy, discipline):
         """Sequential runs extend the deterministic replication seeds,
-        so the first k replications match evaluate_policy exactly."""
+        so the first k replications match evaluate_policy exactly: the
+        one-policy cell (batched replay for static policies, the event
+        engine for dynamic ones) against the per-replication oracle."""
+        config = dataclasses.replace(CONFIG, discipline=discipline)
         seq = evaluate_policy_to_precision(
-            CONFIG, get_policy("ORR"),
+            config, get_policy(policy),
             target_relative_half_width=1e-9,
             min_replications=3, max_replications=3, base_seed=9,
         )
         fixed = evaluate_policy(
-            CONFIG, get_policy("ORR"), replications=3, base_seed=9
+            config, get_policy(policy), replications=3, base_seed=9
         )
-        assert seq.mean_response_ratio.mean == fixed.mean_response_ratio.mean
+        for f in dataclasses.fields(fixed):
+            got, want = getattr(seq, f.name), getattr(fixed, f.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want, f.name
 
     def test_metric_selection(self):
         ev = evaluate_policy_to_precision(
