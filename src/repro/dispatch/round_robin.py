@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..queueing.network import validate_allocation
 from .base import StaticDispatcher
 
 __all__ = [
@@ -79,19 +80,16 @@ class RoundRobinDispatcher(StaticDispatcher):
         self._inv_alpha: list[float] = []
 
     def _setup(self) -> None:
-        alphas = self.alphas
-        n = alphas.size
-        active = np.nonzero(alphas > 0)[0]
-        if active.size == 0:
+        alphas = self.alphas.tolist()
+        n = len(alphas)
+        active = [i for i, a in enumerate(alphas) if a > 0]
+        if not active:
             raise ValueError("round robin needs at least one positive fraction")
         self._assign = [0] * n
         self._next = [self.guard_init] * n
         self._started = []
-        self._active = [int(i) for i in active]
-        self._inv_alpha = [
-            (1.0 / float(alphas[i]) if alphas[i] > 0 else float("inf"))
-            for i in range(n)
-        ]
+        self._active = active
+        self._inv_alpha = [(1.0 / a if a > 0 else float("inf")) for a in alphas]
 
     def select(self, size: float) -> int:
         """One iteration of Algorithm 2's dispatch loop (steps 2.b–2.h)."""
@@ -210,8 +208,10 @@ def _extend_targets(private: "RoundRobinDispatcher", count: int) -> np.ndarray:
     would, through the compiled ``rr_sequence_extend`` loop when the
     kernel is available (the tie-break products use the identical
     ``_inv_alpha`` doubles, so the sequence and the post-call state are
-    bit-identical to the Python loop).  Falls back to ``select_batch``
-    otherwise.  Returns int16 (the memo's storage dtype).
+    bit-identical to the Python loop; the kernel also reports the first
+    winners in the order ``select`` appends them to ``_started``, which
+    checkpoints serialize).  Falls back to ``select_batch`` otherwise.
+    Returns int16 (the memo's storage dtype).
     """
     if count <= 0:
         return np.empty(0, dtype=np.int16)
@@ -220,24 +220,44 @@ def _extend_targets(private: "RoundRobinDispatcher", count: int) -> np.ndarray:
     fn = ckernel.rr_fn()
     if fn is None:
         return private.select_batch(np.zeros(count)).astype(np.int16)
-    inv = np.asarray(private._inv_alpha, dtype=float)
-    active = np.asarray(private._active, dtype=np.int64)
-    assign = np.asarray(private._assign, dtype=np.int64)
-    nxt = np.asarray(private._next, dtype=float)
-    out = np.empty(count, dtype=np.int64)
-    was_started = [a > 0 for a in private._assign]
-    ckernel.rr_extend_c(fn, inv, active, assign, nxt, out)
-    private._assign = [int(a) for a in assign]
-    private._next = [float(x) for x in nxt]
-    # `_started` keeps first-win append order (it only drives the
-    # order-insensitive step 2.h decrement, but checkpoints serialize
-    # it, so the Python loop's ordering is reproduced exactly).
-    newly = [int(i) for i in active if not was_started[i] and assign[i] > 0]
-    if newly:
-        first_pos = {s: int(np.argmax(out == s)) for s in newly}
-        newly.sort(key=first_pos.__getitem__)
-        private._started.extend(newly)
+    out, assign, nxt, started = ckernel.rr_extend_c(
+        fn, private._inv_alpha, private._active, private._assign,
+        private._next, count,
+    )
+    private._assign = assign.tolist()
+    private._next = nxt.tolist()
+    private._started.extend(started.tolist())
     return out.astype(np.int16)
+
+
+def _memo_entry(alphas: np.ndarray, guard_init: float, key: tuple,
+                count: int) -> tuple:
+    """The memo entry under ``key``, extended to at least ``count``.
+
+    On a miss, a private dispatcher adopts ``alphas``, which the caller
+    has validated (``validate_allocation``), and extends the sequence.
+    Extension is geometric (to ``max(count, 2 × cached)``), keeping the
+    amortized per-job cost constant across a long run; over-extension
+    is harmless because the sequence for N jobs is a prefix of the
+    sequence for M > N jobs.  The entry is re-inserted as the most
+    recently used.
+    """
+    entry = _sequence_memo.pop(key, None)
+    if entry is None:
+        private = RoundRobinDispatcher(guard_init=guard_init)
+        private.alphas = alphas.copy()
+        private._setup()
+        entry = (_extend_targets(private, count), private)
+    else:
+        targets, private = entry
+        if count > targets.size:
+            grow_to = max(count, 2 * targets.size)
+            extra = _extend_targets(private, grow_to - targets.size)
+            entry = (np.concatenate([targets, extra]), private)
+    _sequence_memo[key] = entry  # re-insert: dict preserves LRU order
+    while len(_sequence_memo) > _SEQUENCE_MEMO_ENTRIES:
+        _sequence_memo.pop(next(iter(_sequence_memo)))
+    return entry
 
 
 def sequence_memo_key(alphas: np.ndarray, guard_init: float = 1.0) -> tuple:
@@ -298,28 +318,14 @@ def dispatch_sequence_slice(
     where that returns (and copies) the whole prefix, this copies only
     the requested slice, so a service dispatching window after window
     pays O(window) per call instead of O(total dispatched so far).
-    Extension is geometric (to ``max(stop, 2 × cached)``), keeping the
-    amortized per-job cost constant across a long run; over-extension
-    is harmless because the sequence for N jobs is a prefix of the
-    sequence for M > N jobs.
+    Extension is geometric (see :func:`_memo_entry`).
     """
     if not 0 <= start <= stop:
         raise ValueError(f"invalid sequence slice [{start}, {stop})")
     key = sequence_memo_key(alphas, guard_init)
-    entry = _sequence_memo.pop(key, None)
-    if entry is None:
-        private = RoundRobinDispatcher(guard_init=guard_init)
-        private.reset(np.array(alphas, dtype=float, copy=True))
-        entry = (_extend_targets(private, stop), private)
-    else:
-        targets, private = entry
-        if stop > targets.size:
-            grow_to = max(stop, 2 * targets.size)
-            extra = _extend_targets(private, grow_to - targets.size)
-            entry = (np.concatenate([targets, extra]), private)
-    _sequence_memo[key] = entry  # re-insert: dict preserves LRU order
-    while len(_sequence_memo) > _SEQUENCE_MEMO_ENTRIES:
-        _sequence_memo.pop(next(iter(_sequence_memo)))
+    if key not in _sequence_memo:
+        alphas = validate_allocation(alphas)
+    entry = _memo_entry(alphas, guard_init, key, stop)
     return entry[0][start:stop].astype(np.int64)
 
 
@@ -343,28 +349,29 @@ class SequenceRoundRobin(StaticDispatcher):
             raise ValueError(f"guard_init must be non-negative, got {guard_init}")
         self.guard_init = float(guard_init)
         self._pos = 0
+        self._key = None
 
     def _setup(self) -> None:
         if not np.any(self.alphas > 0):
             raise ValueError("round robin needs at least one positive fraction")
         self._pos = 0
+        self._key = sequence_memo_key(self.alphas, self.guard_init)
+
+    def _slice(self, count: int) -> np.ndarray:
+        """The next ``count`` targets; ``alphas`` were validated by
+        ``reset``, so a memo miss adopts them without re-validating."""
+        self._require_reset()
+        stop = self._pos + count
+        entry = _memo_entry(self.alphas, self.guard_init, self._key, stop)
+        targets = entry[0][self._pos:stop].astype(np.int64)
+        self._pos = stop
+        return targets
 
     def select(self, size: float) -> int:
-        self._require_reset()
-        target = dispatch_sequence_slice(
-            self.alphas, self._pos, self._pos + 1, guard_init=self.guard_init
-        )
-        self._pos += 1
-        return int(target[0])
+        return int(self._slice(1)[0])
 
     def select_batch(self, sizes: np.ndarray) -> np.ndarray:
-        self._require_reset()
-        count = int(np.asarray(sizes).size)
-        targets = dispatch_sequence_slice(
-            self.alphas, self._pos, self._pos + count, guard_init=self.guard_init
-        )
-        self._pos += count
-        return targets
+        return self._slice(int(np.asarray(sizes).size))
 
     def state_dict(self) -> dict:
         return {

@@ -81,10 +81,21 @@ class RetryPolicy:
             )
 
     def delay(self, failed_attempts: int) -> float:
-        """Wait before the next placement after *failed_attempts* failures."""
+        """Wait before the next placement after *failed_attempts* failures.
+
+        Saturates at ``max_delay`` however many attempts failed: once
+        ``backoff**failed_attempts`` leaves the float range the answer
+        is ``max_delay`` (0.0 when ``base_delay`` is 0).
+        """
         if failed_attempts <= 0:
             return self.base_delay
-        return min(self.max_delay, self.base_delay * self.backoff**failed_attempts)
+        if self.base_delay == 0:
+            return 0.0
+        try:
+            wait = self.base_delay * self.backoff**failed_attempts
+        except OverflowError:
+            return self.max_delay
+        return min(self.max_delay, wait)
 
 
 _ON_FAILURE = ("retry", "lose")

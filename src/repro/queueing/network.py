@@ -27,12 +27,12 @@ def validate_allocation(alphas: np.ndarray, *, atol: float = 1e-9) -> np.ndarray
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"allocation must be a 1-D vector, got shape {a.shape}")
-    if np.any(a < -atol) or np.any(a > 1.0 + atol):
+    if (a < -atol).any() or (a > 1.0 + atol).any():
         raise ValueError(f"allocation fractions must lie in [0, 1], got {a}")
     total = float(a.sum())
     if abs(total - 1.0) > max(atol, 1e-9 * len(a)):
         raise ValueError(f"allocation fractions must sum to 1, got {total}")
-    return np.clip(a, 0.0, 1.0)
+    return a.clip(0.0, 1.0)
 
 
 @dataclass(frozen=True)

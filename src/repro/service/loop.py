@@ -19,12 +19,16 @@ per-job window as the oracle the fast path is pinned against.
 
 **Fault tolerance.**  With a :class:`~repro.faults.models.FaultConfig`
 (or a scripted event list — the chaos harness) the bank tracks every
-in-flight job: the pre-generated fault timeline splits each window into
-segments, each segment's jobs go to :meth:`ServerBank.dispatch` in one
-compiled call (the per-job step ``max(free_at, t) + size/speed`` in C),
-its completions come back from one
-:meth:`ServerBank.collect_completions`, and each fault event is applied
-after the jobs at or before its timestamp.  A job aimed at a down
+in-flight job in per-server rings inside one record block: the
+pre-generated fault timeline splits each window into segments, each
+segment's jobs go to :meth:`ServerBank.dispatch` in one compiled call
+(the per-job step ``max(free_at, t) + size/speed``, each accepted job
+pushed onto its server's ring in the same call), its completions are
+popped by one :meth:`ServerBank.collect_completions` call into the
+window's completion block, and each fault event is applied after the
+jobs at or before its timestamp.  At the close the block comes back
+from :meth:`ServerBank.take_completions` with its speed witnesses
+already regrouped by server for the fold.  A job aimed at a down
 server — and every resident of a server that fails — bounces through
 the :class:`~repro.faults.models.RetryPolicy`: it re-enters the stream
 at ``bounce_time + delay`` with its original arrival as response-time
@@ -76,7 +80,6 @@ from ..faults.models import (
 from ..obs import counters
 from ..obs.spans import span
 from ..sim import ckernel
-from ..sim.fastpath import group_by_server
 from .checkpoint import ServiceCheckpoint
 from .controller import QuasiStaticController
 from .replay import ServerBank
@@ -495,7 +498,10 @@ class SchedulerService:
             events.append(self.fault_events[self._event_pos])
             self._event_pos += 1
 
-        completed: list[np.ndarray] = []
+        # Completions are counted as collect_completions hands them over,
+        # so the ledger checks what this loop received against what
+        # left the bank.
+        completed = 0
         lost = retried = 0
         pos = 0
         for ev in [*events, None]:
@@ -520,7 +526,7 @@ class SchedulerService:
                 pos = stop
             # Finalize everything that departed before the event — a
             # failure must not bounce jobs that already finished.
-            completed.append(self.bank.collect_completions(seg_end))
+            completed += len(self.bank.collect_completions(seg_end))
             if ev is None:
                 continue
             if ev.kind == DOWN:
@@ -549,32 +555,31 @@ class SchedulerService:
                 )
                 self._apply_degrade(ev.server, ev.time)
 
-        done = np.concatenate(completed)
-        mrt, ratio = self._fold_completions(done)
+        mrt, ratio = self._fold_completions()
         step.close(
             start, end, offered=int(times.size), admitted=int(adm_times.size),
-            mrt=mrt, ratio=ratio, completed=len(done),
+            mrt=mrt, ratio=ratio, completed=completed,
             # Every bounce is either lost or retried.
             lost=lost, retried=retried, bounced=lost + retried,
             servers_up=int(np.count_nonzero(self.bank.up)),
         )
 
-    def _fold_completions(self, done: np.ndarray) -> tuple[float, float]:
+    def _fold_completions(self) -> tuple[float, float]:
         """Fold a fault-mode window's completions through the step.
 
         Completion-based accounting: response times span retries
         (departure minus *original* arrival) and land in the window the
         job actually finished in; they reach the quantiles in completion
-        order and the means sum left to right.  ``done`` stacks one
-        server-major :meth:`ServerBank.collect_completions` array per
-        fault segment, so it is server-major only *within* a segment: a
-        stable group-by-server regroups the speed witnesses while
-        keeping each server's completion order.
+        order and the means sum left to right.  The bank's completion
+        block holds one server-major
+        :meth:`ServerBank.collect_completions` run per fault segment,
+        so it is server-major only *within* a segment — the speed
+        witnesses come regrouped by server (stable), keeping each
+        server's completion order.
         """
-        srv, origin, size, svc, dep = done.T
-        order, offsets = group_by_server(srv.astype(np.int64), self.bank.n)
+        rows, witnesses, offsets, responses = self.bank.take_completions()
         return self.step.fold(
-            (size / svc)[order], offsets, dep - origin, size, sequential=True
+            witnesses, offsets, responses, rows[:, 2], sequential=True
         )
 
     # ------------------------------------------------------------------

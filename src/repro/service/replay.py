@@ -21,23 +21,34 @@ comparison in the online experiments attribute MRT differences to the
 resident jobs, and a degraded server stretches everything still in
 flight.  In fault mode the bank therefore tracks each in-flight job
 (origin arrival, size, service time, projected departure, failed
-placements) as a float64 record in a per-server array FIFO whose
-departure projections stay valid until a fault event rewrites them.
-Every call works on a whole fault segment (the jobs between two fault
-events), not on one job:
+placements) as a five-double record in one float64 block for the whole
+bank (:class:`~repro.sim.ckernel.InflightRings`): server ``s`` owns a
+slot of ``cap`` records, its live records ``[head[s], tail[s])`` oldest
+first, and their departure projections stay valid until a fault event
+rewrites them.  Every call works on a whole fault segment (the jobs
+between two fault events), not on one job:
 
 * :meth:`dispatch` queues a segment's jobs in one compiled call
   (``fcfs_dispatch_segment``) through the step
   ``max(free_at, t) + size/speed`` — a max-plus step in the per-job
   float order, not the cumulative-sum :func:`lindley_window`, which
-  rounds differently; jobs aimed at a down server come back NaN,
-* :meth:`collect_completions` finalizes jobs whose departure has
-  passed, one ``searchsorted`` per server,
+  rounds differently — and pushes each accepted job's record onto its
+  server's ring in the same call; jobs aimed at a down server come
+  back NaN.  The kernel counts each server's jobs before writing
+  anything: a ring whose records would run past its slot is compacted
+  to the front, and when the live records plus the new ones do not fit
+  at all the call writes nothing and the bank grows the block and calls
+  again,
+* :meth:`collect_completions` pops every record whose departure has
+  passed, all servers in one call (``inflight_collect``), appending the
+  rows to one window-level block that :meth:`take_completions` hands
+  over,
 * :meth:`fail` / :meth:`repair` flip membership, bouncing residents,
 * :meth:`set_speed_factor` rescales in-flight work for degradation —
   for FCFS everything after *now* on one server is service work at the
   new speed, so ``dep' = now + (dep − now)·(s_old/s_new)`` is exact.
 
+The interpreted fallback runs the same steps over the same arrays.
 The fault-free :meth:`replay_window` path is untouched, keeping
 fault-free service runs bit-identical.
 """
@@ -67,14 +78,34 @@ class ServerBank:
         if np.any(s <= 0):
             raise ValueError(f"speeds must be positive, got {s}")
         self.speeds = s.copy()
-        self.free_at = np.zeros(s.size)
-        self.up = np.ones(s.size, dtype=bool)
-        self.speed_factor = np.ones(s.size)
-        self._inflight = [_Fifo() for _ in range(s.size)]
+        self._free_at = np.zeros(s.size)
+        self._up = np.ones(s.size, dtype=bool)
+        self._speed_factor = np.ones(s.size)
+        self._rings = ckernel.InflightRings(self._free_at, self._up)
+        # Completion rows collected since the last take_completions().
+        self._ndone = 0
 
     @property
     def n(self) -> int:
         return int(self.speeds.size)
+
+    # The per-server vectors are updated in place only (never rebound):
+    # the compiled fault-mode calls hold their addresses.
+
+    @property
+    def free_at(self) -> np.ndarray:
+        """Per-server instant the server frees up (writable in place)."""
+        return self._free_at
+
+    @property
+    def up(self) -> np.ndarray:
+        """Per-server membership mask (writable in place)."""
+        return self._up
+
+    @property
+    def speed_factor(self) -> np.ndarray:
+        """Per-server speed multiplier (writable in place)."""
+        return self._speed_factor
 
     def replay_window(
         self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray
@@ -177,8 +208,8 @@ class ServerBank:
         return np.maximum(self.free_at - float(now), 0.0)
 
     # ------------------------------------------------------------------
-    # Fault-mode API (segment calls over per-job records; replay_window
-    # stays untouched)
+    # Fault-mode API (segment calls over the in-flight rings;
+    # replay_window stays untouched)
     # ------------------------------------------------------------------
 
     def effective_speed(self, server: int) -> float:
@@ -203,43 +234,72 @@ class ServerBank:
         ``attempts`` their failed placements so far.
 
         Raises ``ValueError`` on an out-of-range target before any
-        state changes.  The returned array may be an arena view:
-        consume it before the next call.
+        state changes.  The returned array is a view of the bank's
+        scratch: consume it before the next call.
         """
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         times = np.ascontiguousarray(times, dtype=float)
         sizes = np.ascontiguousarray(sizes, dtype=float)
+        origins = np.ascontiguousarray(origins, dtype=float)
+        attempts = np.ascontiguousarray(attempts, dtype=np.int64)
+        k = times.size
         if not (
-            targets.shape == times.shape == sizes.shape
-            == np.shape(origins) == np.shape(attempts)
+            targets.shape == times.shape == sizes.shape == origins.shape
+            == attempts.shape
         ):
             raise ValueError("targets, times, sizes, origins and attempts must align")
-        eff = self.speeds * self.speed_factor
+        r = self._rings
+        np.multiply(self.speeds, self.speed_factor, out=r.eff)
+        r.reserve_dep(k)
         fn = ckernel.segment_fn()
-        if fn is not None:
-            dep, svc, order, offsets, ok = ckernel.dispatch_segment_c(
-                fn, times, sizes, eff, self.up, targets, self.free_at
+        if fn is None:
+            return self._dispatch_python(targets, times, sizes, origins, attempts)
+        status = ckernel.dispatch_segment_c(
+            fn, times, sizes, origins, attempts, targets, r
+        )
+        if status == 2:
+            # Nothing was written: grow to fit the counted jobs, retry.
+            offsets = r.scratch[:self.n + 1]
+            self._make_room(offsets[1:] - offsets[:-1])
+            status = ckernel.dispatch_segment_c(
+                fn, times, sizes, origins, attempts, targets, r
             )
-            if not ok:
-                raise ValueError("dispatch target out of range")
-        else:
-            # Validates every target before the step writes anything.
-            order, offsets = group_by_server(targets, self.n)
-            dep, svc = self._dispatch_python(targets, times, sizes, eff)
-        # Queue the accepted jobs server by server: a job bounces iff
-        # its server is down, so a down server's whole group is skipped.
-        records = np.stack([origins, sizes, svc, dep, attempts])[:, order]
-        for s in np.flatnonzero(self.up & (offsets[1:] > offsets[:-1])):
-            lo, hi = offsets[s], offsets[s + 1]
-            self._inflight[s].push(records[:, lo:hi])
-        return dep
+        if status:
+            raise ValueError("dispatch target out of range")
+        return r.dep[:k]
+
+    def _make_room(self, counts: np.ndarray) -> None:
+        """Fit ``counts`` more records on every up server.
+
+        Grows the ring block (to at least double, every server's live
+        records moved to the front of its slot) when some server's live
+        records plus its new ones exceed the capacity, and otherwise
+        compacts a server whose new records would run past the end of
+        its slot.
+        """
+        r = self._rings
+        recv = self.up & (counts > 0)
+        need = int(((r.tail - r.head + counts)[recv]).max(initial=0))
+        if need > r.cap:
+            r.grow(max(need, 2 * r.cap))
+        for s in np.flatnonzero(recv & (r.tail + counts > r.cap)).tolist():
+            h, t = int(r.head[s]), int(r.tail[s])
+            r.ring[s, :t - h] = r.ring[s, h:t]
+            r.head[s] = 0
+            r.tail[s] = t - h
 
     def _dispatch_python(
         self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray,
-        eff: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Interpreted fallback of the compiled segment step (same bits)."""
-        eff_l = eff.tolist()
+        origins: np.ndarray, attempts: np.ndarray,
+    ) -> np.ndarray:
+        """Interpreted fallback of the compiled segment step (same bits,
+        same ring writes)."""
+        # Validates every target before anything is written.
+        order, offsets = group_by_server(targets, self.n)
+        counts = offsets[1:] - offsets[:-1]
+        self._make_room(counts)
+        r = self._rings
+        eff_l = r.eff.tolist()
         up = self.up.tolist()
         free_at = self.free_at.tolist()
         deps = []
@@ -254,7 +314,22 @@ class ServerBank:
             deps.append(d)
             free_at[s] = d
         self.free_at[:] = free_at
-        return np.array(deps, dtype=float), np.array(svcs, dtype=float)
+        dep = r.dep[:targets.size]
+        dep[:] = deps
+        svc = np.array(svcs, dtype=float)
+        # Push the accepted jobs server by server: a job bounces iff its
+        # server is down, so a down server's whole group is skipped.
+        for s in np.flatnonzero(self.up & (counts > 0)).tolist():
+            idx = order[offsets[s]:offsets[s + 1]]
+            t = int(r.tail[s])
+            rec = r.ring[s, t:t + idx.size]
+            rec[:, _ORIGIN] = origins[idx]
+            rec[:, _SIZE] = sizes[idx]
+            rec[:, _SVC] = svc[idx]
+            rec[:, _DEP] = dep[idx]
+            rec[:, _ATTEMPTS] = attempts[idx]
+            r.tail[s] = t + idx.size
+        return dep
 
     def collect_completions(self, now: float) -> np.ndarray:
         """Finalize jobs whose departure is ≤ *now*.
@@ -262,24 +337,65 @@ class ServerBank:
         Returns an ``(m, 5)`` float64 array of ``(server, origin, size,
         svc, dep)`` rows in server-major, per-server FIFO order — a
         fixed, documented order so downstream streaming estimators stay
-        deterministic.
+        deterministic.  The rows are appended to the window's
+        completion block (:meth:`take_completions`); the returned array
+        is a view of them.
         """
-        now = float(now)
-        parts = []
-        total = 0
-        for i, q in enumerate(self._inflight):
-            rec = q.pop_until(now)
-            if rec is not None:
-                parts.append((i, rec))
-                total += rec.shape[1]
-        done = np.empty((total, 5))
-        row = 0
-        for i, rec in parts:
-            m = rec.shape[1]
-            done[row:row + m, 0] = i
-            done[row:row + m, 1:] = rec[:_ATTEMPTS].T
-            row += m
-        return done
+        r = self._rings
+        row = self._ndone
+        # Room for every live record, so the kernel never runs out.
+        r.reserve_done(row, self.n * r.cap)
+        fn = ckernel.collect_fn()
+        if fn is not None:
+            m = ckernel.inflight_collect_c(fn, r, float(now), row)
+        else:
+            m = self._collect_python(float(now), row)
+        self._ndone = row + m
+        return r.done[row:row + m]
+
+    def _collect_python(self, now: float, row: int) -> int:
+        """Interpreted fallback of the compiled collect (same rows)."""
+        r = self._rings
+        m = 0
+        for s in range(self.n):
+            h, t = int(r.head[s]), int(r.tail[s])
+            # Departures do not decrease along a ring: the finished
+            # records are its prefix.
+            k = int(np.searchsorted(r.ring[s, h:t, _DEP], now, side="right"))
+            out = r.done[row + m:row + m + k]
+            out[:, 0] = s
+            out[:, 1:] = r.ring[s, h:h + k, :_ATTEMPTS]
+            m += k
+            if h + k == t:
+                r.head[s] = r.tail[s] = 0
+            else:
+                r.head[s] = h + k
+        return m
+
+    def take_completions(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows collected since the last take, and their fold inputs.
+
+        Returns ``(rows, witnesses, offsets, responses)``: the ``(m, 5)``
+        rows in collect order; their speed witnesses ``size / svc``
+        regrouped by server — stable, so server ``s`` owns
+        ``witnesses[offsets[s]:offsets[s + 1]]`` in collect order; and
+        their response times ``dep − origin`` in row order.  All four
+        are views of the bank's buffers, which the next
+        :meth:`collect_completions` starts refilling: consume them
+        first.
+        """
+        r = self._rings
+        m = self._ndone
+        self._ndone = 0
+        rows = r.done[:m]
+        fn = ckernel.fold_inputs_fn()
+        if fn is not None and ckernel.fold_inputs_c(fn, r, m):
+            return rows, r.wit[:m], r.fold_scratch[:self.n + 1], r.resp[:m]
+        srv, origin, size, svc, dep = rows.T
+        order, offsets = group_by_server(srv.astype(np.int64), self.n)
+        return rows, (size / svc)[order], offsets, dep - origin
 
     def fail(self, server: int, now: float) -> np.ndarray:
         """Take *server* down at *now*; bounce its unfinished residents.
@@ -291,9 +407,10 @@ class ServerBank:
         policy to re-place.  The server rejoins empty on :meth:`repair`.
         """
         self.up[server] = False
-        q = self._inflight[server]
-        bounced = q.live()[[_ORIGIN, _SIZE, _ATTEMPTS]].T
-        q.clear()
+        r = self._rings
+        h, t = int(r.head[server]), int(r.tail[server])
+        bounced = r.ring[server, h:t][:, [_ORIGIN, _SIZE, _ATTEMPTS]]
+        r.head[server] = r.tail[server] = 0
         self.free_at[server] = float(now)
         return bounced
 
@@ -319,15 +436,21 @@ class ServerBank:
         scale = old / self.effective_speed(server)
         if scale == 1.0:
             return
-        live = self._inflight[server].live()
-        busy = live[_DEP] > now
-        live[_DEP, busy] = now + (live[_DEP, busy] - now) * scale
-        live[_SVC, busy] *= scale
+        live = self._live(server)
+        busy = live[:, _DEP] > now
+        live[busy, _DEP] = now + (live[busy, _DEP] - now) * scale
+        live[busy, _SVC] *= scale
         if self.free_at[server] > now:
             self.free_at[server] = now + (self.free_at[server] - now) * scale
 
+    def _live(self, server: int) -> np.ndarray:
+        """*server*'s live records, a writable ``(k, 5)`` view."""
+        r = self._rings
+        return r.ring[server, int(r.head[server]):int(r.tail[server])]
+
     def inflight_count(self) -> int:
-        return sum(len(q) for q in self._inflight)
+        r = self._rings
+        return int((r.tail - r.head).sum())
 
     def state_dict(self) -> dict:
         return {
@@ -338,87 +461,86 @@ class ServerBank:
             # attempts] with an int attempts count.
             "inflight": [
                 [[*job[:_ATTEMPTS], int(job[_ATTEMPTS])]
-                 for job in q.live().T.tolist()]
-                for q in self._inflight
+                 for job in self._live(s).tolist()]
+                for s in range(self.n)
             ],
         }
 
     def load_state(self, state: dict) -> None:
-        free_at = np.asarray(state["free_at"], dtype=float)
-        if free_at.shape != self.free_at.shape:
-            raise ValueError(
-                f"bank state has {free_at.size} servers, expected {self.n}"
-            )
-        self.free_at = free_at
-        self.up = np.asarray(state["up"], dtype=bool)
-        self.speed_factor = np.asarray(state["speed_factor"], dtype=float)
-        self._inflight = []
-        for jobs in state["inflight"]:
-            q = _Fifo()
-            q.push(np.asarray(jobs, dtype=float).reshape(-1, 5).T)
-            self._inflight.append(q)
+        """Adopt a :meth:`state_dict`, validated in full before any of it.
 
-
-class _Fifo:
-    """One server's in-flight jobs: a float64 record FIFO.
-
-    The live records are the columns ``buf[:, head:tail]`` (one row per
-    field, :data:`_ORIGIN` … :data:`_ATTEMPTS`), oldest first.  Popping
-    only advances ``head``; a push that would run past the end first
-    compacts the live records to the front, and the capacity doubles
-    only when the live records plus the new ones do not fit.
-    """
-
-    __slots__ = ("buf", "head", "tail")
-
-    #: Initial capacity (records).
-    _MIN_CAPACITY = 16
-
-    def __init__(self):
-        self.buf = np.empty((5, self._MIN_CAPACITY))
-        self.head = 0
-        self.tail = 0
-
-    def __len__(self) -> int:
-        return self.tail - self.head
-
-    def live(self) -> np.ndarray:
-        """The live records, a writable ``(5, len)`` view."""
-        return self.buf[:, self.head:self.tail]
-
-    def push(self, records: np.ndarray) -> None:
-        """Append ``(5, k)`` records after the live ones."""
-        k = records.shape[1]
-        buf = self.buf
-        if self.tail + k > buf.shape[1]:
-            live = self.tail - self.head
-            if live + k > buf.shape[1]:
-                grown = np.empty((5, max(2 * buf.shape[1], live + k)))
-                grown[:, :live] = buf[:, self.head:self.tail]
-                self.buf = buf = grown
-            else:
-                buf[:, :live] = buf[:, self.head:self.tail]
-            self.head = 0
-            self.tail = live
-        buf[:, self.tail:self.tail + k] = records
-        self.tail += k
-
-    def pop_until(self, now: float) -> np.ndarray | None:
-        """Pop the records with ``dep <= now``; a view, or None if none.
-
-        Departures are non-decreasing along the FIFO, so the finished
-        records are its prefix.  The view stays valid until the next
-        :meth:`push`.
+        Every vector must have one entry per server, speed factors must
+        be positive, and each server's in-flight list must hold 5-field
+        records with finite departures that do not decrease and
+        non-negative integral attempt counts.  A ``ValueError`` names
+        the field (and the server) that does not fit the bank.
         """
-        head = self.head
-        if head == self.tail or self.buf[_DEP, head] > now:
-            return None
-        k = int(np.searchsorted(
-            self.buf[_DEP, head:self.tail], now, side="right"
-        ))
-        self.head = head + k
-        return self.buf[:, head:head + k]
+        n = self.n
+        vectors = {
+            name: _vector(state, name, dtype, n)
+            for name, dtype in
+            (("free_at", float), ("up", bool), ("speed_factor", float))
+        }
+        factors = vectors["speed_factor"]
+        if not np.all(np.isfinite(factors) & (factors > 0)):
+            raise ValueError(
+                f"bank state speed_factor must be positive and finite, "
+                f"got {factors.tolist()}"
+            )
+        inflight = state["inflight"]
+        if len(inflight) != n:
+            raise ValueError(
+                f"bank state inflight has {len(inflight)} servers, expected {n}"
+            )
+        records = [_records(jobs, s) for s, jobs in enumerate(inflight)]
+        self.free_at[:] = vectors["free_at"]
+        self.up[:] = vectors["up"]
+        self.speed_factor[:] = factors
+        r = self._rings
+        r.head[:] = 0
+        r.tail[:] = 0
+        need = max(len(rec) for rec in records)
+        if need > r.cap:
+            r.grow(max(need, 2 * r.cap))
+        for s, rec in enumerate(records):
+            r.ring[s, :len(rec)] = rec
+            r.tail[s] = len(rec)
 
-    def clear(self) -> None:
-        self.head = 0
-        self.tail = 0
+
+def _vector(state: dict, name: str, dtype, n: int) -> np.ndarray:
+    """``state[name]`` as a length-``n`` vector, or a ``ValueError``."""
+    v = np.asarray(state[name], dtype=dtype)
+    if v.shape != (n,):
+        raise ValueError(
+            f"bank state {name} has shape {v.shape}, expected {n} servers"
+        )
+    return v
+
+
+def _records(jobs, server: int) -> np.ndarray:
+    """One server's checkpointed in-flight list as a ``(k, 5)`` block.
+
+    Raises a ``ValueError`` naming the server unless every record has
+    5 fields, the departures are finite and do not decrease (the
+    collect pops a ring's finished prefix), and the attempt counts are
+    non-negative integers.
+    """
+    where = f"bank state inflight[{server}]"
+    try:
+        rec = np.array(jobs, dtype=float) if len(jobs) else np.empty((0, 5))
+    except (TypeError, ValueError):
+        rec = None
+    if rec is None or rec.ndim != 2 or rec.shape[1] != 5:
+        raise ValueError(f"{where}: every record needs 5 numeric fields "
+                         "[origin, size, svc, dep, attempts]")
+    dep = rec[:, _DEP]
+    if not np.all(np.isfinite(dep)):
+        raise ValueError(f"{where}: departures must be finite, got {dep.tolist()}")
+    if np.any(dep[1:] < dep[:-1]):
+        raise ValueError(f"{where}: departures decrease, got {dep.tolist()}")
+    att = rec[:, _ATTEMPTS]
+    if not np.all(np.isfinite(att) & (att >= 0) & (att == np.floor(att))):
+        raise ValueError(
+            f"{where}: attempts must be non-negative integers, got {att.tolist()}"
+        )
+    return rec

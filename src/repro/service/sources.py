@@ -71,8 +71,10 @@ class TraceJobSource(JobSource):
     """Replay of a recorded trace of (arrival time, size) pairs."""
 
     def __init__(self, times, sizes):
-        t = np.asarray(times, dtype=float)
-        s = np.asarray(sizes, dtype=float)
+        # Contiguous copies when needed (a trace file's columns are
+        # strided views): the compiled window replay reads raw buffers.
+        t = np.ascontiguousarray(times, dtype=float)
+        s = np.ascontiguousarray(sizes, dtype=float)
         if t.ndim != 1 or t.shape != s.shape:
             raise ValueError(
                 f"times and sizes must be matching 1-D vectors, got {t.shape} vs {s.shape}"

@@ -18,6 +18,7 @@
  */
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -267,6 +268,22 @@ i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
     return 0;
 }
 
+/* Fault-mode in-flight rings.  A ServerBank keeps every server's
+ * in-flight jobs in one float64 block of nservers * cap records, five
+ * doubles each — [origin, size, svc, dep, attempts], the RING_* fields
+ * below — with server s owning records [s * cap, (s + 1) * cap).  Its
+ * live records are [head[s], tail[s]), oldest first; departures do not
+ * decrease along them.  Python allocates and grows the block; these
+ * entries only move records within it. */
+#define RING_FIELDS 5
+#define RING_ORIGIN 0
+#define RING_SIZE 1
+#define RING_SVC 2
+#define RING_DEP 3
+#define RING_ATTEMPTS 4
+/* A collected row: [server, origin, size, svc, dep]. */
+#define ROW_FIELDS 5
+
 /* Fault-mode segment dispatch: the jobs of one fault segment (between
  * two fault events) queued on their target servers in arrival order.
  *
@@ -275,31 +292,50 @@ i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
  * Python's max (the first argument on ties, so t wins only when it is
  * strictly later), then free_at[s] = dep.  eff is the servers'
  * effective speeds (speeds * speed_factor, elementwise).  A job aimed
- * at a down server (up[s] == 0) bounces: its dep reads NaN and free_at
- * is left alone.  This is a plain max-plus step, not the cumulative
- * lindley_step: the two round differently, and fault mode's bits are
- * pinned to this one.
+ * at a down server (up[s] == 0) bounces: its dep reads NaN, free_at is
+ * left alone and nothing is queued.  This is a plain max-plus step, not
+ * the cumulative lindley_step: the two round differently, and fault
+ * mode's bits are pinned to this one.
  *
- * Like fcfs_window_sweep it also emits the stable grouping permutation
- * (order) and per-server group bounds (offsets, nservers+1), which the
- * bank uses to append each server's jobs to its in-flight FIFO.
- * cursor (nservers) is caller scratch.
+ * Each accepted job is pushed onto its server's ring as the record
+ * [origins[j], work[j], svc, dep, attempts[j]].  Before anything is
+ * written, the group_offsets prologue counts each server's jobs
+ * (offsets, nservers + 1; cursor is nservers of scratch) and the room
+ * check runs: a receiving server whose live records plus its new ones
+ * exceed cap makes the call return 2 with no state changed, so Python
+ * grows the block and calls again.  A receiving server whose new
+ * records would run past the end of its slot has its live records
+ * compacted to the front of the slot first.
  *
- * Returns 0 on success, 1 if any target lies outside [0, nservers);
- * the counting sort rejects it before free_at, dep, svc or order is
- * written (offsets and cursor are left partial).
+ * Returns 0 on success, 1 if any target lies outside [0, nservers), 2
+ * if the rings need growing; on 1 and 2 free_at, dep and the rings are
+ * untouched (offsets and cursor are left partial on 1).
  */
-i64 fcfs_dispatch_segment(const double *times, const double *work, i64 n,
+i64 fcfs_dispatch_segment(const double *times, const double *work,
+                          const double *origins, const i64 *attempts, i64 n,
                           const double *eff, const unsigned char *up,
                           i64 nservers, const i64 *targets, double *free_at,
-                          double *dep, double *svc, i64 *order,
-                          i64 *offsets, i64 *cursor) {
+                          double *dep, double *ring, i64 cap, i64 *head,
+                          i64 *tail, i64 *offsets, i64 *cursor) {
     if (group_offsets(targets, n, nservers, offsets, cursor)) return 1;
+    for (i64 s = 0; s < nservers; s++) {
+        i64 k = offsets[s + 1] - offsets[s];
+        if (up[s] && k > 0 && tail[s] - head[s] + k > cap) return 2;
+    }
+    for (i64 s = 0; s < nservers; s++) {
+        i64 k = offsets[s + 1] - offsets[s];
+        if (up[s] && k > 0 && tail[s] + k > cap) {
+            double *slot = ring + s * cap * RING_FIELDS;
+            i64 live = tail[s] - head[s];
+            memmove(slot, slot + head[s] * RING_FIELDS,
+                    (size_t)(live * RING_FIELDS) * sizeof(double));
+            head[s] = 0;
+            tail[s] = live;
+        }
+    }
     for (i64 j = 0; j < n; j++) {
         i64 s = targets[j];
         double v = work[j] / eff[s];
-        svc[j] = v;
-        order[cursor[s]++] = j;
         if (!up[s]) {
             dep[j] = NAN;
             continue;
@@ -308,6 +344,71 @@ i64 fcfs_dispatch_segment(const double *times, const double *work, i64 n,
         double d = (t > f ? t : f) + v;
         dep[j] = d;
         free_at[s] = d;
+        double *r = ring + (s * cap + tail[s]++) * RING_FIELDS;
+        r[RING_ORIGIN] = origins[j];
+        r[RING_SIZE] = work[j];
+        r[RING_SVC] = v;
+        r[RING_DEP] = d;
+        r[RING_ATTEMPTS] = (double)attempts[j];
+    }
+    return 0;
+}
+
+/* Fault-mode completion collect: pops every in-flight record with
+ * dep <= now, server by server and in FIFO order within a server, as
+ * the rows [server, origin, size, svc, dep] of out (row-major, five
+ * doubles each; the caller reserves room for every live record).
+ * Departures do not decrease along a ring, so each server's finished
+ * records are a prefix of its live ones.  A ring left empty restarts
+ * at the front of its slot.  Returns the number of rows written. */
+i64 inflight_collect(double *ring, i64 cap, i64 nservers, i64 *head,
+                     i64 *tail, double now, double *out) {
+    i64 m = 0;
+    for (i64 s = 0; s < nservers; s++) {
+        const double *slot = ring + s * cap * RING_FIELDS;
+        i64 h = head[s], t = tail[s];
+        while (h < t && slot[h * RING_FIELDS + RING_DEP] <= now) {
+            const double *r = slot + h * RING_FIELDS;
+            double *o = out + m * ROW_FIELDS;
+            o[0] = (double)s;
+            o[1] = r[RING_ORIGIN];
+            o[2] = r[RING_SIZE];
+            o[3] = r[RING_SVC];
+            o[4] = r[RING_DEP];
+            h++;
+            m++;
+        }
+        if (h == t) head[s] = tail[s] = 0;
+        else head[s] = h;
+    }
+    return m;
+}
+
+/* The estimator-fold inputs of a window's completion rows (the
+ * inflight_collect rows, in collect order): wit receives each row's
+ * speed witness size / svc regrouped by server — stable, so each
+ * server's witnesses keep their collect order, the permutation of a
+ * counting sort on the rows' server column — with the group bounds in
+ * offsets (nservers + 1); resp receives each row's response time
+ * dep - origin in row order.  cursor is nservers of scratch.
+ * Returns 1, writing neither wit nor resp, if a row's server is not
+ * an index in [0, nservers). */
+i64 completion_fold_inputs(const double *rows, i64 m, i64 nservers,
+                           double *wit, i64 *offsets, i64 *cursor,
+                           double *resp) {
+    for (i64 s = 0; s <= nservers; s++) offsets[s] = 0;
+    for (i64 j = 0; j < m; j++) {
+        double x = rows[j * ROW_FIELDS];
+        if (!(x >= 0.0 && x < (double)nservers) || x != (double)(i64)x)
+            return 1;
+        offsets[(i64)x + 1]++;
+    }
+    for (i64 s = 0; s < nservers; s++) offsets[s + 1] += offsets[s];
+    for (i64 s = 0; s < nservers; s++) cursor[s] = offsets[s];
+    for (i64 j = 0; j < m; j++) {
+        const double *r = rows + j * ROW_FIELDS;
+        wit[cursor[(i64)r[0]]++] = r[2] / r[3];
+        resp[j] = r[4] - r[1];
     }
     return 0;
 }
@@ -320,9 +421,14 @@ i64 fcfs_dispatch_segment(const double *times, const double *work, i64 n,
  * precomputed 1/alpha (the Python _setup values, so the tie-break
  * products use the identical doubles).  assign/nxt are updated in
  * place, exactly as `count` Python select() calls would leave them.
+ * started (room for nactive) receives the servers that win for the
+ * first time (assign was 0), in the order they first win — what the
+ * Python loop appends to its _started list.  Returns how many.
  */
-void rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
-                        i64 *assign, double *nxt, i64 count, i64 *out) {
+i64 rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
+                       i64 *assign, double *nxt, i64 count, i64 *out,
+                       i64 *started) {
+    i64 nstarted = 0;
     for (i64 k = 0; k < count; k++) {
         i64 sel = -1;
         double minnext = 0.0, norassign = 0.0;
@@ -338,7 +444,10 @@ void rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
                 if (cand < norassign) { norassign = cand; sel = i; }
             }
         }
-        if (assign[sel] == 0) nxt[sel] = 0.0;
+        if (assign[sel] == 0) {
+            nxt[sel] = 0.0;
+            started[nstarted++] = sel;
+        }
         nxt[sel] += inv[sel];
         assign[sel] += 1;
         for (i64 a = 0; a < nactive; a++) {
@@ -347,6 +456,7 @@ void rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
         }
         out[k] = sel;
     }
+    return nstarted;
 }
 
 /* ------------------------------------------------------------------

@@ -20,7 +20,12 @@ fault-mode dispatch step:
   the servers' free-up instants carried across windows;
 * ``fcfs_dispatch_segment`` (:func:`segment_fn`) — one fault segment
   of a fault-mode window, job by job through the max-plus step
-  ``max(free_at, t) + size/speed`` with down servers bouncing.
+  ``max(free_at, t) + size/speed`` with down servers bouncing, each
+  accepted job pushed onto its server's in-flight ring in the bank's
+  record block; ``inflight_collect`` (:func:`collect_fn`) pops every
+  finished record of every ring in one call, and
+  ``completion_fold_inputs`` (:func:`fold_inputs_fn`) turns a window's
+  popped rows into the estimator fold's inputs.
 
 Beside them sit the searchsorted-style uniform→target mapping of the
 random dispatchers, the Algorithm 2 sequence extension, the two halves
@@ -75,6 +80,8 @@ __all__ = [
     "map_fn",
     "window_fn",
     "segment_fn",
+    "collect_fn",
+    "fold_inputs_fn",
     "rr_fn",
     "arrivals_fn",
     "completions_fn",
@@ -87,10 +94,13 @@ __all__ = [
     "set_omp_threads",
     "Arena",
     "arena",
+    "InflightRings",
     "replay_cell_c",
     "map_uniform_c",
     "replay_window_c",
     "dispatch_segment_c",
+    "inflight_collect_c",
+    "fold_inputs_c",
     "rr_extend_c",
     "est_arrivals_c",
     "est_completions_c",
@@ -115,6 +125,23 @@ _OMP_FLAG = "-fopenmp"
 _c_double_p = ctypes.c_void_p
 _c_i64_p = ctypes.c_void_p
 
+_from_buffer = (ctypes.c_char * 0).from_buffer
+
+
+def _addr(arr: np.ndarray) -> int:
+    """The data address of a contiguous array, the cheap way.
+
+    ``arr.ctypes.data`` builds a ``_ctypes`` helper per call (~2 µs);
+    a zero-length ctypes view over a writable array's buffer yields the
+    same address in about a third of that.  Read-only arrays (which
+    refuse a writable view) take ``arr.ctypes.data``.  The fault-mode
+    segment, sequence-extension and estimator-step wrappers pass their
+    inputs through here.
+    """
+    if arr.flags.writeable:
+        return ctypes.addressof(_from_buffer(arr))
+    return arr.ctypes.data
+
 
 @dataclass(frozen=True)
 class _Lib:
@@ -124,6 +151,8 @@ class _Lib:
     map_uniform: object
     window: object
     segment: object
+    collect: object
+    fold_inputs: object
     rr_extend: object
     arrivals: object
     completions: object
@@ -287,6 +316,8 @@ def _load(path: Path, openmp: bool) -> _Lib:
     segment.argtypes = [
         _c_double_p,  # times (arrival order)
         _c_double_p,  # work (arrival order)
+        _c_double_p,  # origins (first arrival times)
+        _c_i64_p,  # attempts (failed placements so far)
         ctypes.c_longlong,  # n
         _c_double_p,  # effective speeds
         ctypes.c_void_p,  # up (bool per server)
@@ -294,12 +325,36 @@ def _load(path: Path, openmp: bool) -> _Lib:
         _c_i64_p,  # targets
         _c_double_p,  # free_at (in/out)
         _c_double_p,  # departures (out, NaN = bounced)
-        _c_double_p,  # service_times (out)
-        _c_i64_p,  # order (out, stable grouping permutation)
-        _c_i64_p,  # offsets (out, nservers + 1)
+        _c_double_p,  # ring record block (in/out, nservers × cap × 5)
+        ctypes.c_longlong,  # cap (records per server)
+        _c_i64_p,  # ring heads (in/out)
+        _c_i64_p,  # ring tails (in/out)
+        _c_i64_p,  # offsets scratch (nservers + 1)
         _c_i64_p,  # cursor scratch (nservers)
     ]
     segment.restype = ctypes.c_longlong
+    collect = lib.inflight_collect
+    collect.argtypes = [
+        _c_double_p,  # ring record block (in/out)
+        ctypes.c_longlong,  # cap
+        ctypes.c_longlong,  # nservers
+        _c_i64_p,  # ring heads (in/out)
+        _c_i64_p,  # ring tails (in/out)
+        ctypes.c_double,  # now
+        _c_double_p,  # out rows (server, origin, size, svc, dep)
+    ]
+    collect.restype = ctypes.c_longlong
+    fold_inputs = lib.completion_fold_inputs
+    fold_inputs.argtypes = [
+        _c_double_p,  # rows (server, origin, size, svc, dep)
+        ctypes.c_longlong,  # m
+        ctypes.c_longlong,  # nservers
+        _c_double_p,  # witnesses (out, grouped by server)
+        _c_i64_p,  # offsets (out, nservers + 1)
+        _c_i64_p,  # cursor scratch (nservers)
+        _c_double_p,  # responses (out, row order)
+    ]
+    fold_inputs.restype = ctypes.c_longlong
     rr_extend = lib.rr_sequence_extend
     rr_extend.argtypes = [
         _c_double_p,  # inv (1/alpha per server)
@@ -309,8 +364,9 @@ def _load(path: Path, openmp: bool) -> _Lib:
         _c_double_p,  # next credits (in/out)
         ctypes.c_longlong,  # count
         _c_i64_p,  # out targets
+        _c_i64_p,  # out first winners (room for nactive)
     ]
-    rr_extend.restype = None
+    rr_extend.restype = ctypes.c_longlong
     arrivals = lib.est_arrivals
     arrivals.argtypes = [
         _c_double_p,  # estimator state (in/out)
@@ -388,6 +444,8 @@ def _load(path: Path, openmp: bool) -> _Lib:
         map_uniform=map_uniform,
         window=window,
         segment=segment,
+        collect=collect,
+        fold_inputs=fold_inputs,
         rr_extend=rr_extend,
         arrivals=arrivals,
         completions=completions,
@@ -499,6 +557,18 @@ def segment_fn():
     """
     lib = _ensure_fns()
     return lib.segment if lib else None
+
+
+def collect_fn():
+    """The fault-mode completion collect entry point, or None."""
+    lib = _ensure_fns()
+    return lib.collect if lib else None
+
+
+def fold_inputs_fn():
+    """The fault-mode completion regroup entry point, or None."""
+    lib = _ensure_fns()
+    return lib.fold_inputs if lib else None
 
 
 def rr_fn():
@@ -807,75 +877,193 @@ def dispatch_segment_c(
     fn,
     times: np.ndarray,
     work: np.ndarray,
-    eff: np.ndarray,
-    up: np.ndarray,
+    origins: np.ndarray,
+    attempts: np.ndarray,
     targets: np.ndarray,
-    free_at: np.ndarray,
-):
+    rings: "InflightRings",
+) -> int:
     """Queue one fault segment's jobs through the compiled dispatch step.
 
-    ``times``/``work`` contiguous float64 in arrival order, ``eff`` the
-    per-server effective speeds, ``up`` the bool membership mask,
-    ``targets`` contiguous int64; ``free_at`` is updated **in place**.
-    Returns ``(departures, service_times, order, offsets, ok)``:
-    departures read NaN for jobs aimed at a down server, ``order`` and
-    ``offsets`` are the stable group-by-server permutation and bounds,
-    and ``ok`` is False when a target was out of range — the kernel
-    checks every target first, so ``free_at`` is then untouched.
-
-    All returned arrays are arena-backed views: consume them before the
-    next segment, never store them.
+    ``times``/``work``/``origins`` contiguous float64 and
+    ``attempts``/``targets`` contiguous int64, all in arrival order;
+    ``rings`` holds the bank's per-server state, updated **in place**:
+    ``free_at``, and each accepted job's record pushed onto its
+    server's ring.  Departures land in ``rings.dep`` (NaN for a job
+    aimed at a down server).  Returns the kernel status: 0 on success,
+    1 when a target was out of range, 2 when a ring must grow first —
+    on 1 and 2 no state has changed.
     """
-    n = int(times.size)
-    nservers = int(eff.size)
-    a = arena()
-    departures = a.f64("segment.dep", n)
-    service_times = a.f64("segment.svc", n)
-    order = a.i64("segment.order", n)
-    offsets = a.i64("segment.offsets", nservers + 1)
-    cursor = a.i64("segment.cursor", nservers)
-    status = fn(
-        times.ctypes.data,
-        work.ctypes.data,
-        ctypes.c_longlong(n),
-        eff.ctypes.data,
-        up.ctypes.data,
-        ctypes.c_longlong(nservers),
-        targets.ctypes.data,
-        free_at.ctypes.data,
-        departures.ctypes.data,
-        service_times.ctypes.data,
-        order.ctypes.data,
-        offsets.ctypes.data,
-        cursor.ctypes.data,
+    r = rings
+    return fn(
+        _addr(times),
+        _addr(work),
+        _addr(origins),
+        _addr(attempts),
+        times.size,
+        r.eff_addr,
+        r.up_addr,
+        r.n,
+        _addr(targets),
+        r.free_at_addr,
+        r.dep_addr,
+        r.ring_addr,
+        r.cap,
+        r.head_addr,
+        r.tail_addr,
+        r.scratch_addr,
+        r.scratch_addr + 8 * (r.n + 1),
     )
-    return departures, service_times, order, offsets, status == 0
 
 
-def rr_extend_c(
-    fn,
-    inv: np.ndarray,
-    active: np.ndarray,
-    assign: np.ndarray,
-    nxt: np.ndarray,
-    out: np.ndarray,
-) -> None:
+def inflight_collect_c(fn, rings: "InflightRings", now: float, row: int) -> int:
+    """Pop every record with ``dep <= now`` into ``rings.done``.
+
+    Rows ``(server, origin, size, svc, dep)`` are written from row
+    ``row`` on, server-major and in FIFO order within a server; the
+    caller reserves room for every live record.  Returns the count.
+    """
+    r = rings
+    return fn(r.ring_addr, r.cap, r.n, r.head_addr, r.tail_addr, now,
+              r.done_addr + 40 * row)
+
+
+def fold_inputs_c(fn, rings: "InflightRings", m: int) -> bool:
+    """The fold inputs of ``rings.done[:m]``: witnesses into
+    ``rings.wit``, their per-server bounds into the first ``n + 1`` of
+    ``rings.fold_scratch``, responses into ``rings.resp``.  False
+    (nothing written to ``wit``/``resp``) when a row's server is out of
+    range."""
+    r = rings
+    return fn(r.done_addr, m, r.n, r.wit_addr, r.fold_scratch_addr,
+              r.fold_scratch_addr + 8 * (r.n + 1), r.resp_addr) == 0
+
+
+class InflightRings:
+    """A fault-mode bank's in-flight records and scratch, addresses cached.
+
+    ``ring`` is one float64 block of ``n × cap`` records
+    ``[origin, size, svc, dep, attempts]``: server ``s`` owns
+    ``ring[s]``, its live records ``ring[s, head[s]:tail[s]]`` oldest
+    first.  ``done`` collects a window's completion rows
+    ``(server, origin, size, svc, dep)``, and ``wit``/``resp`` their
+    speed witnesses (grouped by server, bounds in ``fold_scratch``) and
+    response times; ``dep`` receives a segment's departures and ``eff``
+    holds the effective speeds the segment runs at.  ``free_at`` and
+    ``up`` are the bank's own vectors, which it only ever updates in
+    place.  Every address is taken when its array is (re)allocated, so
+    a kernel call looks up only its input arrays.  Per process and not
+    thread-safe, like the :class:`Arena`.
+    """
+
+    #: Initial records per server.
+    MIN_CAPACITY = 16
+
+    def __init__(self, free_at: np.ndarray, up: np.ndarray):
+        n = int(free_at.size)
+        self.n = n
+        self.free_at_addr = free_at.ctypes.data
+        self.up_addr = up.ctypes.data
+        self.head = np.zeros(n, dtype=np.int64)
+        self.tail = np.zeros(n, dtype=np.int64)
+        self.head_addr = self.head.ctypes.data
+        self.tail_addr = self.tail.ctypes.data
+        self.eff = np.empty(n)
+        self.eff_addr = self.eff.ctypes.data
+        # Offsets (n + 1) and cursor (n) of the segment's grouping.
+        self.scratch = np.zeros(2 * n + 1, dtype=np.int64)
+        self.scratch_addr = self.scratch.ctypes.data
+        self.fold_scratch = np.zeros(2 * n + 1, dtype=np.int64)
+        self.fold_scratch_addr = self.fold_scratch.ctypes.data
+        self.cap = 0
+        self.grow(self.MIN_CAPACITY)
+        self.dep = np.empty(0)
+        self.reserve_dep(self.MIN_CAPACITY)
+        self.done = np.empty((0, 5))
+        self.reserve_done(0, 2 * n * self.cap)
+
+    def grow(self, cap: int) -> None:
+        """Re-allocate the ring block at ``cap`` records per server,
+        each server's live records moved to the front of its slot."""
+        ring = np.empty((self.n, cap, 5))
+        if self.cap:
+            for s in range(self.n):
+                h, t = int(self.head[s]), int(self.tail[s])
+                ring[s, :t - h] = self.ring[s, h:t]
+            self.tail -= self.head
+            self.head[:] = 0
+        self.ring = ring
+        self.ring_addr = ring.ctypes.data
+        self.cap = int(cap)
+
+    def reserve_dep(self, k: int) -> None:
+        """Room for ``k`` departures in ``dep``."""
+        if k > self.dep.size:
+            self.dep = np.empty(max(k, 2 * self.dep.size))
+            self.dep_addr = self.dep.ctypes.data
+
+    def reserve_done(self, rows: int, extra: int) -> None:
+        """Room for ``extra`` more rows after the first ``rows`` of
+        ``done``, which a re-allocation keeps."""
+        if rows + extra > len(self.done):
+            done = np.empty((max(rows + extra, 2 * len(self.done)), 5))
+            done[:rows] = self.done[:rows]
+            self.done = done
+            self.done_addr = done.ctypes.data
+            self.wit = np.empty(len(done))
+            self.wit_addr = self.wit.ctypes.data
+            self.resp = np.empty(len(done))
+            self.resp_addr = self.resp.ctypes.data
+
+
+class _RrScratch:
+    """Pinned state buffers of the Algorithm 2 extension, addresses cached.
+
+    ``f64``: 1/alpha, then ``next``; ``i64``: the active indices, then
+    ``assign``, then the first winners — one row of ``n`` each.  A swap
+    extends a fresh sequence, so copying the dispatcher's few lists
+    into place beats taking fresh arrays' addresses.
+    """
+
+    def __init__(self):
+        self.n = -1
+
+    def reserve(self, n: int) -> "_RrScratch":
+        if n > self.n:
+            self.n = max(n, 2 * self.n, 8)
+            self.f64 = np.zeros(2 * self.n)
+            self.i64 = np.zeros(3 * self.n, dtype=np.int64)
+            self.f64_addr = self.f64.ctypes.data
+            self.i64_addr = self.i64.ctypes.data
+        return self
+
+
+_rr_scratch = _RrScratch()
+
+
+def rr_extend_c(fn, inv: list, active: list, assign: list, nxt: list,
+                count: int):
     """Extend an Algorithm 2 sequence through the compiled select loop.
 
     ``inv`` (1/alpha per server, the exact doubles of the Python
-    dispatcher's ``_inv_alpha``), ``active`` (int64 participant
-    indices), ``assign``/``nxt`` live dispatcher state updated in
-    place, ``out`` int64 receiving ``out.size`` further targets.
+    dispatcher's ``_inv_alpha``), ``active`` (the participant indices),
+    ``assign``/``nxt``: the dispatcher's state lists.  Returns
+    ``(targets, assign, next, started)``: a fresh int64 array of
+    ``count`` further targets, the state after them, and the servers
+    that won for the first time, in first-win order.  The last three
+    are views of pinned scratch: consume them before the next call.
     """
-    fn(
-        inv.ctypes.data,
-        active.ctypes.data,
-        ctypes.c_longlong(active.size),
-        assign.ctypes.data,
-        nxt.ctypes.data,
-        ctypes.c_longlong(out.size),
-        out.ctypes.data,
-    )
+    n = len(inv)
+    sc = _rr_scratch.reserve(n)
+    w = sc.n
+    sc.f64[:n] = inv
+    sc.f64[w:w + n] = nxt
+    sc.i64[:len(active)] = active
+    sc.i64[w:w + n] = assign
+    out = np.empty(count, dtype=np.int64)
+    k = fn(sc.f64_addr, sc.i64_addr, len(active), sc.i64_addr + 8 * w,
+           sc.f64_addr + 8 * w, count, _addr(out),
+           sc.i64_addr + 16 * w)
+    return out, sc.i64[w:w + n], sc.f64[w:w + n], sc.i64[2 * w:2 * w + k]
 
 
 def est_arrivals_c(fn, state: int, buf: int, times: np.ndarray,
@@ -888,8 +1076,8 @@ def est_arrivals_c(fn, state: int, buf: int, times: np.ndarray,
     ``sizes`` contiguous float64.  False when the batch is not finite
     and non-decreasing — the kernel then wrote nothing.
     """
-    return fn(state, buf, times.ctypes.data, times.size,
-              sizes.ctypes.data, sizes.size) == 0
+    return fn(state, buf, _addr(times), times.size, _addr(sizes),
+              sizes.size) == 0
 
 
 def est_completions_c(fn, state: int, witnesses: np.ndarray, offsets,
@@ -907,10 +1095,10 @@ def est_completions_c(fn, state: int, witnesses: np.ndarray, offsets,
         wit = off = None
         nwit = 0
     else:
-        wit, off = witnesses.ctypes.data, offsets.ctypes.data
+        wit, off = _addr(witnesses), _addr(offsets)
         nwit = witnesses.size
     return fn(state, wit, nwit, off, nservers, p2, nsets,
-              responses.ctypes.data, responses.size) == 0
+              _addr(responses), responses.size) == 0
 
 
 class _AllocScratch:

@@ -23,6 +23,7 @@ from repro.service import SchedulerService, ServerBank, ServiceConfig
 from repro.service.sources import SyntheticJobSource
 from repro.sim import ckernel
 from repro.sim.arrivals import Workload
+from repro.sim.fastpath import group_by_server
 
 
 @contextlib.contextmanager
@@ -162,22 +163,309 @@ class TestBankCheckpointFormat:
         assert bank.inflight_count() == 3
 
     def test_fifo_survives_growth_and_compaction(self):
-        bank = ServerBank([1.0])
+        """Records keep FIFO order through ring growth and compaction,
+        on the compiled path and the fallback.
+
+        A backlog builds on server 0 until its ring grows past the
+        initial capacity, then drains while segments keep arriving, so
+        pushes run past the end of the slot and compact; server 1 is
+        down throughout, so its jobs bounce and never take room.
+        """
+        for path in ("compiled", "python"):
+            ctx = (_python_path() if path == "python"
+                   else contextlib.nullcontext())
+            with ctx:
+                self._growth_and_compaction()
+
+    @staticmethod
+    def _growth_and_compaction():
+        bank = ServerBank([1.0, 4.0])
+        bank.fail(1, 0.0)
+        rings = bank._rings
+        cap0 = rings.cap
         expect = []
+        grew = compacted = 0
         t = 0.0
-        for k in range(60):
+        for k in range(120):
             m = k % 7
             times = t + np.arange(m, dtype=float)
             t += m
+            # Twice the server's capacity for 40 rounds, then half.
+            size = 2.0 if k < 40 else 0.5
+            targets = (np.arange(m) % 5 == 4).astype(np.int64)
+            cap, head = rings.cap, int(rings.head[0])
+            live = int(rings.tail[0]) - head
             dep = bank.dispatch(
-                np.zeros(m, dtype=np.int64), times, np.ones(m), times,
-                np.zeros(m),
+                targets, times, np.full(m, size), times,
+                np.zeros(m, dtype=np.int64),
             )
-            expect.extend(dep.tolist())
+            assert np.isnan(dep[targets == 1]).all()
+            grew += rings.cap > cap
+            compacted += (rings.cap == cap and head > 0 and live > 0
+                          and rings.head[0] == 0)
+            expect.extend(dep[targets == 0].tolist())
             done = bank.collect_completions(t - 3.0)
+            assert (done[:, 0] == 0).all()
             assert done[:, 4].tolist() == expect[: len(done)]
             del expect[: len(done)]
-        assert [j[3] for j in bank.state_dict()["inflight"][0]] == expect
+            assert bank.inflight_count() == len(expect)
+            rows, wit, offsets, resp = bank.take_completions()
+            assert rows.tolist() == done.tolist()
+            assert wit.tolist() == (done[:, 2] / done[:, 3]).tolist()
+            assert offsets.tolist() == [0, len(done), len(done)]
+            assert resp.tolist() == (done[:, 4] - done[:, 1]).tolist()
+        assert rings.cap > cap0 and grew
+        assert compacted
+        state = bank.state_dict()
+        assert [j[3] for j in state["inflight"][0]] == expect
+        assert state["inflight"][1] == []
+
+
+class TestBankStateValidation:
+    """A checkpointed bank state that does not fit the bank is refused
+    up front, naming the field and server, with the bank untouched."""
+
+    def _bank(self):
+        bank = ServerBank([1.0, 2.0, 1.0, 2.0])
+        dep = bank.dispatch(
+            np.array([0, 0, 3], dtype=np.int64), np.array([1.0, 2.0, 3.0]),
+            np.ones(3), np.array([1.0, 2.0, 3.0]), np.array([0, 1, 2]),
+        )
+        assert not np.isnan(dep).any()
+        return bank
+
+    def _state(self):
+        return json.loads(json.dumps(self._bank().state_dict()))
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("inflight", lambda st: st["inflight"][:3]),
+         ("up", lambda st: st["up"][:3]),
+         ("speed_factor", lambda st: st["speed_factor"][:2]),
+         ("free_at", lambda st: st["free_at"] + [0.0])],
+    )
+    def test_vector_of_the_wrong_length_is_refused(self, field, value):
+        state = self._state()
+        state[field] = value(state)
+        bank = self._bank()
+        before = json.dumps(bank.state_dict())
+        with pytest.raises(ValueError, match=f"bank state {field}"):
+            bank.load_state(state)
+        assert json.dumps(bank.state_dict()) == before
+
+    @pytest.mark.parametrize(
+        ("record", "message"),
+        [([1.0, 1.0, 1.0, float("nan"), 0], "departures must be finite"),
+         ([1.0, 1.0, 1.0, float("inf"), 0], "departures must be finite"),
+         ([1.0, 1.0, 1.0, 0.5, 0], "departures decrease"),
+         ([1.0, 1.0, 1.0, 9.0], "5 numeric fields"),
+         ([1.0, 1.0, 1.0, 9.0, 0, 0], "5 numeric fields"),
+         ([1.0, 1.0, 1.0, "late", 0], "5 numeric fields"),
+         (9.0, "5 numeric fields"),
+         ([1.0, 1.0, 1.0, 9.0, -1], "attempts must be non-negative integers"),
+         ([1.0, 1.0, 1.0, 9.0, 1.5], "attempts must be non-negative integers")],
+    )
+    def test_bad_record_is_refused_naming_the_server(self, record, message):
+        state = self._state()
+        state["inflight"][0].append(record)
+        bank = self._bank()
+        before = json.dumps(bank.state_dict())
+        with pytest.raises(ValueError, match=r"inflight\[0\].*" + message):
+            bank.load_state(state)
+        assert json.dumps(bank.state_dict()) == before
+
+    def test_non_positive_speed_factor_is_refused(self):
+        state = self._state()
+        state["speed_factor"][2] = 0.0
+        with pytest.raises(ValueError, match="speed_factor"):
+            self._bank().load_state(state)
+
+    def test_valid_state_loads_into_a_bank_with_a_smaller_ring(self):
+        big = ServerBank([1.0, 2.0])
+        m = 3 * big._rings.cap
+        times = np.arange(m, dtype=float)
+        big.dispatch(np.zeros(m, dtype=np.int64), times, np.full(m, 2.0),
+                     times, np.zeros(m, dtype=np.int64))
+        state = json.loads(json.dumps(big.state_dict()))
+        small = ServerBank([1.0, 2.0])
+        small.load_state(state)
+        assert small.state_dict() == state
+        assert small.inflight_count() == m
+
+
+class _ListBank:
+    """The in-flight semantics as per-server Python lists: the model the
+    ring bank is checked against."""
+
+    def __init__(self, speeds):
+        self.speeds = [float(s) for s in speeds]
+        n = len(self.speeds)
+        self.free_at = [0.0] * n
+        self.up = [True] * n
+        self.factor = [1.0] * n
+        self.jobs = [[] for _ in range(n)]
+
+    def dispatch(self, targets, times, sizes, origins, attempts):
+        deps = []
+        for s, t, w, o, a in zip(targets, times, sizes, origins, attempts):
+            v = w / (self.speeds[s] * self.factor[s])
+            if not self.up[s]:
+                deps.append(math.nan)
+                continue
+            d = max(self.free_at[s], t) + v
+            self.free_at[s] = d
+            self.jobs[s].append([o, w, v, d, int(a)])
+            deps.append(d)
+        return deps
+
+    def collect(self, now):
+        rows = []
+        for s, q in enumerate(self.jobs):
+            while q and q[0][3] <= now:
+                o, w, v, d, _ = q.pop(0)
+                rows.append([float(s), o, w, v, d])
+        return rows
+
+    def fail(self, s, now):
+        self.up[s] = False
+        out = [[o, w, float(a)] for o, w, _, _, a in self.jobs[s]]
+        self.jobs[s] = []
+        self.free_at[s] = now
+        return out
+
+    def repair(self, s, now):
+        self.up[s] = True
+        self.free_at[s] = now
+
+    def set_speed_factor(self, s, now, factor):
+        old = self.speeds[s] * self.factor[s]
+        self.factor[s] = factor
+        scale = old / (self.speeds[s] * factor)
+        if scale == 1.0:
+            return
+        for job in self.jobs[s]:
+            if job[3] > now:
+                job[3] = now + (job[3] - now) * scale
+                job[2] *= scale
+        if self.free_at[s] > now:
+            self.free_at[s] = now + (self.free_at[s] - now) * scale
+
+    def state_dict(self):
+        return {
+            "free_at": list(self.free_at),
+            "up": list(self.up),
+            "speed_factor": list(self.factor),
+            "inflight": [[list(job) for job in q] for q in self.jobs],
+        }
+
+
+@contextlib.contextmanager
+def _one_record_rings():
+    """Start every ring at one record per server, so growth and
+    compaction happen constantly."""
+    saved = ckernel.InflightRings.MIN_CAPACITY
+    ckernel.InflightRings.MIN_CAPACITY = 1
+    try:
+        yield
+    finally:
+        ckernel.InflightRings.MIN_CAPACITY = saved
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("dispatch"), st.integers(0, 40), st.integers(0, 2**31)),
+        st.tuples(st.just("collect"), st.integers(-8, 40), st.booleans()),
+        st.tuples(st.just("fail"), st.integers(0, 3), st.integers(0, 8)),
+        st.tuples(st.just("repair"), st.integers(0, 3), st.integers(0, 8)),
+        st.tuples(st.just("degrade"), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("checkpoint"), st.just(0), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+class TestRingBankAgainstListModel:
+    """Random segment dispatches (down targets and ``t == free_at`` ties
+    on a power-of-two grid, off-grid sizes too), collects, failures, repairs, speed changes
+    and a JSON checkpoint round trip: the ring bank, on either kernel
+    path, matches the list model bit for bit.  The initial ring holds
+    one record per server, so growth and compaction happen constantly.
+    """
+
+    @pytest.mark.parametrize("path", ["compiled", "python"])
+    @given(ops=_OPS, speeds=st.lists(st.integers(-1, 2), min_size=4, max_size=4))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_list_model(self, path, ops, speeds):
+        speeds = [2.0**k for k in speeds]
+        model = _ListBank(speeds)
+        clock = 0.0
+        ctx = _python_path() if path == "python" else contextlib.nullcontext()
+        with _one_record_rings(), ctx:
+            bank = ServerBank(speeds)
+            for op, a, b in ops:
+                if op == "dispatch":
+                    rng = np.random.default_rng(b)
+                    times = clock + np.cumsum(rng.integers(0, 3, a) * 0.25)
+                    sizes = rng.integers(1, 8, a) * 0.25
+                    if b % 2:
+                        # Off-grid sizes: size / svc then rounds apart
+                        # from the speed, so witness order shows.
+                        sizes = rng.lognormal(0.0, 1.0, a)
+                    targets = rng.integers(0, 4, a).astype(np.int64)
+                    origins = times - rng.integers(0, 4, a) * 0.5
+                    attempts = rng.integers(0, 3, a).astype(np.int64)
+                    if a:
+                        clock = float(times[-1])
+                    got = bank.dispatch(targets, times, sizes, origins, attempts)
+                    want = model.dispatch(
+                        targets.tolist(), times.tolist(), sizes.tolist(),
+                        origins.tolist(), attempts.tolist(),
+                    )
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert _bits(got[~nan]) == _bits(np.asarray(want)[~nan])
+                elif op == "collect":
+                    # Any instant: before, at or past departures.
+                    now = clock + a * 0.25
+                    if b:
+                        clock = max(clock, now)
+                    got = bank.collect_completions(now)
+                    want = model.collect(now)
+                    assert _bits(got) == _bits(np.reshape(want, (-1, 5)))
+                elif op == "fail" and model.up[a]:
+                    clock += b * 0.25
+                    bank.collect_completions(clock)
+                    model.collect(clock)
+                    got = bank.fail(a, clock)
+                    want = model.fail(a, clock)
+                    assert _bits(got) == _bits(np.reshape(want, (-1, 3)))
+                elif op == "repair" and not model.up[a]:
+                    clock += b * 0.25
+                    bank.repair(a, clock)
+                    model.repair(a, clock)
+                elif op == "degrade":
+                    bank.set_speed_factor(a, clock, 0.5**b)
+                    model.set_speed_factor(a, clock, 0.5**b)
+                elif op == "checkpoint":
+                    state = json.loads(json.dumps(bank.state_dict()))
+                    bank = ServerBank(speeds)
+                    bank.load_state(state)
+                # The fold inputs of everything collected since the
+                # last take: the numpy regroup, bit for bit.
+                rows, wit, offsets, resp = bank.take_completions()
+                order, want = group_by_server(rows[:, 0].astype(np.int64), 4)
+                assert _bits(wit) == _bits((rows[:, 2] / rows[:, 3])[order])
+                assert offsets.tolist() == want.tolist()
+                assert _bits(resp) == _bits(rows[:, 4] - rows[:, 1])
+                assert json.dumps(bank.state_dict()) == json.dumps(
+                    model.state_dict()
+                )
+                assert np.array_equal(bank.free_at, model.free_at)
+                assert bank.inflight_count() == sum(map(len, model.jobs))
 
 
 SPEEDS = (1.0, 2.0, 3.0, 2.0)

@@ -78,6 +78,22 @@ class TestFaultConfig:
         assert delays[0] == 1.0
         assert max(delays) == 5.0
 
+    def test_retry_delay_saturates_instead_of_overflowing(self):
+        # backoff**k leaves the float range (k >= 1024 at backoff 2,
+        # k >= 309 at backoff 10): the wait is max_delay, not an error.
+        assert RetryPolicy(max_attempts=5000).delay(1100) == 60.0
+        rp = RetryPolicy(max_attempts=5000, backoff=10.0, max_delay=30.0)
+        assert rp.delay(309) == 30.0
+        assert RetryPolicy(backoff=10, max_delay=30.0).delay(400) == 30.0
+        zero = RetryPolicy(base_delay=0.0, backoff=10.0, max_delay=0.0)
+        assert zero.delay(5000) == 0.0
+        # Below saturation the value is the plain product, bit for bit.
+        for rp in (RetryPolicy(), RetryPolicy(base_delay=0.3, backoff=1.7,
+                                              max_delay=1e300)):
+            for k in range(1, 1000):
+                want = min(rp.max_delay, rp.base_delay * rp.backoff**k)
+                assert rp.delay(k).hex() == want.hex()
+
     def test_config_rejects_wrong_type(self):
         with pytest.raises(TypeError):
             _config(faults="mtbf=500")

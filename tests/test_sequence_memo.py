@@ -11,11 +11,14 @@ in which server is zeroed never share an entry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dispatch import RoundRobinDispatcher, build_dispatch_sequence
 from repro.dispatch import round_robin as rr_module
 from repro.dispatch import sequence_memo_key
-from repro.sim import fastpath
+from repro.dispatch.round_robin import SequenceRoundRobin
+from repro.sim import ckernel, fastpath
 
 
 @pytest.fixture(autouse=True)
@@ -129,3 +132,39 @@ def test_fastpath_wrapper_uses_builder():
     extended = fastpath._dispatch_targets(d, np.ones(512))
     np.testing.assert_array_equal(extended, oracle_sequence(alphas, 512))
     assert 2 not in extended
+
+
+_ALLOCATIONS = st.lists(
+    st.one_of(st.just(0), st.integers(1, 50)), min_size=1, max_size=7
+).filter(any)
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+@given(weights=_ALLOCATIONS, counts=st.lists(st.integers(0, 300), min_size=1,
+                                             max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_swap_state_matches_python_dispatcher(path, weights, counts):
+    """A swap's memo miss (and later extensions) leaves the private
+    dispatcher in the state a Python RoundRobinDispatcher reaches after
+    the same number of selections: first-win order, assign and next."""
+    rr_module._sequence_memo.clear()
+    alphas = np.asarray(weights, dtype=float) / sum(weights)
+    saved = ckernel._fns
+    if path == "python":
+        ckernel._fns = False
+    try:
+        served = SequenceRoundRobin()
+        served.reset(alphas)
+        got = np.concatenate([served.select_batch(np.zeros(c)) for c in counts])
+    finally:
+        ckernel._fns = saved
+    targets, private = rr_module._sequence_memo[served._key]
+    oracle = RoundRobinDispatcher()
+    oracle.reset(alphas)
+    want = oracle.select_batch(np.zeros(targets.size))
+    np.testing.assert_array_equal(got, want[:got.size])
+    np.testing.assert_array_equal(targets, want)
+    assert private._started == oracle._started
+    assert private._assign == oracle._assign
+    assert [x.hex() for x in private._next] == [x.hex() for x in oracle._next]
+    assert all(weights[i] > 0 for i in private._started)

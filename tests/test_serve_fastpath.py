@@ -27,6 +27,7 @@ from repro.dispatch import (
     dispatch_sequence_slice,
 )
 from repro.distributions.fitting import distribution_from_mean_cv
+from repro.faults.models import FaultEvent
 from repro.metrics.online import (
     _P2,
     EwmaEstimator,
@@ -44,7 +45,7 @@ from repro.service.loop import (
     ServiceReport,
 )
 from repro.service.replay import ServerBank
-from repro.service.sources import SyntheticJobSource, Workload
+from repro.service.sources import SyntheticJobSource, TraceJobSource, Workload
 from repro.sim import ckernel
 
 # ---------------------------------------------------------------------------
@@ -487,6 +488,32 @@ class TestReferenceVsFast:
         resumed_service.restore(ck.load_last())
         resumed = resumed_service.run()
         assert _report_text(full) == _report_text(resumed)
+
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("faulted", [False, True], ids=["fast", "faulted"])
+    def test_strided_trace_columns_replay_like_contiguous_ones(self, faulted,
+                                                               path):
+        """A trace read from a file arrives as the strided columns of one
+        (n, 2) array; every kernel path must replay it exactly like the
+        same trace in contiguous arrays."""
+        rng = np.random.default_rng(5)
+        table = np.empty((600, 2))
+        table[:, 0] = np.cumsum(rng.exponential(0.2, 600))
+        table[:, 1] = rng.exponential(1.0, 600)
+        cfg = ServiceConfig(speeds=(1.0, 2.0, 3.0), duration=100.0,
+                            control_period=10.0)
+        events = [FaultEvent(35.0, "down", 1), FaultEvent(62.0, "up", 1)]
+
+        def run(times, sizes):
+            return _report_text(SchedulerService(
+                cfg, TraceJobSource(times, sizes),
+                fault_events=events if faulted else None,
+            ).run())
+
+        with _kernel_path(path):
+            want = run(table[:, 0].copy(), table[:, 1].copy())
+            assert run(table[:, 0], table[:, 1]) == want
 
 
 # ---------------------------------------------------------------------------
