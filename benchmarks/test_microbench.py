@@ -97,7 +97,7 @@ def test_fcfs_cell_kernel_throughput(benchmark, workload):
     speeds = np.array([1.0, 1.0, 2.0, 4.0, 10.0])
     rng = np.random.default_rng(3)
     plans = [rng.integers(0, speeds.size, times.size) for _ in range(8)]
-    fn = ckernel.cell_fn()
+    fn = ckernel.entry("cell")
 
     def run():
         return ckernel.replay_cell_c(fn, times, sizes, speeds, plans, False)
@@ -117,7 +117,7 @@ def test_arena_reuse_steady_state(workload):
     speeds = np.array([1.0, 2.0, 4.0])
     rng = np.random.default_rng(4)
     plans = [rng.integers(0, speeds.size, times.size) for _ in range(4)]
-    fn = ckernel.cell_fn()
+    fn = ckernel.entry("cell")
     ckernel.replay_cell_c(fn, times, sizes, speeds, plans, False, warmup_cut=100)
     a = ckernel.arena()
     grows_before = a.grows

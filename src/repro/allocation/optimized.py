@@ -123,10 +123,10 @@ def optimized_fractions(network: HeterogeneousNetwork) -> np.ndarray:
     _require_usable(network)
     from ..sim import ckernel
 
-    lib = ckernel.resolve_fns()
-    if lib is not None:
+    fn = ckernel.entry("alloc")
+    if fn is not None:
         alphas = ckernel.optimized_alloc_c(
-            lib, network.speeds, network.mu, network.arrival_rate, CUTOFF_RTOL
+            fn, network.speeds, network.mu, network.arrival_rate, CUTOFF_RTOL
         )
         if alphas is not None:
             return alphas

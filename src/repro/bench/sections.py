@@ -165,7 +165,7 @@ def kernels(backend: str) -> dict:
     # recursion, not merely close: one multi-server plan through the
     # fused cell kernel against the per-server numpy cores.
     fcfs_bit_identical = None
-    fused = ckernel.cell_fn()
+    fused = ckernel.entry("cell")
     if fused is not None:
         kn = 50_000
         kspeeds = np.array([1.0, 1.0, 2.0, 4.0, 10.0])

@@ -34,7 +34,6 @@ from ..rng import replication_seeds, substream
 from ..sim import (
     SimulationConfig,
     SimulationResults,
-    run_cell,
     run_simulation,
     run_static_simulation,
 )
@@ -420,36 +419,6 @@ def _cell_fast_indices(config: SimulationConfig, policies) -> set[int]:
     return {pi for pi, p in enumerate(policies) if _static_fast(config, p)}
 
 
-def _run_cell_outcomes(
-    config: SimulationConfig,
-    policies,
-    seeds,
-    reps,
-    pool: StreamPool,
-    outcomes: list[list[Outcome]],
-) -> None:
-    """Append replications *reps* of every policy to ``outcomes[pi]``.
-
-    Every eligible member goes through one batched :func:`run_cell`
-    call (replications share the round-robin sequence memo and the
-    per-call setup); the rest run :func:`run_policy_once` member by
-    member.  The seeds are the same either way.
-    """
-    fast = _cell_fast_indices(config, policies)
-    members = [(pi, r) for r in reps for pi in sorted(fast)]
-    batched = (
-        run_cell(config, policies, seeds, pool=pool, members=members)
-        if members
-        else {}
-    )
-    for r in reps:
-        for pi, policy in enumerate(policies):
-            result = batched.get((pi, r))
-            if result is None:
-                result = run_policy_once(config, policy, seed=seeds[r])
-            outcomes[pi].append(_result_outcome(result))
-
-
 def _summarize_cell(
     config: SimulationConfig,
     policies,
@@ -494,15 +463,21 @@ def evaluate_cell(
     need the event engine (dynamic feedback, exotic disciplines) drop
     out of the batch member-by-member and still evaluate correctly.
     """
+    # executor.py imports this module, so its names load on first call.
+    from .executor import _run_cell_members
+
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     policies = _resolve_policies(policies)
     pool = StreamPool()
     outcomes: list[list[Outcome]] = [[] for _ in policies]
-    _run_cell_outcomes(
-        config, policies, replication_seeds(base_seed, replications),
-        range(replications), pool, outcomes,
-    )
+    members = [(pi, r) for r in range(replications)
+               for pi in range(len(policies))]
+    got = _run_cell_members(config, policies,
+                            replication_seeds(base_seed, replications),
+                            members, pool)
+    for (pi, _), outcome in zip(members, got):
+        outcomes[pi].append(outcome)
     return _summarize_cell(config, policies, outcomes, confidence, pool.misses)
 
 
@@ -536,6 +511,8 @@ def evaluate_cell_to_precision(
     paired mode reaches a verdict in far fewer replications than
     independent intervals would need.
     """
+    from .executor import _run_cell_members
+
     if not 0.0 < target_relative_half_width:
         raise ValueError(
             f"target half-width must be positive, got {target_relative_half_width}"
@@ -595,7 +572,10 @@ def evaluate_cell_to_precision(
         return True
 
     for r in range(max_replications):
-        _run_cell_outcomes(config, policies, seeds, [r], pool, outcomes)
+        members = [(pi, r) for pi in range(len(policies))]
+        got = _run_cell_members(config, policies, seeds, members, pool)
+        for (pi, _), outcome in zip(members, got):
+            outcomes[pi].append(outcome)
         if r + 1 >= min_replications and converged():
             break
     return _summarize_cell(config, policies, outcomes, confidence, pool.misses)

@@ -391,30 +391,29 @@ def _worker(task: ReplicationTask):
         return task.key, None, traceback.format_exc(), None
 
 
-def _run_cell_members(task: CellTask, members, pool: StreamPool):
-    """Run the given (policy, rep) members of one cell on pooled streams.
+def _run_cell_members(config: SimulationConfig, policies, seeds, members,
+                      pool: StreamPool) -> list[Outcome]:
+    """The outcomes of the ``(policy index, replication)`` *members* of
+    one cell on pooled streams, in member order.
 
-    Static members on ps/fcfs go through the batched
-    :func:`~repro.sim.fastpath.run_cell` replay; everything else falls
-    back to :func:`run_policy_once` per member (identical seeds either
-    way).  Returns ``(member_key, outcome)`` pairs.
+    Static members on ps/fcfs go through one batched
+    :func:`~repro.sim.fastpath.run_cell` replay (replications share the
+    round-robin sequence memo and the per-call setup); everything else
+    runs :func:`run_policy_once` member by member.  The seeds are the
+    same either way.
     """
-    policies = task.policies()
-    fast = _cell_fast_indices(task.config, policies)
+    fast = _cell_fast_indices(config, policies)
     fast_members = [(pi, r) for pi, r in members if pi in fast]
     batched = {}
     if fast_members:
-        batched = run_cell(
-            task.config, policies, task.seeds, pool=pool, members=fast_members
-        )
+        batched = run_cell(config, policies, seeds, pool=pool,
+                           members=fast_members)
     out = []
     for pi, r in members:
         result = batched.get((pi, r))
         if result is None:
-            result = run_policy_once(
-                task.config, policies[pi], seed=task.seeds[r]
-            )
-        out.append((task.member_key(pi, r), _result_outcome(result)))
+            result = run_policy_once(config, policies[pi], seed=seeds[r])
+        out.append(_result_outcome(result))
     return out
 
 
@@ -441,9 +440,11 @@ def _cell_worker(payload):
                 view = attach_streams(handle)
                 attached.append(view)
                 pool.prime(task.config, task.seeds[r], view.times, view.sizes)
-        settled = _run_cell_members(task, members, pool)
+        settled = _run_cell_members(task.config, task.policies(), task.seeds,
+                                    members, pool)
         return (
-            [(key, outcome, None) for key, outcome in settled],
+            [(task.member_key(pi, r), outcome, None)
+             for (pi, r), outcome in zip(members, settled)],
             counters.diff_since(before),
         )
     except Exception:  # noqa: BLE001 — captured per slice by design
@@ -707,8 +708,11 @@ def run_cell_grid(
         for task, members in pending:
             pool = StreamPool(max_entries=max(1, len(task.seeds)))
             try:
-                for key, outcome in _run_cell_members(task, members, pool):
-                    ledger.settle(key, outcome, None, key[1])
+                settled = _run_cell_members(task.config, task.policies(),
+                                            task.seeds, members, pool)
+                for (pi, r), outcome in zip(members, settled):
+                    ledger.settle(task.member_key(pi, r), outcome, None,
+                                  task.policy_names[pi])
             except Exception:  # noqa: BLE001 — every member charged once
                 tb = traceback.format_exc()
                 for pi, r in members:

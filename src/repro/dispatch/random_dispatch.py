@@ -91,7 +91,7 @@ class RandomDispatcher(StaticDispatcher):
             raise AssertionError("unreachable")  # pragma: no cover
         u = np.ascontiguousarray(u, dtype=float)
         ck = _ckernel()
-        fn = ck.map_fn()
+        fn = ck.entry("map_uniform")
         if fn is not None:
             out = np.empty(u.size, dtype=np.int64)
             ck.map_uniform_c(fn, cum, u, out)

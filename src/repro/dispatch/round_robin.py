@@ -217,7 +217,7 @@ def _extend_targets(private: "RoundRobinDispatcher", count: int) -> np.ndarray:
         return np.empty(0, dtype=np.int16)
     from ..sim import ckernel  # local: repro.sim.fastpath imports us
 
-    fn = ckernel.rr_fn()
+    fn = ckernel.entry("rr_extend")
     if fn is None:
         return private.select_batch(np.zeros(count)).astype(np.int16)
     out, assign, nxt, started = ckernel.rr_extend_c(

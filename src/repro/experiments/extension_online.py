@@ -164,7 +164,9 @@ def _oracle_mrt(alpha_segments, times, sizes) -> float:
         dispatcher = RoundRobinDispatcher()
         dispatcher.reset(alphas)
         targets = dispatcher.select_batch(seg_sizes)
-        departures, _ = bank.replay_window(targets, seg_times, seg_sizes)
+        departures, _, _, _ = bank.replay_window_grouped(
+            targets, seg_times, seg_sizes
+        )
         responses.append(departures - seg_times)
     if not responses:
         return float("nan")

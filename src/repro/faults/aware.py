@@ -60,10 +60,10 @@ def survivor_fractions(speeds, up, utilization, solve=None) -> np.ndarray | None
         from ..allocation.optimized import CUTOFF_RTOL, optimized_fractions
         from ..sim import ckernel
 
-        lib = ckernel.resolve_fns()
-        if lib is not None and speeds.ndim == 1:
+        fn = ckernel.entry("survivors")
+        if fn is not None and speeds.ndim == 1:
             status, full = ckernel.survivor_alloc_c(
-                lib, speeds, up, utilization, CUTOFF_RTOL
+                fn, speeds, up, utilization, CUTOFF_RTOL
             )
             if status != 2:
                 return full

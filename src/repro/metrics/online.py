@@ -901,7 +901,7 @@ class OnlineWorkloadEstimator:
         if times.size == 0:
             return
         ck = _ckernel()
-        fn = ck.arrivals_fn()
+        fn = ck.entry("arrivals")
         if fn is None:
             self.windowed_rate.observe_batch(times)
             self.ewma_rate.observe_batch(times)
@@ -959,16 +959,18 @@ class OnlineWorkloadEstimator:
         One compiled call (``est_snapshot``) when the kernel is loaded;
         it runs the steps below, numpy's summation order included.
         """
-        lib = _ckernel().resolve_fns()
-        if lib is not None:
+        ck = _ckernel()
+        fn = ck.entry("snapshot")
+        if fn is not None:
             now = float(now)
             if math.isnan(now):
                 raise ValueError("rate needs a time, got nan")
             n = self.speed.nominal.size
-            snap, addr = self._snap, self._snap_addr
-            lib.snapshot(
-                self._addr, self.windowed_rate._addr, self.speed._nominal_addr,
-                self._up_addr, n, now, lib.sum_seeded, addr, addr + 8 * (n + 3),
+            snap = self._snap
+            ck.est_snapshot_c(
+                fn, self._addr, self.windowed_rate._addr,
+                self.speed._nominal_addr, self._up_addr, n, now,
+                self._snap_addr,
             )
             lam, mean_size, rho = snap[:3].tolist()
             return WorkloadEstimate(

@@ -34,10 +34,8 @@ The codec is sans-IO: :func:`encode` / :func:`decode` map messages to
 and from plain dicts (arrays as lists; for debugging and tests),
 :func:`pack` / :func:`unpack` map them to and from frame bytes, and
 :class:`FrameReader` splits a byte stream, fed in chunks of any size,
-into messages.  Only :func:`read_message` (an asyncio stream reader)
-and :func:`write_message` (anything with ``.write``: a stream writer
-or a transport) touch I/O objects.  The socket reader and the stream
-reader refuse a frame by the same length-prefix check.  The in-process
+into messages.  Only :func:`write_message` (anything with ``.write``:
+a stream writer or a transport) touches an I/O object.  The in-process
 transport round-trips every message through ``unpack(pack(msg))`` so
 simulation mode exercises the exact codec the sockets use.
 """
@@ -70,7 +68,6 @@ __all__ = [
     "pack",
     "unpack",
     "FrameReader",
-    "read_message",
     "write_message",
 ]
 
@@ -542,7 +539,7 @@ def _decode_body(body) -> Message:
 def _frame_length(prefix, offset: int = 0) -> int:
     """The payload length a frame's 4-byte prefix at *offset* announces.
 
-    The one length-prefix check of both stream readers: a length beyond
+    The stream reader's length-prefix check: a length beyond
     :data:`MAX_FRAME_BYTES` is refused before its payload is read.  The
     type is undecodable then, so the refusal names everything the
     prefix gives: the offending length and the cap it breached.
@@ -578,7 +575,7 @@ class FrameReader:
     that ends its chunk — on a request/reply link, nearly every frame —
     is decoded in place, and the reader lets go of the chunk; one that
     shares its chunk with the next is copied out first.  Either way its
-    arrays are read-only views, as :func:`read_message` returns them.
+    arrays are read-only views of the frame.
     """
 
     __slots__ = ("_buf", "_pos")
@@ -628,28 +625,6 @@ class FrameReader:
         if got < _LEN.size:
             raise _torn(got, None)
         raise _torn(got - _LEN.size, _frame_length(self._buf, self._pos))
-
-
-async def read_message(reader) -> Message | None:
-    """Read one framed message from an asyncio stream reader.
-
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on EOF mid-frame or a corrupt length prefix.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise _torn(len(exc.partial), None) from exc
-    length = _frame_length(header)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise _torn(len(exc.partial), length) from exc
-    return _decode_body(body)
 
 
 def write_message(writer, msg: Message) -> None:

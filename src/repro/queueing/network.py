@@ -23,14 +23,17 @@ __all__ = ["HeterogeneousNetwork", "validate_allocation"]
 
 
 def validate_allocation(alphas: np.ndarray, *, atol: float = 1e-9) -> np.ndarray:
-    """Check αᵢ ∈ [0, 1] and Σαᵢ = 1; return as a float array."""
+    """Check αᵢ ∈ [0, 1] and Σαᵢ = 1; return as a float array.
+
+    Both checks are written so that NaN fails them.
+    """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"allocation must be a 1-D vector, got shape {a.shape}")
-    if (a < -atol).any() or (a > 1.0 + atol).any():
+    if not ((a >= -atol).all() and (a <= 1.0 + atol).all()):
         raise ValueError(f"allocation fractions must lie in [0, 1], got {a}")
     total = float(a.sum())
-    if abs(total - 1.0) > max(atol, 1e-9 * len(a)):
+    if not abs(total - 1.0) <= max(atol, 1e-9 * len(a)):
         raise ValueError(f"allocation fractions must sum to 1, got {total}")
     return a.clip(0.0, 1.0)
 

@@ -267,7 +267,7 @@ class QuasiStaticController:
         leave.  Without the kernel, the estimators' batch forms run.
         """
         n = self.alphas.size
-        fn = ckernel.completions_fn()
+        fn = ckernel.entry("completions")
         if fn is None:
             if offsets is not None:
                 self.estimator.observe_services_grouped(witnesses, offsets)

@@ -365,8 +365,8 @@ class SchedulerService:
         """The original per-job fault-free window (oracle path).
 
         Kept verbatim up to the boundary close — scalar admission
-        accumulator, per-job estimator updates, live Algorithm 2 scans,
-        fresh replay outputs — so the property tests and
+        accumulator, per-job estimator updates, live Algorithm 2 scans
+        — so the property tests and
         ``bench --serve`` can pin the vectorized path against it,
         report for report.
         """
@@ -381,7 +381,7 @@ class SchedulerService:
         adm_sizes = sizes[mask]
 
         targets = step.dispatcher.select_batch(adm_sizes)
-        departures, service_times = self.bank.replay_window(
+        departures, service_times, _, _ = self.bank.replay_window_grouped(
             targets, adm_times, adm_sizes
         )
         for srv, x, svc in zip(targets, adm_sizes, service_times):

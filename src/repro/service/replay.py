@@ -49,7 +49,7 @@ between two fault events), not on one job:
   new speed, so ``dep' = now + (dep − now)·(s_old/s_new)`` is exact.
 
 The interpreted fallback runs the same steps over the same arrays.
-The fault-free :meth:`replay_window` path is untouched, keeping
+The fault-free :meth:`replay_window_grouped` path is untouched, keeping
 fault-free service runs bit-identical.
 """
 
@@ -107,50 +107,32 @@ class ServerBank:
         """Per-server speed multiplier (writable in place)."""
         return self._speed_factor
 
-    def replay_window(
-        self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Process one window of dispatched jobs; update server state.
-
-        Returns ``(departures, service_times)`` aligned with the input
-        arrival order.  ``times`` must be non-decreasing and must not
-        precede any earlier window.
-
-        Validating compatibility wrapper around
-        :meth:`replay_window_grouped`; the returned arrays are fresh
-        copies the caller may keep across windows.
-        """
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
-        times = np.ascontiguousarray(times, dtype=float)
-        sizes = np.ascontiguousarray(sizes, dtype=float)
-        if not (targets.shape == times.shape == sizes.shape):
-            raise ValueError("targets, times, and sizes must align")
-        departures, service_times, _, _ = self.replay_window_grouped(
-            targets, times, sizes
-        )
-        return departures.copy(), service_times.copy()
-
     def replay_window_grouped(
         self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The serve hot path: one window in one compiled call.
+        """Process one window of dispatched jobs; update server state.
 
-        Inputs must be contiguous, shape-aligned arrays (int64 targets,
-        float64 times/sizes) — the service loop guarantees this, so the
-        per-window cost carries no re-validation or conversion.  Returns
-        ``(departures, service_times, order, offsets)``: the first two
-        in arrival order, ``order`` the stable group-by-server
-        permutation and ``offsets`` the per-server group bounds
-        (length ``n + 1``), which callers reuse to fold per-server
-        speed witnesses without a second argsort.
+        ``times`` must be non-decreasing and must not precede any
+        earlier window.  The three inputs must have one shape; they are
+        taken as contiguous int64 targets and float64 times/sizes,
+        copied only when they are not that already (the service loop's
+        own arrays are, and pass through as they are).  Returns ``(departures, service_times,
+        order, offsets)``: the first two in arrival order, ``order``
+        the stable group-by-server permutation and ``offsets`` the
+        per-server group bounds (length ``n + 1``), which callers reuse
+        to fold per-server speed witnesses without a second argsort.
 
         All four arrays are views of per-process arena buffers —
-        consume them before the next replay call, never store them
-        (:meth:`replay_window` copies for callers that accumulate).
+        consume them before the next replay call, never store them.
         The compiled carry-state sweep (``fcfs_window_sweep``) and the
         numpy fallback compute identical bits; either updates
         ``free_at`` in place.
         """
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        sizes = np.ascontiguousarray(sizes, dtype=np.float64)
+        if not (targets.shape == times.shape == sizes.shape):
+            raise ValueError("targets, times, and sizes must align")
         n = times.size
         a = ckernel.arena()
         if n == 0:
@@ -162,7 +144,7 @@ class ServerBank:
                 a.i64("window.order", 0),
                 offsets,
             )
-        fn = ckernel.window_fn()
+        fn = ckernel.entry("window")
         if fn is not None:
             dep, svc, order, offsets, ok = ckernel.replay_window_c(
                 fn, times, sizes, self.speeds, targets, self.free_at
@@ -209,7 +191,7 @@ class ServerBank:
 
     # ------------------------------------------------------------------
     # Fault-mode API (segment calls over the in-flight rings;
-    # replay_window stays untouched)
+    # replay_window_grouped stays untouched)
     # ------------------------------------------------------------------
 
     def effective_speed(self, server: int) -> float:
@@ -251,7 +233,7 @@ class ServerBank:
         r = self._rings
         np.multiply(self.speeds, self.speed_factor, out=r.eff)
         r.reserve_dep(k)
-        fn = ckernel.segment_fn()
+        fn = ckernel.entry("segment")
         if fn is None:
             return self._dispatch_python(targets, times, sizes, origins, attempts)
         status = ckernel.dispatch_segment_c(
@@ -345,7 +327,7 @@ class ServerBank:
         row = self._ndone
         # Room for every live record, so the kernel never runs out.
         r.reserve_done(row, self.n * r.cap)
-        fn = ckernel.collect_fn()
+        fn = ckernel.entry("collect")
         if fn is not None:
             m = ckernel.inflight_collect_c(fn, r, float(now), row)
         else:
@@ -390,7 +372,7 @@ class ServerBank:
         m = self._ndone
         self._ndone = 0
         rows = r.done[:m]
-        fn = ckernel.fold_inputs_fn()
+        fn = ckernel.entry("fold_inputs")
         if fn is not None and ckernel.fold_inputs_c(fn, r, m):
             return rows, r.wit[:m], r.fold_scratch[:self.n + 1], r.resp[:m]
         srv, origin, size, svc, dep = rows.T
@@ -415,7 +397,15 @@ class ServerBank:
         return bounced
 
     def repair(self, server: int, now: float) -> None:
-        """Bring *server* back at *now*, empty (its backlog was bounced)."""
+        """Bring *server* back at *now*, empty (its backlog was bounced).
+
+        Raises ``ValueError``, changing nothing, when *server* is up:
+        rewinding a live server's ``free_at`` would let a later job
+        depart before the jobs already queued on it.
+        """
+        if self.up[server]:
+            raise ValueError(f"server {server} is up; only a down server "
+                             "can be repaired")
         self.up[server] = True
         self.free_at[server] = float(now)
 

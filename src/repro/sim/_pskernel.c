@@ -211,14 +211,6 @@ void pk_set_threads(i64 n) {
 #endif
 }
 
-i64 pk_openmp_enabled(void) {
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
-}
-
 /* ------------------------------------------------------------------
  * Serve hot path (quasi-static service loop)
  * ------------------------------------------------------------------ */
@@ -227,7 +219,7 @@ i64 pk_openmp_enabled(void) {
  * through the per-server Lindley recursion, with the servers' free-up
  * instants carried in from the previous window and written back out.
  *
- * Mirrors ServerBank.replay_window's numpy formulation bit for bit:
+ * Mirrors ServerBank.replay_window_grouped's numpy fallback bit for bit:
  * grouping jobs by server with a stable counting sort (the same
  * permutation as numpy's stable argsort on the targets), then one
  * arrival-order pass of lindley_step with per-server (acc, m)

@@ -7,34 +7,36 @@ sequential (the pure-numpy lockstep formulations explored for kernel v3
 topped out at ~2x — see DESIGN.md).  :mod:`repro.sim._pskernel.c`
 therefore carries the whole replay pipeline, compiled here with the
 system ``gcc`` and loaded through :mod:`ctypes` — no third-party build
-dependency, no wheels.  It exposes two replay entry points, which share
-one FCFS Lindley step and one counting-sort grouping prologue, and the
-fault-mode dispatch step:
+dependency, no wheels.  Every exported entry point is declared once,
+in ``_ENTRIES``, and handed out by :func:`entry`, which reads None
+wherever the compiled path cannot run.  There are two replay entry
+points, which share one FCFS Lindley step and one counting-sort
+grouping prologue, and the fault-mode dispatch step:
 
-* ``cell_replay_batch`` (:func:`cell_fn`) — every unique dispatch plan
-  of one replication in one call, FCFS or PS (grouping, per-(plan,
+* ``cell_replay_batch`` (``entry("cell")``) — every unique dispatch
+  plan of one replication in one call, FCFS or PS (grouping, per-(plan,
   server) replay and scatter-back, OpenMP-parallel over disjoint
   slices).  The sweep calls it, and so does the public
   :func:`~repro.sim.fastpath.ps_replay`, as one plan on one server;
-* ``fcfs_window_sweep`` (:func:`window_fn`) — one serving window with
-  the servers' free-up instants carried across windows;
-* ``fcfs_dispatch_segment`` (:func:`segment_fn`) — one fault segment
-  of a fault-mode window, job by job through the max-plus step
+* ``fcfs_window_sweep`` (``"window"``) — one serving window with the
+  servers' free-up instants carried across windows;
+* ``fcfs_dispatch_segment`` (``"segment"``) — one fault segment of a
+  fault-mode window, job by job through the max-plus step
   ``max(free_at, t) + size/speed`` with down servers bouncing, each
   accepted job pushed onto its server's in-flight ring in the bank's
-  record block; ``inflight_collect`` (:func:`collect_fn`) pops every
+  record block; ``inflight_collect`` (``"collect"``) pops every
   finished record of every ring in one call, and
-  ``completion_fold_inputs`` (:func:`fold_inputs_fn`) turns a window's
+  ``completion_fold_inputs`` (``"fold_inputs"``) turns a window's
   popped rows into the estimator fold's inputs.
 
 Beside them sit the searchsorted-style uniform→target mapping of the
 random dispatchers, the Algorithm 2 sequence extension, the two halves
-of the quasi-static controller's estimator step — ``est_arrivals``
-(:func:`arrivals_fn`) and ``est_completions`` (:func:`completions_fn`),
-one call each per control window over state vectors
-:mod:`repro.metrics.online` owns — and the scalar Algorithm 1 re-solve
-(``est_snapshot``, ``optimized_alloc``, ``survivor_alloc``:
-:func:`resolve_fns`).
+of the quasi-static controller's estimator step — ``est_arrivals`` and
+``est_completions``, one call each per control window over state
+vectors :mod:`repro.metrics.online` owns — and the scalar Algorithm 1
+re-solve (``est_snapshot``, ``optimized_alloc``, ``survivor_alloc``),
+which sums as numpy does and so runs only where :func:`_sum_order`
+knows numpy's summation order.
 
 Bit-identity with the interpreted path is a hard requirement (the
 replication cache and the grid executor both assume replay kernels are
@@ -70,22 +72,14 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..obs import counters
 
 __all__ = [
-    "cell_fn",
-    "map_fn",
-    "window_fn",
-    "segment_fn",
-    "collect_fn",
-    "fold_inputs_fn",
-    "rr_fn",
-    "arrivals_fn",
-    "completions_fn",
-    "resolve_fns",
+    "entry",
     "kernel_available",
     "compiled_library_path",
     "compile_flags",
@@ -104,6 +98,7 @@ __all__ = [
     "rr_extend_c",
     "est_arrivals_c",
     "est_completions_c",
+    "est_snapshot_c",
     "optimized_alloc_c",
     "survivor_alloc_c",
 ]
@@ -143,36 +138,196 @@ def _addr(arr: np.ndarray) -> int:
     return arr.ctypes.data
 
 
+class _Entry(NamedTuple):
+    """One exported C entry point: its symbol and its ctypes signature."""
+
+    symbol: str
+    restype: object
+    argtypes: tuple
+    #: Sums as numpy's ndarray.sum does, so usable only when
+    #: :func:`_sum_order` knows this numpy's reduction order.
+    sum_ordered: bool = False
+
+
+_i64 = ctypes.c_longlong
+_f64 = ctypes.c_double
+
+#: Every exported C entry point, once: the name :func:`entry` answers
+#: to → its symbol in ``_pskernel.c`` and its signature.  Adding an
+#: entry point takes one row here plus its call wrapper below.
+_ENTRIES: dict[str, _Entry] = {
+    "cell": _Entry("cell_replay_batch", _i64, (
+        _c_double_p,  # times (shared stream)
+        _c_double_p,  # work (shared stream)
+        _i64,  # n
+        _c_double_p,  # speeds
+        _i64,  # nservers
+        _c_i64_p,  # targets (nplans × n)
+        _i64,  # nplans
+        _i64,  # use_ps
+        _c_double_p,  # completions (out, nplans × n, arrival order)
+        _c_double_p,  # gt scratch
+        _c_double_p,  # gw scratch
+        _c_double_p,  # gc scratch
+        _c_i64_p,  # order scratch
+        _c_i64_p,  # offsets (out, nplans × (nservers+1))
+        _c_i64_p,  # pos scratch
+        _c_double_p,  # ht scratch (per thread)
+        _c_i64_p,  # hi scratch (per thread)
+        _i64,  # nthreads
+        _i64,  # cut (post-warmup start; >= n skips phase D)
+        _c_double_p,  # resp (out, nplans × (n-cut))
+        _c_double_p,  # ratio (out, nplans × (n-cut))
+        _c_i64_p,  # pcounts (out, nplans × nservers)
+    )),
+    "map_uniform": _Entry("map_uniform_right", None, (
+        _c_double_p,  # cum
+        _i64,  # nbins
+        _c_double_p,  # u
+        _i64,  # n
+        _c_i64_p,  # out
+    )),
+    "window": _Entry("fcfs_window_sweep", _i64, (
+        _c_double_p,  # times (arrival order)
+        _c_double_p,  # work (arrival order)
+        _i64,  # n
+        _c_double_p,  # speeds
+        _i64,  # nservers
+        _c_i64_p,  # targets
+        _c_double_p,  # free_at (in/out)
+        _c_double_p,  # departures (out)
+        _c_double_p,  # service_times (out)
+        _c_i64_p,  # order (out, stable grouping permutation)
+        _c_i64_p,  # offsets (out, nservers + 1)
+        _c_i64_p,  # cursor scratch (nservers)
+        _c_double_p,  # state scratch (2 * nservers)
+    )),
+    "segment": _Entry("fcfs_dispatch_segment", _i64, (
+        _c_double_p,  # times (arrival order)
+        _c_double_p,  # work (arrival order)
+        _c_double_p,  # origins (first arrival times)
+        _c_i64_p,  # attempts (failed placements so far)
+        _i64,  # n
+        _c_double_p,  # effective speeds
+        ctypes.c_void_p,  # up (bool per server)
+        _i64,  # nservers
+        _c_i64_p,  # targets
+        _c_double_p,  # free_at (in/out)
+        _c_double_p,  # departures (out, NaN = bounced)
+        _c_double_p,  # ring record block (in/out, nservers × cap × 5)
+        _i64,  # cap (records per server)
+        _c_i64_p,  # ring heads (in/out)
+        _c_i64_p,  # ring tails (in/out)
+        _c_i64_p,  # offsets scratch (nservers + 1)
+        _c_i64_p,  # cursor scratch (nservers)
+    )),
+    "collect": _Entry("inflight_collect", _i64, (
+        _c_double_p,  # ring record block (in/out)
+        _i64,  # cap
+        _i64,  # nservers
+        _c_i64_p,  # ring heads (in/out)
+        _c_i64_p,  # ring tails (in/out)
+        _f64,  # now
+        _c_double_p,  # out rows (server, origin, size, svc, dep)
+    )),
+    "fold_inputs": _Entry("completion_fold_inputs", _i64, (
+        _c_double_p,  # rows (server, origin, size, svc, dep)
+        _i64,  # m
+        _i64,  # nservers
+        _c_double_p,  # witnesses (out, grouped by server)
+        _c_i64_p,  # offsets (out, nservers + 1)
+        _c_i64_p,  # cursor scratch (nservers)
+        _c_double_p,  # responses (out, row order)
+    )),
+    "rr_extend": _Entry("rr_sequence_extend", _i64, (
+        _c_double_p,  # inv (1/alpha per server)
+        _c_i64_p,  # active indices
+        _i64,  # nactive
+        _c_i64_p,  # assign (in/out)
+        _c_double_p,  # next credits (in/out)
+        _i64,  # count
+        _c_i64_p,  # out targets
+        _c_i64_p,  # out first winners (room for nactive)
+    )),
+    "arrivals": _Entry("est_arrivals", _i64, (
+        _c_double_p,  # estimator state (in/out)
+        _c_double_p,  # windowed-rate buffer (in/out, room reserved)
+        _c_double_p,  # times
+        _i64,  # k
+        _c_double_p,  # sizes
+        _i64,  # nsizes
+    )),
+    "completions": _Entry("est_completions", _i64, (
+        _c_double_p,  # estimator state (in/out)
+        _c_double_p,  # server-grouped speed witnesses
+        _i64,  # nwit
+        _c_i64_p,  # offsets (nservers + 1), or NULL
+        _i64,  # nservers
+        _c_double_p,  # P² blocks (in/out)
+        _i64,  # nsets
+        _c_double_p,  # response times
+        _i64,  # m
+    )),
+    "snapshot": _Entry("est_snapshot", None, (
+        _c_double_p,  # estimator state (in/out: the rate window evicts)
+        _c_double_p,  # windowed-rate buffer
+        _c_double_p,  # nominal speeds
+        ctypes.c_void_p,  # up (bool per server), or NULL for all up
+        _i64,  # n
+        _f64,  # now
+        _i64,  # sum seeded
+        _c_double_p,  # out: rate, mean size, utilization, n speeds
+        _c_double_p,  # scratch (n)
+    ), sum_ordered=True),
+    "alloc": _Entry("optimized_alloc", _i64, (
+        _c_double_p,  # speeds
+        _i64,  # n
+        _f64,  # mu
+        _f64,  # arrival rate
+        _f64,  # cutoff rtol
+        _i64,  # sum seeded
+        _c_double_p,  # alphas (out)
+        _c_i64_p,  # i64 scratch (2n)
+        _c_double_p,  # f64 scratch (4n)
+    ), sum_ordered=True),
+    "survivors": _Entry("survivor_alloc", _i64, (
+        _c_double_p,  # speeds
+        ctypes.c_void_p,  # up (bool per server)
+        _i64,  # n
+        _f64,  # utilization
+        _f64,  # cutoff rtol
+        _i64,  # sum seeded
+        _c_double_p,  # out (full-length alphas)
+        _c_i64_p,  # i64 scratch (3n)
+        _c_double_p,  # f64 scratch (6n)
+    ), sum_ordered=True),
+    "np_sum": _Entry("np_sum_probe", _f64, (
+        _c_double_p,  # a
+        _i64,  # n
+        _i64,  # seeded
+    )),
+    "max_threads": _Entry("pk_max_threads", _i64, ()),
+    "set_threads": _Entry("pk_set_threads", None, (_i64,)),
+}
+
+
 @dataclass(frozen=True)
 class _Lib:
-    """Resolved entry points of one loaded kernel library."""
+    """One loaded kernel library: its bound entries and probe facts."""
 
-    cell: object
-    map_uniform: object
-    window: object
-    segment: object
-    collect: object
-    fold_inputs: object
-    rr_extend: object
-    arrivals: object
-    completions: object
-    snapshot: object
-    alloc: object
-    survivors: object
-    #: How this numpy's ndarray.sum reduces, for the three entries
-    #: above: 1 when it seeds with the first element, 0 when not, None
-    #: when neither (those entries are then unused, see _sum_order).
+    #: Every ``_ENTRIES`` name → its bound function, or None for a
+    #: sum-ordered entry this numpy's summation order rules out.
+    entries: dict
+    #: How this numpy's ndarray.sum reduces (the ``np_sum`` probe): 1
+    #: when it seeds with the first element, 0 when not, None when
+    #: neither (see :func:`_sum_order`).
     sum_seeded: int | None
-    #: The kernel's ndarray.sum (the probe behind ``sum_seeded``).
-    np_sum: object
-    max_threads: object
-    set_threads: object
     openmp: bool
     flags: tuple[str, ...]
 
 
 #: None = not yet attempted; False = attempted and unavailable;
-#: otherwise the :class:`_Lib` of resolved entry points.
+#: otherwise the loaded :class:`_Lib`.
 _fns: object = None
 
 
@@ -260,205 +415,19 @@ def _compile() -> tuple[Path, bool] | None:
 
 def _load(path: Path, openmp: bool) -> _Lib:
     lib = ctypes.CDLL(str(path))
-    cell = lib.cell_replay_batch
-    cell.argtypes = [
-        _c_double_p,  # times (shared stream)
-        _c_double_p,  # work (shared stream)
-        ctypes.c_longlong,  # n
-        _c_double_p,  # speeds
-        ctypes.c_longlong,  # nservers
-        _c_i64_p,  # targets (nplans × n)
-        ctypes.c_longlong,  # nplans
-        ctypes.c_longlong,  # use_ps
-        _c_double_p,  # completions (out, nplans × n, arrival order)
-        _c_double_p,  # gt scratch
-        _c_double_p,  # gw scratch
-        _c_double_p,  # gc scratch
-        _c_i64_p,  # order scratch
-        _c_i64_p,  # offsets (out, nplans × (nservers+1))
-        _c_i64_p,  # pos scratch
-        _c_double_p,  # ht scratch (per thread)
-        _c_i64_p,  # hi scratch (per thread)
-        ctypes.c_longlong,  # nthreads
-        ctypes.c_longlong,  # cut (post-warmup start; >= n skips phase D)
-        _c_double_p,  # resp (out, nplans × (n-cut))
-        _c_double_p,  # ratio (out, nplans × (n-cut))
-        _c_i64_p,  # pcounts (out, nplans × nservers)
-    ]
-    cell.restype = ctypes.c_longlong
-    map_uniform = lib.map_uniform_right
-    map_uniform.argtypes = [
-        _c_double_p,  # cum
-        ctypes.c_longlong,  # nbins
-        _c_double_p,  # u
-        ctypes.c_longlong,  # n
-        _c_i64_p,  # out
-    ]
-    map_uniform.restype = None
-    window = lib.fcfs_window_sweep
-    window.argtypes = [
-        _c_double_p,  # times (arrival order)
-        _c_double_p,  # work (arrival order)
-        ctypes.c_longlong,  # n
-        _c_double_p,  # speeds
-        ctypes.c_longlong,  # nservers
-        _c_i64_p,  # targets
-        _c_double_p,  # free_at (in/out)
-        _c_double_p,  # departures (out)
-        _c_double_p,  # service_times (out)
-        _c_i64_p,  # order (out, stable grouping permutation)
-        _c_i64_p,  # offsets (out, nservers + 1)
-        _c_i64_p,  # cursor scratch (nservers)
-        _c_double_p,  # state scratch (2 * nservers)
-    ]
-    window.restype = ctypes.c_longlong
-    segment = lib.fcfs_dispatch_segment
-    segment.argtypes = [
-        _c_double_p,  # times (arrival order)
-        _c_double_p,  # work (arrival order)
-        _c_double_p,  # origins (first arrival times)
-        _c_i64_p,  # attempts (failed placements so far)
-        ctypes.c_longlong,  # n
-        _c_double_p,  # effective speeds
-        ctypes.c_void_p,  # up (bool per server)
-        ctypes.c_longlong,  # nservers
-        _c_i64_p,  # targets
-        _c_double_p,  # free_at (in/out)
-        _c_double_p,  # departures (out, NaN = bounced)
-        _c_double_p,  # ring record block (in/out, nservers × cap × 5)
-        ctypes.c_longlong,  # cap (records per server)
-        _c_i64_p,  # ring heads (in/out)
-        _c_i64_p,  # ring tails (in/out)
-        _c_i64_p,  # offsets scratch (nservers + 1)
-        _c_i64_p,  # cursor scratch (nservers)
-    ]
-    segment.restype = ctypes.c_longlong
-    collect = lib.inflight_collect
-    collect.argtypes = [
-        _c_double_p,  # ring record block (in/out)
-        ctypes.c_longlong,  # cap
-        ctypes.c_longlong,  # nservers
-        _c_i64_p,  # ring heads (in/out)
-        _c_i64_p,  # ring tails (in/out)
-        ctypes.c_double,  # now
-        _c_double_p,  # out rows (server, origin, size, svc, dep)
-    ]
-    collect.restype = ctypes.c_longlong
-    fold_inputs = lib.completion_fold_inputs
-    fold_inputs.argtypes = [
-        _c_double_p,  # rows (server, origin, size, svc, dep)
-        ctypes.c_longlong,  # m
-        ctypes.c_longlong,  # nservers
-        _c_double_p,  # witnesses (out, grouped by server)
-        _c_i64_p,  # offsets (out, nservers + 1)
-        _c_i64_p,  # cursor scratch (nservers)
-        _c_double_p,  # responses (out, row order)
-    ]
-    fold_inputs.restype = ctypes.c_longlong
-    rr_extend = lib.rr_sequence_extend
-    rr_extend.argtypes = [
-        _c_double_p,  # inv (1/alpha per server)
-        _c_i64_p,  # active indices
-        ctypes.c_longlong,  # nactive
-        _c_i64_p,  # assign (in/out)
-        _c_double_p,  # next credits (in/out)
-        ctypes.c_longlong,  # count
-        _c_i64_p,  # out targets
-        _c_i64_p,  # out first winners (room for nactive)
-    ]
-    rr_extend.restype = ctypes.c_longlong
-    arrivals = lib.est_arrivals
-    arrivals.argtypes = [
-        _c_double_p,  # estimator state (in/out)
-        _c_double_p,  # windowed-rate buffer (in/out, room reserved)
-        _c_double_p,  # times
-        ctypes.c_longlong,  # k
-        _c_double_p,  # sizes
-        ctypes.c_longlong,  # nsizes
-    ]
-    arrivals.restype = ctypes.c_longlong
-    completions = lib.est_completions
-    completions.argtypes = [
-        _c_double_p,  # estimator state (in/out)
-        _c_double_p,  # server-grouped speed witnesses
-        ctypes.c_longlong,  # nwit
-        _c_i64_p,  # offsets (nservers + 1), or NULL
-        ctypes.c_longlong,  # nservers
-        _c_double_p,  # P² blocks (in/out)
-        ctypes.c_longlong,  # nsets
-        _c_double_p,  # response times
-        ctypes.c_longlong,  # m
-    ]
-    completions.restype = ctypes.c_longlong
-    snapshot = lib.est_snapshot
-    snapshot.argtypes = [
-        _c_double_p,  # estimator state (in/out: the rate window evicts)
-        _c_double_p,  # windowed-rate buffer
-        _c_double_p,  # nominal speeds
-        ctypes.c_void_p,  # up (bool per server), or NULL for all up
-        ctypes.c_longlong,  # n
-        ctypes.c_double,  # now
-        ctypes.c_longlong,  # sum seeded
-        _c_double_p,  # out: rate, mean size, utilization, n speeds
-        _c_double_p,  # scratch (n)
-    ]
-    snapshot.restype = None
-    alloc = lib.optimized_alloc
-    alloc.argtypes = [
-        _c_double_p,  # speeds
-        ctypes.c_longlong,  # n
-        ctypes.c_double,  # mu
-        ctypes.c_double,  # arrival rate
-        ctypes.c_double,  # cutoff rtol
-        ctypes.c_longlong,  # sum seeded
-        _c_double_p,  # alphas (out)
-        _c_i64_p,  # i64 scratch (2n)
-        _c_double_p,  # f64 scratch (4n)
-    ]
-    alloc.restype = ctypes.c_longlong
-    survivors = lib.survivor_alloc
-    survivors.argtypes = [
-        _c_double_p,  # speeds
-        ctypes.c_void_p,  # up (bool per server)
-        ctypes.c_longlong,  # n
-        ctypes.c_double,  # utilization
-        ctypes.c_double,  # cutoff rtol
-        ctypes.c_longlong,  # sum seeded
-        _c_double_p,  # out (full-length alphas)
-        _c_i64_p,  # i64 scratch (3n)
-        _c_double_p,  # f64 scratch (6n)
-    ]
-    survivors.restype = ctypes.c_longlong
-    probe = lib.np_sum_probe
-    probe.argtypes = [_c_double_p, ctypes.c_longlong, ctypes.c_longlong]
-    probe.restype = ctypes.c_double
-    max_threads = lib.pk_max_threads
-    max_threads.argtypes = []
-    max_threads.restype = ctypes.c_longlong
-    set_threads = lib.pk_set_threads
-    set_threads.argtypes = [ctypes.c_longlong]
-    set_threads.restype = None
+    entries = {}
+    for name, e in _ENTRIES.items():
+        fn = getattr(lib, e.symbol)
+        fn.argtypes = list(e.argtypes)
+        fn.restype = e.restype
+        entries[name] = fn
+    sum_seeded = _sum_order(entries["np_sum"])
+    if sum_seeded is None:
+        for name, e in _ENTRIES.items():
+            if e.sum_ordered:
+                entries[name] = None
     flags = (*_CFLAGS, _OMP_FLAG) if openmp else _CFLAGS
-    return _Lib(
-        cell=cell,
-        map_uniform=map_uniform,
-        window=window,
-        segment=segment,
-        collect=collect,
-        fold_inputs=fold_inputs,
-        rr_extend=rr_extend,
-        arrivals=arrivals,
-        completions=completions,
-        snapshot=snapshot,
-        alloc=alloc,
-        survivors=survivors,
-        sum_seeded=_sum_order(probe),
-        np_sum=probe,
-        max_threads=max_threads,
-        set_threads=set_threads,
-        openmp=openmp,
-        flags=flags,
-    )
+    return _Lib(entries, sum_seeded, openmp, flags)
 
 
 def _sum_order(probe) -> int | None:
@@ -515,91 +484,18 @@ def _ensure_fns():
     return _fns
 
 
-def cell_fn():
-    """The whole-cell fused replay entry point, or None.
+def entry(name: str):
+    """The compiled entry point ``name`` (a key of ``_ENTRIES``), or None.
 
-    One call replays every unique dispatch plan of a replication:
-    counting-sort grouping, per-(plan, server) FCFS/PS replay, and the
-    scatter back to arrival order all happen in C (OpenMP-parallel over
-    disjoint slices).  Compiled and loaded on first call and cached for
-    the process.  Returns None when the kernel is disabled
-    (``REPRO_DISABLE_CKERNEL``), no compiler exists, or
-    compilation/loading failed — callers fall back to the numpy/Python
+    The library is compiled and loaded on the first call and cached for
+    the process.  None when the kernel is disabled
+    (``REPRO_DISABLE_CKERNEL``), no compiler exists, compilation or
+    loading failed, or the entry sums as numpy does and this numpy's
+    summation order is unknown: the caller then runs its numpy/Python
     path, which computes the exact same bits.
     """
     lib = _ensure_fns()
-    return lib.cell if lib else None
-
-
-def map_fn():
-    """The compiled searchsorted-right uniform→bucket mapper, or None."""
-    lib = _ensure_fns()
-    return lib.map_uniform if lib else None
-
-
-def window_fn():
-    """The carry-state FCFS window sweep entry point, or None.
-
-    One call replays a control window of dispatched jobs through the
-    per-server Lindley recursion with the servers' ``free_at`` instants
-    carried across windows — the serve-path counterpart of
-    :func:`cell_fn`, with the same availability/fallback contract.
-    """
-    lib = _ensure_fns()
-    return lib.window if lib else None
-
-
-def segment_fn():
-    """The fault-mode segment dispatch entry point, or None.
-
-    Same availability/fallback contract as :func:`window_fn`; the
-    fallback is the same step as a plain Python loop.
-    """
-    lib = _ensure_fns()
-    return lib.segment if lib else None
-
-
-def collect_fn():
-    """The fault-mode completion collect entry point, or None."""
-    lib = _ensure_fns()
-    return lib.collect if lib else None
-
-
-def fold_inputs_fn():
-    """The fault-mode completion regroup entry point, or None."""
-    lib = _ensure_fns()
-    return lib.fold_inputs if lib else None
-
-
-def rr_fn():
-    """The Algorithm 2 sequence-extension entry point, or None."""
-    lib = _ensure_fns()
-    return lib.rr_extend if lib else None
-
-
-def arrivals_fn():
-    """The arrival half of the estimator step, or None."""
-    lib = _ensure_fns()
-    return lib.arrivals if lib else None
-
-
-def completions_fn():
-    """The completion half of the estimator step, or None."""
-    lib = _ensure_fns()
-    return lib.completions if lib else None
-
-
-def resolve_fns():
-    """The loaded library when its re-solve entries are usable, or None.
-
-    ``lib.snapshot`` (``est_snapshot``), ``lib.alloc``
-    (``optimized_alloc``) and ``lib.survivors`` (``survivor_alloc``)
-    sum as numpy does, so they need ``lib.sum_seeded`` known.
-    """
-    lib = _ensure_fns()
-    if not lib or lib.sum_seeded is None:
-        return None
-    return lib
+    return lib.entries[name] if lib else None
 
 
 def kernel_available() -> bool:
@@ -634,7 +530,7 @@ def omp_max_threads() -> int:
         return 1
     if os.getpid() != _IMPORT_PID:
         return 1
-    return int(lib.max_threads())
+    return int(lib.entries["max_threads"]())
 
 
 def set_omp_threads(n: int) -> None:
@@ -645,7 +541,7 @@ def set_omp_threads(n: int) -> None:
     """
     lib = _ensure_fns()
     if lib and lib.openmp:
-        lib.set_threads(int(n))
+        lib.entries["set_threads"](int(n))
 
 
 # ----------------------------------------------------------------------
@@ -1015,29 +911,40 @@ class InflightRings:
             self.resp_addr = self.resp.ctypes.data
 
 
-class _RrScratch:
-    """Pinned state buffers of the Algorithm 2 extension, addresses cached.
+class _Pinned:
+    """Pinned scratch rows of a once-per-window entry, addresses cached.
 
-    ``f64``: 1/alpha, then ``next``; ``i64``: the active indices, then
-    ``assign``, then the first winners — one row of ``n`` each.  A swap
-    extends a fresh sequence, so copying the dispatcher's few lists
-    into place beats taking fresh arrays' addresses.
+    ``f64`` and ``i64`` hold ``f64_rows`` and ``i64_rows`` rows of ``n``
+    elements, ``up`` one bool row; ``n`` grows to the widest network
+    seen and never shrinks.  A swap or a control window calls these
+    entries once, so copying a few inputs into place beats taking fresh
+    arrays' addresses.  Per process and not thread-safe, like the
+    :class:`Arena`.
     """
 
-    def __init__(self):
+    def __init__(self, f64_rows: int, i64_rows: int):
+        self.rows = (f64_rows, i64_rows)
         self.n = -1
 
-    def reserve(self, n: int) -> "_RrScratch":
+    def reserve(self, n: int) -> "_Pinned":
         if n > self.n:
             self.n = max(n, 2 * self.n, 8)
-            self.f64 = np.zeros(2 * self.n)
-            self.i64 = np.zeros(3 * self.n, dtype=np.int64)
+            f64_rows, i64_rows = self.rows
+            self.f64 = np.zeros(f64_rows * self.n)
+            self.i64 = np.zeros(i64_rows * self.n, dtype=np.int64)
+            self.up = np.zeros(self.n, dtype=bool)
             self.f64_addr = self.f64.ctypes.data
             self.i64_addr = self.i64.ctypes.data
+            self.up_addr = self.up.ctypes.data
         return self
 
 
-_rr_scratch = _RrScratch()
+#: Algorithm 2 extension.  ``f64``: 1/alpha, then ``next``; ``i64``: the
+#: active indices, then ``assign``, then the first winners.
+_rr_scratch = _Pinned(2, 3)
+#: Algorithm 1 entries.  ``f64``: speeds in, alphas out, then six rows
+#: of kernel scratch; ``i64``: three rows; ``up``: the membership mask.
+_alloc_scratch = _Pinned(8, 3)
 
 
 def rr_extend_c(fn, inv: list, active: list, assign: list, nxt: list,
@@ -1101,47 +1008,33 @@ def est_completions_c(fn, state: int, witnesses: np.ndarray, offsets,
               _addr(responses), responses.size) == 0
 
 
-class _AllocScratch:
-    """Pinned buffers of the Algorithm 1 entries, addresses cached.
+def est_snapshot_c(fn, state: int, buf: int, nominal: int, up, n: int,
+                   now: float, out: int) -> None:
+    """The re-solve's inputs at *now* into the doubles at ``out``.
 
-    ``f64``: speeds in, alphas out, then six rows of kernel scratch;
-    ``i64``: three rows; ``up``: the membership mask in.  The re-solve
-    runs once per control window, so copying its few inputs into place
-    beats taking a fresh array's address.  Per process and not
-    thread-safe, like the :class:`Arena`.
+    ``state``, ``buf`` and ``nominal`` are the addresses of the
+    estimator vector, the windowed rate's buffer and the ``n`` nominal
+    speeds, ``up`` that of the membership mask (None: all up).  Writes
+    rate, mean size, utilization and ``n`` speeds from ``out`` on, and
+    uses the ``n`` doubles after them as scratch.
     """
-
-    def __init__(self):
-        self.n = -1
-
-    def reserve(self, n: int) -> "_AllocScratch":
-        if n > self.n:
-            self.n = max(n, 2 * self.n, 8)
-            self.f64 = np.zeros(8 * self.n)
-            self.i64 = np.zeros(3 * self.n, dtype=np.int64)
-            self.up = np.zeros(self.n, dtype=bool)
-            self.f64_addr = self.f64.ctypes.data
-            self.i64_addr = self.i64.ctypes.data
-            self.up_addr = self.up.ctypes.data
-        return self
+    fn(state, buf, nominal, up, n, now, _fns.sum_seeded, out,
+       out + 8 * (n + 3))
 
 
-_alloc_scratch = _AllocScratch()
-
-
-def optimized_alloc_c(lib, speeds: np.ndarray, mu: float, lam: float,
+def optimized_alloc_c(fn, speeds: np.ndarray, mu: float, lam: float,
                       rtol: float) -> np.ndarray | None:
     """Algorithm 1 through the scalar kernel; None defers to numpy."""
     n = int(speeds.size)
     sc = _alloc_scratch.reserve(n)
     sc.f64[:n] = speeds
-    status = lib.alloc(sc.f64_addr, n, mu, lam, rtol, lib.sum_seeded,
+    status = fn(sc.f64_addr, n, mu, lam, rtol, _fns.sum_seeded,
                        sc.f64_addr + 8 * n, sc.i64_addr,
                        sc.f64_addr + 16 * n)
     return None if status else sc.f64[n:2 * n].copy()
 
 
-def survivor_alloc_c(lib, speeds: np.ndarray, up: np.ndarray, u: float,
+def survivor_alloc_c(fn, speeds: np.ndarray, up: np.ndarray, u: float,
                      rtol: float) -> tuple[int, np.ndarray | None]:
     """FA_ORR's survivor re-solve through the scalar kernel.
 
@@ -1152,9 +1045,8 @@ def survivor_alloc_c(lib, speeds: np.ndarray, up: np.ndarray, u: float,
     sc = _alloc_scratch.reserve(n)
     sc.f64[:n] = speeds
     sc.up[:n] = up
-    status = lib.survivors(sc.f64_addr, sc.up_addr, n, u, rtol,
-                           lib.sum_seeded, sc.f64_addr + 8 * n,
-                           sc.i64_addr, sc.f64_addr + 16 * n)
+    status = fn(sc.f64_addr, sc.up_addr, n, u, rtol, _fns.sum_seeded,
+                sc.f64_addr + 8 * n, sc.i64_addr, sc.f64_addr + 16 * n)
     if status:
         return int(status), None
     return 0, sc.f64[n:2 * n].copy()

@@ -248,7 +248,7 @@ def ps_replay(arrival_times: np.ndarray, sizes: np.ndarray, speed: float) -> np.
     :func:`_ps_replay_core` computes the same bits in numpy and Python.
     """
     times, work, _ = _validate_plan_inputs(arrival_times, sizes, speed)
-    fused = ckernel.cell_fn()
+    fused = ckernel.entry("cell")
     if fused is None or times.size == 0:
         return _ps_replay_core(times, work, speed)
     # One server, so every target is 0 and the kernel cannot reject it.
@@ -727,7 +727,7 @@ def _replay_cell_plans(
         job_size_stats.add_array(sizes[cut:])
 
     replays = None
-    fused = ckernel.cell_fn()
+    fused = ckernel.entry("cell")
     if fused is not None:
         with span(
             "replay",

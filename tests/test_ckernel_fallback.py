@@ -44,7 +44,7 @@ class TestNoCompilerFallback:
         assert delta.get(
             counters.key("ckernel.unavailable", reason="no-compiler")
         ) == 1
-        assert ckernel.cell_fn() is None
+        assert ckernel.entry("cell") is None
 
     def test_probe_failure_is_cached_and_counted_once(self, no_compiler):
         ckernel.kernel_available()
@@ -81,6 +81,7 @@ class TestExplicitDisable:
 class TestCachedLibrarySurvivesCompilerLoss:
     def test_existing_so_loads_without_a_compiler(self, monkeypatch):
         # Ensure the .so exists (compiles on demand with the real PATH) …
+        monkeypatch.delenv("REPRO_DISABLE_CKERNEL", raising=False)
         monkeypatch.setattr(ckernel, "_fns", None)
         assert ckernel.kernel_available() is True
         assert ckernel.compiled_library_path().exists()

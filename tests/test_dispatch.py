@@ -8,6 +8,7 @@ from repro.dispatch import (
     LeastLoadDispatcher,
     RandomDispatcher,
     RoundRobinDispatcher,
+    SequenceRoundRobin,
 )
 
 
@@ -153,6 +154,11 @@ class TestRoundRobinDispatcher:
     def test_invalid_guard(self):
         with pytest.raises(ValueError):
             RoundRobinDispatcher(guard_init=-1.0)
+
+    @pytest.mark.parametrize("cls", [RoundRobinDispatcher, SequenceRoundRobin])
+    def test_nan_fraction_is_rejected(self, cls):
+        with pytest.raises(ValueError, match="fractions"):
+            cls().reset([np.nan, 0.5, 0.5])
 
     def test_long_run_counts_stay_exact(self):
         """No drift over long runs: counts stay within one cycle of the

@@ -218,7 +218,7 @@ def test_inconsistent_quantile_checkpoint_is_refused():
 
 
 def test_completion_step_refuses_offsets_outside_the_witnesses():
-    if ckernel.completions_fn() is None:
+    if ckernel.entry("completions") is None:
         pytest.skip("compiled kernel unavailable")
     ctl = QuasiStaticController(SPEEDS, window=5.0)
     before = ctl.state_dict()

@@ -35,7 +35,7 @@ def oracle_fcfs(times, work, speeds, targets):
 
 
 def replay(times, work, speeds, plans, **kw):
-    fn = ckernel.cell_fn()
+    fn = ckernel.entry("cell")
     assert fn is not None
     out = ckernel.replay_cell_c(fn, times, work, speeds, plans, False, **kw)
     comp, gw, offsets, tail, ok = out
@@ -149,7 +149,7 @@ class TestEdgeCases:
         times, work, speeds, targets = case(20, 3, 3)
         bad = targets.copy()
         bad[5] = 3  # == nservers, out of range
-        fn = ckernel.cell_fn()
+        fn = ckernel.entry("cell")
         *_, ok = ckernel.replay_cell_c(fn, times, work, speeds, [bad], False)
         assert not ok
 
@@ -208,11 +208,11 @@ class TestNoCycleGarbage:
             controller.observe_arrivals(times, np.ones(8))
             controller.observe_services_grouped(np.ones(8), offsets, times)
 
-        assert ckernel.completions_fn() is not None
+        assert ckernel.entry("completions") is not None
         assert self.garbage_after(step) == 0
 
     def test_window_sweep_leaves_no_cycles(self):
-        fn = ckernel.window_fn()
+        fn = ckernel.entry("window")
         times, work, speeds, targets = case(200, 4, 3)
         targets = targets.astype(np.int64)
         free_at = np.zeros(speeds.size)

@@ -7,7 +7,6 @@ frames name what went wrong.  The per-job arrays cross as raw float64,
 so every bit pattern must survive a frame round trip.
 """
 
-import asyncio
 import hashlib
 import json
 import struct
@@ -33,7 +32,7 @@ from repro.net import (
     unpack,
 )
 from repro.net import protocol
-from repro.net.protocol import MAX_FRAME_BYTES, read_message, write_message
+from repro.net.protocol import MAX_FRAME_BYTES, write_message
 
 # ---------------------------------------------------------------------------
 # Strategies: one per message type.  JSON scalars are finite floats (JSON
@@ -382,14 +381,8 @@ class TestFrames:
         frame = struct.pack(">I", len(body)) + body
         with pytest.raises(VersionMismatch, match="version 2"):
             unpack(frame)
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            with pytest.raises(VersionMismatch):
-                await read_message(reader)
-
-        asyncio.run(scenario())
+        with pytest.raises(VersionMismatch):
+            _read_all(frame)
 
     def test_v3_frame_is_a_version_mismatch(self):
         # A v3 frame has this version's layout; only its header's "v"
@@ -407,26 +400,23 @@ class TestFrames:
 
     def test_read_cap_violation_names_length(self):
         bad = MAX_FRAME_BYTES + 17
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">I", bad))
-            with pytest.raises(ProtocolError) as excinfo:
-                await read_message(reader)
-            text = str(excinfo.value)
-            assert str(bad) in text
-            assert str(MAX_FRAME_BYTES) in text
-
-        asyncio.run(scenario())
+        with pytest.raises(ProtocolError) as excinfo:
+            _read_all(struct.pack(">I", bad))
+        text = str(excinfo.value)
+        assert str(bad) in text
+        assert str(MAX_FRAME_BYTES) in text
 
 
-# ---------------------------------------------------------------------------
-# Async stream I/O (StreamReader fed by hand — no sockets needed)
-# ---------------------------------------------------------------------------
-
-
-def _run(coro):
-    return asyncio.run(coro)
+def _read_all(data: bytes) -> list:
+    """Every message a :class:`FrameReader` fed *data* splits off, then
+    its end-of-stream check."""
+    reader = protocol.FrameReader()
+    reader.feed(data)
+    got = []
+    while (msg := reader.next()) is not None:
+        got.append(msg)
+    reader.eof()
+    return got
 
 
 #: One fixed message of each type and the SHA-256 of its v4 frame: the
@@ -510,62 +500,41 @@ class _SinkWriter:
 
 
 class TestStreamIO:
-    def test_read_back_what_was_written(self):
-        async def scenario():
-            sink = _SinkWriter()
-            sent = [
-                Register(server=1, speed=2.0),
-                Dispatch(window=0, server=1, times=(0.25,), sizes=(2.0,)),
-                Shutdown(reason="done"),
-            ]
-            for msg in sent:
-                write_message(sink, msg)
-            reader = asyncio.StreamReader()
-            reader.feed_data(sink.buffer)
-            reader.feed_eof()
-            got = []
-            while (msg := await read_message(reader)) is not None:
-                got.append(msg)
-            assert got == sent
+    """``write_message`` out, a :class:`FrameReader` back in: the stream
+    a socket's ``data_received`` feeds, no sockets needed."""
 
-        _run(scenario())
+    def test_read_back_what_was_written(self):
+        sink = _SinkWriter()
+        sent = [
+            Register(server=1, speed=2.0),
+            Dispatch(window=0, server=1, times=(0.25,), sizes=(2.0,)),
+            Shutdown(reason="done"),
+        ]
+        for msg in sent:
+            write_message(sink, msg)
+        assert _read_all(sink.buffer) == sent
 
     def test_clean_eof_returns_none(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            assert await read_message(reader) is None
-
-        _run(scenario())
+        assert _read_all(b"") == []
+        reader = protocol.FrameReader()
+        reader.feed(pack(Shutdown()))
+        assert reader.next() == Shutdown()
+        assert reader.next() is None
+        reader.eof()  # at a frame boundary: no error
 
     def test_eof_mid_frame_raises(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(pack(Shutdown())[:-2])
-            reader.feed_eof()
-            with pytest.raises(ProtocolError, match="mid-frame"):
-                await read_message(reader)
-
-        _run(scenario())
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            _read_all(pack(Shutdown())[:-2])
 
     def test_eof_mid_header_raises(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\x00\x00")
-            reader.feed_eof()
-            with pytest.raises(ProtocolError, match="mid-frame"):
-                await read_message(reader)
-
-        _run(scenario())
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            _read_all(b"\x00\x00")
 
     def test_absurd_length_prefix_refused_before_allocating(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">I", MAX_FRAME_BYTES + 1))
-            with pytest.raises(ProtocolError, match="cap"):
-                await read_message(reader)
-
-        _run(scenario())
+        reader = protocol.FrameReader()
+        reader.feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        with pytest.raises(ProtocolError, match="cap"):
+            reader.next()
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +570,7 @@ class TestFrameReader:
 
     @given(msg=messages, cut=st.integers(min_value=1))
     @settings(max_examples=100)
-    def test_eof_mid_frame_is_refused_like_the_stream_reader(self, msg, cut):
+    def test_eof_mid_frame_names_the_bytes_read(self, msg, cut):
         frame = pack(msg)
         partial = frame[:cut % len(frame)] or frame[:1]
         reader = protocol.FrameReader()
@@ -609,30 +578,8 @@ class TestFrameReader:
         assert reader.next() is None
         with pytest.raises(ProtocolError) as torn:
             reader.eof()
-
-        async def stream_error():
-            stream = asyncio.StreamReader()
-            stream.feed_data(partial)
-            stream.feed_eof()
-            with pytest.raises(ProtocolError) as exc:
-                await read_message(stream)
-            return str(exc.value)
-
-        assert str(torn.value) == _run(stream_error())
-
-    def test_length_over_the_cap_is_refused_like_the_stream_reader(self):
-        prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
-        reader = protocol.FrameReader()
-        reader.feed(prefix)
-        with pytest.raises(ProtocolError) as framed:
-            reader.next()
-
-        async def stream_error():
-            stream = asyncio.StreamReader()
-            stream.feed_data(prefix)
-            with pytest.raises(ProtocolError) as exc:
-                await read_message(stream)
-            return str(exc.value)
-
-        assert str(framed.value) == _run(stream_error())
-        assert str(MAX_FRAME_BYTES + 1) in str(framed.value)
+        if len(partial) < 4:
+            want = f"({len(partial)} header bytes)"
+        else:
+            want = f"({len(partial) - 4}/{len(frame) - 4} bytes)"
+        assert str(torn.value) == f"connection closed mid-frame {want}"

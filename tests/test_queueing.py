@@ -155,6 +155,13 @@ class TestValidateAllocation:
         with pytest.raises(ValueError, match="1-D"):
             validate_allocation([[0.5, 0.5]])
 
+    @pytest.mark.parametrize("alphas", [
+        [np.nan, 1.0], [np.nan, 0.5, 0.5], [np.inf, 1.0], [-np.inf, 1.0],
+    ])
+    def test_non_finite_fractions_are_rejected(self, alphas):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            validate_allocation(alphas)
+
     def test_clips_rounding_dust(self):
         a = validate_allocation([1.0 + 1e-12, -1e-12])
         assert a[0] <= 1.0 and a[1] >= 0.0

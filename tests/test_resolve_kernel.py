@@ -23,7 +23,7 @@ from repro.queueing.network import HeterogeneousNetwork
 from repro.sim import ckernel
 
 pytestmark = pytest.mark.skipif(
-    ckernel.resolve_fns() is None, reason="compiled re-solve unavailable"
+    ckernel.entry("alloc") is None, reason="compiled re-solve unavailable"
 )
 
 RHO_CAP = 0.98
@@ -120,6 +120,7 @@ def test_total_outage_and_unusual_speeds_defer_alike():
 def test_kernel_sums_in_numpys_order(n):
     """The kernel's ndarray.sum, in the order the load-time probe chose,
     through every branch: the plain loop, eight accumulators, halving."""
-    lib = ckernel.resolve_fns()
+    np_sum = ckernel.entry("np_sum")
     a = np.random.default_rng(n).lognormal(0.0, 3.0, n)
-    assert lib.np_sum(a.ctypes.data, a.size, lib.sum_seeded) == float(a.sum())
+    seeded = ckernel._fns.sum_seeded
+    assert np_sum(a.ctypes.data, a.size, seeded) == float(a.sum())

@@ -89,17 +89,19 @@ class TestWindowSweepBitIdentity:
         *implementations* under one chunking, not between chunkings)."""
         times, sizes, targets, speeds = _stream(seed, n, nservers)
         whole = ServerBank(speeds)
-        dep_whole, svc_whole = whole.replay_window(targets, times, sizes)
+        dep_whole, svc_whole, _, _ = (
+            a.copy() for a in whole.replay_window_grouped(targets, times, sizes)
+        )
 
         split = ServerBank(speeds)
         deps, svcs = [], []
         bounds = _chunks(n, seed)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            d, s = split.replay_window(
+            d, s, _, _ = split.replay_window_grouped(
                 targets[lo:hi], times[lo:hi], sizes[lo:hi]
             )
-            deps.append(d)
-            svcs.append(s)
+            deps.append(d.copy())
+            svcs.append(s.copy())
         dep_split = np.concatenate(deps) if deps else np.empty(0)
         svc_split = np.concatenate(svcs) if svcs else np.empty(0)
 
@@ -109,7 +111,7 @@ class TestWindowSweepBitIdentity:
         assert np.allclose(whole.free_at, split.free_at, rtol=1e-12, atol=0.0)
 
     @pytest.mark.skipif(
-        ckernel.window_fn() is None, reason="compiled kernel unavailable"
+        ckernel.entry("window") is None, reason="compiled kernel unavailable"
     )
     @given(seed=seed_strategy, n=njobs_strategy, nservers=nservers_strategy)
     @settings(max_examples=120, deadline=None)
@@ -322,7 +324,7 @@ def _kernel_path(path: str):
         os.environ.pop("REPRO_DISABLE_CKERNEL", None)
     ckernel._fns = None
     try:
-        fn = ckernel.completions_fn()
+        fn = ckernel.entry("completions")
         assert (fn is None) == (path == "python")
         yield fn
     finally:
@@ -427,6 +429,52 @@ class TestFusedP2:
                 fused.resolve(10.0 * (w + 1))
                 split.resolve(10.0 * (w + 1))
         assert fused.state_dict() == split.state_dict()
+
+
+# ---------------------------------------------------------------------------
+# The bank's window and repair entries on both kernel paths
+# ---------------------------------------------------------------------------
+
+
+class TestBankInputs:
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_strided_window_replays_like_its_contiguous_copy(self, path):
+        """Views with a stride (what a column slice of a trace hands
+        over) give the departures of their contiguous copies, window
+        after window, on either kernel path."""
+        times, sizes, targets, speeds = _stream(5, 400, 3)
+        with _kernel_path(path):
+            strided = ServerBank(speeds)
+            dense = ServerBank(speeds)
+            for lo, hi in ((0, 160), (160, 400)):
+                views = (targets[lo:hi:2], times[lo:hi:2], sizes[lo:hi:2])
+                assert not views[1].flags.c_contiguous
+                got = [a.copy() for a in strided.replay_window_grouped(*views)]
+                want = dense.replay_window_grouped(
+                    *(np.ascontiguousarray(v) for v in views)
+                )
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                assert np.array_equal(strided.free_at, dense.free_at)
+            with pytest.raises(ValueError, match="align"):
+                strided.replay_window_grouped(targets[:3], times[:2], sizes[:2])
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_repair_of_an_up_server_raises_and_changes_nothing(self, path):
+        with _kernel_path(path):
+            bank = ServerBank([1.0])
+            one = np.ones(1)
+            bank.dispatch(np.zeros(1, np.int64), 0 * one, 10 * one, 0 * one,
+                          np.zeros(1, np.int64))
+            before = json.dumps(bank.state_dict())
+            with pytest.raises(ValueError, match="server 0 is up"):
+                bank.repair(0, 1.0)
+            assert json.dumps(bank.state_dict()) == before
+            dep = bank.dispatch(np.zeros(1, np.int64), one, one, one,
+                                np.zeros(1, np.int64))
+            assert dep.tolist() == [11.0]
+            assert bank.collect_completions(5.0).size == 0
+            assert bank.collect_completions(11.0)[:, 4].tolist() == [10.0, 11.0]
 
 
 # ---------------------------------------------------------------------------

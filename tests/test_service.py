@@ -27,6 +27,13 @@ from repro.sim.modulated import step_profile
 SPEEDS = (1.0, 2.0, 3.0)
 
 
+def replay(bank, targets, times, sizes):
+    """One window's ``(departures, service_times)``, copied out of the
+    replay's scratch so a caller can keep them across windows."""
+    dep, svc, _, _ = bank.replay_window_grouped(targets, times, sizes)
+    return dep.copy(), svc.copy()
+
+
 def make_source(rho, seed, *, profile=None, cv=1.0):
     workload = Workload(
         total_speed=sum(SPEEDS),
@@ -52,13 +59,13 @@ class TestServerBank:
         targets = rng.integers(0, len(SPEEDS), n_jobs)
 
         whole = ServerBank(SPEEDS)
-        dep_whole, svc_whole = whole.replay_window(targets, times, sizes)
+        dep_whole, svc_whole = replay(whole, targets, times, sizes)
 
         chunked = ServerBank(SPEEDS)
         dep_parts, svc_parts = [], []
         for lo, hi in [(0, 100), (100, 150), (150, 400)]:
-            d, s = chunked.replay_window(
-                targets[lo:hi], times[lo:hi], sizes[lo:hi]
+            d, s = replay(
+                chunked, targets[lo:hi], times[lo:hi], sizes[lo:hi]
             )
             dep_parts.append(d)
             svc_parts.append(s)
@@ -72,7 +79,8 @@ class TestServerBank:
 
     def test_fcfs_order_and_backlog(self):
         bank = ServerBank([1.0])
-        dep, svc = bank.replay_window(
+        dep, svc = replay(
+            bank,
             np.zeros(3, dtype=int),
             np.array([0.0, 0.1, 0.2]),
             np.array([2.0, 1.0, 1.0]),
@@ -82,7 +90,7 @@ class TestServerBank:
         assert bank.free_at[0] == 4.0
         assert bank.backlog_at(1.5)[0] == pytest.approx(2.5)
         # An empty window leaves the backlog untouched.
-        bank.replay_window(np.empty(0, dtype=int), np.empty(0), np.empty(0))
+        replay(bank, np.empty(0, dtype=int), np.empty(0), np.empty(0))
         assert bank.free_at[0] == 4.0
 
     def test_validation(self):
@@ -90,7 +98,7 @@ class TestServerBank:
             ServerBank([1.0, -2.0])
         bank = ServerBank([1.0])
         with pytest.raises(ValueError):
-            bank.replay_window(np.zeros(2, dtype=int), np.zeros(3), np.zeros(3))
+            replay(bank, np.zeros(2, dtype=int), np.zeros(3), np.zeros(3))
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +159,7 @@ def oracle_mrt(alphas, times, sizes):
     dispatcher.reset(alphas)
     targets = dispatcher.select_batch(sizes)
     bank = ServerBank(SPEEDS)
-    departures, _ = bank.replay_window(targets, times, sizes)
+    departures, _ = replay(bank, targets, times, sizes)
     return float((departures - times).mean())
 
 
