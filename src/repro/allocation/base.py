@@ -45,10 +45,6 @@ class AllocationResult:
     def per_server_utilization(self) -> np.ndarray:
         return self.network.per_server_utilization(self.alphas)
 
-    def predicted_mean_response_time(self) -> float:
-        """Analytical T̄ under this allocation (paper equation (3))."""
-        return self.network.mean_response_time(self.alphas)
-
     def predicted_mean_response_ratio(self) -> float:
         """Analytical R̄ = μT̄ under this allocation."""
         return self.network.mean_response_ratio(self.alphas)

@@ -38,11 +38,6 @@ def _freeze(value):
     return value
 
 
-def _encode_key(key: Hashable) -> str:
-    """Canonical JSON text for a task key (tuples render as arrays)."""
-    return json.dumps(key, separators=(",", ":"))
-
-
 class SweepCheckpoint:
     """Append-only JSONL store of completed sweep cells."""
 

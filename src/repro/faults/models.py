@@ -71,11 +71,11 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0:
+        if not self.base_delay >= 0:
             raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_delay < self.base_delay:
+        if not self.max_delay >= self.base_delay:
             raise ValueError(
                 f"max_delay {self.max_delay} below base_delay {self.base_delay}"
             )
@@ -143,13 +143,15 @@ class FaultConfig:
     servers: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.mtbf is not None and self.mtbf <= 0:
+        # Every bound is written so that NaN fails it: a NaN mtbf would
+        # keep build_timeline from ever reaching its horizon.
+        if self.mtbf is not None and not self.mtbf > 0:
             raise ValueError(f"mtbf must be positive, got {self.mtbf}")
-        if self.mttr <= 0:
+        if not self.mttr > 0:
             raise ValueError(f"mttr must be positive, got {self.mttr}")
-        if self.degrade_rate < 0:
+        if not self.degrade_rate >= 0:
             raise ValueError(f"degrade_rate must be >= 0, got {self.degrade_rate}")
-        if self.degrade_rate > 0 and self.degrade_duration <= 0:
+        if self.degrade_rate > 0 and not self.degrade_duration > 0:
             raise ValueError(
                 "degrade_duration must be positive when degrade_rate > 0"
             )
@@ -157,7 +159,7 @@ class FaultConfig:
             raise ValueError(
                 f"degrade_factor must lie in (0, 1], got {self.degrade_factor}"
             )
-        if self.estimate_drift < 0:
+        if not self.estimate_drift >= 0:
             raise ValueError(
                 f"estimate_drift must be >= 0, got {self.estimate_drift}"
             )

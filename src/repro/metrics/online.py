@@ -254,10 +254,6 @@ class RunningStats:
         return math.sqrt(max(self.variance, 0.0))
 
     @property
-    def sample_std(self) -> float:
-        return math.sqrt(max(self.sample_variance, 0.0))
-
-    @property
     def min(self) -> float:
         if self.count == 0:
             raise ValueError("no observations")

@@ -6,9 +6,9 @@ service's control window — the same
 moved behind DISPATCH/COMPLETE messages to server stubs.  SUBMIT runs
 ``admit → select_batch`` and partitions the admitted jobs by server
 with the grouped replay's stable permutation
-(:func:`~repro.sim.fastpath.group_by_server`); each stub replays its
-slice with the bank's per-server Lindley recursion
-(:func:`~repro.sim.fastpath.lindley_window`); the last COMPLETE
+(:func:`~repro.sim.fastpath.group_by_server`); each stub is a
+one-server :class:`~repro.service.replay.ServerBank` and replays its
+slice through the bank's own window entry; the last COMPLETE
 closes a per-window barrier, and the replies, in server-index order,
 are the replay's server-grouped arrays for ``fold`` and ``close``.
 Sim-vs-live identity therefore holds by construction.  The shard is

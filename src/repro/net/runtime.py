@@ -15,6 +15,9 @@ Two transports drive the same sans-IO components
   behind a per-window barrier in server-index order, so fault-free
   socket runs reproduce the in-process report byte for byte.
 
+Both refuse an enabled ``config.faults`` (``ValueError``): fault mode
+runs only in process.
+
 **Callback transport.**  Every connection end is an
 :class:`asyncio.Protocol`: ``data_received`` splits the bytes into
 frames (:class:`~repro.net.protocol.FrameReader`) and calls the
@@ -171,6 +174,9 @@ class NetRunResult:
 def _build_shards(
     config: ServiceConfig, n_shards: int
 ) -> list[OrchestratorShard]:
+    if config.faults is not None and config.faults.enabled:
+        raise ValueError(f"faults={config.faults} is not supported over the "
+                         "network: fault mode runs only in process")
     return [
         OrchestratorShard(shard_config(config, s, n_shards), shard_id=s)
         for s in range(n_shards)

@@ -145,10 +145,6 @@ class HeterogeneousNetwork:
         out[mask] = 1.0 / denom[mask]
         return out
 
-    def per_server_response_ratio(self, alphas) -> np.ndarray:
-        """R̄ᵢ = μ / (sᵢμ − αᵢλ); NaN for computers receiving no jobs."""
-        return self.mu * self.per_server_response_time(alphas)
-
     def mean_response_time(self, alphas) -> float:
         """T̄ = Σᵢ αᵢ / (sᵢμ − αᵢλ)   (paper equation (3))."""
         a = validate_allocation(alphas)

@@ -63,6 +63,7 @@ experiment, not just a demo.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,15 +140,16 @@ class ServiceConfig:
     fault_seed: int = 0
 
     def __post_init__(self):
-        if len(self.speeds) == 0 or any(s <= 0 for s in self.speeds):
-            raise ValueError(f"speeds must be positive, got {self.speeds}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.control_period <= 0 or self.control_period > self.duration:
+        # Every bound is written so that NaN fails it.
+        if len(self.speeds) == 0 or not all(0 < s < math.inf for s in self.speeds):
+            raise ValueError(f"speeds must be positive and finite, got {self.speeds}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        if not 0 < self.control_period <= self.duration:
             raise ValueError(
                 f"control_period must lie in (0, duration], got {self.control_period}"
             )
-        if self.slo_target is not None and self.slo_target <= 0:
+        if self.slo_target is not None and not self.slo_target > 0:
             raise ValueError(f"slo_target must be positive, got {self.slo_target}")
 
     @property

@@ -49,8 +49,11 @@ between two fault events), not on one job:
   new speed, so ``dep' = now + (dep − now)·(s_old/s_new)`` is exact.
 
 The interpreted fallback runs the same steps over the same arrays.
-The fault-free :meth:`replay_window_grouped` path is untouched, keeping
-fault-free service runs bit-identical.
+
+The fault-free :meth:`replay_window_grouped` keeps the cumulative-sum
+recursion above and only borrows the rings' scratch buffers, whose
+addresses are cached.  It is the one FCFS window entry of the service
+and of every network server stub, which is a one-server bank.
 """
 
 from __future__ import annotations
@@ -75,13 +78,13 @@ class ServerBank:
         s = np.asarray(speeds, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("speeds must be a non-empty 1-D vector")
-        if np.any(s <= 0):
-            raise ValueError(f"speeds must be positive, got {s}")
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError(f"speeds must be positive and finite, got {s}")
         self.speeds = s.copy()
         self._free_at = np.zeros(s.size)
         self._up = np.ones(s.size, dtype=bool)
         self._speed_factor = np.ones(s.size)
-        self._rings = ckernel.InflightRings(self._free_at, self._up)
+        self._rings = ckernel.InflightRings(self.speeds, self._free_at, self._up)
         # Completion rows collected since the last take_completions().
         self._ndone = 0
 
@@ -90,7 +93,7 @@ class ServerBank:
         return int(self.speeds.size)
 
     # The per-server vectors are updated in place only (never rebound):
-    # the compiled fault-mode calls hold their addresses.
+    # the rings hold their addresses for the compiled calls.
 
     @property
     def free_at(self) -> np.ndarray:
@@ -122,39 +125,29 @@ class ServerBank:
         per-server group bounds (length ``n + 1``), which callers reuse
         to fold per-server speed witnesses without a second argsort.
 
-        All four arrays are views of per-process arena buffers —
-        consume them before the next replay call, never store them.
-        The compiled carry-state sweep (``fcfs_window_sweep``) and the
-        numpy fallback compute identical bits; either updates
-        ``free_at`` in place.
+        All four arrays are views of this bank's buffers, valid until
+        its next :meth:`replay_window_grouped` or :meth:`dispatch` —
+        consume or copy them first, never store them.  The compiled
+        carry-state sweep (``fcfs_window_sweep``) and the numpy
+        fallback compute identical bits; either updates ``free_at`` in
+        place.
         """
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         times = np.ascontiguousarray(times, dtype=np.float64)
         sizes = np.ascontiguousarray(sizes, dtype=np.float64)
         if not (targets.shape == times.shape == sizes.shape):
             raise ValueError("targets, times, and sizes must align")
-        n = times.size
-        a = ckernel.arena()
-        if n == 0:
-            offsets = a.i64("window.offsets", self.n + 1)
-            offsets[:] = 0
-            return (
-                a.f64("window.dep", 0),
-                a.f64("window.svc", 0),
-                a.i64("window.order", 0),
-                offsets,
-            )
         fn = ckernel.entry("window")
-        if fn is not None:
-            dep, svc, order, offsets, ok = ckernel.replay_window_c(
-                fn, times, sizes, self.speeds, targets, self.free_at
-            )
-            if not ok:
-                # The kernel validates every target before touching any
-                # state, so free_at is intact here.
-                raise ValueError("dispatch target out of range")
-            return dep, svc, order, offsets
-        return self._replay_grouped_python(targets, times, sizes)
+        if fn is None:
+            return self._replay_grouped_python(targets, times, sizes)
+        n = times.size
+        r = self._rings
+        r.reserve(n)
+        if not ckernel.replay_window_c(fn, r, times, sizes, targets):
+            # The kernel validates every target before touching any
+            # state, so free_at is intact here.
+            raise ValueError("dispatch target out of range")
+        return r.dep[:n], r.svc[:n], r.order[:n], r.scratch[:self.n + 1]
 
     def _replay_grouped_python(
         self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray
@@ -166,32 +159,26 @@ class ServerBank:
         property tests can pin the two paths against each other.
         """
         n = times.size
-        a = ckernel.arena()
-        departures = a.f64("window.dep", n)
-        service_times = a.f64("window.svc", n)
+        r = self._rings
+        r.reserve(n)
         order, bounds = group_by_server(targets, self.n)
         for i in range(self.n):
             idx = order[bounds[i]:bounds[i + 1]]
             if idx.size == 0:
                 continue
-            dep, svc, self.free_at[i] = lindley_window(
+            r.dep[idx], r.svc[idx], self.free_at[i] = lindley_window(
                 times[idx], sizes[idx], self.speeds[i], self.free_at[i]
             )
-            departures[idx] = dep
-            service_times[idx] = svc
-        order_out = a.i64("window.order", n)
-        np.copyto(order_out, order)
-        offsets = a.i64("window.offsets", self.n + 1)
-        np.copyto(offsets, bounds)
-        return departures, service_times, order_out, offsets
+        r.order[:n] = order
+        r.scratch[:self.n + 1] = bounds
+        return r.dep[:n], r.svc[:n], r.order[:n], r.scratch[:self.n + 1]
 
     def backlog_at(self, now: float) -> np.ndarray:
         """Remaining busy time per server as of *now* (≥ 0)."""
         return np.maximum(self.free_at - float(now), 0.0)
 
     # ------------------------------------------------------------------
-    # Fault-mode API (segment calls over the in-flight rings;
-    # replay_window_grouped stays untouched)
+    # Fault-mode API (segment calls over the in-flight rings)
     # ------------------------------------------------------------------
 
     def effective_speed(self, server: int) -> float:
@@ -232,7 +219,7 @@ class ServerBank:
             raise ValueError("targets, times, sizes, origins and attempts must align")
         r = self._rings
         np.multiply(self.speeds, self.speed_factor, out=r.eff)
-        r.reserve_dep(k)
+        r.reserve(k)
         fn = ckernel.entry("segment")
         if fn is None:
             return self._dispatch_python(targets, times, sizes, origins, attempts)
@@ -418,8 +405,8 @@ class ServerBank:
         service times rescale by the same factor, so the speed
         estimator's witnesses reflect the degraded speed.
         """
-        if factor <= 0.0:
-            raise ValueError(f"speed factor must be positive, got {factor}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"speed factor must be positive and finite, got {factor}")
         now = float(now)
         old = self.effective_speed(server)
         self.speed_factor[server] = float(factor)

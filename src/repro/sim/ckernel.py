@@ -56,10 +56,12 @@ numpy/Python path in place; a toolchain without ``-fopenmp`` gets a
 serial compile and a ``ckernel.openmp_unavailable`` counter, never a
 failure.
 
-Scratch memory for the compiled entry points comes from a per-process
-:class:`Arena` — named buffers grown to the largest replication seen
-and reused forever after, so steady-state replay performs no numpy
-allocation at all.
+Scratch memory for the static replay entry points comes from a
+per-process :class:`Arena` — named buffers grown to the largest
+replication seen and reused forever after, so steady-state replay
+performs no numpy allocation at all.  A serving bank's window and
+fault-mode entries write into its own :class:`InflightRings` instead,
+whose addresses are cached.
 """
 
 from __future__ import annotations
@@ -129,9 +131,9 @@ def _addr(arr: np.ndarray) -> int:
     ``arr.ctypes.data`` builds a ``_ctypes`` helper per call (~2 µs);
     a zero-length ctypes view over a writable array's buffer yields the
     same address in about a third of that.  Read-only arrays (which
-    refuse a writable view) take ``arr.ctypes.data``.  The fault-mode
-    segment, sequence-extension and estimator-step wrappers pass their
-    inputs through here.
+    refuse a writable view) take ``arr.ctypes.data``.  The window,
+    fault-mode segment, sequence-extension and estimator-step wrappers
+    pass their inputs through here.
     """
     if arr.flags.writeable:
         return ctypes.addressof(_from_buffer(arr))
@@ -719,54 +721,30 @@ def replay_cell_c(
 
 def replay_window_c(
     fn,
+    rings: "InflightRings",
     times: np.ndarray,
     work: np.ndarray,
-    speeds: np.ndarray,
     targets: np.ndarray,
-    free_at: np.ndarray,
-):
+) -> bool:
     """Replay one serving window through the carry-state compiled core.
 
     ``times``/``work`` are the window's admitted jobs in arrival order
     (contiguous float64), ``targets`` the dispatch decisions (contiguous
-    int64), ``free_at`` the per-server free-up instants carried from
-    the previous window — updated **in place** with the post-window
-    state.  Returns ``(departures, service_times, order, offsets, ok)``
-    where ``departures``/``service_times`` are in arrival order,
-    ``order`` is the stable group-by-server permutation and ``offsets``
-    the per-server group bounds (``nservers + 1``), and ``ok`` is False
-    when a target was out of range.  The kernel's counting sort rejects
-    every target before any state is written, so on ``ok=False``
-    ``free_at`` is untouched and only the returned arrays are garbage.
-
-    All returned arrays are arena-backed views: consume them before the
-    next replay call, never store them.
+    int64); ``rings.reserve(times.size)`` must have run.  The bank's
+    ``free_at`` is updated **in place** with the post-window state;
+    departures and service times land in ``rings.dep``/``rings.svc`` in
+    arrival order, the stable group-by-server permutation in
+    ``rings.order`` and the per-server group bounds in the first
+    ``n + 1`` of ``rings.scratch``.  False when a target was out of
+    range: the kernel's counting sort rejects every target before any
+    state is written, so ``free_at`` is then untouched and only the
+    outputs are garbage.
     """
-    n = int(times.size)
-    nservers = int(speeds.size)
-    a = arena()
-    departures = a.f64("window.dep", n)
-    service_times = a.f64("window.svc", n)
-    order = a.i64("window.order", n)
-    offsets = a.i64("window.offsets", nservers + 1)
-    cursor = a.i64("window.cursor", nservers)
-    state = a.f64("window.state", 2 * nservers)
-    status = fn(
-        times.ctypes.data,
-        work.ctypes.data,
-        ctypes.c_longlong(n),
-        speeds.ctypes.data,
-        ctypes.c_longlong(nservers),
-        targets.ctypes.data,
-        free_at.ctypes.data,
-        departures.ctypes.data,
-        service_times.ctypes.data,
-        order.ctypes.data,
-        offsets.ctypes.data,
-        cursor.ctypes.data,
-        state.ctypes.data,
-    )
-    return departures, service_times, order, offsets, status == 0
+    r = rings
+    return fn(_addr(times), _addr(work), times.size, r.speeds_addr, r.n,
+              _addr(targets), r.free_at_addr, r.dep_addr, r.svc_addr,
+              r.order_addr, r.scratch_addr, r.scratch_addr + 8 * (r.n + 1),
+              r.state_addr) == 0
 
 
 def dispatch_segment_c(
@@ -835,7 +813,7 @@ def fold_inputs_c(fn, rings: "InflightRings", m: int) -> bool:
 
 
 class InflightRings:
-    """A fault-mode bank's in-flight records and scratch, addresses cached.
+    """A bank's in-flight records and scratch, addresses cached.
 
     ``ring`` is one float64 block of ``n × cap`` records
     ``[origin, size, svc, dep, attempts]``: server ``s`` owns
@@ -844,19 +822,24 @@ class InflightRings:
     ``(server, origin, size, svc, dep)``, and ``wit``/``resp`` their
     speed witnesses (grouped by server, bounds in ``fold_scratch``) and
     response times; ``dep`` receives a segment's departures and ``eff``
-    holds the effective speeds the segment runs at.  ``free_at`` and
-    ``up`` are the bank's own vectors, which it only ever updates in
-    place.  Every address is taken when its array is (re)allocated, so
-    a kernel call looks up only its input arrays.  Per process and not
-    thread-safe, like the :class:`Arena`.
+    holds the effective speeds the segment runs at.  A fault-free
+    window writes ``dep``, ``svc`` and ``order``, its group bounds into
+    ``scratch`` and its per-server Lindley registers into ``state``.
+    ``speeds``, ``free_at`` and ``up`` are the bank's own vectors,
+    which it only ever updates in place.  Every address is taken when
+    its array is (re)allocated, so a kernel call looks up only its
+    input arrays.  Per process and not thread-safe, like the
+    :class:`Arena`.
     """
 
     #: Initial records per server.
     MIN_CAPACITY = 16
 
-    def __init__(self, free_at: np.ndarray, up: np.ndarray):
+    def __init__(self, speeds: np.ndarray, free_at: np.ndarray,
+                 up: np.ndarray):
         n = int(free_at.size)
         self.n = n
+        self.speeds_addr = speeds.ctypes.data
         self.free_at_addr = free_at.ctypes.data
         self.up_addr = up.ctypes.data
         self.head = np.zeros(n, dtype=np.int64)
@@ -865,15 +848,19 @@ class InflightRings:
         self.tail_addr = self.tail.ctypes.data
         self.eff = np.empty(n)
         self.eff_addr = self.eff.ctypes.data
-        # Offsets (n + 1) and cursor (n) of the segment's grouping.
+        # Offsets (n + 1) and cursor (n) of a segment's or a window's
+        # grouping.
         self.scratch = np.zeros(2 * n + 1, dtype=np.int64)
         self.scratch_addr = self.scratch.ctypes.data
+        # A window's running (acc, m) Lindley registers per server.
+        self.state = np.empty(2 * n)
+        self.state_addr = self.state.ctypes.data
         self.fold_scratch = np.zeros(2 * n + 1, dtype=np.int64)
         self.fold_scratch_addr = self.fold_scratch.ctypes.data
         self.cap = 0
         self.grow(self.MIN_CAPACITY)
         self.dep = np.empty(0)
-        self.reserve_dep(self.MIN_CAPACITY)
+        self.reserve(self.MIN_CAPACITY)
         self.done = np.empty((0, 5))
         self.reserve_done(0, 2 * n * self.cap)
 
@@ -891,11 +878,16 @@ class InflightRings:
         self.ring_addr = ring.ctypes.data
         self.cap = int(cap)
 
-    def reserve_dep(self, k: int) -> None:
-        """Room for ``k`` departures in ``dep``."""
+    def reserve(self, k: int) -> None:
+        """Room for ``k`` jobs in ``dep``, ``svc`` and ``order``."""
         if k > self.dep.size:
-            self.dep = np.empty(max(k, 2 * self.dep.size))
+            k = max(k, 2 * self.dep.size)
+            self.dep = np.empty(k)
             self.dep_addr = self.dep.ctypes.data
+            self.svc = np.empty(k)
+            self.svc_addr = self.svc.ctypes.data
+            self.order = np.empty(k, dtype=np.int64)
+            self.order_addr = self.order.ctypes.data
 
     def reserve_done(self, rows: int, extra: int) -> None:
         """Room for ``extra`` more rows after the first ``rows`` of

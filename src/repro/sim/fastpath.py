@@ -28,7 +28,8 @@ Two replay kernels are provided:
 
 :func:`lindley_window` is the one numpy form of the FCFS recursion:
 the sweep replays with a fresh server (``free_at = -inf``), while the
-serving bank and the net server stubs carry ``free_at`` across windows.
+serving bank's fallback carries ``free_at`` across windows (the net
+server stubs are one-server banks).
 :func:`group_by_server` is the one stable group-by-server permutation
 the numpy fallbacks share.
 

@@ -25,6 +25,8 @@ from repro.sim import ckernel
 from repro.sim.arrivals import Workload
 from repro.sim.fastpath import group_by_server
 
+from .conftest import KERNEL_PATHS, kernel_path
+
 
 @contextlib.contextmanager
 def _python_path():
@@ -279,6 +281,29 @@ class TestBankStateValidation:
         state["speed_factor"][2] = 0.0
         with pytest.raises(ValueError, match="speed_factor"):
             self._bank().load_state(state)
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0])
+    def test_speed_factor_that_is_not_positive_and_finite_is_refused(
+        self, path, factor
+    ):
+        """A NaN factor would leave free_at NaN and the job in flight
+        forever: the bank refuses it and keeps its state."""
+        with kernel_path(path):
+            bank = ServerBank([1.0])
+            one = np.ones(1)
+            bank.dispatch(np.zeros(1, np.int64), 0 * one, 4 * one, 0 * one,
+                          np.zeros(1, np.int64))
+            before = json.dumps(bank.state_dict())
+            with pytest.raises(ValueError, match="speed factor"):
+                bank.set_speed_factor(0, 1.0, factor)
+            assert json.dumps(bank.state_dict()) == before
+            assert bank.collect_completions(100.0)[:, 4].tolist() == [4.0]
+
+    @pytest.mark.parametrize("speeds", [[math.nan, 1.0], [1.0, math.inf]])
+    def test_speed_that_is_not_finite_is_refused(self, speeds):
+        with pytest.raises(ValueError, match="speeds must be positive and finite"):
+            ServerBank(speeds)
 
     def test_valid_state_loads_into_a_bank_with_a_smaller_ring(self):
         big = ServerBank([1.0, 2.0])

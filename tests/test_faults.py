@@ -94,6 +94,23 @@ class TestFaultConfig:
                 want = min(rp.max_delay, rp.base_delay * rp.backoff**k)
                 assert rp.delay(k).hex() == want.hex()
 
+    @pytest.mark.parametrize(
+        ("spec", "field"),
+        [("mtbf=nan,mttr=50", "mtbf"),
+         ("mtbf=500,mttr=nan", "mttr"),
+         ("degrade_rate=nan,degrade_duration=5", "degrade_rate"),
+         ("degrade_rate=0.1,degrade_duration=nan", "degrade_duration"),
+         ("mtbf=500,drift=nan", "estimate_drift"),
+         ("mtbf=500,base_delay=nan", "base_delay"),
+         ("mtbf=500,backoff=nan", "backoff"),
+         ("mtbf=500,max_delay=nan", "max_delay")],
+    )
+    def test_parse_rejects_nan_naming_the_field(self, spec, field):
+        """NaN passes ``x <= 0``; a NaN mtbf would keep build_timeline
+        from ever reaching its horizon."""
+        with pytest.raises(ValueError, match=field):
+            FaultConfig.parse(spec)
+
     def test_config_rejects_wrong_type(self):
         with pytest.raises(TypeError):
             _config(faults="mtbf=500")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.controller import QuasiStaticController
+from repro.service.replay import ServerBank
 from repro.sim import ckernel
 from repro.sim.fastpath import fcfs_replay
 
@@ -215,9 +216,8 @@ class TestNoCycleGarbage:
         fn = ckernel.entry("window")
         times, work, speeds, targets = case(200, 4, 3)
         targets = targets.astype(np.int64)
-        free_at = np.zeros(speeds.size)
+        rings = ServerBank(speeds)._rings
+        rings.reserve(times.size)
         assert self.garbage_after(
-            lambda: ckernel.replay_window_c(
-                fn, times, work, speeds, targets, free_at
-            )
+            lambda: ckernel.replay_window_c(fn, rings, times, work, targets)
         ) == 0

@@ -25,6 +25,7 @@ import pytest
 from repro.distributions import distribution_from_mean_cv
 from repro.experiments.extension_chaos import SCENARIOS
 from repro.faults.aware import survivor_fractions
+from repro.faults.models import FaultConfig
 from repro.net import (
     Complete,
     NetMetrics,
@@ -69,6 +70,23 @@ def report_bytes(report) -> str:
 # "happens" inside window 10 (t in (1000, 1100]) on both transports.
 KILL = {2: 9}
 KILL_WINDOW_END = 1100.0
+
+
+class TestFaultModeRefused:
+    """Fault mode runs only in process; a faulted config must not run
+    fault-free over the network as if its faults had been honoured."""
+
+    FAULTS = FaultConfig(mtbf=20.0, mttr=5.0)
+
+    def test_in_process_transport_refuses_faults(self):
+        with pytest.raises(ValueError, match="faults"):
+            run_in_process(make_config(faults=self.FAULTS), make_source())
+
+    def test_socket_transport_refuses_faults(self):
+        with pytest.raises(ValueError, match="faults"):
+            asyncio.run(
+                run_sockets(make_config(faults=self.FAULTS), make_source())
+            )
 
 
 class TestNetKill:

@@ -10,11 +10,8 @@ path (compiled or numpy fallback) the environment provides; the CI
 matrix runs the file on both.
 """
 
-import contextlib
 import heapq
 import json
-import os
-import shutil
 
 import numpy as np
 import pytest
@@ -47,6 +44,9 @@ from repro.service.loop import (
 from repro.service.replay import ServerBank
 from repro.service.sources import SyntheticJobSource, TraceJobSource, Workload
 from repro.sim import ckernel
+from repro.sim.fastpath import lindley_window
+
+from .conftest import KERNEL_PATHS, kernel_path, needs_compiler
 
 # ---------------------------------------------------------------------------
 # Strategies: job streams are generated from a drawn seed so hypothesis
@@ -130,7 +130,7 @@ class TestWindowSweepBitIdentity:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             ct, cs, cg = times[lo:hi], sizes[lo:hi], targets[lo:hi]
             out_c = bank_c.replay_window_grouped(cg, ct, cs)
-            # Arena views: copy before the python path reuses them.
+            # Bank views: copy before the next window reuses them.
             out_c = tuple(a.copy() for a in out_c)
             out_py = bank_py._replay_grouped_python(cg, ct, cs)
             for got, want in zip(out_c, out_py):
@@ -311,34 +311,6 @@ class TestBatchedEstimators:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _kernel_path(path: str):
-    """Re-probe the compiled core as the kernel path (``"c"``) or under
-    ``REPRO_DISABLE_CKERNEL=1`` (``"python"``); restore the probe after.
-    Yields the P² entry point (None on the Python path)."""
-    saved_fns = ckernel._fns
-    saved_env = os.environ.get("REPRO_DISABLE_CKERNEL")
-    if path == "python":
-        os.environ["REPRO_DISABLE_CKERNEL"] = "1"
-    else:
-        os.environ.pop("REPRO_DISABLE_CKERNEL", None)
-    ckernel._fns = None
-    try:
-        fn = ckernel.entry("completions")
-        assert (fn is None) == (path == "python")
-        yield fn
-    finally:
-        ckernel._fns = saved_fns
-        if saved_env is None:
-            os.environ.pop("REPRO_DISABLE_CKERNEL", None)
-        else:
-            os.environ["REPRO_DISABLE_CKERNEL"] = saved_env
-
-
-_needs_compiler = pytest.mark.skipif(
-    not (shutil.which("gcc") or shutil.which("cc")), reason="no C compiler"
-)
-KERNEL_PATHS = ["python", pytest.param("c", marks=_needs_compiler)]
 
 
 def _quantile(p: float, warm, rng):
@@ -367,14 +339,14 @@ class TestFusedP2:
         for a, b in zip(fused, seq):
             b.load_state(a.state_dict())
         xs = rng.lognormal(0.0, 1.0, n)
-        with _kernel_path(path):
+        with kernel_path(path):
             P2Quantile.update_many(fused, xs)
         for q in seq:
             for x in xs:
                 q.update(float(x))
         assert [q.state_dict() for q in fused] == [q.state_dict() for q in seq]
 
-    @_needs_compiler
+    @needs_compiler
     @given(
         seed=seed_strategy,
         m=st.integers(min_value=0, max_value=40),
@@ -398,7 +370,7 @@ class TestFusedP2:
                 q.update(x)
         xs = rng.lognormal(0.0, 1.0, m)
         state = np.zeros(12)  # an estimator vector with no servers
-        with _kernel_path("c") as fn:
+        with kernel_path("c") as fn:
             ckernel.est_completions_c(fn, state.ctypes.data, None, None, 0,
                                       blocks.ctypes.data, len(ps), xs)
         for q in seq:
@@ -419,7 +391,7 @@ class TestFusedP2:
         rng = np.random.default_rng(seed)
         fused = QuasiStaticController([1.0, 2.0], window=10.0)
         split = QuasiStaticController([1.0, 2.0], window=10.0)
-        with _kernel_path(path):
+        with kernel_path(path):
             for w, size in enumerate(sizes):
                 responses = rng.lognormal(0.0, 1.0, size)
                 fused.observe_responses(responses)
@@ -443,7 +415,7 @@ class TestBankInputs:
         over) give the departures of their contiguous copies, window
         after window, on either kernel path."""
         times, sizes, targets, speeds = _stream(5, 400, 3)
-        with _kernel_path(path):
+        with kernel_path(path):
             strided = ServerBank(speeds)
             dense = ServerBank(speeds)
             for lo, hi in ((0, 160), (160, 400)):
@@ -460,8 +432,36 @@ class TestBankInputs:
                 strided.replay_window_grouped(targets[:3], times[:2], sizes[:2])
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_window_replays_right_after_its_buffers_grow(self, path):
+        """Windows of 8, 40 and 2000 jobs make the bank re-allocate its
+        window buffers twice; every window still matches the per-server
+        Lindley recursion bit for bit, so the compiled call writes
+        through the new buffers' addresses, not stale ones."""
+        times, sizes, targets, speeds = _stream(9, 2048, 3)
+        with kernel_path(path):
+            bank = ServerBank(speeds)
+            grown = [bank._rings.dep.size]
+            free_at = np.zeros(speeds.size)
+            for lo, hi in ((0, 8), (8, 48), (48, 2048)):
+                t, x, g = times[lo:hi], sizes[lo:hi], targets[lo:hi]
+                dep, svc, order, offsets = bank.replay_window_grouped(g, t, x)
+                grown.append(bank._rings.dep.size)
+                for s in range(speeds.size):
+                    idx = np.flatnonzero(g == s)
+                    want_dep, want_svc, free_at[s] = lindley_window(
+                        t[idx], x[idx], speeds[s], free_at[s]
+                    )
+                    assert dep[idx].tobytes() == want_dep.tobytes()
+                    assert svc[idx].tobytes() == want_svc.tobytes()
+                    assert order[offsets[s]:offsets[s + 1]].tolist() == (
+                        idx.tolist()
+                    )
+                assert bank.free_at.tobytes() == free_at.tobytes()
+            assert grown[0] == grown[1] < grown[2] < grown[3]
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
     def test_repair_of_an_up_server_raises_and_changes_nothing(self, path):
-        with _kernel_path(path):
+        with kernel_path(path):
             bank = ServerBank([1.0])
             one = np.ones(1)
             bank.dispatch(np.zeros(1, np.int64), 0 * one, 10 * one, 0 * one,
@@ -559,7 +559,7 @@ class TestReferenceVsFast:
                 fault_events=events if faulted else None,
             ).run())
 
-        with _kernel_path(path):
+        with kernel_path(path):
             want = run(table[:, 0].copy(), table[:, 1].copy())
             assert run(table[:, 0], table[:, 1]) == want
 

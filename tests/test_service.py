@@ -5,10 +5,13 @@ MRT within 5% of oracle static ORR, and recovery to within 5% of the
 new oracle allocation within two re-solve periods after a 2× step in λ.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.allocation.optimized import optimized_fractions
+from repro.cli import main
 from repro.dispatch.round_robin import RoundRobinDispatcher
 from repro.distributions import distribution_from_mean_cv
 from repro.queueing.network import HeterogeneousNetwork
@@ -213,6 +216,32 @@ class TestServiceAcceptance:
 # ----------------------------------------------------------------------
 # Service behaviour
 # ----------------------------------------------------------------------
+
+
+class TestServiceConfigBounds:
+    """NaN passes ``x <= 0``: every bound must be one NaN fails."""
+
+    @pytest.mark.parametrize(
+        ("field", "kw"),
+        [("speeds", {"speeds": (math.nan, 1.0)}),
+         ("speeds", {"speeds": (1.0, math.inf)}),
+         ("duration", {"duration": math.nan}),
+         ("duration", {"duration": math.inf}),
+         ("control_period", {"control_period": math.nan}),
+         ("slo_target", {"slo_target": math.nan})],
+    )
+    def test_non_finite_value_is_refused_naming_its_field(self, field, kw):
+        args = {"speeds": SPEEDS, "duration": 1000.0, "control_period": 100.0}
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{**args, **kw})
+
+    def test_serve_with_a_nan_speed_exits_2_naming_speeds(self, capsys):
+        code = main(["serve", "--speeds", "nan,1", "--utilization", "0.5",
+                     "--duration", "200", "--resolve-period", "100"])
+        assert code == 2
+        assert "error: speeds must be positive and finite" in (
+            capsys.readouterr().err
+        )
 
 
 class TestSchedulerService:
