@@ -435,7 +435,7 @@ class WindowedRateEstimator:
     _MIN_CAPACITY = 64
 
     def __init__(self, window: float, *, storage: np.ndarray | None = None):
-        if window <= 0.0:
+        if not window > 0.0:  # NaN fails too
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)
         self._s = memoryview(np.zeros(_WIN) if storage is None else storage)

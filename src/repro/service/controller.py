@@ -199,7 +199,7 @@ class QuasiStaticController:
             raise ValueError(f"shed_threshold must lie in (0, 1), got {shed_threshold}")
         if not 0.0 < rho_cap < 1.0:
             raise ValueError(f"rho_cap must lie in (0, 1), got {rho_cap}")
-        if slo_target is not None and slo_target <= 0.0:
+        if slo_target is not None and not slo_target > 0.0:
             raise ValueError(f"slo_target must be positive, got {slo_target}")
         if not 0.0 < max_shed_fraction < 1.0:
             raise ValueError(

@@ -151,6 +151,18 @@ class ServiceConfig:
             )
         if self.slo_target is not None and not self.slo_target > 0:
             raise ValueError(f"slo_target must be positive, got {self.slo_target}")
+        # The controller's and estimators' own bounds, checked here too so
+        # a bad value fails at configuration, before any window runs.
+        if self.estimator_window is not None and not self.estimator_window > 0:
+            raise ValueError(
+                f"estimator_window must be positive, got {self.estimator_window}"
+            )
+        if not 0 < self.ewma_weight <= 1:
+            raise ValueError(f"ewma_weight must lie in (0, 1], got {self.ewma_weight}")
+        for name in ("shed_threshold", "rho_cap", "max_shed_fraction"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
     @property
     def window(self) -> float:

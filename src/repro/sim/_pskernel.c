@@ -24,6 +24,10 @@
 #include <omp.h>
 #endif
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 typedef long long i64;
 
 static inline int heap_lt(const double *ht, const i64 *hi, i64 a, i64 b) {
@@ -641,17 +645,174 @@ static i64 p2_warm(double *b, const double *xs, i64 m) {
 
 #define P2_GROUP 4  /* marker sets interleaved per pass over xs */
 
+#if defined(__x86_64__) && defined(__GNUC__)
+/* The marker update of p2_step for a full group, the four sets as the
+ * four lanes of 256-bit vectors: lane s of q[i], n[i], np_[i] and dn[i]
+ * is loc[s][i], loc[s][5 + i], loc[s][10 + i] and loc[s][15 + i].
+ * Every lane runs p2_step's IEEE operations in p2_step's order — a
+ * compare picks the locate branch, a blend stands for each assignment
+ * under a condition — so each set's bits are those of the scalar loop.
+ * A marker no lane adjusts is skipped, and so is the linear fallback
+ * when no adjusting lane needs it.  Compiled for AVX2 alone (no FMA:
+ * with -ffp-contract=off nothing fuses either way); callers take it
+ * only where p2_lanes_ok() holds. */
+static __attribute__((target("avx2"))) void p2_lanes(double loc[P2_GROUP][20],
+                                                     const double *xs, i64 m) {
+    __m256d q[5], n[5], np_[5], dn[5];
+    for (int i = 0; i < 5; i++) {
+        q[i] = _mm256_set_pd(loc[3][i], loc[2][i], loc[1][i], loc[0][i]);
+        n[i] = _mm256_set_pd(loc[3][5 + i], loc[2][5 + i], loc[1][5 + i],
+                             loc[0][5 + i]);
+        np_[i] = _mm256_set_pd(loc[3][10 + i], loc[2][10 + i],
+                               loc[1][10 + i], loc[0][10 + i]);
+        dn[i] = _mm256_set_pd(loc[3][15 + i], loc[2][15 + i],
+                              loc[1][15 + i], loc[0][15 + i]);
+    }
+    const __m256d one = _mm256_set1_pd(1.0), mone = _mm256_set1_pd(-1.0);
+    for (i64 t = 0; t < m; t++) {
+        __m256d x = _mm256_set1_pd(xs[t]);
+        /* Locate: lo takes k = 0 and q[0] = x; hi (x >= q[4], not lo)
+         * takes k = 3 and q[4] = x where x > q[4]; the rest walk k up
+         * while x >= q[k + 1].  n[i] += 1 for i > k, i.e. unless hi or
+         * (not lo and the walk passed marker i). */
+        __m256d lo = _mm256_cmp_pd(x, q[0], _CMP_LT_OQ);
+        __m256d hi = _mm256_andnot_pd(lo, _mm256_cmp_pd(x, q[4], _CMP_GE_OQ));
+        __m256d past = _mm256_cmp_pd(x, q[1], _CMP_GE_OQ);
+        __m256d stay1 = _mm256_or_pd(hi, _mm256_andnot_pd(lo, past));
+        past = _mm256_and_pd(past, _mm256_cmp_pd(x, q[2], _CMP_GE_OQ));
+        __m256d stay2 = _mm256_or_pd(hi, _mm256_andnot_pd(lo, past));
+        past = _mm256_and_pd(past, _mm256_cmp_pd(x, q[3], _CMP_GE_OQ));
+        __m256d stay3 = _mm256_or_pd(hi, _mm256_andnot_pd(lo, past));
+        q[4] = _mm256_blendv_pd(
+            q[4], x, _mm256_and_pd(hi, _mm256_cmp_pd(x, q[4], _CMP_GT_OQ)));
+        q[0] = _mm256_blendv_pd(q[0], x, lo);
+        n[1] = _mm256_blendv_pd(_mm256_add_pd(n[1], one), n[1], stay1);
+        n[2] = _mm256_blendv_pd(_mm256_add_pd(n[2], one), n[2], stay2);
+        n[3] = _mm256_blendv_pd(_mm256_add_pd(n[3], one), n[3], stay3);
+        n[4] = _mm256_add_pd(n[4], one);
+        for (int i = 0; i < 5; i++) np_[i] = _mm256_add_pd(np_[i], dn[i]);
+        for (int i = 1; i <= 3; i++) {
+            __m256d d = _mm256_sub_pd(np_[i], n[i]);
+            __m256d rgap = _mm256_sub_pd(n[i + 1], n[i]);
+            __m256d ge = _mm256_cmp_pd(d, one, _CMP_GE_OQ);
+            __m256d adj = _mm256_or_pd(
+                _mm256_and_pd(ge, _mm256_cmp_pd(rgap, one, _CMP_GT_OQ)),
+                _mm256_and_pd(
+                    _mm256_cmp_pd(d, mone, _CMP_LE_OQ),
+                    _mm256_cmp_pd(_mm256_sub_pd(n[i - 1], n[i]), mone,
+                                  _CMP_LT_OQ)));
+            if (!_mm256_movemask_pd(adj)) continue;
+            d = _mm256_blendv_pd(mone, one, ge);
+            __m256d lgap = _mm256_sub_pd(n[i], n[i - 1]);
+            __m256d cand = _mm256_add_pd(q[i], _mm256_mul_pd(
+                _mm256_div_pd(d, _mm256_sub_pd(n[i + 1], n[i - 1])),
+                _mm256_add_pd(
+                    _mm256_div_pd(
+                        _mm256_mul_pd(_mm256_add_pd(lgap, d),
+                                      _mm256_sub_pd(q[i + 1], q[i])),
+                        rgap),
+                    _mm256_div_pd(
+                        _mm256_mul_pd(_mm256_sub_pd(rgap, d),
+                                      _mm256_sub_pd(q[i], q[i - 1])),
+                        lgap))));
+            __m256d inside = _mm256_and_pd(
+                _mm256_cmp_pd(q[i - 1], cand, _CMP_LT_OQ),
+                _mm256_cmp_pd(cand, q[i + 1], _CMP_LT_OQ));
+            __m256d lin = _mm256_andnot_pd(inside, adj);
+            if (_mm256_movemask_pd(lin)) {
+                __m256d qj = _mm256_blendv_pd(q[i - 1], q[i + 1], ge);
+                __m256d nj = _mm256_blendv_pd(n[i - 1], n[i + 1], ge);
+                cand = _mm256_blendv_pd(cand, _mm256_add_pd(q[i], _mm256_div_pd(
+                    _mm256_mul_pd(d, _mm256_sub_pd(qj, q[i])),
+                    _mm256_sub_pd(nj, n[i]))), lin);
+            }
+            q[i] = _mm256_blendv_pd(q[i], cand, adj);
+            n[i] = _mm256_blendv_pd(n[i], _mm256_add_pd(n[i], d), adj);
+        }
+    }
+    double out[4][4];
+    for (int i = 0; i < 5; i++) {
+        _mm256_storeu_pd(out[0], q[i]);
+        _mm256_storeu_pd(out[1], n[i]);
+        _mm256_storeu_pd(out[2], np_[i]);
+        for (int s = 0; s < P2_GROUP; s++) {
+            loc[s][i] = out[0][s];
+            loc[s][5 + i] = out[1][s];
+            loc[s][10 + i] = out[2][s];
+        }
+    }
+}
+
+/* Whether this CPU (and its OS) runs AVX2, asked once. */
+static int p2_lanes_ok(void) {
+    static int ok = -1;
+    if (ok < 0) {
+        __builtin_cpu_init();
+        ok = __builtin_cpu_supports("avx2") ? 1 : 0;
+    }
+    return ok;
+}
+#else
+/* No lane loop off x86-64: every set stays on the scalar loop. */
+static int p2_lanes_ok(void) { return 0; }
+static void p2_lanes(double loc[P2_GROUP][20], const double *xs, i64 m) {
+    (void)loc; (void)xs; (void)m;
+}
+#endif
+
+/* The response-time half of est_completions: resp[0..m) into the nsets
+ * P² blocks of p2.  Each set first finishes its warm-up, then the
+ * marker updates run with the sets interleaved element by element,
+ * which overlaps their division chains without changing any set's
+ * operation sequence.  Groups of P2_GROUP sets run in local copies so
+ * the compiler can keep them apart from resp.  With lanes set, a full
+ * group takes p2_lanes from the first response on which all its sets
+ * are past their warm-up, where this build and CPU run it.  Returns 1
+ * when some group took the lane path. */
+static i64 p2_fold(double *p2, i64 nsets, const double *resp, i64 m,
+                   int lanes) {
+    i64 laned = 0;
+    lanes = lanes && p2_lanes_ok();
+    for (i64 g = 0; g < nsets; g += P2_GROUP) {
+        i64 kg = nsets - g < P2_GROUP ? nsets - g : P2_GROUP;
+        double loc[P2_GROUP][20];
+        i64 start[P2_GROUP];
+        i64 lo = m, hi = 0;
+        for (i64 s = 0; s < kg; s++) {
+            double *b = p2 + (g + s) * P2_SIZE;
+            start[s] = p2_warm(b, resp, m);  /* m: still warming up */
+            for (i64 i = 0; i < 20; i++) loc[s][i] = b[P2_Q + i];
+            if (start[s] < lo) lo = start[s];
+            if (start[s] > hi) hi = start[s];
+        }
+        i64 stop = lanes && kg == P2_GROUP && hi < m ? hi : m;
+        for (i64 t = lo; t < stop; t++) {
+            double x = resp[t];
+            for (i64 s = 0; s < kg; s++)
+                if (t >= start[s])
+                    p2_step(loc[s], loc[s] + 5, loc[s] + 10, loc[s] + 15, x);
+        }
+        if (stop < m) {
+            p2_lanes(loc, resp + stop, m - stop);
+            laned = 1;
+        }
+        for (i64 s = 0; s < kg; s++) {
+            double *b = p2 + (g + s) * P2_SIZE;
+            if (start[s] >= m) continue;
+            for (i64 i = 0; i < 15; i++) b[P2_Q + i] = loc[s][i];
+            b[P2_COUNT] += (double)(m - start[s]);
+        }
+    }
+    return laned;
+}
+
 /* The completion half of the estimator step: one window's completions.
  *
  * Speed witnesses wit[0..nwit) (size / service time), grouped by server
  * — server s owns [offsets[s], offsets[s+1]) in its completion order —
  * fold into the estimator vector's per-server EWMA blocks (offsets
  * NULL: none).  The response times resp[0..m) fold into the nsets P²
- * blocks of p2: each set first finishes its warm-up, then the marker
- * updates run with the sets interleaved element by element, which
- * overlaps their division chains without changing any set's operation
- * sequence.  Groups of P2_GROUP sets run in local copies so the
- * compiler can keep them apart from xs.
+ * blocks of p2 (p2_fold, on the lane path where the CPU has one).
  *
  * Returns 0, or 1 when the offsets are not non-decreasing bounds
  * within [0, nwit] — checked before anything is written. */
@@ -669,31 +830,16 @@ i64 est_completions(double *st, const double *wit, i64 nwit,
             i64 lo = offsets[s], hi = offsets[s + 1];
             if (hi > lo) ewma_fold(st + ES_SPEED + s * EW_SIZE, w, wit + lo, hi - lo);
         }
-    for (i64 g = 0; g < nsets; g += P2_GROUP) {
-        i64 kg = nsets - g < P2_GROUP ? nsets - g : P2_GROUP;
-        double loc[P2_GROUP][20];
-        i64 start[P2_GROUP];
-        i64 lo = m;
-        for (i64 s = 0; s < kg; s++) {
-            double *b = p2 + (g + s) * P2_SIZE;
-            start[s] = p2_warm(b, resp, m);  /* m: still warming up */
-            for (i64 i = 0; i < 20; i++) loc[s][i] = b[P2_Q + i];
-            if (start[s] < lo) lo = start[s];
-        }
-        for (i64 t = lo; t < m; t++) {
-            double x = resp[t];
-            for (i64 s = 0; s < kg; s++)
-                if (t >= start[s])
-                    p2_step(loc[s], loc[s] + 5, loc[s] + 10, loc[s] + 15, x);
-        }
-        for (i64 s = 0; s < kg; s++) {
-            double *b = p2 + (g + s) * P2_SIZE;
-            if (start[s] >= m) continue;
-            for (i64 i = 0; i < 15; i++) b[P2_Q + i] = loc[s][i];
-            b[P2_COUNT] += (double)(m - start[s]);
-        }
-    }
+    p2_fold(p2, nsets, resp, m, 1);
     return 0;
+}
+
+/* The probe of the two P² loops: p2_fold over the nsets blocks, with
+ * the lane path allowed (lanes != 0) or not.  Returns 1 when a group
+ * took the lane path, so a caller can tell a CPU without one. */
+i64 p2_fold_probe(double *p2, i64 nsets, const double *resp, i64 m,
+                  i64 lanes) {
+    return p2_fold(p2, nsets, resp, m, lanes != 0);
 }
 
 /* ------------------------------------------------------------------

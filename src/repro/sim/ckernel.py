@@ -33,7 +33,10 @@ Beside them sit the searchsorted-style uniform→target mapping of the
 random dispatchers, the Algorithm 2 sequence extension, the two halves
 of the quasi-static controller's estimator step — ``est_arrivals`` and
 ``est_completions``, one call each per control window over state
-vectors :mod:`repro.metrics.online` owns — and the scalar Algorithm 1
+vectors :mod:`repro.metrics.online` owns, the latter advancing the
+controller's four P² sets as the four lanes of one AVX2 vector where
+the CPU has it (``p2_probe`` runs either loop for tests) — and the
+scalar Algorithm 1
 re-solve (``est_snapshot``, ``optimized_alloc``, ``survivor_alloc``),
 which sums as numpy does and so runs only where :func:`_sum_order`
 knows numpy's summation order.
@@ -100,6 +103,7 @@ __all__ = [
     "rr_extend_c",
     "est_arrivals_c",
     "est_completions_c",
+    "p2_fold_probe_c",
     "est_snapshot_c",
     "optimized_alloc_c",
     "survivor_alloc_c",
@@ -303,6 +307,13 @@ _ENTRIES: dict[str, _Entry] = {
         _c_i64_p,  # i64 scratch (3n)
         _c_double_p,  # f64 scratch (6n)
     ), sum_ordered=True),
+    "p2_probe": _Entry("p2_fold_probe", _i64, (
+        _c_double_p,  # P² blocks (in/out)
+        _i64,  # nsets
+        _c_double_p,  # response times
+        _i64,  # m
+        _i64,  # lanes allowed
+    )),
     "np_sum": _Entry("np_sum_probe", _f64, (
         _c_double_p,  # a
         _i64,  # n
@@ -998,6 +1009,26 @@ def est_completions_c(fn, state: int, witnesses: np.ndarray, offsets,
         nwit = witnesses.size
     return fn(state, wit, nwit, off, nservers, p2, nsets,
               _addr(responses), responses.size) == 0
+
+
+def p2_fold_probe_c(fn, blocks: np.ndarray, responses: np.ndarray,
+                    lanes: bool) -> bool:
+    """Fold *responses* into the P² blocks of *blocks*, in place.
+
+    The response-time half of ``est_completions`` alone, for tests:
+    ``blocks`` a contiguous float64 array of whole 27-double P² blocks,
+    ``responses`` contiguous float64.  ``lanes=False`` keeps every set
+    on the scalar loop; ``lanes=True`` lets each full group of four take
+    the AVX2 lane loop once its sets are past their warm-up, where this
+    build and CPU have one.  True when some group took the lane loop.
+    """
+    for a in (blocks, responses):
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError("P² blocks and responses must be contiguous float64")
+    if blocks.size % 27:
+        raise ValueError(f"{blocks.size} doubles are not whole 27-double P² blocks")
+    return fn(_addr(blocks), blocks.size // 27, _addr(responses),
+              responses.size, int(lanes)) == 1
 
 
 def est_snapshot_c(fn, state: int, buf: int, nominal: int, up, n: int,

@@ -99,6 +99,12 @@ def test_windowed_rate_early_times_unbiased():
     assert est.rate(10.0) == pytest.approx(2.0, rel=0.06)
 
 
+@pytest.mark.parametrize("window", [math.nan, 0.0, -5.0])
+def test_windowed_rate_refuses_a_window_that_is_not_positive(window):
+    with pytest.raises(ValueError, match="window must be positive"):
+        WindowedRateEstimator(window)
+
+
 def test_windowed_rate_empty_window_reads_zero():
     est = WindowedRateEstimator(window=10.0)
     est.observe(1.0)

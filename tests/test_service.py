@@ -228,7 +228,17 @@ class TestServiceConfigBounds:
          ("duration", {"duration": math.nan}),
          ("duration", {"duration": math.inf}),
          ("control_period", {"control_period": math.nan}),
-         ("slo_target", {"slo_target": math.nan})],
+         ("slo_target", {"slo_target": math.nan}),
+         ("estimator_window", {"estimator_window": math.nan}),
+         ("estimator_window", {"estimator_window": -5.0}),
+         ("ewma_weight", {"ewma_weight": math.nan}),
+         ("ewma_weight", {"ewma_weight": 0.0}),
+         ("shed_threshold", {"shed_threshold": math.nan}),
+         ("shed_threshold", {"shed_threshold": 2.0}),
+         ("rho_cap", {"rho_cap": math.nan}),
+         ("rho_cap", {"rho_cap": 1.0}),
+         ("max_shed_fraction", {"max_shed_fraction": math.nan}),
+         ("max_shed_fraction", {"max_shed_fraction": 0.0})],
     )
     def test_non_finite_value_is_refused_naming_its_field(self, field, kw):
         args = {"speeds": SPEEDS, "duration": 1000.0, "control_period": 100.0}
@@ -242,6 +252,23 @@ class TestServiceConfigBounds:
         assert "error: speeds must be positive and finite" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [("--window", "nan", "estimator_window must be positive"),
+         ("--window", "-5", "estimator_window must be positive"),
+         ("--shed-threshold", "2", "shed_threshold must lie in (0, 1)"),
+         ("--shed-threshold", "nan", "shed_threshold must lie in (0, 1)")],
+    )
+    def test_serve_with_a_bad_bound_exits_2_naming_it(self, capsys, flag,
+                                                      value, message):
+        code = main(["serve", "--speeds", "1,2,3", "--utilization", "0.5",
+                     "--duration", "200", "--resolve-period", "100",
+                     "--seed", "1", flag, value, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"error: {message}" in err
+        assert out == ""
 
 
 class TestSchedulerService:
