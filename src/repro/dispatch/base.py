@@ -28,13 +28,6 @@ class Dispatcher(abc.ABC):
     #: dispatchers are eligible for the vectorized fast simulation path.
     is_static: bool = True
 
-    #: True when the target sequence is a pure function of the arrival
-    #: *count* — no randomness, no dependence on job sizes.  The fast
-    #: path may then serve decisions from a process-level memo: the
-    #: sequence for N jobs is a prefix of the sequence for M > N jobs,
-    #: so replications sharing one α vector compute it once.
-    sequence_deterministic: bool = False
-
     def __init__(self):
         self.alphas: np.ndarray | None = None
 

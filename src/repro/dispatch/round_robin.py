@@ -63,10 +63,6 @@ class RoundRobinDispatcher(StaticDispatcher):
     """
 
     name = "round_robin"
-    # Algorithm 2 never looks at job sizes or random numbers: the target
-    # sequence is a pure function of (alphas, arrival count), so the
-    # fast path may memoize it across replications.
-    sequence_deterministic = True
 
     def __init__(self, guard_init: float = 1.0):
         super().__init__()
@@ -341,7 +337,6 @@ class SequenceRoundRobin(StaticDispatcher):
     """
 
     name = "round_robin"
-    sequence_deterministic = True
 
     def __init__(self, guard_init: float = 1.0):
         super().__init__()

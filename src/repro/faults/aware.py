@@ -104,9 +104,6 @@ class FailureAwareDispatcher(Dispatcher):
 
     name = "failure_aware"
     is_static = True
-    # Alphas change mid-run on failures, so the fast path's dispatch
-    # memo must never serve this wrapper's sequences.
-    sequence_deterministic = False
 
     def __init__(self, inner: Dispatcher, allocator: Allocator, speeds):
         super().__init__()

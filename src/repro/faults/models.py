@@ -28,6 +28,7 @@ parallel executions trivially identical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,17 @@ class RetryPolicy:
     max_delay: float = 60.0
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        # An integer count: with NaN, ``failed >= max_attempts`` would
+        # never hold and no job would ever be lost.
+        try:
+            max_attempts = operator.index(self.max_attempts)
+        except TypeError:
+            max_attempts = 0
+        if isinstance(self.max_attempts, bool) or max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
+            )
+        object.__setattr__(self, "max_attempts", max_attempts)
         if not self.base_delay >= 0:
             raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
         if not self.backoff >= 1.0:

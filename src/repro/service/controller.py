@@ -205,6 +205,10 @@ class QuasiStaticController:
             raise ValueError(
                 f"max_shed_fraction must lie in (0, 1), got {max_shed_fraction}"
             )
+        # NaN would never swap, and a negative tolerance would swap (and
+        # restart the dispatch sequence) at every boundary.
+        if not swap_tolerance >= 0.0:
+            raise ValueError(f"swap_tolerance must be >= 0, got {swap_tolerance}")
         speeds = np.asarray(nominal_speeds, dtype=float)
         self.estimator = OnlineWorkloadEstimator(
             speeds, window=window, ewma_weight=ewma_weight

@@ -33,7 +33,11 @@ server — and every resident of a server that fails — bounces through
 the :class:`~repro.faults.models.RetryPolicy`: it re-enters the stream
 at ``bounce_time + delay`` with its original arrival as response-time
 origin, or counts as lost once ``max_attempts`` placements failed (or
-immediately under ``on_failure="lose"``).  The dispatch sequence
+immediately under ``on_failure="lose"``).  Pending retries wait in one
+``(k, 4)`` float block of ``[due, origin, size, failed placements]``
+rows sorted by due time, ties in bounce order: each bounce batch is
+merged in by one stable sort on due time, and each window takes the
+due rows as one prefix.  The dispatch sequence
 stays immutable within the window even when a failure lands
 mid-window; the controller learns of the membership change (failure
 detector) and the *next boundary* re-solve runs out-of-band over the
@@ -62,7 +66,6 @@ experiment, not just a demo.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -75,7 +78,6 @@ from ..faults.models import (
     UP,
     FaultConfig,
     FaultEvent,
-    RetryPolicy,
     build_timeline,
 )
 from ..obs import counters
@@ -157,6 +159,10 @@ class ServiceConfig:
             raise ValueError(
                 f"estimator_window must be positive, got {self.estimator_window}"
             )
+        if not self.swap_tolerance >= 0:
+            raise ValueError(
+                f"swap_tolerance must be >= 0, got {self.swap_tolerance}"
+            )
         if not 0 < self.ewma_weight <= 1:
             raise ValueError(f"ewma_weight must lie in (0, 1], got {self.ewma_weight}")
         for name in ("shed_threshold", "rho_cap", "max_shed_fraction"):
@@ -226,18 +232,14 @@ class SchedulerService:
         self.fault_events: list[FaultEvent] = sorted(
             timeline or [], key=lambda e: (e.time, e.server, e.kind)
         )
-        fc = config.faults
-        self._retry: RetryPolicy = fc.retry if fc is not None else RetryPolicy()
-        self._on_failure = fc.on_failure if fc is not None else "retry"
-        self._degrade_factor = fc.degrade_factor if fc is not None else 0.5
+        # Retry policy, on_failure and degrade_factor (a scripted
+        # timeline may come without a config).
+        self._faults = config.faults or FaultConfig()
         self._event_pos = 0
-        # Pending retries, heap-ordered by (due time, insertion seq):
-        # (due, seq, origin arrival, size, failed placements).  The seq
-        # tie-break reproduces the schedule order a stable sort by due
-        # time would give, while due-time re-entry pops the heap front
-        # instead of scanning the whole list every window.
-        self._pending: list[tuple] = []
-        self._pending_seq = 0
+        # Pending retries, a (k, 4) block of [due, origin arrival, size,
+        # failed placements] rows sorted by due time, ties in bounce
+        # order.
+        self._pending = np.empty((0, 4))
         self._degrade_level = [0] * len(config.speeds)
 
         if checkpoint_every < 1:
@@ -426,40 +428,45 @@ class SchedulerService:
     # Fault-mode window (segment dispatch, cut at fault events)
     # ------------------------------------------------------------------
 
-    def _bounce(self, now: float, origin: float, size: float, attempts: int) -> str:
-        """A placement just failed; retry or lose the job.
+    def _bounce(self, now, origins, sizes, attempts) -> tuple[int, int]:
+        """Placements just failed: queue each job's retry or lose it.
 
-        *attempts* counts failed placements *before* this one.  Returns
-        ``"lost"`` or ``"retried"``; :meth:`_bounce_many` counts them.
+        The jobs come as aligned arrays in bounce order; *now* is the
+        bounce time (one for all, or one per job) and *attempts* counts
+        each job's failed placements before this one.  A job is lost
+        once ``max_attempts`` placements failed (at once under
+        ``on_failure="lose"``); the others become due after
+        ``RetryPolicy.delay(attempts)`` and join the pending block
+        behind every row due no later, which keeps it sorted by due
+        time with ties in bounce order.  Returns ``(lost, retried)``
+        and adds them to the service counters.
         """
-        failed = attempts + 1
-        if self._on_failure == "lose" or failed >= self._retry.max_attempts:
-            return "lost"
-        due = now + self._retry.delay(attempts)
-        heapq.heappush(
-            self._pending,
-            (float(due), self._pending_seq, float(origin), float(size), int(failed)),
+        retry = self._faults.retry
+        attempts = np.asarray(attempts).astype(np.int64)
+        keep = (attempts + 1 < retry.max_attempts) & (
+            self._faults.on_failure == "retry"
         )
-        self._pending_seq += 1
-        return "retried"
-
-    def _bounce_many(self, jobs) -> tuple[int, int]:
-        """:meth:`_bounce` each ``(now, origin, size, attempts)`` in order.
-
-        Returns ``(lost, retried)`` and adds them to the service
-        counters.
-        """
-        lost = sum(self._bounce(*job) == "lost" for job in jobs)
-        retried = len(jobs) - lost
+        retried = int(np.count_nonzero(keep))
+        lost = attempts.size - retried
         if lost:
             counters.inc("service.jobs_lost", value=lost)
         if retried:
             counters.inc("service.jobs_retried", value=retried)
+            # The scalar delay, once per distinct attempt count: a
+            # vector backoff**k need not round like libm's pow.
+            ks = np.unique(attempts)
+            waits = np.array([retry.delay(int(k)) for k in ks], dtype=float)
+            due = now + waits[np.searchsorted(ks, attempts)]
+            rows = np.column_stack([due, origins, sizes, attempts + 1])[keep]
+            # A stable sort of the block followed by the batch orders
+            # equal due times by bounce order.
+            block = np.concatenate([self._pending, rows])
+            self._pending = block[np.argsort(block[:, 0], kind="stable")]
         return lost, retried
 
     def _apply_degrade(self, server: int, now: float) -> None:
         level = self._degrade_level[server]
-        self.bank.set_speed_factor(server, now, self._degrade_factor**level)
+        self.bank.set_speed_factor(server, now, self._faults.degrade_factor**level)
 
     def _run_window_faulted(self, start: float, end: float) -> None:
         step = self.step
@@ -471,33 +478,21 @@ class SchedulerService:
         # for time d re-enters the sequence as an arrival at max(d,
         # start) — bounces become eligible at the *next* window, never
         # inside the one that bounced them.  Ties go to fresh arrivals
-        # (stable sort, arrivals listed first).
-        # Heap pops come out ordered by (due, insertion seq) — exactly
-        # the stable sort by due time the list scan used to do, at
-        # O(due · log pending) instead of two full-list passes.
-        due: list[tuple] = []
-        while self._pending and self._pending[0][0] <= end:
-            due.append(heapq.heappop(self._pending))
-        if due:
-            job_times = np.concatenate(
-                [adm_times, [max(r[0], start) for r in due]]
-            )
-            job_sizes = np.concatenate([adm_sizes, [r[3] for r in due]])
-            job_origins = np.concatenate([adm_times, [r[2] for r in due]])
-            job_attempts = np.concatenate(
-                [np.zeros(adm_times.size, dtype=np.int64),
-                 np.asarray([r[4] for r in due], dtype=np.int64)]
-            )
+        # (stable sort, arrivals listed first); the due retries are the
+        # block's prefix, already in (due, bounce) order.
+        n_due = int(np.searchsorted(self._pending[:, 0], end, side="right"))
+        due, self._pending = self._pending[:n_due], self._pending[n_due:]
+        job_times, job_sizes, job_origins = adm_times, adm_sizes, adm_times
+        job_attempts = np.zeros(adm_times.size, dtype=np.int64)
+        if n_due:
+            job_times = np.concatenate([adm_times, np.maximum(due[:, 0], start)])
             order = np.argsort(job_times, kind="stable")
             job_times = job_times[order]
-            job_sizes = job_sizes[order]
-            job_origins = job_origins[order]
-            job_attempts = job_attempts[order]
-        else:
-            job_times = adm_times
-            job_sizes = adm_sizes
-            job_origins = adm_times
-            job_attempts = np.zeros(adm_times.size, dtype=np.int64)
+            job_sizes = np.concatenate([adm_sizes, due[:, 2]])[order]
+            job_origins = np.concatenate([adm_times, due[:, 1]])[order]
+            job_attempts = np.concatenate(
+                [job_attempts, due[:, 3].astype(np.int64)]
+            )[order]
 
         # The window's dispatch sequence is fixed up front — a failure
         # mid-window never rewrites it (Algorithm 2's invariant); the
@@ -531,10 +526,10 @@ class SchedulerService:
                 )
                 idx = np.flatnonzero(np.isnan(dep)) + pos
                 if idx.size:
-                    n_lost, n_retried = self._bounce_many(list(zip(
-                        job_times[idx].tolist(), job_origins[idx].tolist(),
-                        job_sizes[idx].tolist(), job_attempts[idx].tolist(),
-                    )))
+                    n_lost, n_retried = self._bounce(
+                        job_times[idx], job_origins[idx],
+                        job_sizes[idx], job_attempts[idx],
+                    )
                     lost += n_lost
                     retried += n_retried
                 pos = stop
@@ -547,10 +542,10 @@ class SchedulerService:
                 if self.bank.up[ev.server]:
                     residents = self.bank.fail(ev.server, ev.time)
                     controller.mark_server_down(ev.server, ev.time)
-                    n_lost, n_retried = self._bounce_many([
-                        (ev.time, origin, size, int(att))
-                        for origin, size, att in residents.tolist()
-                    ])
+                    n_lost, n_retried = self._bounce(
+                        ev.time, residents[:, 0], residents[:, 1],
+                        residents[:, 2],
+                    )
                     lost += n_lost
                     retried += n_retried
             elif ev.kind == UP:
@@ -569,31 +564,21 @@ class SchedulerService:
                 )
                 self._apply_degrade(ev.server, ev.time)
 
-        mrt, ratio = self._fold_completions()
+        # Completion-based accounting: response times span retries
+        # (departure minus *original* arrival) and land in the window
+        # the job finished in; the block holds one server-major collect
+        # run per segment, so the speed witnesses come regrouped by
+        # server (stable), keeping each server's completion order.
+        rows, witnesses, offsets, responses = self.bank.take_completions()
+        mrt, ratio = step.fold(
+            witnesses, offsets, responses, rows[:, 2], sequential=True
+        )
         step.close(
             start, end, offered=int(times.size), admitted=int(adm_times.size),
             mrt=mrt, ratio=ratio, completed=completed,
             # Every bounce is either lost or retried.
             lost=lost, retried=retried, bounced=lost + retried,
             servers_up=int(np.count_nonzero(self.bank.up)),
-        )
-
-    def _fold_completions(self) -> tuple[float, float]:
-        """Fold a fault-mode window's completions through the step.
-
-        Completion-based accounting: response times span retries
-        (departure minus *original* arrival) and land in the window the
-        job actually finished in; they reach the quantiles in completion
-        order and the means sum left to right.  The bank's completion
-        block holds one server-major
-        :meth:`ServerBank.collect_completions` run per fault segment,
-        so it is server-major only *within* a segment — the speed
-        witnesses come regrouped by server (stable), keeping each
-        server's completion order.
-        """
-        rows, witnesses, offsets, responses = self.bank.take_completions()
-        return self.step.fold(
-            witnesses, offsets, responses, rows[:, 2], sequential=True
         )
 
     # ------------------------------------------------------------------
@@ -610,10 +595,10 @@ class SchedulerService:
             "gate": step.gate.state_dict(),
             "bank": self.bank.state_dict(),
             "dispatcher": step.dispatcher.state_dict(),
-            # External format unchanged from the list era: 4-field
-            # records in (due, schedule) order, no heap internals.
+            # 4-field [due, origin, size, failed] rows in block order.
             "pending": [
-                [r[0], r[2], r[3], r[4]] for r in sorted(self._pending)
+                [due, origin, size, int(failed)]
+                for due, origin, size, failed in self._pending.tolist()
             ],
             "degrade_level": [int(x) for x in self._degrade_level],
             "event_pos": int(self._event_pos),
@@ -648,15 +633,20 @@ class SchedulerService:
         self.bank.load_state(state["bank"])
         step.dispatcher = step.new_dispatcher()
         step.dispatcher.load_state(state["dispatcher"])
-        # Re-number insertion seqs in checkpointed (due, schedule)
-        # order: future pops keep breaking due-time ties exactly as the
-        # uninterrupted run would.
-        self._pending = [
-            (float(r[0]), seq, float(r[1]), float(r[2]), int(r[3]))
-            for seq, r in enumerate(state["pending"])
-        ]
-        self._pending_seq = len(self._pending)
-        heapq.heapify(self._pending)
+        pending = [[float(x) for x in r] for r in state["pending"]]
+        # A due of +inf is a retry that never comes due (max_delay=inf
+        # writes one); NaN anywhere would break the due-time order.
+        if not all(
+            len(r) == 4 and -math.inf < r[0] and all(map(math.isfinite, r[1:]))
+            for r in pending
+        ):
+            raise ValueError(
+                "checkpoint pending retries must be [due, origin, size, "
+                "failed] rows of numbers, finite but for a +inf due"
+            )
+        # A stable sort by due keeps the saved order among ties.
+        block = np.array(pending).reshape(-1, 4)
+        self._pending = block[np.argsort(block[:, 0], kind="stable")]
         self._degrade_level = [int(x) for x in state["degrade_level"]]
         self._event_pos = int(state["event_pos"])
         self._start_window = int(state["next_window"])

@@ -358,12 +358,10 @@ _REPLAY_CORES = {
 
 
 def _dispatch_targets(dispatcher: Dispatcher, sizes: np.ndarray) -> np.ndarray:
-    """All stage-2 decisions, memoized for sequence-deterministic
-    dispatchers (bit-identical to calling ``select_batch`` directly)."""
+    """All stage-2 decisions, memoized for Algorithm 2 round robin
+    (bit-identical to calling ``select_batch`` directly)."""
     with span("dispatch", jobs=int(sizes.size)) as sp:
-        if dispatcher.sequence_deterministic and isinstance(
-            dispatcher, RoundRobinDispatcher
-        ):
+        if isinstance(dispatcher, RoundRobinDispatcher):
             targets, status = build_dispatch_sequence(
                 dispatcher.alphas, sizes.size, guard_init=dispatcher.guard_init
             )
@@ -518,7 +516,7 @@ def run_static_simulation(
         *materialize_streams(config, seed), config.speeds
     )
     # Stage 2 — all dispatch decisions (memoized across replications
-    # for sequence-deterministic dispatchers like weighted round robin).
+    # for weighted round robin).
     dispatcher.reset(alphas)
     targets = _dispatch_targets(dispatcher, sizes)
     return _replay_cell_plans(
@@ -653,9 +651,7 @@ def run_cell(
                     if targets is None:
                         targets = dispatcher.select_batch_given(u_shared)
                         random_memo[key] = targets
-            elif isinstance(dispatcher, RoundRobinDispatcher) and (
-                dispatcher.sequence_deterministic
-            ):
+            elif isinstance(dispatcher, RoundRobinDispatcher):
                 key = (
                     sequence_memo_key(dispatcher.alphas, dispatcher.guard_init),
                     int(sizes.size),

@@ -111,6 +111,18 @@ class TestFaultConfig:
         with pytest.raises(ValueError, match=field):
             FaultConfig.parse(spec)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, True, "5", 0, -3])
+    def test_retry_max_attempts_must_be_an_integer_of_at_least_one(self, bad):
+        """``nan < 1`` is False, and with NaN ``failed >= max_attempts``
+        never holds: no job would ever be lost."""
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=bad)
+
+    def test_retry_max_attempts_takes_any_integer_type(self):
+        rp = RetryPolicy(max_attempts=np.int64(3))
+        assert rp.max_attempts == 3 and type(rp.max_attempts) is int
+        assert RetryPolicy(max_attempts=10**9).max_attempts == 10**9
+
     def test_config_rejects_wrong_type(self):
         with pytest.raises(TypeError):
             _config(faults="mtbf=500")

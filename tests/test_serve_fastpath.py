@@ -12,6 +12,7 @@ matrix runs the file on both.
 
 import heapq
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.dispatch import (
     dispatch_sequence_slice,
 )
 from repro.distributions.fitting import distribution_from_mean_cv
-from repro.faults.models import FaultEvent
+from repro.faults.models import FaultConfig, FaultEvent, RetryPolicy
 from repro.metrics.online import (
     _P2,
     EwmaEstimator,
@@ -565,43 +566,142 @@ class TestReferenceVsFast:
 
 
 # ---------------------------------------------------------------------------
-# Pending-retry heap
+# Pending-retry block
 # ---------------------------------------------------------------------------
 
 
-class TestPendingRetryHeap:
-    def test_bounce_orders_by_due_then_schedule(self):
-        svc = _service(False)
-        # Two distinct due times plus a tie: pops must come back sorted
-        # by due time with the tie broken by bounce order.
-        svc._bounce(10.0, 1.0, 5.0, 0)   # due 10 + delay
-        svc._bounce(2.0, 2.0, 6.0, 0)
-        svc._bounce(10.0, 3.0, 7.0, 0)   # same due as the first
-        popped = [heapq.heappop(svc._pending) for _ in range(3)]
-        assert [r[2] for r in popped] == [2.0, 1.0, 3.0]
-        assert popped[0][0] < popped[1][0] == popped[2][0]
+def _retry_service(policy: RetryPolicy, on_failure: str = "retry"):
+    """A fault-mode service (scripted, empty timeline) for bounce tests."""
+    cfg = ServiceConfig(
+        speeds=(1.0, 2.0, 3.0), duration=400.0, control_period=10.0,
+        faults=FaultConfig(on_failure=on_failure, retry=policy),
+    )
+    return SchedulerService(cfg, TraceJobSource([1.0], [1.0]), fault_events=[])
 
-    def test_checkpoint_format_stays_four_field(self):
-        """The external checkpoint format predates the heap: 4-field
-        [due, origin, size, attempts] records in due order, no heap
-        internals — old checkpoints restore into the heap unchanged."""
-        svc = _service(False)
-        svc._bounce(10.0, 1.0, 5.0, 0)
-        svc._bounce(2.0, 2.0, 6.0, 0)
+
+def _heap_bounce(heap, seq, policy, on_failure, now, origins, sizes, attempts):
+    """The per-job retry heap the block replaces, as an oracle: each job
+    in bounce order is lost or pushed as (due, seq, origin, size, failed).
+    Returns (lost, retried, next seq)."""
+    lost = 0
+    for t, origin, size, att in zip(np.broadcast_to(now, len(origins)).tolist(),
+                                    origins, sizes, attempts):
+        if on_failure == "lose" or att + 1 >= policy.max_attempts:
+            lost += 1
+            continue
+        heapq.heappush(heap, (t + policy.delay(att), seq, origin, size, att + 1))
+        seq += 1
+    return lost, len(origins) - lost, seq
+
+
+def _heap_rows(heap):
+    return [[due, origin, size, failed]
+            for due, _, origin, size, failed in sorted(heap)]
+
+
+_policies = st.builds(
+    RetryPolicy,
+    max_attempts=st.integers(min_value=1, max_value=5),
+    base_delay=st.sampled_from([0.0, 0.3, 1.0]),
+    backoff=st.sampled_from([1.0, 1.7, 2.0]),
+    max_delay=st.sampled_from([1.0, 4.0, 60.0]),
+)
+# Few distinct times, so equal due times occur within and across batches.
+_times = st.sampled_from([0.0, 1.0, 1.3, 2.0, 5.0, 9.7])
+_batch = st.tuples(
+    st.booleans(),  # one bounce time for the batch (residents) or per job
+    _times,
+    st.lists(st.tuples(_times, st.integers(min_value=0, max_value=4)),
+             max_size=8),
+    st.one_of(st.none(), _times),  # a window start taking the due rows
+)
+
+
+class TestPendingRetryBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(policy=_policies, lose=st.booleans(),
+           batches=st.lists(_batch, max_size=8))
+    def test_block_matches_the_retry_heap(self, policy, lose, batches):
+        on_failure = "lose" if lose else "retry"
+        svc = _retry_service(policy, on_failure)
+        heap, seq, job = [], 0, 0
+        for scalar_now, now, jobs, window_end in batches:
+            n = len(jobs)
+            origins = np.arange(job, job + n, dtype=float)
+            sizes = origins * 0.5 + 0.25
+            job += n
+            # Attempts run up to max_attempts - 1: the last retry is lost.
+            attempts = np.array(
+                [min(a, policy.max_attempts - 1) for _, a in jobs],
+                dtype=np.int64,
+            )
+            when = now if scalar_now else np.array([t for t, _ in jobs])
+            lost, retried, seq = _heap_bounce(
+                heap, seq, policy, on_failure, when,
+                origins.tolist(), sizes.tolist(), attempts.tolist(),
+            )
+            assert svc._bounce(when, origins, sizes, attempts) == (lost, retried)
+            assert svc._pending.tolist() == _heap_rows(heap)
+            if window_end is not None:
+                # A window start takes every row due by its end, as the
+                # heap popped them: the block's prefix.
+                k = int(np.searchsorted(svc._pending[:, 0], window_end,
+                                        side="right"))
+                popped = []
+                while heap and heap[0][0] <= window_end:
+                    popped.append(heapq.heappop(heap))
+                assert svc._pending[:k].tolist() == _heap_rows(popped)
+                svc._pending = svc._pending[k:]
+        assert svc.state_dict(1, ServiceReport(config=svc.config))[
+            "pending"] == _heap_rows(heap)
+
+    def test_state_dict_pending_json_is_unchanged(self):
+        """The same bounces write the same checkpoint text as the heap
+        did: [due, origin, size, failed] rows, due order, ties in bounce
+        order (10.51 twice, across two batches)."""
+        svc = _retry_service(RetryPolicy(max_attempts=4, base_delay=0.3,
+                                         backoff=1.7, max_delay=5.0))
+        svc._bounce(10.0, np.array([1.5, 2.25, 3.125]),
+                    np.array([0.5, 1.1, 2.7]), np.array([0.0, 2.0, 1.0]))
+        svc._bounce(np.array([10.0, 10.3, 11.9, 12.0]),
+                    np.array([4.0, 5.0, 6.0, 7.0]),
+                    np.array([0.25, 3.5, 1.0, 0.75]),
+                    np.array([1, 0, 3, 0]))
         state = svc.state_dict(1, ServiceReport(config=svc.config))
-        pending = state["pending"]
-        assert all(len(r) == 4 for r in pending)
-        assert pending == sorted(pending)
-
-        other = _service(False)
-        other.restore(state)
-        assert sorted(other._pending) == sorted(
-            (r[0], i, r[1], r[2], r[3]) for i, r in enumerate(pending)
+        assert json.dumps(state["pending"]) == (
+            "[[10.3, 1.5, 0.5, 1], [10.51, 3.125, 2.7, 2], "
+            "[10.51, 4.0, 0.25, 2], [10.600000000000001, 5.0, 3.5, 1], "
+            "[10.866999999999999, 2.25, 1.1, 3], [12.3, 7.0, 0.75, 1]]"
         )
-        # Restored pops continue in the same order as the original heap.
-        a = [heapq.heappop(svc._pending)[2:] for _ in range(2)]
-        b = [heapq.heappop(other._pending)[2:] for _ in range(2)]
-        assert a == b
+
+    def test_restore_sorts_rows_by_due_keeping_ties_in_saved_order(self):
+        svc = _retry_service(RetryPolicy())
+        state = svc.state_dict(1, ServiceReport(config=svc.config))
+        state["pending"] = [[5.0, 1.0, 1.0, 1], [2.0, 2.0, 2.0, 1],
+                            [5.0, 3.0, 3.0, 2], [2.0, 4.0, 4.0, 1],
+                            [math.inf, 5.0, 5.0, 3]]
+        other = _retry_service(RetryPolicy())
+        other.restore(state)
+        resumed = other.state_dict(1, ServiceReport(config=other.config))
+        assert resumed["pending"] == [
+            [2.0, 2.0, 2.0, 1], [2.0, 4.0, 4.0, 1], [5.0, 1.0, 1.0, 1],
+            [5.0, 3.0, 3.0, 2], [math.inf, 5.0, 5.0, 3],
+        ]
+        # New bounces join behind the restored rows due no later.
+        other._bounce(1.0, np.array([6.0]), np.array([6.0]), np.array([0]))
+        assert other._pending[:, 1].tolist() == [2.0, 4.0, 6.0, 1.0, 3.0, 5.0]
+
+    @pytest.mark.parametrize("row", [
+        [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 1, 0], [math.nan, 1.0, 1.0, 1],
+        [1.0, math.inf, 1.0, 1], [1.0, 1.0, math.nan, 1],
+        [1.0, 1.0, 1.0, math.inf], [-math.inf, 1.0, 1.0, 1],
+    ])
+    def test_restore_refuses_a_malformed_pending_row(self, row):
+        svc = _retry_service(RetryPolicy())
+        state = svc.state_dict(1, ServiceReport(config=svc.config))
+        state["pending"] = [[1.0, 1.0, 1.0, 1], row]
+        with pytest.raises(ValueError, match="pending"):
+            _retry_service(RetryPolicy()).restore(state)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.service import (
     SyntheticJobSource,
     TraceJobSource,
 )
+from repro.service.controller import QuasiStaticController
 from repro.service.window import window_bounds, window_count
 from repro.sim.arrivals import Workload
 from repro.sim.modulated import step_profile
@@ -238,12 +239,30 @@ class TestServiceConfigBounds:
          ("rho_cap", {"rho_cap": math.nan}),
          ("rho_cap", {"rho_cap": 1.0}),
          ("max_shed_fraction", {"max_shed_fraction": math.nan}),
-         ("max_shed_fraction", {"max_shed_fraction": 0.0})],
+         ("max_shed_fraction", {"max_shed_fraction": 0.0}),
+         ("swap_tolerance", {"swap_tolerance": math.nan}),
+         ("swap_tolerance", {"swap_tolerance": -1.0})],
     )
     def test_non_finite_value_is_refused_naming_its_field(self, field, kw):
         args = {"speeds": SPEEDS, "duration": 1000.0, "control_period": 100.0}
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{**args, **kw})
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_controller_refuses_a_swap_tolerance_below_zero_or_nan(self, tol):
+        """NaN never swaps (the run stays on the initial split) and a
+        negative tolerance swaps at every boundary, restarting the
+        dispatch sequence each time."""
+        with pytest.raises(ValueError, match="swap_tolerance"):
+            QuasiStaticController(np.array(SPEEDS), window=10.0,
+                                  swap_tolerance=tol)
+
+    def test_zero_swap_tolerance_is_accepted(self):
+        ServiceConfig(speeds=SPEEDS, duration=1000.0, control_period=100.0,
+                      swap_tolerance=0.0)
+        ctl = QuasiStaticController(np.array(SPEEDS), window=10.0,
+                                    swap_tolerance=0.0)
+        assert ctl.swap_tolerance == 0.0
 
     def test_serve_with_a_nan_speed_exits_2_naming_speeds(self, capsys):
         code = main(["serve", "--speeds", "nan,1", "--utilization", "0.5",
