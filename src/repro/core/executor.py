@@ -2,7 +2,7 @@
 
 An entire sweep — every (sweep point × policy × replication) cell of a
 figure — flattens into one task list and fans out across worker
-processes.  Three properties make this the backbone of every experiment
+processes.  These properties make it the backbone of every experiment
 runner:
 
 * **One pool per process.**  The ``ProcessPoolExecutor`` is created
@@ -16,22 +16,26 @@ runner:
   caller aggregates outcomes keyed by task — never by completion order.
   ``n_jobs=1`` bypasses the pool (and pickling) entirely.
 * **Failure isolation.**  A crashing task does not poison the pool: the
-  worker captures the traceback per task and the parent raises one
-  aggregate :class:`GridTaskError` naming the failed cells.
-* **One ledger.**  Both runners — the flat per-replication grid and the
-  whole-cell grid — look every member up in the sweep checkpoint, then
-  the replication cache, and file each finished outcome into both the
-  same way (:class:`_Ledger`); they differ only in how they execute
-  what is left.
+  worker captures the traceback per task, a dead or stuck worker costs
+  only the work it held, and the parent raises one aggregate
+  :class:`GridTaskError` naming the failed cells.
+* **One ledger, one scheduler.**  Both runners — the flat
+  per-replication grid and the whole-cell grid — look every member up
+  in the sweep checkpoint, then the replication cache, and file each
+  finished outcome into both the same way (:class:`_Ledger`).  What is
+  left runs as *units* — a :class:`ReplicationTask`, or one
+  replication-chunk slice of a cell — either in process
+  (:func:`_run_serial`) or through :func:`_run_pool`, the only code
+  that submits work to the shared pool.  Both hand back each unit's
+  rows as it settles, so the cache and checkpoint grow cell by cell.
+  A unit that dies or times out is charged as a whole: every member of
+  a cell slice gets the failure.
 
-Hardening knobs (all off by default — the default path is byte-for-byte
-the original fast path):
+The flat grid adds hardening knobs (all off by default):
 
 * ``retries`` — transient failures (a task raising, a worker process
   dying, a task timing out) are retried up to N times with a bounded
-  exponential backoff before counting as failed.  A worker killed
-  mid-task breaks the whole pool; the executor rebuilds it and
-  resubmits every in-flight task.
+  exponential backoff before counting as failed.
 * ``task_timeout`` — wall-clock budget per task (parallel runs only).
   A task past its deadline is treated as crashed: the pool is recycled
   and the task retried or failed.
@@ -39,9 +43,11 @@ the original fast path):
   into ``GridReport.failures`` as structured :class:`TaskFailure`
   records (naming the sweep point, policy, and replication) instead of
   aborting the whole grid.
-* ``checkpoint`` — a :class:`~repro.core.checkpoint.SweepCheckpoint`;
-  finished cells are appended as they complete and skipped on re-runs
-  (``repro run --resume``).
+
+Either grid takes a ``checkpoint`` — a
+:class:`~repro.core.checkpoint.SweepCheckpoint`; finished cells are
+appended as they complete and skipped on re-runs (``repro run
+--resume``).
 
 ``n_jobs`` resolution: explicit argument > ``REPRO_JOBS`` environment
 variable > 1 (serial).  The string ``"auto"`` maps to ``os.cpu_count()``.
@@ -53,6 +59,7 @@ import atexit
 import os
 import time
 import traceback
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -93,20 +100,18 @@ __all__ = [
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
-#: Test seam: when set (before workers fork), every worker invocation
-#: calls ``_TEST_WORKER_HOOK(task)`` first — fault-injection tests use
-#: it to crash or stall specific tasks.  Never set in production.
+#: Test seam: when set (before workers fork), every unit calls
+#: ``_TEST_WORKER_HOOK(task)`` with each member's :class:`ReplicationTask`
+#: before it runs — fault-injection tests use it to crash or stall
+#: specific members.  Never set in production.
 _TEST_WORKER_HOOK = None
 
 #: Bounded backoff between retry attempts of a failed task (seconds).
 _RETRY_BASE_DELAY = 0.05
 _RETRY_MAX_DELAY = 2.0
 
-#: Grids at or below this many pending tasks run in-process even when
-#: ``n_jobs > 1``: spinning up (or round-tripping) worker processes
-#: costs more than a handful of replications, and serial execution is
-#: bit-identical anyway.  Applies only to the unhardened path — retries,
-#: timeouts, and the test worker hook always get real workers.
+#: Grids at or below this many pending members run in process even when
+#: ``n_jobs > 1`` (see :func:`_runs_serial`).
 _AUTO_SERIAL_TASKS = 4
 
 
@@ -296,6 +301,7 @@ class _Ledger:
         self.checkpoint = checkpoint
         self.report = GridReport(outcomes={})
         self._cache_keys: dict[Hashable, str] = {}
+        self._names: dict[Hashable, str] = {}
         self._failures: list[TaskFailure] = []
         self._total = 0
         self._t_simulate = 0.0
@@ -332,27 +338,28 @@ class _Ledger:
                     counters.inc("cache.miss")
                     report.cache_misses += 1
                 pending.add(task.key)
+                self._names[task.key] = task.policy_name
         self._total = len(members)
         report.timings["cache_lookup"] = time.perf_counter() - t0
         self._t_simulate = time.perf_counter()
         return pending
 
-    def settle(self, key: Hashable, outcome: Outcome | None,
-               error: str | None, policy_name: str,
-               attempts: int = 1) -> None:
-        """File one finished member: its outcome, or its failure."""
-        self.report.retried += attempts - 1
-        if error is not None:
-            self._failures.append(
-                TaskFailure(key=key, policy_name=policy_name,
-                            attempts=attempts, error=error)
-            )
-            return
-        self.report.outcomes[key] = outcome
-        if self.cache is not None:
-            self.cache.put(self._cache_keys[key], outcome)
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, outcome)
+    def settle(self, rows, attempts: int = 1) -> None:
+        """File one finished unit's ``(key, outcome, error)`` rows: each
+        outcome, or its failure."""
+        for key, outcome, error in rows:
+            self.report.retried += attempts - 1
+            if error is not None:
+                self._failures.append(
+                    TaskFailure(key=key, policy_name=self._names[key],
+                                attempts=attempts, error=error)
+                )
+                continue
+            self.report.outcomes[key] = outcome
+            if self.cache is not None:
+                self.cache.put(self._cache_keys[key], outcome)
+            if self.checkpoint is not None:
+                self.checkpoint.record(key, outcome)
 
     def close(self, quarantine: bool = False) -> GridReport:
         """The finished report; raises :class:`GridTaskError` on
@@ -370,25 +377,6 @@ def _run_replication(task: ReplicationTask):
     policy = get_policy(task.policy_name, estimation_error=task.estimation_error)
     result = run_policy_once(task.config, policy, seed=task.seed)
     return _result_outcome(result)
-
-
-def _worker(task: ReplicationTask):
-    """Pool entry point: never raises — errors travel back as text.
-
-    The fourth element is the worker's counter delta for this task
-    (:func:`repro.obs.counters.diff_since`): the parent merges it so a
-    parallel grid reports the same run-level counters as a serial one.
-    In-process callers ignore it — their increments already landed in
-    the live registry.
-    """
-    before = counters.snapshot()
-    try:
-        if _TEST_WORKER_HOOK is not None:
-            _TEST_WORKER_HOOK(task)
-        outcome = _run_replication(task)
-        return task.key, outcome, None, counters.diff_since(before)
-    except Exception:  # noqa: BLE001 — captured per task by design
-        return task.key, None, traceback.format_exc(), None
 
 
 def _run_cell_members(config: SimulationConfig, policies, seeds, members,
@@ -417,46 +405,67 @@ def _run_cell_members(config: SimulationConfig, policies, seeds, members,
     return out
 
 
-def _cell_worker(payload):
-    """Pool entry point for one (cell, replication-chunk) slice: never
-    raises.
+def _run_slice(task: CellTask, members, rep_handles) -> list[Outcome]:
+    """The outcomes of one cell slice, in member order.
 
-    ``payload`` is ``(task, members, rep_handles)`` — ``members`` the
-    ``(pi, r)`` pairs of this chunk (every pending policy of each of its
-    replications, so cross-policy plan dedup still fires inside the
-    worker), ``rep_handles`` a list of ``(r, StreamHandle | None)`` with
-    a handle mapping the parent's shared-memory streams for that
-    replication; ``None`` means every member of that replication is
-    engine-bound and samples privately.
+    ``rep_handles`` is a list of ``(r, StreamHandle | None)``: a handle
+    maps the parent's shared-memory streams for replication ``r``, None
+    means every member of that replication is engine-bound and samples
+    privately.  ``rep_handles=None`` is the in-process whole cell: one
+    private pool sized to the cell's replications.
     """
-    task, members, rep_handles = payload
-    pool = None
+    pool = StreamPool(max_entries=max(1, len(rep_handles or task.seeds)))
     attached = []
-    before = counters.snapshot()
     try:
-        pool = StreamPool(max_entries=max(1, len(rep_handles)))
-        for r, handle in rep_handles:
+        for r, handle in rep_handles or ():
             if handle is not None:
                 view = attach_streams(handle)
                 attached.append(view)
                 pool.prime(task.config, task.seeds[r], view.times, view.sizes)
-        settled = _run_cell_members(task.config, task.policies(), task.seeds,
-                                    members, pool)
-        return (
-            [(task.member_key(pi, r), outcome, None)
-             for (pi, r), outcome in zip(members, settled)],
-            counters.diff_since(before),
-        )
-    except Exception:  # noqa: BLE001 — captured per slice by design
-        tb = traceback.format_exc()
-        return (
-            [(task.member_key(pi, r), None, tb) for pi, r in members],
-            None,
-        )
+        return _run_cell_members(task.config, task.policies(), task.seeds,
+                                 members, pool)
     finally:
         pool = None  # noqa: F841 — drop shm-backed views before unmapping
         for view in attached:
             view.close()
+
+
+def _members(unit) -> list[ReplicationTask]:
+    """A unit's members as the flat grid's tasks, in row order."""
+    if isinstance(unit, ReplicationTask):
+        return [unit]
+    task, pairs, _ = unit
+    return [task.member(pi, r) for pi, r in pairs]
+
+
+def _failed(members, error: str) -> list:
+    return [(member.key, None, error) for member in members]
+
+
+def _run_unit(unit):
+    """Run one unit — a :class:`ReplicationTask`, or a cell slice
+    ``(task, members, rep_handles)`` whose ``members`` are ``(pi, r)``
+    pairs — in a worker or in process.  Never raises: returns
+    ``(rows, delta)`` with one ``(key, outcome, error)`` row per member,
+    a failure charging every member.  ``delta`` is the counter delta
+    (:func:`repro.obs.counters.diff_since`) the parent merges so a
+    parallel grid reports the same run-level counters as a serial one;
+    in-process callers ignore it.
+    """
+    before = counters.snapshot()
+    members = _members(unit)
+    try:
+        if _TEST_WORKER_HOOK is not None:
+            for member in members:
+                _TEST_WORKER_HOOK(member)
+        if isinstance(unit, ReplicationTask):
+            outcomes = [_run_replication(unit)]
+        else:
+            outcomes = _run_slice(*unit)
+    except Exception:  # noqa: BLE001 — captured per unit by design
+        return _failed(members, traceback.format_exc()), None
+    rows = [(m.key, outcome, None) for m, outcome in zip(members, outcomes)]
+    return rows, counters.diff_since(before)
 
 
 def _retry_delay(next_attempt: int) -> float:
@@ -464,60 +473,94 @@ def _retry_delay(next_attempt: int) -> float:
     return min(_RETRY_MAX_DELAY, _RETRY_BASE_DELAY * 2.0 ** (next_attempt - 2))
 
 
-def _run_serial(pending: list[ReplicationTask], retries: int):
-    """In-process execution with inline retries (no timeout support)."""
-    for task in pending:
+def _runs_serial(n_jobs: int, n_pending: int, retries: int = 0,
+                 task_timeout: float | None = None) -> bool:
+    """Whether a grid with *n_pending* members to run stays in process.
+
+    Small grids do: spinning up (or round-tripping) worker processes
+    costs more than a handful of replications, and serial execution is
+    bit-identical anyway — unless retries, a timeout or the test worker
+    hook ask for real workers.
+    """
+    return n_jobs == 1 or n_pending <= 1 or (
+        n_pending <= _AUTO_SERIAL_TASKS
+        and retries == 0
+        and task_timeout is None
+        and _TEST_WORKER_HOOK is None
+    )
+
+
+def _run_serial(units: Iterable, retries: int):
+    """In-process execution with inline retries (no timeout support):
+    yields ``(rows, attempts)`` per unit."""
+    for unit in units:
         for attempt in range(1, retries + 2):
-            # In-process: counter increments already landed, delta unused.
-            _, outcome, error, _delta = _worker(task)
-            if error is None or attempt == retries + 1:
-                yield task, outcome, error, attempt
+            rows, _ = _run_unit(unit)
+            if attempt > retries or all(err is None for _, _, err in rows):
+                yield rows, attempt
                 break
             time.sleep(_retry_delay(attempt + 1))
 
 
-def _run_hardened(
-    pending: list[ReplicationTask],
-    n_jobs: int,
-    retries: int,
-    task_timeout: float | None,
-):
-    """Submit-based parallel execution with crash and timeout recovery.
+def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
+              task_timeout: float | None = None):
+    """Run *units* on the shared pool, yielding ``(rows, attempts)`` per
+    unit as it settles.
 
-    Each task gets its own future (no chunking), so one dead or stuck
-    worker only costs the tasks it was holding.  A dead worker breaks
-    the *whole* pool, and ``BrokenProcessPool`` cannot say which task
-    killed it — so nobody is charged an attempt for a break; instead
-    every task that was in flight becomes a *suspect* and re-runs in
-    isolation (one task per fresh pool at a time).  Alone, the culprit
-    is unambiguous: an isolated break or timeout charges that task's
-    attempt, while innocent bystanders complete for free.
+    Each unit gets its own future, at most ``2 * n_jobs`` in flight
+    (``n_jobs`` under a timeout).  A dead worker breaks the *whole*
+    pool, and ``BrokenProcessPool`` cannot say which unit killed it —
+    so nobody is charged for a break; every unit in flight becomes a
+    *suspect* and re-runs in isolation (one unit at a time on a rebuilt
+    pool).  A break can surface in a result or at the next submit (a
+    worker may die while the caller files earlier rows); both count the
+    same.  Alone, the culprit is unambiguous: an isolated break or
+    timeout charges that unit's attempt, while innocent bystanders
+    complete for free.
     """
-    from collections import deque
-
-    results: list[tuple[ReplicationTask, object, str | None, int]] = []
-    todo = deque((task, 1) for task in pending)
+    todo = deque((unit, 1) for unit in units)
     isolated: deque = deque()  # suspects: run one at a time
-    in_flight: dict = {}  # future -> (task, attempt, deadline)
+    in_flight: dict = {}  # future -> (unit, attempt, deadline)
+    ready: list = []
+    timeout_error = f"task exceeded its {task_timeout}s wall-clock budget"
 
-    def settle(task, attempt, outcome, error, queue):
-        """Record a completed attempt, or requeue it with backoff."""
-        if error is None:
-            results.append((task, outcome, None, attempt))
-        elif attempt <= retries:
+    def settle(unit, attempt, rows, queue):
+        """Record a finished attempt, or requeue a failed one with backoff."""
+        if attempt <= retries and any(err is not None for _, _, err in rows):
             time.sleep(_retry_delay(attempt + 1))
-            queue.append((task, attempt + 1))
+            queue.append((unit, attempt + 1))
         else:
-            results.append((task, None, error, attempt))
+            ready.append((rows, attempt))
 
-    while todo or in_flight:
+    def recycle():
+        """Units in flight on a broken pool join the suspects, uncharged."""
+        isolated.extend((u, attempt) for u, attempt, _ in in_flight.values())
+        in_flight.clear()
+        _rebuild_pool()
+
+    # A deadline runs from submission, so under a timeout no unit may
+    # wait for a worker; otherwise a spare unit per worker keeps it busy.
+    width = n_jobs if task_timeout is not None else 2 * n_jobs
+    while todo or isolated or in_flight:
+        solo = bool(isolated)
+        queue = isolated if solo else todo
         pool = shared_executor(n_jobs)
-        while todo and len(in_flight) < 2 * n_jobs:
-            task, attempt = todo.popleft()
+        broken = False
+        while queue and len(in_flight) < (1 if solo else width):
+            unit, attempt = queue.popleft()
             deadline = (
                 time.monotonic() + task_timeout if task_timeout is not None else None
             )
-            in_flight[pool.submit(_worker, task)] = (task, attempt, deadline)
+            try:
+                in_flight[pool.submit(_run_unit, unit)] = (unit, attempt, deadline)
+            except BrokenProcessPool:
+                # A worker died while the caller was filing earlier rows.
+                queue.appendleft((unit, attempt))
+                broken = True
+                break
+        if broken:
+            recycle()
+            continue
 
         wait_timeout = None
         if task_timeout is not None:
@@ -526,76 +569,35 @@ def _run_hardened(
         done, _ = wait(set(in_flight), timeout=wait_timeout,
                        return_when=FIRST_COMPLETED)
 
-        broken = False
         for fut in done:
-            task, attempt, _ = in_flight.pop(fut)
+            unit, attempt, _ = in_flight.pop(fut)
             try:
-                _, outcome, error, delta = fut.result()
-                if error is None:
-                    counters.merge(delta)
+                rows, delta = fut.result()
+                counters.merge(delta)
             except BrokenProcessPool:
-                # Can't attribute the dead worker: re-run in isolation,
-                # unattributed breaks don't consume an attempt.
-                isolated.append((task, attempt))
                 broken = True
-                continue
-            except Exception:  # noqa: BLE001 — surfaced as a task failure
-                outcome, error = None, traceback.format_exc()
-            settle(task, attempt, outcome, error, todo)
+                if not solo:
+                    isolated.append((unit, attempt))
+                    continue
+                rows = _failed(_members(unit), "task killed its worker process")
+            except Exception:  # noqa: BLE001 — surfaced as a unit failure
+                rows = _failed(_members(unit), traceback.format_exc())
+            settle(unit, attempt, rows, queue)
 
         if task_timeout is not None:
             now = time.monotonic()
-            for fut, (task, attempt, deadline) in list(in_flight.items()):
+            for fut, (unit, attempt, deadline) in list(in_flight.items()):
                 if now >= deadline:
                     in_flight.pop(fut)
-                    if not fut.cancel():
-                        # Already running: the worker can't be reclaimed,
-                        # so the pool gets recycled below.
-                        broken = True
-                    error = f"task exceeded its {task_timeout}s wall-clock budget"
-                    settle(task, attempt, None, error, todo)
+                    # A running unit can't be reclaimed: recycle the pool.
+                    broken |= not fut.cancel()
+                    rows = _failed(_members(unit), timeout_error)
+                    settle(unit, attempt, rows, queue)
 
         if broken:
-            # Remaining in-flight tasks were on the broken pool too:
-            # they join the suspects, uncharged.
-            for task, attempt, _ in in_flight.values():
-                isolated.append((task, attempt))
-            in_flight.clear()
-            _rebuild_pool()
-
-        # Drain suspects one per pool so failures attribute cleanly.
-        while isolated and not in_flight:
-            task, attempt = isolated.popleft()
-            pool = shared_executor(n_jobs)
-            deadline = (
-                time.monotonic() + task_timeout if task_timeout is not None else None
-            )
-            fut = pool.submit(_worker, task)
-            solo_timeout = (
-                max(0.0, deadline - time.monotonic()) + 0.01
-                if deadline is not None
-                else None
-            )
-            done, _ = wait([fut], timeout=solo_timeout)
-            if not done:
-                fut.cancel()
-                _rebuild_pool()
-                error = f"task exceeded its {task_timeout}s wall-clock budget"
-                settle(task, attempt, None, error, isolated)
-                continue
-            try:
-                _, outcome, error, delta = fut.result()
-                if error is None:
-                    counters.merge(delta)
-            except BrokenProcessPool:
-                _rebuild_pool()
-                outcome = None
-                error = "task killed its worker process"
-            except Exception:  # noqa: BLE001 — surfaced as a task failure
-                outcome, error = None, traceback.format_exc()
-            settle(task, attempt, outcome, error, isolated)
-
-    return results
+            recycle()
+        yield from ready
+        ready.clear()
 
 
 def run_replication_grid(
@@ -603,7 +605,6 @@ def run_replication_grid(
     *,
     n_jobs: int | str | None = None,
     cache: ReplicationCache | None = None,
-    chunks_per_worker: int = 4,
     retries: int = 0,
     task_timeout: float | None = None,
     quarantine: bool = False,
@@ -628,36 +629,39 @@ def run_replication_grid(
     ledger = _Ledger(cache, checkpoint)
     todo = ledger.lookup(tasks)
     pending = [task for task in tasks if task.key in todo]
-
-    auto_serial = (
-        len(pending) <= _AUTO_SERIAL_TASKS
-        and retries == 0
-        and task_timeout is None
-        and _TEST_WORKER_HOOK is None
-    )
-    if n_jobs == 1 or len(pending) <= 1 or auto_serial:
+    if _runs_serial(n_jobs, len(pending), retries, task_timeout):
         completed = _run_serial(pending, retries)
-    elif retries == 0 and task_timeout is None:
-        pool = shared_executor(n_jobs)
-        # Chunked submission amortizes pickling overhead while keeping
-        # enough chunks in flight to balance uneven task durations.
-        chunksize = max(1, len(pending) // (chunks_per_worker * n_jobs))
-
-        def _merged_map():
-            for task, (_key, outcome, error, delta) in zip(
-                pending, pool.map(_worker, pending, chunksize=chunksize)
-            ):
-                if error is None:
-                    counters.merge(delta)
-                yield task, outcome, error, 1
-
-        completed = _merged_map()
     else:
-        completed = _run_hardened(pending, n_jobs, retries, task_timeout)
-
-    for task, outcome, error, attempts in completed:
-        ledger.settle(task.key, outcome, error, task.policy_name, attempts)
+        completed = _run_pool(pending, n_jobs, retries, task_timeout)
+    for rows, attempts in completed:
+        ledger.settle(rows, attempts)
     return ledger.close(quarantine)
+
+
+def _cell_slices(task: CellTask, members, n_jobs: int,
+                 shared: SharedStreamPool):
+    """One cell's pending *members* as ``(task, members, rep_handles)``
+    units, at most one per worker, each replication's streams shared
+    through *shared*.
+
+    Slices are replication chunks that keep every policy of a
+    replication in the same worker: the batched replay can then dedup
+    identical dispatch plans across policies, which a per-policy
+    slicing would forfeit.
+    """
+    fast = _cell_fast_indices(task.config, task.policies())
+    by_rep: dict[int, list[int]] = {}
+    for pi, r in members:
+        by_rep.setdefault(r, []).append(pi)
+    reps = sorted(by_rep)
+    n_chunks = min(n_jobs, len(reps))
+    for chunk in (reps[i::n_chunks] for i in range(n_chunks)):
+        rep_handles = [
+            (r, shared.share(task.config, task.seeds[r])
+             if any(pi in fast for pi in by_rep[r]) else None)
+            for r in chunk
+        ]
+        yield task, [(pi, r) for r in chunk for pi in by_rep[r]], rep_handles
 
 
 def run_cell_grid(
@@ -672,13 +676,13 @@ def run_cell_grid(
     Member outcomes are keyed ``(cell.x, policy_name, r)`` with the same
     cache keys as the flat per-replication grid, so results, caches, and
     checkpoints are interchangeable between the two paths — and with the
-    same seeds the outcomes are bit-identical.  Parallel runs fan a cell
-    out one replication-chunk slice per worker — every policy of a
-    replication stays together so cross-policy plan dedup survives the
-    split — shipping each replication's streams through shared memory;
-    cells run back to back so at most one cell's streams are resident,
-    and the parent owns and always unlinks every segment, even when a
-    worker crashes.
+    same seeds the outcomes are bit-identical.  In process, each cell is
+    one unit on its own stream pool.  Parallel runs fan a cell out as
+    replication-chunk slices (:func:`_cell_slices`) through
+    :func:`_run_pool`, shipping each replication's streams through
+    shared memory; cells run back to back so at most one cell's streams
+    are resident, and the parent owns and always unlinks every segment,
+    even when a worker dies.
 
     Hardening (retries, timeouts, quarantine) is deliberately absent —
     sweeps that need it take :func:`run_replication_grid`.
@@ -703,54 +707,21 @@ def run_cell_grid(
         if members:
             pending.append((task, members))
 
-    n_pending = sum(len(m) for _, m in pending)
-    if n_jobs == 1 or n_pending <= _AUTO_SERIAL_TASKS:
-        for task, members in pending:
-            pool = StreamPool(max_entries=max(1, len(task.seeds)))
-            try:
-                settled = _run_cell_members(task.config, task.policies(),
-                                            task.seeds, members, pool)
-                for (pi, r), outcome in zip(members, settled):
-                    ledger.settle(task.member_key(pi, r), outcome, None,
-                                  task.policy_names[pi])
-            except Exception:  # noqa: BLE001 — every member charged once
-                tb = traceback.format_exc()
-                for pi, r in members:
-                    ledger.settle(task.member_key(pi, r), None, tb,
-                                  task.policy_names[pi])
+    if _runs_serial(n_jobs, len(todo)):
+        completed = _run_serial(
+            [(task, members, None) for task, members in pending], 0
+        )
     else:
-        pool_exec = shared_executor(n_jobs)
-        for task, members in pending:
-            fast = _cell_fast_indices(task.config, task.policies())
-            by_rep: dict[int, list[int]] = {}
-            for pi, r in members:
-                by_rep.setdefault(r, []).append(pi)
-            # Slice by replication chunks, keeping every policy of a
-            # replication in the same worker: the batched replay can
-            # then dedup identical dispatch plans across policies,
-            # which a per-policy slicing would forfeit.
-            reps = sorted(by_rep)
-            n_chunks = max(1, min(n_jobs, len(reps)))
-            with SharedStreamPool() as shared:
-                subtasks = []
-                for chunk in (reps[i::n_chunks] for i in range(n_chunks)):
-                    if not chunk:
-                        continue
-                    cmembers = [
-                        (pi, r) for r in chunk for pi in sorted(by_rep[r])
-                    ]
-                    rep_handles = []
-                    for r in chunk:
-                        handle = (
-                            shared.share(task.config, task.seeds[r])
-                            if any(pi in fast for pi in by_rep[r])
-                            else None
-                        )
-                        rep_handles.append((r, handle))
-                    subtasks.append((task, cmembers, rep_handles))
-                for settled, delta in pool_exec.map(_cell_worker, subtasks):
-                    counters.merge(delta or {})
-                    for key, outcome, error in settled:
-                        ledger.settle(key, outcome, error, key[1])
+        completed = _run_cells_pooled(pending, n_jobs)
+    for rows, attempts in completed:
+        ledger.settle(rows, attempts)
     return ledger.close()
 
+
+def _run_cells_pooled(pending, n_jobs: int):
+    """Each pending cell's slices through :func:`_run_pool`, one cell's
+    shared streams at a time."""
+    for task, members in pending:
+        with SharedStreamPool() as shared:
+            yield from _run_pool(_cell_slices(task, members, n_jobs, shared),
+                                 n_jobs)

@@ -231,22 +231,26 @@ class FaultConfig:
                     "each key may appear once"
                 )
             seen.add(key)
-            if key in ("mtbf", "mttr", "degrade_rate", "degrade_duration",
-                       "degrade_factor"):
-                kwargs[key] = float(value)
-            elif key == "drift":
-                kwargs["estimate_drift"] = float(value)
-            elif key == "on_failure":
-                kwargs["on_failure"] = value
-            elif key == "max_attempts":
-                retry_kwargs["max_attempts"] = int(value)
-            elif key in ("base_delay", "backoff", "max_delay"):
-                retry_kwargs[key] = float(value)
-            else:
+            if key not in cls.PARSE_KEYS:
                 raise ValueError(
                     f"unknown fault spec key {key!r}; valid keys: "
                     f"{', '.join(cls.PARSE_KEYS)}"
                 )
+            if key == "on_failure":
+                kwargs[key] = value
+                continue
+            convert = int if key == "max_attempts" else float
+            try:
+                number = convert(value)
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(
+                    f"fault spec key {key!r} needs {kind}, got {value!r}"
+                ) from None
+            if key in ("max_attempts", "base_delay", "backoff", "max_delay"):
+                retry_kwargs[key] = number
+            else:
+                kwargs["estimate_drift" if key == "drift" else key] = number
         if retry_kwargs:
             kwargs["retry"] = RetryPolicy(**retry_kwargs)
         return cls(**kwargs)

@@ -79,10 +79,13 @@ class TraceJobSource(JobSource):
             raise ValueError(
                 f"times and sizes must be matching 1-D vectors, got {t.shape} vs {s.shape}"
             )
-        if t.size and np.any(np.diff(t) < 0):
+        # Bounds written so NaN fails them.
+        if not np.all(np.isfinite(t)):
+            raise ValueError("trace times must be finite")
+        if not np.all(np.diff(t) >= 0):
             raise ValueError("trace times must be non-decreasing")
-        if np.any(s <= 0):
-            raise ValueError("trace sizes must be positive")
+        if not np.all((s > 0) & np.isfinite(s)):
+            raise ValueError("trace sizes must be positive and finite")
         self.times = t
         self.sizes = s
         self._pos = 0

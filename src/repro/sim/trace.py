@@ -50,12 +50,15 @@ class JobTrace:
             raise ValueError("arrival_times and sizes must be matching 1-D arrays")
         if times.size == 0:
             raise ValueError("trace must contain at least one job")
-        if np.any(np.diff(times) < 0):
+        # Bounds written so NaN fails them.
+        if not np.all(np.isfinite(times)):
+            raise ValueError("arrival times must be finite")
+        if not np.all(np.diff(times) >= 0):
             raise ValueError("arrival_times must be non-decreasing")
-        if times[0] < 0:
+        if not times[0] >= 0:
             raise ValueError("arrival times must be non-negative")
-        if np.any(sizes <= 0):
-            raise ValueError("job sizes must be positive")
+        if not np.all((sizes > 0) & np.isfinite(sizes)):
+            raise ValueError("job sizes must be positive and finite")
         object.__setattr__(self, "arrival_times", times)
         object.__setattr__(self, "sizes", sizes)
 

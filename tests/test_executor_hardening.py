@@ -17,9 +17,11 @@ import pytest
 from repro.core import executor as ex
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.executor import (
+    CellTask,
     GridTaskError,
     ReplicationTask,
     TaskFailure,
+    run_cell_grid,
     run_replication_grid,
     shutdown_shared_executor,
 )
@@ -39,6 +41,16 @@ def _tasks(policies=("ORR",), replications=2):
         )
         for p in policies
         for r, seed in enumerate(seeds)
+    ]
+
+
+def _cells(xs=(1.0, 2.0), policies=("ORR", "WRR"), replications=3):
+    seeds = tuple(replication_seeds(2000, replications))
+    return [
+        CellTask(x=x, config=SimulationConfig(**SMOKE), policy_names=policies,
+                 base_names=policies, estimation_errors=(None,) * len(policies),
+                 seeds=seeds)
+        for x in xs
     ]
 
 
@@ -129,6 +141,96 @@ class TestCrashRecovery:
         assert {f.key[1] for f in err.value.failures} == {"WRR"}
 
 
+def _die_on(victim_key):
+    def hook(task):
+        if task.key == victim_key:
+            os._exit(1)
+
+    return hook
+
+
+class TestDeadWorkerOnDefaultPath:
+    """No retries, no timeout: a worker that dies costs only its own
+    unit, the error names that unit's members, and the shared pool
+    serves the next grid."""
+
+    def test_flat_grid(self, worker_hook, tmp_path):
+        tasks = _tasks(policies=("ORR", "WRR"), replications=3)
+        victim = tasks[4].key
+        worker_hook(_die_on(victim))
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(GridTaskError) as err:
+            run_replication_grid(tasks, n_jobs=2,
+                                 checkpoint=SweepCheckpoint(path))
+        assert [f.key for f in err.value.failures] == [victim]
+        assert "killed its worker" in err.value.failures[0].error
+        healthy = {t.key for t in tasks} - {victim}
+        assert set(SweepCheckpoint(path).load()) == healthy
+
+        report = run_replication_grid(
+            [t for t in tasks if t.key != victim], n_jobs=2
+        )
+        assert set(report.outcomes) == healthy
+
+    def test_worker_dies_while_rows_are_filed(self, worker_hook, tmp_path):
+        # More tasks than slots, so the scheduler submits again after
+        # filing the first rows; the victim dies while the parent is
+        # still inside the slow checkpoint write.
+        tasks = _tasks(policies=("ORR", "WRR"), replications=5)
+        victim = tasks[1].key
+        filing = tmp_path / "filing"
+
+        class SlowCheckpoint(SweepCheckpoint):
+            def record(self, key, outcome):
+                if not filing.exists():
+                    filing.touch()
+                    time.sleep(0.3)
+                super().record(key, outcome)
+
+        def die_while_filing(task):
+            if task.key == victim:
+                deadline = time.monotonic() + 10.0
+                while not filing.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                os._exit(1)
+
+        worker_hook(die_while_filing)
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(GridTaskError) as err:
+            run_replication_grid(tasks, n_jobs=2,
+                                 checkpoint=SlowCheckpoint(path))
+        assert [f.key for f in err.value.failures] == [victim]
+        healthy = {t.key for t in tasks} - {victim}
+        assert set(SweepCheckpoint(path).load()) == healthy
+
+        report = run_replication_grid(
+            [t for t in tasks if t.key != victim], n_jobs=2
+        )
+        assert set(report.outcomes) == healthy
+
+    def test_cell_grid(self, worker_hook, tmp_path):
+        first, second = _cells()
+        # Two workers slice replications {0, 2} and {1}: the culprit's
+        # slice is every policy of replication 1.
+        worker_hook(_die_on(first.member_key(1, 1)))
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(GridTaskError) as err:
+            run_cell_grid([first, second], n_jobs=2,
+                          checkpoint=SweepCheckpoint(path))
+        culprits = {first.member_key(pi, 1) for pi in range(2)}
+        assert {f.key for f in err.value.failures} == culprits
+        everyone = {
+            cell.member_key(pi, r)
+            for cell in (first, second) for pi in range(2) for r in range(3)
+        }
+        assert set(SweepCheckpoint(path).load()) == everyone - culprits
+
+        report = run_cell_grid([second], n_jobs=2)
+        assert set(report.outcomes) == {
+            second.member_key(pi, r) for pi in range(2) for r in range(3)
+        }
+
+
 class TestTimeout:
     def test_stuck_task_times_out_and_retries(self, worker_hook, tmp_path):
         flag = str(tmp_path / "flag")
@@ -147,6 +249,15 @@ class TestTimeout:
         assert time.monotonic() - t0 < 14.0  # did not wait out the stall
         assert set(report.outcomes) == {t.key for t in tasks}
         assert report.retried >= 1
+
+    def test_budget_starts_when_a_worker_is_free(self, worker_hook):
+        # Four 1 s tasks on two workers take two rounds: the budget
+        # must not run while a task waits for a worker.
+        tasks = _tasks(policies=("ORR", "WRR"), replications=2)
+        worker_hook(lambda task: time.sleep(1.0))
+        report = run_replication_grid(tasks, n_jobs=2, task_timeout=1.5)
+        assert set(report.outcomes) == {t.key for t in tasks}
+        assert report.retried == 0
 
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError, match="task_timeout"):
@@ -220,6 +331,27 @@ class TestCheckpoint:
         assert set(second.outcomes) == set(first.outcomes)
         for key in first.outcomes:
             assert second.outcomes[key][:4] == first.outcomes[key][:4]
+
+    def test_retried_grid_checkpoints_cells_as_they_finish(self, worker_hook,
+                                                           tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        seen = tmp_path / "seen"
+        tasks = _tasks(policies=("ORR", "WRR"), replications=4)
+        n_jobs = 2
+
+        def count_finished(task):
+            if task.key == tasks[-1].key:
+                lines = path.read_text().count("\n") if path.exists() else 0
+                seen.write_text(str(lines))
+
+        worker_hook(count_finished)
+        report = run_replication_grid(tasks, n_jobs=n_jobs, retries=1,
+                                      checkpoint=SweepCheckpoint(path))
+        assert set(report.outcomes) == {t.key for t in tasks}
+        # The last task starts once a slot frees: at most 2 * n_jobs
+        # tasks are in flight, and every one that finished before it is
+        # already on disk.
+        assert int(seen.read_text()) >= len(tasks) - 2 * n_jobs
 
     def test_partial_checkpoint_completes_rest(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

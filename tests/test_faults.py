@@ -67,6 +67,16 @@ class TestFaultConfig:
         with pytest.raises(ValueError, match="duplicate"):
             FaultConfig.parse("base_delay=1,base_delay=2")
 
+    @pytest.mark.parametrize(
+        ("spec", "key"),
+        [("mtbf=100,max_attempts=2.5", "max_attempts"),
+         ("mtbf=abc,mttr=50", "mtbf"),
+         ("mttr=50,drift=x", "drift")],
+    )
+    def test_parse_names_the_key_of_a_bad_value(self, spec, key):
+        with pytest.raises(ValueError, match=f"key '{key}' needs"):
+            FaultConfig.parse(spec)
+
     def test_parse_accepts_each_key_once(self):
         fc = FaultConfig.parse("mtbf=500,mttr=50,base_delay=1,backoff=3")
         assert fc.mtbf == 500.0

@@ -152,6 +152,28 @@ class TestTraceJobSource:
         with pytest.raises(ValueError):
             TraceJobSource([1.0], [0.0])
 
+    @pytest.mark.parametrize(
+        ("times", "sizes", "message"),
+        [([0.5, math.nan, 1.5], [1.0, 1.0, 1.0], "times must be finite"),
+         ([0.5, 1.0, math.inf], [1.0, 1.0, 1.0], "times must be finite"),
+         ([0.5, 1.0, 1.5], [1.0, math.nan, 1.0], "sizes must be positive"),
+         ([0.5, 1.0, 1.5], [1.0, math.inf, 1.0], "sizes must be positive")],
+    )
+    def test_non_finite_records_are_refused(self, times, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            TraceJobSource(times, sizes)
+
+    def test_replay_of_a_nan_row_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("0.5,1.0\nnan,1.0\n1.5,1.0\n")
+        code = main(["serve", "--speeds", "1,2", "--duration", "10",
+                     "--resolve-period", "5", "--replay", str(trace),
+                     "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "error: could not read trace" in err
+        assert out == ""
+
 
 # ----------------------------------------------------------------------
 # Acceptance: stationary MRT vs oracle static ORR

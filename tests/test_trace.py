@@ -29,6 +29,18 @@ class TestJobTrace:
         with pytest.raises(ValueError, match="non-negative"):
             JobTrace(np.array([-1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        ("times", "sizes", "message"),
+        [([0.5, np.nan, 1.5], [1.0, 1.0, 1.0], "times must be finite"),
+         ([np.nan], [1.0], "times must be finite"),
+         ([0.5, 1.0, np.inf], [1.0, 1.0, 1.0], "times must be finite"),
+         ([0.5, 1.0, 1.5], [1.0, np.nan, 1.0], "sizes must be positive"),
+         ([0.5, 1.0, 1.5], [1.0, np.inf, 1.0], "sizes must be positive")],
+    )
+    def test_non_finite_records_are_refused(self, times, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            JobTrace(np.array(times), np.array(sizes))
+
     def test_moments(self):
         t = small_trace()
         assert t.n_jobs == 4
