@@ -48,7 +48,6 @@ from .core import (
     SchedulingPolicy,
     evaluate_policy,
     evaluate_policy_parallel,
-    evaluate_policy_to_precision,
     get_policy,
     policy_names,
     run_policy_once,
@@ -61,11 +60,10 @@ from .dispatch import (
 )
 from .distributions import BoundedPareto, Hyperexponential, paper_job_sizes
 from .metrics import MetricsCollector, ResponseMetrics, summarize_replications
-from .queueing import HeterogeneousNetwork, objective_value, theoretical_minimum
+from .queueing import HeterogeneousNetwork, objective_value
 from .sim import (
     FeedbackModel,
     JobTrace,
-    QueueSampler,
     SimulationConfig,
     SimulationResults,
     run_simulation,
@@ -85,7 +83,6 @@ __all__ = [
     "PolicyEvaluation",
     "evaluate_policy",
     "evaluate_policy_parallel",
-    "evaluate_policy_to_precision",
     "run_policy_once",
     "AdaptiveOrrDispatcher",
     # allocation
@@ -109,11 +106,9 @@ __all__ = [
     "run_trace_simulation",
     "FeedbackModel",
     "JobTrace",
-    "QueueSampler",
     # queueing
     "HeterogeneousNetwork",
     "objective_value",
-    "theoretical_minimum",
     # distributions
     "BoundedPareto",
     "Hyperexponential",

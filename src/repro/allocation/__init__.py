@@ -23,12 +23,6 @@ from .planning import (
     optimal_mean_response_time,
     value_of_added_machine,
 )
-from .sensitivity import (
-    improvement_curve,
-    predicted_improvement,
-    response_time_load_derivative,
-    speed_dispersion,
-)
 from .weighted import EqualAllocator, ExplicitAllocator, WeightedAllocator
 
 __all__ = [
@@ -50,8 +44,4 @@ __all__ = [
     "marginal_response_time",
     "value_of_added_machine",
     "best_single_upgrade",
-    "predicted_improvement",
-    "improvement_curve",
-    "response_time_load_derivative",
-    "speed_dispersion",
 ]

@@ -38,22 +38,12 @@ class AllocationResult:
         """Computers allocated exactly no workload (Theorem 2 cutoff)."""
         return np.nonzero(self.alphas == 0.0)[0].tolist()
 
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self.alphas))
-
     def per_server_utilization(self) -> np.ndarray:
         return self.network.per_server_utilization(self.alphas)
 
     def predicted_mean_response_ratio(self) -> float:
         """Analytical R̄ = μT̄ under this allocation."""
         return self.network.mean_response_ratio(self.alphas)
-
-    def skewness_vs_weighted(self) -> np.ndarray:
-        """αᵢ / (sᵢ/Σs): >1 means over-proportional share (fast machines
-        under the optimized scheme), <1 under-proportional."""
-        weighted = self.network.speeds / self.network.total_speed
-        return self.alphas / weighted
 
 
 class Allocator(abc.ABC):

@@ -2,14 +2,13 @@
 
 from .batchmeans import BatchMeansResult, batch_means_ci
 from .validation import ValidationReport, validate_against_theory
-from .warmup import MserResult, batch_means, mser, mser5
+from .warmup import MserResult, batch_means, mser
 from .workload_report import WorkloadReport, characterize
 
 __all__ = [
     "batch_means_ci",
     "BatchMeansResult",
     "mser",
-    "mser5",
     "batch_means",
     "MserResult",
     "validate_against_theory",

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.evaluate import evaluate_policy
 from ..core.policies import SchedulingPolicy
 from ..sim.config import SimulationConfig
@@ -54,14 +52,6 @@ class ValidationReport:
         return (
             self.measured_response_ratio - self.predicted_response_ratio
         ) / self.predicted_response_ratio
-
-    @property
-    def within_ci(self) -> bool:
-        """True if the prediction falls inside the measurement's CI."""
-        return (
-            abs(self.measured_response_ratio - self.predicted_response_ratio)
-            <= self.measured_response_ratio_half_width
-        )
 
     def summary(self) -> str:
         return (

@@ -14,7 +14,8 @@ MSER picks the truncation d minimizing the *marginal standard error*
 
 i.e. the half-width proxy of the remaining sample; deleting biased
 start-up observations reduces it, deleting stationary ones inflates it.
-MSER-5 applies the rule to batch means of 5 consecutive observations.
+MSER-5 applies the rule to batch means of 5 consecutive observations:
+``mser(batch_means(x, 5))``, whose truncation counts batches.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MserResult", "mser", "mser5", "batch_means"]
+__all__ = ["MserResult", "mser", "batch_means"]
 
 
 def batch_means(observations: np.ndarray, batch_size: int) -> np.ndarray:
@@ -53,10 +54,6 @@ class MserResult:
     truncated_mean: float
     #: Total number of (batched) observations considered.
     n: int
-
-    @property
-    def truncation_fraction(self) -> float:
-        return self.truncation / self.n
 
 
 def mser(observations: np.ndarray, *, max_fraction: float = 0.5) -> MserResult:
@@ -90,12 +87,3 @@ def mser(observations: np.ndarray, *, max_fraction: float = 0.5) -> MserResult:
         truncated_mean=float(mean_tail[best]),
         n=n,
     )
-
-
-def mser5(observations: np.ndarray, *, max_fraction: float = 0.5) -> MserResult:
-    """MSER-5: the rule applied to batch means of 5 observations.
-
-    The returned ``truncation`` counts *batches*; multiply by 5 for raw
-    observations.
-    """
-    return mser(batch_means(observations, 5), max_fraction=max_fraction)

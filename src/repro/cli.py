@@ -32,6 +32,7 @@ recorded baseline and exits nonzero on regression.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -416,11 +417,20 @@ def _open_cache(path):
 def _grid_options(args, experiment: str) -> dict | None:
     """Harness-hardening and fault-injection kwargs from run flags.
 
-    Returns None (after printing the error) on a malformed ``--faults``
-    spec; an empty dict when no knob is set — the zero-overhead default.
+    Returns None (after printing the error) on an out-of-range
+    ``--retries`` or ``--task-timeout`` or a malformed ``--faults`` spec;
+    an empty dict when no knob is set — the zero-overhead default.
     """
     from .experiments import active_scale
 
+    if args.retries < 0:
+        print(f"error: --retries must be non-negative, got {args.retries}",
+              file=sys.stderr)
+        return None
+    if args.task_timeout is not None and not 0.0 < args.task_timeout < math.inf:
+        print("error: --task-timeout must be positive and finite, "
+              f"got {args.task_timeout}", file=sys.stderr)
+        return None
     grid: dict = {}
     if args.faults:
         from .faults import FaultConfig
@@ -632,7 +642,7 @@ def _simulate_cell(args, config, policies, speeds) -> int:
     baseline = policies[0].name
 
     if args.precision is not None:
-        if args.precision <= 0:
+        if not args.precision > 0:  # NaN fails too
             print(f"error: --precision must be positive, got {args.precision}",
                   file=sys.stderr)
             return 2

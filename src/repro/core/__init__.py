@@ -12,7 +12,6 @@ from .evaluate import (
     evaluate_cell_to_precision,
     evaluate_policy,
     evaluate_policy_parallel,
-    evaluate_policy_to_precision,
     run_policy_once,
     summarize_outcomes,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "PolicyEvaluation",
     "CellEvaluation",
     "evaluate_policy",
-    "evaluate_policy_to_precision",
     "evaluate_cell",
     "evaluate_cell_to_precision",
     "evaluate_policy_parallel",

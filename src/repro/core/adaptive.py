@@ -94,8 +94,6 @@ class AdaptiveOrrDispatcher(Dispatcher):
         self._estimate = self.initial_utilization
         self._window_start = 0.0
         self._window_work = 0.0
-        self._pending_size: float | None = None
-        self._updates = 0
 
     @property
     def wants_feedback(self) -> bool:
@@ -111,8 +109,6 @@ class AdaptiveOrrDispatcher(Dispatcher):
         self._estimate = self.initial_utilization
         self._window_start = 0.0
         self._window_work = 0.0
-        self._pending_size = None
-        self._updates = 0
         self._apply_estimate()
 
     def _apply_estimate(self) -> None:
@@ -137,7 +133,6 @@ class AdaptiveOrrDispatcher(Dispatcher):
             self._estimate = (1.0 - w) * self._estimate + w * window_rho
             self._window_start = now
             self._window_work = 0.0
-            self._updates += 1
             self._apply_estimate()
 
     def select(self, size: float) -> int:
@@ -146,16 +141,3 @@ class AdaptiveOrrDispatcher(Dispatcher):
         # The job's size is offered work for the *current* window.
         self._window_work += size
         return self._inner.select(size)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def current_estimate(self) -> float:
-        """Smoothed ρ̂ (before the safety margin)."""
-        return self._estimate
-
-    @property
-    def updates_applied(self) -> int:
-        return self._updates

@@ -10,8 +10,9 @@ vectorized fast path automatically (identical statistics, several times
 faster); Dynamic Least-Load and the finite-quantum discipline go through
 the event engine.  Every evaluator — serial, precision-driven, cell and
 grid — folds per-replication :class:`Outcome` records through
-:func:`summarize_outcomes`.  One precision loop serves a single policy
-and a whole cell, and :func:`evaluate_policy_parallel` fans the
+:func:`summarize_outcomes`.  One precision loop,
+:func:`evaluate_cell_to_precision`, serves a single policy (a one-policy
+cell) and a whole cell, and :func:`evaluate_policy_parallel` fans the
 replications of one registry policy over the grid executor's shared
 worker pool.
 """
@@ -49,7 +50,6 @@ __all__ = [
     "CellEvaluation",
     "evaluate_policy",
     "evaluate_policy_parallel",
-    "evaluate_policy_to_precision",
     "evaluate_cell",
     "evaluate_cell_to_precision",
     "run_policy_once",
@@ -314,41 +314,6 @@ def evaluate_policy_parallel(
     return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
-def evaluate_policy_to_precision(
-    config: SimulationConfig,
-    policy: SchedulingPolicy,
-    *,
-    target_relative_half_width: float = 0.05,
-    metric: str = "mean_response_ratio",
-    min_replications: int = 3,
-    max_replications: int = 50,
-    base_seed: int = 0,
-    confidence: float = 0.95,
-) -> PolicyEvaluation:
-    """Sequential replication: run until the chosen metric's CI is tight.
-
-    Adds replications one at a time (reusing the deterministic
-    per-replication seeds, so results are a strict extension of a fixed
-    ``evaluate_policy`` call) until the confidence interval's relative
-    half-width drops below the target or ``max_replications`` is hit.
-    This is the one-policy cell of :func:`evaluate_cell_to_precision`.
-
-    The heavy-load points of Figures 5/6 are exactly where a fixed
-    replication count under-delivers; this is the data-driven version
-    of the replication boost those experiments apply.
-    """
-    return evaluate_cell_to_precision(
-        config,
-        [policy],
-        target_relative_half_width=target_relative_half_width,
-        metric=metric,
-        min_replications=min_replications,
-        max_replications=max_replications,
-        base_seed=base_seed,
-        confidence=confidence,
-    )[policy.name]
-
-
 @dataclass(frozen=True)
 class CellEvaluation:
     """Every policy of one sweep cell evaluated on shared streams.
@@ -498,8 +463,7 @@ def evaluate_cell_to_precision(
     Two stopping modes:
 
     * **absolute** (default) — stop when every policy's ``metric``
-      interval has relative half-width ≤ the target (a one-policy cell
-      is :func:`evaluate_policy_to_precision`);
+      interval has relative half-width ≤ the target;
     * **paired** (``paired_baseline`` names one of the policies) — stop
       when every *other* policy's paired-difference interval against the
       baseline has half-width ≤ target × |baseline mean|.  Differences

@@ -56,7 +56,9 @@ variable > 1 (serial).  The string ``"auto"`` maps to ``os.cpu_count()``.
 from __future__ import annotations
 
 import atexit
+import math
 import os
+import threading
 import time
 import traceback
 from collections import deque
@@ -566,6 +568,8 @@ def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
         if task_timeout is not None:
             nearest = min(d for (_, _, d) in in_flight.values())
             wait_timeout = max(0.0, nearest - time.monotonic()) + 0.01
+            # A far deadline is waited for in steps wait() can take.
+            wait_timeout = min(wait_timeout, threading.TIMEOUT_MAX)
         done, _ = wait(set(in_flight), timeout=wait_timeout,
                        return_when=FIRST_COMPLETED)
 
@@ -624,8 +628,12 @@ def run_replication_grid(
     n_jobs = resolve_n_jobs(n_jobs)
     if retries < 0:
         raise ValueError(f"retries must be non-negative, got {retries}")
-    if task_timeout is not None and task_timeout <= 0:
-        raise ValueError(f"task_timeout must be positive, got {task_timeout}")
+    # Written so that NaN fails it (a NaN deadline never expires); no
+    # timeout is spelled None, not inf.
+    if task_timeout is not None and not 0.0 < task_timeout < math.inf:
+        raise ValueError(
+            f"task_timeout must be positive and finite, got {task_timeout}"
+        )
     ledger = _Ledger(cache, checkpoint)
     todo = ledger.lookup(tasks)
     pending = [task for task in tasks if task.key in todo]

@@ -15,7 +15,7 @@
 from .base import Dispatcher, StaticDispatcher
 from .burst_wrr import BurstWeightedRoundRobinDispatcher
 from .cyclic import CyclicDispatcher
-from .deviation import DeviationSeries, allocation_deviation, interval_deviations
+from .deviation import DeviationSeries, interval_deviations
 from .jsq import PowerOfDChoicesDispatcher
 from .least_load import LeastLoadDispatcher
 from .least_work import LeastWorkDispatcher
@@ -45,7 +45,6 @@ __all__ = [
     "PowerOfDChoicesDispatcher",
     "SitaDispatcher",
     "sita_cutoffs",
-    "allocation_deviation",
     "interval_deviations",
     "DeviationSeries",
 ]

@@ -16,28 +16,7 @@ import numpy as np
 
 from ..queueing.network import validate_allocation
 
-__all__ = ["allocation_deviation", "interval_deviations", "DeviationSeries"]
-
-
-def allocation_deviation(expected, counts) -> float:
-    """Deviation Σ(αᵢ − α'ᵢ)² for one interval's dispatch counts.
-
-    An interval with no arrivals has no realized fractions (the bursty
-    hyperexponential process does produce empty 120 s windows); such
-    intervals carry no evidence about the dispatcher and are defined to
-    have zero deviation.
-    """
-    expected = validate_allocation(expected)
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != expected.shape:
-        raise ValueError(f"counts shape {counts.shape} != expected {expected.shape}")
-    if np.any(counts < 0):
-        raise ValueError("dispatch counts must be non-negative")
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    actual = counts / total
-    return float(np.sum((expected - actual) ** 2))
+__all__ = ["interval_deviations", "DeviationSeries"]
 
 
 def interval_deviations(

@@ -102,7 +102,3 @@ class PowerOfDChoicesDispatcher(Dispatcher):
                 f"load update for server {server} with known queue already 0"
             )
         q[server] -= 1
-
-    @property
-    def known_queue_lengths(self) -> np.ndarray:
-        return self._queue().copy()

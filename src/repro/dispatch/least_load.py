@@ -85,8 +85,3 @@ class LeastLoadDispatcher(Dispatcher):
                 "feedback double-counted a departure"
             )
         q[server] -= 1
-
-    @property
-    def known_queue_lengths(self) -> np.ndarray:
-        """Scheduler's current (possibly stale) per-computer view (copy)."""
-        return self._queue().copy()

@@ -92,7 +92,3 @@ class LeastWorkDispatcher(Dispatcher):
             )
         done = pending[server].pop(0)
         work[server] = max(work[server] - done, 0.0)
-
-    @property
-    def known_outstanding_work(self) -> np.ndarray:
-        return self._state()[0].copy()

@@ -18,7 +18,7 @@ from .bounded_pareto import (
     paper_job_sizes,
 )
 from .exponential import Deterministic, Erlang, Exponential, Uniform
-from .fitting import check_cv_achievable, distribution_from_mean_cv
+from .fitting import distribution_from_mean_cv
 from .heavy import Lognormal, Weibull
 from .hyperexponential import Hyperexponential, fit_h2_balanced_means
 
@@ -39,5 +39,4 @@ __all__ = [
     "Weibull",
     "fit_h2_balanced_means",
     "distribution_from_mean_cv",
-    "check_cv_achievable",
 ]

@@ -62,11 +62,6 @@ class Distribution(abc.ABC):
             raise ZeroDivisionError("cv undefined for zero-mean distribution")
         return self.std / self.mean
 
-    @property
-    def scv(self) -> float:
-        """Squared coefficient of variation, used by G/G/1 approximations."""
-        return self.cv**2
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
@@ -83,14 +78,6 @@ class Distribution(abc.ABC):
         """Draw samples by inverse transform of ``rng.random``."""
         u = rng.random(size)
         return self.ppf(u)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def scaled(self, factor: float) -> "Scaled":
-        """Return this distribution scaled by a positive *factor*."""
-        return Scaled(self, factor)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(mean={self.mean:.6g}, cv={self.cv:.6g})"

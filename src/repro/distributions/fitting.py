@@ -15,8 +15,6 @@ covers the whole range, so :func:`distribution_from_mean_cv` selects:
 
 from __future__ import annotations
 
-import math
-
 from .base import Distribution
 from .exponential import Deterministic, Erlang, Exponential
 from .hyperexponential import Hyperexponential
@@ -45,13 +43,3 @@ def distribution_from_mean_cv(mean: float, cv: float) -> Distribution:
         return Hyperexponential.from_mean_cv(mean, cv)
     k = max(1, round(1.0 / (cv * cv)))
     return Erlang.from_mean_k(mean, k)
-
-
-def check_cv_achievable(cv: float) -> bool:
-    """True when :func:`distribution_from_mean_cv` matches *cv* exactly."""
-    if cv < 0:
-        return False
-    if cv < _CV_TOL or cv >= 1.0 - _CV_TOL:
-        return True
-    inv = 1.0 / (cv * cv)
-    return math.isclose(inv, round(inv), rel_tol=0, abs_tol=1e-9)

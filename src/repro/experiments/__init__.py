@@ -14,7 +14,7 @@ from .configs import (
     skewness_config,
     table1_config,
 )
-from .export import load_sweep_json, save_sweep_csv, save_sweep_json, sweep_to_dict
+from .export import save_sweep_json, sweep_to_dict
 from .extension_adaptive import AdaptiveResult, run_adaptive_extension
 from .extension_faults import format_faults_extension, run_faults_extension
 from .extension_online import OnlineCell, OnlineResult, run_online_extension
@@ -63,8 +63,6 @@ __all__ = [
     "format_series_dict",
     "sweep_to_dict",
     "save_sweep_json",
-    "save_sweep_csv",
-    "load_sweep_json",
     "run_adaptive_extension",
     "AdaptiveResult",
     "run_faults_extension",

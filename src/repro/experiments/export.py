@@ -1,4 +1,4 @@
-"""Structured export of experiment results (JSON / CSV).
+"""Structured export of experiment results (JSON).
 
 Sweep results carry everything needed to re-plot the paper's figures in
 any external tool; these helpers serialize them losslessly (means, CI
@@ -7,13 +7,12 @@ half-widths, replication counts) instead of the printable tables.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 from .base import SweepResult
 
-__all__ = ["sweep_to_dict", "save_sweep_json", "save_sweep_csv"]
+__all__ = ["sweep_to_dict", "save_sweep_json"]
 
 _METRICS = ("mean_response_time", "mean_response_ratio", "fairness")
 
@@ -63,29 +62,3 @@ def save_sweep_json(result: SweepResult, path: str | Path) -> Path:
     path.write_text(json.dumps(sweep_to_dict(result), indent=2) + "\n")
     return path
 
-
-def save_sweep_csv(result: SweepResult, path: str | Path) -> Path:
-    """Write the sweep as a flat CSV: one row per (x, policy, metric)."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [result.x_label, "policy", "metric", "mean", "half_width", "n"]
-        )
-        for x in result.x_values:
-            for policy in result.policies:
-                if policy not in result.cells[x]:
-                    continue  # quarantined cell
-                evaluation = result.cells[x][policy]
-                for metric in _cell_metrics(evaluation):
-                    summary = evaluation.metric(metric)
-                    writer.writerow(
-                        [x, policy, metric, repr(summary.mean),
-                         repr(summary.half_width), summary.n]
-                    )
-    return path
-
-
-def load_sweep_json(path: str | Path) -> dict:
-    """Read back a sweep JSON (plain dict; no SweepResult round-trip)."""
-    return json.loads(Path(path).read_text())

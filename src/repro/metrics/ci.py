@@ -99,10 +99,6 @@ class ReplicationSummary:
             return math.inf if self.half_width > 0 else 0.0
         return self.half_width / abs(self.mean)
 
-    def overlaps(self, other: "ReplicationSummary") -> bool:
-        """True when the two intervals intersect (difference may be noise)."""
-        return self.lower <= other.upper and other.lower <= self.upper
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mean:.6g} ± {self.half_width:.2g} (n={self.n})"
 

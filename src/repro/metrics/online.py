@@ -244,12 +244,6 @@ class RunningStats:
         return self._m2 / self.count
 
     @property
-    def sample_variance(self) -> float:
-        if self.count < 2:
-            raise ValueError("need at least two observations")
-        return self._m2 / (self.count - 1)
-
-    @property
     def std(self) -> float:
         return math.sqrt(max(self.variance, 0.0))
 

@@ -13,9 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .online import RunningStats
 
@@ -75,30 +73,6 @@ class MetricsCollector:
         self.response_time.add(response)
         self.response_ratio.add(response / size)
         self.job_size.add(size)
-
-    def record_batch(
-        self, arrivals: np.ndarray, completions: np.ndarray, sizes: np.ndarray
-    ) -> None:
-        """Vectorized form of :meth:`record`."""
-        arrivals = np.asarray(arrivals, dtype=float)
-        completions = np.asarray(completions, dtype=float)
-        sizes = np.asarray(sizes, dtype=float)
-        if not (arrivals.shape == completions.shape == sizes.shape):
-            raise ValueError("arrival/completion/size arrays must align")
-        if np.any(completions < arrivals):
-            raise ValueError("some completions precede their arrivals")
-        if np.any(sizes <= 0):
-            raise ValueError("job sizes must be positive")
-        keep = arrivals >= self.warmup_end
-        if not np.any(keep):
-            return
-        arrivals = arrivals[keep]
-        completions = completions[keep]
-        sizes = sizes[keep]
-        response = completions - arrivals
-        self.response_time.add_array(response)
-        self.response_ratio.add_array(response / sizes)
-        self.job_size.add_array(sizes)
 
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector in (e.g. per-server collectors)."""

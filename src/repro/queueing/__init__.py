@@ -5,22 +5,17 @@
 * :class:`HeterogeneousNetwork` — the paper's n-computer model with
   equations (1)–(3) for mean response time / response ratio.
 * :mod:`~repro.queueing.objective` — the objective function F of
-  Definition 1 plus Theorem 1's closed-form minimum.
+  Definition 1 and its gradient.
 * :class:`GG1Approximation` — Kingman/Allen–Cunneen envelopes for the
   non-Poisson (hyperexponential) arrival case.
 """
 
-from .gg1 import GG1Approximation, allen_cunneen_waiting_time, kingman_waiting_time
+from .gg1 import GG1Approximation, kingman_waiting_time
 from .mg1 import MG1
 from .mmc import MMc, erlang_c
 from .mm1 import MM1, ps_conditional_response, require_stable
 from .network import HeterogeneousNetwork, validate_allocation
-from .objective import (
-    objective_gradient,
-    objective_value,
-    response_time_from_objective,
-    theoretical_minimum,
-)
+from .objective import objective_gradient, objective_value
 
 __all__ = [
     "MM1",
@@ -32,10 +27,7 @@ __all__ = [
     "validate_allocation",
     "objective_value",
     "objective_gradient",
-    "theoretical_minimum",
-    "response_time_from_objective",
     "ps_conditional_response",
     "require_stable",
     "kingman_waiting_time",
-    "allen_cunneen_waiting_time",
 ]

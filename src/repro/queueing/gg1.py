@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["GG1Approximation", "kingman_waiting_time", "allen_cunneen_waiting_time"]
+__all__ = ["GG1Approximation", "kingman_waiting_time"]
 
 
 def _validate(arrival_rate: float, service_rate: float) -> float:
@@ -45,17 +45,6 @@ def kingman_waiting_time(
     return (rho / (1.0 - rho)) * ((ca2 + cs2) / 2.0) / service_rate
 
 
-def allen_cunneen_waiting_time(
-    arrival_rate: float, service_rate: float, ca2: float, cs2: float
-) -> float:
-    """Allen–Cunneen approximation — identical to Kingman for one server.
-
-    Kept as a named alias because multi-server extensions differ; for
-    c = 1 both reduce to the same expression.
-    """
-    return kingman_waiting_time(arrival_rate, service_rate, ca2, cs2)
-
-
 @dataclass(frozen=True)
 class GG1Approximation:
     """Approximate G/G/1 queue characterized by rates and squared CVs."""
@@ -76,8 +65,3 @@ class GG1Approximation:
     @property
     def mean_response_time(self) -> float:
         return self.mean_waiting_time + 1.0 / self.service_rate
-
-    @property
-    def burstiness_multiplier(self) -> float:
-        """Waiting-time inflation relative to M/M/1: (c_a² + c_s²)/2."""
-        return (self.ca2 + self.cs2) / 2.0

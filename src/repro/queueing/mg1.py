@@ -70,23 +70,9 @@ class MG1:
         self._check()
         return self.service.mean / (1.0 - self.rho)
 
-    @property
-    def mean_response_ratio_ps(self) -> float:
-        """E[T/S] = 1 / (1 − ρ): every job is slowed by the same factor
-        in expectation under PS (conditional response is linear in size)."""
-        self._check()
-        return 1.0 / (1.0 - self.rho)
-
     def conditional_response_ps(self, size: float) -> float:
         """E[T | S = t] = t / (1 − ρ)."""
         self._check()
         if size < 0:
             raise ValueError(f"job size must be non-negative, got {size}")
         return size / (1.0 - self.rho)
-
-    @property
-    def fcfs_to_ps_response_ratio(self) -> float:
-        """mean_response_time_fcfs / mean_response_time_ps — the price of
-        FCFS under this service distribution (large for heavy tails)."""
-        self._check()
-        return self.mean_response_time_fcfs / self.mean_response_time_ps

@@ -15,7 +15,7 @@ so minimizing T̄ and minimizing R̄ are the same problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,16 +134,6 @@ class HeterogeneousNetwork:
                 f"allocation saturates computer(s) {bad.tolist()}: alpha*lambda >= s*mu"
             )
         return denom
-
-    def per_server_response_time(self, alphas) -> np.ndarray:
-        """T̄ᵢ = 1 / (sᵢμ − αᵢλ); NaN for computers receiving no jobs."""
-        a = validate_allocation(alphas)
-        self._match(a)
-        denom = self._denominators(a)
-        out = np.full(self.n, np.nan)
-        mask = a > 0
-        out[mask] = 1.0 / denom[mask]
-        return out
 
     def mean_response_time(self, alphas) -> float:
         """T̄ = Σᵢ αᵢ / (sᵢμ − αᵢλ)   (paper equation (3))."""

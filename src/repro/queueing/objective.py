@@ -17,12 +17,7 @@ import numpy as np
 
 from .network import HeterogeneousNetwork, validate_allocation
 
-__all__ = [
-    "objective_value",
-    "objective_gradient",
-    "theoretical_minimum",
-    "response_time_from_objective",
-]
+__all__ = ["objective_value", "objective_gradient"]
 
 
 def objective_value(network: HeterogeneousNetwork, alphas) -> float:
@@ -46,24 +41,3 @@ def objective_gradient(network: HeterogeneousNetwork, alphas) -> np.ndarray:
         raise ValueError("allocation saturates a computer: alpha*lambda >= s*mu")
     return rates * network.arrival_rate / denom**2
 
-
-def theoretical_minimum(network: HeterogeneousNetwork) -> float:
-    """Theorem 1's minimum of F *ignoring* the αᵢ ≥ 0 constraints:
-
-    .. math::  F^* = \\frac{(\\sum_j \\sqrt{s_j\\mu})^2}{\\sum_j s_j\\mu - \\lambda}.
-
-    When some computers are slow enough that the unconstrained optimum
-    goes negative, the true constrained minimum (Algorithm 1) is larger;
-    applying this formula to the *active* subset gives the exact value.
-    """
-    if not network.stable:
-        raise ValueError(f"system saturated: utilization={network.utilization:.4f}")
-    rates = network.service_rates()
-    return float(np.sum(np.sqrt(rates)) ** 2 / (rates.sum() - network.arrival_rate))
-
-
-def response_time_from_objective(network: HeterogeneousNetwork, f_value: float) -> float:
-    """Recover T̄ from F via T̄ = (F − n)/λ."""
-    if network.arrival_rate <= 0:
-        raise ValueError("response time undefined for zero arrival rate")
-    return (f_value - network.n) / network.arrival_rate

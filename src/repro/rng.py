@@ -123,7 +123,3 @@ class StreamFactory:
     @property
     def service(self) -> np.random.Generator:
         return self.get("service")
-
-    @property
-    def misc(self) -> np.random.Generator:
-        return self.get("misc")

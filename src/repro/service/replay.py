@@ -173,10 +173,6 @@ class ServerBank:
         r.scratch[:self.n + 1] = bounds
         return r.dep[:n], r.svc[:n], r.order[:n], r.scratch[:self.n + 1]
 
-    def backlog_at(self, now: float) -> np.ndarray:
-        """Remaining busy time per server as of *now* (≥ 0)."""
-        return np.maximum(self.free_at - float(now), 0.0)
-
     # ------------------------------------------------------------------
     # Fault-mode API (segment calls over the in-flight rings)
     # ------------------------------------------------------------------

@@ -185,14 +185,6 @@ class ServiceReport:
         )
         return weighted / total_jobs
 
-    def allocation_history(self) -> list[tuple[float, np.ndarray]]:
-        """(window end, allocation) at every swap, initial included."""
-        out: list[tuple[float, np.ndarray]] = []
-        for w in self.windows:
-            if not out or w.swapped:
-                out.append((w.end, w.alphas))
-        return out
-
     def as_dict(self) -> dict:
         windows = []
         for w in self.windows:

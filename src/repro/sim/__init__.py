@@ -37,7 +37,6 @@ from .server import (
     RoundRobinQuantumServer,
     Server,
 )
-from .sampling import QueueSampler
 from .trace import JobTrace, run_trace_simulation
 
 __all__ = [
@@ -66,6 +65,5 @@ __all__ = [
     "ServerStats",
     "DispatchTrace",
     "JobTrace",
-    "QueueSampler",
     "run_trace_simulation",
 ]

@@ -78,7 +78,6 @@ def run_simulation(
     *,
     seed: int | np.random.SeedSequence = 0,
     record_trace: bool = False,
-    sampler=None,
 ) -> SimulationResults:
     """Run one replication and return its :class:`SimulationResults`.
 
@@ -97,9 +96,6 @@ def run_simulation(
     record_trace:
         Keep the (time, target) dispatch trace — needed by the Figure 2
         deviation analysis, off by default (it is O(total jobs) memory).
-    sampler:
-        Optional :class:`~repro.sim.sampling.QueueSampler` recording
-        per-server occupancy on a fixed grid during the run.
     """
     streams = StreamFactory(seed)
     workload = config.workload()
@@ -116,8 +112,6 @@ def run_simulation(
 
     queue = EventQueue()
     queue.push(arrivals.next_arrival(), EventKind.ARRIVAL)
-    if sampler is not None:
-        queue.push(sampler.next_sample_time(), EventKind.SAMPLE)
 
     # ------------------------------------------------------------------
     # Fault injection setup (zero-cost when config.faults is None: no
@@ -282,12 +276,6 @@ def run_simulation(
                 jobs_retried += 1
             else:
                 handle_bounce(job, t)
-
-        else:  # EventKind.SAMPLE
-            sampler.record(t, servers)
-            nxt = sampler.next_sample_time()
-            if nxt <= duration:
-                queue.push(nxt, EventKind.SAMPLE)
 
     replay_span.set(jobs=total_arrivals).__exit__(None, None, None)
 

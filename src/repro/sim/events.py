@@ -26,8 +26,6 @@ class EventKind(IntEnum):
     #: A delayed load-update message reaches the scheduler
     #: (payload: server index).
     LOAD_UPDATE = 2
-    #: Periodic state-sampling tick (see repro.sim.sampling).
-    SAMPLE = 3
     #: Fault injection (repro.faults): a server fails
     #: (payload: server index).
     SERVER_DOWN = 4
@@ -67,9 +65,6 @@ class EventQueue:
         """Return (time, kind, a, b) of the earliest event."""
         time, kind, _seq, a, b = heapq.heappop(self._heap)
         return time, kind, a, b
-
-    def peek_time(self) -> float:
-        return self._heap[0][0]
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -44,11 +44,6 @@ class FeedbackModel:
                 f"message delay mean must be non-negative, got {self.message_delay_mean}"
             )
 
-    @property
-    def mean_lag(self) -> float:
-        """Expected total notification delay."""
-        return self.detection_window / 2.0 + self.message_delay_mean
-
     def sample_delay(self, rng: np.random.Generator) -> float:
         """Draw one notification delay (detection + message transfer)."""
         delay = 0.0

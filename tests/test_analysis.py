@@ -7,7 +7,6 @@ from repro.analysis import (
     ValidationReport,
     batch_means,
     mser,
-    mser5,
     validate_against_theory,
 )
 from repro.core import get_policy
@@ -48,7 +47,7 @@ class TestMser:
         series = rng.normal(5.0, 1.0, 1000)
         result = mser(series)
         # No transient: truncation stays tiny (noise can pick a few).
-        assert result.truncation_fraction < 0.2
+        assert result.truncation / result.n < 0.2
         assert result.truncated_mean == pytest.approx(5.0, abs=0.15)
 
     def test_max_fraction_cap(self, rng):
@@ -81,7 +80,7 @@ class TestMser:
 
     def test_mser5_counts_batches(self, rng):
         series = np.concatenate([np.full(50, 10.0), rng.normal(1, 0.1, 450)])
-        result = mser5(series)
+        result = mser(batch_means(series, 5))  # MSER-5
         assert result.n == 100  # 500 observations / 5
         assert 5 <= result.truncation <= 20
 
@@ -141,4 +140,3 @@ class TestValidateAgainstTheory:
         )
         assert report.response_time_error == pytest.approx(0.1)
         assert report.response_ratio_error == pytest.approx(0.05)
-        assert report.within_ci

@@ -91,6 +91,43 @@ class TestCommands:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        """Fail the test if an experiment starts running."""
+        import repro.experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started despite a bad flag")
+
+        monkeypatch.setattr(repro.experiments, "run_experiment", refuse)
+
+    def assert_usage_error(self, code, capsys, flag):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {flag}")
+        assert "Traceback" not in err
+
+    def test_run_rejects_negative_retries(self, capsys, no_sweep):
+        code = main(["run", "figure3", "--scale", "smoke", "--retries", "-1"])
+        self.assert_usage_error(code, capsys, "--retries")
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+    def test_run_rejects_bad_task_timeout(self, capsys, no_sweep, bad):
+        code = main(["run", "figure3", "--scale", "smoke", "--n-jobs", "2",
+                     "--task-timeout", bad])
+        self.assert_usage_error(code, capsys, "--task-timeout")
+
+    def test_simulate_rejects_nan_precision(self, capsys, monkeypatch):
+        import repro.core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the precision loop started despite NaN")
+
+        monkeypatch.setattr(repro.core, "evaluate_cell_to_precision", refuse)
+        code = main(["simulate", "--speeds", "1,2", "--utilization", "0.5",
+                     "--precision", "nan"])
+        self.assert_usage_error(code, capsys, "--precision")
+
     def test_simulate_parallel_matches_serial(self, capsys):
         base = ["simulate", "--speeds", "1,1,10", "--utilization", "0.6",
                 "--policies", "ORR", "--duration", "5e3",

@@ -259,9 +259,9 @@ class TestLeastLoadDispatcher:
         d = LeastLoadDispatcher([1.0, 1.0])
         d.reset(None)
         d.select(1.0)
-        busy = int(np.argmax(d.known_queue_lengths))
+        busy = int(np.argmax(d._queue()))
         d.on_load_update(busy)
-        np.testing.assert_array_equal(d.known_queue_lengths, [0, 0])
+        np.testing.assert_array_equal(d._queue(), [0, 0])
 
     def test_update_below_zero_raises(self):
         d = LeastLoadDispatcher([1.0])
@@ -301,5 +301,5 @@ class TestLeastLoadDispatcher:
         d.reset(None)
         for _ in range(100):  # no departures: pure accumulation
             d.select(1.0)
-        q = d.known_queue_lengths
+        q = d._queue()
         assert q[1] / q[0] == pytest.approx(4.0, rel=0.1)

@@ -13,7 +13,6 @@ from repro.distributions import (
     Hyperexponential,
     Scaled,
     Uniform,
-    check_cv_achievable,
     distribution_from_mean_cv,
     fit_h2_balanced_means,
     paper_job_sizes,
@@ -188,7 +187,7 @@ class TestHyperexponential:
     def test_paper_arrival_cv(self):
         """Section 4.1 sets the inter-arrival CV to 3.0."""
         d = Hyperexponential.from_mean_cv(1.0, 3.0)
-        assert d.scv == pytest.approx(9.0)
+        assert d.cv**2 == pytest.approx(9.0)
 
 
 class TestBoundedPareto:
@@ -284,12 +283,12 @@ class TestScaled:
         assert d.cv == pytest.approx(1.0)
 
     def test_ppf_cdf(self):
-        d = Exponential(1.0).scaled(2.0)
+        d = Scaled(Exponential(1.0), 2.0)
         assert d.cdf(d.ppf(0.3)) == pytest.approx(0.3)
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
-            Exponential(1.0).scaled(0.0)
+            Scaled(Exponential(1.0), 0.0)
 
 
 class TestFitting:
@@ -323,9 +322,10 @@ class TestFitting:
             distribution_from_mean_cv(1.0, -0.5)
 
     def test_check_cv_achievable(self):
-        assert check_cv_achievable(0.0)
-        assert check_cv_achievable(1.0)
-        assert check_cv_achievable(3.0)
-        assert check_cv_achievable(0.5)  # Erlang-4
-        assert not check_cv_achievable(0.7)  # 1/0.49 not integral
-        assert not check_cv_achievable(-1.0)
+        """The fit is exact at CV 0, 1, above 1 and at 1/√k (Erlang-k)."""
+        for cv in (0.0, 1.0, 3.0, 0.5):  # 0.5: Erlang-4
+            assert distribution_from_mean_cv(2.0, cv).cv == pytest.approx(cv, abs=1e-9)
+        # 1/0.49 is not integral: the nearest Erlang misses.
+        assert abs(distribution_from_mean_cv(2.0, 0.7).cv - 0.7) > 1e-3
+        with pytest.raises(ValueError):
+            distribution_from_mean_cv(2.0, -1.0)

@@ -103,7 +103,7 @@ class TestFeedbackOrdering:
         result = run_simulation(config, dispatcher, None, seed=2)
         # All jobs completed, so after the drain every departure message
         # has been delivered: the known queue must be exactly empty.
-        np.testing.assert_array_equal(dispatcher.known_queue_lengths, [0, 0])
+        np.testing.assert_array_equal(dispatcher._queue(), [0, 0])
         assert result.metrics.jobs == result.total_arrivals
 
     def test_oracle_feedback_keeps_view_consistent(self):
@@ -113,7 +113,7 @@ class TestFeedbackOrdering:
         )
         dispatcher = LeastLoadDispatcher(config.speeds)
         run_simulation(config, dispatcher, None, seed=3)
-        np.testing.assert_array_equal(dispatcher.known_queue_lengths, [0, 0])
+        np.testing.assert_array_equal(dispatcher._queue(), [0, 0])
 
 
 class TestEventQueueStress:

@@ -263,6 +263,20 @@ class TestTimeout:
         with pytest.raises(ValueError, match="task_timeout"):
             run_replication_grid(_tasks(), task_timeout=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_timeout(self, bad):
+        """A NaN deadline never expires and an infinite one overflows the
+        pool's ``wait()``: both are refused before any task runs."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_replication_grid(_tasks(), n_jobs=2, task_timeout=bad)
+
+    def test_far_finite_timeout_runs(self):
+        """A budget beyond what ``wait()`` takes in one call is waited
+        for in steps instead of overflowing."""
+        tasks = _tasks()
+        report = run_replication_grid(tasks, n_jobs=2, task_timeout=1e300)
+        assert set(report.outcomes) == {t.key for t in tasks}
+
 
 class TestQuarantine:
     def test_quarantine_reports_instead_of_raising(self, worker_hook):

@@ -22,21 +22,21 @@ class TestLeastWorkDispatcher:
         # Now machine 1 holds 4 work: next job of size 1 → (0+1)/1 = 1
         # vs (4+1)/2 = 2.5 → machine 0.
         assert d.select(1.0) == 0
-        np.testing.assert_allclose(d.known_outstanding_work, [1.0, 4.0])
+        np.testing.assert_allclose(d._state()[0], [1.0, 4.0])
 
     def test_mean_size_mode_ignores_actual_sizes(self):
         d = self.make(use_sizes=False, mean_size=2.0)
         d.select(1000.0)
-        np.testing.assert_allclose(sorted(d.known_outstanding_work), [0.0, 2.0])
+        np.testing.assert_allclose(sorted(d._state()[0]), [0.0, 2.0])
 
     def test_load_update_retires_fifo_work(self):
         d = self.make(speeds=(1.0,))
         d.select(3.0)
         d.select(5.0)
         d.on_load_update(0)
-        assert d.known_outstanding_work[0] == pytest.approx(5.0)
+        assert d._state()[0][0] == pytest.approx(5.0)
         d.on_load_update(0)
-        assert d.known_outstanding_work[0] == pytest.approx(0.0)
+        assert d._state()[0][0] == pytest.approx(0.0)
 
     def test_update_without_outstanding_raises(self):
         d = self.make(speeds=(1.0,))

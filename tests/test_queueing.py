@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.allocation import unconstrained_fractions
 from repro.distributions import BoundedPareto, Deterministic, Exponential, paper_job_sizes
 from repro.queueing import (
     MG1,
     MM1,
     GG1Approximation,
     HeterogeneousNetwork,
-    allen_cunneen_waiting_time,
     kingman_waiting_time,
     objective_gradient,
     objective_value,
     ps_conditional_response,
     require_stable,
-    response_time_from_objective,
-    theoretical_minimum,
     validate_allocation,
 )
 
@@ -92,11 +90,12 @@ class TestMG1:
 
     def test_ps_response_ratio(self):
         q = MG1(arrival_rate=0.005, service=paper_job_sizes())
-        assert q.mean_response_ratio_ps == pytest.approx(1.0 / (1.0 - q.rho))
+        ratio = q.mean_response_time_ps / q.service.mean
+        assert ratio == pytest.approx(1.0 / (1.0 - q.rho))
 
     def test_fcfs_much_worse_than_ps_for_heavy_tails(self):
         q = MG1(arrival_rate=0.008, service=paper_job_sizes())
-        assert q.fcfs_to_ps_response_ratio > 5.0
+        assert q.mean_response_time_fcfs / q.mean_response_time_ps > 5.0
 
     def test_conditional_ps(self):
         q = MG1(arrival_rate=0.005, service=paper_job_sizes())
@@ -117,8 +116,10 @@ class TestGG1:
         assert w == pytest.approx(MM1(lam, mu).mean_waiting_time_fcfs)
 
     def test_alias(self):
-        assert allen_cunneen_waiting_time(0.5, 1.0, 2.0, 3.0) == pytest.approx(
-            kingman_waiting_time(0.5, 1.0, 2.0, 3.0)
+        """Allen–Cunneen for one server is Kingman's formula:
+        W = ρ/(1 − ρ) · (c_a² + c_s²)/2 · 1/μ."""
+        assert kingman_waiting_time(0.5, 2.0, 2.0, 3.0) == pytest.approx(
+            (0.25 / 0.75) * 2.5 / 2.0
         )
 
     def test_burstiness_scales_waiting(self):
@@ -128,7 +129,6 @@ class TestGG1:
 
     def test_dataclass(self):
         q = GG1Approximation(0.5, 1.0, ca2=9.0, cs2=1.0)
-        assert q.burstiness_multiplier == pytest.approx(5.0)
         assert q.mean_response_time == pytest.approx(q.mean_waiting_time + 1.0)
 
     def test_validation(self):
@@ -196,14 +196,12 @@ class TestHeterogeneousNetwork:
         assert net.arrival_rate == pytest.approx(1.25)
 
     def test_per_server_response_time_equation(self):
-        """T̄ᵢ = 1/(sᵢμ − αᵢλ) per the paper."""
+        """T̄ = Σ αᵢ T̄ᵢ with T̄ᵢ = 1/(sᵢμ − αᵢλ) per the paper."""
         net = make_network([1, 4], utilization=0.5)
         alphas = np.array([0.2, 0.8])
-        t = net.per_server_response_time(alphas)
         lam = net.arrival_rate
-        np.testing.assert_allclose(
-            t, [1.0 / (1.0 - 0.2 * lam), 1.0 / (4.0 - 0.8 * lam)]
-        )
+        per_server = [1.0 / (1.0 - 0.2 * lam), 1.0 / (4.0 - 0.8 * lam)]
+        assert net.mean_response_time(alphas) == pytest.approx(alphas @ per_server)
 
     def test_response_ratio_is_mu_times_time(self):
         net = HeterogeneousNetwork([1, 4], mu=2.0, utilization=0.5)
@@ -213,10 +211,10 @@ class TestHeterogeneousNetwork:
         )
 
     def test_zero_share_servers_have_nan_response(self):
+        """A computer given no jobs has no response time and adds no term."""
         net = make_network([1, 4], utilization=0.5)
-        t = net.per_server_response_time([0.0, 1.0])
-        assert np.isnan(t[0])
-        assert np.isfinite(t[1])
+        t = net.mean_response_time([0.0, 1.0])
+        assert t == pytest.approx(1.0 / (4.0 - net.arrival_rate))
 
     def test_saturating_allocation_raises(self):
         net = make_network([1, 1], utilization=0.9)
@@ -274,23 +272,27 @@ class TestObjective:
             assert num == pytest.approx(ana, rel=1e-3)
 
     def test_response_time_recovery(self):
+        """T̄ = (F − n)/λ."""
         net = make_network([1, 2], utilization=0.5)
         a = [0.3, 0.7]
         f = objective_value(net, a)
-        assert response_time_from_objective(net, f) == pytest.approx(
+        assert (f - net.n) / net.arrival_rate == pytest.approx(
             net.mean_response_time(a)
         )
 
     def test_theoretical_minimum_formula(self):
+        """Theorem 1: F at the interior point is (Σ√(sμ))²/(Σsμ − λ)."""
         net = make_network([4, 9], utilization=0.5)
         rates = net.service_rates()
         expected = (np.sqrt(rates).sum()) ** 2 / (rates.sum() - net.arrival_rate)
-        assert theoretical_minimum(net) == pytest.approx(expected)
+        alphas = unconstrained_fractions(net)
+        assert np.all(alphas > 0)
+        assert objective_value(net, alphas) == pytest.approx(expected)
 
     def test_theoretical_minimum_unstable(self):
         net = HeterogeneousNetwork([1.0], mu=1.0, arrival_rate=2.0)
         with pytest.raises(ValueError, match="saturated"):
-            theoretical_minimum(net)
+            unconstrained_fractions(net)
 
     def test_saturating_allocation_raises(self):
         net = make_network([1, 1], utilization=0.9)

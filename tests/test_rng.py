@@ -74,7 +74,7 @@ class TestStreamFactory:
 
     def test_all_properties_exist(self):
         f = StreamFactory(1)
-        for role in ("arrivals", "sizes", "dispatch", "feedback", "service", "misc"):
+        for role in ("arrivals", "sizes", "dispatch", "feedback", "service"):
             assert isinstance(getattr(f, role), np.random.Generator)
 
     def test_get_unknown_raises(self):

@@ -1,61 +1,11 @@
-"""Tests for queue sampling and workload characterization."""
+"""Tests for workload characterization."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import characterize
-from repro.dispatch import CyclicDispatcher
-from repro.distributions import Exponential
 from repro.rng import StreamFactory
-from repro.sim import (
-    JobTrace,
-    QueueSampler,
-    SimulationConfig,
-    Workload,
-    run_simulation,
-)
-
-
-class TestQueueSampler:
-    def run_sampled(self, interval=5.0, duration=2.0e4, rho=0.5):
-        config = SimulationConfig(
-            speeds=(1.0,), utilization=rho, duration=duration, warmup=0.0,
-            size_distribution=Exponential.from_mean(1.0), arrival_cv=1.0,
-        )
-        sampler = QueueSampler(interval)
-        result = run_simulation(
-            config, CyclicDispatcher(), np.array([1.0]), seed=5,
-            sampler=sampler,
-        )
-        return sampler, result
-
-    def test_sample_grid(self):
-        sampler, _ = self.run_sampled(interval=100.0, duration=1000.0)
-        np.testing.assert_allclose(sampler.times, np.arange(0, 1001, 100.0))
-
-    def test_littles_law_cross_check(self):
-        """L from the sampler matches lambda * T from job statistics."""
-        sampler, result = self.run_sampled(interval=1.0, duration=1.0e5)
-        lam = result.total_arrivals / result.duration
-        expected_l = lam * result.metrics.mean_response_time
-        assert sampler.time_average_number_in_system() == pytest.approx(
-            expected_l, rel=0.1
-        )
-
-    def test_mm1_occupancy(self):
-        """M/M/1 at rho=0.5: L = rho/(1-rho) = 1."""
-        sampler, _ = self.run_sampled(interval=1.0, duration=2.0e5)
-        assert sampler.time_average_number_in_system() == pytest.approx(1.0, rel=0.1)
-
-    def test_per_server_mean_shape(self):
-        sampler, _ = self.run_sampled()
-        assert sampler.per_server_mean().shape == (1,)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QueueSampler(0.0)
-        with pytest.raises(ValueError, match="no samples"):
-            QueueSampler(1.0).time_average_number_in_system()
+from repro.sim import JobTrace, Workload
 
 
 class TestCharacterize:

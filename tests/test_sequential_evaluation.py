@@ -5,10 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import evaluate_policy, evaluate_policy_to_precision, get_policy
+from repro.core import evaluate_cell_to_precision, evaluate_policy, get_policy
 from repro.sim import SimulationConfig
 
 CONFIG = SimulationConfig(speeds=(1.0, 4.0), utilization=0.5, duration=1.5e4)
+
+
+def evaluate_policy_to_precision(config, policy, **kwargs):
+    """The one-policy cell of :func:`evaluate_cell_to_precision`."""
+    return evaluate_cell_to_precision(config, [policy], **kwargs)[policy.name]
 
 
 class TestEvaluateToPrecision:

@@ -6,7 +6,6 @@ import pytest
 from repro.dispatch import (
     DeviationSeries,
     SitaDispatcher,
-    allocation_deviation,
     interval_deviations,
     sita_cutoffs,
 )
@@ -105,22 +104,29 @@ class TestSitaDispatcher:
         assert d.select(1e9) == 1       # above p → largest band
 
 
+def one_interval_deviation(expected, counts):
+    """Deviation of one interval holding ``counts[i]`` jobs for computer i."""
+    targets = np.repeat(np.arange(len(counts)), counts)
+    series = interval_deviations(expected, np.zeros(targets.size), targets, 1.0, 1)
+    return series.deviations[0]
+
+
 class TestAllocationDeviation:
     def test_perfect_match_is_zero(self):
-        assert allocation_deviation([0.5, 0.5], [10, 10]) == pytest.approx(0.0)
+        assert one_interval_deviation([0.5, 0.5], [10, 10]) == pytest.approx(0.0)
 
     def test_hand_computed(self):
         # expected (0.5, 0.5), actual (0.75, 0.25): 2 * 0.25^2 = 0.125.
-        assert allocation_deviation([0.5, 0.5], [3, 1]) == pytest.approx(0.125)
+        assert one_interval_deviation([0.5, 0.5], [3, 1]) == pytest.approx(0.125)
 
     def test_empty_interval_is_zero(self):
-        assert allocation_deviation([0.3, 0.7], [0, 0]) == 0.0
+        assert one_interval_deviation([0.3, 0.7], [0, 0]) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            allocation_deviation([0.5, 0.5], [1, 2, 3])
-        with pytest.raises(ValueError, match="non-negative"):
-            allocation_deviation([0.5, 0.5], [-1, 2])
+        with pytest.raises(ValueError, match="align"):
+            interval_deviations([0.5, 0.5], np.zeros(3), np.zeros(2), 1.0, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            interval_deviations([0.5, 0.5], np.zeros(1), np.array([2]), 1.0, 1)
 
 
 class TestIntervalDeviations:
