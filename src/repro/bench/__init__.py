@@ -16,7 +16,9 @@ Eight sections, one function each in :mod:`repro.bench.sections`:
   streams, batched replay), plus paired-vs-unpaired ORR/WRR
   confidence-interval widths under common random numbers;
 * executor — a tiny grid through real workers vs the auto-serial
-  small-task path;
+  small-task path, and a flat grid of 256 sub-millisecond tasks through
+  two workers vs serially (the pool's per-unit round trip, gated by an
+  absolute ceiling on the pool/serial wall ratio);
 * telemetry — the disabled-telemetry overhead guard (<2% of one
   replication, priced from the no-op span path) and a trace-on vs
   trace-off bit-identity check over the emitted JSONL;
@@ -213,7 +215,9 @@ def _print_summary(record: dict) -> None:
               f"{pp['verdict']})")
     print(f"  executor    : {e['small_tasks']} tasks via pool "
           f"{e['pool_s']:.3f}s -> auto-serial {e['auto_serial_s']:.3f}s "
-          f"({e['auto_serial_speedup']:.1f}x)")
+          f"({e['auto_serial_speedup']:.1f}x); flat {e['flat_tasks']} tasks "
+          f"pool {e['flat_pool_s']:.3f}s vs serial {e['flat_serial_s']:.3f}s "
+          f"({e['flat_pool_vs_serial']:.2f}x of serial)")
     print(f"  telemetry   : noop span {t['noop_span_ns']:.0f}ns, "
           f"{t['events_per_replication']} events/rep, disabled overhead "
           f"{t['overhead_fraction']:.3%} (<2%), "

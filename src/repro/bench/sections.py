@@ -40,7 +40,7 @@ from ..obs.spans import span as obs_span
 from ..rng import replication_seeds
 from ..service.loop import SchedulerService, ServiceConfig
 from ..service.sources import SyntheticJobSource, Workload
-from ..sim import ckernel
+from ..sim import SimulationConfig, ckernel
 from ..sim.fastpath import (
     _fcfs_replay_loop,
     _ps_replay_loop,
@@ -348,9 +348,21 @@ def cell(scale, serial) -> dict:
     }
 
 
+def _same_outcomes(a, b) -> bool:
+    """Whether two grid reports hold the same outcomes, bit for bit."""
+    return set(a.outcomes) == set(b.outcomes) and all(
+        all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in zip(a.outcomes[key], b.outcomes[key])
+        )
+        for key in a.outcomes
+    )
+
+
 def executor(scale, n_jobs: int) -> dict:
     """A tiny grid through real workers vs the auto-serial small-task
-    path; the outcomes must be identical."""
+    path, and a flat grid of sub-millisecond tasks through the pool vs
+    serially; each pair of outcomes must be identical."""
     config = skew_config(10.0, "ps", 2.0e4, 5.0e3)
     tasks = [
         ReplicationTask(key=("bench", "ORR", r), config=config,
@@ -369,22 +381,39 @@ def executor(scale, n_jobs: int) -> dict:
         executor_mod._AUTO_SERIAL_TASKS = saved_threshold
     shutdown_shared_executor()
     auto, auto_s = timed(run_replication_grid, list(tasks), n_jobs=workers)
-    require(
-        set(pooled.outcomes) == set(auto.outcomes) and all(
-            all(
-                np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-                for x, y in zip(pooled.outcomes[key], auto.outcomes[key])
-            )
-            for key in pooled.outcomes
-        ),
-        "auto-serial grid diverged from the worker pool",
+    require(_same_outcomes(pooled, auto),
+            "auto-serial grid diverged from the worker pool")
+
+    # 2 x 128 tasks of 5e3 simulated seconds, well under a millisecond
+    # each, on two workers: the per-unit round trip through the pool,
+    # not the simulation, decides the pool's wall.
+    flat_config = SimulationConfig(speeds=(1.0, 1.0, 10.0), utilization=0.6,
+                                   duration=5.0e3)
+    flat_tasks = [
+        ReplicationTask(key=("flat", p, r), config=flat_config, policy_name=p,
+                        estimation_error=None, seed=s)
+        for p in ("ORR", "WRR")
+        for r, s in enumerate(replication_seeds(scale.base_seed, 128))
+    ]
+    # One untimed pass spins the pool up and warms the workers' memos.
+    run_replication_grid(flat_tasks, n_jobs=2)
+    flat_pool, flat_pool_s, flat_serial, flat_serial_s = best_pair(
+        lambda: run_replication_grid(flat_tasks, n_jobs=2),
+        lambda: run_replication_grid(flat_tasks, n_jobs=1),
     )
+    shutdown_shared_executor()
+    require(_same_outcomes(flat_pool, flat_serial),
+            "flat grid through the pool diverged from the serial grid")
     return {
         "small_tasks": len(tasks),
         "n_jobs": workers,
         "pool_s": pool_s,
         "auto_serial_s": auto_s,
         "auto_serial_speedup": ratio(pool_s, auto_s),
+        "flat_tasks": len(flat_tasks),
+        "flat_pool_s": flat_pool_s,
+        "flat_serial_s": flat_serial_s,
+        "flat_pool_vs_serial": ratio(flat_pool_s, flat_serial_s),
     }
 
 

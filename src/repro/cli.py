@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="retry crashed or timed-out grid tasks up to N times "
+        help="retry crashed or timed-out replications up to N times "
              "with bounded backoff (default 0)",
     )
     run_p.add_argument(
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per grid task; a stuck task counts as "
-             "crashed (parallel runs only)",
+        help="wall-clock budget per replication; a stuck replication "
+             "counts as crashed (parallel runs only)",
     )
     run_p.add_argument(
         "--resume",

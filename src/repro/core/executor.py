@@ -15,31 +15,33 @@ runner:
   its own seed, workers rebuild policies from registry names, and the
   caller aggregates outcomes keyed by task — never by completion order.
   ``n_jobs=1`` bypasses the pool (and pickling) entirely.
-* **Failure isolation.**  A crashing task does not poison the pool: the
-  worker captures the traceback per task, a dead or stuck worker costs
-  only the work it held, and the parent raises one aggregate
-  :class:`GridTaskError` naming the failed cells.
 * **One ledger, one scheduler.**  Both runners — the flat
   per-replication grid and the whole-cell grid — look every member up
   in the sweep checkpoint, then the replication cache, and file each
   finished outcome into both the same way (:class:`_Ledger`).  What is
-  left runs as *units* — a :class:`ReplicationTask`, or one
-  replication-chunk slice of a cell — either in process
-  (:func:`_run_serial`) or through :func:`_run_pool`, the only code
-  that submits work to the shared pool.  Both hand back each unit's
-  rows as it settles, so the cache and checkpoint grow cell by cell.
-  A unit that dies or times out is charged as a whole: every member of
-  a cell slice gets the failure.
+  left runs as *units* of one shape, ``(members, cell)``: a chunk of
+  flat tasks, or one replication-chunk slice of a cell — either in
+  process (:func:`_run_serial`) or through :func:`_run_pool`, the only
+  code that submits work to the shared pool.  Both hand back each
+  unit's rows as it settles, so the cache and checkpoint grow cell by
+  cell.
+* **One isolation rule** (:func:`_isolate`).  A crash does not poison
+  the pool: a unit of several members that raises, kills its worker
+  while running alone, or overruns its budget splits into
+  single-member units that re-run uncharged; only a single member's
+  failure is charged, and the parent raises one aggregate
+  :class:`GridTaskError` naming the failed members.
 
-The flat grid adds hardening knobs (all off by default):
+Both grids take the same hardening knobs (all off by default):
 
-* ``retries`` — transient failures (a task raising, a worker process
-  dying, a task timing out) are retried up to N times with a bounded
+* ``retries`` — transient failures (a member raising, a worker process
+  dying, a member timing out) are retried up to N times with a bounded
   exponential backoff before counting as failed.
-* ``task_timeout`` — wall-clock budget per task (parallel runs only).
-  A task past its deadline is treated as crashed: the pool is recycled
-  and the task retried or failed.
-* ``quarantine`` — tasks that exhaust their retries are quarantined
+* ``task_timeout`` — wall-clock budget per member (parallel runs only);
+  a unit's budget is its member count × ``task_timeout``.  A unit past
+  its deadline is treated as crashed: the pool is recycled and the unit
+  split, or the member retried or failed.
+* ``quarantine`` — members that exhaust their retries are quarantined
   into ``GridReport.failures`` as structured :class:`TaskFailure`
   records (naming the sweep point, policy, and replication) instead of
   aborting the whole grid.
@@ -432,40 +434,50 @@ def _run_slice(task: CellTask, members, rep_handles) -> list[Outcome]:
             view.close()
 
 
-def _members(unit) -> list[ReplicationTask]:
-    """A unit's members as the flat grid's tasks, in row order."""
-    if isinstance(unit, ReplicationTask):
-        return [unit]
-    task, pairs, _ = unit
-    return [task.member(pi, r) for pi, r in pairs]
+def _cell_unit(task: CellTask, pairs, rep_handles):
+    """The unit that runs the ``(pi, r)`` *pairs* of one cell as one
+    batched :func:`_run_slice`."""
+    return [task.member(pi, r) for pi, r in pairs], (task, pairs, rep_handles)
 
 
-def _failed(members, error: str) -> list:
-    return [(member.key, None, error) for member in members]
+def _split(unit) -> list:
+    """A unit's members as single-member units, in row order."""
+    members, cell = unit
+    if cell is None:
+        return [([member], None) for member in members]
+    task, pairs, rep_handles = cell
+    handles = dict(rep_handles or ())
+    return [_cell_unit(task, [(pi, r)], [(r, handles.get(r))])
+            for pi, r in pairs]
+
+
+def _failed(unit, error: str) -> list:
+    return [(member.key, None, error) for member in unit[0]]
 
 
 def _run_unit(unit):
-    """Run one unit — a :class:`ReplicationTask`, or a cell slice
-    ``(task, members, rep_handles)`` whose ``members`` are ``(pi, r)``
-    pairs — in a worker or in process.  Never raises: returns
-    ``(rows, delta)`` with one ``(key, outcome, error)`` row per member,
-    a failure charging every member.  ``delta`` is the counter delta
+    """Run one unit — its member :class:`ReplicationTask`\\ s in row
+    order, plus the ``(task, pairs, rep_handles)`` cell slice they
+    replay as one batch, or None on the flat grid — in a worker or in
+    process.  Never raises: returns ``(rows, delta)`` with one ``(key,
+    outcome, error)`` row per member, a failure marking every member.
+    ``delta`` is the counter delta
     (:func:`repro.obs.counters.diff_since`) the parent merges so a
     parallel grid reports the same run-level counters as a serial one;
     in-process callers ignore it.
     """
     before = counters.snapshot()
-    members = _members(unit)
+    members, cell = unit
     try:
         if _TEST_WORKER_HOOK is not None:
             for member in members:
                 _TEST_WORKER_HOOK(member)
-        if isinstance(unit, ReplicationTask):
-            outcomes = [_run_replication(unit)]
+        if cell is None:
+            outcomes = [_run_replication(member) for member in members]
         else:
-            outcomes = _run_slice(*unit)
+            outcomes = _run_slice(*cell)
     except Exception:  # noqa: BLE001 — captured per unit by design
-        return _failed(members, traceback.format_exc()), None
+        return _failed(unit, traceback.format_exc()), None
     rows = [(m.key, outcome, None) for m, outcome in zip(members, outcomes)]
     return rows, counters.diff_since(before)
 
@@ -473,6 +485,26 @@ def _run_unit(unit):
 def _retry_delay(next_attempt: int) -> float:
     """Bounded exponential backoff before attempt *next_attempt* (≥ 2)."""
     return min(_RETRY_MAX_DELAY, _RETRY_BASE_DELAY * 2.0 ** (next_attempt - 2))
+
+
+def _isolate(unit, attempt: int, rows, retries: int):
+    """The one failure rule: ``(rows to file or None, (unit, attempt)
+    pairs to run next)`` for a unit's settled *rows*.
+
+    A unit of several members that failed — raised, killed its worker
+    while running alone, or overran its budget — splits into
+    single-member units that re-run uncharged: a split is not an
+    attempt.  Only a single member's failure is charged: it is retried
+    after a backoff while retries are left, then filed as failed.
+    """
+    if all(err is None for _, _, err in rows):
+        return rows, []
+    if len(unit[0]) > 1:
+        return None, [(single, attempt) for single in _split(unit)]
+    if attempt <= retries:
+        time.sleep(_retry_delay(attempt + 1))
+        return None, [(unit, attempt + 1)]
+    return rows, []
 
 
 def _runs_serial(n_jobs: int, n_pending: int, retries: int = 0,
@@ -493,15 +525,15 @@ def _runs_serial(n_jobs: int, n_pending: int, retries: int = 0,
 
 
 def _run_serial(units: Iterable, retries: int):
-    """In-process execution with inline retries (no timeout support):
-    yields ``(rows, attempts)`` per unit."""
-    for unit in units:
-        for attempt in range(1, retries + 2):
-            rows, _ = _run_unit(unit)
-            if attempt > retries or all(err is None for _, _, err in rows):
-                yield rows, attempt
-                break
-            time.sleep(_retry_delay(attempt + 1))
+    """In-process execution (no timeout support): yields ``(rows,
+    attempts)`` per unit as it settles."""
+    queue = deque((unit, 1) for unit in units)
+    while queue:
+        unit, attempt = queue.popleft()
+        done, again = _isolate(unit, attempt, _run_unit(unit)[0], retries)
+        queue.extendleft(reversed(again))
+        if done is not None:
+            yield done, attempt
 
 
 def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
@@ -510,15 +542,15 @@ def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
     unit as it settles.
 
     Each unit gets its own future, at most ``2 * n_jobs`` in flight
-    (``n_jobs`` under a timeout).  A dead worker breaks the *whole*
-    pool, and ``BrokenProcessPool`` cannot say which unit killed it —
-    so nobody is charged for a break; every unit in flight becomes a
-    *suspect* and re-runs in isolation (one unit at a time on a rebuilt
-    pool).  A break can surface in a result or at the next submit (a
-    worker may die while the caller files earlier rows); both count the
-    same.  Alone, the culprit is unambiguous: an isolated break or
-    timeout charges that unit's attempt, while innocent bystanders
-    complete for free.
+    (``n_jobs`` under a timeout), and a budget of its member count ×
+    ``task_timeout``.  A dead worker breaks the *whole* pool, and
+    ``BrokenProcessPool`` cannot say which unit killed it — so nobody
+    is charged for a break; every unit in flight becomes a *suspect*
+    and re-runs in isolation (one unit at a time on a rebuilt pool).  A
+    break can surface in a result or at the next submit (a worker may
+    die while the caller files earlier rows); both count the same.
+    Alone, the culprit is unambiguous: :func:`_isolate` splits or
+    charges it like any other failed unit.
     """
     todo = deque((unit, 1) for unit in units)
     isolated: deque = deque()  # suspects: run one at a time
@@ -527,12 +559,10 @@ def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
     timeout_error = f"task exceeded its {task_timeout}s wall-clock budget"
 
     def settle(unit, attempt, rows, queue):
-        """Record a finished attempt, or requeue a failed one with backoff."""
-        if attempt <= retries and any(err is not None for _, _, err in rows):
-            time.sleep(_retry_delay(attempt + 1))
-            queue.append((unit, attempt + 1))
-        else:
-            ready.append((rows, attempt))
+        done, again = _isolate(unit, attempt, rows, retries)
+        queue.extend(again)
+        if done is not None:
+            ready.append((done, attempt))
 
     def recycle():
         """Units in flight on a broken pool join the suspects, uncharged."""
@@ -550,9 +580,8 @@ def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
         broken = False
         while queue and len(in_flight) < (1 if solo else width):
             unit, attempt = queue.popleft()
-            deadline = (
-                time.monotonic() + task_timeout if task_timeout is not None else None
-            )
+            deadline = (time.monotonic() + task_timeout * len(unit[0])
+                        if task_timeout is not None else None)
             try:
                 in_flight[pool.submit(_run_unit, unit)] = (unit, attempt, deadline)
             except BrokenProcessPool:
@@ -583,9 +612,9 @@ def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
                 if not solo:
                     isolated.append((unit, attempt))
                     continue
-                rows = _failed(_members(unit), "task killed its worker process")
+                rows = _failed(unit, "task killed its worker process")
             except Exception:  # noqa: BLE001 — surfaced as a unit failure
-                rows = _failed(_members(unit), traceback.format_exc())
+                rows = _failed(unit, traceback.format_exc())
             settle(unit, attempt, rows, queue)
 
         if task_timeout is not None:
@@ -595,13 +624,38 @@ def _run_pool(units: Iterable, n_jobs: int, retries: int = 0,
                     in_flight.pop(fut)
                     # A running unit can't be reclaimed: recycle the pool.
                     broken |= not fut.cancel()
-                    rows = _failed(_members(unit), timeout_error)
-                    settle(unit, attempt, rows, queue)
+                    settle(unit, attempt, _failed(unit, timeout_error), queue)
 
         if broken:
             recycle()
         yield from ready
         ready.clear()
+
+
+def _run_grid(members: Iterable[ReplicationTask], units, n_jobs, cache,
+              retries, task_timeout, quarantine, checkpoint) -> GridReport:
+    """The one body of both runners: look every member up, run what is
+    left as the unit batches ``units(todo, n_jobs, serial)`` yields —
+    in process or on the pool — filing each unit as it settles, then
+    close the report."""
+    n_jobs = resolve_n_jobs(n_jobs)
+    if retries < 0:
+        raise ValueError(f"retries must be non-negative, got {retries}")
+    # Written so that NaN fails it (a NaN deadline never expires); no
+    # timeout is spelled None, not inf.
+    if task_timeout is not None and not 0.0 < task_timeout < math.inf:
+        raise ValueError(
+            f"task_timeout must be positive and finite, got {task_timeout}"
+        )
+    ledger = _Ledger(cache, checkpoint)
+    todo = ledger.lookup(members)
+    serial = _runs_serial(n_jobs, len(todo), retries, task_timeout)
+    for batch in units(todo, n_jobs, serial):
+        completed = (_run_serial(batch, retries) if serial
+                     else _run_pool(batch, n_jobs, retries, task_timeout))
+        for rows, attempts in completed:
+            ledger.settle(rows, attempts)
+    return ledger.close(quarantine)
 
 
 def run_replication_grid(
@@ -618,39 +672,30 @@ def run_replication_grid(
 
     Results are keyed by ``task.key`` so aggregation is insensitive to
     completion order; with the same seeds the outcome is bit-identical
-    to running the tasks serially.  Tasks that fail after ``retries``
+    to running the tasks serially.  In process each task is one unit;
+    on the pool the tasks travel as contiguous chunks, about
+    ``4 * n_jobs`` units in all.  Tasks that fail after ``retries``
     extra attempts are raised as one aggregate :class:`GridTaskError` —
     or, with ``quarantine=True``, reported in ``GridReport.failures``
     while every healthy cell still completes.  See the module docstring
     for the hardening knobs.
     """
     tasks = list(tasks)
-    n_jobs = resolve_n_jobs(n_jobs)
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    # Written so that NaN fails it (a NaN deadline never expires); no
-    # timeout is spelled None, not inf.
-    if task_timeout is not None and not 0.0 < task_timeout < math.inf:
-        raise ValueError(
-            f"task_timeout must be positive and finite, got {task_timeout}"
-        )
-    ledger = _Ledger(cache, checkpoint)
-    todo = ledger.lookup(tasks)
-    pending = [task for task in tasks if task.key in todo]
-    if _runs_serial(n_jobs, len(pending), retries, task_timeout):
-        completed = _run_serial(pending, retries)
-    else:
-        completed = _run_pool(pending, n_jobs, retries, task_timeout)
-    for rows, attempts in completed:
-        ledger.settle(rows, attempts)
-    return ledger.close(quarantine)
+
+    def units(todo, n_jobs, serial):
+        pending = [task for task in tasks if task.key in todo]
+        size = 1 if serial else max(1, len(pending) // (4 * n_jobs))
+        yield [(pending[i:i + size], None)
+               for i in range(0, len(pending), size)]
+
+    return _run_grid(tasks, units, n_jobs, cache, retries, task_timeout,
+                     quarantine, checkpoint)
 
 
-def _cell_slices(task: CellTask, members, n_jobs: int,
+def _cell_slices(task: CellTask, pairs, n_jobs: int,
                  shared: SharedStreamPool):
-    """One cell's pending *members* as ``(task, members, rep_handles)``
-    units, at most one per worker, each replication's streams shared
-    through *shared*.
+    """One cell's pending ``(pi, r)`` *pairs* as units, at most one per
+    worker, each replication's streams shared through *shared*.
 
     Slices are replication chunks that keep every policy of a
     replication in the same worker: the batched replay can then dedup
@@ -659,7 +704,7 @@ def _cell_slices(task: CellTask, members, n_jobs: int,
     """
     fast = _cell_fast_indices(task.config, task.policies())
     by_rep: dict[int, list[int]] = {}
-    for pi, r in members:
+    for pi, r in pairs:
         by_rep.setdefault(r, []).append(pi)
     reps = sorted(by_rep)
     n_chunks = min(n_jobs, len(reps))
@@ -669,7 +714,8 @@ def _cell_slices(task: CellTask, members, n_jobs: int,
              if any(pi in fast for pi in by_rep[r]) else None)
             for r in chunk
         ]
-        yield task, [(pi, r) for r in chunk for pi in by_rep[r]], rep_handles
+        yield _cell_unit(task, [(pi, r) for r in chunk for pi in by_rep[r]],
+                         rep_handles)
 
 
 def run_cell_grid(
@@ -677,6 +723,9 @@ def run_cell_grid(
     *,
     n_jobs: int | str | None = None,
     cache: ReplicationCache | None = None,
+    retries: int = 0,
+    task_timeout: float | None = None,
+    quarantine: bool = False,
     checkpoint: SweepCheckpoint | None = None,
 ) -> GridReport:
     """Run sweep cells whole: one stream materialization per replication.
@@ -690,46 +739,27 @@ def run_cell_grid(
     :func:`_run_pool`, shipping each replication's streams through
     shared memory; cells run back to back so at most one cell's streams
     are resident, and the parent owns and always unlinks every segment,
-    even when a worker dies.
-
-    Hardening (retries, timeouts, quarantine) is deliberately absent —
-    sweeps that need it take :func:`run_replication_grid`.
+    even when a worker dies.  ``retries``, ``task_timeout`` (per
+    member) and ``quarantine`` harden it exactly as they do
+    :func:`run_replication_grid`.
     """
     cells = list(cells)
-    n_jobs = resolve_n_jobs(n_jobs)
-    ledger = _Ledger(cache, checkpoint)
-    todo = ledger.lookup(
-        task.member(pi, r)
-        for task in cells
-        for pi in range(len(task.policy_names))
-        for r in range(len(task.seeds))
-    )
-    pending: list[tuple[CellTask, list[tuple[int, int]]]] = []
-    for task in cells:
-        members = [
-            (pi, r)
-            for pi in range(len(task.policy_names))
-            for r in range(len(task.seeds))
-            if task.member_key(pi, r) in todo
-        ]
-        if members:
-            pending.append((task, members))
 
-    if _runs_serial(n_jobs, len(todo)):
-        completed = _run_serial(
-            [(task, members, None) for task, members in pending], 0
-        )
-    else:
-        completed = _run_cells_pooled(pending, n_jobs)
-    for rows, attempts in completed:
-        ledger.settle(rows, attempts)
-    return ledger.close()
+    def units(todo, n_jobs, serial):
+        for task in cells:
+            pairs = [(pi, r) for pi in range(len(task.policy_names))
+                     for r in range(len(task.seeds))
+                     if task.member_key(pi, r) in todo]
+            if not pairs:
+                continue
+            if serial:
+                yield [_cell_unit(task, pairs, None)]
+                continue
+            with SharedStreamPool() as shared:
+                yield list(_cell_slices(task, pairs, n_jobs, shared))
 
-
-def _run_cells_pooled(pending, n_jobs: int):
-    """Each pending cell's slices through :func:`_run_pool`, one cell's
-    shared streams at a time."""
-    for task, members in pending:
-        with SharedStreamPool() as shared:
-            yield from _run_pool(_cell_slices(task, members, n_jobs, shared),
-                                 n_jobs)
+    members = [task.member(pi, r) for task in cells
+               for pi in range(len(task.policy_names))
+               for r in range(len(task.seeds))]
+    return _run_grid(members, units, n_jobs, cache, retries, task_timeout,
+                     quarantine, checkpoint)

@@ -27,7 +27,6 @@ from ..obs import counters as obs_counters
 from ..core.cache import ReplicationCache, default_cache
 from ..core.executor import (
     CellTask,
-    ReplicationTask,
     run_cell_grid,
     run_replication_grid,
     summarize_outcomes,
@@ -153,20 +152,15 @@ def run_policy_sweep(
     task_timeout: float | None = None,
     quarantine: bool = False,
     checkpoint=None,
-    cell_batch: bool | None = None,
+    cell_batch: bool = True,
 ) -> SweepResult:
     """Evaluate each policy at each sweep point.
 
-    By default the sweep runs **cell-batched**: each sweep point becomes
-    one :class:`~repro.core.executor.CellTask` whose replications share
+    The sweep runs **cell-batched**: each sweep point becomes one
+    :class:`~repro.core.executor.CellTask` whose replications share
     materialized arrival/size streams across every policy (common random
     numbers make the draws identical, so sampling once per replication
-    is free speedup).  Hardening knobs (``retries``, ``task_timeout``,
-    ``quarantine``) are only offered by the flat per-replication grid,
-    so requesting any of them routes the sweep there instead.  Both
-    paths share task keys and cache entries and are bit-identical for
-    the same seeds — same per-replication streams, order-insensitive
-    aggregation.
+    is free speedup), hardened or not.
 
     Parameters
     ----------
@@ -190,25 +184,16 @@ def run_policy_sweep(
         sweep point's configuration (unless the point's own config
         already carries one — fault experiments set it per point).
     retries / task_timeout / quarantine / checkpoint:
-        Harness hardening, forwarded to
-        :func:`~repro.core.executor.run_replication_grid`: bounded
-        retries for crashed or timed-out replications, per-task
-        wall-clock budget, structured quarantine instead of an
+        Harness hardening, forwarded to the grid runner: bounded
+        retries for crashed or timed-out replications, a wall-clock
+        budget per replication, structured quarantine instead of an
         aggregate abort, and a :class:`~repro.core.checkpoint.SweepCheckpoint`
         so ``repro run --resume`` skips finished cells.
     cell_batch:
-        ``None`` (default) batches whole cells whenever no hardening
-        knob is in play; ``False`` forces the flat per-replication
-        grid; ``True`` insists on cell batching and raises if a
-        hardening knob was also requested.
+        ``False`` runs the per-replication reference grid instead
+        (:func:`~repro.core.executor.run_replication_grid`): the same
+        task keys, cache entries and bits, one replication at a time.
     """
-    hardened = retries != 0 or task_timeout is not None or quarantine
-    if cell_batch is True and hardened:
-        raise ValueError(
-            "cell_batch=True is incompatible with retries/task_timeout/"
-            "quarantine; the hardened path runs per-replication tasks"
-        )
-    use_cells = cell_batch if cell_batch is not None else not hardened
     x_values = [float(x) for x in x_values]
     result = SweepResult(
         experiment_id=experiment_id,
@@ -223,12 +208,11 @@ def run_policy_sweep(
         cache = default_cache()
     counters_before = obs_counters.snapshot()
 
-    # Plan: flatten the sweep into one replication grid.
+    # Plan: one cell per sweep point.
     t_plan = time.perf_counter()
     seeds = replication_seeds(scale.base_seed, scale.replications)
     display: dict[str, str] = {}
     configs: dict[float, SimulationConfig] = {}
-    tasks: list[ReplicationTask] = []
     cell_tasks: list[CellTask] = []
     for x in x_values:
         base = config_for_x(x)
@@ -247,55 +231,35 @@ def run_policy_sweep(
             faults=base.faults if base.faults is not None else faults,
         )
         configs[x] = config
-        base_names = []
-        cell_errors = []
-        for name in policies:
-            base_name = name.split("(")[0]
-            err = errors.get(name)
-            base_names.append(base_name)
-            cell_errors.append(err)
+        base_names = [name.split("(")[0] for name in policies]
+        cell_errors = [errors.get(name) for name in policies]
+        for name, base_name, err in zip(policies, base_names, cell_errors):
             # Resolve up front: fail fast and fix the display name.
             display[name] = get_policy(base_name, estimation_error=err).name
-            if not use_cells:
-                for r, seed in enumerate(seeds):
-                    tasks.append(
-                        ReplicationTask(
-                            key=(x, name, r),
-                            config=config,
-                            policy_name=base_name,
-                            estimation_error=err,
-                            seed=seed,
-                        )
-                    )
-        if use_cells:
-            cell_tasks.append(
-                CellTask(
-                    x=x,
-                    config=config,
-                    policy_names=tuple(policies),
-                    base_names=tuple(base_names),
-                    estimation_errors=tuple(cell_errors),
-                    seeds=tuple(seeds),
-                )
+        cell_tasks.append(
+            CellTask(
+                x=x,
+                config=config,
+                policy_names=tuple(policies),
+                base_names=tuple(base_names),
+                estimation_errors=tuple(cell_errors),
+                seeds=tuple(seeds),
             )
+        )
     plan_s = time.perf_counter() - t_plan
 
-    if use_cells:
-        report = run_cell_grid(
-            cell_tasks,
-            n_jobs=n_jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-        )
+    grid = dict(n_jobs=n_jobs, cache=cache, retries=retries,
+                task_timeout=task_timeout, quarantine=quarantine,
+                checkpoint=checkpoint)
+    if cell_batch:
+        report = run_cell_grid(cell_tasks, **grid)
     else:
         report = run_replication_grid(
-            tasks,
-            n_jobs=n_jobs,
-            cache=cache,
-            retries=retries,
-            task_timeout=task_timeout,
-            quarantine=quarantine,
-            checkpoint=checkpoint,
+            [cell.member(pi, r)
+             for cell in cell_tasks
+             for pi in range(len(policies))
+             for r in range(len(seeds))],
+            **grid,
         )
 
     # Aggregate in (x, policy, seed) order — completion order never

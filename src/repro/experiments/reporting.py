@@ -53,19 +53,13 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_sweep(result: SweepResult, metric: str, *, show_ci: bool = False) -> str:
+def format_sweep(result: SweepResult, metric: str) -> str:
     """One metric of a sweep as a table: x rows × policy columns."""
     headers = [result.x_label] + result.policies
-    rows = []
-    for x in result.x_values:
-        row: list[object] = [x]
-        for p in result.policies:
-            summary = result.cells[x][p].metric(metric)
-            if show_ci:
-                row.append(f"{summary.mean:.4g}±{summary.half_width:.2g}")
-            else:
-                row.append(summary.mean)
-        rows.append(row)
+    rows = [
+        [x] + [result.cells[x][p].metric(metric).mean for p in result.policies]
+        for x in result.x_values
+    ]
     title = f"{result.experiment_id}: {result.title} — {metric} [{result.scale.name} scale]"
     return format_table(headers, rows, title=title)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,13 +83,16 @@ class SimulationConfig:
         speeds = tuple(float(s) for s in self.speeds)
         if not speeds:
             raise ValueError("at least one computer speed is required")
-        if any(s <= 0 for s in speeds):
-            raise ValueError(f"speeds must be positive, got {speeds}")
+        # Each bound is written so that NaN fails it.
+        if not all(0.0 < s < math.inf for s in speeds):
+            raise ValueError(f"speeds must be positive and finite, got {speeds}")
         object.__setattr__(self, "speeds", speeds)
         if not 0.0 < self.utilization < 1.0:
             raise ValueError(f"utilization must lie in (0, 1), got {self.utilization}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
         if self.warmup is None:
             object.__setattr__(self, "warmup", PAPER_WARMUP_FRACTION * self.duration)
         elif not 0.0 <= self.warmup < self.duration:
@@ -99,8 +103,14 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown discipline {self.discipline!r}; expected one of {_DISCIPLINES}"
             )
-        if self.quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {self.quantum}")
+        if not 0.0 < self.quantum < math.inf:
+            raise ValueError(
+                f"quantum must be positive and finite, got {self.quantum}"
+            )
+        if not 0.0 <= self.arrival_cv < math.inf:
+            raise ValueError(
+                f"arrival_cv must be non-negative and finite, got {self.arrival_cv}"
+            )
         if self.faults is not None and not isinstance(self.faults, FaultConfig):
             raise TypeError(
                 f"faults must be a FaultConfig or None, got {type(self.faults).__name__}"
@@ -133,10 +143,3 @@ class SimulationConfig:
         return HeterogeneousNetwork(
             np.asarray(self.speeds), mu=workload.mu, utilization=self.utilization
         )
-
-    def scaled(self, duration: float, warmup: float | None = None) -> "SimulationConfig":
-        """Copy with a different horizon (warm-up defaults to a quarter)."""
-        from dataclasses import replace
-
-        return replace(self, duration=duration,
-                       warmup=warmup if warmup is not None else 0.25 * duration)

@@ -405,7 +405,7 @@ class TestSweepIntegration:
         )
         flat = run_policy_sweep(cell_batch=False, **common)
         cell = run_policy_sweep(cell_batch=True, **common)
-        default = run_policy_sweep(**common)  # routes to cells
+        default = run_policy_sweep(**common)  # cell-batched by default
         for p in ("ORR", "WRAN"):
             np.testing.assert_array_equal(
                 flat.series(p, "mean_response_ratio"),
@@ -414,15 +414,4 @@ class TestSweepIntegration:
             np.testing.assert_array_equal(
                 cell.series(p, "mean_response_ratio"),
                 default.series(p, "mean_response_ratio"),
-            )
-
-    def test_cell_batch_rejects_hardening_knobs(self):
-        from repro.experiments.base import Scale, run_policy_sweep
-
-        scale = Scale("test", duration=5000.0, replications=1)
-        with pytest.raises(ValueError, match="cell_batch"):
-            run_policy_sweep(
-                experiment_id="t", title="t", x_label="x", x_values=[1.0],
-                config_for_x=lambda x: small_config(), policies=["ORR"],
-                scale=scale, cache=None, cell_batch=True, retries=2,
             )

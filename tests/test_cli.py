@@ -128,6 +128,23 @@ class TestCommands:
                      "--precision", "nan"])
         self.assert_usage_error(code, capsys, "--precision")
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--duration", "nan", "duration"), ("--speeds", "1,nan", "speeds")],
+    )
+    def test_simulate_rejects_nan_config(self, capsys, monkeypatch, flag,
+                                         value, field):
+        import repro.core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started despite NaN")
+
+        monkeypatch.setattr(repro.core, "evaluate_policy_parallel", refuse)
+        args = {"--speeds": "1,2", "--duration": "5e3", flag: value}
+        code = main(["simulate", "--utilization", "0.5", "--replications",
+                     "1", *(x for kv in args.items() for x in kv)])
+        self.assert_usage_error(code, capsys, field)
+
     def test_simulate_parallel_matches_serial(self, capsys):
         base = ["simulate", "--speeds", "1,1,10", "--utilization", "0.6",
                 "--policies", "ORR", "--duration", "5e3",

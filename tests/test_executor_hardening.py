@@ -211,13 +211,14 @@ class TestDeadWorkerOnDefaultPath:
     def test_cell_grid(self, worker_hook, tmp_path):
         first, second = _cells()
         # Two workers slice replications {0, 2} and {1}: the culprit's
-        # slice is every policy of replication 1.
+        # slice is every policy of replication 1, and alone it splits
+        # until only the culprit is charged.
         worker_hook(_die_on(first.member_key(1, 1)))
         path = tmp_path / "sweep.jsonl"
         with pytest.raises(GridTaskError) as err:
             run_cell_grid([first, second], n_jobs=2,
                           checkpoint=SweepCheckpoint(path))
-        culprits = {first.member_key(pi, 1) for pi in range(2)}
+        culprits = {first.member_key(1, 1)}
         assert {f.key for f in err.value.failures} == culprits
         everyone = {
             cell.member_key(pi, r)
@@ -229,6 +230,115 @@ class TestDeadWorkerOnDefaultPath:
         assert set(report.outcomes) == {
             second.member_key(pi, r) for pi in range(2) for r in range(3)
         }
+
+
+class TestOneIsolationRule:
+    """A failing unit of several members splits into single-member
+    units that re-run uncharged, on both grids and both runners: only
+    the failing member is charged, retried or quarantined."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_cell_slice_charges_only_the_poisoned_member(self, worker_hook,
+                                                         n_jobs):
+        cells = _cells()
+        undisturbed = run_cell_grid(cells, n_jobs=1)
+        victim = cells[0].member_key(1, 1)
+
+        def poison(task):
+            if task.key == victim:
+                raise RuntimeError("poison task")
+
+        worker_hook(poison)
+        report = run_cell_grid(cells, n_jobs=n_jobs, quarantine=True)
+        assert [f.key for f in report.failures] == [victim]
+        assert report.failures[0].attempts == 1
+        assert report.retried == 0
+        assert set(report.outcomes) == set(undisturbed.outcomes) - {victim}
+        for key, got in report.outcomes.items():
+            assert got[:4] == undisturbed.outcomes[key][:4]
+            np.testing.assert_array_equal(got[4], undisturbed.outcomes[key][4])
+
+    def test_flat_chunk_charges_only_the_raising_member(self, worker_hook,
+                                                        tmp_path):
+        # 16 tasks on two workers travel as 8 chunks of 2: the victim's
+        # chunk-mate runs twice (in the chunk, then alone), uncharged.
+        tasks = _tasks(policies=("ORR", "WRR"), replications=8)
+        victim, mate = tasks[5].key, tasks[4].key
+        log = tmp_path / "seen"
+
+        def poison(task):
+            with open(log, "a") as fh:
+                fh.write(f"{task.key!r}\n")
+            if task.key == victim:
+                raise RuntimeError("poison task")
+
+        worker_hook(poison)
+        report = run_replication_grid(tasks, n_jobs=2, quarantine=True)
+        assert [f.key for f in report.failures] == [victim]
+        assert report.failures[0].attempts == 1
+        assert report.retried == 0
+        assert set(report.outcomes) == {t.key for t in tasks} - {victim}
+        seen = log.read_text().splitlines()
+        assert seen.count(repr(mate)) == 2
+
+    def test_stalled_member_splits_its_unit_and_alone_is_retried(
+        self, worker_hook, tmp_path
+    ):
+        # Slices {0, 2} and {1} of each cell: the victim stalls in its
+        # two-member slice (budget 2 x 1 s), the slice splits uncharged,
+        # the victim stalls again alone (budget 1 s), and its one retry
+        # completes.
+        cells = _cells()
+        undisturbed = run_cell_grid(cells, n_jobs=1)
+        victim = cells[0].member_key(0, 1)
+        count = tmp_path / "stalls"
+
+        def stall_twice(task):
+            if task.key == victim:
+                n = int(count.read_text()) if count.exists() else 0
+                count.write_text(str(n + 1))
+                if n < 2:
+                    time.sleep(10.0)
+
+        worker_hook(stall_twice)
+        report = run_cell_grid(cells, n_jobs=2, retries=1, task_timeout=1.0)
+        assert count.read_text() == "3"
+        assert report.retried == 1
+        assert report.failures == []
+        assert set(report.outcomes) == set(undisturbed.outcomes)
+        for key, got in report.outcomes.items():
+            assert got[:4] == undisturbed.outcomes[key][:4]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_hardened_cell_sweep_matches_flat_sweep(self, worker_hook, n_jobs):
+        from repro.experiments import SCALES, run_policy_sweep
+        from repro.experiments.configs import skewness_config
+        from repro.obs.digest import sweep_digest
+
+        victim = (4.0, "WRR", 1)
+
+        def poison(task):
+            if task.key == victim:
+                raise RuntimeError("poison task")
+
+        worker_hook(poison)
+        common = dict(
+            experiment_id="t", title="t", x_label="x", x_values=[2.0, 4.0],
+            config_for_x=lambda x: skewness_config(x, 0.6),
+            policies=["ORR", "WRR"], scale=SCALES["smoke"], n_jobs=n_jobs,
+            cache=None, retries=1, quarantine=True,
+        )
+        flat = run_policy_sweep(cell_batch=False, **common)
+        cell = run_policy_sweep(cell_batch=True, **common)
+        assert [f.key for f in flat.failures] == [victim]
+        assert [(f.key, f.attempts) for f in cell.failures] == [
+            (f.key, f.attempts) for f in flat.failures
+        ]
+        assert sweep_digest(cell) == sweep_digest(flat)
+        for x in flat.x_values:
+            for p in flat.policies:
+                assert (cell.cells[x][p].replications
+                        == flat.cells[x][p].replications)
 
 
 class TestTimeout:

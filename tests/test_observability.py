@@ -527,6 +527,18 @@ class TestGate:
             record["net"] = {"dispatch_ns_per_job": 1000.0}
             assert check_gate(record, []).passed
 
+    @pytest.mark.parametrize("ratio, passed", [(0.8, True), (1.5, False)])
+    def test_flat_grid_pool_ceiling(self, ratio, passed):
+        """One future per sub-millisecond flat task read 1.14-1.86x the
+        serial wall; chunked units stay under the 1.1 ceiling."""
+        record = _record(ts="t1")
+        record["executor"] = {"flat_pool_vs_serial": ratio}
+        result = check_gate(record, [])
+        assert result.passed is passed
+        if not passed:
+            assert any("flat_pool_vs_serial" in f and "1.5 above the 1.1"
+                       in f for f in result.failures)
+
     def test_net_identity_flags_are_enforced(self):
         record = _record(ts="t1")
         record["net"] = {

@@ -61,7 +61,6 @@ KEPT: dict[str, str] = {
     "repro.analysis.warmup:mser": "test-only MSER rule, left for a later lean change",
     "repro.distributions.base:Scaled": "test-only, left for a later lean change",
     "repro.distributions.exponential:Uniform": "test-only, left for a later lean change",
-    "repro.sim.config:SimulationConfig.scaled": "test-only, left for a later lean change",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

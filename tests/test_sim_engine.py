@@ -1,5 +1,7 @@
 """Integration tests for the event engine against queueing theory."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(speeds=(0.0,), utilization=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speeds", (1.0, float("nan"))),
+            ("speeds", (1.0, float("inf"))),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("warmup", float("nan")),
+            ("quantum", float("nan")),
+            ("quantum", float("inf")),
+            ("arrival_cv", float("nan")),
+            ("arrival_cv", float("inf")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_rejects_nan_and_inf(self, field, value):
+        """Each bound is written so that NaN fails it: a NaN duration
+        used to run forever and a NaN speed surfaced as a traceback
+        deep inside the allocator."""
+        kwargs = dict(speeds=(1.0, 2.0), utilization=0.5, duration=100.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**kwargs)
+
     def test_bad_utilization(self):
         with pytest.raises(ValueError):
             SimulationConfig(speeds=(1.0,), utilization=0.0)
@@ -201,7 +227,7 @@ class TestConfigValidation:
 
     def test_scaled(self):
         c = SimulationConfig(speeds=(1.0,), utilization=0.5, duration=100.0)
-        c2 = c.scaled(1000.0)
+        c2 = dataclasses.replace(c, duration=1000.0, warmup=None)
         assert c2.duration == 1000.0
         assert c2.warmup == 250.0
         assert c2.speeds == c.speeds
