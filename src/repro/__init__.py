@@ -47,7 +47,6 @@ from .core import (
     PolicyEvaluation,
     SchedulingPolicy,
     evaluate_policy,
-    evaluate_policy_parallel,
     get_policy,
     policy_names,
     run_policy_once,
@@ -82,7 +81,6 @@ __all__ = [
     "PAPER_POLICIES",
     "PolicyEvaluation",
     "evaluate_policy",
-    "evaluate_policy_parallel",
     "run_policy_once",
     "AdaptiveOrrDispatcher",
     # allocation

@@ -4,8 +4,6 @@
 * :class:`OptimizedAllocator` — Algorithm 1 closed form (Theorems 1–3).
 * :class:`NumericAllocator` — SLSQP cross-check of the closed form.
 * :class:`MisestimatedOptimizedAllocator` — ORR(±e%) for Figure 6.
-* :class:`EqualAllocator` / :class:`ExplicitAllocator` — auxiliary
-  baselines and fixed fraction vectors (Figure 2).
 """
 
 from .base import AllocationResult, Allocator
@@ -23,14 +21,12 @@ from .planning import (
     optimal_mean_response_time,
     value_of_added_machine,
 )
-from .weighted import EqualAllocator, ExplicitAllocator, WeightedAllocator
+from .weighted import WeightedAllocator
 
 __all__ = [
     "Allocator",
     "AllocationResult",
     "WeightedAllocator",
-    "EqualAllocator",
-    "ExplicitAllocator",
     "OptimizedAllocator",
     "optimized_fractions",
     "unconstrained_fractions",

@@ -1,13 +1,11 @@
-"""Simple weighted allocation (Section 2.1) and trivial baselines."""
+"""Simple weighted allocation (Section 2.1)."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..queueing.network import HeterogeneousNetwork
 from .base import AllocationResult, Allocator
 
-__all__ = ["WeightedAllocator", "EqualAllocator", "ExplicitAllocator"]
+__all__ = ["WeightedAllocator"]
 
 
 class WeightedAllocator(Allocator):
@@ -24,45 +22,3 @@ class WeightedAllocator(Allocator):
     def compute(self, network: HeterogeneousNetwork) -> AllocationResult:
         alphas = network.speeds / network.total_speed
         return AllocationResult(alphas=alphas, network=network, allocator_name=self.name)
-
-
-class EqualAllocator(Allocator):
-    """αᵢ = 1/n — speed-blind splitting (the no-information baseline).
-
-    Not in the paper's evaluation matrix but useful as a sanity floor:
-    any speed-aware scheme should beat it on a heterogeneous system.
-    May saturate slow computers at high load; ``compute`` raises in that
-    case rather than emit an infeasible allocation.
-    """
-
-    name = "equal"
-
-    def compute(self, network: HeterogeneousNetwork) -> AllocationResult:
-        n = network.n
-        alphas = np.full(n, 1.0 / n)
-        lam = network.arrival_rate
-        if np.any(alphas * lam >= network.service_rates()):
-            raise ValueError(
-                "equal allocation saturates the slowest computer at this load; "
-                "use a speed-aware allocator"
-            )
-        return AllocationResult(alphas=alphas, network=network, allocator_name=self.name)
-
-
-class ExplicitAllocator(Allocator):
-    """Wrap a user-supplied fraction vector (e.g. Figure 2's fixed α)."""
-
-    name = "explicit"
-
-    def __init__(self, alphas):
-        self._alphas = np.asarray(alphas, dtype=float)
-
-    def compute(self, network: HeterogeneousNetwork) -> AllocationResult:
-        if self._alphas.size != network.n:
-            raise ValueError(
-                f"explicit allocation has {self._alphas.size} entries "
-                f"for {network.n} computers"
-            )
-        return AllocationResult(
-            alphas=self._alphas, network=network, allocator_name=self.name
-        )

@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=None,
         help="worker processes for replications: an integer or 'auto' "
-             "(default: REPRO_JOBS env or 1)",
+             "(default: REPRO_JOBS env or 1); --precision adds "
+             "replications one at a time, in process",
     )
     sim_p.add_argument(
         "--paired",
@@ -566,7 +567,13 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .core import evaluate_policy_parallel, get_policy
+    """Evaluate the listed policies as one cell: every policy replays
+    the same streams per replication (common random numbers), so policy
+    differences are matched pairs.  ``--paired`` compares each policy
+    with the first one listed; ``--precision`` adds replications until
+    the intervals are tight."""
+    from .core import evaluate_cell, evaluate_cell_to_precision
+    from .core.evaluate import _resolve_policies
     from .experiments.reporting import format_table
     from .sim import SimulationConfig
 
@@ -592,54 +599,14 @@ def _cmd_simulate(args) -> int:
 
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     try:
-        policies = [get_policy(name) for name in names]
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        labels = [p.name for p in _resolve_policies(names)]
+    except (KeyError, ValueError) as exc:
+        print(f"error: --policies: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    if args.paired or args.precision is not None:
-        return _simulate_cell(args, config, policies, speeds)
-
-    rows = []
-    for name, policy in zip(names, policies):
-        # Bit-identical for every n_jobs: same seeds, same
-        # order-insensitive aggregation; n_jobs=1 runs in-process.
-        ev = evaluate_policy_parallel(
-            config, name, replications=args.replications,
-            base_seed=args.seed, n_jobs=n_jobs,
-        )
-        rows.append([
-            policy.name,
-            ev.mean_response_time.mean,
-            ev.mean_response_ratio.mean,
-            ev.fairness.mean,
-            ev.mean_response_ratio.half_width,
-        ])
-    print(format_table(
-        ["policy", "mean resp time", "mean resp ratio", "fairness", "ratio ±CI"],
-        rows,
-        title=(
-            f"speeds={speeds} rho={args.utilization} cv={args.arrival_cv} "
-            f"({args.replications} x {args.duration:.0f} s)"
-        ),
-    ))
-    return 0
-
-
-def _simulate_cell(args, config, policies, speeds) -> int:
-    """``simulate --paired`` / ``--precision``: cell-batched evaluation.
-
-    Every policy replays the same materialized streams per replication
-    (common random numbers), so policy differences are matched pairs.
-    The baseline for paired comparisons is the first policy listed.
-    """
-    from .core import evaluate_cell, evaluate_cell_to_precision
-    from .experiments.reporting import format_table
-
-    if args.paired and len(policies) < 2:
+    if args.paired and len(labels) < 2:
         print("error: --paired needs at least two policies", file=sys.stderr)
         return 2
-    baseline = policies[0].name
+    baseline = labels[0]
 
     if args.precision is not None:
         if not args.precision > 0:  # NaN fails too
@@ -647,7 +614,7 @@ def _simulate_cell(args, config, policies, speeds) -> int:
                   file=sys.stderr)
             return 2
         cell = evaluate_cell_to_precision(
-            config, policies,
+            config, names,
             target_relative_half_width=args.precision,
             paired_baseline=baseline if args.paired else None,
             min_replications=min(3, args.replications),
@@ -655,9 +622,11 @@ def _simulate_cell(args, config, policies, speeds) -> int:
             base_seed=args.seed,
         )
     else:
+        # Bit-identical for every n_jobs: same seeds, outcomes keyed by
+        # member; n_jobs=1 runs in process.
         cell = evaluate_cell(
-            config, policies, replications=args.replications,
-            base_seed=args.seed,
+            config, names, replications=args.replications,
+            base_seed=args.seed, n_jobs=n_jobs,
         )
 
     rows = [

@@ -11,7 +11,6 @@ from .evaluate import (
     evaluate_cell,
     evaluate_cell_to_precision,
     evaluate_policy,
-    evaluate_policy_parallel,
     run_policy_once,
     summarize_outcomes,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_policy",
     "evaluate_cell",
     "evaluate_cell_to_precision",
-    "evaluate_policy_parallel",
     "run_policy_once",
     "AdaptiveOrrDispatcher",
     "ReplicationCache",

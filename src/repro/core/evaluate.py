@@ -10,17 +10,17 @@ vectorized fast path automatically (identical statistics, several times
 faster); Dynamic Least-Load and the finite-quantum discipline go through
 the event engine.  Every evaluator — serial, precision-driven, cell and
 grid — folds per-replication :class:`Outcome` records through
-:func:`summarize_outcomes`.  One precision loop,
-:func:`evaluate_cell_to_precision`, serves a single policy (a one-policy
-cell) and a whole cell, and :func:`evaluate_policy_parallel` fans the
-replications of one registry policy over the grid executor's shared
-worker pool.
+:func:`summarize_outcomes`.  :func:`evaluate_cell` runs a set of
+registry policies on one configuration as one cell of the grid
+executor, in process or over its shared worker pool; one precision
+loop, :func:`evaluate_cell_to_precision`, serves a single policy (a
+one-policy cell) and a whole cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,26 +41,16 @@ from ..sim import (
 from ..sim.streams import StreamPool
 from .policies import SchedulingPolicy, get_policy
 
-if TYPE_CHECKING:
-    from .cache import ReplicationCache
-
 __all__ = [
     "Outcome",
     "PolicyEvaluation",
     "CellEvaluation",
     "evaluate_policy",
-    "evaluate_policy_parallel",
     "evaluate_cell",
     "evaluate_cell_to_precision",
     "run_policy_once",
     "summarize_outcomes",
 ]
-
-#: Default base seed of :func:`evaluate_policy_parallel`; matches
-#: :class:`repro.experiments.base.Scale`'s (2000, the ICPP vintage), so
-#: ad-hoc parallel evaluations and figure sweeps share a seeding scheme.
-DEFAULT_BASE_SEED = 2000
-
 
 class Outcome(NamedTuple):
     """One replication's result: what caches, checkpoints and grid
@@ -253,64 +243,14 @@ def evaluate_policy(
     replications: int = 10,
     base_seed: int = 0,
     confidence: float = 0.95,
-    force_engine: bool = False,
 ) -> PolicyEvaluation:
     """Replicate :func:`run_policy_once` and summarize the paper metrics."""
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     outcomes = [
-        _result_outcome(
-            run_policy_once(config, policy, seed=seed, force_engine=force_engine)
-        )
+        _result_outcome(run_policy_once(config, policy, seed=seed))
         for seed in replication_seeds(base_seed, replications)
     ]
-    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
-
-
-def evaluate_policy_parallel(
-    config: SimulationConfig,
-    policy_name: str,
-    *,
-    estimation_error: float | None = None,
-    replications: int = 10,
-    base_seed: int = DEFAULT_BASE_SEED,
-    confidence: float = 0.95,
-    n_jobs: int = 2,
-    cache: ReplicationCache | None = None,
-) -> PolicyEvaluation:
-    """:func:`evaluate_policy` with the replications spread over *n_jobs*
-    worker processes (the grid executor's shared pool).
-
-    Replications are independent, so the result is bit-identical to the
-    serial path: the same per-replication seeds, only the execution
-    order changes, and the aggregation is order-insensitive.
-    ``n_jobs=1`` runs in-process.  ``policy_name`` (plus the optional
-    Figure 6 ``estimation_error``) must resolve through
-    :func:`~repro.core.policies.get_policy`: each worker rebuilds the
-    policy from its registry name, since policies carry non-picklable
-    dispatcher factories.  Pass a
-    :class:`~repro.core.cache.ReplicationCache` to reuse completed
-    replications across invocations.
-    """
-    # executor.py imports this module, so its names load on first call.
-    from .executor import ReplicationTask, run_replication_grid
-
-    if replications < 1:
-        raise ValueError(f"need at least one replication, got {replications}")
-    # Validate the name up front (fail fast in the parent process).
-    policy = get_policy(policy_name, estimation_error=estimation_error)
-    tasks = [
-        ReplicationTask(
-            key=r,
-            config=config,
-            policy_name=policy_name,
-            estimation_error=estimation_error,
-            seed=seed,
-        )
-        for r, seed in enumerate(replication_seeds(base_seed, replications))
-    ]
-    report = run_replication_grid(tasks, n_jobs=n_jobs, cache=cache)
-    outcomes = [report.outcomes[r] for r in range(replications)]
     return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
@@ -331,9 +271,6 @@ class CellEvaluation:
     samples: dict[str, dict[str, tuple[float, ...]]]
     replications: int
     confidence: float = 0.95
-    #: Stage-1 stream materializations served from the pool (one miss
-    #: per replication regardless of policy count when fully batched).
-    stream_misses: int = field(default=0, compare=False)
 
     @property
     def policy_names(self) -> list[str]:
@@ -369,13 +306,19 @@ class CellEvaluation:
         )
 
 
-def _resolve_policies(policies) -> list[SchedulingPolicy]:
-    resolved = [get_policy(p) if isinstance(p, str) else p for p in policies]
+def _resolve_policies(names) -> list[SchedulingPolicy]:
+    """The registry policies *names* resolve to, in order.
+
+    Raises ``KeyError`` on an unknown name, and ``ValueError`` on an
+    empty list or on two names of one policy (the registry ignores
+    case), before anything runs.
+    """
+    resolved = [get_policy(name) for name in names]
     if not resolved:
         raise ValueError("need at least one policy")
-    names = [p.name for p in resolved]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate policy names in {names}")
+    labels = [p.name for p in resolved]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate policy names in {labels}")
     return resolved
 
 
@@ -389,7 +332,6 @@ def _summarize_cell(
     policies,
     outcomes: list[list[Outcome]],
     confidence: float,
-    stream_misses: int,
 ) -> CellEvaluation:
     evaluations: dict[str, PolicyEvaluation] = {}
     samples: dict[str, dict[str, tuple[float, ...]]] = {}
@@ -406,64 +348,76 @@ def _summarize_cell(
         samples=samples,
         replications=len(outcomes[0]),
         confidence=confidence,
-        stream_misses=stream_misses,
     )
 
 
 def evaluate_cell(
     config: SimulationConfig,
-    policies,
+    names,
     *,
     replications: int = 10,
     base_seed: int = 0,
     confidence: float = 0.95,
+    n_jobs: int | str | None = None,
 ) -> CellEvaluation:
-    """Evaluate several policies on one configuration with shared streams.
+    """Evaluate the registry policies *names* on one configuration with
+    shared streams.
 
+    The cell is one :class:`~repro.core.executor.CellTask` run through
+    :func:`~repro.core.executor.run_cell_grid`, the path sweeps take.
     Per policy this is bit-identical to :func:`evaluate_policy` with the
-    same arguments; across policies each replication's arrival and size
-    arrays are materialized once and shared (common random numbers make
-    them equal anyway), so the cell costs one stage-1 sampling pass per
-    replication instead of one per (policy, replication).  Policies that
-    need the event engine (dynamic feedback, exotic disciplines) drop
-    out of the batch member-by-member and still evaluate correctly.
+    same arguments, for every ``n_jobs``; across policies each
+    replication's arrival and size arrays are materialized once and
+    shared (common random numbers make them equal anyway), so the cell
+    costs one stage-1 sampling pass per replication instead of one per
+    (policy, replication).  Policies that need the event engine (dynamic
+    feedback, exotic disciplines) drop out of the batch member-by-member
+    and still evaluate correctly.  ``n_jobs`` resolves as
+    :func:`~repro.core.executor.resolve_n_jobs` does (default: the
+    ``REPRO_JOBS`` environment variable, else in process); workers
+    rebuild each policy from its name.
     """
     # executor.py imports this module, so its names load on first call.
-    from .executor import _run_cell_members
+    from .executor import CellTask, run_cell_grid
 
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
-    policies = _resolve_policies(policies)
-    pool = StreamPool()
-    outcomes: list[list[Outcome]] = [[] for _ in policies]
-    members = [(pi, r) for r in range(replications)
-               for pi in range(len(policies))]
-    got = _run_cell_members(config, policies,
-                            replication_seeds(base_seed, replications),
-                            members, pool)
-    for (pi, _), outcome in zip(members, got):
-        outcomes[pi].append(outcome)
-    return _summarize_cell(config, policies, outcomes, confidence, pool.misses)
+    names = tuple(names)
+    policies = _resolve_policies(names)
+    task = CellTask(
+        x=None,
+        config=config,
+        policy_names=tuple(p.name for p in policies),
+        base_names=names,
+        estimation_errors=(None,) * len(policies),
+        seeds=tuple(replication_seeds(base_seed, replications)),
+    )
+    report = run_cell_grid([task], n_jobs=n_jobs)
+    outcomes = [
+        [report.outcomes[task.member_key(pi, r)] for r in range(replications)]
+        for pi in range(len(policies))
+    ]
+    return _summarize_cell(config, policies, outcomes, confidence)
 
 
 def evaluate_cell_to_precision(
     config: SimulationConfig,
-    policies,
+    names,
     *,
     target_relative_half_width: float = 0.05,
-    metric: str = "mean_response_ratio",
     paired_baseline: str | None = None,
     min_replications: int = 3,
     max_replications: int = 50,
     base_seed: int = 0,
     confidence: float = 0.95,
 ) -> CellEvaluation:
-    """Add replications to a cell until its confidence intervals are tight.
+    """Add replications to a cell of registry policies until its
+    confidence intervals on mean response ratio are tight.
 
     Two stopping modes:
 
-    * **absolute** (default) — stop when every policy's ``metric``
-      interval has relative half-width ≤ the target;
+    * **absolute** (default) — stop when every policy's interval has
+      relative half-width ≤ the target;
     * **paired** (``paired_baseline`` names one of the policies) — stop
       when every *other* policy's paired-difference interval against the
       baseline has half-width ≤ target × |baseline mean|.  Differences
@@ -471,9 +425,9 @@ def evaluate_cell_to_precision(
       baseline's metric mean rather than by the difference itself.
 
     Replications extend deterministically (seed *r* is always the same),
-    and each one is sampled once and shared across all policies, so the
-    paired mode reaches a verdict in far fewer replications than
-    independent intervals would need.
+    one at a time in process, and each one is sampled once and shared
+    across all policies, so the paired mode reaches a verdict in far
+    fewer replications than independent intervals would need.
     """
     from .executor import _run_cell_members
 
@@ -486,19 +440,18 @@ def evaluate_cell_to_precision(
             f"need 1 <= min_replications <= max_replications, got "
             f"{min_replications}/{max_replications}"
         )
-    _check_metric(metric)
-    policies = _resolve_policies(policies)
-    names = [p.name for p in policies]
-    if paired_baseline is not None and paired_baseline not in names:
+    policies = _resolve_policies(names)
+    labels = [p.name for p in policies]
+    if paired_baseline is not None and paired_baseline not in labels:
         raise KeyError(
-            f"paired baseline {paired_baseline!r} not among policies {names}"
+            f"paired baseline {paired_baseline!r} not among policies {labels}"
         )
     seeds = replication_seeds(base_seed, max_replications)
     pool = StreamPool()
     outcomes: list[list[Outcome]] = [[] for _ in policies]
 
     def values(pi: int) -> list[float]:
-        return [getattr(o, metric) for o in outcomes[pi]]
+        return [o.mean_response_ratio for o in outcomes[pi]]
 
     def _summary_converged(summary) -> bool:
         # Degenerate intervals (n=1 guards never trigger here, but zero
@@ -515,7 +468,7 @@ def evaluate_cell_to_precision(
                 _summary_converged(summarize_replications(values(pi), confidence))
                 for pi in range(len(policies))
             )
-        bi = names.index(paired_baseline)
+        bi = labels.index(paired_baseline)
         base_values = values(bi)
         scale = abs(float(np.mean(base_values)))
         if scale == 0.0 or not np.isfinite(scale):
@@ -542,4 +495,4 @@ def evaluate_cell_to_precision(
             outcomes[pi].append(outcome)
         if r + 1 >= min_replications and converged():
             break
-    return _summarize_cell(config, policies, outcomes, confidence, pool.misses)
+    return _summarize_cell(config, policies, outcomes, confidence)

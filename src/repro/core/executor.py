@@ -3,14 +3,14 @@
 An entire sweep — every (sweep point × policy × replication) cell of a
 figure — flattens into one task list and fans out across worker
 processes.  These properties make it the backbone of every experiment
-runner:
+runner, and of :func:`~repro.core.evaluate.evaluate_cell` (``repro
+simulate``), which runs its policies as one cell of :func:`run_cell_grid`:
 
 * **One pool per process.**  The ``ProcessPoolExecutor`` is created
   lazily on first parallel use and reused across sweep points, figures,
-  and :func:`~repro.core.evaluate.evaluate_policy_parallel` calls in a
-  single CLI invocation — no per-call spin-up churn.  Worker processes
-  persist, so per-process memos (the round-robin dispatch-sequence
-  cache) stay warm across tasks.
+  and evaluated cells in a single CLI invocation — no per-call spin-up
+  churn.  Worker processes persist, so per-process memos (the
+  round-robin dispatch-sequence cache) stay warm across tasks.
 * **Bit-identical results.**  Each replication derives its streams from
   its own seed, workers rebuild policies from registry names, and the
   caller aggregates outcomes keyed by task — never by completion order.
@@ -30,7 +30,9 @@ runner:
   while running alone, or overruns its budget splits into
   single-member units that re-run uncharged; only a single member's
   failure is charged, and the parent raises one aggregate
-  :class:`GridTaskError` naming the failed members.
+  :class:`GridTaskError` naming the failed members.  A pool discarded
+  after a crash or an overrun has its workers terminated, so a stalled
+  member cannot outlive its grid.
 
 Both grids take the same hardening knobs (all off by default):
 
@@ -165,10 +167,20 @@ def shutdown_shared_executor() -> None:
 
 
 def _rebuild_pool() -> None:
-    """Discard a broken/stalled pool without waiting on stuck workers."""
+    """Discard a broken/stalled pool and terminate its workers.
+
+    ``shutdown(wait=False)`` alone leaves a stalled worker running its
+    unit to the end, and the interpreter waits for it at exit.  Before
+    Python 3.14 (``terminate_workers``) the executor has no public way
+    to stop its workers, so this reads its process table, which
+    ``shutdown`` clears.
+    """
     global _pool, _pool_workers
     if _pool is not None:
+        workers = list((_pool._processes or {}).values())
         _pool.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.terminate()
         _pool = None
         _pool_workers = 0
         counters.inc("executor.pool_rebuilds")

@@ -4,12 +4,12 @@
   k=10 s, p=21600 s, alpha=1.0, mean ≈ 76.8 s).
 * :class:`Hyperexponential` — bursty inter-arrival times (CV = 3.0 in the
   paper), balanced-means moment fit.
-* :class:`Exponential`, :class:`Erlang`, :class:`Deterministic`,
-  :class:`Uniform` — supporting families for baselines, ablations, and the
-  Dynamic Least-Load feedback delays.
+* :class:`Exponential`, :class:`Erlang`, :class:`Deterministic` —
+  supporting families for baselines, ablations, and the Dynamic
+  Least-Load feedback delays.
 """
 
-from .base import Distribution, Scaled
+from .base import Distribution
 from .bounded_pareto import (
     PAPER_ALPHA,
     PAPER_K,
@@ -17,14 +17,13 @@ from .bounded_pareto import (
     BoundedPareto,
     paper_job_sizes,
 )
-from .exponential import Deterministic, Erlang, Exponential, Uniform
+from .exponential import Deterministic, Erlang, Exponential
 from .fitting import distribution_from_mean_cv
 from .heavy import Lognormal, Weibull
 from .hyperexponential import Hyperexponential, fit_h2_balanced_means
 
 __all__ = [
     "Distribution",
-    "Scaled",
     "BoundedPareto",
     "paper_job_sizes",
     "PAPER_K",
@@ -33,7 +32,6 @@ __all__ = [
     "Exponential",
     "Erlang",
     "Deterministic",
-    "Uniform",
     "Hyperexponential",
     "Lognormal",
     "Weibull",

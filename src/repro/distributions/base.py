@@ -81,27 +81,3 @@ class Distribution(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(mean={self.mean:.6g}, cv={self.cv:.6g})"
-
-
-class Scaled(Distribution):
-    """``factor * X`` for an underlying distribution X (same CV)."""
-
-    def __init__(self, inner: Distribution, factor: float):
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        self.inner = inner
-        self.factor = float(factor)
-
-    @property
-    def mean(self) -> float:
-        return self.factor * self.inner.mean
-
-    @property
-    def second_moment(self) -> float:
-        return self.factor**2 * self.inner.second_moment
-
-    def ppf(self, q):
-        return self.factor * self.inner.ppf(q)
-
-    def cdf(self, x):
-        return self.inner.cdf(np.asarray(x) / self.factor)

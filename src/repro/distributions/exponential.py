@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .base import Distribution
 
-__all__ = ["Exponential", "Erlang", "Deterministic", "Uniform"]
+__all__ = ["Exponential", "Erlang", "Deterministic"]
 
 
 class Exponential(Distribution):
@@ -121,41 +119,4 @@ class Deterministic(Distribution):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = (x >= self.value).astype(float)
-        return out if out.ndim else float(out)
-
-
-class Uniform(Distribution):
-    """Uniform distribution on [lo, hi]; used for the 1-second load-index
-    polling delay of the Dynamic Least-Load feedback path (U(0,1))."""
-
-    def __init__(self, lo: float, hi: float):
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        if lo < 0:
-            raise ValueError("Uniform support must be non-negative for delays")
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def second_moment(self) -> float:
-        # E[X²] over [a,b] = (a² + ab + b²)/3
-        a, b = self.lo, self.hi
-        return (a * a + a * b + b * b) / 3.0
-
-    @property
-    def std(self) -> float:
-        return (self.hi - self.lo) / math.sqrt(12.0)
-
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = self.lo + q * (self.hi - self.lo)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         return out if out.ndim else float(out)

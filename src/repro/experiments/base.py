@@ -16,6 +16,7 @@ explicitly.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -49,11 +50,16 @@ class Scale:
     base_seed: int = 2000  # ICPP 2000 vintage
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        # Written so that NaN fails it, and so does inf.
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"scale {self.name!r}: duration must be positive and "
+                f"finite, got {self.duration}"
+            )
         if self.replications < 1:
             raise ValueError(
-                f"replications must be at least 1, got {self.replications}"
+                f"scale {self.name!r}: replications must be at least 1, "
+                f"got {self.replications}"
             )
 
     @property

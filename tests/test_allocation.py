@@ -5,8 +5,6 @@ import pytest
 
 from repro.allocation import (
     AllocationResult,
-    EqualAllocator,
-    ExplicitAllocator,
     MisestimatedOptimizedAllocator,
     NumericAllocator,
     OptimizedAllocator,
@@ -41,36 +39,6 @@ class TestWeightedAllocator:
         assert result.allocator_name == "weighted"
         assert result.n == 2
         assert result.zero_share_indices == []
-
-
-class TestEqualAllocator:
-    def test_uniform(self):
-        net = make_network([1, 2, 3], utilization=0.3)
-        a = EqualAllocator().fractions(net)
-        np.testing.assert_allclose(a, 1.0 / 3.0)
-
-    def test_saturation_rejected(self):
-        # Equal split at 90% load saturates the speed-1 machine.
-        net = make_network([1, 9], utilization=0.9)
-        with pytest.raises(ValueError, match="saturates"):
-            EqualAllocator().compute(net)
-
-
-class TestExplicitAllocator:
-    def test_passthrough(self):
-        net = make_network([1, 1], utilization=0.5)
-        a = ExplicitAllocator([0.3, 0.7]).fractions(net)
-        np.testing.assert_allclose(a, [0.3, 0.7])
-
-    def test_size_mismatch(self):
-        net = make_network([1, 1], utilization=0.5)
-        with pytest.raises(ValueError, match="entries"):
-            ExplicitAllocator([1.0]).compute(net)
-
-    def test_invalid_fractions(self):
-        net = make_network([1, 1], utilization=0.5)
-        with pytest.raises(ValueError):
-            ExplicitAllocator([0.7, 0.7]).compute(net)
 
 
 class TestUnconstrainedFractions:

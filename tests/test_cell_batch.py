@@ -27,6 +27,7 @@ from repro.core.cache import ReplicationCache
 from repro.core.evaluate import run_policy_once
 from repro.core.executor import ReplicationTask
 from repro.metrics.ci import PairedSummary, summarize_paired
+from repro.obs import counters
 from repro.rng import replication_seeds, substream
 from repro.sim import SimulationConfig, ckernel, run_cell
 from repro.sim.fastpath import run_static_simulation
@@ -258,10 +259,17 @@ class TestEvaluateCell:
 
     def test_streams_materialized_once_per_replication(self):
         config = small_config()
-        cell = evaluate_cell(
-            config, ["ORR", "WRR", "ORAN"], replications=4, base_seed=1
-        )
-        assert cell.stream_misses == 4  # not 12
+
+        def materialized(names, n_jobs):
+            with counters.scoped() as delta:
+                evaluate_cell(config, names, replications=4, base_seed=1,
+                              n_jobs=n_jobs)
+            return delta.get("streams.jobs_materialized", 0)
+
+        for n_jobs in (1, 2):
+            one = materialized(["ORR"], n_jobs)
+            assert one > 0
+            assert materialized(["ORR", "WRR", "ORAN"], n_jobs) == one  # not 3x
 
     def test_paired_accessor_matches_manual_summary(self):
         config = small_config()

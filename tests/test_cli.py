@@ -106,6 +106,7 @@ class TestCommands:
         assert code == 2
         assert err.startswith(f"error: {flag}")
         assert "Traceback" not in err
+        return err
 
     def test_run_rejects_negative_retries(self, capsys, no_sweep):
         code = main(["run", "figure3", "--scale", "smoke", "--retries", "-1"])
@@ -139,11 +140,44 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("replications started despite NaN")
 
-        monkeypatch.setattr(repro.core, "evaluate_policy_parallel", refuse)
+        monkeypatch.setattr(repro.core, "evaluate_cell", refuse)
         args = {"--speeds": "1,2", "--duration": "5e3", flag: value}
         code = main(["simulate", "--utilization", "0.5", "--replications",
                      "1", *(x for kv in args.items() for x in kv)])
         self.assert_usage_error(code, capsys, field)
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        """Fail the test if ``simulate`` starts evaluating."""
+        import repro.core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started despite a bad list")
+
+        for name in ("evaluate_cell", "evaluate_cell_to_precision"):
+            monkeypatch.setattr(repro.core, name, refuse)
+
+    SIMULATE_MODES = pytest.mark.parametrize(
+        "mode", [[], ["--paired"], ["--precision", "0.1"],
+                 ["--paired", "--precision", "0.1"]],
+        ids=["plain", "paired", "precision", "paired-precision"],
+    )
+
+    @SIMULATE_MODES
+    def test_simulate_rejects_empty_policy_list(self, capsys, no_simulation,
+                                                mode):
+        code = main(["simulate", "--speeds", "1,2", "--utilization", "0.5",
+                     "--policies", ",", *mode])
+        err = self.assert_usage_error(code, capsys, "--policies")
+        assert "at least one policy" in err
+
+    @SIMULATE_MODES
+    def test_simulate_rejects_duplicate_policies(self, capsys, no_simulation,
+                                                 mode):
+        code = main(["simulate", "--speeds", "1,2", "--utilization", "0.5",
+                     "--policies", "ORR,WRR,orr", *mode])
+        err = self.assert_usage_error(code, capsys, "--policies")
+        assert "duplicate" in err
 
     def test_simulate_parallel_matches_serial(self, capsys):
         base = ["simulate", "--speeds", "1,1,10", "--utilization", "0.6",

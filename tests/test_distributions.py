@@ -11,8 +11,6 @@ from repro.distributions import (
     Erlang,
     Exponential,
     Hyperexponential,
-    Scaled,
-    Uniform,
     distribution_from_mean_cv,
     fit_h2_balanced_means,
     paper_job_sizes,
@@ -109,30 +107,6 @@ class TestDeterministic:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Deterministic(0.0)
-
-
-class TestUniform:
-    def test_moments(self):
-        d = Uniform(0.0, 1.0)
-        assert d.mean == pytest.approx(0.5)
-        assert d.second_moment == pytest.approx(1.0 / 3.0)
-        assert d.std == pytest.approx(1.0 / math.sqrt(12.0))
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError, match="lo < hi"):
-            Uniform(1.0, 1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            Uniform(-1.0, 1.0)
-
-    def test_cdf_clipping(self):
-        d = Uniform(1.0, 3.0)
-        assert d.cdf(0.0) == 0.0
-        assert d.cdf(4.0) == 1.0
-        assert d.cdf(2.0) == pytest.approx(0.5)
-
-    def test_ppf(self):
-        d = Uniform(2.0, 6.0)
-        assert d.ppf(0.25) == pytest.approx(3.0)
 
 
 class TestHyperexponential:
@@ -274,21 +248,6 @@ class TestBoundedPareto:
         assert d.load_share_above(d.k) == pytest.approx(1.0)
         mid = d.load_share_above(10.0)
         assert 0.0 < mid < 1.0
-
-
-class TestScaled:
-    def test_moments(self):
-        d = Scaled(Exponential(1.0), 3.0)
-        assert d.mean == pytest.approx(3.0)
-        assert d.cv == pytest.approx(1.0)
-
-    def test_ppf_cdf(self):
-        d = Scaled(Exponential(1.0), 2.0)
-        assert d.cdf(d.ppf(0.3)) == pytest.approx(0.3)
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            Scaled(Exponential(1.0), 0.0)
 
 
 class TestFitting:

@@ -4,7 +4,7 @@ and bit-identical serial/parallel aggregation."""
 import numpy as np
 import pytest
 
-from repro.core import evaluate_policy, evaluate_policy_parallel, get_policy
+from repro.core import evaluate_cell, evaluate_policy, get_policy
 from repro.core.executor import (
     ReplicationTask,
     resolve_n_jobs,
@@ -124,39 +124,37 @@ class TestReplicationGrid:
         assert report.timings["simulate"] > 0
 
 
-class TestEvaluatePolicyParallel:
+class TestEvaluateCellParallel:
     def test_matches_serial_evaluation(self):
+        # 3 policies x 2 replications: enough members to reach the pool.
         config = SimulationConfig(**SMOKE)
-        par = evaluate_policy_parallel(
-            config, "ORR", replications=2, base_seed=11, n_jobs=2
-        )
+        names = ["ORR", "WRR", "ORAN"]
+        par = evaluate_cell(config, names, replications=2, base_seed=11,
+                            n_jobs=2)
         shutdown_shared_executor()
-        ser = evaluate_policy(
-            config, get_policy("ORR"), replications=2, base_seed=11
-        )
-        assert par.mean_response_ratio.mean == ser.mean_response_ratio.mean
-        assert par.mean_response_ratio.half_width == pytest.approx(
-            ser.mean_response_ratio.half_width
-        )
-        np.testing.assert_array_equal(
-            par.dispatch_fractions, ser.dispatch_fractions
-        )
-
-    def test_default_base_seed_matches_sweep_scale(self):
-        from repro.core.evaluate import DEFAULT_BASE_SEED
-        from repro.experiments.base import Scale
-
-        assert DEFAULT_BASE_SEED == Scale("x", duration=1.0, replications=1).base_seed
+        for name in names:
+            ser = evaluate_policy(
+                config, get_policy(name), replications=2, base_seed=11
+            )
+            assert par[name].mean_response_ratio.mean == (
+                ser.mean_response_ratio.mean
+            )
+            assert par[name].mean_response_ratio.half_width == pytest.approx(
+                ser.mean_response_ratio.half_width
+            )
+            np.testing.assert_array_equal(
+                par[name].dispatch_fractions, ser.dispatch_fractions
+            )
 
     def test_rejects_zero_replications(self):
         config = SimulationConfig(**SMOKE)
         with pytest.raises(ValueError, match="replication"):
-            evaluate_policy_parallel(config, "ORR", replications=0)
+            evaluate_cell(config, ["ORR"], replications=0, n_jobs=2)
 
     def test_unknown_policy_fails_fast(self):
         config = SimulationConfig(**SMOKE)
         with pytest.raises(KeyError):
-            evaluate_policy_parallel(config, "NOPE", replications=1)
+            evaluate_cell(config, ["NOPE"], replications=1, n_jobs=2)
 
 
 class TestSweepThroughGrid:

@@ -9,7 +9,10 @@ once and then succeed — the retry path must finish the job.
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,33 @@ from repro.rng import replication_seeds
 from repro.sim import SimulationConfig
 
 SMOKE = dict(speeds=(1.0, 1.0, 10.0), utilization=0.6, duration=5.0e3)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A grid whose first task stalls for 8 s under a 1 s budget, run in a
+#: fresh interpreter: quarantined, it returns at once, and the process
+#: must exit without waiting for the stalled worker.
+STALLED_GRID = """
+import time
+from repro.core import executor as ex
+from repro.core.executor import ReplicationTask, run_replication_grid
+from repro.rng import replication_seeds
+from repro.sim import SimulationConfig
+
+config = SimulationConfig(speeds=(1.0, 1.0, 10.0), utilization=0.6,
+                          duration=5.0e3)
+tasks = [ReplicationTask(key=r, config=config, policy_name="ORR",
+                         estimation_error=None, seed=seed)
+         for r, seed in enumerate(replication_seeds(2000, 2))]
+
+def stall(task):
+    if task.key == 0:
+        time.sleep(8.0)
+
+ex._TEST_WORKER_HOOK = stall
+report = run_replication_grid(tasks, n_jobs=2, task_timeout=1.0,
+                              quarantine=True)
+print([f.key for f in report.failures], sorted(report.outcomes))
+"""
 
 
 def _tasks(policies=("ORR",), replications=2):
@@ -359,6 +389,20 @@ class TestTimeout:
         assert time.monotonic() - t0 < 14.0  # did not wait out the stall
         assert set(report.outcomes) == {t.key for t in tasks}
         assert report.retried >= 1
+
+    def test_stalled_worker_does_not_outlive_its_grid(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        t0 = time.monotonic()
+        out = subprocess.run(
+            [sys.executable, "-c", STALLED_GRID], capture_output=True,
+            text=True, env=env, cwd=tmp_path, timeout=120, check=True,
+        )
+        elapsed = time.monotonic() - t0
+        assert out.stdout.split("\n")[0] == "[0] [1]"
+        assert elapsed < 6.0, f"exited {elapsed:.1f} s in; the stall is 8 s"
 
     def test_budget_starts_when_a_worker_is_free(self, worker_hook):
         # Four 1 s tasks on two workers take two rounds: the budget

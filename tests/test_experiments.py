@@ -50,6 +50,12 @@ class TestScale:
         with pytest.raises(ValueError):
             Scale("bad", duration=1.0, replications=0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"),
+                                          float("-inf")])
+    def test_non_finite_duration_names_the_scale(self, duration):
+        with pytest.raises(ValueError, match="scale 'x': duration"):
+            Scale("x", duration=duration, replications=1)
+
     def test_with_replications(self):
         assert SMOKE.with_replications(7).replications == 7
 

@@ -392,20 +392,19 @@ class TestEvaluatorLossRate:
     def test_every_evaluator_summarizes_loss_rate(self):
         """Serial, cell and parallel evaluators share one fold, so a
         fault-enabled config gets the same loss-rate summary from each."""
-        from repro.core import (
-            evaluate_cell,
-            evaluate_policy,
-            evaluate_policy_parallel,
-        )
+        from repro.core import evaluate_cell, evaluate_policy
 
         cfg = _config(faults=FaultConfig(mtbf=500.0, mttr=50.0), duration=5.0e3)
-        parallel = evaluate_policy_parallel(
-            cfg, "ORR", replications=2, base_seed=2000, n_jobs=2
-        )
+        # Five replications: more members than the grid runs in
+        # process, so n_jobs=2 goes through the pool.
+        parallel = evaluate_cell(
+            cfg, ["ORR"], replications=5, base_seed=2000, n_jobs=2
+        )["ORR"]
         serial = evaluate_policy(
-            cfg, get_policy("ORR"), replications=2, base_seed=2000
+            cfg, get_policy("ORR"), replications=5, base_seed=2000
         )
-        cell = evaluate_cell(cfg, ["ORR"], replications=2, base_seed=2000)["ORR"]
+        cell = evaluate_cell(cfg, ["ORR"], replications=5, base_seed=2000,
+                             n_jobs=1)["ORR"]
         assert parallel.loss_rate is not None and parallel.loss_rate.mean > 0
         for ev in (serial, cell):
             assert ev.loss_rate == parallel.loss_rate

@@ -53,14 +53,6 @@ KEPT: dict[str, str] = {
     "repro.sim.ckernel:compiled_library_path": "locates the built library for the fallback tests",
     "repro.sim.ckernel:set_omp_threads": "thread-count seam of the OpenMP determinism test",
     "repro.sim.ckernel:p2_fold_probe_c": "probes the AVX2 P² lanes against the scalar loop",
-    # Only their own tests call these; deleting one deletes its tests.
-    "repro.allocation.weighted:EqualAllocator": "test-only baseline, left for a later lean change",
-    "repro.allocation.weighted:ExplicitAllocator": "test-only fixed α, left for a later lean change",
-    "repro.analysis.batchmeans:batch_means_ci": "test-only, left for a later lean change",
-    "repro.analysis.warmup:batch_means": "test-only MSER helper, left for a later lean change",
-    "repro.analysis.warmup:mser": "test-only MSER rule, left for a later lean change",
-    "repro.distributions.base:Scaled": "test-only, left for a later lean change",
-    "repro.distributions.exponential:Uniform": "test-only, left for a later lean change",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -11,15 +11,15 @@ from repro.sim import SimulationConfig
 CONFIG = SimulationConfig(speeds=(1.0, 4.0), utilization=0.5, duration=1.5e4)
 
 
-def evaluate_policy_to_precision(config, policy, **kwargs):
+def evaluate_policy_to_precision(config, name, **kwargs):
     """The one-policy cell of :func:`evaluate_cell_to_precision`."""
-    return evaluate_cell_to_precision(config, [policy], **kwargs)[policy.name]
+    return evaluate_cell_to_precision(config, [name], **kwargs)[name]
 
 
 class TestEvaluateToPrecision:
     def test_stops_when_precise(self):
         ev = evaluate_policy_to_precision(
-            CONFIG, get_policy("WRR"),
+            CONFIG, "WRR",
             target_relative_half_width=5.0,  # very loose: stops at minimum
             min_replications=3, max_replications=20, base_seed=4,
         )
@@ -28,12 +28,12 @@ class TestEvaluateToPrecision:
 
     def test_keeps_going_for_tight_target(self):
         loose = evaluate_policy_to_precision(
-            CONFIG, get_policy("WRR"),
+            CONFIG, "WRR",
             target_relative_half_width=0.5,
             min_replications=3, max_replications=12, base_seed=4,
         )
         tight = evaluate_policy_to_precision(
-            CONFIG, get_policy("WRR"),
+            CONFIG, "WRR",
             target_relative_half_width=0.02,
             min_replications=3, max_replications=12, base_seed=4,
         )
@@ -41,7 +41,7 @@ class TestEvaluateToPrecision:
 
     def test_caps_at_max(self):
         ev = evaluate_policy_to_precision(
-            CONFIG, get_policy("WRAN"),
+            CONFIG, "WRAN",
             target_relative_half_width=1e-9,  # unreachable
             min_replications=2, max_replications=4, base_seed=4,
         )
@@ -56,7 +56,7 @@ class TestEvaluateToPrecision:
         engine for dynamic ones) against the per-replication oracle."""
         config = dataclasses.replace(CONFIG, discipline=discipline)
         seq = evaluate_policy_to_precision(
-            config, get_policy(policy),
+            config, policy,
             target_relative_half_width=1e-9,
             min_replications=3, max_replications=3, base_seed=9,
         )
@@ -70,43 +70,13 @@ class TestEvaluateToPrecision:
             else:
                 assert got == want, f.name
 
-    def test_metric_selection(self):
-        ev = evaluate_policy_to_precision(
-            CONFIG, get_policy("WRR"),
-            target_relative_half_width=0.5, metric="fairness",
-            min_replications=2, max_replications=6, base_seed=1,
-        )
-        assert ev.replications <= 6
-
-    def test_unknown_metric_fails_before_any_run(self, monkeypatch):
-        import repro.core.evaluate as evaluate
-
-        calls = []
-        real = evaluate.run_policy_once
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(evaluate, "run_policy_once", counting)
-        with pytest.raises(KeyError, match="unknown metric"):
-            evaluate_policy_to_precision(
-                CONFIG, get_policy("WRR"), metric="latency"
-            )
-        assert calls == []
-
     def test_validation(self):
         with pytest.raises(ValueError, match="half-width"):
             evaluate_policy_to_precision(
-                CONFIG, get_policy("WRR"), target_relative_half_width=0.0
+                CONFIG, "WRR", target_relative_half_width=0.0
             )
         with pytest.raises(ValueError, match="min_replications"):
             evaluate_policy_to_precision(
-                CONFIG, get_policy("WRR"),
+                CONFIG, "WRR",
                 min_replications=5, max_replications=2,
-            )
-        with pytest.raises(KeyError, match="unknown metric"):
-            evaluate_policy_to_precision(
-                CONFIG, get_policy("WRR"), metric="latency",
-                min_replications=1, max_replications=2,
             )
