@@ -18,31 +18,36 @@ replay is one compiled call; ``reference=True`` keeps the original
 per-job window as the oracle the fast path is pinned against.
 
 **Fault tolerance.**  With a :class:`~repro.faults.models.FaultConfig`
-(or a scripted event list — the chaos harness) the bank tracks every
-in-flight job in per-server rings inside one record block: the
-pre-generated fault timeline splits each window into segments, each
-segment's jobs go to :meth:`ServerBank.dispatch` in one compiled call
-(the per-job step ``max(free_at, t) + size/speed``, each accepted job
-pushed onto its server's ring in the same call), its completions are
-popped by one :meth:`ServerBank.collect_completions` call into the
-window's completion block, and each fault event is applied after the
-jobs at or before its timestamp.  At the close the block comes back
-from :meth:`ServerBank.take_completions` with its speed witnesses
-already regrouped by server for the fold.  A job aimed at a down
-server — and every resident of a server that fails — bounces through
-the :class:`~repro.faults.models.RetryPolicy`: it re-enters the stream
-at ``bounce_time + delay`` with its original arrival as response-time
+(or a scripted event list — the chaos harness, checked when the
+service is built) the bank tracks every in-flight job in per-server
+rings inside one record block, and each window is one
+:meth:`ServerBank.run_fault_window` call — one compiled call on the
+kernel path.  The window's jobs go in as one ``(4, k)`` block (fresh
+arrivals and due retries, one stable sort), with the window's events
+from the pre-generated fault timeline.  The events cut the window into
+segments: each segment's jobs go through the per-job step
+``max(free_at, t) + size/speed`` onto their servers' rings, every
+completion up to the event's timestamp is collected into the window's
+completion block, and then the event applies — so jobs at an event's
+timestamp dispatch before it.  At the close the block comes back from
+:meth:`ServerBank.take_completions` with its speed witnesses already
+regrouped by server for the fold.  A job aimed at a down server — and
+every resident of a server that fails — lands in the window's bounce
+block and, after the call, goes through the
+:class:`~repro.faults.models.RetryPolicy`: it re-enters the stream at
+``bounce_time + delay`` with its original arrival as response-time
 origin, or counts as lost once ``max_attempts`` placements failed (or
 immediately under ``on_failure="lose"``).  Pending retries wait in one
 ``(k, 4)`` float block of ``[due, origin, size, failed placements]``
-rows sorted by due time, ties in bounce order: each bounce batch is
-merged in by one stable sort on due time, and each window takes the
-due rows as one prefix.  The dispatch sequence
-stays immutable within the window even when a failure lands
-mid-window; the controller learns of the membership change (failure
-detector) and the *next boundary* re-solve runs out-of-band over the
-survivors.  Admission, the
-completion fold and the close are the same step calls as fault-free.
+rows sorted by due time, ties in bounce order: each window's bounce
+block is merged in by one stable sort on due time — nothing reads the
+pending retries inside a window — and each window takes the due rows
+as one prefix.  The dispatch sequence stays immutable within the
+window even when a failure lands mid-window; after the call the
+controller learns of each membership change (failure detector) in
+timeline order, and the *next boundary* re-solve runs out-of-band over
+the survivors.  Admission, the completion fold and the close are the
+same step calls as fault-free.
 
 **Conservation.**  After every window :meth:`SchedulerService.run`
 checks the job ledger — offered = dispatched + shed, and dispatched =
@@ -67,6 +72,8 @@ experiment, not just a demo.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +92,7 @@ from ..obs.spans import span
 from ..sim import ckernel
 from .checkpoint import ServiceCheckpoint
 from .controller import QuasiStaticController
-from .replay import ServerBank
+from .replay import EVENT_DOWN, EVENT_SPEED, EVENT_UP, ServerBank
 from .sources import JobSource
 from .window import (
     ServiceReport,
@@ -104,6 +111,41 @@ __all__ = [
     "ServiceCrash",
     "build_controller",
 ]
+
+
+#: The bank's event code of each fault-event kind.
+_EVENT_CODES = {
+    DOWN: EVENT_DOWN,
+    UP: EVENT_UP,
+    DEGRADE_START: EVENT_SPEED,
+    DEGRADE_END: EVENT_SPEED,
+}
+
+
+def _check_event(index: int, event: FaultEvent, n_servers: int) -> None:
+    """Refuse a fault event the window cannot apply, naming its field.
+
+    An unknown kind would be skipped, a server outside the pool would
+    index another server (or fail mid-run), and a NaN time would hold
+    back every later event.
+    """
+    where = f"fault_events[{index}]"
+    if event.kind not in _EVENT_CODES:
+        raise ValueError(
+            f"{where}.kind must be one of {sorted(_EVENT_CODES)}, "
+            f"got {event.kind!r}"
+        )
+    try:
+        server = operator.index(event.server)
+    except TypeError:
+        server = -1
+    if isinstance(event.server, bool) or not 0 <= server < n_servers:
+        raise ValueError(
+            f"{where}.server must be an integer in [0, {n_servers}), "
+            f"got {event.server!r}"
+        )
+    if not (isinstance(event.time, numbers.Real) and math.isfinite(event.time)):
+        raise ValueError(f"{where}.time must be a finite number, got {event.time!r}")
 
 
 class ServiceCrash(RuntimeError):
@@ -229,12 +271,22 @@ class SchedulerService:
                 config.faults, len(config.speeds), config.duration, config.fault_seed
             )
         self._faulted = timeline is not None
+        for i, ev in enumerate(timeline or []):
+            _check_event(i, ev, len(config.speeds))
         self.fault_events: list[FaultEvent] = sorted(
             timeline or [], key=lambda e: (e.time, e.server, e.kind)
         )
+        # The timeline as the bank's [time, code, server, factor] event
+        # rows; each window writes its degrade events' factors.
+        self._events = np.array(
+            [[e.time, _EVENT_CODES[e.kind], e.server, 1.0]
+             for e in self.fault_events],
+            dtype=float,
+        ).reshape(-1, 4)
         # Retry policy, on_failure and degrade_factor (a scripted
         # timeline may come without a config).
         self._faults = config.faults or FaultConfig()
+        self._delay_table = np.empty(0)
         self._event_pos = 0
         # Pending retries, a (k, 4) block of [due, origin arrival, size,
         # failed placements] rows sorted by due time, ties in bounce
@@ -428,45 +480,50 @@ class SchedulerService:
     # Fault-mode window (segment dispatch, cut at fault events)
     # ------------------------------------------------------------------
 
-    def _bounce(self, now, origins, sizes, attempts) -> tuple[int, int]:
+    def _bounce(self, rows: np.ndarray) -> tuple[int, int]:
         """Placements just failed: queue each job's retry or lose it.
 
-        The jobs come as aligned arrays in bounce order; *now* is the
-        bounce time (one for all, or one per job) and *attempts* counts
-        each job's failed placements before this one.  A job is lost
-        once ``max_attempts`` placements failed (at once under
+        *rows* is a window's bounce block, ``[bounce time, origin, size,
+        failed placements before this one]`` in bounce order.  A job is
+        lost once ``max_attempts`` placements failed (at once under
         ``on_failure="lose"``); the others become due after
-        ``RetryPolicy.delay(attempts)`` and join the pending block
-        behind every row due no later, which keeps it sorted by due
-        time with ties in bounce order.  Returns ``(lost, retried)``
-        and adds them to the service counters.
+        ``RetryPolicy.delay(failed)`` and join the pending block behind
+        every row due no later, which keeps it sorted by due time with
+        ties in bounce order.  Returns ``(lost, retried)`` and adds them
+        to the service counters.
         """
-        retry = self._faults.retry
-        attempts = np.asarray(attempts).astype(np.int64)
-        keep = (attempts + 1 < retry.max_attempts) & (
-            self._faults.on_failure == "retry"
-        )
-        retried = int(np.count_nonzero(keep))
-        lost = attempts.size - retried
+        retried = 0
+        if self._faults.on_failure == "retry":
+            keep = rows[:, 3] + 1 < self._faults.retry.max_attempts
+            retried = int(np.count_nonzero(keep))
+        lost = len(rows) - retried
         if lost:
             counters.inc("service.jobs_lost", value=lost)
         if retried:
             counters.inc("service.jobs_retried", value=retried)
-            # The scalar delay, once per distinct attempt count: a
-            # vector backoff**k need not round like libm's pow.
-            ks = np.unique(attempts)
-            waits = np.array([retry.delay(int(k)) for k in ks], dtype=float)
-            due = now + waits[np.searchsorted(ks, attempts)]
-            rows = np.column_stack([due, origins, sizes, attempts + 1])[keep]
+            queued = rows[keep] if lost else rows.copy()
+            failed = queued[:, 3].astype(np.int64)
+            queued[:, 0] += self._delays(int(failed.max()))[failed]
+            queued[:, 3] += 1
             # A stable sort of the block followed by the batch orders
             # equal due times by bounce order.
-            block = np.concatenate([self._pending, rows])
+            block = np.concatenate([self._pending, queued])
             self._pending = block[np.argsort(block[:, 0], kind="stable")]
         return lost, retried
 
-    def _apply_degrade(self, server: int, now: float) -> None:
-        level = self._degrade_level[server]
-        self.bank.set_speed_factor(server, now, self._faults.degrade_factor**level)
+    def _delays(self, top: int) -> np.ndarray:
+        """``RetryPolicy.delay(k)`` for every ``k`` up to *top* at least.
+
+        The scalar values, each computed once (a vector ``backoff**k``
+        need not round like libm's pow); the table grows to the largest
+        failed-placement count seen, never past ``max_attempts - 1``.
+        """
+        if top >= self._delay_table.size:
+            retry = self._faults.retry
+            self._delay_table = np.array(
+                [retry.delay(k) for k in range(top + 1)], dtype=float
+            )
+        return self._delay_table
 
     def _run_window_faulted(self, start: float, end: float) -> None:
         step = self.step
@@ -474,95 +531,67 @@ class SchedulerService:
         times, sizes = self.source.jobs_until(end)
         adm_times, adm_sizes = step.admit(times, sizes)
 
-        # Fold due retries into the window's stream: a retry scheduled
-        # for time d re-enters the sequence as an arrival at max(d,
-        # start) — bounces become eligible at the *next* window, never
-        # inside the one that bounced them.  Ties go to fresh arrivals
-        # (stable sort, arrivals listed first); the due retries are the
-        # block's prefix, already in (due, bounce) order.
+        # The window's jobs, one (4, k) block whose rows are time,
+        # origin, size and failed placements.  A retry scheduled for
+        # time d re-enters the sequence as an arrival at max(d, start) —
+        # bounces become eligible at the *next* window, never inside
+        # the one that bounced them.  Ties go to fresh arrivals (stable
+        # sort, arrivals listed first); the due retries are the pending
+        # block's prefix, already in (due, bounce) order, and its
+        # [due, origin, size, failed] columns transpose onto those rows.
         n_due = int(np.searchsorted(self._pending[:, 0], end, side="right"))
         due, self._pending = self._pending[:n_due], self._pending[n_due:]
-        job_times, job_sizes, job_origins = adm_times, adm_sizes, adm_times
-        job_attempts = np.zeros(adm_times.size, dtype=np.int64)
+        n_adm = adm_times.size
+        jobs = np.empty((4, n_adm + n_due))
+        jobs[:2, :n_adm] = adm_times
+        jobs[2, :n_adm] = adm_sizes
+        jobs[3, :n_adm] = 0.0
         if n_due:
-            job_times = np.concatenate([adm_times, np.maximum(due[:, 0], start)])
-            order = np.argsort(job_times, kind="stable")
-            job_times = job_times[order]
-            job_sizes = np.concatenate([adm_sizes, due[:, 2]])[order]
-            job_origins = np.concatenate([adm_times, due[:, 1]])[order]
-            job_attempts = np.concatenate(
-                [job_attempts, due[:, 3].astype(np.int64)]
-            )[order]
+            jobs[:, n_adm:] = due.T
+            np.maximum(jobs[0, n_adm:], start, out=jobs[0, n_adm:])
+            jobs = np.take(jobs, np.argsort(jobs[0], kind="stable"), axis=1)
 
         # The window's dispatch sequence is fixed up front — a failure
         # mid-window never rewrites it (Algorithm 2's invariant); the
         # re-plan waits for the boundary close below.
-        targets = step.dispatcher.select_batch(job_sizes)
+        targets = step.dispatcher.select_batch(jobs[2])
 
-        events: list[FaultEvent] = []
-        while (
-            self._event_pos < len(self.fault_events)
-            and self.fault_events[self._event_pos].time <= end
-        ):
-            events.append(self.fault_events[self._event_pos])
-            self._event_pos += 1
+        # The window's fault events; a degrade episode's start or end
+        # sets the server's factor to degrade_factor**level.
+        pos = stop = self._event_pos
+        timeline = self.fault_events
+        while stop < len(timeline) and timeline[stop].time <= end:
+            ev = timeline[stop]
+            if ev.kind in (DEGRADE_START, DEGRADE_END):
+                level = self._degrade_level[ev.server]
+                level = level + 1 if ev.kind == DEGRADE_START else max(0, level - 1)
+                self._degrade_level[ev.server] = level
+                self._events[stop, 3] = self._faults.degrade_factor**level
+            stop += 1
+        self._event_pos = stop
+        events = self._events[pos:stop]
 
-        # Completions are counted as collect_completions hands them over,
-        # so the ledger checks what this loop received against what
-        # left the bank.
-        completed = 0
-        lost = retried = 0
-        pos = 0
-        for ev in [*events, None]:
-            seg_end = end if ev is None else ev.time
-            # Jobs at exactly an event's timestamp dispatch before the
-            # event applies (arrival-then-event tie-break, documented).
-            stop = int(np.searchsorted(job_times, seg_end, side="right"))
-            if stop > pos:
-                dep = self.bank.dispatch(
-                    targets[pos:stop], job_times[pos:stop],
-                    job_sizes[pos:stop], job_origins[pos:stop],
-                    job_attempts[pos:stop],
-                )
-                idx = np.flatnonzero(np.isnan(dep)) + pos
-                if idx.size:
-                    n_lost, n_retried = self._bounce(
-                        job_times[idx], job_origins[idx],
-                        job_sizes[idx], job_attempts[idx],
-                    )
-                    lost += n_lost
-                    retried += n_retried
-                pos = stop
-            # Finalize everything that departed before the event — a
-            # failure must not bounce jobs that already finished.
-            completed += len(self.bank.collect_completions(seg_end))
-            if ev is None:
-                continue
-            if ev.kind == DOWN:
-                if self.bank.up[ev.server]:
-                    residents = self.bank.fail(ev.server, ev.time)
+        # Jobs at exactly an event's timestamp dispatch before the event
+        # applies (arrival-then-event tie-break, documented), and every
+        # completion up to the event is collected before it.
+        window = self.bank.run_fault_window(targets, jobs, events, end)
+        # The controller learns of each membership change (failure
+        # detector) in timeline order; nothing reads it inside the
+        # window.  A repaired server is the same machine, so its
+        # pre-outage speed history stays; the networked rejoin path
+        # passes fresh_estimates=True instead (restarted process).
+        if stop > pos:
+            for i in np.flatnonzero(window.applied).tolist():
+                ev = timeline[pos + i]
+                if ev.kind == DOWN:
                     controller.mark_server_down(ev.server, ev.time)
-                    n_lost, n_retried = self._bounce(
-                        ev.time, residents[:, 0], residents[:, 1],
-                        residents[:, 2],
-                    )
-                    lost += n_lost
-                    retried += n_retried
-            elif ev.kind == UP:
-                if not self.bank.up[ev.server]:
-                    self.bank.repair(ev.server, ev.time)
-                    # The same machine resumes, so its pre-outage speed
-                    # history stays; the networked rejoin path passes
-                    # fresh_estimates=True instead (restarted process).
+                else:
                     controller.mark_server_up(ev.server, ev.time)
-            elif ev.kind == DEGRADE_START:
-                self._degrade_level[ev.server] += 1
-                self._apply_degrade(ev.server, ev.time)
-            elif ev.kind == DEGRADE_END:
-                self._degrade_level[ev.server] = max(
-                    0, self._degrade_level[ev.server] - 1
-                )
-                self._apply_degrade(ev.server, ev.time)
+        # Pending retries are never read inside a window, so one stable
+        # merge of its bounce block equals a merge per bounce batch.
+        lost = retried = 0
+        if len(window.bounces):
+            lost, retried = self._bounce(window.bounces)
 
         # Completion-based accounting: response times span retries
         # (departure minus *original* arrival) and land in the window
@@ -574,11 +603,11 @@ class SchedulerService:
             witnesses, offsets, responses, rows[:, 2], sequential=True
         )
         step.close(
-            start, end, offered=int(times.size), admitted=int(adm_times.size),
-            mrt=mrt, ratio=ratio, completed=completed,
+            start, end, offered=int(times.size), admitted=int(n_adm),
+            mrt=mrt, ratio=ratio, completed=window.completed,
             # Every bounce is either lost or retried.
             lost=lost, retried=retried, bounced=lost + retried,
-            servers_up=int(np.count_nonzero(self.bank.up)),
+            servers_up=window.servers_up,
         )
 
     # ------------------------------------------------------------------

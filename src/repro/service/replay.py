@@ -25,30 +25,31 @@ placements) as a five-double record in one float64 block for the whole
 bank (:class:`~repro.sim.ckernel.InflightRings`): server ``s`` owns a
 slot of ``cap`` records, its live records ``[head[s], tail[s])`` oldest
 first, and their departure projections stay valid until a fault event
-rewrites them.  Every call works on a whole fault segment (the jobs
-between two fault events), not on one job:
+rewrites them.  :meth:`run_fault_window` runs a whole control window
+in one compiled call (``fault_window``): its fault events cut it into
+segments, and for each one it
 
-* :meth:`dispatch` queues a segment's jobs in one compiled call
-  (``fcfs_dispatch_segment``) through the step
-  ``max(free_at, t) + size/speed`` — a max-plus step in the per-job
-  float order, not the cumulative-sum :func:`lindley_window`, which
-  rounds differently — and pushes each accepted job's record onto its
-  server's ring in the same call; jobs aimed at a down server come
-  back NaN.  The kernel counts each server's jobs before writing
-  anything: a ring whose records would run past its slot is compacted
-  to the front, and when the live records plus the new ones do not fit
-  at all the call writes nothing and the bank grows the block and calls
-  again,
-* :meth:`collect_completions` pops every record whose departure has
-  passed, all servers in one call (``inflight_collect``), appending the
-  rows to one window-level block that :meth:`take_completions` hands
-  over,
-* :meth:`fail` / :meth:`repair` flip membership, bouncing residents,
-* :meth:`set_speed_factor` rescales in-flight work for degradation —
-  for FCFS everything after *now* on one server is service work at the
-  new speed, so ``dep' = now + (dep − now)·(s_old/s_new)`` is exact.
+* queues the segment's jobs through the step ``max(free_at, t) +
+  size/speed`` — a max-plus step in the per-job float order, not the
+  cumulative-sum :func:`lindley_window`, which rounds differently —
+  pushing each accepted job's record onto its server's ring; a job
+  aimed at a down server joins the window's bounce block instead,
+* pops every record whose departure has passed by the event, all
+  servers at once, onto the window's completion block, which
+  :meth:`take_completions` hands over,
+* applies the event: a failure bounces its server's residents, a
+  repair brings the server back empty, and a speed change rescales
+  in-flight work for degradation — for FCFS everything after *now* on
+  one server is service work at the new speed, so ``dep' = now + (dep
+  − now)·(s_old/s_new)`` is exact.
 
-The interpreted fallback runs the same steps over the same arrays.
+The kernel counts each server's jobs before it writes anything: a ring
+whose records would run past its slot is compacted to the front, and
+when the live records plus the new ones do not fit at all the call
+writes nothing and the bank grows the block and calls again.  The
+interpreted fallback runs the same window segment by segment over the
+same arrays, through :meth:`dispatch`, :meth:`collect_completions`,
+:meth:`fail`, :meth:`repair` and :meth:`set_speed_factor`.
 
 The fault-free :meth:`replay_window_grouped` keeps the cumulative-sum
 recursion above and only borrows the rings' scratch buffers, whose
@@ -59,16 +60,42 @@ and of every network server stub, which is a one-server bank.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ..sim import ckernel
 from ..sim.fastpath import group_by_server, lindley_window
 
-__all__ = ["ServerBank"]
+__all__ = ["ServerBank", "FaultWindow", "EVENT_DOWN", "EVENT_UP", "EVENT_SPEED"]
 
 #: In-flight record layout: [origin, size, svc, dep, attempts].
 _ORIGIN, _SIZE, _SVC, _DEP, _ATTEMPTS = range(5)
+
+#: Event codes of a fault window's ``[time, code, server, factor]`` rows.
+EVENT_DOWN, EVENT_UP, EVENT_SPEED = 0, 1, 2
+
+_WINDOW_INPUT_ERROR = (
+    "fault window input out of range: a target or event server outside "
+    "the bank, an event time that is not finite, an unknown event code "
+    "or a speed factor that is not positive and finite"
+)
+
+
+class FaultWindow(NamedTuple):
+    """What :meth:`ServerBank.run_fault_window` hands back."""
+
+    #: Each job's departure in job order, NaN for a bounced job.
+    departures: np.ndarray
+    #: Completion rows the window collected.
+    completed: int
+    #: ``(b, 4)`` rows ``[bounce time, origin, size, failed placements
+    #: before this one]`` in bounce order.
+    bounces: np.ndarray
+    #: Per event, whether it changed membership.
+    applied: np.ndarray
+    #: Servers up at the window's end.
+    servers_up: int
 
 
 class ServerBank:
@@ -84,9 +111,14 @@ class ServerBank:
         self._free_at = np.zeros(s.size)
         self._up = np.ones(s.size, dtype=bool)
         self._speed_factor = np.ones(s.size)
-        self._rings = ckernel.InflightRings(self.speeds, self._free_at, self._up)
-        # Completion rows collected since the last take_completions().
+        self._rings = ckernel.InflightRings(
+            self.speeds, self._free_at, self._up, self._speed_factor
+        )
+        # Completion rows collected since the last take_completions(),
+        # and how many of them the fold inputs in the rings cover (a
+        # compiled window computes them; -1 when they are stale).
         self._ndone = 0
+        self._folded = -1
 
     @property
     def n(self) -> int:
@@ -174,11 +206,145 @@ class ServerBank:
         return r.dep[:n], r.svc[:n], r.order[:n], r.scratch[:self.n + 1]
 
     # ------------------------------------------------------------------
-    # Fault-mode API (segment calls over the in-flight rings)
+    # Fault-mode API (the in-flight rings)
     # ------------------------------------------------------------------
 
     def effective_speed(self, server: int) -> float:
         return float(self.speeds[server] * self.speed_factor[server])
+
+    def run_fault_window(
+        self,
+        targets: np.ndarray,
+        jobs: np.ndarray,
+        events: np.ndarray,
+        end: float,
+    ) -> FaultWindow:
+        """Run one fault-mode window: its segments and its fault events.
+
+        ``jobs`` is a ``(4, k)`` float64 block of the window's jobs —
+        rows time, origin (first arrival, as response times span
+        retries), size and failed placements so far — with times
+        non-decreasing, and ``targets`` their servers.  ``events`` is an
+        ``(e, 4)`` float64 block of ``[time, code, server, factor]``
+        rows, times non-decreasing: code :data:`EVENT_DOWN` takes the
+        server down, :data:`EVENT_UP` brings it back and
+        :data:`EVENT_SPEED` sets its speed factor to ``factor``.
+
+        Each event closes a segment.  The jobs not yet placed whose time
+        is at or before the event's (every job left, after the last
+        event) are dispatched in arrival order, each through the step
+        ``max(free_at, t) + size/speed`` at its server's effective
+        speed; a job aimed at a down server bounces at its own time.
+        Every record whose departure is at or before the event's time
+        (``end``, after the last event) is then collected, and the event
+        applies: a DOWN on an up server bounces its residents at the
+        event's time in FIFO order (:meth:`fail`), an UP on a down
+        server calls :meth:`repair`, a speed event
+        :meth:`set_speed_factor`.  A DOWN on a down server and an UP on
+        an up one change nothing.
+
+        Returns a :class:`FaultWindow` of views of the bank's buffers,
+        valid until the next window: consume them first.  The collected
+        rows join the block :meth:`take_completions` hands over.  With
+        the compiled kernel the whole window is one call; the fallback
+        runs the per-segment loop of the interpreted segment step,
+        :meth:`collect_completions`, :meth:`fail`, :meth:`repair` and
+        :meth:`set_speed_factor` and writes the same bits.  A target or
+        event server outside the bank, an event time that is not finite,
+        an unknown code or a speed factor that is not positive and
+        finite raises ``ValueError`` before any state changes.
+        """
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        jobs = np.ascontiguousarray(jobs, dtype=np.float64)
+        events = np.ascontiguousarray(events, dtype=np.float64)
+        k = targets.size
+        if jobs.shape != (4, k) or events.ndim != 2 or events.shape[1] != 4:
+            raise ValueError("jobs must be a (4, k) block for k targets and "
+                             "events an (e, 4) block")
+        r = self._rings
+        nev = len(events)
+        row = self._ndone
+        end = float(end)
+        r.reserve_window(row, k, nev)
+        fn = ckernel.entry("fault_window")
+        if fn is None:
+            return self._fault_window_python(targets, jobs, events, end)
+        status = ckernel.fault_window_c(fn, r, jobs, targets, events, end, row)
+        if status == 2:
+            # Nothing was written: grow to fit the counted jobs, retry.
+            self._make_room(r.scratch[:self.n])
+            r.reserve_window(row, k, nev)
+            status = ckernel.fault_window_c(fn, r, jobs, targets, events,
+                                            end, row)
+        if status:
+            raise ValueError(_WINDOW_INPUT_ERROR)
+        m, b, up = r.window_out.tolist()
+        self._ndone = self._folded = row + m
+        return FaultWindow(r.dep[:k], m, r.bounce[:b], r.applied[:nev], up)
+
+    def _fault_window_python(
+        self, targets: np.ndarray, jobs: np.ndarray, events: np.ndarray,
+        end: float,
+    ) -> FaultWindow:
+        """Interpreted fallback of the compiled window: the per-segment
+        loop, writing the same departures, rows, flags and bank state."""
+        n = self.n
+        time, code, server, factor = events.T
+        speed = code == EVENT_SPEED
+        if (
+            (targets.size and not 0 <= targets.min() <= targets.max() < n)
+            or not np.all(np.isfinite(time))
+            or not np.all((code == EVENT_DOWN) | (code == EVENT_UP) | speed)
+            or not np.all((server >= 0) & (server < n)
+                          & (server == np.floor(server)))
+            or not np.all((factor[speed] > 0) & (factor[speed] < math.inf))
+        ):
+            raise ValueError(_WINDOW_INPUT_ERROR)
+        r = self._rings
+        times, origins, sizes, attempts = jobs
+        k = times.size
+        dep = r.dep[:k]
+        applied = r.applied[:len(events)]
+        bounces = []
+        completed = pos = 0
+        evs = events.tolist()
+        for e in range(len(evs) + 1):
+            last = e == len(evs)
+            now = end if last else evs[e][0]
+            stop = k if last else int(np.searchsorted(times, now, side="right"))
+            if stop > pos:
+                seg = slice(pos, stop)
+                self._dispatch_python(targets[seg], times[seg], sizes[seg],
+                                      origins[seg], attempts[seg], dep[seg])
+                idx = np.flatnonzero(np.isnan(dep[seg])) + pos
+                bounces.append(jobs[:, idx].T)
+                pos = stop
+            # Finalize everything that departed before the event: a
+            # failure must not bounce jobs that already finished.
+            completed += len(self.collect_completions(now))
+            if last:
+                break
+            _, kind, s, f = evs[e]
+            s = int(s)
+            applied[e] = False
+            if kind == EVENT_DOWN:
+                if self.up[s]:
+                    residents = self.fail(s, now)
+                    bounces.append(np.column_stack(
+                        [np.full(len(residents), now), residents]
+                    ))
+                    applied[e] = True
+            elif kind == EVENT_UP:
+                if not self.up[s]:
+                    self.repair(s, now)
+                    applied[e] = True
+            else:
+                self.set_speed_factor(s, now, f)
+        b = sum(len(x) for x in bounces)
+        if b:
+            r.bounce[:b] = np.concatenate(bounces)
+        return FaultWindow(dep, completed, r.bounce[:b], applied,
+                           int(np.count_nonzero(self.up)))
 
     def dispatch(
         self,
@@ -200,7 +366,8 @@ class ServerBank:
 
         Raises ``ValueError`` on an out-of-range target before any
         state changes.  The returned array is a view of the bank's
-        scratch: consume it before the next call.
+        scratch: consume it before the next call.  Interpreted: the
+        service runs its segments through :meth:`run_fault_window`.
         """
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         times = np.ascontiguousarray(times, dtype=float)
@@ -214,27 +381,12 @@ class ServerBank:
         ):
             raise ValueError("targets, times, sizes, origins and attempts must align")
         r = self._rings
-        np.multiply(self.speeds, self.speed_factor, out=r.eff)
         r.reserve(k)
-        fn = ckernel.entry("segment")
-        if fn is None:
-            return self._dispatch_python(targets, times, sizes, origins, attempts)
-        status = ckernel.dispatch_segment_c(
-            fn, times, sizes, origins, attempts, targets, r
-        )
-        if status == 2:
-            # Nothing was written: grow to fit the counted jobs, retry.
-            offsets = r.scratch[:self.n + 1]
-            self._make_room(offsets[1:] - offsets[:-1])
-            status = ckernel.dispatch_segment_c(
-                fn, times, sizes, origins, attempts, targets, r
-            )
-        if status:
-            raise ValueError("dispatch target out of range")
-        return r.dep[:k]
+        return self._dispatch_python(targets, times, sizes, origins, attempts,
+                                     r.dep[:k])
 
     def _make_room(self, counts: np.ndarray) -> None:
-        """Fit ``counts`` more records on every up server.
+        """Fit ``counts`` more records on every server.
 
         Grows the ring block (to at least double, every server's live
         records moved to the front of its slot) when some server's live
@@ -243,7 +395,7 @@ class ServerBank:
         its slot.
         """
         r = self._rings
-        recv = self.up & (counts > 0)
+        recv = counts > 0
         need = int(((r.tail - r.head + counts)[recv]).max(initial=0))
         if need > r.cap:
             r.grow(max(need, 2 * r.cap))
@@ -255,16 +407,15 @@ class ServerBank:
 
     def _dispatch_python(
         self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray,
-        origins: np.ndarray, attempts: np.ndarray,
+        origins: np.ndarray, attempts: np.ndarray, dep: np.ndarray,
     ) -> np.ndarray:
-        """Interpreted fallback of the compiled segment step (same bits,
-        same ring writes)."""
+        """The segment step, writing the departures into ``dep``."""
         # Validates every target before anything is written.
         order, offsets = group_by_server(targets, self.n)
         counts = offsets[1:] - offsets[:-1]
         self._make_room(counts)
         r = self._rings
-        eff_l = r.eff.tolist()
+        eff_l = (self.speeds * self.speed_factor).tolist()
         up = self.up.tolist()
         free_at = self.free_at.tolist()
         deps = []
@@ -279,7 +430,6 @@ class ServerBank:
             deps.append(d)
             free_at[s] = d
         self.free_at[:] = free_at
-        dep = r.dep[:targets.size]
         dep[:] = deps
         svc = np.array(svcs, dtype=float)
         # Push the accepted jobs server by server: a job bounces iff its
@@ -304,23 +454,12 @@ class ServerBank:
         fixed, documented order so downstream streaming estimators stay
         deterministic.  The rows are appended to the window's
         completion block (:meth:`take_completions`); the returned array
-        is a view of them.
+        is a view of them.  Interpreted, like :meth:`dispatch`.
         """
         r = self._rings
         row = self._ndone
-        # Room for every live record, so the kernel never runs out.
+        # Room for every live record.
         r.reserve_done(row, self.n * r.cap)
-        fn = ckernel.entry("collect")
-        if fn is not None:
-            m = ckernel.inflight_collect_c(fn, r, float(now), row)
-        else:
-            m = self._collect_python(float(now), row)
-        self._ndone = row + m
-        return r.done[row:row + m]
-
-    def _collect_python(self, now: float, row: int) -> int:
-        """Interpreted fallback of the compiled collect (same rows)."""
-        r = self._rings
         m = 0
         for s in range(self.n):
             h, t = int(r.head[s]), int(r.tail[s])
@@ -335,7 +474,8 @@ class ServerBank:
                 r.head[s] = r.tail[s] = 0
             else:
                 r.head[s] = h + k
-        return m
+        self._ndone = row + m
+        return r.done[row:row + m]
 
     def take_completions(
         self,
@@ -355,8 +495,9 @@ class ServerBank:
         m = self._ndone
         self._ndone = 0
         rows = r.done[:m]
-        fn = ckernel.entry("fold_inputs")
-        if fn is not None and ckernel.fold_inputs_c(fn, r, m):
+        folded, self._folded = self._folded, -1
+        if folded == m:
+            # A compiled window computed them with its collects.
             return rows, r.wit[:m], r.fold_scratch[:self.n + 1], r.resp[:m]
         srv, origin, size, svc, dep = rows.T
         order, offsets = group_by_server(srv.astype(np.int64), self.n)

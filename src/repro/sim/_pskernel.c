@@ -280,60 +280,55 @@ i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
 /* A collected row: [server, origin, size, svc, dep]. */
 #define ROW_FIELDS 5
 
-/* Fault-mode segment dispatch: the jobs of one fault segment (between
- * two fault events) queued on their target servers in arrival order.
+/* A fault window's jobs: one float64 block of JOB_FIELDS rows of n
+ * doubles, row JOB_* holding that field of every job in arrival order.
+ * A bounce row is [bounce time, origin, size, attempts] and an event
+ * row [time, code, server, factor], EV_* codes. */
+#define JOB_FIELDS 4
+#define JOB_TIME 0
+#define JOB_ORIGIN 1
+#define JOB_SIZE 2
+#define JOB_ATTEMPTS 3
+#define BOUNCE_FIELDS 4
+#define EVENT_FIELDS 4
+#define EV_DOWN 0
+#define EV_UP 1
+#define EV_SPEED 2
+
+/* Fault-mode segment dispatch: jobs [lo, hi) of a fault window (those
+ * between two fault events) queued on their target servers in arrival
+ * order.
  *
- * Mirrors the per-job step of ServerBank's fault mode, float op for
- * float op: svc = w / eff[s], then dep = max(free_at[s], t) + svc with
+ * Mirrors ServerBank._dispatch_python float op for float op: svc =
+ * w / (speeds[s] * factor[s]), then dep = max(free_at[s], t) + svc with
  * Python's max (the first argument on ties, so t wins only when it is
- * strictly later), then free_at[s] = dep.  eff is the servers'
- * effective speeds (speeds * speed_factor, elementwise).  A job aimed
- * at a down server (up[s] == 0) bounces: its dep reads NaN, free_at is
- * left alone and nothing is queued.  This is a plain max-plus step, not
- * the cumulative lindley_step: the two round differently, and fault
- * mode's bits are pinned to this one.
- *
- * Each accepted job is pushed onto its server's ring as the record
- * [origins[j], work[j], svc, dep, attempts[j]].  Before anything is
- * written, the group_offsets prologue counts each server's jobs
- * (offsets, nservers + 1; cursor is nservers of scratch) and the room
- * check runs: a receiving server whose live records plus its new ones
- * exceed cap makes the call return 2 with no state changed, so Python
- * grows the block and calls again.  A receiving server whose new
- * records would run past the end of its slot has its live records
- * compacted to the front of the slot first.
- *
- * Returns 0 on success, 1 if any target lies outside [0, nservers), 2
- * if the rings need growing; on 1 and 2 free_at, dep and the rings are
- * untouched (offsets and cursor are left partial on 1).
- */
-i64 fcfs_dispatch_segment(const double *times, const double *work,
-                          const double *origins, const i64 *attempts, i64 n,
-                          const double *eff, const unsigned char *up,
-                          i64 nservers, const i64 *targets, double *free_at,
-                          double *dep, double *ring, i64 cap, i64 *head,
-                          i64 *tail, i64 *offsets, i64 *cursor) {
-    if (group_offsets(targets, n, nservers, offsets, cursor)) return 1;
-    for (i64 s = 0; s < nservers; s++) {
-        i64 k = offsets[s + 1] - offsets[s];
-        if (up[s] && k > 0 && tail[s] - head[s] + k > cap) return 2;
-    }
-    for (i64 s = 0; s < nservers; s++) {
-        i64 k = offsets[s + 1] - offsets[s];
-        if (up[s] && k > 0 && tail[s] + k > cap) {
-            double *slot = ring + s * cap * RING_FIELDS;
-            i64 live = tail[s] - head[s];
-            memmove(slot, slot + head[s] * RING_FIELDS,
-                    (size_t)(live * RING_FIELDS) * sizeof(double));
-            head[s] = 0;
-            tail[s] = live;
-        }
-    }
-    for (i64 j = 0; j < n; j++) {
+ * strictly later), then free_at[s] = dep.  A job aimed at a down server
+ * (up[s] == 0) bounces: its dep reads NaN, free_at is left alone,
+ * nothing is queued, and its bounce row (at its own arrival time) is
+ * appended at row b of bounce.  This is a plain max-plus step, not the
+ * cumulative lindley_step: the two round differently, and fault mode's
+ * bits are pinned to this one.  Each accepted job is pushed onto its
+ * server's ring as the record [origin, size, svc, dep, attempts]; the
+ * caller has made room.  Returns the new bounce count. */
+static i64 fcfs_dispatch_segment(const double *jobs, i64 n, const i64 *targets,
+                                 i64 lo, i64 hi, const double *speeds,
+                                 const double *factor, const unsigned char *up,
+                                 double *free_at, double *dep, double *ring,
+                                 i64 cap, i64 *tail, double *bounce, i64 b) {
+    const double *times = jobs + JOB_TIME * n;
+    const double *origins = jobs + JOB_ORIGIN * n;
+    const double *work = jobs + JOB_SIZE * n;
+    const double *attempts = jobs + JOB_ATTEMPTS * n;
+    for (i64 j = lo; j < hi; j++) {
         i64 s = targets[j];
-        double v = work[j] / eff[s];
+        double v = work[j] / (speeds[s] * factor[s]);
         if (!up[s]) {
+            double *o = bounce + b++ * BOUNCE_FIELDS;
             dep[j] = NAN;
+            o[0] = times[j];
+            o[1] = origins[j];
+            o[2] = work[j];
+            o[3] = attempts[j];
             continue;
         }
         double t = times[j], f = free_at[s];
@@ -345,9 +340,9 @@ i64 fcfs_dispatch_segment(const double *times, const double *work,
         r[RING_SIZE] = work[j];
         r[RING_SVC] = v;
         r[RING_DEP] = d;
-        r[RING_ATTEMPTS] = (double)attempts[j];
+        r[RING_ATTEMPTS] = attempts[j];
     }
-    return 0;
+    return b;
 }
 
 /* Fault-mode completion collect: pops every in-flight record with
@@ -357,8 +352,8 @@ i64 fcfs_dispatch_segment(const double *times, const double *work,
  * Departures do not decrease along a ring, so each server's finished
  * records are a prefix of its live ones.  A ring left empty restarts
  * at the front of its slot.  Returns the number of rows written. */
-i64 inflight_collect(double *ring, i64 cap, i64 nservers, i64 *head,
-                     i64 *tail, double now, double *out) {
+static i64 inflight_collect(double *ring, i64 cap, i64 nservers, i64 *head,
+                            i64 *tail, double now, double *out) {
     i64 m = 0;
     for (i64 s = 0; s < nservers; s++) {
         const double *slot = ring + s * cap * RING_FIELDS;
@@ -381,24 +376,18 @@ i64 inflight_collect(double *ring, i64 cap, i64 nservers, i64 *head,
 }
 
 /* The estimator-fold inputs of a window's completion rows (the
- * inflight_collect rows, in collect order): wit receives each row's
- * speed witness size / svc regrouped by server — stable, so each
- * server's witnesses keep their collect order, the permutation of a
- * counting sort on the rows' server column — with the group bounds in
- * offsets (nservers + 1); resp receives each row's response time
- * dep - origin in row order.  cursor is nservers of scratch.
- * Returns 1, writing neither wit nor resp, if a row's server is not
- * an index in [0, nservers). */
-i64 completion_fold_inputs(const double *rows, i64 m, i64 nservers,
-                           double *wit, i64 *offsets, i64 *cursor,
-                           double *resp) {
+ * inflight_collect rows, in collect order, so every row's server is an
+ * index in [0, nservers)): wit receives each row's speed witness
+ * size / svc regrouped by server — stable, so each server's witnesses
+ * keep their collect order, the permutation of a counting sort on the
+ * rows' server column — with the group bounds in offsets
+ * (nservers + 1); resp receives each row's response time dep - origin
+ * in row order.  cursor is nservers of scratch. */
+static void completion_fold_inputs(const double *rows, i64 m, i64 nservers,
+                                   double *wit, i64 *offsets, i64 *cursor,
+                                   double *resp) {
     for (i64 s = 0; s <= nservers; s++) offsets[s] = 0;
-    for (i64 j = 0; j < m; j++) {
-        double x = rows[j * ROW_FIELDS];
-        if (!(x >= 0.0 && x < (double)nservers) || x != (double)(i64)x)
-            return 1;
-        offsets[(i64)x + 1]++;
-    }
+    for (i64 j = 0; j < m; j++) offsets[(i64)rows[j * ROW_FIELDS] + 1]++;
     for (i64 s = 0; s < nservers; s++) offsets[s + 1] += offsets[s];
     for (i64 s = 0; s < nservers; s++) cursor[s] = offsets[s];
     for (i64 j = 0; j < m; j++) {
@@ -406,6 +395,149 @@ i64 completion_fold_inputs(const double *rows, i64 m, i64 nservers,
         wit[cursor[(i64)r[0]]++] = r[2] / r[3];
         resp[j] = r[4] - r[1];
     }
+}
+
+/* ServerBank.set_speed_factor's rescale: server s runs at speeds[s] * f
+ * from now on.  Everything on one FCFS server after now is service
+ * work at the old effective speed, so every live record still busy
+ * (dep > now) and the free-up instant move affinely, x' = now +
+ * (x - now) * scale with scale = s_old / s_new, and the busy records'
+ * svc scales by the same factor. */
+static void rescale_server(i64 s, double now, double f, const double *speeds,
+                           double *factor, double *free_at, double *ring,
+                           i64 cap, const i64 *head, const i64 *tail) {
+    double old = speeds[s] * factor[s];
+    factor[s] = f;
+    double scale = old / (speeds[s] * f);
+    if (scale == 1.0) return;
+    double *slot = ring + s * cap * RING_FIELDS;
+    for (i64 h = head[s]; h < tail[s]; h++) {
+        double *r = slot + h * RING_FIELDS;
+        if (r[RING_DEP] > now) {
+            r[RING_DEP] = now + (r[RING_DEP] - now) * scale;
+            r[RING_SVC] *= scale;
+        }
+    }
+    if (free_at[s] > now) free_at[s] = now + (free_at[s] - now) * scale;
+}
+
+/* One fault-mode control window in one call: ServerBank's per-segment
+ * loop (its interpreted fallback) compiled whole.
+ *
+ * jobs is the window's JOB_FIELDS x n block, times non-decreasing, and
+ * targets their servers; events holds nev rows, times non-decreasing.
+ * Event e closes a segment: the jobs not yet placed whose time is at
+ * or before the event's (every job left, after the last event) go
+ * through fcfs_dispatch_segment, every record with dep <= the event's
+ * time (end, after the last event) is collected into done, and then
+ * the event applies:
+ *   EV_DOWN on an up server takes it down: its residents bounce at the
+ *     event's time in FIFO order, its ring empties and free_at = time;
+ *   EV_UP on a down server brings it back, empty, with free_at = time;
+ *   EV_SPEED sets the server's speed factor (rescale_server).
+ * applied[e] is 1 for a DOWN or UP that changed membership, else 0.
+ * dep (n) receives each job's departure, NaN for a bounced job; the
+ * completion rows go to done from row `row` on, and the fold inputs
+ * of done's first row + m rows (completion_fold_inputs) to wit, fold
+ * (2 * nservers + 1: offsets, then cursor scratch) and resp; the
+ * bounce rows go to bounce in bounce order.  out[0] counts the rows
+ * written to done, out[1] the bounce rows and out[2] the servers up
+ * at the end.  The caller reserves done and bounce for every live
+ * record plus n.
+ *
+ * Before anything is written, the call checks its inputs: it returns 1
+ * if a target or an event's server is not an index in [0, nservers),
+ * an event time is not finite, an event code is unknown or a speed
+ * factor is not positive and finite.  It then counts each server's jobs into counts (nservers)
+ * and returns 2 if some server's live records plus its jobs exceed
+ * cap: Python grows the block and calls again, so a window never stops
+ * midway.  A server whose jobs would run past the end of its slot has
+ * its live records compacted to the front first.  Within the window a
+ * ring's tail then only grows by its own jobs, or restarts at 0, so no
+ * push leaves the slot. */
+i64 fault_window(const double *jobs, const i64 *targets, i64 n,
+                 const double *events, i64 nev, double end,
+                 const double *speeds, double *factor, unsigned char *up,
+                 i64 nservers, double *free_at, double *dep, double *ring,
+                 i64 cap, i64 *head, i64 *tail, i64 *counts, double *done,
+                 i64 row, double *wit, i64 *fold, double *resp,
+                 double *bounce, unsigned char *applied, i64 *out) {
+    for (i64 s = 0; s < nservers; s++) counts[s] = 0;
+    for (i64 j = 0; j < n; j++) {
+        i64 s = targets[j];
+        if (s < 0 || s >= nservers) return 1;
+        counts[s]++;
+    }
+    for (i64 e = 0; e < nev; e++) {
+        const double *ev = events + e * EVENT_FIELDS;
+        double code = ev[1], srv = ev[2], f = ev[3];
+        if (!(ev[0] > -INFINITY && ev[0] < INFINITY)) return 1;
+        if (!(srv >= 0.0 && srv < (double)nservers) || srv != (double)(i64)srv)
+            return 1;
+        if (code != EV_DOWN && code != EV_UP && code != EV_SPEED) return 1;
+        if (code == EV_SPEED && !(f > 0.0 && f < INFINITY)) return 1;
+    }
+    for (i64 s = 0; s < nservers; s++)
+        if (tail[s] - head[s] + counts[s] > cap) return 2;
+    for (i64 s = 0; s < nservers; s++) {
+        if (tail[s] + counts[s] > cap) {
+            double *slot = ring + s * cap * RING_FIELDS;
+            i64 live = tail[s] - head[s];
+            memmove(slot, slot + head[s] * RING_FIELDS,
+                    (size_t)(live * RING_FIELDS) * sizeof(double));
+            head[s] = 0;
+            tail[s] = live;
+        }
+    }
+    const double *times = jobs + JOB_TIME * n;
+    i64 j = 0, m = 0, b = 0;
+    for (i64 e = 0; e <= nev; e++) {
+        const double *ev = e < nev ? events + e * EVENT_FIELDS : NULL;
+        double now = ev ? ev[0] : end;
+        i64 stop = n;
+        if (ev)
+            for (stop = j; stop < n && times[stop] <= now; stop++) {}
+        b = fcfs_dispatch_segment(jobs, n, targets, j, stop, speeds, factor,
+                                  up, free_at, dep, ring, cap, tail, bounce,
+                                  b);
+        j = stop;
+        m += inflight_collect(ring, cap, nservers, head, tail, now,
+                              done + (row + m) * ROW_FIELDS);
+        if (!ev) break;
+        i64 s = (i64)ev[2];
+        applied[e] = 0;
+        if (ev[1] == EV_DOWN) {
+            if (!up[s]) continue;
+            const double *slot = ring + s * cap * RING_FIELDS;
+            for (i64 h = head[s]; h < tail[s]; h++) {
+                const double *r = slot + h * RING_FIELDS;
+                double *o = bounce + b++ * BOUNCE_FIELDS;
+                o[0] = now;
+                o[1] = r[RING_ORIGIN];
+                o[2] = r[RING_SIZE];
+                o[3] = r[RING_ATTEMPTS];
+            }
+            head[s] = tail[s] = 0;
+            up[s] = 0;
+            free_at[s] = now;
+            applied[e] = 1;
+        } else if (ev[1] == EV_UP) {
+            if (up[s]) continue;
+            up[s] = 1;
+            free_at[s] = now;
+            applied[e] = 1;
+        } else {
+            rescale_server(s, now, ev[3], speeds, factor, free_at, ring, cap,
+                           head, tail);
+        }
+    }
+    completion_fold_inputs(done, row + m, nservers, wit, fold,
+                           fold + nservers + 1, resp);
+    i64 nup = 0;
+    for (i64 s = 0; s < nservers; s++) nup += up[s] != 0;
+    out[0] = m;
+    out[1] = b;
+    out[2] = nup;
     return 0;
 }
 

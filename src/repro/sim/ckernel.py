@@ -11,7 +11,7 @@ dependency, no wheels.  Every exported entry point is declared once,
 in ``_ENTRIES``, and handed out by :func:`entry`, which reads None
 wherever the compiled path cannot run.  There are two replay entry
 points, which share one FCFS Lindley step and one counting-sort
-grouping prologue, and the fault-mode dispatch step:
+grouping prologue, and the fault-mode window:
 
 * ``cell_replay_batch`` (``entry("cell")``) — every unique dispatch
   plan of one replication in one call, FCFS or PS (grouping, per-(plan,
@@ -20,14 +20,16 @@ grouping prologue, and the fault-mode dispatch step:
   :func:`~repro.sim.fastpath.ps_replay`, as one plan on one server;
 * ``fcfs_window_sweep`` (``"window"``) — one serving window with the
   servers' free-up instants carried across windows;
-* ``fcfs_dispatch_segment`` (``"segment"``) — one fault segment of a
-  fault-mode window, job by job through the max-plus step
-  ``max(free_at, t) + size/speed`` with down servers bouncing, each
+* ``fault_window`` (``"fault_window"``) — one whole fault-mode window:
+  for each segment between two fault events, its jobs one by one
+  through the max-plus step ``max(free_at, t) + size/speed`` with down
+  servers bouncing (the static ``fcfs_dispatch_segment``), each
   accepted job pushed onto its server's in-flight ring in the bank's
-  record block; ``inflight_collect`` (``"collect"``) pops every
-  finished record of every ring in one call, and
-  ``completion_fold_inputs`` (``"fold_inputs"``) turns a window's
-  popped rows into the estimator fold's inputs.
+  record block; every finished record of every ring popped up to the
+  event (the static ``inflight_collect``); then the event itself — a
+  failure, a repair or a speed change.  At its end the static
+  ``completion_fold_inputs`` turns the window's popped rows into the
+  estimator fold's inputs.
 
 Beside them sit the searchsorted-style uniform→target mapping of the
 random dispatchers, the Algorithm 2 sequence extension, the two halves
@@ -97,9 +99,7 @@ __all__ = [
     "replay_cell_c",
     "map_uniform_c",
     "replay_window_c",
-    "dispatch_segment_c",
-    "inflight_collect_c",
-    "fold_inputs_c",
+    "fault_window_c",
     "rr_extend_c",
     "est_arrivals_c",
     "est_completions_c",
@@ -136,7 +136,7 @@ def _addr(arr: np.ndarray) -> int:
     a zero-length ctypes view over a writable array's buffer yields the
     same address in about a third of that.  Read-only arrays (which
     refuse a writable view) take ``arr.ctypes.data``.  The window,
-    fault-mode segment, sequence-extension and estimator-step wrappers
+    fault-mode window, sequence-extension and estimator-step wrappers
     pass their inputs through here.
     """
     if arr.flags.writeable:
@@ -208,42 +208,32 @@ _ENTRIES: dict[str, _Entry] = {
         _c_i64_p,  # cursor scratch (nservers)
         _c_double_p,  # state scratch (2 * nservers)
     )),
-    "segment": _Entry("fcfs_dispatch_segment", _i64, (
-        _c_double_p,  # times (arrival order)
-        _c_double_p,  # work (arrival order)
-        _c_double_p,  # origins (first arrival times)
-        _c_i64_p,  # attempts (failed placements so far)
-        _i64,  # n
-        _c_double_p,  # effective speeds
-        ctypes.c_void_p,  # up (bool per server)
-        _i64,  # nservers
+    "fault_window": _Entry("fault_window", _i64, (
+        _c_double_p,  # jobs (4 × n: times, origins, sizes, attempts)
         _c_i64_p,  # targets
+        _i64,  # n
+        _c_double_p,  # events (nev × 4: time, code, server, factor)
+        _i64,  # nev
+        _f64,  # end
+        _c_double_p,  # speeds
+        _c_double_p,  # speed factors (in/out)
+        ctypes.c_void_p,  # up (bool per server, in/out)
+        _i64,  # nservers
         _c_double_p,  # free_at (in/out)
         _c_double_p,  # departures (out, NaN = bounced)
         _c_double_p,  # ring record block (in/out, nservers × cap × 5)
         _i64,  # cap (records per server)
         _c_i64_p,  # ring heads (in/out)
         _c_i64_p,  # ring tails (in/out)
-        _c_i64_p,  # offsets scratch (nservers + 1)
-        _c_i64_p,  # cursor scratch (nservers)
-    )),
-    "collect": _Entry("inflight_collect", _i64, (
-        _c_double_p,  # ring record block (in/out)
-        _i64,  # cap
-        _i64,  # nservers
-        _c_i64_p,  # ring heads (in/out)
-        _c_i64_p,  # ring tails (in/out)
-        _f64,  # now
-        _c_double_p,  # out rows (server, origin, size, svc, dep)
-    )),
-    "fold_inputs": _Entry("completion_fold_inputs", _i64, (
-        _c_double_p,  # rows (server, origin, size, svc, dep)
-        _i64,  # m
-        _i64,  # nservers
+        _c_i64_p,  # per-server job count scratch (nservers)
+        _c_double_p,  # completion rows (in/out, server, origin, size, svc, dep)
+        _i64,  # first row this window writes
         _c_double_p,  # witnesses (out, grouped by server)
-        _c_i64_p,  # offsets (out, nservers + 1)
-        _c_i64_p,  # cursor scratch (nservers)
+        _c_i64_p,  # fold offsets (out, nservers + 1) and cursor scratch
         _c_double_p,  # responses (out, row order)
+        _c_double_p,  # bounce rows (out, time, origin, size, attempts)
+        ctypes.c_void_p,  # applied (out, bool per event)
+        _c_i64_p,  # out: rows collected, bounce rows, servers up
     )),
     "rr_extend": _Entry("rr_sequence_extend", _i64, (
         _c_double_p,  # inv (1/alpha per server)
@@ -758,69 +748,37 @@ def replay_window_c(
               r.state_addr) == 0
 
 
-def dispatch_segment_c(
-    fn,
-    times: np.ndarray,
-    work: np.ndarray,
-    origins: np.ndarray,
-    attempts: np.ndarray,
-    targets: np.ndarray,
-    rings: "InflightRings",
-) -> int:
-    """Queue one fault segment's jobs through the compiled dispatch step.
+def fault_window_c(fn, rings: "InflightRings", jobs: np.ndarray,
+                   targets: np.ndarray, events: np.ndarray, end: float,
+                   row: int) -> int:
+    """Run one fault-mode window through the compiled core.
 
-    ``times``/``work``/``origins`` contiguous float64 and
-    ``attempts``/``targets`` contiguous int64, all in arrival order;
-    ``rings`` holds the bank's per-server state, updated **in place**:
-    ``free_at``, and each accepted job's record pushed onto its
-    server's ring.  Departures land in ``rings.dep`` (NaN for a job
-    aimed at a down server).  Returns the kernel status: 0 on success,
-    1 when a target was out of range, 2 when a ring must grow first —
-    on 1 and 2 no state has changed.
+    ``jobs`` is the window's contiguous ``(4, n)`` float64 block of
+    times, origins, sizes and attempts, ``targets`` contiguous int64 and
+    ``events`` a contiguous ``(nev, 4)`` float64 block of ``[time, code,
+    server, factor]`` rows; ``rings.reserve_window(row, n, nev)`` must
+    have run.  The bank's state is updated **in place**.  Departures
+    land in ``rings.dep`` (NaN for a bounced job), completion rows in
+    ``rings.done`` from row ``row`` on, the fold inputs of all of
+    ``done``'s rows — each row's speed witness ``size / svc`` regrouped
+    by server (stable), the group bounds in the first ``n + 1`` of
+    ``rings.fold_scratch``, each row's response time ``dep - origin`` —
+    in ``rings.wit``/``fold_scratch``/``resp``, bounce rows in
+    ``rings.bounce``, each event's membership flag in ``rings.applied``
+    and the row counts and servers up in ``rings.window_out``.  Every
+    server's live records plus its jobs must fit in ``rings.cap``.
+    Returns the kernel status: 0 on success, 1 when an input is out of
+    range, 2 when a ring lacks room — on 1 and 2 no bank state has
+    changed.
     """
     r = rings
-    return fn(
-        _addr(times),
-        _addr(work),
-        _addr(origins),
-        _addr(attempts),
-        times.size,
-        r.eff_addr,
-        r.up_addr,
-        r.n,
-        _addr(targets),
-        r.free_at_addr,
-        r.dep_addr,
-        r.ring_addr,
-        r.cap,
-        r.head_addr,
-        r.tail_addr,
-        r.scratch_addr,
-        r.scratch_addr + 8 * (r.n + 1),
-    )
-
-
-def inflight_collect_c(fn, rings: "InflightRings", now: float, row: int) -> int:
-    """Pop every record with ``dep <= now`` into ``rings.done``.
-
-    Rows ``(server, origin, size, svc, dep)`` are written from row
-    ``row`` on, server-major and in FIFO order within a server; the
-    caller reserves room for every live record.  Returns the count.
-    """
-    r = rings
-    return fn(r.ring_addr, r.cap, r.n, r.head_addr, r.tail_addr, now,
-              r.done_addr + 40 * row)
-
-
-def fold_inputs_c(fn, rings: "InflightRings", m: int) -> bool:
-    """The fold inputs of ``rings.done[:m]``: witnesses into
-    ``rings.wit``, their per-server bounds into the first ``n + 1`` of
-    ``rings.fold_scratch``, responses into ``rings.resp``.  False
-    (nothing written to ``wit``/``resp``) when a row's server is out of
-    range."""
-    r = rings
-    return fn(r.done_addr, m, r.n, r.wit_addr, r.fold_scratch_addr,
-              r.fold_scratch_addr + 8 * (r.n + 1), r.resp_addr) == 0
+    return fn(_addr(jobs), _addr(targets), targets.size,
+              _addr(events) if len(events) else None, len(events), end,
+              r.speeds_addr, r.factor_addr, r.up_addr, r.n, r.free_at_addr,
+              r.dep_addr, r.ring_addr, r.cap, r.head_addr, r.tail_addr,
+              r.scratch_addr, r.done_addr, row, r.wit_addr,
+              r.fold_scratch_addr, r.resp_addr, r.bounce_addr,
+              r.applied_addr, r.window_out_addr)
 
 
 class InflightRings:
@@ -832,35 +790,38 @@ class InflightRings:
     first.  ``done`` collects a window's completion rows
     ``(server, origin, size, svc, dep)``, and ``wit``/``resp`` their
     speed witnesses (grouped by server, bounds in ``fold_scratch``) and
-    response times; ``dep`` receives a segment's departures and ``eff``
-    holds the effective speeds the segment runs at.  A fault-free
-    window writes ``dep``, ``svc`` and ``order``, its group bounds into
-    ``scratch`` and its per-server Lindley registers into ``state``.
-    ``speeds``, ``free_at`` and ``up`` are the bank's own vectors,
-    which it only ever updates in place.  Every address is taken when
-    its array is (re)allocated, so a kernel call looks up only its
-    input arrays.  Per process and not thread-safe, like the
-    :class:`Arena`.
+    response times.  A fault-mode window writes its departures into
+    ``dep``, its ``[time, origin, size, attempts]`` bounce rows into
+    ``bounce``, one membership flag per event into ``applied``, its
+    completion and bounce row counts and its servers up into
+    ``window_out`` and its fold inputs into ``wit``, ``fold_scratch``
+    and ``resp``, and counts each server's jobs in ``scratch``.  A
+    fault-free window writes ``dep``, ``svc`` and ``order``, its group
+    bounds into ``scratch`` and its per-server Lindley registers into
+    ``state``.  ``speeds``, ``free_at``, ``up`` and ``factor`` (the
+    speed factors) are the bank's own vectors, which it only ever
+    updates in place.  Every address is taken when its array is
+    (re)allocated, so a kernel call looks up only its input arrays.
+    Per process and not thread-safe, like the :class:`Arena`.
     """
 
     #: Initial records per server.
     MIN_CAPACITY = 16
 
     def __init__(self, speeds: np.ndarray, free_at: np.ndarray,
-                 up: np.ndarray):
+                 up: np.ndarray, factor: np.ndarray):
         n = int(free_at.size)
         self.n = n
         self.speeds_addr = speeds.ctypes.data
         self.free_at_addr = free_at.ctypes.data
         self.up_addr = up.ctypes.data
+        self.factor_addr = factor.ctypes.data
         self.head = np.zeros(n, dtype=np.int64)
         self.tail = np.zeros(n, dtype=np.int64)
         self.head_addr = self.head.ctypes.data
         self.tail_addr = self.tail.ctypes.data
-        self.eff = np.empty(n)
-        self.eff_addr = self.eff.ctypes.data
-        # Offsets (n + 1) and cursor (n) of a segment's or a window's
-        # grouping.
+        # Offsets (n + 1) and cursor (n) of a fault-free window's
+        # grouping, or a fault-mode window's per-server job counts.
         self.scratch = np.zeros(2 * n + 1, dtype=np.int64)
         self.scratch_addr = self.scratch.ctypes.data
         # A window's running (acc, m) Lindley registers per server.
@@ -874,6 +835,11 @@ class InflightRings:
         self.reserve(self.MIN_CAPACITY)
         self.done = np.empty((0, 5))
         self.reserve_done(0, 2 * n * self.cap)
+        self.bounce = np.empty((0, 4))
+        self.applied = np.empty(0, dtype=bool)
+        self.reserve_window(0, 0, 1)
+        self.window_out = np.zeros(3, dtype=np.int64)
+        self.window_out_addr = self.window_out.ctypes.data
 
     def grow(self, cap: int) -> None:
         """Re-allocate the ring block at ``cap`` records per server,
@@ -912,6 +878,20 @@ class InflightRings:
             self.wit_addr = self.wit.ctypes.data
             self.resp = np.empty(len(done))
             self.resp_addr = self.resp.ctypes.data
+
+    def reserve_window(self, rows: int, k: int, nev: int) -> None:
+        """Room for a fault-mode window of ``k`` jobs and ``nev``
+        events after the first ``rows`` of ``done``: ``k`` departures,
+        and completion and bounce rows for every live record and job."""
+        self.reserve(k)
+        extra = self.n * self.cap + k
+        self.reserve_done(rows, extra)
+        if extra > len(self.bounce):
+            self.bounce = np.empty((max(extra, 2 * len(self.bounce)), 4))
+            self.bounce_addr = self.bounce.ctypes.data
+        if nev > self.applied.size:
+            self.applied = np.empty(max(nev, 2 * self.applied.size), dtype=bool)
+            self.applied_addr = self.applied.ctypes.data
 
 
 class _Pinned:

@@ -106,12 +106,6 @@ class StreamPool:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = int(max_entries)
         self._entries: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        #: Largest replication (in jobs) this pool has handed out — the
-        #: high-water mark the compiled kernel's arena buffers converge
-        #: to, surfaced so sizing diagnostics need no arena internals.
-        self.peak_jobs = 0
 
     def _key(self, config: SimulationConfig, seed) -> tuple:
         return (stream_signature(config), _seed_signature(seed))
@@ -123,15 +117,12 @@ class StreamPool:
         key = self._key(config, seed)
         entry = self._entries.pop(key, None)
         if entry is None:
-            self.misses += 1
             counters.inc("streams.pool_miss")
             times, sizes = materialize_streams(config, seed)
             entry = (_freeze(times), _freeze(sizes))
         else:
-            self.hits += 1
             counters.inc("streams.pool_hit")
         self._entries[key] = entry  # re-insert: dict order tracks LRU
-        self.peak_jobs = max(self.peak_jobs, int(entry[0].size))
         while len(self._entries) > self.max_entries:
             self._entries.pop(next(iter(self._entries)))
         return entry
@@ -142,7 +133,6 @@ class StreamPool:
         """Insert externally materialized streams (e.g. shared-memory
         views attached by a grid worker) under their pool key."""
         self._entries[self._key(config, seed)] = (_freeze(times), _freeze(sizes))
-        self.peak_jobs = max(self.peak_jobs, int(times.size))
         while len(self._entries) > self.max_entries:
             self._entries.pop(next(iter(self._entries)))
 

@@ -74,10 +74,12 @@ class TestStreamPool:
     def test_entries_memoized_and_read_only(self):
         config = small_config()
         pool = StreamPool()
-        t1, s1 = pool.get(config, 7)
-        t2, s2 = pool.get(config, 7)
+        with counters.scoped() as delta:
+            t1, s1 = pool.get(config, 7)
+            t2, s2 = pool.get(config, 7)
         assert t1 is t2 and s1 is s2
-        assert pool.hits == 1 and pool.misses == 1
+        assert delta.get("streams.pool_hit") == 1
+        assert delta.get("streams.pool_miss") == 1
         assert not t1.flags.writeable and not s1.flags.writeable
         with pytest.raises(ValueError):
             t1[0] = 0.0
@@ -85,13 +87,16 @@ class TestStreamPool:
     def test_lru_bound(self):
         config = small_config()
         pool = StreamPool(max_entries=2)
-        pool.get(config, 1)
-        pool.get(config, 2)
-        pool.get(config, 3)  # evicts seed 1
-        pool.get(config, 2)
-        assert pool.hits == 1
-        pool.get(config, 1)  # re-materialized
-        assert pool.misses == 4
+        with counters.scoped() as delta:
+            first, _ = pool.get(config, 1)
+            pool.get(config, 2)
+            pool.get(config, 3)  # evicts seed 1
+            pool.get(config, 2)
+            again, _ = pool.get(config, 1)  # re-materialized
+        assert delta.get("streams.pool_hit") == 1
+        assert delta.get("streams.pool_miss") == 4
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
 
     def test_signature_ignores_dispatch_and_discipline_fields(self):
         ps = small_config("ps")
@@ -107,9 +112,11 @@ class TestStreamPool:
         times, sizes = materialize_streams(config, 9)
         pool = StreamPool()
         pool.prime(config, 9, times, sizes)
-        t, s = pool.get(config, 9)
+        with counters.scoped() as delta:
+            t, s = pool.get(config, 9)
         assert t is times and s is sizes
-        assert pool.misses == 0
+        assert delta.get("streams.pool_miss", 0) == 0
+        assert delta.get("streams.pool_hit") == 1
 
 
 class TestSharedStreamPool:

@@ -1,12 +1,16 @@
 """Fault-mode segment dispatch: bits, validation, checkpoints, ledger.
 
-Fault mode queues each fault segment's jobs through one
-:meth:`ServerBank.dispatch` call.  The compiled step, its Python
-fallback and a scalar ``max(free_at, t) + size/eff`` oracle must agree
-bit for bit; an out-of-range target must be refused before any state
-changes; a bank checkpoint in the original record format must load and
-re-serialise unchanged; and the service's conservation ledger must
-catch a window that loses a completion.
+A fault-mode window runs its segments through one
+:meth:`ServerBank.run_fault_window` call; :meth:`ServerBank.dispatch`
+and :meth:`ServerBank.collect_completions` are the interpreted segment
+steps of its fallback.  A window with no events is one segment, so the
+compiled legs below run windows: one with no jobs and no events
+collects, one ending at ``-inf`` dispatches and collects nothing.  The
+compiled step, the interpreted one and a scalar ``max(free_at, t) +
+size/eff`` oracle must agree bit for bit; an out-of-range target must
+be refused before any state changes; a bank checkpoint in the original
+record format must load and re-serialise unchanged; and the service's
+conservation ledger must catch a window that loses a completion.
 """
 
 import contextlib
@@ -20,23 +24,13 @@ from hypothesis import strategies as st
 
 from repro.faults.models import FaultEvent
 from repro.service import SchedulerService, ServerBank, ServiceConfig
+from repro.service.replay import EVENT_DOWN, EVENT_SPEED, EVENT_UP
 from repro.service.sources import SyntheticJobSource
 from repro.sim import ckernel
 from repro.sim.arrivals import Workload
 from repro.sim.fastpath import group_by_server
 
 from .conftest import KERNEL_PATHS, kernel_path
-
-
-@contextlib.contextmanager
-def _python_path():
-    """Run the body on the interpreted fallback, then restore the probe."""
-    saved = ckernel._fns
-    ckernel._fns = False
-    try:
-        yield
-    finally:
-        ckernel._fns = saved
 
 
 def _segment(seed: int, n: int, nservers: int, grid: bool):
@@ -90,6 +84,37 @@ def _clone(bank: ServerBank) -> ServerBank:
     return out
 
 
+_NO_EVENTS = np.empty((0, 4))
+
+
+def _window_dispatch(bank, targets, times, sizes, origins, attempts):
+    """:meth:`ServerBank.dispatch` as a window: one segment, and the
+    collect at ``end = -inf`` pops nothing."""
+    jobs = np.array([times, origins, sizes, attempts], dtype=float)
+    return bank.run_fault_window(
+        targets, jobs.reshape(4, -1), _NO_EVENTS, -math.inf
+    ).departures
+
+
+def _window_event(bank, now, code, server, factor=1.0):
+    """One event at *now* as a window with no jobs: a collect at *now*,
+    the event, a second collect at *now*.  Returns the window."""
+    events = np.array([[now, code, server, factor]])
+    return bank.run_fault_window(
+        np.empty(0, dtype=np.int64), np.empty((4, 0)), events, now
+    )
+
+
+def _window_collect(bank, now):
+    """:meth:`ServerBank.collect_completions` as a window with no jobs
+    and no events; returns the rows it collected."""
+    row = bank._ndone
+    m = bank.run_fault_window(
+        np.empty(0, dtype=np.int64), np.empty((4, 0)), _NO_EVENTS, now
+    ).completed
+    return bank._rings.done[row:row + m]
+
+
 class TestSegmentDispatchBits:
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -107,9 +132,12 @@ class TestSegmentDispatchBits:
         runs = []
         for path in ("compiled", "python"):
             b = _clone(bank)
-            ctx = _python_path() if path == "python" else contextlib.nullcontext()
-            with ctx:
+            if path == "python":
                 dep = b.dispatch(targets, times, sizes, origins, attempts).copy()
+            else:
+                dep = _window_dispatch(
+                    b, targets, times, sizes, origins, attempts
+                ).copy()
             runs.append((b, dep))
             assert np.array_equal(dep, want_dep, equal_nan=True), path
             assert np.array_equal(b.free_at, want_free), path
@@ -128,15 +156,19 @@ class TestSegmentDispatchBits:
 
     @pytest.mark.parametrize("path", ["compiled", "python"])
     def test_out_of_range_target_raises_and_leaves_state(self, path):
-        bank = ServerBank([1.0, 2.0])
-        bank.free_at[:] = [3.0, 4.0]
-        targets = np.array([0, 1, 2], dtype=np.int64)
-        times = np.array([5.0, 5.0, 5.0])
-        ctx = _python_path() if path == "python" else contextlib.nullcontext()
-        with ctx, pytest.raises(ValueError, match="out of range"):
-            bank.dispatch(targets, times, times, times, np.zeros(3))
-        assert bank.free_at.tolist() == [3.0, 4.0]
-        assert bank.inflight_count() == 0
+        for bad in (2, -1):
+            bank = ServerBank([1.0, 2.0])
+            bank.free_at[:] = [3.0, 4.0]
+            targets = np.array([0, 1, bad], dtype=np.int64)
+            times = np.array([5.0, 5.0, 5.0])
+            with pytest.raises(ValueError, match="out of range"):
+                if path == "python":
+                    bank.dispatch(targets, times, times, times, np.zeros(3))
+                else:
+                    _window_dispatch(bank, targets, times, times, times,
+                                     np.zeros(3))
+            assert bank.free_at.tolist() == [3.0, 4.0]
+            assert bank.inflight_count() == 0
 
 
 #: A bank checkpoint as the per-job deque bank wrote it: per server, a
@@ -166,21 +198,20 @@ class TestBankCheckpointFormat:
 
     def test_fifo_survives_growth_and_compaction(self):
         """Records keep FIFO order through ring growth and compaction,
-        on the compiled path and the fallback.
+        through windows and through the interpreted segment calls.
 
         A backlog builds on server 0 until its ring grows past the
         initial capacity, then drains while segments keep arriving, so
         pushes run past the end of the slot and compact; server 1 is
         down throughout, so its jobs bounce and never take room.
         """
-        for path in ("compiled", "python"):
-            ctx = (_python_path() if path == "python"
-                   else contextlib.nullcontext())
-            with ctx:
-                self._growth_and_compaction()
+        for windows in (True, False):
+            self._growth_and_compaction(windows)
 
     @staticmethod
-    def _growth_and_compaction():
+    def _growth_and_compaction(windows: bool):
+        dispatch = _window_dispatch if windows else ServerBank.dispatch
+        collect = _window_collect if windows else ServerBank.collect_completions
         bank = ServerBank([1.0, 4.0])
         bank.fail(1, 0.0)
         rings = bank._rings
@@ -197,8 +228,8 @@ class TestBankCheckpointFormat:
             targets = (np.arange(m) % 5 == 4).astype(np.int64)
             cap, head = rings.cap, int(rings.head[0])
             live = int(rings.tail[0]) - head
-            dep = bank.dispatch(
-                targets, times, np.full(m, size), times,
+            dep = dispatch(
+                bank, targets, times, np.full(m, size), times,
                 np.zeros(m, dtype=np.int64),
             )
             assert np.isnan(dep[targets == 1]).all()
@@ -206,7 +237,7 @@ class TestBankCheckpointFormat:
             compacted += (rings.cap == cap and head > 0 and live > 0
                           and rings.head[0] == 0)
             expect.extend(dep[targets == 0].tolist())
-            done = bank.collect_completions(t - 3.0)
+            done = collect(bank, t - 3.0)
             assert (done[:, 0] == 0).all()
             assert done[:, 4].tolist() == expect[: len(done)]
             del expect[: len(done)]
@@ -419,6 +450,9 @@ class TestRingBankAgainstListModel:
     and a JSON checkpoint round trip: the ring bank, on either kernel
     path, matches the list model bit for bit.  The initial ring holds
     one record per server, so growth and compaction happen constantly.
+    The compiled leg runs every operation as a window, whose event
+    first collects at its own time, so the model collects there too;
+    the python leg calls the interpreted bank methods.
     """
 
     @pytest.mark.parametrize("path", ["compiled", "python"])
@@ -428,8 +462,8 @@ class TestRingBankAgainstListModel:
         speeds = [2.0**k for k in speeds]
         model = _ListBank(speeds)
         clock = 0.0
-        ctx = _python_path() if path == "python" else contextlib.nullcontext()
-        with _one_record_rings(), ctx:
+        windows = path == "compiled"
+        with _one_record_rings():
             bank = ServerBank(speeds)
             for op, a, b in ops:
                 if op == "dispatch":
@@ -445,7 +479,8 @@ class TestRingBankAgainstListModel:
                     attempts = rng.integers(0, 3, a).astype(np.int64)
                     if a:
                         clock = float(times[-1])
-                    got = bank.dispatch(targets, times, sizes, origins, attempts)
+                    dispatch = _window_dispatch if windows else ServerBank.dispatch
+                    got = dispatch(bank, targets, times, sizes, origins, attempts)
                     want = model.dispatch(
                         targets.tolist(), times.tolist(), sizes.tolist(),
                         origins.tolist(), attempts.tolist(),
@@ -458,22 +493,43 @@ class TestRingBankAgainstListModel:
                     now = clock + a * 0.25
                     if b:
                         clock = max(clock, now)
-                    got = bank.collect_completions(now)
+                    collect = (_window_collect if windows
+                               else ServerBank.collect_completions)
+                    got = collect(bank, now)
                     want = model.collect(now)
                     assert _bits(got) == _bits(np.reshape(want, (-1, 5)))
                 elif op == "fail" and model.up[a]:
                     clock += b * 0.25
-                    bank.collect_completions(clock)
-                    model.collect(clock)
-                    got = bank.fail(a, clock)
+                    want_done = model.collect(clock)
+                    if windows:
+                        row = bank._ndone
+                        w = _window_event(bank, clock, EVENT_DOWN, a)
+                        done = bank._rings.done[row:row + w.completed]
+                        assert w.applied.tolist() == [True]
+                        assert (w.bounces[:, 0] == clock).all()
+                        got = w.bounces[:, 1:]
+                    else:
+                        done = bank.collect_completions(clock)
+                        got = bank.fail(a, clock)
+                    assert _bits(done) == _bits(np.reshape(want_done, (-1, 5)))
                     want = model.fail(a, clock)
                     assert _bits(got) == _bits(np.reshape(want, (-1, 3)))
                 elif op == "repair" and not model.up[a]:
                     clock += b * 0.25
-                    bank.repair(a, clock)
+                    if windows:
+                        model.collect(clock)
+                        w = _window_event(bank, clock, EVENT_UP, a)
+                        assert w.applied.tolist() == [True]
+                    else:
+                        bank.repair(a, clock)
                     model.repair(a, clock)
                 elif op == "degrade":
-                    bank.set_speed_factor(a, clock, 0.5**b)
+                    if windows:
+                        model.collect(clock)
+                        w = _window_event(bank, clock, EVENT_SPEED, a, 0.5**b)
+                        assert w.applied.tolist() == [False]
+                    else:
+                        bank.set_speed_factor(a, clock, 0.5**b)
                     model.set_speed_factor(a, clock, 0.5**b)
                 elif op == "checkpoint":
                     state = json.loads(json.dumps(bank.state_dict()))
@@ -510,17 +566,17 @@ def _faulted_service():
 
 class TestConservationLedger:
     def test_dropped_completion_raises_naming_the_window(self, monkeypatch):
-        collect = ServerBank.collect_completions
+        run_window = ServerBank.run_fault_window
         dropped: list[float] = []
 
-        def lossy(bank, now):
-            done = collect(bank, now)
-            if not dropped and now > 500.0 and len(done):
-                dropped.append(now)
-                return done[:-1]
-            return done
+        def lossy(bank, targets, jobs, events, end):
+            window = run_window(bank, targets, jobs, events, end)
+            if not dropped and end > 500.0 and window.completed:
+                dropped.append(end)
+                return window._replace(completed=window.completed - 1)
+            return window
 
-        monkeypatch.setattr(ServerBank, "collect_completions", lossy)
+        monkeypatch.setattr(ServerBank, "run_fault_window", lossy)
         service = _faulted_service()
         with pytest.raises(RuntimeError) as err:
             service.run()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
@@ -245,30 +244,26 @@ class TestServeGoldenDigests:
         assert _report_digest(report) == MARKOV_RETRY_DIGEST
 
     def test_scripted_timeline(self, kernel_path, monkeypatch):
-        # Record every segment's completions: the digest must cover a
+        # Record every window's completions: the digest must cover a
         # window whose completion list is not server-major, i.e. where
         # the completion fold has to regroup witnesses by server.
-        segments: list[tuple[float, list[int]]] = []
-        collect = ServerBank.collect_completions
+        windows: list[list[int]] = []
+        take = ServerBank.take_completions
 
-        def recording(bank, now):
-            done = collect(bank, now)
-            segments.append((now, done[:, 0].astype(int).tolist()))
-            return done
+        def recording(bank):
+            out = take(bank)
+            windows.append(out[0][:, 0].astype(int).tolist())
+            return out
 
-        monkeypatch.setattr(ServerBank, "collect_completions", recording)
+        monkeypatch.setattr(ServerBank, "take_completions", recording)
         report = SchedulerService(
             _serve_config(), _serve_source(0.7, 11),
             fault_events=SCRIPTED_EVENTS,
         ).run()
         assert _report_digest(report) == SCRIPTED_TIMELINE_DIGEST
 
-        windows: dict[int, list[int]] = {}
-        for now, servers in segments:
-            windows.setdefault(math.ceil(now / CONTROL_PERIOD) - 1, []).extend(
-                servers
-            )
-        regrouped = [k for k, s in windows.items() if s != sorted(s)]
+        assert len(windows) == len(report.windows)
+        regrouped = [k for k, s in enumerate(windows) if s != sorted(s)]
         assert regrouped, "no window's completions span two fault segments"
 
     def test_net_two_shards_kill_and_rejoin(self, kernel_path):

@@ -599,6 +599,17 @@ def _heap_rows(heap):
             for due, _, origin, size, failed in sorted(heap)]
 
 
+def _bounce(svc, now, origins, sizes, attempts):
+    """One bounce batch through the service's retry path, as the
+    window's ``[bounce time, origin, size, failed]`` block; *now* is
+    one time for all or one per job."""
+    n = len(origins)
+    return svc._bounce(np.column_stack(
+        [np.broadcast_to(np.asarray(now, dtype=float), n), origins, sizes,
+         attempts]
+    ).astype(float).reshape(n, 4))
+
+
 _policies = st.builds(
     RetryPolicy,
     max_attempts=st.integers(min_value=1, max_value=5),
@@ -640,7 +651,7 @@ class TestPendingRetryBlock:
                 heap, seq, policy, on_failure, when,
                 origins.tolist(), sizes.tolist(), attempts.tolist(),
             )
-            assert svc._bounce(when, origins, sizes, attempts) == (lost, retried)
+            assert _bounce(svc, when, origins, sizes, attempts) == (lost, retried)
             assert svc._pending.tolist() == _heap_rows(heap)
             if window_end is not None:
                 # A window start takes every row due by its end, as the
@@ -661,12 +672,12 @@ class TestPendingRetryBlock:
         order (10.51 twice, across two batches)."""
         svc = _retry_service(RetryPolicy(max_attempts=4, base_delay=0.3,
                                          backoff=1.7, max_delay=5.0))
-        svc._bounce(10.0, np.array([1.5, 2.25, 3.125]),
-                    np.array([0.5, 1.1, 2.7]), np.array([0.0, 2.0, 1.0]))
-        svc._bounce(np.array([10.0, 10.3, 11.9, 12.0]),
-                    np.array([4.0, 5.0, 6.0, 7.0]),
-                    np.array([0.25, 3.5, 1.0, 0.75]),
-                    np.array([1, 0, 3, 0]))
+        _bounce(svc, 10.0, np.array([1.5, 2.25, 3.125]),
+                np.array([0.5, 1.1, 2.7]), np.array([0.0, 2.0, 1.0]))
+        _bounce(svc, np.array([10.0, 10.3, 11.9, 12.0]),
+                np.array([4.0, 5.0, 6.0, 7.0]),
+                np.array([0.25, 3.5, 1.0, 0.75]),
+                np.array([1, 0, 3, 0]))
         state = svc.state_dict(1, ServiceReport(config=svc.config))
         assert json.dumps(state["pending"]) == (
             "[[10.3, 1.5, 0.5, 1], [10.51, 3.125, 2.7, 2], "
@@ -688,7 +699,7 @@ class TestPendingRetryBlock:
             [5.0, 3.0, 3.0, 2], [math.inf, 5.0, 5.0, 3],
         ]
         # New bounces join behind the restored rows due no later.
-        other._bounce(1.0, np.array([6.0]), np.array([6.0]), np.array([0]))
+        _bounce(other, 1.0, np.array([6.0]), np.array([6.0]), np.array([0]))
         assert other._pending[:, 1].tolist() == [2.0, 4.0, 6.0, 1.0, 3.0, 5.0]
 
     @pytest.mark.parametrize("row", [

@@ -409,3 +409,47 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="checkpoint_every"):
             SchedulerService(config, SyntheticJobSource(workload, 0),
                              checkpoint_every=0)
+
+
+class TestFaultTimelineValidation:
+    """A scripted timeline the window cannot apply is refused when the
+    service is built, with an error naming the event's index and field.
+
+    Unchecked, server -1 would index server 3 of 4, a NaN time would
+    hold back every later event, an unknown kind would be skipped, and
+    server 9 of 4 would raise a bare ``IndexError`` mid-run.
+    """
+
+    @pytest.mark.parametrize(
+        ("event", "field"),
+        [pytest.param(FaultEvent(500.0, "down", -1), "server", id="server-1"),
+         pytest.param(FaultEvent(math.nan, "down", 3), "time", id="nan-time"),
+         pytest.param(FaultEvent(500.0, "Down", 3), "kind", id="unknown-kind"),
+         pytest.param(FaultEvent(500.0, "down", 9), "server", id="server9-of-4"),
+         pytest.param(FaultEvent(500.0, "down", 1.5), "server",
+                      id="fractional-server"),
+         pytest.param(FaultEvent(500.0, "up", True), "server", id="bool-server"),
+         pytest.param(FaultEvent(math.inf, "up", 3), "time", id="inf-time"),
+         pytest.param(FaultEvent("500", "up", 3), "time", id="string-time")],
+    )
+    def test_bad_event_is_refused_naming_index_and_field(self, event, field):
+        events = [*KILL_REPAIR, event]
+        with pytest.raises(ValueError, match=rf"fault_events\[2\]\.{field}"):
+            make_service(events=events)
+
+    def test_nan_time_does_not_hold_back_later_events(self):
+        """A NaN event sorted in front of a DOWN/UP pair would hold both
+        back (no membership change): it is refused, and the pair alone
+        runs."""
+        events = [FaultEvent(math.nan, "degrade_start", 0),
+                  FaultEvent(1050.0, "down", 3), FaultEvent(1450.0, "up", 3)]
+        with pytest.raises(ValueError, match=r"fault_events\[0\]\.time"):
+            make_service(events=events)
+        report = make_service(events=events[1:]).run()
+        assert report.membership_changes == 2
+
+    def test_valid_timeline_is_accepted_unchanged(self):
+        events = [FaultEvent(1450, "up", 2), FaultEvent(np.float64(1050.0),
+                                                        "down", np.int64(2))]
+        service = make_service(events=events)
+        assert [e.time for e in service.fault_events] == [1050.0, 1450]
