@@ -25,8 +25,11 @@ Eight sections, one function each in :mod:`repro.bench.sections`:
 * serve (with ``--serve``) — one fault-free service run through the
   vectorized window loop vs the per-job reference loop on the same
   stream, reports field-for-field identical, recording end-to-end
-  jobs/sec plus the dispatch plane's ns/job (memoized Algorithm 2
-  slices);
+  jobs/sec, a window's fixed cost (``window_fixed_us``: the intercept
+  of wall per window against jobs per window, from the same stream cut
+  into four times as many windows; recorded, not gated, and printed
+  under ``--profile``) and the dispatch plane's ns/job (memoized
+  Algorithm 2 slices);
 * net (with ``--net``) — the networked dispatcher split: in-process
   transport vs the SchedulerService report, a socket-mode overload
   drill (backpressure bounds, byte identity, the *loaded* RESOLVE RTT),
@@ -102,6 +105,10 @@ def run_bench(args) -> int:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return 2
     _print_summary(record)
+    if "serve" in record and getattr(args, "profile_out", None) is not None:
+        print(f"serve window fixed cost: "
+              f"{record['serve']['window_fixed_us']:.1f} us/window",
+              file=sys.stderr)
     if gate_summary is not None:
         print(gate_summary)
     print(f"trajectory point #{len(trajectory)} appended to {args.output}")

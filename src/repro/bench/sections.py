@@ -486,8 +486,8 @@ def _pull_slices(alphas, jobs: int, window_jobs: int) -> None:
 def serve(scale, backend: str) -> dict:
     """One fault-free service run through the vectorized window loop vs
     the per-job reference loop on the same stream (reports identical),
-    plus the dispatch plane alone: memoized Algorithm 2 slices pulled at
-    window granularity, the way the service loop consumes them."""
+    the window's fixed cost, and the dispatch plane alone: memoized
+    Algorithm 2 slices pulled at window granularity."""
     speeds, util = (1.0, 2.0, 3.0, 4.0), 0.85
     jobs = {"smoke": 60_000, "quick": 240_000, "paper": 1_000_000}[scale.name]
     config = service_config(speeds, util, jobs)
@@ -504,6 +504,20 @@ def serve(scale, backend: str) -> dict:
             "vectorized serve loop diverged from the per-job reference report")
     dispatched = int(fast_report.jobs_dispatched)
 
+    # A window's fixed cost: the intercept of wall per window against
+    # jobs per window, from the same stream cut into four times as many
+    # windows (same estimator window), each size timed interleaved with
+    # the other.  With the same jobs in both runs that is the extra wall
+    # per extra window.  Recorded, not gated.
+    fine = dataclasses.replace(config, control_period=config.control_period / 4,
+                               estimator_window=config.window)
+    coarse_report, coarse_s, fine_report, fine_s = best_pair(
+        lambda: SchedulerService(config, synthetic_source(speeds, util)).run(),
+        lambda: SchedulerService(fine, synthetic_source(speeds, util)).run(),
+        repeats=5,
+    )
+    extra_windows = len(fine_report.windows) - len(coarse_report.windows)
+
     alphas = np.asarray(speeds) / sum(speeds)
     dispatch_sequence_slice(alphas, 0, jobs)  # warm memo
     _, dispatch_s = timed(_pull_slices, alphas, jobs, max(1, jobs // 50))
@@ -518,6 +532,7 @@ def serve(scale, backend: str) -> dict:
         "jobs_per_sec": ratio(dispatched, fast_s),
         "reference_jobs_per_sec": ratio(dispatched, ref_s),
         "dispatch_ns_per_job": dispatch_s / jobs * 1e9,
+        "window_fixed_us": (fine_s - coarse_s) / extra_windows * 1e6,
         "report_identical": True,
         "backend": backend,
     }

@@ -33,13 +33,22 @@ guard semantics require.  ``next`` values stay bounded (they decrease by
 1 per arrival and rise by 1/α on selection), so no drift accumulates
 over multi-million-job runs beyond the ±ulp rounding the paper's own
 float implementation had.
+
+Three consumers, one sequence.  :class:`RoundRobinDispatcher` is the
+per-job reference.  :class:`SequenceRoundRobin`, the serving loop's
+dispatcher, keeps the same state in pinned numpy blocks and walks it
+one compiled ``rr_sequence_extend`` call per batch, so a swap is a
+reseed (one ``rr_seed`` call).  The offline sweep and ``bench`` read
+the process-wide sequence memo (:func:`build_dispatch_sequence`,
+:func:`dispatch_sequence_slice`), which computes each allocation's
+sequence once and serves prefixes and slices of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..queueing.network import validate_allocation
+from ..queueing.network import ALLOCATION_ATOL
 from .base import StaticDispatcher
 
 __all__ = [
@@ -194,55 +203,44 @@ class RoundRobinDispatcher(StaticDispatcher):
 # 32k computers) and entries are LRU-bounded.
 
 _SEQUENCE_MEMO_ENTRIES = 4
-_sequence_memo: dict[tuple, tuple[np.ndarray, "RoundRobinDispatcher"]] = {}
+_sequence_memo: dict[tuple, tuple[np.ndarray, "SequenceRoundRobin"]] = {}
 
 
-def _extend_targets(private: "RoundRobinDispatcher", count: int) -> np.ndarray:
-    """The next ``count`` Algorithm 2 targets from a live dispatcher.
+_ck = None
 
-    Advances ``private``'s state exactly as ``count`` ``select`` calls
-    would, through the compiled ``rr_sequence_extend`` loop when the
-    kernel is available (the tie-break products use the identical
-    ``_inv_alpha`` doubles, so the sequence and the post-call state are
-    bit-identical to the Python loop; the kernel also reports the first
-    winners in the order ``select`` appends them to ``_started``, which
-    checkpoints serialize).  Falls back to ``select_batch`` otherwise.
-    Returns int16 (the memo's storage dtype).
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.int16)
-    from ..sim import ckernel  # local: repro.sim.fastpath imports us
 
-    fn = ckernel.entry("rr_extend")
-    if fn is None:
-        return private.select_batch(np.zeros(count)).astype(np.int16)
-    out, assign, nxt, started = ckernel.rr_extend_c(
-        fn, private._inv_alpha, private._active, private._assign,
-        private._next, count,
-    )
-    private._assign = assign.tolist()
-    private._next = nxt.tolist()
-    private._started.extend(started.tolist())
-    return out.astype(np.int16)
+def _ckernel():
+    """The compiled-kernel module, imported on first use
+    (:mod:`repro.sim.fastpath` imports this module)."""
+    global _ck
+    if _ck is None:
+        from ..sim import ckernel
+
+        _ck = ckernel
+    return _ck
+
+
+def _extend_targets(private: "SequenceRoundRobin", count: int) -> np.ndarray:
+    """The next ``count`` targets of a memo entry's private dispatcher,
+    as int16 (the memo's storage dtype)."""
+    return private._walk(count).astype(np.int16)
 
 
 def _memo_entry(alphas: np.ndarray, guard_init: float, key: tuple,
                 count: int) -> tuple:
     """The memo entry under ``key``, extended to at least ``count``.
 
-    On a miss, a private dispatcher adopts ``alphas``, which the caller
-    has validated (``validate_allocation``), and extends the sequence.
-    Extension is geometric (to ``max(count, 2 × cached)``), keeping the
-    amortized per-job cost constant across a long run; over-extension
-    is harmless because the sequence for N jobs is a prefix of the
-    sequence for M > N jobs.  The entry is re-inserted as the most
-    recently used.
+    On a miss, a private dispatcher adopts ``alphas`` (validating them)
+    and extends the sequence.  Extension is geometric (to
+    ``max(count, 2 × cached)``), keeping the amortized per-job cost
+    constant across a long run; over-extension is harmless because the
+    sequence for N jobs is a prefix of the sequence for M > N jobs.
+    The entry is re-inserted as the most recently used.
     """
     entry = _sequence_memo.pop(key, None)
     if entry is None:
-        private = RoundRobinDispatcher(guard_init=guard_init)
-        private.alphas = alphas.copy()
-        private._setup()
+        private = SequenceRoundRobin(guard_init=guard_init)
+        private.reset(alphas)
         entry = (_extend_targets(private, count), private)
     else:
         targets, private = entry
@@ -286,8 +284,8 @@ def build_dispatch_sequence(
     entry = _sequence_memo.pop(key, None)
     if entry is None:
         status = "miss"
-        private = RoundRobinDispatcher(guard_init=guard_init)
-        private.reset(np.array(alphas, dtype=float, copy=True))
+        private = SequenceRoundRobin(guard_init=guard_init)
+        private.reset(alphas)
         targets = _extend_targets(private, count)
         entry = (targets, private)
     else:
@@ -319,21 +317,26 @@ def dispatch_sequence_slice(
     if not 0 <= start <= stop:
         raise ValueError(f"invalid sequence slice [{start}, {stop})")
     key = sequence_memo_key(alphas, guard_init)
-    if key not in _sequence_memo:
-        alphas = validate_allocation(alphas)
     entry = _memo_entry(alphas, guard_init, key, stop)
     return entry[0][start:stop].astype(np.int64)
 
 
 class SequenceRoundRobin(StaticDispatcher):
-    """Algorithm 2 served as slices of the memoized target sequence.
+    """Algorithm 2 walked from live state, one compiled call per batch.
 
     Dispatch-wise indistinguishable from :class:`RoundRobinDispatcher`
     — the sequence is the same bits — but O(window) per batch with no
-    per-job Python scan: the serving loop's fast path.  Carries only a
-    position into the sequence; checkpoints interoperate both ways
-    (either class restores the other's ``state_dict``, see
-    ``load_state``).
+    per-job Python scan: the serving loop's dispatcher.  The state
+    (1/α, the active servers, ``next``, ``assign`` and the first
+    winners in first-win order) lives in one pinned float64 and one
+    pinned int64 block.  ``reset`` is one ``rr_seed`` call that
+    validates the allocation as :func:`validate_allocation` does and
+    seeds the blocks; ``select_batch`` is one ``rr_sequence_extend``
+    call that advances them in place and writes the targets.  Without
+    the kernel, ``validate_allocation``, a Python seeding and the
+    Python ``select`` loop run on the same blocks.  Checkpoints store
+    only the position, and interoperate both ways (either class
+    restores the other's ``state_dict``, see ``load_state``).
     """
 
     name = "round_robin"
@@ -344,29 +347,95 @@ class SequenceRoundRobin(StaticDispatcher):
             raise ValueError(f"guard_init must be non-negative, got {guard_init}")
         self.guard_init = float(guard_init)
         self._pos = 0
-        self._key = None
+        self._width = -1
+
+    def _reserve(self, n: int) -> None:
+        """Blocks ``n`` wide.  f64: 1/alpha, next, the clipped alphas;
+        i64: the active indices, assign, the first winners."""
+        if n != self._width:
+            self._width = n
+            self._f64 = np.empty(3 * n)
+            self._i64 = np.empty(3 * n, dtype=np.int64)
+            self._f64_addr = self._f64.ctypes.data
+            self._i64_addr = self._i64.ctypes.data
+
+    def reset(self, alphas) -> None:
+        ck = _ckernel()
+        fn = ck.entry("rr_seed")
+        a = np.asarray(alphas, dtype=float)
+        if fn is None or a.ndim != 1:
+            super().reset(alphas)
+            return
+        n = a.size
+        self._reserve(n)
+        self._f64[2 * n:] = a
+        nactive = ck.rr_seed_c(fn, n, self.guard_init, self._f64_addr,
+                               self._i64_addr, ALLOCATION_ATOL)
+        if nactive <= 0:
+            # Invalid, or no positive share: the Python path raises.
+            super().reset(alphas)
+            return
+        self.alphas = self._f64[2 * n:].copy()
+        self._nactive = nactive
+        self._nstarted = 0
+        self._pos = 0
 
     def _setup(self) -> None:
-        if not np.any(self.alphas > 0):
+        alphas = self.alphas.tolist()
+        n = len(alphas)
+        active = [i for i, a in enumerate(alphas) if a > 0]
+        if not active:
             raise ValueError("round robin needs at least one positive fraction")
+        self._reserve(n)
+        self._f64[:2 * n] = [1.0 / a if a > 0 else float("inf")
+                             for a in alphas] + [self.guard_init] * n
+        self._i64[:len(active)] = active
+        self._i64[n:2 * n] = 0
+        self._nactive = len(active)
+        self._nstarted = 0
         self._pos = 0
-        self._key = sequence_memo_key(self.alphas, self.guard_init)
 
-    def _slice(self, count: int) -> np.ndarray:
-        """The next ``count`` targets; ``alphas`` were validated by
-        ``reset``, so a memo miss adopts them without re-validating."""
+    def _live(self) -> tuple[list, list, list]:
+        """``(assign, next, started)`` as the Python dispatcher's lists."""
+        n = self._width
+        return (self._i64[n:2 * n].tolist(), self._f64[n:2 * n].tolist(),
+                self._i64[2 * n:2 * n + self._nstarted].tolist())
+
+    def _walk(self, count: int) -> np.ndarray:
+        """The next ``count`` targets, advancing the live state."""
         self._require_reset()
-        stop = self._pos + count
-        entry = _memo_entry(self.alphas, self.guard_init, self._key, stop)
-        targets = entry[0][self._pos:stop].astype(np.int64)
-        self._pos = stop
-        return targets
+        ck = _ckernel()
+        fn = ck.entry("rr_extend")
+        if fn is None:
+            return self._walk_python(count)
+        out, started = ck.rr_walk_c(fn, self._f64_addr, self._i64_addr,
+                                    self._width, self._nactive,
+                                    self._nstarted, count)
+        self._nstarted += started
+        self._pos += count
+        return out
+
+    def _walk_python(self, count: int) -> np.ndarray:
+        """:meth:`_walk` through :meth:`RoundRobinDispatcher.select`."""
+        n = self._width
+        rr = RoundRobinDispatcher(self.guard_init)
+        rr.alphas = self.alphas
+        rr._assign, rr._next, rr._started = self._live()
+        rr._active = self._i64[:self._nactive].tolist()
+        rr._inv_alpha = self._f64[:n].tolist()
+        out = rr.select_batch(np.zeros(count))
+        self._i64[n:2 * n] = rr._assign
+        self._f64[n:2 * n] = rr._next
+        self._nstarted = len(rr._started)
+        self._i64[2 * n:2 * n + self._nstarted] = rr._started
+        self._pos += count
+        return out
 
     def select(self, size: float) -> int:
-        return int(self._slice(1)[0])
+        return int(self._walk(1)[0])
 
     def select_batch(self, sizes: np.ndarray) -> np.ndarray:
-        return self._slice(int(np.asarray(sizes).size))
+        return self._walk(int(np.asarray(sizes).size))
 
     def state_dict(self) -> dict:
         return {
@@ -381,9 +450,12 @@ class SequenceRoundRobin(StaticDispatcher):
             self.alphas = None
             return
         self.reset(np.asarray(state["alphas"], dtype=float))
+        # Algorithm 2 is a pure function of the arrival count, so
+        # walking the position once rebuilds the exact live state.  A
+        # RoundRobinDispatcher checkpoint's position is the total number
+        # of jobs it dispatched.
         if "pos" in state:
-            self._pos = int(state["pos"])
+            pos = int(state["pos"])
         else:
-            # Legacy RoundRobinDispatcher checkpoint: the sequence
-            # position is the total number of jobs dispatched.
-            self._pos = int(sum(int(a) for a in state["assign"]))
+            pos = sum(int(a) for a in state["assign"])
+        self._walk(pos)

@@ -1005,13 +1005,23 @@ class OnlineWorkloadEstimator:
         }
 
     def load_state(self, state: dict) -> None:
+        up = state["up"]
+        if up is not None:
+            # Checked before anything is written: the compiled snapshot
+            # reads one mask entry per server.
+            up = np.asarray(up, dtype=bool)
+            n = self.speed.nominal.size
+            if up.shape != (n,):
+                raise ValueError(
+                    f"estimator state field 'up' has {up.size} entries, "
+                    f"expected {n}"
+                )
         self.windowed_rate.load_state(state["windowed_rate"])
         self.ewma_rate.load_state(state["ewma_rate"])
         self.mean_size.load_state(state["mean_size"])
         self.speed.load_state(state["speed"])
         self._state[_ES_SEEN] = int(state["arrivals_seen"])
-        up = state["up"]
-        self._set_up(None if up is None else np.asarray(up, dtype=bool))
+        self._set_up(up)
 
 
 class LatencyStats:

@@ -19,10 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HeterogeneousNetwork", "validate_allocation"]
+__all__ = ["HeterogeneousNetwork", "validate_allocation", "ALLOCATION_ATOL"]
+
+#: How far an allocation may stray outside [0, 1] and off a unit sum.
+ALLOCATION_ATOL = 1e-9
 
 
-def validate_allocation(alphas: np.ndarray, *, atol: float = 1e-9) -> np.ndarray:
+def validate_allocation(alphas: np.ndarray, *,
+                        atol: float = ALLOCATION_ATOL) -> np.ndarray:
     """Check αᵢ ∈ [0, 1] and Σαᵢ = 1; return as a float array.
 
     Both checks are written so that NaN fails them.

@@ -32,6 +32,11 @@ so ρ̂ is offered load over *surviving* capacity — and force the next
 boundary re-solve to run out-of-band over the survivors with FA_ORR
 semantics (:func:`~repro.faults.aware.survivor_fractions`), bypassing
 the ``swap_tolerance`` hysteresis so a membership change always swaps.
+
+The boundary's numeric steps — snapshot, usable test, survivor re-solve,
+delta and swap rule — are one compiled call (``boundary_resolve``) when
+the kernel is loaded; the Python body in :meth:`QuasiStaticController._boundary`
+computes the same bits otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..allocation.optimized import CUTOFF_RTOL
 from ..faults.aware import survivor_fractions
 from ..metrics.online import (
     _P2,
@@ -368,28 +374,24 @@ class QuasiStaticController:
             reason = (
                 "membership" if membership else ("slo" if slo_violated else "periodic")
             )
-            estimate = self.estimator.snapshot(now)
-            if not estimate.usable:
-                if membership:
+            estimate, target, delta, swapped = self._boundary(now, membership)
+            if estimate is None:
+                if swapped:
                     # Out-of-band: no usable estimate, but routing to a
                     # dead server is worse than re-planning from the
                     # nominal speeds (capacity-proportional fallback).
-                    target = survivor_fractions(
-                        self.estimator.speed.nominal, self.up, float("nan")
+                    self.alphas = target
+                    self.swaps += 1
+                    counters.inc("service.swaps")
+                    self.resolves += 1
+                    counters.inc("service.resolves", reason=reason)
+                    sp.set(status="resolved", reason=reason, swapped=True)
+                    return ControlDecision(
+                        time=float(now), alphas=self.alphas, estimate=None,
+                        swapped=True, resolved=True,
+                        shed_fraction=self.shed_fraction, reason=reason,
+                        window_p50=win_p50, window_p99=win_p99,
                     )
-                    if target is not None and bool(np.any(target != self.alphas)):
-                        self.alphas = target
-                        self.swaps += 1
-                        counters.inc("service.swaps")
-                        self.resolves += 1
-                        counters.inc("service.resolves", reason=reason)
-                        sp.set(status="resolved", reason=reason, swapped=True)
-                        return ControlDecision(
-                            time=float(now), alphas=self.alphas, estimate=None,
-                            swapped=True, resolved=True,
-                            shed_fraction=self.shed_fraction, reason=reason,
-                            window_p50=win_p50, window_p99=win_p99,
-                        )
                 sp.set(status="skipped")
                 counters.inc("service.resolve_skipped")
                 return ControlDecision(
@@ -399,16 +401,6 @@ class QuasiStaticController:
                     window_p50=win_p50, window_p99=win_p99,
                 )
             rho_hat = estimate.utilization
-            target = survivor_fractions(
-                estimate.speeds, self.up, min(rho_hat, self.rho_cap)
-            )
-            if target is None:  # total outage: keep the last allocation
-                target = self.alphas
-            delta = float(np.abs(target - self.alphas).max())
-            # Membership changes bypass the hysteresis: a survivors-only
-            # plan must take effect at this boundary, not once estimator
-            # drift happens to push the delta over the tolerance.
-            swapped = delta > self.swap_tolerance or (membership and delta > 0.0)
             if swapped:
                 self.alphas = target
                 self.swaps += 1
@@ -441,6 +433,66 @@ class QuasiStaticController:
                 window_p50=win_p50, window_p99=win_p99,
             )
 
+    def _boundary(self, now: float, membership: bool):
+        """The boundary's numeric steps: ``(estimate, target, delta,
+        swapped)``.
+
+        Snapshot the estimators at *now*; when the estimate is usable,
+        re-solve over the survivors at ``min(ρ̂, rho_cap)`` (a total
+        outage keeps the running allocation) and apply the swap rule to
+        the L∞ delta.  An unusable estimate after a membership change
+        re-plans out-of-band over the nominal speeds, swapping when the
+        plan differs; ``estimate`` is then None, and ``target`` is None
+        when nothing is re-planned.  ``target`` is a fresh vector
+        whenever ``swapped``.  One compiled call (``boundary_resolve``)
+        when the kernel is loaded, with the Python body's bits.
+        """
+        est = self.estimator
+        fn = ckernel.entry("boundary")
+        if fn is not None:
+            now = float(now)
+            if math.isnan(now):
+                raise ValueError("rate needs a time, got nan")
+            status, out = ckernel.boundary_resolve_c(
+                fn, est._addr, est.windowed_rate._addr,
+                est.speed._nominal_addr, est._up_addr, self.up, now,
+                membership, self.rho_cap, self.swap_tolerance,
+                CUTOFF_RTOL, self.alphas,
+            )
+            if status >= 0:
+                n = self.alphas.size
+                swapped = status in (2, 3)
+                target = out[4 + 2 * n:4 + 3 * n].copy() if swapped else None
+                if status in (0, 3):
+                    return None, target, None, swapped
+                lam, mean_size, rho = out[:3].tolist()
+                estimate = WorkloadEstimate(
+                    arrival_rate=lam,
+                    mean_size=mean_size,
+                    speeds=out[3:3 + n].copy(),
+                    utilization=rho,
+                    up=None if est._up is None else est._up.copy(),
+                )
+                return estimate, target, float(out[3 + 2 * n]), swapped
+        estimate = est.snapshot(now)
+        if not estimate.usable:
+            if membership:
+                target = survivor_fractions(est.speed.nominal, self.up, float("nan"))
+                if target is not None and bool(np.any(target != self.alphas)):
+                    return None, target, None, True
+            return None, None, None, False
+        target = survivor_fractions(
+            estimate.speeds, self.up, min(estimate.utilization, self.rho_cap)
+        )
+        if target is None:  # total outage: keep the last allocation
+            target = self.alphas
+        delta = float(np.abs(target - self.alphas).max())
+        # Membership changes bypass the hysteresis: a survivors-only
+        # plan must take effect at this boundary, not once estimator
+        # drift happens to push the delta over the tolerance.
+        swapped = delta > self.swap_tolerance or (membership and delta > 0.0)
+        return estimate, target, delta, swapped
+
     # -- crash-safe checkpointing --------------------------------------
 
     def state_dict(self) -> dict:
@@ -461,20 +513,29 @@ class QuasiStaticController:
         }
 
     def load_state(self, state: dict) -> None:
+        # Every shape is checked before anything is written: a mask of
+        # the wrong length would have the compiled boundary read past
+        # its end.
         alphas = np.asarray(state["alphas"], dtype=float)
         if alphas.shape != self.alphas.shape:
             raise ValueError(
                 f"controller state has {alphas.size} servers, "
                 f"expected {self.alphas.size}"
             )
+        up = np.asarray(state["up"], dtype=bool)
+        if up.shape != self.alphas.shape:
+            raise ValueError(
+                f"controller state field 'up' has {up.size} entries, "
+                f"expected {self.alphas.size}"
+            )
+        self.estimator.load_state(state["estimator"])
         self.alphas = alphas
         self.shed_fraction = float(state["shed_fraction"])
         self.resolves = int(state["resolves"])
         self.swaps = int(state["swaps"])
-        self.up = np.asarray(state["up"], dtype=bool)
+        self.up = up
         self._membership_dirty = bool(state["membership_dirty"])
         self.membership_events = int(state["membership_events"])
-        self.estimator.load_state(state["estimator"])
         self.p50.load_state(state["p50"])
         self.p99.load_state(state["p99"])
         self._win_p50.load_state(state["win_p50"])

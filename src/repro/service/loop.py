@@ -309,7 +309,7 @@ class SchedulerService:
 
     @property
     def dispatcher(self):
-        """The live dispatcher (replaced, never mutated, at a swap)."""
+        """The live dispatcher (reseeded in place at a swap)."""
         return self.step.dispatcher
 
     # ------------------------------------------------------------------

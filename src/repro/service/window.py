@@ -239,9 +239,9 @@ class WindowStep:
     controller:
         Defaults to :func:`build_controller` over *config*.
     reference:
-        Dispatch with the live per-job Algorithm 2 scan
-        (:class:`RoundRobinDispatcher`) instead of memoized sequence
-        slices; both walk the identical sequence.
+        Dispatch with the per-job Python Algorithm 2 scan
+        (:class:`RoundRobinDispatcher`) instead of the compiled walk of
+        :class:`SequenceRoundRobin`; both walk the identical sequence.
     """
 
     def __init__(
@@ -340,12 +340,12 @@ class WindowStep:
         """Re-solve at the boundary, swap, and record the window.
 
         Drain-and-switch: the allocation may change only here, between
-        windows, and a swap restarts the dispatch sequence.
+        windows, and a swap restarts the dispatch sequence (the
+        dispatcher reseeds in place).
         """
         controller = self.controller
         decision = controller.resolve(end)
         if decision.swapped:
-            self.dispatcher = self.new_dispatcher()
             self.dispatcher.reset(decision.alphas)
         estimate = decision.estimate
         shed = offered - admitted

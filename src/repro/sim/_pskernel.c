@@ -559,17 +559,22 @@ i64 rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
     i64 nstarted = 0;
     for (i64 k = 0; k < count; k++) {
         i64 sel = -1;
-        double minnext = 0.0, norassign = 0.0;
+        double minnext = 0.0;
         for (i64 a = 0; a < nactive; a++) {
             i64 i = active[a];
             double ni = nxt[i];
+            /* The previous selection's step 2.h, one pass with this
+             * scan: the same subtraction on the same values. */
+            if (k > 0 && assign[i] > 0) nxt[i] = ni = ni - 1.0;
             if (sel == -1 || ni < minnext) {
                 minnext = ni;
-                norassign = (double)(assign[i] + 1) * inv[i];
                 sel = i;
             } else if (ni == minnext) {
-                double cand = (double)(assign[i] + 1) * inv[i];
-                if (cand < norassign) { norassign = cand; sel = i; }
+                /* The tie-break products, recomputed from the
+                 * unchanged assign: the doubles select compares. */
+                if ((double)(assign[i] + 1) * inv[i] <
+                    (double)(assign[sel] + 1) * inv[sel])
+                    sel = i;
             }
         }
         if (assign[sel] == 0) {
@@ -578,12 +583,13 @@ i64 rr_sequence_extend(const double *inv, const i64 *active, i64 nactive,
         }
         nxt[sel] += inv[sel];
         assign[sel] += 1;
+        out[k] = sel;
+    }
+    if (count > 0)
         for (i64 a = 0; a < nactive; a++) {
             i64 i = active[a];
             if (assign[i] > 0) nxt[i] -= 1.0;
         }
-        out[k] = sel;
-    }
     return nstarted;
 }
 
@@ -1016,6 +1022,38 @@ double np_sum_probe(const double *a, i64 n, i64 seeded) {
     return np_sum(a, n, seeded);
 }
 
+/* SequenceRoundRobin.reset: validate_allocation's tests on alphas[0..n)
+ * (every entry within [-atol, 1 + atol], NaN failing; the ndarray.sum
+ * within max(atol, 1e-9 n) of 1), then the live Algorithm 2 state
+ * seeded from the clipped fractions as RoundRobinDispatcher._setup
+ * seeds its lists.  f: 1/alpha (inf where the clipped alpha is not
+ * positive), then n guards, then the clipped alphas (alphas may be that
+ * row: each entry is read before it is written); iw: the active
+ * indices, then n zero assign counts.  Returns how many servers are
+ * active (0: none), or -1 when a test fails, with nothing written. */
+i64 rr_seed(const double *alphas, i64 n, double atol, double guard,
+            i64 seeded, double *f, i64 *iw) {
+    for (i64 i = 0; i < n; i++)
+        if (!(-atol <= alphas[i] && alphas[i] <= 1.0 + atol)) return -1;
+    double tol = 1e-9 * (double)n;
+    if (!(fabs(np_sum(alphas, n, seeded) - 1.0) <= (tol > atol ? tol : atol)))
+        return -1;
+    i64 nactive = 0;
+    for (i64 i = 0; i < n; i++) {
+        double a = alphas[i] < 0.0 ? 0.0 : (alphas[i] > 1.0 ? 1.0 : alphas[i]);
+        f[2 * n + i] = a;
+        f[n + i] = guard;
+        iw[n + i] = 0;
+        if (a > 0.0) {
+            f[i] = 1.0 / a;
+            iw[nactive++] = i;
+        } else {
+            f[i] = INFINITY;
+        }
+    }
+    return nactive;
+}
+
 /* OnlineWorkloadEstimator.snapshot at `now`, its numpy body's steps:
  * the windowed rate evicted to now - window in place (rate(now)), the
  * EWMA rate when that reads zero, the size EWMA's value, per-server
@@ -1182,6 +1220,65 @@ i64 survivor_alloc(const double *speeds, const unsigned char *up, i64 n,
     for (i64 i = 0; i < n; i++) out[i] = 0.0;
     for (i64 i = 0; i < k; i++) out[idx[i]] = sub_alphas[i];
     return 0;
+}
+
+/* One control boundary of QuasiStaticController.resolve, its numeric
+ * steps in its order: est_snapshot at now; the WorkloadEstimate.usable
+ * test (λ̂ and m̂ finite and positive, and every speed of the servers
+ * est_up marks — all when NULL — finite and positive, at least one);
+ * then survivor_alloc over the controller's membership mask up, at
+ * min(ρ̂, rho_cap) over the estimated speeds, or — estimate unusable
+ * after a membership change — at NaN load over the nominal speeds (the
+ * out-of-band capacity-proportional plan); the L∞ delta against the
+ * running alphas, NaN-propagating as ndarray.max; and the swap rule
+ * (delta above tol, or a membership change and any delta).
+ * out: λ̂, m̂, ρ̂ and the n speeds (est_snapshot's layout), n scratch,
+ * the delta, then the n target alphas.  Scratch: iw 3n, dw 6n.
+ * Returns 0 when nothing is re-planned (estimate unusable and no
+ * out-of-band swap), 1 resolved without a swap, 2 resolved with a swap,
+ * 3 an out-of-band swap to the target, or -1 to defer to the Python
+ * body (survivor_alloc deferred); the snapshot's eviction has then
+ * happened, which a second snapshot at the same now repeats as a no-op. */
+i64 boundary_resolve(double *st, const double *buf, const double *nominal,
+                     const unsigned char *est_up, const unsigned char *up,
+                     i64 n, double now, i64 membership, double rho_cap,
+                     double tol, double rtol, i64 seeded,
+                     const double *alphas, double *out, i64 *iw,
+                     double *dw) {
+    est_snapshot(st, buf, nominal, est_up, n, now, seeded, out, out + 3 + n);
+    double lam = out[0], mean = out[1], rho = out[2];
+    const double *speeds = out + 3;
+    double *delta = out + 3 + 2 * n, *target = delta + 1;
+    int usable = isfinite(lam) && lam > 0.0 && isfinite(mean) && mean > 0.0;
+    i64 k = 0;
+    for (i64 i = 0; i < n; i++)
+        if (!est_up || est_up[i]) {
+            k++;
+            if (!(isfinite(speeds[i]) && speeds[i] > 0.0)) usable = 0;
+        }
+    if (k == 0) usable = 0;
+    if (!usable) {
+        if (!membership) return 0;
+        i64 s = survivor_alloc(nominal, up, n, NAN, rtol, seeded, target,
+                               iw, dw);
+        if (s == 2) return -1;
+        if (s == 1) return 0;
+        for (i64 i = 0; i < n; i++)
+            if (target[i] != alphas[i]) return 3;
+        return 0;
+    }
+    double u = rho_cap < rho ? rho_cap : rho;
+    i64 s = survivor_alloc(speeds, up, n, u, rtol, seeded, target, iw, dw);
+    if (s == 2) return -1;
+    if (s == 1)  /* total outage: keep the running allocation */
+        for (i64 i = 0; i < n; i++) target[i] = alphas[i];
+    double d = fabs(target[0] - alphas[0]);
+    for (i64 i = 1; i < n && !isnan(d); i++) {
+        double x = fabs(target[i] - alphas[i]);
+        if (isnan(x) || x > d) d = x;
+    }
+    *delta = d;
+    return (d > tol || (membership && d > 0.0)) ? 2 : 1;
 }
 
 /* Whole-cell fused replay: every unique dispatch plan of one

@@ -31,17 +31,29 @@ grouping prologue, and the fault-mode window:
   ``completion_fold_inputs`` turns the window's popped rows into the
   estimator fold's inputs.
 
-Beside them sit the searchsorted-style uniform→target mapping of the
-random dispatchers, the Algorithm 2 sequence extension, the two halves
-of the quasi-static controller's estimator step — ``est_arrivals`` and
-``est_completions``, one call each per control window over state
-vectors :mod:`repro.metrics.online` owns, the latter advancing the
-controller's four P² sets as the four lanes of one AVX2 vector where
-the CPU has it (``p2_probe`` runs either loop for tests) — and the
-scalar Algorithm 1
-re-solve (``est_snapshot``, ``optimized_alloc``, ``survivor_alloc``),
-which sums as numpy does and so runs only where :func:`_sum_order`
-knows numpy's summation order.
+Beside them sit:
+
+* the searchsorted-style uniform→target mapping of the random
+  dispatchers (``map_uniform``);
+* Algorithm 2: ``rr_sequence_extend`` (``"rr_extend"``) walks a
+  :class:`~repro.dispatch.round_robin.SequenceRoundRobin`'s live state
+  in its pinned blocks (:func:`rr_walk_c`), and ``rr_seed`` validates
+  an allocation and seeds such a state (:func:`rr_seed_c`);
+* the two halves of the quasi-static controller's estimator step —
+  ``est_arrivals`` and ``est_completions``, one call each per control
+  window over state vectors :mod:`repro.metrics.online` owns, the
+  latter advancing the controller's four P² sets as the four lanes of
+  one AVX2 vector where the CPU has it (``p2_probe`` runs either loop
+  for tests);
+* the scalar Algorithm 1 re-solve (``est_snapshot``,
+  ``optimized_alloc``, ``survivor_alloc``) and the control boundary
+  (``boundary_resolve``, ``"boundary"``): the snapshot, the usable
+  test, the survivor re-solve, the delta and the swap rule of one
+  ``QuasiStaticController.resolve`` in one call.
+
+The re-solve entries, the boundary and ``rr_seed`` sum as numpy does
+and so run only where :func:`_sum_order` knows numpy's summation
+order.
 
 Bit-identity with the interpreted path is a hard requirement (the
 replication cache and the grid executor both assume replay kernels are
@@ -100,13 +112,15 @@ __all__ = [
     "map_uniform_c",
     "replay_window_c",
     "fault_window_c",
-    "rr_extend_c",
+    "rr_walk_c",
+    "rr_seed_c",
     "est_arrivals_c",
     "est_completions_c",
     "p2_fold_probe_c",
     "est_snapshot_c",
     "optimized_alloc_c",
     "survivor_alloc_c",
+    "boundary_resolve_c",
 ]
 
 _SOURCE = Path(__file__).with_name("_pskernel.c")
@@ -245,6 +259,15 @@ _ENTRIES: dict[str, _Entry] = {
         _c_i64_p,  # out targets
         _c_i64_p,  # out first winners (room for nactive)
     )),
+    "rr_seed": _Entry("rr_seed", _i64, (
+        _c_double_p,  # alphas (in place: the third row of the f64 block)
+        _i64,  # n
+        _f64,  # atol
+        _f64,  # guard
+        _i64,  # sum seeded
+        _c_double_p,  # out: 1/alpha, next, clipped alphas (3n)
+        _c_i64_p,  # out: active indices, assign (2n)
+    ), sum_ordered=True),
     "arrivals": _Entry("est_arrivals", _i64, (
         _c_double_p,  # estimator state (in/out)
         _c_double_p,  # windowed-rate buffer (in/out, room reserved)
@@ -294,6 +317,24 @@ _ENTRIES: dict[str, _Entry] = {
         _f64,  # cutoff rtol
         _i64,  # sum seeded
         _c_double_p,  # out (full-length alphas)
+        _c_i64_p,  # i64 scratch (3n)
+        _c_double_p,  # f64 scratch (6n)
+    ), sum_ordered=True),
+    "boundary": _Entry("boundary_resolve", _i64, (
+        _c_double_p,  # estimator state (in/out: the rate window evicts)
+        _c_double_p,  # windowed-rate buffer
+        _c_double_p,  # nominal speeds
+        ctypes.c_void_p,  # estimator's up (bool per server), or NULL
+        ctypes.c_void_p,  # controller's up (bool per server)
+        _i64,  # n
+        _f64,  # now
+        _i64,  # membership changed
+        _f64,  # rho cap
+        _f64,  # swap tolerance
+        _f64,  # cutoff rtol
+        _i64,  # sum seeded
+        _c_double_p,  # running alphas
+        _c_double_p,  # out: snapshot, scratch (n), delta, target alphas
         _c_i64_p,  # i64 scratch (3n)
         _c_double_p,  # f64 scratch (6n)
     ), sum_ordered=True),
@@ -922,38 +963,44 @@ class _Pinned:
         return self
 
 
-#: Algorithm 2 extension.  ``f64``: 1/alpha, then ``next``; ``i64``: the
-#: active indices, then ``assign``, then the first winners.
-_rr_scratch = _Pinned(2, 3)
 #: Algorithm 1 entries.  ``f64``: speeds in, alphas out, then six rows
 #: of kernel scratch; ``i64``: three rows; ``up``: the membership mask.
 _alloc_scratch = _Pinned(8, 3)
+#: The control boundary.  ``f64``: the snapshot, its scratch, the delta
+#: and the target alphas (4 + 3n doubles, within four rows), six rows of
+#: re-solve scratch, then the running alphas; ``i64``: three rows.
+_boundary_scratch = _Pinned(11, 3)
 
 
-def rr_extend_c(fn, inv: list, active: list, assign: list, nxt: list,
-                count: int):
-    """Extend an Algorithm 2 sequence through the compiled select loop.
+def rr_walk_c(fn, f64_addr: int, i64_addr: int, n: int, nactive: int,
+              nstarted: int, count: int) -> tuple[np.ndarray, int]:
+    """Walk a live Algorithm 2 state ``count`` targets further, in place.
 
-    ``inv`` (1/alpha per server, the exact doubles of the Python
-    dispatcher's ``_inv_alpha``), ``active`` (the participant indices),
-    ``assign``/``nxt``: the dispatcher's state lists.  Returns
-    ``(targets, assign, next, started)``: a fresh int64 array of
-    ``count`` further targets, the state after them, and the servers
-    that won for the first time, in first-win order.  The last three
-    are views of pinned scratch: consume them before the next call.
+    The state is a dispatcher's own pinned blocks, rows ``n`` wide: at
+    ``f64_addr`` 1/alpha, then ``next``; at ``i64_addr`` the
+    ``nactive`` participant indices, then ``assign``, then the servers
+    that have won, in first-win order (the first ``nstarted`` filled).
+    Returns a fresh int64 array of the targets and how many servers won
+    for the first time, which the kernel appended to that row.
     """
-    n = len(inv)
-    sc = _rr_scratch.reserve(n)
-    w = sc.n
-    sc.f64[:n] = inv
-    sc.f64[w:w + n] = nxt
-    sc.i64[:len(active)] = active
-    sc.i64[w:w + n] = assign
     out = np.empty(count, dtype=np.int64)
-    k = fn(sc.f64_addr, sc.i64_addr, len(active), sc.i64_addr + 8 * w,
-           sc.f64_addr + 8 * w, count, _addr(out),
-           sc.i64_addr + 16 * w)
-    return out, sc.i64[w:w + n], sc.f64[w:w + n], sc.i64[2 * w:2 * w + k]
+    k = fn(f64_addr, i64_addr, nactive, i64_addr + 8 * n, f64_addr + 8 * n,
+           count, _addr(out), i64_addr + 8 * (2 * n + nstarted))
+    return out, k
+
+
+def rr_seed_c(fn, n: int, guard: float, f64_addr: int, i64_addr: int,
+              atol: float) -> int:
+    """Validate an allocation and seed a live Algorithm 2 state from it.
+
+    The blocks are :func:`rr_walk_c`'s, ``n`` wide, with a third
+    float64 row that holds the ``n`` fractions on entry and the clipped
+    fractions on return.  Returns the number of active servers, 0 when
+    none is, or -1 when ``validate_allocation`` would raise (the kernel
+    then writes nothing).
+    """
+    return fn(f64_addr + 16 * n, n, atol, guard, _fns.sum_seeded,
+              f64_addr, i64_addr)
 
 
 def est_arrivals_c(fn, state: int, buf: int, times: np.ndarray,
@@ -1053,6 +1100,36 @@ def survivor_alloc_c(fn, speeds: np.ndarray, up: np.ndarray, u: float,
     if status:
         return int(status), None
     return 0, sc.f64[n:2 * n].copy()
+
+
+def boundary_resolve_c(fn, state: int, buf: int, nominal: int, est_up,
+                       up: np.ndarray, now: float, membership: bool,
+                       rho_cap: float, tol: float, rtol: float,
+                       alphas: np.ndarray) -> tuple[int, np.ndarray]:
+    """One control boundary's re-solve through the compiled core.
+
+    ``state``, ``buf``, ``nominal`` and ``est_up`` are the estimator's
+    addresses as :func:`est_snapshot_c` takes them; ``up`` is the
+    controller's contiguous bool membership mask and ``alphas`` its
+    running contiguous float64 allocation.  Returns ``(status, out)``:
+    the kernel's status (0 nothing re-planned, 1 resolved, 2 resolved
+    and swapped, 3 out-of-band swap, -1 defer to the Python body) and a
+    view of the pinned block holding λ̂, m̂, ρ̂ and the ``n`` speeds,
+    ``n`` scratch doubles, the delta and the ``n`` target alphas.
+    Consume the view before the next call.
+    """
+    n = int(alphas.size)
+    sc = _boundary_scratch.reserve(n)
+    w = sc.n
+    # Copied in, not passed by address: a buffer export leaves numpy's
+    # buffer info on the array for its lifetime, and every swap's
+    # alphas live on in the report's window records.
+    sc.f64[10 * w:10 * w + n] = alphas
+    status = fn(state, buf, nominal, est_up, _addr(up), n, now,
+                membership, rho_cap, tol, rtol, _fns.sum_seeded,
+                sc.f64_addr + 80 * w, sc.f64_addr, sc.i64_addr,
+                sc.f64_addr + 32 * w)
+    return status, sc.f64
 
 
 def map_uniform_c(fn, cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:

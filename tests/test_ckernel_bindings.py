@@ -69,6 +69,6 @@ def test_unknown_summation_order_unbinds_only_the_sum_ordered_entries(
     monkeypatch.setattr(ckernel, "_fns", ckernel._load(*ckernel._compile()))
     unbound = {name for name in ckernel._ENTRIES
                if ckernel.entry(name) is None}
-    assert unbound == {"snapshot", "alloc", "survivors"}
+    assert unbound == {"snapshot", "alloc", "survivors", "boundary", "rr_seed"}
     assert unbound == {name for name, row in ckernel._ENTRIES.items()
                        if row.sum_ordered}

@@ -144,9 +144,10 @@ _ALLOCATIONS = st.lists(
                                              max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_swap_state_matches_python_dispatcher(path, weights, counts):
-    """A swap's memo miss (and later extensions) leaves the private
-    dispatcher in the state a Python RoundRobinDispatcher reaches after
-    the same number of selections: first-win order, assign and next."""
+    """A swap reseeds the serving dispatcher's live Algorithm 2 state,
+    and its walks leave that state where a Python RoundRobinDispatcher
+    is after the same number of selections: first-win order, assign and
+    next.  The sequence memo is not touched."""
     rr_module._sequence_memo.clear()
     alphas = np.asarray(weights, dtype=float) / sum(weights)
     saved = ckernel._fns
@@ -158,13 +159,15 @@ def test_swap_state_matches_python_dispatcher(path, weights, counts):
         got = np.concatenate([served.select_batch(np.zeros(c)) for c in counts])
     finally:
         ckernel._fns = saved
-    targets, private = rr_module._sequence_memo[served._key]
+    assert not rr_module._sequence_memo
+    assign, nxt, started = served._live()
     oracle = RoundRobinDispatcher()
     oracle.reset(alphas)
-    want = oracle.select_batch(np.zeros(targets.size))
+    want = oracle.select_batch(np.zeros(sum(counts)))
     np.testing.assert_array_equal(got, want[:got.size])
-    np.testing.assert_array_equal(targets, want)
-    assert private._started == oracle._started
-    assert private._assign == oracle._assign
-    assert [x.hex() for x in private._next] == [x.hex() for x in oracle._next]
-    assert all(weights[i] > 0 for i in private._started)
+    np.testing.assert_array_equal(got, want)
+    assert served.state_dict()["pos"] == want.size
+    assert started == oracle._started
+    assert assign == oracle._assign
+    assert [x.hex() for x in nxt] == [x.hex() for x in oracle._next]
+    assert all(weights[i] > 0 for i in started)

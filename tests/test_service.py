@@ -353,13 +353,12 @@ class TestSchedulerService:
         assert len(report.windows) == 5
 
     def test_swap_only_at_boundaries(self):
-        """Within a window the dispatcher object is untouched; swaps are
-        visible only as new dispatcher objects between windows."""
+        """Swaps happen only at window boundaries: the report counts
+        one per window that closed with a swap."""
         config = ServiceConfig(
             speeds=SPEEDS, duration=800.0, control_period=100.0
         )
         service = SchedulerService(config, make_source(0.6, seed=9))
-        seen = [service.dispatcher]
         report = service.run()
         assert report.swaps == sum(w.swapped for w in report.windows)
 
@@ -370,6 +369,62 @@ class TestSchedulerService:
             ServiceConfig(speeds=(1.0,), duration=10.0, control_period=20.0)
         with pytest.raises(ValueError):
             ServiceConfig(speeds=(1.0, -1.0), duration=10.0, control_period=1.0)
+
+
+class TestRestoreMaskLength:
+    """A checkpoint's membership masks must cover every server: the
+    compiled boundary reads one mask entry per server, so a short mask
+    is refused, naming the field, before any state is written."""
+
+    def controller(self):
+        c = QuasiStaticController((1.0, 2.0, 3.0, 4.0), window=50.0)
+        c.observe_arrivals(np.array([1.0, 2.0, 3.0]), np.ones(3))
+        c.mark_server_down(3, 3.0)
+        return c
+
+    def altered(self, c):
+        """*c*'s state with every field changed that a partial restore
+        would visibly write."""
+        state = c.state_dict()
+        state["alphas"] = [0.4, 0.3, 0.2, 0.1]
+        state["swaps"] = 99
+        state["estimator"]["windowed_rate"] = {"times": [7.0]}
+        state["estimator"]["arrivals_seen"] = 99
+        return state
+
+    @pytest.mark.parametrize("where", ["controller", "estimator"])
+    def test_short_mask_is_refused_before_any_write(self, where):
+        import json
+
+        c = self.controller()
+        before = json.dumps(c.state_dict())
+        state = self.altered(c)
+        if where == "controller":
+            state["up"] = [True, False]
+        else:
+            state["estimator"]["up"] = [True, False]
+        with pytest.raises(ValueError, match="field 'up' has 2 entries, expected 4"):
+            c.load_state(state)
+        assert json.dumps(c.state_dict()) == before
+        c.resolve(10.0)  # still a working controller
+
+    def test_estimator_refuses_a_short_mask_before_any_write(self):
+        import json
+
+        est = self.controller().estimator
+        before = json.dumps(est.state_dict())
+        state = est.state_dict()
+        state["arrivals_seen"] = 99
+        state["up"] = [True, False, True]
+        with pytest.raises(ValueError, match="field 'up' has 3 entries, expected 4"):
+            est.load_state(state)
+        assert json.dumps(est.state_dict()) == before
+
+    def test_full_mask_round_trips(self):
+        c = self.controller()
+        state = self.altered(c)
+        c.load_state(state)
+        assert c.state_dict() == state
 
 
 # ----------------------------------------------------------------------
